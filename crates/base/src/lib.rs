@@ -35,6 +35,6 @@ pub use fault::{FaultInjector, FaultStats, LinkShape, NoFaults};
 pub use ids::{ActorId, EventId, LaneId, LpId, NodeId};
 pub use metrics::{EpochMode, MetricsEpoch, MetricsSink, NullMetrics, SyncCause};
 pub use rng::{Pcg32, SplitMix64};
-pub use stats::Welford;
+pub use stats::{Horizon, Welford};
 pub use time::{VirtualTime, WallNs};
 pub use trace::{GvtPhaseKind, NullTrace, StderrSink, TraceRecord, TraceSink, Track};

@@ -3,7 +3,8 @@
 //! The paper reports committed event rate, efficiency, rollback counts, and
 //! an "LVT disparity" metric: the standard deviation of worker LVTs sampled
 //! at each GVT round, averaged over rounds. [`Welford`] provides the
-//! numerically stable single-pass mean/variance behind these.
+//! numerically stable single-pass mean/variance behind these; [`Horizon`]
+//! reduces one round's worker LVTs to that disparity plus the horizon width.
 
 /// Welford's online mean/variance accumulator.
 #[derive(Clone, Copy, Debug, Default)]
@@ -75,55 +76,42 @@ impl Welford {
     }
 }
 
-/// Min/max/sum tracker for durations and counters.
-#[derive(Clone, Copy, Debug)]
-pub struct MinMaxSum {
-    pub n: u64,
-    pub min: f64,
-    pub max: f64,
-    pub sum: f64,
+/// Profile of one virtual-time-horizon snapshot, à la Kolakowska–Novotny
+/// and Korniss (PAPERS.md): the finite values of a per-worker sample
+/// reduced to their **width** `max − min`, **roughness** (population
+/// std-dev — the paper's LVT disparity) and mean. Non-finite values (an
+/// idle worker's `+∞` LVT) are skipped.
+///
+/// The one definition of these statistics: the report's per-round
+/// Welfords, the per-epoch metrics and the trace horizon series all call
+/// [`Horizon::of`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Horizon {
+    /// Finite values in the snapshot.
+    pub samples: u32,
+    /// Mean of the finite values (0.0 when there are none).
+    pub mean: f64,
+    /// `max − min` of the finite values (0.0 when there are none).
+    pub width: f64,
+    /// Population standard deviation of the finite values.
+    pub roughness: f64,
 }
 
-impl Default for MinMaxSum {
-    fn default() -> Self {
-        MinMaxSum { n: 0, min: f64::INFINITY, max: f64::NEG_INFINITY, sum: 0.0 }
-    }
-}
-
-impl MinMaxSum {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        if x < self.min {
-            self.min = x;
+impl Horizon {
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Horizon {
+        let mut w = Welford::new();
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for x in values.into_iter().filter(|x| x.is_finite()) {
+            w.push(x);
+            min = min.min(x);
+            max = max.max(x);
         }
-        if x > self.max {
-            self.max = x;
+        Horizon {
+            samples: w.count() as u32,
+            mean: w.mean(),
+            width: if max >= min { max - min } else { 0.0 },
+            roughness: w.std_dev(),
         }
-    }
-
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    pub fn merge(&mut self, other: &MinMaxSum) {
-        if other.n == 0 {
-            return;
-        }
-        self.n += other.n;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -190,20 +178,38 @@ mod tests {
     }
 
     #[test]
-    fn minmaxsum_tracks_extremes() {
-        let mut m = MinMaxSum::new();
-        for x in [3.0, -1.0, 7.0, 2.0] {
-            m.push(x);
-        }
-        assert_eq!(m.n, 4);
-        assert_eq!(m.min, -1.0);
-        assert_eq!(m.max, 7.0);
-        assert!((m.mean() - 2.75).abs() < 1e-12);
+    fn horizon_uses_population_std_dev() {
+        // mean 4, deviations [-2,0,0,2] -> variance 2 -> std ~1.414.
+        let h = Horizon::of([2.0, 4.0, 4.0, 6.0]);
+        assert_eq!(h.samples, 4);
+        assert!((h.mean - 4.0).abs() < 1e-12);
+        assert!((h.roughness - 2.0_f64.sqrt()).abs() < 1e-12);
+        assert_eq!(h.width, 4.0);
+    }
 
-        let mut other = MinMaxSum::new();
-        other.push(100.0);
-        m.merge(&other);
-        assert_eq!(m.max, 100.0);
-        assert_eq!(m.n, 5);
+    #[test]
+    fn horizon_of_nothing_finite_is_zero() {
+        // All workers idle at infinite LVT: width collapses to 0 rather
+        // than going negative or NaN.
+        let h = Horizon::of([f64::INFINITY, f64::INFINITY, f64::NAN]);
+        assert_eq!(h, Horizon::default());
+        assert_eq!(Horizon::of([]), Horizon::default());
+    }
+
+    #[test]
+    fn horizon_single_value_has_zero_width() {
+        let h = Horizon::of([7.5]);
+        assert_eq!((h.samples, h.mean, h.width, h.roughness), (1, 7.5, 0.0, 0.0));
+    }
+
+    #[test]
+    fn horizon_skips_infinite_values_in_mixed_snapshots() {
+        // {2, inf, 6, inf}: only the finite pair contributes, so the width
+        // is 4 and the std-dev is that of {2, 6} = 2.
+        let h = Horizon::of([2.0, f64::INFINITY, 6.0, f64::INFINITY]);
+        assert_eq!(h.samples, 2);
+        assert_eq!(h.width, 4.0);
+        assert!((h.roughness - 2.0).abs() < 1e-12);
+        assert!((h.mean - 4.0).abs() < 1e-12);
     }
 }

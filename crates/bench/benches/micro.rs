@@ -5,10 +5,11 @@
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::{VirtualTime, WallNs};
-use cagvt_base::{NullMetrics, NullTrace};
-use cagvt_bench::{base_config, run_one, run_one_observed, run_one_traced, Scale};
+use cagvt_base::{MetricsSink, NullMetrics, NullTrace, TraceSink};
+use cagvt_bench::{base_config, run_one, run_one_observed, Scale};
 use cagvt_core::event::Event;
 use cagvt_core::queue::PendingSet;
+use cagvt_core::RunReport;
 use cagvt_gvt::GvtKind;
 use cagvt_metrics::MetricsRegistry;
 use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
@@ -144,6 +145,17 @@ fn rollback_strategies(c: &mut Criterion) {
     group.finish();
 }
 
+/// The overhead groups' workload: COMM-PHOLD under Mattern on 2 nodes at
+/// bench scale, with the given observers.
+fn observed_run(
+    trace: Option<Arc<dyn TraceSink>>,
+    metrics: Option<Arc<dyn MetricsSink>>,
+) -> RunReport {
+    let cfg = base_config(2, MpiMode::Dedicated, 25, &Scale::bench());
+    let workload = cagvt_models::presets::comm_dominated(&cfg);
+    run_one_observed(GvtKind::Mattern, &workload, cfg, None, trace, metrics)
+}
+
 /// Cost of the tracing hook when no one is listening: the same run with no
 /// sink installed, with the disabled [`NullTrace`] sink (one `enabled()`
 /// branch per hook), and with the full ring-buffer recorder. The first two
@@ -152,15 +164,7 @@ fn rollback_strategies(c: &mut Criterion) {
 fn trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(10);
-    let scale = Scale::bench();
-    let run = |trace: Option<Arc<dyn cagvt_base::TraceSink>>| {
-        let cfg = base_config(2, MpiMode::Dedicated, 25, &scale);
-        let workload = cagvt_models::presets::comm_dominated(&cfg);
-        match trace {
-            None => run_one(cagvt_gvt::GvtKind::Mattern, &workload, cfg),
-            Some(t) => run_one_traced(cagvt_gvt::GvtKind::Mattern, &workload, cfg, t),
-        }
-    };
+    let run = |trace| observed_run(trace, None);
     group.bench_function("no_sink", |b| b.iter(|| run(None)));
     group.bench_function("null_sink", |b| b.iter(|| run(Some(Arc::new(NullTrace)))));
     group.bench_function("ring_recorder", |b| b.iter(|| run(Some(TraceRecorder::new()))));
@@ -176,15 +180,7 @@ fn trace_overhead(c: &mut Criterion) {
 fn metrics_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics_overhead");
     group.sample_size(10);
-    let scale = Scale::bench();
-    let run = |metrics: Option<Arc<dyn cagvt_base::MetricsSink>>| {
-        let cfg = base_config(2, MpiMode::Dedicated, 25, &scale);
-        let workload = cagvt_models::presets::comm_dominated(&cfg);
-        match metrics {
-            None => run_one(cagvt_gvt::GvtKind::Mattern, &workload, cfg),
-            Some(m) => run_one_observed(cagvt_gvt::GvtKind::Mattern, &workload, cfg, None, m),
-        }
-    };
+    let run = |metrics| observed_run(None, metrics);
     group.bench_function("no_sink", |b| b.iter(|| run(None)));
     group.bench_function("null_sink", |b| b.iter(|| run(Some(Arc::new(NullMetrics)))));
     group.bench_function("registry", |b| b.iter(|| run(Some(Arc::new(MetricsRegistry::new())))));

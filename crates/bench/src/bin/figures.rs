@@ -94,6 +94,14 @@ fn mode_list() -> String {
     names.join(" ")
 }
 
+/// Report a command-line error with the usage line and mode list; exit 2.
+fn usage_exit(error: &str) -> ! {
+    eprintln!("{error}");
+    eprintln!("usage: figures [all | <mode>...] [--paper] [--bench-scale] [--out DIR]");
+    eprintln!("available modes: all {}", mode_list());
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::default();
@@ -157,9 +165,10 @@ fn main() {
                 scale = Scale::bench();
                 scale_label = "bench";
             }
-            "--out" => {
-                out_dir = Some(it.next().expect("--out needs a directory").clone());
-            }
+            "--out" => match it.next() {
+                Some(dir) => out_dir = Some(dir.clone()),
+                None => usage_exit("--out needs a directory"),
+            },
             other => selected.push(other.to_string()),
         }
     }
@@ -202,9 +211,7 @@ fn main() {
             cagvt_bench::health_experiment(&scale, out_dir.as_deref().map(std::path::Path::new))
         } else {
             let Some(mode) = find_mode(name) else {
-                eprintln!("unknown experiment: {name}");
-                eprintln!("available modes: all {}", mode_list());
-                std::process::exit(2);
+                usage_exit(&format!("unknown experiment: {name}"));
             };
             (mode.run)(&scale)
         };

@@ -5,8 +5,8 @@
 //! figure (committed event rate vs node count); the `stats`, `epg_sweep`,
 //! `ca_trace` and sweep functions cover the in-text tables and the
 //! ablations listed in DESIGN.md. The `figures` binary formats these as
-//! CSV; the Criterion benches under `benches/` time scaled-down instances
-//! of the same configurations.
+//! CSV; `hostbench/` (a separate package) times the host cost of such runs
+//! layer by layer.
 //!
 //! Scale: [`Scale::paper`] is the paper's geometry (60 workers and 128 LPs
 //! per worker per node); [`Scale::default`] keeps the 60-workers-per-MPI
@@ -60,7 +60,8 @@ impl Scale {
         Scale { workers_per_node: 60, lps_per_worker: 128, end_time: 60.0, seed: 0x1CC_2019 }
     }
 
-    /// A tiny geometry for Criterion benches and smoke tests.
+    /// A tiny geometry for smoke tests, the golden figure test and the
+    /// benchmarks.
     pub fn bench() -> Self {
         Scale { workers_per_node: 12, lps_per_worker: 32, end_time: 4.0, seed: 0x1CC_2019 }
     }
@@ -91,47 +92,23 @@ fn scheduler_valves() -> VirtualConfig {
 
 /// Run one `(algorithm, workload, topology)` combination.
 pub fn run_one(kind: GvtKind, workload: &Workload, cfg: SimConfig) -> RunReport {
-    run_one_faulted(kind, workload, cfg, None)
+    run_one_observed(kind, workload, cfg, None, None, None)
 }
 
-/// [`run_one`] on a perturbed cluster: the injector shapes actor costs,
-/// link traffic and MPI pumps across every layer of the run.
-pub fn run_one_faulted(
-    kind: GvtKind,
-    workload: &Workload,
-    cfg: SimConfig,
-    faults: Option<Arc<dyn FaultInjector>>,
-) -> RunReport {
-    let model = Arc::new(workload.model.clone());
-    let vcfg = VirtualConfig { faults, ..scheduler_valves() };
-    run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared))
-}
-
-/// [`run_one`] with a trace sink observing every instrumented layer
-/// (workers, GVT algorithms, the MPI fabric and the scheduler).
-pub fn run_one_traced(
-    kind: GvtKind,
-    workload: &Workload,
-    cfg: SimConfig,
-    trace: Arc<dyn TraceSink>,
-) -> RunReport {
-    let model = Arc::new(workload.model.clone());
-    let vcfg = VirtualConfig { trace: Some(trace), ..scheduler_valves() };
-    run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared))
-}
-
-/// [`run_one`] with a metrics sink receiving one [`MetricsEpoch`] per GVT
-/// round, optionally on a perturbed cluster (the health experiment runs
-/// both arms of that cross).
+/// [`run_one`] with observers: `faults` shapes actor costs, link traffic
+/// and MPI pumps across every layer of the run; `trace` observes every
+/// instrumented layer (workers, GVT algorithms, the MPI fabric and the
+/// scheduler); `metrics` receives one [`MetricsEpoch`] per GVT round.
 pub fn run_one_observed(
     kind: GvtKind,
     workload: &Workload,
     cfg: SimConfig,
     faults: Option<Arc<dyn FaultInjector>>,
-    metrics: Arc<dyn MetricsSink>,
+    trace: Option<Arc<dyn TraceSink>>,
+    metrics: Option<Arc<dyn MetricsSink>>,
 ) -> RunReport {
     let model = Arc::new(workload.model.clone());
-    let vcfg = VirtualConfig { faults, metrics: Some(metrics), ..scheduler_valves() };
+    let vcfg = VirtualConfig { faults, trace, metrics, ..scheduler_valves() };
     run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared))
 }
 
@@ -499,7 +476,7 @@ pub fn fault_sweep(scale: &Scale) -> Vec<Row> {
                 move || {
                     let cfg = base_config(nodes, mode, 25, &scale);
                     let faults = make_faults(severity, topology, scale.seed ^ 0xFA17, span);
-                    run_one_faulted(kind, &comm_dominated(&cfg), cfg, faults)
+                    run_one_observed(kind, &comm_dominated(&cfg), cfg, faults, None, None)
                 },
             ));
         }
@@ -529,7 +506,8 @@ pub fn trace_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Vec
             let cfg = base_config(nodes, mode, 25, &scale);
             let workload = comm_dominated(&cfg);
             let recorder = TraceRecorder::new();
-            let report = run_one_traced(kind, &workload, cfg, recorder.clone());
+            let trace = Some(recorder.clone() as Arc<dyn TraceSink>);
+            let report = run_one_observed(kind, &workload, cfg, None, trace, None);
             let events = recorder.snapshot();
             (report, events, recorder.recorded(), recorder.dropped(), cfg.spec.workers_per_node)
         }));
@@ -550,12 +528,8 @@ pub fn trace_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Vec
             stats.mean_width,
             stats.mean_utilization,
         );
-        for r in &stats.rounds {
-            let util = r.utilization.map(|u| format!("{u:.6}")).unwrap_or_default();
-            horizon.push_str(&format!(
-                "{series},{},{},{},{},{},{},{},{}\n",
-                r.round, r.t_ns, r.gvt, r.mean_lvt, r.width, r.roughness, util, r.samples
-            ));
+        for line in stats.to_csv().lines().skip(1) {
+            horizon.push_str(&format!("{series},{line}\n"));
         }
         if let Some(dir) = out_dir {
             let meta = TraceMeta { nodes, workers_per_node };
@@ -640,7 +614,8 @@ pub fn health_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Ve
                 }
                 let registry = Arc::new(registry);
                 let faults = straggled.then(|| health_straggle_injector(topology, span));
-                let report = run_one_observed(kind, &workload, cfg, faults, registry.clone());
+                let metrics = Some(registry.clone() as Arc<dyn MetricsSink>);
+                let report = run_one_observed(kind, &workload, cfg, faults, None, metrics);
                 let epochs = registry.epochs();
                 (report, epochs)
             }));
@@ -721,5 +696,54 @@ mod tests {
         let row = Row { figure: "test", series: "s".into(), nodes: 1, report };
         let fields = row.csv().split(',').count();
         assert_eq!(fields, Row::csv_header().split(',').count());
+    }
+
+    /// A row whose report went through the report's own rate helpers, as
+    /// `RunReport::assemble` does.
+    fn row_for(committed: u64, rolled_back: u64, sim_seconds: f64) -> Row {
+        use cagvt_core::report::{efficiency_of, safe_rate};
+        let committed_rate = safe_rate(committed as f64, sim_seconds);
+        let report = RunReport {
+            committed,
+            processed: committed + rolled_back,
+            rolled_back,
+            sim_seconds,
+            committed_rate,
+            steady_rate: committed_rate,
+            efficiency: efficiency_of(committed, rolled_back),
+            ..Default::default()
+        };
+        Row { figure: "test", series: "s".into(), nodes: 2, report }
+    }
+
+    /// Degenerate runs — nothing committed in zero simulated time (what a
+    /// mis-scaled config can produce), or nothing committed over a positive
+    /// makespan — must never leak NaN into a figure CSV through any rate
+    /// column.
+    #[test]
+    fn degenerate_rows_have_no_nan_columns() {
+        for (committed, rolled_back, sim_seconds, efficiency) in
+            [(0, 0, 0.0, 1.0), (0, 10, 1.0, 0.0)]
+        {
+            let row = row_for(committed, rolled_back, sim_seconds);
+            assert_eq!(row.report.committed_rate, 0.0);
+            assert_eq!(row.report.efficiency, efficiency);
+            let csv = row.csv();
+            assert!(!csv.contains("NaN") && !csv.contains("inf"), "degenerate row leaked: {csv}");
+            for field in csv.split(',') {
+                if let Ok(v) = field.parse::<f64>() {
+                    assert!(v.is_finite(), "non-finite field {field:?} in {csv}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn health_alerts_column_counts_alerts() {
+        let mut row = row_for(90, 10, 1.0);
+        assert!(row.csv().ends_with(",0"));
+        row.report.health.push("straggler: worker 3".to_string());
+        row.report.health.push("efficiency-collapse".to_string());
+        assert!(row.csv().ends_with(",2"), "health_alerts column counts alerts");
     }
 }

@@ -7,7 +7,7 @@ use cagvt_base::metrics::MetricsSink;
 use cagvt_base::time::VirtualTime;
 use cagvt_base::trace::TraceSink;
 use cagvt_exec::{VirtualConfig, VirtualScheduler};
-use cagvt_net::{fabric_pair_traced, MpiMode};
+use cagvt_net::{fabric_pair, MpiMode};
 use std::sync::Arc;
 
 use crate::config::SimConfig;
@@ -31,38 +31,23 @@ pub struct ClusterHandles<M: Model> {
 /// built on top by [`build_cluster`]; exposed separately so GVT bundle
 /// factories can be handed the shared state first).
 pub fn build_shared<M: Model>(model: Arc<M>, cfg: SimConfig) -> Arc<EngineShared<M>> {
-    build_shared_faulted(model, cfg, None)
+    build_shared_observed(model, cfg, None, None, None)
 }
 
-/// [`build_shared`] with a fault injector installed: the fabric shapes
-/// every inter-node message through it and the MPI pumps consult it for
-/// stall windows.
-pub fn build_shared_faulted<M: Model>(
-    model: Arc<M>,
-    cfg: SimConfig,
-    faults: Option<Arc<dyn FaultInjector>>,
-) -> Arc<EngineShared<M>> {
-    build_shared_traced(model, cfg, faults, None)
-}
-
-/// [`build_shared_faulted`] with a trace sink installed on every
-/// instrumented layer (workers and GVT algorithms via `GvtSharedCore`, the
-/// event fabric's inbox sampling). When `trace` is `None` the
-/// `CAGVT_TRACE` environment variable can still enable a filtered stderr
-/// sink (`<lp>:<seq>` for one event's lifecycle, `all` for everything).
-pub fn build_shared_traced<M: Model>(
-    model: Arc<M>,
-    cfg: SimConfig,
-    faults: Option<Arc<dyn FaultInjector>>,
-    trace: Option<Arc<dyn TraceSink>>,
-) -> Arc<EngineShared<M>> {
-    build_shared_observed(model, cfg, faults, trace, None)
-}
-
-/// [`build_shared_traced`] with a metrics sink installed on the GVT core:
-/// each completed GVT round publishes one windowed [`MetricsEpoch`] to it
-/// (see `GvtSharedCore::publish_epoch`). Like tracing, metrics observation
-/// never charges virtual time and a disabled sink costs one branch.
+/// [`build_shared`] with observers installed:
+///
+/// * `faults` — the fabric shapes every inter-node message through it and
+///   the MPI pumps consult it for stall windows;
+/// * `trace` — a trace sink on every instrumented layer (workers and GVT
+///   algorithms via `GvtSharedCore`, the event fabric's inbox sampling).
+///   When `None`, the `CAGVT_TRACE` environment variable can still enable
+///   a filtered stderr sink (`<lp>:<seq>` for one event's lifecycle, `all`
+///   for everything);
+/// * `metrics` — each completed GVT round publishes one windowed
+///   [`MetricsEpoch`] to it (see `GvtSharedCore::publish_epoch`).
+///
+/// Observation never charges virtual time and a disabled sink costs one
+/// branch.
 ///
 /// [`MetricsEpoch`]: cagvt_base::metrics::MetricsEpoch
 pub fn build_shared_observed<M: Model>(
@@ -76,14 +61,14 @@ pub fn build_shared_observed<M: Model>(
     let trace = trace.or_else(cagvt_base::trace::env_sink);
     let spec = cfg.spec;
     let stats = Arc::new(SharedStats::new(spec.total_workers()));
-    let gvt_core = Arc::new(GvtSharedCore::with_observers(
+    let gvt_core = Arc::new(GvtSharedCore::new(
         Arc::clone(&stats),
         spec.nodes,
         spec.workers_per_node,
         trace.clone(),
         metrics,
     ));
-    let (fabric, ctrl) = fabric_pair_traced(spec.nodes, faults.clone(), trace);
+    let (fabric, ctrl) = fabric_pair(spec.nodes, faults.clone(), trace);
     let nodes = (0..spec.nodes)
         .map(|n| Arc::new(NodeShared::new(NodeId(n), spec.workers_per_node)))
         .collect();

@@ -25,7 +25,6 @@ use cagvt_base::ids::{LaneId, NodeId};
 use cagvt_base::metrics::{
     EpochMode, MetricsEpoch, MetricsSink, SyncCause, BARRIER_A, BARRIER_B, BARRIER_C,
 };
-use cagvt_base::stats::Welford;
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::{TraceRecord, TraceSink};
 use cagvt_net::MsgClass;
@@ -34,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::event::WHITE_TAG;
-use crate::stats::SharedStats;
+use crate::stats::{RoundSnapshot, SharedStats};
 
 /// Engine-visible GVT state, one per run.
 pub struct GvtSharedCore {
@@ -86,20 +85,7 @@ struct EpochBase {
 }
 
 impl GvtSharedCore {
-    pub fn new(stats: Arc<SharedStats>, nodes: u16, workers_per_node: u16) -> Self {
-        Self::with_observers(stats, nodes, workers_per_node, None, None)
-    }
-
-    pub fn with_trace(
-        stats: Arc<SharedStats>,
-        nodes: u16,
-        workers_per_node: u16,
-        trace: Option<Arc<dyn TraceSink>>,
-    ) -> Self {
-        Self::with_observers(stats, nodes, workers_per_node, trace, None)
-    }
-
-    pub fn with_observers(
+    pub fn new(
         stats: Arc<SharedStats>,
         nodes: u16,
         workers_per_node: u16,
@@ -131,6 +117,19 @@ impl GvtSharedCore {
         matches!(&self.metrics, Some(m) if m.enabled())
     }
 
+    /// Record the horizon of the round just published: one `GvtPublish`
+    /// followed by an `Lvt` record per finite worker LVT, batched so
+    /// `cagvt_trace::HorizonStats::compute` can pair them up.
+    pub(crate) fn trace_round(&self, snap: &RoundSnapshot) {
+        let Some(tr) = self.tracing() else { return };
+        tr.record(snap.t, &TraceRecord::GvtPublish { round: snap.round, gvt: snap.gvt });
+        for (i, &lvt) in snap.lvts.iter().enumerate() {
+            if lvt.is_finite() {
+                tr.record(snap.t, &TraceRecord::Lvt { worker: i as u32, lvt });
+            }
+        }
+    }
+
     /// Assemble and emit the [`MetricsEpoch`] for the round just
     /// published. Called by worker 0 in its round-completion branch —
     /// after the round's fossil pass, before the termination check, so the
@@ -139,63 +138,37 @@ impl GvtSharedCore {
     /// Read-only with respect to engine state (the only mutation is the
     /// metrics-private `epoch_base`) and charges no virtual time, which is
     /// what keeps metered runs bit-identical (`metrics_never_perturb`).
-    pub fn publish_epoch(&self, t: WallNs) {
+    pub(crate) fn publish_epoch(&self, snap: &RoundSnapshot) {
         let Some(sink) = self.metrics.as_deref() else { return };
         if !sink.enabled() {
             return;
         }
-        let round = self.published_round();
-        let gvt = self.published_gvt();
-        let gvt_f = gvt.as_f64();
+        let gvt_f = snap.gvt.as_f64();
         let stats = &self.stats;
 
         // Cluster totals: live atomics plus the round-refreshed cells.
         let cells = stats.merged_cells();
-        let committed = stats.committed.load(Ordering::Relaxed);
-        let processed = stats.processed.load(Ordering::Relaxed);
-        let rolled_back = stats.rolled_back.load(Ordering::Relaxed);
-        let msgs_sent = stats.msgs_sent.load(Ordering::Relaxed);
-        let msgs_received = stats.msgs_received.load(Ordering::Relaxed);
-
-        let mut base = self.epoch_base.lock();
-        let dc = committed - base.committed;
-        let dr = rolled_back - base.rolled_back;
-        let epoch_deltas = (
-            processed - base.processed,
-            msgs_sent - base.msgs_sent,
-            msgs_received - base.msgs_received,
-            cells.rollbacks - base.rollbacks,
-            cells.antis_sent - base.antis_sent,
-            cells.annihilated - base.annihilated,
-        );
-        *base = EpochBase {
-            committed,
-            processed,
-            rolled_back,
-            msgs_sent,
-            msgs_received,
+        let now = EpochBase {
+            committed: stats.committed.load(Ordering::Relaxed),
+            processed: stats.processed.load(Ordering::Relaxed),
+            rolled_back: stats.rolled_back.load(Ordering::Relaxed),
+            msgs_sent: stats.msgs_sent.load(Ordering::Relaxed),
+            msgs_received: stats.msgs_received.load(Ordering::Relaxed),
             rollbacks: cells.rollbacks,
             antis_sent: cells.antis_sent,
             annihilated: cells.annihilated,
         };
-        drop(base);
+        let prev = std::mem::replace(&mut *self.epoch_base.lock(), now);
+        let dc = now.committed - prev.committed;
+        let dr = now.rolled_back - prev.rolled_back;
 
         // Horizon: per-worker LVT lag vs the freshly published GVT.
-        let mut lags = Vec::with_capacity(stats.worker_lvts.len());
-        let mut w = Welford::new();
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for lvt in &stats.worker_lvts {
-            let lvt = VirtualTime::from_ordered_bits(lvt.load(Ordering::Relaxed));
-            if lvt.is_finite() {
-                let lag = lvt.as_f64() - gvt_f;
-                lags.push(lag);
-                w.push(lag);
-                min = min.min(lag);
-                max = max.max(lag);
-            } else {
-                lags.push(f64::NAN);
-            }
-        }
+        let lags = snap
+            .lvts
+            .iter()
+            .map(|l| if l.is_finite() { l.as_f64() - gvt_f } else { f64::NAN })
+            .collect();
+        let h = snap.horizon;
 
         let depths: Vec<u64> =
             self.mpi_queue_depth.iter().map(|d| d.load(Ordering::Relaxed)).collect();
@@ -207,7 +180,7 @@ impl GvtSharedCore {
         let (mode, cause, barriers) = {
             let tr = stats.gvt_trace.lock();
             match tr.last() {
-                Some(r) if r.round == round => {
+                Some(r) if r.round == snap.round => {
                     if r.synchronous {
                         (EpochMode::Sync, r.cause, BARRIER_A | BARRIER_B | BARRIER_C)
                     } else {
@@ -219,30 +192,30 @@ impl GvtSharedCore {
         };
 
         let epoch = MetricsEpoch {
-            round,
-            t,
+            round: snap.round,
+            t: snap.t,
             gvt: gvt_f,
             committed_delta: dc,
-            processed_delta: epoch_deltas.0,
+            processed_delta: now.processed - prev.processed,
             rolled_back_delta: dr,
-            rollbacks_delta: epoch_deltas.3,
-            antis_sent_delta: epoch_deltas.4,
-            annihilated_delta: epoch_deltas.5,
-            msgs_sent_delta: epoch_deltas.1,
-            msgs_received_delta: epoch_deltas.2,
+            rollbacks_delta: now.rollbacks - prev.rollbacks,
+            antis_sent_delta: now.antis_sent - prev.antis_sent,
+            annihilated_delta: now.annihilated - prev.annihilated,
+            msgs_sent_delta: now.msgs_sent - prev.msgs_sent,
+            msgs_received_delta: now.msgs_received - prev.msgs_received,
             efficiency_window: if dc + dr == 0 { 1.0 } else { dc as f64 / (dc + dr) as f64 },
             efficiency_cum: stats.efficiency(),
             worker_lag: lags,
-            horizon_width: if max >= min { max - min } else { 0.0 },
-            horizon_roughness: w.std_dev(),
-            mean_lag: if w.count() > 0 { w.mean() } else { 0.0 },
+            horizon_width: h.width,
+            horizon_roughness: h.roughness,
+            mean_lag: if h.samples > 0 { h.mean - gvt_f } else { 0.0 },
             mpi_queue_depths: depths,
             mpi_queue_max,
             mode,
             barriers,
             cause,
         };
-        sink.on_epoch(t, &epoch);
+        sink.on_epoch(snap.t, &epoch);
     }
 
     /// Record one trace observation. The record is constructed lazily, so
@@ -509,7 +482,7 @@ mod tests {
 
     fn core_with(workers: u32) -> Arc<GvtSharedCore> {
         let stats = Arc::new(SharedStats::new(workers));
-        Arc::new(GvtSharedCore::new(stats, 1, workers as u16))
+        Arc::new(GvtSharedCore::new(stats, 1, workers as u16, None, None))
     }
 
     #[test]
@@ -553,7 +526,7 @@ mod tests {
 
         let stats = Arc::new(SharedStats::new(2));
         let sink = Arc::new(Capture(Mutex::new(Vec::new())));
-        let core = GvtSharedCore::with_observers(
+        let core = GvtSharedCore::new(
             Arc::clone(&stats),
             1,
             2,
@@ -564,10 +537,9 @@ mod tests {
 
         stats.committed.store(80, Ordering::Relaxed);
         stats.rolled_back.store(20, Ordering::Relaxed);
-        stats.worker_lvts[0].store(VirtualTime::new(6.0).to_ordered_bits(), Ordering::Relaxed);
-        stats.worker_lvts[1].store(VirtualTime::new(4.0).to_ordered_bits(), Ordering::Relaxed);
+        let lvts = vec![VirtualTime::new(6.0), VirtualTime::new(4.0)];
         core.publish(VirtualTime::new(3.0), 1);
-        core.publish_epoch(WallNs(1_000));
+        core.publish_epoch(&RoundSnapshot::new(1, VirtualTime::new(3.0), WallNs(1_000), lvts));
 
         // Second round: +40 committed, +60 rolled back, with a CA-GVT
         // controller record for the round.
@@ -584,7 +556,8 @@ mod tests {
             efficiency_window: 0.4,
             cause: SyncCause::Efficiency,
         });
-        core.publish_epoch(WallNs(2_000));
+        let lvts = vec![VirtualTime::new(6.0), VirtualTime::INFINITY];
+        core.publish_epoch(&RoundSnapshot::new(2, VirtualTime::new(5.0), WallNs(2_000), lvts));
 
         let epochs = sink.0.lock();
         assert_eq!(epochs.len(), 2);
@@ -605,6 +578,10 @@ mod tests {
         assert_eq!(second.mode, EpochMode::Sync);
         assert_eq!(second.cause, SyncCause::Efficiency);
         assert_eq!(second.barriers, BARRIER_A | BARRIER_B | BARRIER_C);
+        // An idle worker's infinite LVT is a NaN lag, outside the horizon.
+        assert_eq!(second.finite_workers(), 1);
+        assert!(second.worker_lag[1].is_nan());
+        assert_eq!((second.horizon_width, second.mean_lag), (0.0, 1.0));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod stats;
 pub mod worker;
 
 pub use cluster::{
-    build_cluster, build_shared, build_shared_faulted, run_virtual, run_virtual_with,
+    build_cluster, build_shared, build_shared_observed, run_virtual, run_virtual_with,
     ClusterHandles,
 };
 pub use config::SimConfig;

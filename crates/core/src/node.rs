@@ -85,10 +85,9 @@ impl<M: Model> EngineShared<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gvt::GvtSharedCore;
+    use crate::cluster::build_shared;
     use crate::model::{Emitter, EventCtx};
     use cagvt_base::rng::Pcg32;
-    use cagvt_net::fabric_pair;
 
     /// Minimal model for wiring tests.
     struct Noop;
@@ -109,21 +108,10 @@ mod tests {
         }
     }
 
-    fn shared(nodes: u16, workers: u16, lps_per_worker: u32) -> EngineShared<Noop> {
+    fn shared(nodes: u16, workers: u16, lps_per_worker: u32) -> Arc<EngineShared<Noop>> {
         let mut cfg = SimConfig::small(nodes, workers);
         cfg.lps_per_worker = lps_per_worker;
-        let stats = Arc::new(SharedStats::new(cfg.spec.total_workers()));
-        let (fabric, ctrl) = fabric_pair(nodes);
-        EngineShared {
-            cfg,
-            model: Arc::new(Noop),
-            fabric,
-            ctrl,
-            nodes: (0..nodes).map(|n| Arc::new(NodeShared::new(NodeId(n), workers))).collect(),
-            gvt_core: Arc::new(GvtSharedCore::new(Arc::clone(&stats), nodes, workers)),
-            stats,
-            faults: None,
-        }
+        build_shared(Arc::new(Noop), cfg)
     }
 
     #[test]

@@ -250,49 +250,6 @@ impl RunReport {
         }
     }
 
-    /// CSV header matching [`Self::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "algorithm,nodes,workers,mpi_mode,committed,processed,rolled_back,rollbacks,\
-         efficiency,sim_seconds,committed_rate,gvt_rounds,gvt_time_mean,lvt_disparity,\
-         sync_rounds,async_rounds,sent_regional,sent_remote,final_gvt,completed,\
-         dropped_msgs,retransmits,straggled_steps,stalled_pumps,\
-         horizon_width,barrier_wait_ns,rollback_cascade,health_alerts"
-    }
-
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{:.4},{:.6},{:.1},{},{:.6},{:.4},{},{},{},{},{:.3},{},{},{},{},{},{:.4},{:.0},{},{}",
-            self.algorithm,
-            self.nodes,
-            self.workers_per_node,
-            self.mpi_mode,
-            self.committed,
-            self.processed,
-            self.rolled_back,
-            self.rollbacks,
-            self.efficiency,
-            self.sim_seconds,
-            self.committed_rate,
-            self.gvt_rounds,
-            self.gvt_time_mean,
-            self.lvt_disparity,
-            self.sync_rounds,
-            self.async_rounds,
-            self.sent_regional,
-            self.sent_remote,
-            self.final_gvt,
-            self.completed,
-            self.faults.dropped_msgs,
-            self.faults.retransmits,
-            self.faults.straggled_steps,
-            self.faults.stalled_pumps,
-            self.horizon_width,
-            self.barrier_wait_ns,
-            self.rollback_cascade,
-            self.health.len(),
-        )
-    }
-
     /// Sanity invariant: every processed event was either committed or
     /// rolled back, and the run finished past its end time.
     pub fn check_conservation(&self, end_time: VirtualTime) {
@@ -371,45 +328,13 @@ mod tests {
     fn sound_report() -> RunReport {
         RunReport {
             algorithm: "test".to_string(),
-            nodes: 2,
-            workers_per_node: 2,
-            mpi_mode: "dedicated",
             committed: 90,
             processed: 100,
             rolled_back: 10,
-            rollbacks: 3,
-            stragglers: 2,
-            antis_sent: 1,
-            acks_sent: 0,
-            annihilated: 1,
             efficiency: 0.9,
-            sim_seconds: 1.0,
-            committed_rate: 90.0,
-            steady_rate: 90.0,
-            host_seconds: 0.5,
-            gvt_rounds: 5,
-            window_rounds: 3,
-            gvt_time_mean: 0.01,
-            lvt_disparity: 0.1,
-            horizon_width: 0.5,
-            barrier_wait_ns: 1_000.0,
-            rollback_cascade: 2,
-            sync_rounds: 0,
-            async_rounds: 5,
-            sent_local: 50,
-            sent_regional: 30,
-            sent_remote: 20,
-            mpi: MpiCounters::default(),
             final_gvt: 10.0,
-            state_fingerprint: 0xDEAD_BEEF,
-            requests_interval: 4,
-            requests_idle: 1,
-            throttled_steps: 0,
-            sched_steps: 1000,
-            sched_idle_steps: 10,
             completed: true,
-            faults: cagvt_base::FaultStats::default(),
-            health: Vec::new(),
+            ..Default::default()
         }
     }
 
@@ -446,13 +371,6 @@ mod tests {
         let mut r = sound_report();
         r.final_gvt = 9.5;
         r.check_conservation(VirtualTime::new(10.0));
-    }
-
-    #[test]
-    fn csv_row_matches_header_field_count() {
-        let fields = RunReport::csv_header().split(',').count();
-        let row = sound_report().csv_row();
-        assert_eq!(row.split(',').count(), fields);
     }
 
     fn sample(gvt: f64, wall_ns: u64, committed: u64) -> ProgressSample {
@@ -527,14 +445,13 @@ mod tests {
     }
 
     #[test]
-    fn health_alerts_render_and_count() {
+    fn health_alerts_render() {
         let mut r = sound_report();
         assert!(!format!("{r}").contains("health:"), "quiet run shows no health section");
         r.health.push("straggler: worker 3".to_string());
         r.health.push("efficiency-collapse".to_string());
         let shown = format!("{r}");
         assert!(shown.contains("health:") && shown.contains("! straggler: worker 3"), "{shown}");
-        assert!(r.csv_row().ends_with(",2"), "health_alerts column counts alerts");
     }
 
     #[test]
@@ -550,47 +467,5 @@ mod tests {
         assert_eq!(efficiency_of(90, 10), 0.9);
         assert_eq!(efficiency_of(0, 0), 1.0, "empty run is perfectly efficient");
         assert_eq!(efficiency_of(0, 10), 0.0, "all-rolled-back run");
-    }
-
-    /// A run that committed nothing in zero simulated time (the degenerate
-    /// corner a mis-scaled config can produce) must never leak NaN into a
-    /// figure CSV through any rate column.
-    #[test]
-    fn zero_makespan_report_has_no_nan_columns() {
-        let mut r = sound_report();
-        r.committed = 0;
-        r.processed = 0;
-        r.rolled_back = 0;
-        r.sim_seconds = 0.0;
-        r.committed_rate = safe_rate(r.committed as f64, r.sim_seconds);
-        r.steady_rate = r.committed_rate;
-        r.efficiency = efficiency_of(r.committed, r.rolled_back);
-        assert_eq!(r.committed_rate, 0.0);
-        assert_eq!(r.steady_rate, 0.0);
-        assert_eq!(r.efficiency, 1.0);
-        let row = r.csv_row();
-        assert!(!row.contains("NaN") && !row.contains("inf"), "degenerate row leaked: {row}");
-        for field in row.split(',') {
-            if let Ok(v) = field.parse::<f64>() {
-                assert!(v.is_finite(), "non-finite field {field:?} in {row}");
-            }
-        }
-    }
-
-    /// Zero committed events over a positive makespan: rates are zero,
-    /// efficiency reflects the rolled-back share, nothing is NaN.
-    #[test]
-    fn zero_committed_report_has_finite_rates() {
-        let mut r = sound_report();
-        r.committed = 0;
-        r.processed = 10;
-        r.rolled_back = 10;
-        r.committed_rate = safe_rate(r.committed as f64, r.sim_seconds);
-        r.steady_rate = r.committed_rate;
-        r.efficiency = efficiency_of(r.committed, r.rolled_back);
-        assert_eq!(r.committed_rate, 0.0);
-        assert_eq!(r.efficiency, 0.0);
-        let row = r.csv_row();
-        assert!(!row.contains("NaN"), "degenerate row leaked: {row}");
     }
 }

@@ -2,7 +2,7 @@
 //! statistics.
 
 use cagvt_base::metrics::SyncCause;
-use cagvt_base::stats::Welford;
+use cagvt_base::stats::{Horizon, Welford};
 use cagvt_base::time::{VirtualTime, WallNs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,6 +141,29 @@ pub struct GvtRoundRecord {
     pub cause: SyncCause,
 }
 
+/// Worker 0's one read of the cluster when a GVT round completes: the
+/// round, its GVT, the instant, and every worker's published LVT. The
+/// report's disparity and width samples, the metrics epoch and the trace
+/// horizon records all derive from this snapshot, so under real threads
+/// they see the same LVTs.
+#[derive(Debug)]
+pub(crate) struct RoundSnapshot {
+    pub round: u64,
+    pub gvt: VirtualTime,
+    pub t: WallNs,
+    /// Per-worker LVT, indexed by dense worker index (`+∞` when idle).
+    pub lvts: Vec<VirtualTime>,
+    /// [`Horizon::of`] the finite LVTs.
+    pub horizon: Horizon,
+}
+
+impl RoundSnapshot {
+    pub(crate) fn new(round: u64, gvt: VirtualTime, t: WallNs, lvts: Vec<VirtualTime>) -> Self {
+        let horizon = Horizon::of(lvts.iter().map(|l| l.as_f64()));
+        RoundSnapshot { round, gvt, t, lvts, horizon }
+    }
+}
+
 /// Lock-free per-worker counter cell, refreshed (not accumulated) with a
 /// snapshot of the worker's private [`WorkerCounters`] once per completed
 /// GVT round — never on the event hot path. Cache-line aligned so
@@ -154,7 +177,6 @@ pub struct GvtRoundRecord {
 #[repr(align(64))]
 pub struct WorkerCell {
     pub rollbacks: AtomicU64,
-    pub stragglers: AtomicU64,
     pub antis_sent: AtomicU64,
     pub annihilated: AtomicU64,
 }
@@ -163,7 +185,6 @@ pub struct WorkerCell {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CellTotals {
     pub rollbacks: u64,
-    pub stragglers: u64,
     pub antis_sent: u64,
     pub annihilated: u64,
 }
@@ -246,23 +267,25 @@ impl SharedStats {
         }
     }
 
-    /// Sample the published worker LVTs and record the round's disparity
-    /// (population std-dev, the paper's §4 metric) and horizon width
-    /// (max − min, Kolakowska–Novotny).
-    pub fn sample_disparity(&self) {
-        let mut w = Welford::new();
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for lvt in &self.worker_lvts {
-            let t = VirtualTime::from_ordered_bits(lvt.load(Ordering::Relaxed));
-            if t.is_finite() {
-                let t = t.as_f64();
-                w.push(t);
-                min = min.min(t);
-                max = max.max(t);
-            }
-        }
-        self.disparity.lock().push(w.std_dev());
-        self.horizon_width.lock().push(if max >= min { max - min } else { 0.0 });
+    /// Record one completed round: its disparity (population std-dev of
+    /// the worker LVTs, the paper's §4 metric), its horizon width and its
+    /// point on the progress curve.
+    pub(crate) fn record_round(&self, snap: &RoundSnapshot) {
+        self.disparity.lock().push(snap.horizon.roughness);
+        self.horizon_width.lock().push(snap.horizon.width);
+        self.progress.lock().push(ProgressSample {
+            gvt: snap.gvt.as_f64(),
+            wall: snap.t,
+            committed: self.committed.load(Ordering::Relaxed),
+        });
+    }
+
+    /// Read every worker's published LVT once (relaxed: a monitoring read).
+    pub(crate) fn read_lvts(&self) -> Vec<VirtualTime> {
+        self.worker_lvts
+            .iter()
+            .map(|l| VirtualTime::from_ordered_bits(l.load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// Refresh worker `widx`'s metric cell with a snapshot of its private
@@ -271,7 +294,6 @@ impl SharedStats {
     pub fn publish_worker_cell(&self, widx: u32, c: &WorkerCounters) {
         let cell = &self.worker_cells[widx as usize];
         cell.rollbacks.store(c.rollbacks, Ordering::Relaxed);
-        cell.stragglers.store(c.stragglers, Ordering::Relaxed);
         cell.antis_sent.store(c.antis_sent, Ordering::Relaxed);
         cell.annihilated.store(c.annihilated, Ordering::Relaxed);
     }
@@ -281,7 +303,6 @@ impl SharedStats {
         let mut t = CellTotals::default();
         for cell in &self.worker_cells {
             t.rollbacks += cell.rollbacks.load(Ordering::Relaxed);
-            t.stragglers += cell.stragglers.load(Ordering::Relaxed);
             t.antis_sent += cell.antis_sent.load(Ordering::Relaxed);
             t.annihilated += cell.annihilated.load(Ordering::Relaxed);
         }
@@ -322,73 +343,24 @@ mod tests {
     }
 
     #[test]
-    fn disparity_sampling_uses_population_std_dev() {
+    fn record_round_samples_disparity_width_and_progress() {
         let s = SharedStats::new(4);
-        for (i, t) in [2.0, 4.0, 4.0, 6.0].iter().enumerate() {
-            s.worker_lvts[i].store(VirtualTime::new(*t).to_ordered_bits(), Ordering::Relaxed);
-        }
-        s.sample_disparity();
-        let d = s.disparity.lock();
-        assert_eq!(d.count(), 1);
-        // mean 4, deviations [-2,0,0,2] -> variance 2 -> std ~1.414
-        assert!((d.mean() - 2.0_f64.sqrt()).abs() < 1e-12);
-        // Horizon width of {2,4,4,6} is 4.
-        let h = s.horizon_width.lock();
-        assert_eq!(h.count(), 1);
-        assert!((h.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disparity_sampling_with_no_finite_lvt_records_empty_round() {
-        // All workers idle at infinite LVT: the Welford window still gets
-        // one sample per round (std-dev of the empty set is 0) and the
-        // horizon width collapses to 0 rather than going negative/NaN.
-        let s = SharedStats::new(3);
-        for lvt in &s.worker_lvts {
-            lvt.store(VirtualTime::INFINITY.to_ordered_bits(), Ordering::Relaxed);
-        }
-        s.sample_disparity();
-        let d = s.disparity.lock();
-        assert_eq!(d.count(), 1);
-        assert_eq!(d.mean(), 0.0);
-        let h = s.horizon_width.lock();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn disparity_sampling_single_worker_has_zero_width() {
-        let s = SharedStats::new(1);
-        s.worker_lvts[0].store(VirtualTime::new(7.5).to_ordered_bits(), Ordering::Relaxed);
-        s.sample_disparity();
-        // One finite sample: std-dev 0, width max-min = 0.
-        assert_eq!(s.disparity.lock().mean(), 0.0);
-        assert_eq!(s.horizon_width.lock().mean(), 0.0);
-    }
-
-    #[test]
-    fn disparity_sampling_skips_infinite_lvts_in_mixed_rounds() {
-        // {2, inf, 6, inf}: only the finite pair contributes, so the width
-        // is 4 and the std-dev is that of {2, 6} = 2.
-        let s = SharedStats::new(4);
-        for (i, t) in [
-            VirtualTime::new(2.0),
-            VirtualTime::INFINITY,
-            VirtualTime::new(6.0),
-            VirtualTime::INFINITY,
-        ]
-        .iter()
-        .enumerate()
-        {
+        let lvts = [2.0, 4.0, 6.0].map(VirtualTime::new);
+        for (i, t) in lvts.iter().enumerate() {
             s.worker_lvts[i].store(t.to_ordered_bits(), Ordering::Relaxed);
         }
-        s.sample_disparity();
-        let d = s.disparity.lock();
-        assert_eq!(d.count(), 1);
-        assert!((d.mean() - 2.0).abs() < 1e-12);
-        let h = s.horizon_width.lock();
-        assert_eq!(h.count(), 1);
-        assert!((h.mean() - 4.0).abs() < 1e-12);
+        s.worker_lvts[3].store(VirtualTime::INFINITY.to_ordered_bits(), Ordering::Relaxed);
+        let snap = RoundSnapshot::new(1, VirtualTime::new(1.0), WallNs(10), s.read_lvts());
+        assert_eq!(snap.lvts[3], VirtualTime::INFINITY);
+        assert_eq!(snap.horizon.samples, 3);
+        s.record_round(&snap);
+        s.record_round(&RoundSnapshot::new(2, VirtualTime::new(2.0), WallNs(20), Vec::new()));
+        // Rounds {2,4,6} (std-dev sqrt(8/3), width 4) and an empty round
+        // (both 0) average to half of each.
+        let (d, h) = (s.disparity.lock(), s.horizon_width.lock());
+        assert_eq!((d.count(), h.count(), s.progress.lock().len()), (2, 2, 2));
+        assert!((d.mean() - (8.0_f64 / 3.0).sqrt() / 2.0).abs() < 1e-12);
+        assert!((h.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -396,14 +368,10 @@ mod tests {
         let s = SharedStats::new(2);
         assert_eq!(s.merged_cells(), CellTotals::default());
         let c0 = WorkerCounters { rollbacks: 3, antis_sent: 5, ..Default::default() };
-        let c1 =
-            WorkerCounters { rollbacks: 1, stragglers: 2, annihilated: 4, ..Default::default() };
+        let c1 = WorkerCounters { rollbacks: 1, annihilated: 4, ..Default::default() };
         s.publish_worker_cell(0, &c0);
         s.publish_worker_cell(1, &c1);
-        assert_eq!(
-            s.merged_cells(),
-            CellTotals { rollbacks: 4, stragglers: 2, antis_sent: 5, annihilated: 4 }
-        );
+        assert_eq!(s.merged_cells(), CellTotals { rollbacks: 4, antis_sent: 5, annihilated: 4 });
         // Cells are snapshots, not accumulators: re-publishing replaces.
         s.publish_worker_cell(0, &WorkerCounters { rollbacks: 7, ..Default::default() });
         assert_eq!(s.merged_cells().rollbacks, 8);

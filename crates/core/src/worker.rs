@@ -30,7 +30,7 @@ use crate::model::{Emitter, EventCtx, Model};
 use crate::mpi_actor::MpiPump;
 use crate::node::{EngineShared, NodeShared};
 use crate::queue::{CancelOutcome, PendingSet};
-use crate::stats::WorkerCounters;
+use crate::stats::{RoundSnapshot, WorkerCounters};
 
 /// A worker thread of one node.
 pub struct Worker<M: Model> {
@@ -591,30 +591,23 @@ impl<M: Model> Actor for Worker<M> {
                     self.shared.stats.publish_worker_cell(self.widx, &self.counters);
                 }
                 if self.widx == 0 {
-                    self.shared.stats.sample_disparity();
-                    self.shared.stats.progress.lock().push(crate::stats::ProgressSample {
-                        gvt: gvt.as_f64(),
-                        wall: now + charge,
-                        committed: self.shared.stats.committed.load(Ordering::Relaxed),
-                    });
-                    // Horizon snapshot: the published GVT plus every finite
-                    // worker LVT, batched so `compute` can pair them up.
-                    if let Some(tr) = self.shared.gvt_core.tracing() {
-                        let t = now + charge;
-                        let round = self.shared.gvt_core.published_round();
-                        tr.record(t, &TraceRecord::GvtPublish { round, gvt });
-                        for (i, l) in self.shared.stats.worker_lvts.iter().enumerate() {
-                            let lvt = VirtualTime::from_ordered_bits(l.load(Ordering::Relaxed));
-                            if lvt.is_finite() {
-                                tr.record(t, &TraceRecord::Lvt { worker: i as u32, lvt });
-                            }
-                        }
-                    }
-                    // Per-GVT-epoch metrics publication (after the round's
-                    // fossil pass, before the termination check so the
-                    // final round is included). Records only; charges no
-                    // virtual time.
-                    self.shared.gvt_core.publish_epoch(now + charge);
+                    // One read of the worker LVTs feeds every round
+                    // observer: the report's disparity/width/progress
+                    // samples, the trace horizon records and the metrics
+                    // epoch — after the round's fossil pass, before the
+                    // termination check so the final round is included.
+                    // Records only; charges no virtual time.
+                    let core = &self.shared.gvt_core;
+                    let stats = &self.shared.stats;
+                    let snap = RoundSnapshot::new(
+                        core.published_round(),
+                        gvt,
+                        now + charge,
+                        stats.read_lvts(),
+                    );
+                    stats.record_round(&snap);
+                    core.trace_round(&snap);
+                    core.publish_epoch(&snap);
                 }
                 if gvt >= cfg.end_vt() {
                     self.shared.gvt_core.signal_stop();

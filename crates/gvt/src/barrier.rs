@@ -198,7 +198,7 @@ mod tests {
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, BarrierBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn));
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, None, None));
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         let bundle = BarrierBundle::new(Arc::clone(&core), spec, CostModel::knl_cluster());
         (core, bundle)

@@ -96,8 +96,8 @@ mod tests {
 
     fn parts(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, Arc<CtrlPlane>, ClusterSpec) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn));
-        let (_fabric, ctrl) = fabric_pair::<()>(nodes);
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, None, None));
+        let (_fabric, ctrl) = fabric_pair::<()>(nodes, None, None);
         (core, ctrl, ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated))
     }
 

@@ -635,8 +635,8 @@ mod tests {
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, MatternBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn));
-        let (_fabric, ctrl) = fabric_pair::<()>(nodes);
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, None, None));
+        let (_fabric, ctrl) = fabric_pair::<()>(nodes, None, None);
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         let bundle = MatternBundle::new(Arc::clone(&core), ctrl, spec, CostModel::knl_cluster());
         (core, bundle)

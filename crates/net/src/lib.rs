@@ -36,8 +36,6 @@ pub use collective::{ClusterCollective, NodeBarrier, NodeReduce, ReduceValue};
 pub use envelope::{MsgClass, NetMsg};
 pub use link::Nic;
 pub use mailbox::Mailbox;
-pub use mpi::{
-    fabric_pair, fabric_pair_faulted, fabric_pair_traced, CtrlMsg, CtrlPlane, MpiFabric,
-};
+pub use mpi::{fabric_pair, CtrlMsg, CtrlPlane, MpiFabric};
 pub use spec::{ClusterSpec, CostModel, MpiMode};
 pub use vmutex::VirtualMutex;

@@ -51,24 +51,14 @@ impl CtrlMsg {
 }
 
 /// Create the event plane and control plane sharing one set of NICs.
-pub fn fabric_pair<M: Send>(nodes: u16) -> (Arc<MpiFabric<M>>, Arc<CtrlPlane>) {
-    fabric_pair_faulted(nodes, None)
-}
-
-/// [`fabric_pair`] with a fault injector: every inter-node message (both
-/// planes) is shaped through [`FaultInjector::link`], so degraded links and
-/// drop/retransmit recovery apply to event and GVT control traffic alike.
-pub fn fabric_pair_faulted<M: Send>(
-    nodes: u16,
-    faults: Option<Arc<dyn FaultInjector>>,
-) -> (Arc<MpiFabric<M>>, Arc<CtrlPlane>) {
-    fabric_pair_traced(nodes, faults, None)
-}
-
-/// [`fabric_pair_faulted`] with a trace sink: the event plane samples its
-/// inbound inbox occupancy on every drain, giving the in-flight side of
-/// the MPI-queue picture (the outbound side is sampled by the MPI pumps).
-pub fn fabric_pair_traced<M: Send>(
+///
+/// With a fault injector, every inter-node message (both planes) is shaped
+/// through [`FaultInjector::link`], so degraded links and drop/retransmit
+/// recovery apply to event and GVT control traffic alike. With a trace
+/// sink, the event plane samples its inbound inbox occupancy on every
+/// drain, giving the in-flight side of the MPI-queue picture (the outbound
+/// side is sampled by the MPI pumps).
+pub fn fabric_pair<M: Send>(
     nodes: u16,
     faults: Option<Arc<dyn FaultInjector>>,
     trace: Option<Arc<dyn TraceSink>>,
@@ -238,7 +228,7 @@ mod tests {
 
     #[test]
     fn event_travels_with_wire_latency() {
-        let (fab, _ctrl) = fabric_pair::<u32>(2);
+        let (fab, _ctrl) = fabric_pair::<u32>(2, None, None);
         let at = fab.send_event(NodeId(0), NodeId(1), WallNs(0), 7, &cm());
         assert_eq!(at.0, cm().wire_per_msg.0 + cm().wire_latency.0);
         assert_eq!(fab.recv_event(NodeId(1), WallNs(0)), None, "still in flight");
@@ -248,7 +238,7 @@ mod tests {
 
     #[test]
     fn fifo_per_destination_across_sources() {
-        let (fab, _ctrl) = fabric_pair::<u32>(3);
+        let (fab, _ctrl) = fabric_pair::<u32>(3, None, None);
         fab.send_event(NodeId(0), NodeId(2), WallNs(0), 1, &cm());
         fab.send_event(NodeId(1), NodeId(2), WallNs(0), 2, &cm());
         let mut out = Vec::new();
@@ -258,14 +248,14 @@ mod tests {
 
     #[test]
     fn ring_wraps_around() {
-        let (_fab, ctrl) = fabric_pair::<()>(4);
+        let (_fab, ctrl) = fabric_pair::<()>(4, None, None);
         assert_eq!(ctrl.ring_next(NodeId(0)), NodeId(1));
         assert_eq!(ctrl.ring_next(NodeId(3)), NodeId(0));
     }
 
     #[test]
     fn ctrl_plane_round_trip() {
-        let (_fab, ctrl) = fabric_pair::<()>(2);
+        let (_fab, ctrl) = fabric_pair::<()>(2, None, None);
         let msg = CtrlMsg { sum: -3, ..CtrlMsg::new(1, 9, NodeId(0)) };
         let at = ctrl.send(NodeId(0), NodeId(1), WallNs(100), msg, &cm());
         assert!(at > WallNs(100));
@@ -278,7 +268,7 @@ mod tests {
 
     #[test]
     fn single_node_ctrl_self_loop_is_immediate() {
-        let (_fab, ctrl) = fabric_pair::<()>(1);
+        let (_fab, ctrl) = fabric_pair::<()>(1, None, None);
         assert_eq!(ctrl.ring_next(NodeId(0)), NodeId(0));
         let at = ctrl.send(NodeId(0), NodeId(0), WallNs(5), CtrlMsg::new(0, 1, NodeId(0)), &cm());
         assert_eq!(at, WallNs(5));
@@ -287,7 +277,7 @@ mod tests {
 
     #[test]
     fn inbox_len_counts_in_flight() {
-        let (fab, _ctrl) = fabric_pair::<u8>(2);
+        let (fab, _ctrl) = fabric_pair::<u8>(2, None, None);
         fab.send_event(NodeId(0), NodeId(1), WallNs(0), 1, &cm());
         fab.send_event(NodeId(0), NodeId(1), WallNs(0), 2, &cm());
         assert_eq!(fab.event_inbox_len(NodeId(1)), 2);
@@ -321,7 +311,7 @@ mod tests {
             }
         }
 
-        let (fab, ctrl) = fabric_pair_faulted::<u32>(2, Some(Arc::new(DegradeForward)));
+        let (fab, ctrl) = fabric_pair::<u32>(2, Some(Arc::new(DegradeForward)), None);
         let fwd = fab.send_event(NodeId(0), NodeId(1), WallNs(0), 7, &cm());
         assert_eq!(fwd.0, cm().wire_per_msg.0 + 3 * cm().wire_latency.0 + 1_000_000);
         // Delayed, not lost: the message still arrives exactly once.
@@ -337,7 +327,7 @@ mod tests {
 
     #[test]
     fn ctrl_and_events_share_the_nic() {
-        let (fab, ctrl) = fabric_pair::<u8>(2);
+        let (fab, ctrl) = fabric_pair::<u8>(2, None, None);
         // Burst of events books the NIC ahead...
         for i in 0..10 {
             fab.send_event(NodeId(0), NodeId(1), WallNs(0), i, &cm());

@@ -10,10 +10,12 @@
 //! speculation that fossil collection lags behind).
 //!
 //! Statistics are computed from the `Lvt` snapshot records that follow
-//! each `GvtPublish` in a recorded stream.
+//! each `GvtPublish` in a recorded stream, with the engine's one horizon
+//! definition ([`Horizon::of`]), so they match the run report and the
+//! per-epoch metrics round for round.
 
 use crate::ring::TraceEvent;
-use cagvt_base::TraceRecord;
+use cagvt_base::{Horizon, TraceRecord};
 use std::fmt::Write as _;
 
 /// Horizon profile of one GVT round snapshot.
@@ -67,20 +69,16 @@ impl HorizonStats {
             if o.lvts.is_empty() {
                 return;
             }
-            let n = o.lvts.len() as f64;
-            let mean = o.lvts.iter().sum::<f64>() / n;
-            let min = o.lvts.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = o.lvts.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let var = o.lvts.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>() / n;
+            let h = Horizon::of(o.lvts);
             rounds.push(RoundHorizon {
                 round: o.round,
                 t_ns: o.t_ns,
                 gvt: o.gvt,
-                mean_lvt: mean,
-                width: max - min,
-                roughness: var.sqrt(),
+                mean_lvt: h.mean,
+                width: h.width,
+                roughness: h.roughness,
                 utilization: None,
-                samples: o.lvts.len() as u32,
+                samples: h.samples,
             });
         };
         for ev in events {

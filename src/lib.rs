@@ -28,6 +28,13 @@
 //! println!("{report}");
 //! ```
 //!
+//! Observers — a fault plan, a trace sink, a metrics sink — ride on
+//! [`VirtualConfig`](exec::VirtualConfig)'s `faults`, `trace` and `metrics`
+//! fields through [`run_virtual_with`](core::run_virtual_with), or are
+//! passed as the `(faults, trace, metrics)` triple of
+//! [`build_shared_observed`](core::build_shared_observed) when assembling
+//! a cluster by hand. None of them changes a run's results.
+//!
 //! ## Crate map
 //!
 //! | Crate | Contents |
@@ -62,8 +69,7 @@ pub mod prelude {
         NullTrace, TraceSink, VirtualTime, WallNs,
     };
     pub use cagvt_core::cluster::{
-        build_cluster, build_shared, build_shared_faulted, build_shared_observed, run_virtual,
-        run_virtual_with,
+        build_cluster, build_shared, build_shared_observed, run_virtual, run_virtual_with,
     };
     pub use cagvt_core::model::{Emitter, EventCtx, Model};
     pub use cagvt_core::seq::SequentialSim;

@@ -114,10 +114,12 @@ fn faults_slow_the_run_but_not_the_results() {
 fn gvt_remains_monotonic_under_faults() {
     let cfg = config();
     let (faults, _) = injector(&cfg, 0.9, 0x60_0D);
-    let shared = build_shared_faulted(
+    let shared = build_shared_observed(
         Arc::new(model()),
         cfg,
         Some(faults.clone() as Arc<dyn FaultInjector>),
+        None,
+        None,
     );
     let bundle = make_bundle(GvtKind::Mattern, &shared);
     let (actors, handles) = build_cluster(Arc::clone(&shared), &*bundle);

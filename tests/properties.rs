@@ -98,10 +98,12 @@ proptest! {
 
         let run = || {
             let rt = Arc::new(FaultRuntime::new(topology, &plan, spec.seed));
-            let shared = build_shared_faulted(
+            let shared = build_shared_observed(
                 Arc::new(model.clone()),
                 cfg,
                 Some(rt.clone() as Arc<dyn FaultInjector>),
+                None,
+                None,
             );
             let bundle = make_bundle(kind, &shared);
             let (actors, handles) =
