@@ -1,6 +1,6 @@
 //! Criterion group for the parallel sweep runner: one figure grid executed
-//! serially and with a small thread pool, so the harness's own speedup (the
-//! quantity `BENCH_summary.json` tracks) is measured under Criterion too.
+//! serially and with a small thread pool, so the harness's own speedup is
+//! measured under Criterion.
 
 use cagvt_bench::{base_config, execute_with, run_one, RunSpec, Scale, NODE_COUNTS};
 use cagvt_gvt::GvtKind;

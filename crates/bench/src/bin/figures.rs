@@ -3,7 +3,6 @@
 //! ```text
 //! figures [all | <mode>...] [--paper] [--bench-scale] [--out DIR]
 //! figures summarize [DIR]
-//! figures gate [DIR | SUMMARY BASELINE]
 //! ```
 //!
 //! Run with an unknown mode name to print the full mode list. Default
@@ -14,14 +13,9 @@
 //!
 //! Sweeps run on `CAGVT_SWEEP_THREADS` OS threads (default: one per host
 //! core; `1` is the serial runner — row order is identical either way).
-//! Every invocation writes `BENCH_summary.json` (per-figure wall-clock,
-//! runs/sec, committed events) next to the CSVs; a serial invocation also
-//! records `BENCH_serial_baseline.json`, against which later parallel
-//! invocations report per-figure speedup.
+//! Host timing is `hostbench/`'s job; this binary only prints each mode's
+//! wall-clock as a progress line on stderr.
 
-use cagvt_bench::bench_summary::{
-    gate, BenchSummary, FigureBench, BASELINE_FILE, GATE_TOLERANCE, SUMMARY_FILE,
-};
 use cagvt_bench::{
     base_config, ca_queue, epg_sweep, fault_sweep, fig10, fig11, fig12, fig3, fig4, fig5, fig6,
     fig8, fig9, interval_sweep, mpi_modes, run_one, samadi, stats_table, sweep_threads,
@@ -122,49 +116,11 @@ fn main() {
         return;
     }
 
-    // `figures gate [DIR | SUMMARY BASELINE]` compares a bench summary
-    // against the recorded serial baseline and prints per-figure
-    // wall-clock regressions past the tolerance. Warnings exit 0 — the
-    // gate informs, the humans decide; only unusable inputs exit nonzero.
-    if args.first().map(|s| s.as_str()) == Some("gate") {
-        let (summary_path, baseline_path) = match (args.get(1), args.get(2)) {
-            (Some(s), Some(b)) => (std::path::PathBuf::from(s), std::path::PathBuf::from(b)),
-            _ => {
-                let dir =
-                    std::path::PathBuf::from(args.get(1).cloned().unwrap_or_else(|| ".".into()));
-                (dir.join(SUMMARY_FILE), dir.join(BASELINE_FILE))
-            }
-        };
-        match gate(&summary_path, &baseline_path, GATE_TOLERANCE) {
-            Ok(warnings) if warnings.is_empty() => {
-                eprintln!("# bench gate: no figure regressed past {GATE_TOLERANCE:.2}x");
-            }
-            Ok(warnings) => {
-                for w in &warnings {
-                    println!("::warning::bench regression {w}");
-                }
-                eprintln!("# bench gate: {} figure(s) regressed (warning only)", warnings.len());
-            }
-            Err(e) => {
-                eprintln!("gate failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let mut scale_label = "default";
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--paper" => {
-                scale = Scale::paper();
-                scale_label = "paper";
-            }
-            "--bench-scale" => {
-                scale = Scale::bench();
-                scale_label = "bench";
-            }
+            "--paper" => scale = Scale::paper(),
+            "--bench-scale" => scale = Scale::bench(),
             "--out" => match it.next() {
                 Some(dir) => out_dir = Some(dir.clone()),
                 None => usage_exit("--out needs a directory"),
@@ -192,11 +148,7 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
 
-    let threads = sweep_threads();
-    let summary_dir = out_dir.clone().map(std::path::PathBuf::from).unwrap_or_else(|| ".".into());
-    let mut summary = BenchSummary::new(scale_label, threads);
-    summary.load_baseline(&summary_dir);
-    eprintln!("# sweep threads: {threads}");
+    eprintln!("# sweep threads: {}", sweep_threads());
 
     println!("{}", Row::csv_header());
     for name in &selected {
@@ -215,12 +167,10 @@ fn main() {
             };
             (mode.run)(&scale)
         };
-        let wall_s = t0.elapsed().as_secs_f64();
         for row in &rows {
             println!("{}", row.csv());
         }
-        eprintln!("# {name}: {} rows in {wall_s:.1}s", rows.len());
-        summary.push(FigureBench::from_rows(name, wall_s, &rows));
+        eprintln!("# {name}: {} rows in {:.1}s", rows.len(), t0.elapsed().as_secs_f64());
         if let Some(dir) = &out_dir {
             let path = format!("{dir}/{name}.csv");
             let mut f = std::fs::File::create(&path).expect("create figure csv");
@@ -230,19 +180,4 @@ fn main() {
             }
         }
     }
-
-    // Bench trajectory: the summary always, the serial baseline only when
-    // this invocation *is* the serial runner (what speedups compare to).
-    std::fs::write(summary_dir.join(SUMMARY_FILE), summary.to_json()).expect("write bench summary");
-    if threads == 1 {
-        std::fs::write(summary_dir.join(BASELINE_FILE), summary.baseline_json())
-            .expect("write serial baseline");
-    }
-    eprintln!(
-        "# bench summary: {} figures, {:.1}s wall, {} committed events -> {}",
-        summary.figures.len(),
-        summary.total_wall_s(),
-        summary.total_committed(),
-        summary_dir.join(SUMMARY_FILE).display(),
-    );
 }

@@ -14,7 +14,6 @@
 //! horizon so a full figure regenerates in seconds under the virtual
 //! scheduler.
 
-pub mod bench_summary;
 pub mod runner;
 pub mod summary;
 

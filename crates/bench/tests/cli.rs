@@ -1,5 +1,5 @@
-//! Command-line errors of the `figures` binary: a usage line on stderr and
-//! exit status 2, never a panic.
+//! The `figures` command line: errors print a usage line on stderr and
+//! exit with status 2, never a panic; a run writes only its figure files.
 
 use std::process::{Command, Output};
 
@@ -23,5 +23,34 @@ fn out_without_directory_prints_usage() {
 
 #[test]
 fn unknown_mode_prints_usage() {
-    assert_usage_error(&figures(&["no-such-mode"]), "unknown experiment: no-such-mode");
+    for mode in ["no-such-mode", "gate"] {
+        assert_usage_error(&figures(&[mode]), &format!("unknown experiment: {mode}"));
+    }
+}
+
+#[test]
+fn out_directory_holds_only_the_figure_csv() {
+    let cwd = std::env::temp_dir().join(format!("cagvt-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("create scratch dir");
+    let out = cwd.join("out");
+    let run = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig5", "--bench-scale", "--out"])
+        .arg(&out)
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn figures");
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    let names = |dir: &std::path::Path| -> Vec<String> {
+        let mut v: Vec<String> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        v.sort();
+        v
+    };
+    let (in_cwd, in_out) = (names(&cwd), names(&out));
+    let _ = std::fs::remove_dir_all(&cwd);
+    assert_eq!(in_cwd, ["out"], "nothing is written to the working directory");
+    assert_eq!(in_out, ["fig5.csv"]);
 }

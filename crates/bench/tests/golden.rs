@@ -7,7 +7,8 @@
 //!
 //! ```text
 //! cargo run --release -p cagvt-bench --bin figures -- \
-//!     all faults health trace samadi ca-queue --bench-scale --out /tmp/golden
+//!     all faults health trace samadi ca-queue mpi-modes --bench-scale \
+//!     --out /tmp/golden
 //! cp /tmp/golden/*.csv crates/bench/tests/golden/
 //! rm crates/bench/tests/golden/trace-*.csv
 //! ```
@@ -18,7 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const MODES: &[&str] = &["all", "faults", "health", "trace", "samadi", "ca-queue"];
+const MODES: &[&str] = &["all", "faults", "health", "trace", "samadi", "ca-queue", "mpi-modes"];
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")

@@ -107,26 +107,9 @@ pub fn build_cluster<M: Model>(
                 })
                 .collect();
             let gvt = bundle.worker_gvt(node, lane, widx);
-            let mpi_duty = match spec.mpi_mode {
-                MpiMode::Dedicated => None,
-                MpiMode::InlineWorker if l == 0 => Some(MpiPump::with_poll_charging(
-                    node,
-                    Arc::clone(&shared),
-                    bundle.mpi_gvt(node),
-                    true,
-                    false,
-                    true,
-                )),
-                MpiMode::PerWorker if l == 0 => Some(MpiPump::with_poll_charging(
-                    node,
-                    Arc::clone(&shared),
-                    bundle.mpi_gvt(node),
-                    false,
-                    true,
-                    true,
-                )),
-                _ => None,
-            };
+            // Without a dedicated MPI thread, worker lane 0 drives the pump.
+            let mpi_duty = (spec.mpi_mode != MpiMode::Dedicated && l == 0)
+                .then(|| MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node)));
             workers.push(Worker::new(
                 ActorId(widx),
                 node,
@@ -178,7 +161,7 @@ pub fn build_cluster<M: Model>(
     if spec.mpi_mode == MpiMode::Dedicated {
         for n in 0..spec.nodes {
             let node = NodeId(n);
-            let pump = MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node), true, false);
+            let pump = MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node));
             actors.push(Box::new(MpiActor::new(ActorId(total_workers + n as u32), pump)));
         }
     }

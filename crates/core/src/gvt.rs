@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::event::WHITE_TAG;
+use crate::report::efficiency_of;
 use crate::stats::{RoundSnapshot, SharedStats};
 
 /// Engine-visible GVT state, one per run.
@@ -203,7 +204,7 @@ impl GvtSharedCore {
             annihilated_delta: now.annihilated - prev.annihilated,
             msgs_sent_delta: now.msgs_sent - prev.msgs_sent,
             msgs_received_delta: now.msgs_received - prev.msgs_received,
-            efficiency_window: if dc + dr == 0 { 1.0 } else { dc as f64 / (dc + dr) as f64 },
+            efficiency_window: efficiency_of(dc, dr),
             efficiency_cum: stats.efficiency(),
             worker_lag: lags,
             horizon_width: h.width,

@@ -15,6 +15,7 @@
 use cagvt_base::actor::{Actor, StepResult};
 use cagvt_base::ids::{ActorId, NodeId};
 use cagvt_base::time::WallNs;
+use cagvt_net::MpiMode;
 use std::sync::Arc;
 
 use crate::event::RemoteEnv;
@@ -23,56 +24,34 @@ use crate::model::Model;
 use crate::node::{EngineShared, NodeShared};
 use crate::stats::MpiCounters;
 
-/// Per-node MPI send/receive engine plus the node-side GVT half.
+/// Per-node MPI send/receive engine plus the node-side GVT half. Its
+/// wiring follows from the run's [`MpiMode`]:
+///
+/// * it transmits the node outbox unless workers send for themselves
+///   (`PerWorker`);
+/// * it charges MPI calls through the node's library lock in `PerWorker`
+///   mode;
+/// * it charges the progress-engine poll (`mpi_poll`) on every pump when
+///   embedded in a worker, where polling displaces event processing; the
+///   dedicated MPI actor polls on an otherwise-idle core.
 pub struct MpiPump<M: Model> {
     node: NodeId,
     shared: Arc<EngineShared<M>>,
     nshared: Arc<NodeShared<M::Payload>>,
     gvt_mpi: Box<dyn MpiGvt>,
-    /// Whether this pump transmits the node outbox (false in `PerWorker`
-    /// mode, where workers send for themselves).
-    handle_outbox: bool,
-    /// Charge MPI calls through the node's library lock (true in
-    /// `PerWorker` mode).
-    use_lock: bool,
-    /// Charge the progress-engine poll cost (`mpi_poll`) on every pump.
-    /// True for pumps embedded in a worker (inline modes), where polling
-    /// displaces event processing; false for the dedicated MPI actor,
-    /// whose polling happens on an otherwise-idle core.
-    charge_poll: bool,
     out_buf: Vec<RemoteEnv<M::Payload>>,
     in_buf: Vec<RemoteEnv<M::Payload>>,
     pub counters: MpiCounters,
 }
 
 impl<M: Model> MpiPump<M> {
-    pub fn new(
-        node: NodeId,
-        shared: Arc<EngineShared<M>>,
-        gvt_mpi: Box<dyn MpiGvt>,
-        handle_outbox: bool,
-        use_lock: bool,
-    ) -> Self {
-        Self::with_poll_charging(node, shared, gvt_mpi, handle_outbox, use_lock, false)
-    }
-
-    pub fn with_poll_charging(
-        node: NodeId,
-        shared: Arc<EngineShared<M>>,
-        gvt_mpi: Box<dyn MpiGvt>,
-        handle_outbox: bool,
-        use_lock: bool,
-        charge_poll: bool,
-    ) -> Self {
+    pub fn new(node: NodeId, shared: Arc<EngineShared<M>>, gvt_mpi: Box<dyn MpiGvt>) -> Self {
         let nshared = Arc::clone(&shared.nodes[node.index()]);
         MpiPump {
             node,
             shared,
             nshared,
             gvt_mpi,
-            handle_outbox,
-            use_lock,
-            charge_poll,
             out_buf: Vec::new(),
             in_buf: Vec::new(),
             counters: MpiCounters::default(),
@@ -82,7 +61,7 @@ impl<M: Model> MpiPump<M> {
     /// Charge for one MPI library call of base cost `base` at time `now`
     /// (already including accrued charge).
     fn mpi_call(&self, now: WallNs, base: WallNs) -> WallNs {
-        if self.use_lock {
+        if self.shared.cfg.spec.mpi_mode == MpiMode::PerWorker {
             let hold = base + self.shared.cfg.cost.mpi_lock_hold;
             self.nshared.mpi_lock.acquire(now, hold)
         } else {
@@ -95,10 +74,12 @@ impl<M: Model> MpiPump<M> {
     pub fn pump(&mut self, now: WallNs) -> (WallNs, bool) {
         let cost_model = self.shared.cfg.cost;
         let batch = self.shared.cfg.mpi_batch;
+        let mode = self.shared.cfg.spec.mpi_mode;
         // An in-worker pump pays the progress-engine poll on every call —
         // time stolen from event processing. The dedicated actor's polls
         // ride on its own core.
-        let mut charge = if self.charge_poll { cost_model.mpi_poll } else { WallNs::ZERO };
+        let mut charge =
+            if mode != MpiMode::Dedicated { cost_model.mpi_poll } else { WallNs::ZERO };
         // A stalled MPI progress engine charges its stall before any
         // traffic moves: sends and receives all land after the stall.
         if let Some(f) = &self.shared.faults {
@@ -106,7 +87,6 @@ impl<M: Model> MpiPump<M> {
         }
 
         // Outbound: node outbox -> fabric.
-        self.nshared.note_outbox_depth();
         let depth = self.nshared.outbox.len() as u64;
         self.shared.gvt_core.mpi_queue_depth[self.node.index()]
             .store(depth, std::sync::atomic::Ordering::Relaxed);
@@ -119,7 +99,7 @@ impl<M: Model> MpiPump<M> {
             });
         }
         let mut moved = 0u64;
-        if self.handle_outbox {
+        if mode != MpiMode::PerWorker {
             let mut out_buf = std::mem::take(&mut self.out_buf);
             let n = self.nshared.outbox.drain_ready_into(now, batch, &mut out_buf);
             for env in out_buf.drain(..) {
@@ -152,12 +132,6 @@ impl<M: Model> MpiPump<M> {
 
         // Node-side GVT work (collective relays, ring forwarding).
         charge += self.gvt_mpi.step(now + charge);
-
-        self.counters.pump_time += charge;
-        self.counters.outbox_hwm = self
-            .counters
-            .outbox_hwm
-            .max(self.nshared.outbox_hwm.load(std::sync::atomic::Ordering::Relaxed));
         (charge, moved > 0)
     }
 }

@@ -2,7 +2,6 @@
 
 use cagvt_base::ids::{LaneId, LpId, NodeId};
 use cagvt_net::{CtrlPlane, Mailbox, MpiFabric, VirtualMutex};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::config::SimConfig;
@@ -19,8 +18,6 @@ pub struct NodeShared<P> {
     pub lane_queues: Vec<Mailbox<TaggedMsg<P>>>,
     /// Outbound remote messages awaiting the MPI pump.
     pub outbox: Mailbox<RemoteEnv<P>>,
-    /// High-water mark of the outbox depth (saturation signal).
-    pub outbox_hwm: AtomicU64,
     /// The node's MPI library lock (contended in `PerWorker` mode).
     pub mpi_lock: VirtualMutex,
 }
@@ -31,15 +28,8 @@ impl<P> NodeShared<P> {
             node,
             lane_queues: (0..workers).map(|_| Mailbox::new()).collect(),
             outbox: Mailbox::new(),
-            outbox_hwm: AtomicU64::new(0),
             mpi_lock: VirtualMutex::new(),
         }
-    }
-
-    /// Record the current outbox depth into the high-water mark.
-    pub fn note_outbox_depth(&self) {
-        let depth = self.outbox.len() as u64;
-        self.outbox_hwm.fetch_max(depth, Ordering::Relaxed);
     }
 }
 
@@ -136,29 +126,5 @@ mod tests {
                 assert_eq!(widx, node as u32 * 3 + lane as u32);
             }
         }
-    }
-
-    #[test]
-    fn outbox_hwm_tracks_max_depth() {
-        let ns: NodeShared<()> = NodeShared::new(NodeId(0), 2);
-        ns.note_outbox_depth();
-        assert_eq!(ns.outbox_hwm.load(Ordering::Relaxed), 0);
-        ns.outbox.push(
-            cagvt_base::WallNs::ZERO,
-            RemoteEnv {
-                dst_node: NodeId(0),
-                dst_lane: LaneId(0),
-                tagged: TaggedMsg {
-                    msg: crate::event::EventMsg::Anti(crate::event::AntiMsg {
-                        recv_time: cagvt_base::VirtualTime::ZERO,
-                        dst: LpId(0),
-                        id: cagvt_base::EventId::new(LpId(0), 0),
-                    }),
-                    tag: 0,
-                },
-            },
-        );
-        ns.note_outbox_depth();
-        assert_eq!(ns.outbox_hwm.load(Ordering::Relaxed), 1);
     }
 }

@@ -125,7 +125,7 @@ pub struct RunReport {
     /// Host wall-clock seconds the run took under the scheduler that
     /// produced it (set by the run drivers; 0.0 when not measured). This
     /// is real time on the machine running the simulation, not simulated
-    /// cluster time — the quantity the bench trajectory tracks.
+    /// cluster time.
     pub host_seconds: f64,
 
     pub gvt_rounds: u64,
@@ -201,19 +201,20 @@ impl RunReport {
         };
         let total_workers = shared.cfg.spec.total_workers().max(1) as f64;
         let sim_seconds = sched.final_time.as_secs_f64();
-        let committed = w.committed;
+        let committed = stats.committed.load(Ordering::Relaxed);
+        let rolled_back = stats.rolled_back.load(Ordering::Relaxed);
         let end = shared.cfg.end_time;
         let (steady_rate, window_rounds) =
             steady_window(&stats.progress.lock(), end, committed, sim_seconds);
-        let efficiency = efficiency_of(committed, w.rolled_back);
+        let efficiency = efficiency_of(committed, rolled_back);
         RunReport {
             algorithm: algorithm.to_string(),
             nodes: shared.cfg.spec.nodes,
             workers_per_node: shared.cfg.spec.workers_per_node,
             mpi_mode: shared.cfg.spec.mpi_mode.label(),
             committed,
-            processed: w.processed,
-            rolled_back: w.rolled_back,
+            processed: stats.processed.load(Ordering::Relaxed),
+            rolled_back,
             rollbacks: w.rollbacks,
             stragglers: w.stragglers,
             antis_sent: w.antis_sent,

@@ -1,6 +1,7 @@
 //! Engine instrumentation: per-worker counters and cluster-shared
 //! statistics.
 
+use crate::report::efficiency_of;
 use cagvt_base::metrics::SyncCause;
 use cagvt_base::stats::{Horizon, Welford};
 use cagvt_base::time::{VirtualTime, WallNs};
@@ -8,39 +9,26 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters owned (contention-free) by one worker, deposited into
-/// [`SharedStats`] when the worker finishes.
+/// [`SharedStats`] when the worker finishes. Committed, processed and
+/// rolled-back events are not here: the [`SharedStats`] atomics are their
+/// one count.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerCounters {
-    /// Events processed (including re-executions after rollback).
-    pub processed: u64,
-    /// Events committed by fossil collection.
-    pub committed: u64,
-    /// Events undone by rollbacks.
-    pub rolled_back: u64,
     /// Rollback episodes.
     pub rollbacks: u64,
     /// Rollbacks triggered by straggler events (vs anti-messages).
     pub stragglers: u64,
     pub antis_sent: u64,
-    pub antis_received: u64,
     /// Acknowledgement messages (Samadi's GVT only).
     pub acks_sent: u64,
-    pub acks_received: u64,
     /// Message pairs annihilated (pending, early, or via rollback-cancel).
     pub annihilated: u64,
     pub sent_local: u64,
     pub sent_regional: u64,
     pub sent_remote: u64,
-    pub received_msgs: u64,
-    /// GVT rounds this worker completed.
-    pub gvt_rounds: u64,
     /// Wall time attributed to the GVT function (blocked barrier time plus
     /// the interleaved bookkeeping of asynchronous algorithms).
     pub gvt_time: WallNs,
-    /// Wall time spent processing events (EPG + engine overhead).
-    pub busy_time: WallNs,
-    /// Steps in which the worker had nothing to do.
-    pub idle_polls: u64,
     /// Steps skipped because the optimism throttle was engaged.
     pub throttled: u64,
     /// Round requests issued because the event interval elapsed.
@@ -58,24 +46,15 @@ pub struct WorkerCounters {
 
 impl WorkerCounters {
     pub fn merge(&mut self, o: &WorkerCounters) {
-        self.processed += o.processed;
-        self.committed += o.committed;
-        self.rolled_back += o.rolled_back;
         self.rollbacks += o.rollbacks;
         self.stragglers += o.stragglers;
         self.antis_sent += o.antis_sent;
-        self.antis_received += o.antis_received;
         self.acks_sent += o.acks_sent;
-        self.acks_received += o.acks_received;
         self.annihilated += o.annihilated;
         self.sent_local += o.sent_local;
         self.sent_regional += o.sent_regional;
         self.sent_remote += o.sent_remote;
-        self.received_msgs += o.received_msgs;
-        self.gvt_rounds += o.gvt_rounds;
         self.gvt_time += o.gvt_time;
-        self.busy_time += o.busy_time;
-        self.idle_polls += o.idle_polls;
         self.throttled += o.throttled;
         self.requests_interval += o.requests_interval;
         self.requests_idle += o.requests_idle;
@@ -89,17 +68,12 @@ impl WorkerCounters {
 pub struct MpiCounters {
     pub sent: u64,
     pub received: u64,
-    pub pump_time: WallNs,
-    /// High-water mark of the node's outbound MPI queue.
-    pub outbox_hwm: u64,
 }
 
 impl MpiCounters {
     pub fn merge(&mut self, o: &MpiCounters) {
         self.sent += o.sent;
         self.received += o.received;
-        self.pump_time += o.pump_time;
-        self.outbox_hwm = self.outbox_hwm.max(o.outbox_hwm);
     }
 }
 
@@ -258,13 +232,10 @@ impl SharedStats {
     /// Cumulative efficiency: committed / (committed + rolled back), the
     /// paper's committed-over-generated ratio. 1.0 before any activity.
     pub fn efficiency(&self) -> f64 {
-        let committed = self.committed.load(Ordering::Relaxed) as f64;
-        let rolled = self.rolled_back.load(Ordering::Relaxed) as f64;
-        if committed + rolled == 0.0 {
-            1.0
-        } else {
-            committed / (committed + rolled)
-        }
+        efficiency_of(
+            self.committed.load(Ordering::Relaxed),
+            self.rolled_back.load(Ordering::Relaxed),
+        )
     }
 
     /// Record one completed round: its disparity (population std-dev of
@@ -381,26 +352,28 @@ mod tests {
     #[test]
     fn counters_merge() {
         let mut a = WorkerCounters {
-            processed: 10,
-            committed: 5,
+            rollbacks: 10,
+            antis_sent: 5,
             gvt_time: WallNs(100),
+            max_cascade: 4,
             ..Default::default()
         };
         let b = WorkerCounters {
-            processed: 3,
-            rolled_back: 2,
+            rollbacks: 3,
+            annihilated: 2,
             gvt_time: WallNs(50),
+            max_cascade: 2,
             ..Default::default()
         };
         a.merge(&b);
-        assert_eq!(a.processed, 13);
-        assert_eq!(a.committed, 5);
-        assert_eq!(a.rolled_back, 2);
+        assert_eq!(a.rollbacks, 13);
+        assert_eq!(a.antis_sent, 5);
+        assert_eq!(a.annihilated, 2);
         assert_eq!(a.gvt_time, WallNs(150));
+        assert_eq!(a.max_cascade, 4, "cascade depth merges as a maximum");
 
-        let mut m = MpiCounters { sent: 1, outbox_hwm: 10, ..Default::default() };
-        m.merge(&MpiCounters { sent: 2, outbox_hwm: 7, ..Default::default() });
-        assert_eq!(m.sent, 3);
-        assert_eq!(m.outbox_hwm, 10);
+        let mut m = MpiCounters { sent: 1, received: 10 };
+        m.merge(&MpiCounters { sent: 2, received: 7 });
+        assert_eq!((m.sent, m.received), (3, 17));
     }
 }

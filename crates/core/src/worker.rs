@@ -55,7 +55,6 @@ pub struct Worker<M: Model> {
     recv_buf: Vec<TaggedMsg<M::Payload>>,
     emit: Emitter<M::Payload>,
     local_antis: VecDeque<AntiMsg>,
-    last_idle_request: WallNs,
     /// Start of the current contiguous barrier-blocked stretch, if any
     /// (one `BarrierWait` record and counter update on release).
     blocked_since: Option<WallNs>,
@@ -99,7 +98,6 @@ impl<M: Model> Worker<M> {
             recv_buf: Vec::new(),
             emit: Emitter::new(),
             local_antis: VecDeque::new(),
-            last_idle_request: WallNs::ZERO,
             blocked_since: None,
             acks_enabled,
             finished: false,
@@ -206,7 +204,6 @@ impl<M: Model> Worker<M> {
                 charge
             } else {
                 self.nshared.outbox.push(now, env);
-                self.nshared.note_outbox_depth();
                 cost.remote_post
             }
         }
@@ -220,7 +217,6 @@ impl<M: Model> Worker<M> {
             return charge;
         }
         self.counters.rollbacks += 1;
-        self.counters.rolled_back += rb.undone;
         self.uncommitted -= rb.undone as usize;
         self.shared.stats.rolled_back.fetch_add(rb.undone, Ordering::Relaxed);
         let (worker, undone) = (self.widx, rb.undone);
@@ -254,7 +250,6 @@ impl<M: Model> Worker<M> {
         let mut cascade = 0u64;
         let worker = self.widx;
         while let Some(a) = self.local_antis.pop_front() {
-            self.counters.antis_received += 1;
             let idx = self.lp_index(a.dst);
             if self.lps[idx].has_processed(a.id) {
                 // GVT safety: an anti-message can only cancel work that is
@@ -316,11 +311,9 @@ impl<M: Model> Worker<M> {
         for tagged in buf.drain(..) {
             charge += cost.recv_handling;
             if let EventMsg::Ack(a) = &tagged.msg {
-                self.counters.acks_received += 1;
                 self.gvt.on_ack(a.id, a.recv_time, a.anti, a.marked);
                 continue;
             }
-            self.counters.received_msgs += 1;
             self.shared.stats.msgs_received.fetch_add(1, Ordering::Release);
             self.gvt.on_recv(tagged.tag, MsgClass::Regional);
             if self.acks_enabled {
@@ -381,7 +374,6 @@ impl<M: Model> Worker<M> {
             committed += lp.fossil_collect(gvt);
         }
         self.uncommitted -= committed as usize;
-        self.counters.committed += committed;
         self.shared.stats.committed.fetch_add(committed, Ordering::Relaxed);
         WallNs(self.shared.cfg.cost.fossil_per_event.0 * committed)
     }
@@ -466,8 +458,6 @@ impl<M: Model> Worker<M> {
         charge += self.drain_local_antis(now + charge);
 
         self.uncommitted += 1;
-        self.counters.processed += 1;
-        self.counters.busy_time += charge;
         self.shared.stats.processed.fetch_add(1, Ordering::Relaxed);
         self.events_since_round += 1;
         self.shared.stats.worker_lvts[self.widx as usize]
@@ -484,7 +474,6 @@ impl<M: Model> Worker<M> {
             committed += lp.fossil_collect_final(end);
         }
         self.uncommitted -= committed as usize;
-        self.counters.committed += committed;
         self.shared.stats.committed.fetch_add(committed, Ordering::Relaxed);
         let mut fp = 0u64;
         for lp in &self.lps {
@@ -575,7 +564,6 @@ impl<M: Model> Actor for Worker<M> {
             WorkerGvtOutcome::Completed { gvt, cost } => {
                 charge += cost;
                 self.counters.gvt_time += cost;
-                self.counters.gvt_rounds += 1;
                 self.shared
                     .gvt_core
                     .last_round_wall
@@ -642,7 +630,6 @@ impl<M: Model> Actor for Worker<M> {
             let last_round = WallNs(self.shared.gvt_core.last_round_wall.load(Ordering::Relaxed));
             if now.saturating_sub(last_round) >= cfg.idle_request_backoff {
                 self.counters.requests_idle += 1;
-                self.last_idle_request = now;
                 self.shared.gvt_core.request_round();
             }
         }
@@ -650,7 +637,6 @@ impl<M: Model> Actor for Worker<M> {
         if did_work || blocked {
             StepResult::progress(charge.max(WallNs(1)))
         } else {
-            self.counters.idle_polls += 1;
             StepResult::idle(charge + cfg.cost.idle_poll)
         }
     }

@@ -9,6 +9,7 @@ use cagvt_core::gvt::NullMpiGvt;
 use cagvt_core::mpi_actor::MpiPump;
 use cagvt_core::testmodel::MiniHold;
 use cagvt_core::SimConfig;
+use cagvt_net::MpiMode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -31,8 +32,8 @@ fn env(dst_node: u16, dst_lane: u16, seq: u64) -> RemoteEnv<u32> {
 fn pump_moves_outbox_to_fabric_and_routes_inbound() {
     let cfg = SimConfig::small(2, 2);
     let shared = build_shared(Arc::new(MiniHold::default()), cfg);
-    let mut pump0 = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NullMpiGvt), true, false);
-    let mut pump1 = MpiPump::new(NodeId(1), Arc::clone(&shared), Box::new(NullMpiGvt), true, false);
+    let mut pump0 = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NullMpiGvt));
+    let mut pump1 = MpiPump::new(NodeId(1), Arc::clone(&shared), Box::new(NullMpiGvt));
 
     // Worker on node 0 posts two remote messages for node 1 lane 1.
     shared.nodes[0].outbox.push(WallNs(0), env(1, 1, 0));
@@ -59,38 +60,34 @@ fn pump_moves_outbox_to_fabric_and_routes_inbound() {
 
 #[test]
 fn pump_publishes_queue_depth_signal() {
-    let cfg = SimConfig::small(2, 2);
+    let mut cfg = SimConfig::small(2, 2);
+    cfg.spec.mpi_mode = MpiMode::PerWorker;
     let shared = build_shared(Arc::new(MiniHold::default()), cfg);
-    let mut pump = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NullMpiGvt), false, false);
+    let mut pump = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NullMpiGvt));
 
     for seq in 0..5 {
         shared.nodes[0].outbox.push(WallNs(0), env(1, 0, seq));
     }
-    // handle_outbox = false (PerWorker receive-only pump): the depth is
-    // still reported even though this pump does not transmit.
+    // A PerWorker pump only receives: the depth is still reported even
+    // though this pump does not transmit.
     pump.pump(WallNs(0));
     assert_eq!(shared.gvt_core.mpi_queue_depth[0].load(Ordering::Relaxed), 5);
     assert_eq!(shared.gvt_core.max_mpi_queue_depth(), 5);
     assert_eq!(shared.nodes[0].outbox.len(), 5, "receive-only pump leaves the outbox");
-    assert_eq!(shared.nodes[0].outbox_hwm.load(Ordering::Relaxed), 5);
 }
 
 #[test]
 fn locked_pump_charges_through_the_node_lock() {
-    let cfg = SimConfig::small(2, 1);
+    let mut cfg = SimConfig::small(2, 1);
+    cfg.spec.mpi_mode = MpiMode::PerWorker;
     let shared = build_shared(Arc::new(MiniHold::default()), cfg);
-    let mut pump = MpiPump::with_poll_charging(
-        NodeId(0),
-        Arc::clone(&shared),
-        Box::new(NullMpiGvt),
-        true,
-        true,
-        true,
-    );
-    shared.nodes[0].outbox.push(WallNs(0), env(1, 0, 0));
-    let (charge, moved) = pump.pump(WallNs(0));
+    let mut pump = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NullMpiGvt));
+    // One message from node 1 arrives on node 0's fabric inbox.
+    shared.fabric.send_event(NodeId(1), NodeId(0), WallNs(0), env(0, 0, 0), &cfg.cost);
+    let (charge, moved) = pump.pump(WallNs(10_000_000));
     assert!(moved);
-    // Worker-context pump: poll + lock hold + send are all charged.
-    assert!(charge >= cfg.cost.mpi_poll + cfg.cost.mpi_send + cfg.cost.mpi_lock_hold);
+    // Worker-context pump: poll + lock hold + receive are all charged.
+    assert!(charge >= cfg.cost.mpi_poll + cfg.cost.mpi_recv + cfg.cost.mpi_lock_hold);
     assert_eq!(shared.nodes[0].mpi_lock.acquisitions(), 1);
+    assert_eq!(shared.nodes[0].lane_queues[0].len(), 1, "routed to the destination lane");
 }

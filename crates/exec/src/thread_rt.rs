@@ -13,6 +13,18 @@ use std::sync::Arc;
 
 use crate::clock::RealClock;
 
+/// Idle backoff: an actor spins through this many consecutive idle polls
+/// before yielding its OS thread, which keeps oversubscribed hosts (more
+/// actors than cores) live.
+const IDLE_POLLS_BEFORE_YIELD: u32 = 64;
+/// After this many consecutive yields on top of the spin phase, an idle
+/// actor sleeps [`IDLE_SLEEP`] per poll. Long-idle actors (a worker blocked
+/// on a barrier straggler, a drained model) stop burning their core; any
+/// message delivery ends the nap at the next poll.
+const IDLE_YIELDS_BEFORE_SLEEP: u32 = 16;
+/// Sleep length of the deepest backoff stage.
+const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);
+
 /// Tunables of the thread runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadConfig {
@@ -20,31 +32,13 @@ pub struct ThreadConfig {
     /// engine flat-out (useful for functional tests where only the event
     /// outcomes matter, not the timing).
     pub realize_costs: bool,
-    /// Yield the OS thread after this many consecutive idle polls. Keeps
-    /// oversubscribed hosts (more actors than cores) live.
-    pub idle_polls_before_yield: u32,
-    /// After this many consecutive yields (on top of the spin phase),
-    /// escalate to sleeping `idle_sleep` per poll. Long-idle actors (a
-    /// worker blocked on a barrier straggler, a drained model) stop
-    /// burning their core; any message delivery ends the nap at the next
-    /// poll.
-    pub idle_yields_before_sleep: u32,
-    /// Sleep length of the deepest backoff stage. Zero disables sleeping
-    /// (the runtime then caps out at yielding, the pre-backoff behavior).
-    pub idle_sleep: std::time::Duration,
     /// Abort the run if it exceeds this much real time.
     pub timeout: Option<std::time::Duration>,
 }
 
 impl Default for ThreadConfig {
     fn default() -> Self {
-        ThreadConfig {
-            realize_costs: true,
-            idle_polls_before_yield: 64,
-            idle_yields_before_sleep: 16,
-            idle_sleep: std::time::Duration::from_micros(50),
-            timeout: Some(std::time::Duration::from_secs(60)),
-        }
+        ThreadConfig { realize_costs: true, timeout: Some(std::time::Duration::from_secs(60)) }
     }
 }
 
@@ -108,16 +102,14 @@ impl ThreadRuntime {
                                     // actors stop burning their core). Any
                                     // progress resets the streak.
                                     idle_streak = idle_streak.saturating_add(1);
-                                    let yield_after = cfg.idle_polls_before_yield;
-                                    let sleep_after =
-                                        yield_after.saturating_add(cfg.idle_yields_before_sleep);
-                                    if idle_streak < yield_after {
+                                    if idle_streak < IDLE_POLLS_BEFORE_YIELD {
                                         std::hint::spin_loop();
-                                    } else if idle_streak < sleep_after || cfg.idle_sleep.is_zero()
+                                    } else if idle_streak
+                                        < IDLE_POLLS_BEFORE_YIELD + IDLE_YIELDS_BEFORE_SLEEP
                                     {
                                         std::thread::yield_now();
                                     } else {
-                                        std::thread::sleep(cfg.idle_sleep);
+                                        std::thread::sleep(IDLE_SLEEP);
                                     }
                                 }
                             }
@@ -245,8 +237,9 @@ mod tests {
 
     #[test]
     fn deep_idle_backoff_does_not_lose_wakeups() {
-        // Consumer goes idle long enough to reach the sleep stage while the
-        // producer dawdles; the message must still be consumed.
+        // Consumer goes idle long enough to reach the sleep stage (the
+        // producer's 10 000 polls outlast the spin and yield stages) while
+        // the producer dawdles; the message must still be consumed.
         struct SlowProducer {
             id: ActorId,
             tx: Arc<Mailbox<u64>>,
@@ -288,10 +281,6 @@ mod tests {
         let got = Arc::new(AtomicU64::new(0));
         let cfg = ThreadConfig {
             realize_costs: false,
-            // Reach the sleep stage almost immediately.
-            idle_polls_before_yield: 2,
-            idle_yields_before_sleep: 2,
-            idle_sleep: std::time::Duration::from_micros(200),
             timeout: Some(std::time::Duration::from_secs(10)),
         };
         let actors: Vec<Box<dyn Actor>> = vec![

@@ -40,20 +40,11 @@ pub struct CaGvtBundle {
 }
 
 impl CaGvtBundle {
+    /// CA-GVT synchronizing when efficiency falls below `threshold`. With
+    /// `queue_threshold`, also the extended trigger from the paper's
+    /// conclusion: synchronize when a node's outbound MPI queue exceeds
+    /// that many messages.
     pub fn new(
-        core: Arc<GvtSharedCore>,
-        ctrl: Arc<CtrlPlane>,
-        spec: ClusterSpec,
-        cost: CostModel,
-        threshold: f64,
-    ) -> Self {
-        Self::with_queue_threshold(core, ctrl, spec, cost, threshold, None)
-    }
-
-    /// CA-GVT with the extended trigger from the paper's conclusion: also
-    /// synchronize when a node's outbound MPI queue exceeds
-    /// `queue_threshold` messages.
-    pub fn with_queue_threshold(
         core: Arc<GvtSharedCore>,
         ctrl: Arc<CtrlPlane>,
         spec: ClusterSpec,
@@ -104,7 +95,7 @@ mod tests {
     #[test]
     fn bundle_reports_its_name() {
         let (core, ctrl, spec) = parts(1, 2);
-        let b = CaGvtBundle::new(core, ctrl, spec, CostModel::knl_cluster(), 0.8);
+        let b = CaGvtBundle::new(core, ctrl, spec, CostModel::knl_cluster(), 0.8, None);
         assert_eq!(b.name(), "ca-gvt");
     }
 
@@ -112,20 +103,13 @@ mod tests {
     #[should_panic]
     fn threshold_must_be_a_ratio() {
         let (core, ctrl, spec) = parts(1, 1);
-        let _ = CaGvtBundle::new(core, ctrl, spec, CostModel::knl_cluster(), 1.5);
+        let _ = CaGvtBundle::new(core, ctrl, spec, CostModel::knl_cluster(), 1.5, None);
     }
 
     #[test]
     fn queue_threshold_variant_constructs() {
         let (core, ctrl, spec) = parts(2, 2);
-        let b = CaGvtBundle::with_queue_threshold(
-            core,
-            ctrl,
-            spec,
-            CostModel::knl_cluster(),
-            0.8,
-            Some(100),
-        );
+        let b = CaGvtBundle::new(core, ctrl, spec, CostModel::knl_cluster(), 0.8, Some(100));
         assert_eq!(b.name(), "ca-gvt");
         // Both halves construct for every node/lane.
         let _w = b.worker_gvt(cagvt_base::NodeId(1), cagvt_base::LaneId(1), 3);

@@ -90,17 +90,10 @@ pub fn make_bundle<M: Model>(kind: GvtKind, shared: &Arc<EngineShared<M>>) -> Bo
         GvtKind::Mattern => Box::new(MatternBundle::new(core, ctrl, spec, cost)),
         GvtKind::Samadi => Box::new(SamadiBundle::new(core, spec, cost)),
         GvtKind::CaGvt { threshold } => {
-            Box::new(CaGvtBundle::new(core, ctrl, spec, cost, threshold))
+            Box::new(CaGvtBundle::new(core, ctrl, spec, cost, threshold, None))
         }
         GvtKind::CaGvtQueue { threshold, queue_threshold } => {
-            Box::new(CaGvtBundle::with_queue_threshold(
-                core,
-                ctrl,
-                spec,
-                cost,
-                threshold,
-                Some(queue_threshold),
-            ))
+            Box::new(CaGvtBundle::new(core, ctrl, spec, cost, threshold, Some(queue_threshold)))
         }
     }
 }

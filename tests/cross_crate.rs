@@ -138,7 +138,6 @@ fn thread_runtime_matches_sequential() {
     let stats = ThreadRuntime::new(ThreadConfig {
         realize_costs: false,
         timeout: Some(std::time::Duration::from_secs(120)),
-        ..Default::default()
     })
     .run(actors);
     assert!(stats.completed, "threaded run timed out");
