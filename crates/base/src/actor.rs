@@ -17,9 +17,16 @@
 //! for a barrier) returns [`StepOutcome::Idle`] and will be polled again
 //! later, with its clock advanced by an idle-poll cost. This polled style is
 //! what lets the identical algorithm code run under both substrates.
+//!
+//! An idle step may also ask to be *parked* ([`StepResult::park`]): the
+//! virtual scheduler then stops stepping the actor until a notice on the
+//! [`wake`](crate::wake) board says something it waits on changed, and
+//! credits the polls it skipped. Results are identical to polling; only
+//! the host steps are saved. The thread runtime ignores the request.
 
 use crate::ids::ActorId;
 use crate::time::WallNs;
+use crate::wake::Park;
 
 /// What a step accomplished.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -27,8 +34,9 @@ pub enum StepOutcome {
     /// Useful work was done; poll again as soon as the clock allows.
     Progress,
     /// Nothing to do right now (empty queues, waiting at a barrier). The
-    /// scheduler still re-polls, charging the idle-poll cost, because
-    /// wake-up conditions are observed by polling shared state.
+    /// scheduler re-polls, charging the idle-poll cost, unless the step
+    /// asked to be parked ([`StepResult::park`]); a parked actor is
+    /// re-entered when a notice says what it waits on changed.
     Idle,
     /// The actor has observed global termination and will never make
     /// progress again.
@@ -43,22 +51,31 @@ pub struct StepResult {
     /// zero-cost idle polls so virtual time always advances).
     pub cost: WallNs,
     pub outcome: StepOutcome,
+    /// An idle step's request to be parked; `None` keeps polling.
+    pub park: Option<Park>,
 }
 
 impl StepResult {
     #[inline]
     pub fn progress(cost: WallNs) -> Self {
-        StepResult { cost, outcome: StepOutcome::Progress }
+        StepResult { cost, outcome: StepOutcome::Progress, park: None }
     }
 
     #[inline]
     pub fn idle(cost: WallNs) -> Self {
-        StepResult { cost, outcome: StepOutcome::Idle }
+        StepResult { cost, outcome: StepOutcome::Idle, park: None }
+    }
+
+    /// An idle step that asks to be parked until `park`'s conditions or a
+    /// notice wake it.
+    #[inline]
+    pub fn idle_parked(cost: WallNs, park: Park) -> Self {
+        StepResult { cost, outcome: StepOutcome::Idle, park: Some(park) }
     }
 
     #[inline]
     pub fn done() -> Self {
-        StepResult { cost: WallNs::ZERO, outcome: StepOutcome::Done }
+        StepResult { cost: WallNs::ZERO, outcome: StepOutcome::Done, park: None }
     }
 }
 

@@ -63,7 +63,13 @@ pub struct FaultStats {
 /// fault classes its plan contains.
 pub trait FaultInjector: Send + Sync {
     /// Scale the wall-clock cost of one actor step (node straggle). Called
-    /// by the virtual scheduler for every step of every actor.
+    /// by the virtual scheduler exactly once for every step of every
+    /// actor, including each idle poll it skipped for a parked actor.
+    ///
+    /// Must be a pure function of its arguments apart from counters: the
+    /// scheduler walks a parked actor's poll grid lazily, so skipped polls
+    /// are charged later than, and in a different order from, the steps
+    /// they stand for.
     fn actor_cost(&self, actor: ActorId, now: WallNs, cost: WallNs) -> WallNs {
         let _ = (actor, now);
         cost

@@ -15,6 +15,8 @@
 //!   paper's efficiency / LVT-disparity metrics.
 //! * [`Actor`] — the unit of execution both runtimes (virtual scheduler and
 //!   OS threads) know how to drive.
+//! * [`wake`] — the park-and-wake board through which idle actors stop
+//!   costing a host step per simulated poll under the virtual scheduler.
 //! * [`trace`] — the [`TraceSink`] observation hook and typed record
 //!   vocabulary (the ring recorder and exporters live in `cagvt-trace`).
 //! * [`metrics`] — the [`MetricsSink`] per-GVT-epoch observation hook and
@@ -29,6 +31,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
+pub mod wake;
 
 pub use actor::{Actor, StepOutcome, StepResult};
 pub use fault::{FaultInjector, FaultStats, LinkShape, NoFaults};

@@ -98,6 +98,11 @@ pub fn run_one(kind: GvtKind, workload: &Workload, cfg: SimConfig) -> RunReport 
 /// and MPI pumps across every layer of the run; `trace` observes every
 /// instrumented layer (workers, GVT algorithms, the MPI fabric and the
 /// scheduler); `metrics` receives one [`MetricsEpoch`] per GVT round.
+///
+/// Every run is checked with [`RunReport::check_conservation`]; a run that
+/// hit a scheduler valve or breaks conservation panics, naming the
+/// algorithm, the node count and the failed check, so a figure fails
+/// instead of printing a plausible row.
 pub fn run_one_observed(
     kind: GvtKind,
     workload: &Workload,
@@ -108,7 +113,16 @@ pub fn run_one_observed(
 ) -> RunReport {
     let model = Arc::new(workload.model.clone());
     let vcfg = VirtualConfig { faults, trace, metrics, ..scheduler_valves() };
-    run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared))
+    checked(kind, cfg, run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared)))
+}
+
+/// `report`, or a panic naming the run and its first failed conservation
+/// check.
+fn checked(kind: GvtKind, cfg: SimConfig, report: RunReport) -> RunReport {
+    if let Some(failure) = report.conservation_failure(cfg.end_vt()) {
+        panic!("{} run on {} nodes failed: {failure}", kind.label(), cfg.spec.nodes);
+    }
+    report
 }
 
 /// One data point of a figure.
@@ -684,6 +698,19 @@ mod tests {
         assert_eq!(cfg.lps_per_worker, 32);
         assert_eq!(cfg.gvt_interval, 25);
         cfg.validate();
+    }
+
+    /// A run cut off by a scheduler valve fails loudly.
+    #[test]
+    #[should_panic(expected = "mattern run on 1 nodes failed: run hit a scheduler safety valve")]
+    fn valve_hit_fails_the_run() {
+        let cfg = base_config(1, MpiMode::Dedicated, 25, &Scale::bench());
+        let model = Arc::new(comp_dominated(&cfg).model);
+        let vcfg = VirtualConfig { max_steps: Some(1_000), ..Default::default() };
+        let report =
+            run_virtual_with(model, cfg, vcfg, |shared| make_bundle(GvtKind::Mattern, shared));
+        assert!(!report.completed);
+        checked(GvtKind::Mattern, cfg, report);
     }
 
     #[test]

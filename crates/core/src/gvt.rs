@@ -27,6 +27,7 @@ use cagvt_base::metrics::{
 };
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::{TraceRecord, TraceSink};
+use cagvt_base::wake;
 use cagvt_net::MsgClass;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +48,8 @@ pub struct GvtSharedCore {
     pub published_round: AtomicU64,
     /// Global termination flag (GVT passed the end time).
     pub stop: AtomicBool,
-    /// Wall time of the most recent round completion (idle-request pacing).
+    /// Wall time of the most recent round completion (idle-request pacing;
+    /// raised through [`GvtSharedCore::mark_round_end`]).
     pub last_round_wall: AtomicU64,
     /// Per-node outbound MPI queue depth, updated by the MPI pumps; the
     /// occupancy signal of CA-GVT's extended trigger (paper §8 mentions
@@ -241,9 +243,22 @@ impl GvtSharedCore {
         }
     }
 
+    /// Raise the round-request flag; raising it wakes parked workers.
     #[inline]
     pub fn request_round(&self) {
-        self.round_requested.store(true, Ordering::Release);
+        if !self.round_requested.swap(true, Ordering::AcqRel) {
+            wake::notify_all();
+        }
+    }
+
+    /// A worker completed a round at wall time `t`. Raising
+    /// `last_round_wall` re-paces the idle requests of workers parked while
+    /// raising them.
+    #[inline]
+    pub fn mark_round_end(&self, t: WallNs) {
+        if self.last_round_wall.fetch_max(t.as_nanos(), Ordering::Relaxed) < t.as_nanos() {
+            wake::notify_pace();
+        }
     }
 
     #[inline]
@@ -278,6 +293,7 @@ impl GvtSharedCore {
         );
         self.round_requested.store(false, Ordering::Release);
         self.published_round.store(round, Ordering::Release);
+        wake::notify_all();
     }
 
     /// Largest outbound MPI queue depth currently reported by any node.
@@ -293,6 +309,7 @@ impl GvtSharedCore {
     #[inline]
     pub fn signal_stop(&self) {
         self.stop.store(true, Ordering::Release);
+        wake::notify_all();
     }
 }
 
@@ -310,8 +327,16 @@ pub struct WorkerGvtCtx {
 /// What the worker should do after a GVT step.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WorkerGvtOutcome {
-    /// No round in progress and none starting.
+    /// Nothing to do, and only a poll can tell when that changes (the
+    /// test oracle, which reads raw message counters).
     Quiet,
+    /// Nothing to do until shared GVT state changes, and every change that
+    /// could alter this answer posts a [`wake`] notice: a round requested
+    /// or started, a white population drained, a reduction or a GVT
+    /// published, a stop. The worker may be parked.
+    ///
+    /// [`wake`]: cagvt_base::wake
+    Waiting,
     /// A round is in progress; the worker keeps processing events
     /// (asynchronous style). Cost is the bookkeeping charge.
     Working(WallNs),

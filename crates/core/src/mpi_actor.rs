@@ -15,6 +15,7 @@
 use cagvt_base::actor::{Actor, StepResult};
 use cagvt_base::ids::{ActorId, NodeId};
 use cagvt_base::time::WallNs;
+use cagvt_base::wake;
 use cagvt_net::MpiMode;
 use std::sync::Arc;
 
@@ -123,8 +124,10 @@ impl<M: Model> MpiPump<M> {
         for env in in_buf.drain(..) {
             charge += self.mpi_call(now + charge, cost_model.mpi_recv);
             debug_assert_eq!(env.dst_node, self.node, "misrouted remote message");
-            self.nshared.lane_queues[env.dst_lane.index()]
-                .push(now + charge + cost_model.regional_latency, env.tagged);
+            let deliver_at = now + charge + cost_model.regional_latency;
+            self.nshared.lane_queues[env.dst_lane.index()].push(deliver_at, env.tagged);
+            let owner = self.shared.worker_index(self.node, env.dst_lane);
+            wake::notify_actor(ActorId(owner), deliver_at);
         }
         self.in_buf = in_buf;
         moved += m as u64;

@@ -162,9 +162,15 @@ pub struct RunReport {
     pub requests_interval: u64,
     pub requests_idle: u64,
     pub throttled_steps: u64,
-    /// Scheduler bookkeeping.
+    /// Scheduler bookkeeping: executed actor steps, and those that were
+    /// idle.
     pub sched_steps: u64,
     pub sched_idle_steps: u64,
+    /// Idle polls the virtual scheduler skipped for parked workers. Each
+    /// one is credited to the worker's counters as if it had run, so
+    /// `sched_steps + sched_skipped_polls` is the step count of polling
+    /// every idle worker.
+    pub sched_skipped_polls: u64,
     /// False if the scheduler hit a safety valve before completion.
     pub completed: bool,
 
@@ -245,26 +251,38 @@ impl RunReport {
             throttled_steps: w.throttled,
             sched_steps: sched.steps,
             sched_idle_steps: sched.idle_steps,
+            sched_skipped_polls: w.skipped_polls,
             completed: sched.completed,
             faults: shared.faults.as_ref().map(|f| f.stats()).unwrap_or_default(),
             health: Vec::new(),
         }
     }
 
-    /// Sanity invariant: every processed event was either committed or
-    /// rolled back, and the run finished past its end time.
+    /// Sanity invariant: the run completed, every processed event was
+    /// either committed or rolled back, and the run finished past its end
+    /// time. Panics naming the first failed check.
     pub fn check_conservation(&self, end_time: VirtualTime) {
-        assert!(self.completed, "run hit a scheduler safety valve");
-        assert_eq!(
-            self.processed,
-            self.committed + self.rolled_back,
-            "processed events must be committed or rolled back"
-        );
-        assert!(
-            self.final_gvt >= end_time.as_f64(),
-            "final GVT {} below end time {end_time}",
-            self.final_gvt
-        );
+        if let Some(failure) = self.conservation_failure(end_time) {
+            panic!("{failure}");
+        }
+    }
+
+    /// The first check of [`Self::check_conservation`] this report fails.
+    pub fn conservation_failure(&self, end_time: VirtualTime) -> Option<String> {
+        if !self.completed {
+            return Some("run hit a scheduler safety valve (completed == false)".into());
+        }
+        if self.processed != self.committed + self.rolled_back {
+            return Some(format!(
+                "processed events must be committed or rolled back: processed {} != \
+                 committed {} + rolled back {}",
+                self.processed, self.committed, self.rolled_back
+            ));
+        }
+        if self.final_gvt < end_time.as_f64() {
+            return Some(format!("final GVT {} below end time {end_time}", self.final_gvt));
+        }
+        None
     }
 }
 

@@ -13,11 +13,18 @@
 //! All charging goes through the [`CostModel`](cagvt_net::CostModel), so
 //! the identical code yields paper-scale timing under the virtual
 //! scheduler and real timing under the thread runtime.
+//!
+//! A step that found nothing to do at all — nothing drained, no MPI duty,
+//! no event processed, and a GVT half [`Waiting`](WorkerGvtOutcome::Waiting)
+//! on notified state — asks to be parked (see [`cagvt_base::wake`]). Every
+//! repeat of such a poll would only bump the same counters, so the worker
+//! remembers which ones and credits each poll the scheduler skipped.
 
 use cagvt_base::actor::{Actor, StepResult};
 use cagvt_base::ids::{ActorId, EventId, LaneId, LpId, NodeId};
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::TraceRecord;
+use cagvt_base::wake::{self, Park};
 use cagvt_net::{MpiMode, MsgClass};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -60,7 +67,18 @@ pub struct Worker<M: Model> {
     blocked_since: Option<WallNs>,
     /// The GVT algorithm requires acknowledgement traffic (Samadi).
     acks_enabled: bool,
+    /// Set when this worker asked to be parked: the counters its repeated
+    /// idle poll bumps, credited once per poll the scheduler skipped.
+    parked: Option<IdlePoll>,
     finished: bool,
+}
+
+/// The counters one pure idle poll bumps.
+#[derive(Clone, Copy, Debug)]
+struct IdlePoll {
+    throttled: bool,
+    requests_interval: bool,
+    requests_idle: bool,
 }
 
 impl<M: Model> Worker<M> {
@@ -100,6 +118,7 @@ impl<M: Model> Worker<M> {
             local_antis: VecDeque::new(),
             blocked_since: None,
             acks_enabled,
+            parked: None,
             finished: false,
         }
     }
@@ -188,8 +207,9 @@ impl<M: Model> Worker<M> {
         if dst_node == self.node {
             let tag = if is_ack { 0 } else { self.gvt.on_send(MsgClass::Regional, recv_time) };
             self.counters.sent_regional += 1;
-            self.nshared.lane_queues[dst_lane.index()]
-                .push(now + cost.regional_latency, TaggedMsg { msg, tag });
+            let deliver_at = now + cost.regional_latency;
+            self.nshared.lane_queues[dst_lane.index()].push(deliver_at, TaggedMsg { msg, tag });
+            wake::notify_actor(ActorId(self.shared.worker_index(dst_node, dst_lane)), deliver_at);
             cost.regional_send
         } else {
             let tag = if is_ack { 0 } else { self.gvt.on_send(MsgClass::Remote, recv_time) };
@@ -501,6 +521,14 @@ impl<M: Model> Actor for Worker<M> {
         if self.finished {
             return StepResult::done();
         }
+        if let Some(poll) = self.parked.take() {
+            let skipped = wake::take_skipped(self.actor_id);
+            let c = &mut self.counters;
+            c.skipped_polls += skipped;
+            c.throttled += skipped * poll.throttled as u64;
+            c.requests_interval += skipped * poll.requests_interval as u64;
+            c.requests_idle += skipped * poll.requests_idle as u64;
+        }
         if self.shared.gvt_core.stopped() {
             self.finish();
             return StepResult::progress(WallNs(100));
@@ -536,6 +564,7 @@ impl<M: Model> Actor for Worker<M> {
         };
         let mut blocked = false;
         let outcome = self.gvt.step(&ctx);
+        let gvt_waiting = outcome == WorkerGvtOutcome::Waiting;
         // Close out a barrier-blocked stretch: one `BarrierWait` record and
         // counter update spanning first blocked step to release.
         if !matches!(outcome, WorkerGvtOutcome::Blocked(_)) {
@@ -547,7 +576,7 @@ impl<M: Model> Actor for Worker<M> {
             }
         }
         match outcome {
-            WorkerGvtOutcome::Quiet => {}
+            WorkerGvtOutcome::Quiet | WorkerGvtOutcome::Waiting => {}
             WorkerGvtOutcome::Working(c) => {
                 charge += c;
                 self.counters.gvt_time += c;
@@ -564,10 +593,7 @@ impl<M: Model> Actor for Worker<M> {
             WorkerGvtOutcome::Completed { gvt, cost } => {
                 charge += cost;
                 self.counters.gvt_time += cost;
-                self.shared
-                    .gvt_core
-                    .last_round_wall
-                    .fetch_max((now + charge).as_nanos(), Ordering::Relaxed);
+                self.shared.gvt_core.mark_round_end(now + charge);
                 charge += self.fossil(gvt);
                 self.events_since_round = 0;
                 did_work = true;
@@ -620,7 +646,11 @@ impl<M: Model> Actor for Worker<M> {
 
         // Round initiation: on interval, or whenever progress is gated on
         // a new GVT (throttled or drained below the end time).
-        if self.events_since_round >= cfg.gvt_interval {
+        let requests_interval = self.events_since_round >= cfg.gvt_interval;
+        let mut requests_idle = false;
+        // Until when an idle worker holds back its request.
+        let mut backoff_until = None;
+        if requests_interval {
             self.counters.requests_interval += 1;
             self.shared.gvt_core.request_round();
         } else if !processed && !blocked && self.shared.gvt_core.published_gvt() < cfg.end_vt() {
@@ -629,15 +659,31 @@ impl<M: Model> Actor for Worker<M> {
             // another one (prevents the end-of-run round convoy).
             let last_round = WallNs(self.shared.gvt_core.last_round_wall.load(Ordering::Relaxed));
             if now.saturating_sub(last_round) >= cfg.idle_request_backoff {
+                requests_idle = true;
                 self.counters.requests_idle += 1;
                 self.shared.gvt_core.request_round();
+            } else {
+                backoff_until = Some(last_round + cfg.idle_request_backoff);
             }
         }
 
         if did_work || blocked {
-            StepResult::progress(charge.max(WallNs(1)))
-        } else {
-            StepResult::idle(charge + cfg.cost.idle_poll)
+            return StepResult::progress(charge.max(WallNs(1)));
         }
+        let cost = charge + cfg.cost.idle_poll;
+        if !gvt_waiting || charge > WallNs::ZERO || self.mpi_duty.is_some() {
+            return StepResult::idle(cost);
+        }
+        // A pure idle poll: park until a message, a GVT notice, the end of
+        // the request backoff, or (while requesting) a new round end could
+        // change what the next poll does.
+        let head = self.nshared.lane_queues[self.lane.index()].head_deliver_at();
+        let until = backoff_until.into_iter().chain(head).min();
+        self.parked = Some(IdlePoll {
+            throttled: self.uncommitted >= cfg.max_outstanding,
+            requests_interval,
+            requests_idle,
+        });
+        StepResult::idle_parked(cost, Park { until, pace: requests_idle })
     }
 }

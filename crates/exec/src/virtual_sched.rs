@@ -6,6 +6,7 @@ use cagvt_base::ids::ActorId;
 use cagvt_base::metrics::MetricsSink;
 use cagvt_base::time::WallNs;
 use cagvt_base::trace::{TraceRecord, TraceSink};
+use cagvt_base::wake::{self, Notices, Park};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
@@ -68,11 +69,14 @@ pub struct VirtualRunStats {
     /// Wall-clock instant at which the last actor finished — the simulated
     /// makespan of the run.
     pub final_time: WallNs,
-    /// Total actor steps executed.
+    /// Total actor steps executed (polls skipped for parked actors are not
+    /// steps; the actors credit them to their own counters).
     pub steps: u64,
-    /// Steps that reported [`StepOutcome::Idle`].
+    /// Executed steps that reported [`StepOutcome::Idle`].
     pub idle_steps: u64,
-    /// False if the run was cut off by `horizon` or `max_steps`.
+    /// False if the run was cut off by `horizon` or `max_steps`, or if
+    /// every live actor was parked with nothing left to wake it (where the
+    /// polling scheduler would have spun until a valve).
     pub completed: bool,
 }
 
@@ -81,8 +85,174 @@ pub struct VirtualRunStats {
 /// Invariant: the actor stepped next is always the one with the minimum
 /// clock (ties broken by [`ActorId`](cagvt_base::ActorId)), so all shared
 /// state mutations happen in a globally ordered, reproducible sequence.
+///
+/// ## Parking
+///
+/// An idle step may ask to be parked ([`StepResult::park`]). The actor
+/// then leaves the heap and its repeat polls are not executed. Its poll
+/// grid — the instants polling would have stepped it at, each advanced by
+/// `max(actor_cost(idle poll), min_advance)` — is walked lazily, one
+/// `actor_cost` call per skipped poll, when a wake arrives:
+///
+/// * a [`notify_all`](wake::notify_all) (or, for actors parked with
+///   [`Park::pace`], a [`notify_pace`](wake::notify_pace)) posted by the
+///   step at `(clock, id)` re-enters the actor at the first grid instant
+///   `g` with `(g, actor id) > (clock, id)`: the first poll that would
+///   have seen the change. The stepping actor's own notices wake it at its
+///   very next poll;
+/// * a [`notify_actor`](wake::notify_actor) for instant `at` does the same
+///   with `g >= at` as well (later than the notifier, it becomes a timer);
+/// * a timer ([`Park::until`]) re-enters the actor at the first grid
+///   instant at or after it, once no step before that instant remains.
+///
+/// Wakes can come early (the actor re-polls and parks again) but never
+/// late, so every actor observes every change at the same instant as under
+/// polling and runs are bit-identical with or without parking.
+///
+/// [`StepResult::park`]: cagvt_base::actor::StepResult::park
 pub struct VirtualScheduler {
     cfg: VirtualConfig,
+}
+
+/// A parked actor: where its poll grid stands and what wakes it.
+#[derive(Clone, Copy)]
+struct Parked {
+    /// The next grid instant, the first poll not yet skipped.
+    next: u64,
+    /// The repeated idle poll's reported cost.
+    cost: WallNs,
+    park: Park,
+    /// Distinguishes this parking from earlier ones in timer entries.
+    gen: u32,
+}
+
+/// The heap of runnable actors: `(clock, actor id, slot)`, min-first.
+type Heap = BinaryHeap<Reverse<(u64, u32, usize)>>;
+
+/// One run's parked actors, by slot, and the wake board that reaches them.
+struct Parking {
+    board: wake::Installed,
+    notices: Notices,
+    ids: Vec<u32>,
+    /// Slot of each actor id (`usize::MAX` for ids not in the run).
+    slot_of: Vec<usize>,
+    slots: Vec<Option<Parked>>,
+    count: usize,
+    pace: usize,
+    gens: u32,
+    /// `(until, slot, gen)` of each timer set, earliest first; entries of
+    /// woken or re-timed parkings are skipped when they surface.
+    timers: BinaryHeap<Reverse<(u64, usize, u32)>>,
+}
+
+impl Parking {
+    fn new(ids: Vec<u32>) -> Self {
+        let id_bound = ids.iter().map(|&id| id as usize + 1).max().unwrap_or(0);
+        let mut slot_of = vec![usize::MAX; id_bound];
+        for (slot, &id) in ids.iter().enumerate() {
+            slot_of[id as usize] = slot;
+        }
+        Parking {
+            board: wake::install(id_bound),
+            notices: Notices::default(),
+            slots: vec![None; ids.len()],
+            ids,
+            slot_of,
+            count: 0,
+            pace: 0,
+            gens: 0,
+            timers: BinaryHeap::new(),
+        }
+    }
+
+    /// Park `slot`, whose next poll would be at `next`.
+    fn park(&mut self, slot: usize, next: u64, cost: WallNs, park: Park) {
+        self.gens = self.gens.wrapping_add(1);
+        let gen = self.gens;
+        self.slots[slot] = Some(Parked { next, cost, park, gen });
+        self.count += 1;
+        self.pace += park.pace as usize;
+        if let Some(until) = park.until {
+            self.timers.push(Reverse((until.0, slot, gen)));
+        }
+    }
+
+    /// Re-enter parked `slot` at its first grid instant `g` with `g >= at`
+    /// and `(g, id) > after`, crediting the polls skipped before it.
+    fn wake(
+        &mut self,
+        cfg: &VirtualConfig,
+        heap: &mut Heap,
+        slot: usize,
+        at: u64,
+        after: (u64, u32),
+    ) {
+        let p = self.slots[slot].take().expect("slot is parked");
+        self.count -= 1;
+        self.pace -= p.park.pace as usize;
+        let id = self.ids[slot];
+        let mut g = p.next;
+        let mut skipped = 0u64;
+        while g < at || (g, id) <= after {
+            let cost = match &cfg.faults {
+                Some(f) => f.actor_cost(ActorId(id), WallNs(g), p.cost),
+                None => p.cost,
+            };
+            g += cost.max(cfg.min_advance).0;
+            skipped += 1;
+        }
+        if skipped > 0 {
+            self.board.credit(ActorId(id), skipped);
+        }
+        heap.push(Reverse((g, id, slot)));
+    }
+
+    /// Fire the earliest timer if no step before it remains: every later
+    /// step (and every wake it posts) is then at or after the timer, so the
+    /// polls skipped before it are final. Returns whether one fired.
+    fn fire_timer(&mut self, cfg: &VirtualConfig, heap: &mut Heap) -> bool {
+        while let Some(&Reverse((until, slot, gen))) = self.timers.peek() {
+            let live = matches!(self.slots[slot],
+                Some(p) if p.gen == gen && p.park.until == Some(WallNs(until)));
+            if !live {
+                self.timers.pop();
+                continue;
+            }
+            if heap.peek().is_some_and(|Reverse((clock, _, _))| *clock < until) {
+                return false;
+            }
+            self.wake(cfg, heap, slot, until, (0, 0));
+            return true;
+        }
+        false
+    }
+
+    /// Deliver the notices posted by the step at `after = (clock, id)`.
+    fn deliver(&mut self, cfg: &VirtualConfig, heap: &mut Heap, after: (u64, u32)) {
+        if !self.board.drain(&mut self.notices) || self.count == 0 {
+            return;
+        }
+        let (all, pace) = (self.notices.all, self.notices.pace);
+        if all || (pace && self.pace > 0) {
+            for slot in 0..self.slots.len() {
+                if matches!(self.slots[slot], Some(p) if all || p.park.pace) {
+                    self.wake(cfg, heap, slot, 0, after);
+                }
+            }
+        }
+        for i in 0..self.notices.actors.len() {
+            let (actor, at) = self.notices.actors[i];
+            let slot = self.slot_of.get(actor.0 as usize).copied().unwrap_or(usize::MAX);
+            let Some(p) = self.slots.get_mut(slot).and_then(Option::as_mut) else { continue };
+            if at.0 <= after.0 {
+                self.wake(cfg, heap, slot, at.0, after);
+            } else if p.park.until.is_none_or(|u| at < u) {
+                // Later than the notifier: a timer.
+                p.park.until = Some(at);
+                self.timers.push(Reverse((at.0, slot, p.gen)));
+            }
+        }
+    }
 }
 
 impl VirtualScheduler {
@@ -94,9 +264,9 @@ impl VirtualScheduler {
     /// safety valve triggers.
     pub fn run(&self, mut actors: Vec<Box<dyn Actor>>) -> VirtualRunStats {
         assert!(!actors.is_empty(), "no actors to schedule");
-        // Heap of (clock, actor-id, slot) — min-first via Reverse.
-        let mut heap: BinaryHeap<Reverse<(u64, u32, usize)>> =
+        let mut heap: Heap =
             actors.iter().enumerate().map(|(slot, a)| Reverse((0u64, a.id().0, slot))).collect();
+        let mut parking = Parking::new(actors.iter().map(|a| a.id().0).collect());
 
         let mut live = actors.len();
         let mut steps = 0u64;
@@ -111,7 +281,14 @@ impl VirtualScheduler {
                     break;
                 }
             }
-            let mut top = heap.peek_mut().expect("live > 0 implies non-empty heap");
+            if parking.fire_timer(&self.cfg, &mut heap) {
+                continue;
+            }
+            let Some(mut top) = heap.peek_mut() else {
+                // Every live actor is parked and nothing can wake one.
+                completed = false;
+                break;
+            };
             let Reverse((clock, id, slot)) = *top;
             let now = WallNs(clock);
             if let Some(horizon) = self.cfg.horizon {
@@ -141,17 +318,27 @@ impl VirtualScheduler {
                         Some(f) => f.actor_cost(ActorId(id), now, result.cost),
                         None => result.cost,
                     };
-                    let advance = cost.max(self.cfg.min_advance);
-                    // Reposition in place: one sift-down on drop instead of
-                    // a pop (sift-down) plus push (sift-up). When the
-                    // actor's new clock is still the heap minimum — the
-                    // common case for a worker streaming cheap events — the
-                    // sift terminates at the root. The comparator is a
-                    // total order over (clock, id, slot), so the step
-                    // sequence is identical to the pop/push formulation.
-                    *top = Reverse((clock + advance.0, id, slot));
+                    let next = clock + cost.max(self.cfg.min_advance).0;
+                    match result.park {
+                        Some(park) if outcome == StepOutcome::Idle => {
+                            PeekMut::pop(top);
+                            parking.park(slot, next, result.cost, park);
+                        }
+                        // Reposition in place: one sift-down on drop instead
+                        // of a pop (sift-down) plus push (sift-up). When the
+                        // actor's new clock is still the heap minimum — the
+                        // common case for a worker streaming cheap events —
+                        // the sift terminates at the root. The comparator is
+                        // a total order over (clock, id, slot), so the step
+                        // sequence is identical to the pop/push formulation.
+                        _ => {
+                            *top = Reverse((next, id, slot));
+                            drop(top);
+                        }
+                    }
                 }
             }
+            parking.deliver(&self.cfg, &mut heap, (clock, id));
         }
 
         VirtualRunStats { final_time, steps, idle_steps, completed }

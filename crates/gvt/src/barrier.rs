@@ -120,7 +120,7 @@ impl WorkerGvt for BarrierWorker {
                     self.state = State::WaitSum(gen);
                     WorkerGvtOutcome::Blocked(cost.node_barrier_arrival)
                 } else {
-                    WorkerGvtOutcome::Quiet
+                    WorkerGvtOutcome::Waiting
                 }
             }
             State::WaitSum(gen) => match self.shared.reduce.poll(self.node, gen) {
@@ -212,8 +212,8 @@ mod tests {
     fn quiet_until_round_requested() {
         let (_core, bundle) = setup(1, 2);
         let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
-        assert_eq!(w.step(&ctx(1.0, 0)), WorkerGvtOutcome::Quiet);
-        assert_eq!(w.step(&ctx(1.0, 0)), WorkerGvtOutcome::Quiet);
+        assert_eq!(w.step(&ctx(1.0, 0)), WorkerGvtOutcome::Waiting);
+        assert_eq!(w.step(&ctx(1.0, 0)), WorkerGvtOutcome::Waiting);
     }
 
     #[test]
@@ -258,8 +258,8 @@ mod tests {
                         completions += 1;
                         gvt = g;
                     }
-                    WorkerGvtOutcome::Blocked(_) | WorkerGvtOutcome::Quiet => {}
-                    WorkerGvtOutcome::Working(_) => panic!("barrier never works asynchronously"),
+                    WorkerGvtOutcome::Blocked(_) | WorkerGvtOutcome::Waiting => {}
+                    other => panic!("barrier never works asynchronously or polls: {other:?}"),
                 }
             }
             mpi.step(now);

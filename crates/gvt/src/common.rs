@@ -17,6 +17,7 @@
 
 use cagvt_base::ids::NodeId;
 use cagvt_base::time::WallNs;
+use cagvt_base::wake;
 use cagvt_net::{ClusterCollective, NodeReduce, ReduceValue};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +79,7 @@ impl TwoLevelReduce {
         if let Some(v) = self.cluster.try_result(now, pub_gen) {
             self.results[idx].lock()[(pub_gen % 2) as usize] = v;
             self.published[idx].store(pub_gen + 1, Ordering::Release);
+            wake::notify_all();
             ops += 1;
         }
         ops
@@ -92,6 +94,12 @@ impl TwoLevelReduce {
 /// having published, so rounds never overlap — starts it. Once
 /// `rounds_started` is bumped, *every* worker observes it, so nobody can
 /// miss a round (which would deadlock the barriers and ring gates).
+///
+/// A `false` answer can only turn `true` after a round request, a round
+/// start or a publication, each of which posts a wake notice, so workers
+/// that got it may be parked ([`WorkerGvtOutcome::Waiting`]).
+///
+/// [`WorkerGvtOutcome::Waiting`]: cagvt_core::WorkerGvtOutcome::Waiting
 pub fn try_join_round(
     core: &cagvt_core::gvt::GvtSharedCore,
     rounds_started: &AtomicU64,
@@ -106,6 +114,7 @@ pub fn try_join_round(
             .is_ok()
         {
             core.round_requested.store(false, Ordering::Release);
+            wake::notify_all();
             return true;
         }
         // Someone else started it in the same instant.

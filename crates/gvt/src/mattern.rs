@@ -44,6 +44,7 @@ use cagvt_base::ids::{LaneId, NodeId};
 use cagvt_base::metrics::SyncCause;
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::{GvtPhaseKind, TraceRecord, Track};
+use cagvt_base::wake;
 use cagvt_core::gvt::{
     GvtBundle, GvtSharedCore, MpiGvt, WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome,
 };
@@ -277,7 +278,7 @@ impl MatternWorker {
     /// transitions (paper Figure 7), not the whole round.
     fn working(&self, cost: WallNs) -> WorkerGvtOutcome {
         if cost == WallNs::ZERO {
-            WorkerGvtOutcome::Quiet
+            WorkerGvtOutcome::Waiting
         } else {
             WorkerGvtOutcome::Working(cost)
         }
@@ -337,7 +338,7 @@ impl WorkerGvt for MatternWorker {
                     self.phase = Phase::Red;
                     WorkerGvtOutcome::Working(cost.gvt_bookkeeping)
                 } else {
-                    WorkerGvtOutcome::Quiet
+                    WorkerGvtOutcome::Waiting
                 }
             }
             Phase::BarrierA(gen) => {
@@ -577,6 +578,7 @@ impl MpiGvt for MatternMpi {
                     );
                     if m.sum == 0 {
                         shared.drained_round.store(m.round, Ordering::Release);
+                        wake::notify_all();
                         self.initiator = InitiatorState::AwaitChecks(m.round);
                     } else {
                         // Still in transit: circulate again with fresh

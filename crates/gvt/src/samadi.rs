@@ -164,11 +164,11 @@ impl WorkerGvt for SamadiWorker {
                     self.state = State::Wait(gen);
                     WorkerGvtOutcome::Working(cost.gvt_bookkeeping)
                 } else {
-                    WorkerGvtOutcome::Quiet
+                    WorkerGvtOutcome::Waiting
                 }
             }
             State::Wait(gen) => match self.shared.reduce.poll(self.node, gen) {
-                None => WorkerGvtOutcome::Quiet, // keep simulating
+                None => WorkerGvtOutcome::Waiting, // keep simulating
                 Some(v) => {
                     let gvt = VirtualTime::from_ordered_bits(v.min);
                     self.rounds_done += 1;

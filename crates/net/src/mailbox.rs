@@ -39,7 +39,11 @@ impl<T> Mailbox<T> {
 
     /// Enqueue a message that becomes observable at `deliver_at`.
     pub fn push(&self, deliver_at: WallNs, payload: T) {
-        self.q.lock().push_back(NetMsg::new(deliver_at, payload));
+        let mut q = self.q.lock();
+        q.push_back(NetMsg::new(deliver_at, payload));
+        // Under the lock, like the pops' decrements: bumped after the guard
+        // dropped, a consumer could pop the message and decrement first,
+        // wrapping `len` for an instant.
         self.len.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -146,6 +150,45 @@ mod tests {
         assert_eq!(mb.head_deliver_at(), None);
         mb.push(WallNs(42), ());
         assert_eq!(mb.head_deliver_at(), Some(WallNs(42)));
+    }
+
+    /// A consumer draining while a producer pushes never sees `len` above
+    /// the number of messages pushed (a decrement overtaking its increment
+    /// would wrap it to near `usize::MAX`).
+    #[test]
+    fn len_never_exceeds_pushed_under_concurrent_drain() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        const N: usize = 50_000;
+        let mb = Arc::new(Mailbox::new());
+        let done = Arc::new(AtomicBool::new(false));
+        let producer = {
+            let (mb, done) = (Arc::clone(&mb), Arc::clone(&done));
+            std::thread::spawn(move || {
+                for i in 0..N {
+                    mb.push(WallNs::ZERO, i);
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        let mut out = Vec::new();
+        let mut popped = 0;
+        while popped < N {
+            let len = mb.len();
+            assert!(len <= N, "len {len} exceeds the {N} messages pushed");
+            if mb.pop_ready(WallNs::ZERO).is_some() {
+                popped += 1;
+            }
+            out.clear();
+            popped += mb.drain_ready_into(WallNs::ZERO, 4, &mut out);
+            assert!(popped <= N);
+            if done.load(Ordering::Acquire) && mb.is_empty() {
+                break;
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(popped, N);
+        assert_eq!(mb.len(), 0);
     }
 
     #[test]
