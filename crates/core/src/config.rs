@@ -24,10 +24,6 @@ pub struct SimConfig {
     pub max_outstanding: usize,
     /// Master seed; per-LP streams derive from it.
     pub seed: u64,
-    /// Max messages a worker drains from its queue per step.
-    pub recv_batch: usize,
-    /// Max messages an MPI pump moves per direction per step.
-    pub mpi_batch: usize,
     /// Minimum wall time between round requests from a worker that cannot
     /// make progress (throttled or out of sub-horizon events). Unpaced
     /// idle requests convoy the cluster at the end of a run: each
@@ -54,8 +50,6 @@ impl SimConfig {
             gvt_interval: 25,
             max_outstanding: 512,
             seed: 0xC0FFEE,
-            recv_batch: 32,
-            mpi_batch: 16,
             idle_request_backoff: cagvt_base::WallNs(400_000),
             force_snapshot: false,
             periodic_snapshot: None,
@@ -73,8 +67,6 @@ impl SimConfig {
             gvt_interval: 25,
             max_outstanding: 512,
             seed: 0x1CC_2019,
-            recv_batch: 32,
-            mpi_batch: 16,
             idle_request_backoff: cagvt_base::WallNs(400_000),
             force_snapshot: false,
             periodic_snapshot: None,
@@ -115,7 +107,6 @@ impl SimConfig {
             self.max_outstanding >= self.gvt_interval as usize,
             "throttle below the GVT interval would deadlock rounds"
         );
-        assert!(self.recv_batch >= 1 && self.mpi_batch >= 1);
     }
 }
 

@@ -25,6 +25,9 @@ use crate::model::Model;
 use crate::node::{EngineShared, NodeShared};
 use crate::stats::MpiCounters;
 
+/// Max messages a pump moves per direction per step.
+const MPI_BATCH: usize = 16;
+
 /// Per-node MPI send/receive engine plus the node-side GVT half. Its
 /// wiring follows from the run's [`MpiMode`]:
 ///
@@ -74,7 +77,6 @@ impl<M: Model> MpiPump<M> {
     /// total wall charge and whether any traffic moved.
     pub fn pump(&mut self, now: WallNs) -> (WallNs, bool) {
         let cost_model = self.shared.cfg.cost;
-        let batch = self.shared.cfg.mpi_batch;
         let mode = self.shared.cfg.spec.mpi_mode;
         // An in-worker pump pays the progress-engine poll on every call —
         // time stolen from event processing. The dedicated actor's polls
@@ -102,7 +104,7 @@ impl<M: Model> MpiPump<M> {
         let mut moved = 0u64;
         if mode != MpiMode::PerWorker {
             let mut out_buf = std::mem::take(&mut self.out_buf);
-            let n = self.nshared.outbox.drain_ready_into(now, batch, &mut out_buf);
+            let n = self.nshared.outbox.drain_ready_into(now, MPI_BATCH, &mut out_buf);
             for env in out_buf.drain(..) {
                 charge += self.mpi_call(now + charge, cost_model.mpi_send);
                 self.shared.fabric.send_event(
@@ -120,7 +122,7 @@ impl<M: Model> MpiPump<M> {
 
         // Inbound: fabric -> destination worker lanes.
         let mut in_buf = std::mem::take(&mut self.in_buf);
-        let m = self.shared.fabric.drain_events(self.node, now, batch, &mut in_buf);
+        let m = self.shared.fabric.drain_events(self.node, now, MPI_BATCH, &mut in_buf);
         for env in in_buf.drain(..) {
             charge += self.mpi_call(now + charge, cost_model.mpi_recv);
             debug_assert_eq!(env.dst_node, self.node, "misrouted remote message");

@@ -39,6 +39,9 @@ use crate::node::{EngineShared, NodeShared};
 use crate::queue::{CancelOutcome, PendingSet};
 use crate::stats::{RoundSnapshot, WorkerCounters};
 
+/// Max messages a worker drains from its queue per step.
+const RECV_BATCH: usize = 32;
+
 /// A worker thread of one node.
 pub struct Worker<M: Model> {
     actor_id: ActorId,
@@ -323,11 +326,8 @@ impl<M: Model> Worker<M> {
         let cost = self.shared.cfg.cost;
         let mut charge = WallNs::ZERO;
         let mut buf = std::mem::take(&mut self.recv_buf);
-        let n = self.nshared.lane_queues[self.lane.index()].drain_ready_into(
-            now,
-            self.shared.cfg.recv_batch,
-            &mut buf,
-        );
+        let n =
+            self.nshared.lane_queues[self.lane.index()].drain_ready_into(now, RECV_BATCH, &mut buf);
         for tagged in buf.drain(..) {
             charge += cost.recv_handling;
             if let EventMsg::Ack(a) = &tagged.msg {

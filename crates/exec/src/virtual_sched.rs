@@ -12,13 +12,14 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+/// Minimum clock advance for a step that reported zero cost. Keeps
+/// virtual time strictly advancing so idle polling cannot livelock the
+/// scheduler.
+const MIN_ADVANCE: WallNs = WallNs(50);
+
 /// Tunables of the virtual scheduler.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct VirtualConfig {
-    /// Minimum clock advance for a step that reported zero cost. Keeps
-    /// virtual time strictly advancing so idle polling cannot livelock the
-    /// scheduler.
-    pub min_advance: WallNs,
     /// Hard stop: abandon the run if any actor's clock would exceed this.
     /// `None` trusts the actors to terminate.
     pub horizon: Option<WallNs>,
@@ -37,23 +38,9 @@ pub struct VirtualConfig {
     pub metrics: Option<Arc<dyn MetricsSink>>,
 }
 
-impl Default for VirtualConfig {
-    fn default() -> Self {
-        VirtualConfig {
-            min_advance: WallNs(50),
-            horizon: None,
-            max_steps: None,
-            faults: None,
-            trace: None,
-            metrics: None,
-        }
-    }
-}
-
 impl std::fmt::Debug for VirtualConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VirtualConfig")
-            .field("min_advance", &self.min_advance)
             .field("horizon", &self.horizon)
             .field("max_steps", &self.max_steps)
             .field("faults", &self.faults.is_some())
@@ -83,7 +70,7 @@ pub struct VirtualRunStats {
 /// Drives a set of actors in virtual time.
 ///
 /// Invariant: the actor stepped next is always the one with the minimum
-/// clock (ties broken by [`ActorId`](cagvt_base::ActorId)), so all shared
+/// clock (ties broken by [`ActorId`]), so all shared
 /// state mutations happen in a globally ordered, reproducible sequence.
 ///
 /// ## Parking
@@ -91,7 +78,7 @@ pub struct VirtualRunStats {
 /// An idle step may ask to be parked ([`StepResult::park`]). The actor
 /// then leaves the heap and its repeat polls are not executed. Its poll
 /// grid — the instants polling would have stepped it at, each advanced by
-/// `max(actor_cost(idle poll), min_advance)` — is walked lazily, one
+/// `max(actor_cost(idle poll), MIN_ADVANCE)` — is walked lazily, one
 /// `actor_cost` call per skipped poll, when a wake arrives:
 ///
 /// * a [`notify_all`](wake::notify_all) (or, for actors parked with
@@ -198,7 +185,7 @@ impl Parking {
                 Some(f) => f.actor_cost(ActorId(id), WallNs(g), p.cost),
                 None => p.cost,
             };
-            g += cost.max(cfg.min_advance).0;
+            g += cost.max(MIN_ADVANCE).0;
             skipped += 1;
         }
         if skipped > 0 {
@@ -318,7 +305,7 @@ impl VirtualScheduler {
                         Some(f) => f.actor_cost(ActorId(id), now, result.cost),
                         None => result.cost,
                     };
-                    let next = clock + cost.max(self.cfg.min_advance).0;
+                    let next = clock + cost.max(MIN_ADVANCE).0;
                     match result.park {
                         Some(park) if outcome == StepOutcome::Idle => {
                             PeekMut::pop(top);
@@ -436,8 +423,8 @@ mod tests {
         let stats = VirtualScheduler::new(VirtualConfig::default())
             .run(vec![Box::new(Zeno { id: ActorId(0), left: 100 })]);
         assert!(stats.completed);
-        // 100 zero-cost steps advanced by min_advance each.
-        assert_eq!(stats.final_time, WallNs(100 * 50));
+        // 100 zero-cost steps advanced by MIN_ADVANCE each.
+        assert_eq!(stats.final_time, WallNs(100 * MIN_ADVANCE.0));
     }
 
     #[test]

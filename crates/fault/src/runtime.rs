@@ -1,5 +1,5 @@
 //! Interprets a [`FaultPlan`] during a run as a
-//! [`FaultInjector`](cagvt_base::FaultInjector).
+//! [`FaultInjector`].
 
 use cagvt_base::fault::{FaultInjector, FaultStats, LinkShape};
 use cagvt_base::ids::{ActorId, NodeId};

@@ -18,36 +18,18 @@ use cagvt_core::gvt::{
     GvtBundle, GvtSharedCore, MpiGvt, WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome,
 };
 use cagvt_net::{ClusterSpec, CostModel, MsgClass};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use crate::common::{try_join_round, TwoLevelReduce};
-
-/// Shared state of one Barrier GVT run.
-pub struct BarrierShared {
-    core: Arc<GvtSharedCore>,
-    reduce: TwoLevelReduce,
-    rounds_started: AtomicU64,
-    cost: CostModel,
-    nodes: u16,
-}
+use crate::common::{try_join_round, ReduceMpi, ReduceShared};
 
 /// Bundle factory for Barrier GVT.
 pub struct BarrierBundle {
-    shared: Arc<BarrierShared>,
+    shared: Arc<ReduceShared>,
 }
 
 impl BarrierBundle {
     pub fn new(core: Arc<GvtSharedCore>, spec: ClusterSpec, cost: CostModel) -> Self {
-        BarrierBundle {
-            shared: Arc::new(BarrierShared {
-                core,
-                reduce: TwoLevelReduce::new(spec.nodes, spec.workers_per_node),
-                rounds_started: AtomicU64::new(0),
-                cost,
-                nodes: spec.nodes,
-            }),
-        }
+        BarrierBundle { shared: Arc::new(ReduceShared::new(core, spec, cost)) }
     }
 }
 
@@ -68,7 +50,7 @@ impl GvtBundle for BarrierBundle {
     }
 
     fn mpi_gvt(&self, node: NodeId) -> Box<dyn MpiGvt> {
-        Box::new(BarrierMpi { shared: Arc::clone(&self.shared), node })
+        Box::new(ReduceMpi { shared: Arc::clone(&self.shared), node })
     }
 }
 
@@ -83,7 +65,7 @@ enum State {
 
 /// Worker half of Barrier GVT.
 pub struct BarrierWorker {
-    shared: Arc<BarrierShared>,
+    shared: Arc<ReduceShared>,
     node: NodeId,
     rounds_done: u64,
     /// Cumulative channel messages sent / received by this worker
@@ -91,6 +73,19 @@ pub struct BarrierWorker {
     sent: u64,
     received: u64,
     state: State,
+}
+
+impl BarrierWorker {
+    /// Record phase `phase` of round `round` on `track`.
+    fn mark(&self, now: WallNs, track: Track, round: u64, phase: GvtPhaseKind) {
+        self.shared.core.emit(now, || TraceRecord::GvtRound { track, round, phase });
+    }
+
+    /// Contribute this worker's `msgCount` to a new sum reduction.
+    fn arrive_sum(&mut self) {
+        let msg_count = self.sent as i64 - self.received as i64;
+        self.state = State::WaitSum(self.shared.reduce.arrive(self.node, msg_count, u64::MAX));
+    }
 }
 
 impl WorkerGvt for BarrierWorker {
@@ -104,89 +99,46 @@ impl WorkerGvt for BarrierWorker {
     }
 
     fn step(&mut self, ctx: &WorkerGvtCtx) -> WorkerGvtOutcome {
-        let cost = &self.shared.cost;
+        let cost = self.shared.cost;
+        let (track, round) = (Track::Worker(ctx.worker_index), self.rounds_done + 1);
         match self.state {
             State::Idle => {
-                if try_join_round(&self.shared.core, &self.shared.rounds_started, self.rounds_done)
+                if !try_join_round(&self.shared.core, &self.shared.rounds_started, self.rounds_done)
                 {
-                    let (track, round) = (Track::Worker(ctx.worker_index), self.rounds_done + 1);
-                    self.shared.core.emit(ctx.now, || TraceRecord::GvtRound {
-                        track,
-                        round,
-                        phase: GvtPhaseKind::BarrierEnter,
-                    });
-                    let msg_count = self.sent as i64 - self.received as i64;
-                    let gen = self.shared.reduce.arrive(self.node, msg_count, u64::MAX);
-                    self.state = State::WaitSum(gen);
-                    WorkerGvtOutcome::Blocked(cost.node_barrier_arrival)
-                } else {
-                    WorkerGvtOutcome::Waiting
+                    return WorkerGvtOutcome::Waiting;
                 }
+                self.mark(ctx.now, track, round, GvtPhaseKind::BarrierEnter);
+                self.arrive_sum();
             }
             State::WaitSum(gen) => match self.shared.reduce.poll(self.node, gen) {
-                None => WorkerGvtOutcome::Blocked(cost.idle_poll),
-                Some(v) => {
-                    if v.sum == 0 {
-                        // All in-transit messages received: reduce LVTs.
-                        let (track, round) =
-                            (Track::Worker(ctx.worker_index), self.rounds_done + 1);
-                        self.shared.core.emit(ctx.now, || TraceRecord::GvtRound {
-                            track,
-                            round,
-                            phase: GvtPhaseKind::SumPass,
-                        });
-                        let gen =
-                            self.shared.reduce.arrive(self.node, 0, ctx.lvt.to_ordered_bits());
-                        self.state = State::WaitMin(gen);
-                    } else {
-                        // Still in transit: drain (engine does it each
-                        // step) and re-reduce.
-                        let msg_count = self.sent as i64 - self.received as i64;
-                        let gen = self.shared.reduce.arrive(self.node, msg_count, u64::MAX);
-                        self.state = State::WaitSum(gen);
-                    }
-                    WorkerGvtOutcome::Blocked(cost.node_barrier_arrival)
+                None => return WorkerGvtOutcome::Blocked(cost.idle_poll),
+                // All in-transit messages received: reduce LVTs.
+                Some(v) if v.sum == 0 => {
+                    self.mark(ctx.now, track, round, GvtPhaseKind::SumPass);
+                    let gen = self.shared.reduce.arrive(self.node, 0, ctx.lvt.to_ordered_bits());
+                    self.state = State::WaitMin(gen);
                 }
+                // Still in transit: drain (the engine does it each step)
+                // and re-reduce.
+                Some(_) => self.arrive_sum(),
             },
-            State::WaitMin(gen) => match self.shared.reduce.poll(self.node, gen) {
-                None => WorkerGvtOutcome::Blocked(cost.idle_poll),
-                Some(v) => {
-                    let gvt = VirtualTime::from_ordered_bits(v.min);
-                    self.rounds_done += 1;
-                    self.state = State::Idle;
-                    let (track, round) = (Track::Worker(ctx.worker_index), self.rounds_done);
-                    self.shared.core.emit(ctx.now, || TraceRecord::GvtRound {
-                        track,
-                        round,
-                        phase: GvtPhaseKind::BarrierExit,
-                    });
-                    // First completer publishes for the cluster.
-                    if self.shared.core.published_round() < self.rounds_done {
-                        self.shared.core.publish(gvt, self.rounds_done);
-                        self.shared.core.emit(ctx.now, || TraceRecord::GvtRound {
-                            track: Track::Global,
-                            round,
-                            phase: GvtPhaseKind::Publish,
-                        });
-                    }
-                    WorkerGvtOutcome::Completed { gvt, cost: cost.node_barrier_arrival }
+            State::WaitMin(gen) => {
+                let Some(v) = self.shared.reduce.poll(self.node, gen) else {
+                    return WorkerGvtOutcome::Blocked(cost.idle_poll);
+                };
+                let gvt = VirtualTime::from_ordered_bits(v.min);
+                self.rounds_done = round;
+                self.state = State::Idle;
+                self.mark(ctx.now, track, round, GvtPhaseKind::BarrierExit);
+                // First completer publishes for the cluster.
+                if self.shared.core.published_round() < round {
+                    self.shared.core.publish(gvt, round);
+                    self.mark(ctx.now, Track::Global, round, GvtPhaseKind::Publish);
                 }
-            },
+                return WorkerGvtOutcome::Completed { gvt, cost: cost.node_barrier_arrival };
+            }
         }
-    }
-}
-
-/// MPI half: relays node reductions through the cluster collective.
-pub struct BarrierMpi {
-    shared: Arc<BarrierShared>,
-    node: NodeId,
-}
-
-impl MpiGvt for BarrierMpi {
-    fn step(&mut self, now: WallNs) -> WallNs {
-        let latency = self.shared.cost.collective_latency(self.shared.nodes);
-        let ops = self.shared.reduce.pump(self.node, now, latency);
-        WallNs(self.shared.cost.mpi_send.0 * ops as u64)
+        WorkerGvtOutcome::Blocked(cost.node_barrier_arrival)
     }
 }
 

@@ -1,4 +1,6 @@
-//! Two-level barrier/reduction shared by the synchronous algorithms.
+//! Scaffolding shared by the algorithms: the two-level barrier/reduction,
+//! the state and MPI half of the reduction-based algorithms, and the
+//! round-join protocol.
 //!
 //! The paper's Barrier GVT synchronizes in two stages: a pthread barrier +
 //! reduction among a node's threads, then an MPI barrier + reduction among
@@ -14,13 +16,19 @@
 //! observes the result of generation `g` before arriving for `g + 1`, so a
 //! double-buffered result slot per node suffices. CA-GVT reuses the same
 //! structure with identity values as its pure barrier.
+//!
+//! Barrier GVT and Samadi's GVT are both one such reduction per round step:
+//! they share `ReduceShared` and its MPI half `ReduceMpi`, and differ
+//! only in their worker halves.
 
 use cagvt_base::ids::NodeId;
 use cagvt_base::time::WallNs;
 use cagvt_base::wake;
-use cagvt_net::{ClusterCollective, NodeReduce, ReduceValue};
+use cagvt_core::gvt::{GvtSharedCore, MpiGvt};
+use cagvt_net::{ClusterCollective, ClusterSpec, CostModel, NodeReduce, ReduceValue};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Polled two-level sum/min reduction over the whole cluster.
 pub struct TwoLevelReduce {
@@ -84,9 +92,50 @@ impl TwoLevelReduce {
         }
         ops
     }
+
+    /// [`Self::pump`] as one modeled MPI step: the cluster collective
+    /// completes after [`CostModel::collective_latency`], and each
+    /// operation is charged one `mpi_send`.
+    pub fn pump_step(&self, node: NodeId, now: WallNs, cost: &CostModel) -> WallNs {
+        let latency = cost.collective_latency(self.published.len() as u16);
+        WallNs(cost.mpi_send.0 * self.pump(node, now, latency) as u64)
+    }
 }
 
-/// Round-join protocol shared by all three algorithms.
+/// Shared state of one run of a reduction-based algorithm (Barrier GVT,
+/// Samadi's GVT).
+pub(crate) struct ReduceShared {
+    pub(crate) core: Arc<GvtSharedCore>,
+    pub(crate) reduce: TwoLevelReduce,
+    pub(crate) rounds_started: AtomicU64,
+    pub(crate) cost: CostModel,
+}
+
+impl ReduceShared {
+    pub(crate) fn new(core: Arc<GvtSharedCore>, spec: ClusterSpec, cost: CostModel) -> Self {
+        ReduceShared {
+            core,
+            reduce: TwoLevelReduce::new(spec.nodes, spec.workers_per_node),
+            rounds_started: AtomicU64::new(0),
+            cost,
+        }
+    }
+}
+
+/// MPI half of the reduction-based algorithms: relays node reductions
+/// through the cluster collective.
+pub(crate) struct ReduceMpi {
+    pub(crate) shared: Arc<ReduceShared>,
+    pub(crate) node: NodeId,
+}
+
+impl MpiGvt for ReduceMpi {
+    fn step(&mut self, now: WallNs) -> WallNs {
+        self.shared.reduce.pump_step(self.node, now, &self.shared.cost)
+    }
+}
+
+/// Round-join protocol shared by all the algorithms.
 ///
 /// A worker that has completed `rounds_done` rounds joins round
 /// `rounds_done + 1` as soon as it has started; the first worker to

@@ -31,14 +31,32 @@
 //!
 //! ## CA-GVT hooks
 //!
-//! With [`CaExtra`] attached, a round whose preceding per-round-window
-//! efficiency fell below the threshold (or whose MPI queues ran deep, with
-//! the extended trigger) runs *synchronously*: two-level barriers align
-//! the red transition, the check-in, and the completion, bounding
-//! virtual-time disparity the way Barrier GVT does while event processing
-//! continues between the barriers. The initiator recomputes efficiency
-//! when it publishes, setting the flag for the next round, and records the
-//! round in the shared GVT trace.
+//! Built with a CA setting ([`MatternBundle::new`]), the algorithm is
+//! Controlled Asynchronous GVT (paper Algorithm 3, Figure 7): a round
+//! whose preceding per-round-window efficiency fell below the threshold
+//! (or whose MPI queues ran deep, with the extended trigger from the
+//! paper's conclusion) runs *synchronously*. Two-level barriers then align
+//! three transitions:
+//!
+//! 1. the white→red transition (Algorithm 3 line 4), aligning the cut
+//!    across all LPs;
+//! 2. the LVT/min-red check-in, after the white count drains (line 14);
+//! 3. the round's completion (line 30; the paper places it after fossil
+//!    collection — here it is taken immediately before the engine fossil
+//!    collects, which synchronizes the identical instant of the round and
+//!    keeps the fossil pass outside the algorithm).
+//!
+//! Event processing continues between the barriers (paper Figure 7), so a
+//! synchronous round bounds virtual-time disparity the way Barrier GVT does
+//! by re-aligning all LPs three times per round. The initiator computes the
+//! efficiency (committed over committed-plus-rolled-back) when it
+//! publishes, over the window since the previous round — the paper uses
+//! the cumulative ratio, which barely moves at this harness's horizons (see
+//! EXPERIMENTS.md) — sets the flag for the next round, and records the
+//! round in the shared GVT trace. In asynchronous rounds the algorithm is
+//! indistinguishable from Mattern apart from that per-round computation
+//! (the overhead the paper measures as CA-GVT's small
+//! computation-dominated penalty).
 
 use cagvt_base::ids::{LaneId, NodeId};
 use cagvt_base::metrics::SyncCause;
@@ -60,7 +78,7 @@ const KIND_MIN: u8 = 2;
 
 /// Per-node control structure (the shared-memory control message of the
 /// paper's adaptation).
-pub struct NodeCm {
+struct NodeCm {
     /// Cumulative flushed-sends minus accounted-receives.
     white: AtomicI64,
     /// Cumulative count of round-joins by this node's workers; all have
@@ -85,25 +103,25 @@ impl NodeCm {
 }
 
 /// CA-GVT extension state.
-pub struct CaExtra {
+struct CaExtra {
     /// Reused two-level barrier for the three synchronization points.
-    pub barrier: TwoLevelReduce,
+    barrier: TwoLevelReduce,
     /// Run the next round synchronously?
-    pub sync_flag: AtomicBool,
+    sync_flag: AtomicBool,
     /// Why the next round was armed ([`SyncCause`] encoding, set together
     /// with `sync_flag` at each publication; recording-only).
-    pub armed_cause: AtomicU8,
+    armed_cause: AtomicU8,
     /// Efficiency threshold (paper: 0.80).
-    pub threshold: f64,
+    threshold: f64,
     /// Optional second trigger from the paper's concluding remarks:
     /// synchronize when any node's outbound MPI queue occupancy exceeds
     /// this depth (saturation shows in the queue before it shows in the
     /// cumulative efficiency).
-    pub queue_threshold: Option<u64>,
+    queue_threshold: Option<u64>,
 }
 
 /// Shared state of one Mattern / CA-GVT run.
-pub struct MatternShared {
+struct MatternShared {
     core: Arc<GvtSharedCore>,
     ctrl: Arc<CtrlPlane>,
     cost: CostModel,
@@ -117,14 +135,50 @@ pub struct MatternShared {
 }
 
 impl MatternShared {
+    #[inline]
+    fn cm(&self, node: NodeId) -> &NodeCm {
+        &self.per_node[node.index()]
+    }
+
+    #[inline]
+    fn all_joined(&self, node: NodeId, round: u64) -> bool {
+        self.cm(node).joined.load(Ordering::Acquire) >= round * self.wpn as u64
+    }
+
+    #[inline]
+    fn all_checked(&self, node: NodeId, round: u64) -> bool {
+        self.cm(node).checked.load(Ordering::Acquire) >= round * self.wpn as u64
+    }
+}
+
+/// Bundle for Mattern GVT, or CA-GVT when built with a CA setting.
+pub struct MatternBundle {
+    shared: Arc<MatternShared>,
+}
+
+impl MatternBundle {
+    /// Mattern GVT; with `ca = Some((threshold, queue_threshold))`, CA-GVT
+    /// synchronizing when the window efficiency falls below `threshold`
+    /// and, with a `queue_threshold`, also when a node's outbound MPI queue
+    /// holds more than that many messages.
     pub fn new(
         core: Arc<GvtSharedCore>,
         ctrl: Arc<CtrlPlane>,
         spec: ClusterSpec,
         cost: CostModel,
-        ca: Option<CaExtra>,
+        ca: Option<(f64, Option<u64>)>,
     ) -> Self {
-        MatternShared {
+        let ca = ca.map(|(threshold, queue_threshold)| {
+            assert!((0.0..=1.0).contains(&threshold), "threshold is a ratio, got {threshold}");
+            CaExtra {
+                barrier: TwoLevelReduce::new(spec.nodes, spec.workers_per_node),
+                sync_flag: AtomicBool::new(false),
+                armed_cause: AtomicU8::new(0),
+                threshold,
+                queue_threshold,
+            }
+        });
+        let shared = MatternShared {
             core,
             ctrl,
             cost,
@@ -134,37 +188,8 @@ impl MatternShared {
             drained_round: AtomicU64::new(0),
             per_node: (0..spec.nodes).map(|_| NodeCm::new()).collect(),
             ca,
-        }
-    }
-
-    #[inline]
-    fn all_joined(&self, node: NodeId, round: u64) -> bool {
-        self.per_node[node.index()].joined.load(Ordering::Acquire) >= round * self.wpn as u64
-    }
-
-    #[inline]
-    fn all_checked(&self, node: NodeId, round: u64) -> bool {
-        self.per_node[node.index()].checked.load(Ordering::Acquire) >= round * self.wpn as u64
-    }
-}
-
-/// Bundle for pure Mattern GVT.
-pub struct MatternBundle {
-    shared: Arc<MatternShared>,
-}
-
-impl MatternBundle {
-    pub fn new(
-        core: Arc<GvtSharedCore>,
-        ctrl: Arc<CtrlPlane>,
-        spec: ClusterSpec,
-        cost: CostModel,
-    ) -> Self {
-        MatternBundle { shared: Arc::new(MatternShared::new(core, ctrl, spec, cost, None)) }
-    }
-
-    pub(crate) fn with_shared(shared: Arc<MatternShared>) -> Self {
-        MatternBundle { shared }
+        };
+        MatternBundle { shared: Arc::new(shared) }
     }
 }
 
@@ -202,19 +227,25 @@ impl GvtBundle for MatternBundle {
     }
 }
 
+/// A worker's transition to the next phase of its round; in a synchronous
+/// CA-GVT round each is taken through a barrier.
+#[derive(Clone, Copy)]
+enum Transition {
+    TurnRed,
+    CheckIn,
+    /// Complete the round with the published GVT.
+    Complete(VirtualTime),
+}
+
 enum Phase {
     /// Between rounds; counting sends/receives locally.
     White,
-    /// CA sync point 1: aligned red transition.
-    BarrierA(u64),
     /// Red; waiting for the white population to drain.
     Red,
-    /// CA sync point 2: aligned check-in.
-    BarrierB(u64),
     /// Checked in; waiting for the published GVT.
     Checked,
-    /// CA sync point 3: aligned completion (carries the GVT).
-    BarrierC(u64, VirtualTime),
+    /// CA sync point: blocked in barrier generation `gen`, then `then`.
+    Barrier { gen: u64, then: Transition },
 }
 
 /// Worker half of Mattern / CA-GVT.
@@ -237,8 +268,57 @@ pub struct MatternWorker {
 }
 
 impl MatternWorker {
-    fn cm(&self) -> &NodeCm {
-        &self.shared.per_node[self.node.index()]
+    fn ca_barrier(&self) -> &TwoLevelReduce {
+        &self.shared.ca.as_ref().expect("synchronous rounds imply CA-GVT").barrier
+    }
+
+    /// Record a round phase transition on this worker's track.
+    fn phase_mark(&self, ctx: &WorkerGvtCtx, round: u64, phase: GvtPhaseKind) {
+        let track = Track::Worker(ctx.worker_index);
+        self.shared.core.emit(ctx.now, || TraceRecord::GvtRound { track, round, phase });
+    }
+
+    /// Take transition `t` of round `r`: at once in an asynchronous round,
+    /// through a CA barrier in a synchronous one.
+    fn advance(&mut self, ctx: &WorkerGvtCtx, r: u64, t: Transition) -> WorkerGvtOutcome {
+        if !self.sync_round {
+            return self.apply(ctx, r, t, WorkerGvtOutcome::Working);
+        }
+        self.phase_mark(ctx, r, GvtPhaseKind::BarrierEnter);
+        let gen = self.ca_barrier().arrive(self.node, 0, u64::MAX);
+        self.phase = Phase::Barrier { gen, then: t };
+        WorkerGvtOutcome::Blocked(self.shared.cost.node_barrier_arrival)
+    }
+
+    /// Apply transition `t` of round `r`, reporting its bookkeeping cost
+    /// through `charge` (`Working`, or `Blocked` when leaving a barrier)
+    /// unless the round completes.
+    fn apply(
+        &mut self,
+        ctx: &WorkerGvtCtx,
+        r: u64,
+        t: Transition,
+        charge: fn(WallNs) -> WorkerGvtOutcome,
+    ) -> WorkerGvtOutcome {
+        let cost = self.shared.cost.gvt_bookkeeping;
+        match t {
+            Transition::TurnRed => {
+                self.turn_red();
+                self.phase_mark(ctx, r, GvtPhaseKind::TurnRed);
+                self.phase = Phase::Red;
+            }
+            Transition::CheckIn => {
+                self.check_in(ctx);
+                self.phase_mark(ctx, r, GvtPhaseKind::CheckIn);
+                self.phase = Phase::Checked;
+            }
+            Transition::Complete(gvt) => {
+                self.rounds_done = r;
+                self.phase = Phase::White;
+                return WorkerGvtOutcome::Completed { gvt, cost };
+            }
+        }
+        charge(cost)
     }
 
     /// The red transition: flush the local white bucket into the node
@@ -249,39 +329,17 @@ impl MatternWorker {
         self.bucket_next = 0;
         self.flushed = self.rounds_done + 1;
         self.min_red = u64::MAX;
-        let cm = self.cm();
+        let cm = self.shared.cm(self.node);
         cm.white.fetch_add(flush, Ordering::AcqRel);
         cm.joined.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Contribute LVT and min-red into the node's min slots.
     fn check_in(&mut self, ctx: &WorkerGvtCtx) {
-        let cm = self.cm();
+        let cm = self.shared.cm(self.node);
         cm.lvt_min.fetch_min(ctx.lvt.to_ordered_bits(), Ordering::AcqRel);
         cm.red_min.fetch_min(self.min_red, Ordering::AcqRel);
         cm.checked.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn ca_barrier(&self) -> Option<&TwoLevelReduce> {
-        self.shared.ca.as_ref().map(|ca| &ca.barrier)
-    }
-
-    /// Record a round phase transition on this worker's track.
-    fn phase_mark(&self, ctx: &WorkerGvtCtx, round: u64, phase: GvtPhaseKind) {
-        let track = Track::Worker(ctx.worker_index);
-        self.shared.core.emit(ctx.now, || TraceRecord::GvtRound { track, round, phase });
-    }
-
-    /// Non-blocked outcome for in-round bookkeeping. Event processing
-    /// continues during both modes' rounds — CA-GVT's synchronization
-    /// blocks only *at* the three barrier points, aligning the phase
-    /// transitions (paper Figure 7), not the whole round.
-    fn working(&self, cost: WallNs) -> WorkerGvtOutcome {
-        if cost == WallNs::ZERO {
-            WorkerGvtOutcome::Waiting
-        } else {
-            WorkerGvtOutcome::Working(cost)
-        }
     }
 }
 
@@ -300,7 +358,7 @@ impl WorkerGvt for MatternWorker {
 
     fn on_recv(&mut self, tag: u64, _class: MsgClass) {
         if tag <= self.flushed {
-            self.cm().white.fetch_sub(1, Ordering::AcqRel);
+            self.shared.cm(self.node).white.fetch_sub(1, Ordering::AcqRel);
         } else if tag == self.flushed + 1 {
             self.bucket_cur -= 1;
         } else {
@@ -310,101 +368,34 @@ impl WorkerGvt for MatternWorker {
     }
 
     fn step(&mut self, ctx: &WorkerGvtCtx) -> WorkerGvtOutcome {
-        let cost = self.shared.cost;
         let r = self.rounds_done + 1;
+        let shared = &self.shared;
         match self.phase {
             Phase::White => {
-                if try_join_round(&self.shared.core, &self.shared.rounds_started, self.rounds_done)
-                {
-                    self.phase_mark(ctx, r, GvtPhaseKind::RoundStart);
-                    self.sync_round = self
-                        .shared
-                        .ca
-                        .as_ref()
-                        .map(|ca| ca.sync_flag.load(Ordering::Acquire))
-                        .unwrap_or(false);
-                    if self.sync_round {
-                        self.phase_mark(ctx, r, GvtPhaseKind::BarrierEnter);
-                        let gen = self.ca_barrier().expect("sync implies CA").arrive(
-                            self.node,
-                            0,
-                            u64::MAX,
-                        );
-                        self.phase = Phase::BarrierA(gen);
-                        return WorkerGvtOutcome::Blocked(cost.node_barrier_arrival);
-                    }
-                    self.turn_red();
-                    self.phase_mark(ctx, r, GvtPhaseKind::TurnRed);
-                    self.phase = Phase::Red;
-                    WorkerGvtOutcome::Working(cost.gvt_bookkeeping)
-                } else {
-                    WorkerGvtOutcome::Waiting
+                if !try_join_round(&shared.core, &shared.rounds_started, self.rounds_done) {
+                    return WorkerGvtOutcome::Waiting;
                 }
+                self.phase_mark(ctx, r, GvtPhaseKind::RoundStart);
+                self.sync_round =
+                    shared.ca.as_ref().is_some_and(|ca| ca.sync_flag.load(Ordering::Acquire));
+                self.advance(ctx, r, Transition::TurnRed)
             }
-            Phase::BarrierA(gen) => {
-                if self.ca_barrier().expect("CA").poll(self.node, gen).is_some() {
+            Phase::Red if shared.drained_round.load(Ordering::Acquire) >= r => {
+                self.advance(ctx, r, Transition::CheckIn)
+            }
+            Phase::Checked if shared.core.published_round() >= r => {
+                let gvt = shared.core.published_gvt();
+                self.advance(ctx, r, Transition::Complete(gvt))
+            }
+            // Event processing continues while the round progresses.
+            Phase::Red | Phase::Checked => WorkerGvtOutcome::Waiting,
+            Phase::Barrier { gen, then } => match self.ca_barrier().poll(self.node, gen) {
+                Some(_) => {
                     self.phase_mark(ctx, r, GvtPhaseKind::BarrierExit);
-                    self.turn_red();
-                    self.phase_mark(ctx, r, GvtPhaseKind::TurnRed);
-                    self.phase = Phase::Red;
-                    WorkerGvtOutcome::Blocked(cost.gvt_bookkeeping)
-                } else {
-                    WorkerGvtOutcome::Blocked(cost.idle_poll)
+                    self.apply(ctx, r, then, WorkerGvtOutcome::Blocked)
                 }
-            }
-            Phase::Red => {
-                if self.shared.drained_round.load(Ordering::Acquire) >= r {
-                    if self.sync_round {
-                        self.phase_mark(ctx, r, GvtPhaseKind::BarrierEnter);
-                        let gen = self.ca_barrier().expect("CA").arrive(self.node, 0, u64::MAX);
-                        self.phase = Phase::BarrierB(gen);
-                        return WorkerGvtOutcome::Blocked(cost.node_barrier_arrival);
-                    }
-                    self.check_in(ctx);
-                    self.phase_mark(ctx, r, GvtPhaseKind::CheckIn);
-                    self.phase = Phase::Checked;
-                    WorkerGvtOutcome::Working(cost.gvt_bookkeeping)
-                } else {
-                    self.working(WallNs::ZERO)
-                }
-            }
-            Phase::BarrierB(gen) => {
-                if self.ca_barrier().expect("CA").poll(self.node, gen).is_some() {
-                    self.phase_mark(ctx, r, GvtPhaseKind::BarrierExit);
-                    self.check_in(ctx);
-                    self.phase_mark(ctx, r, GvtPhaseKind::CheckIn);
-                    self.phase = Phase::Checked;
-                    WorkerGvtOutcome::Blocked(cost.gvt_bookkeeping)
-                } else {
-                    WorkerGvtOutcome::Blocked(cost.idle_poll)
-                }
-            }
-            Phase::Checked => {
-                if self.shared.core.published_round() >= r {
-                    let gvt = self.shared.core.published_gvt();
-                    if self.sync_round {
-                        self.phase_mark(ctx, r, GvtPhaseKind::BarrierEnter);
-                        let gen = self.ca_barrier().expect("CA").arrive(self.node, 0, u64::MAX);
-                        self.phase = Phase::BarrierC(gen, gvt);
-                        return WorkerGvtOutcome::Blocked(cost.node_barrier_arrival);
-                    }
-                    self.rounds_done = r;
-                    self.phase = Phase::White;
-                    WorkerGvtOutcome::Completed { gvt, cost: cost.gvt_bookkeeping }
-                } else {
-                    self.working(WallNs::ZERO)
-                }
-            }
-            Phase::BarrierC(gen, gvt) => {
-                if self.ca_barrier().expect("CA").poll(self.node, gen).is_some() {
-                    self.phase_mark(ctx, r, GvtPhaseKind::BarrierExit);
-                    self.rounds_done = r;
-                    self.phase = Phase::White;
-                    WorkerGvtOutcome::Completed { gvt, cost: cost.gvt_bookkeeping }
-                } else {
-                    WorkerGvtOutcome::Blocked(cost.idle_poll)
-                }
-            }
+                None => WorkerGvtOutcome::Blocked(shared.cost.idle_poll),
+            },
         }
     }
 }
@@ -445,30 +436,34 @@ impl MatternMpi {
         self.shared.core.emit(now, || TraceRecord::GvtRound { track, round, phase });
     }
 
+    /// Send `msg` one hop along the ring.
+    fn forward(&self, now: WallNs, mut msg: CtrlMsg) -> WallNs {
+        msg.hops += 1;
+        let next = self.shared.ctrl.ring_next(self.node);
+        self.shared.ctrl.send(self.node, next, now, msg, &self.shared.cost);
+        self.shared.cost.mpi_send
+    }
+
     /// Start (or restart) the white-count pass for `round`.
-    fn launch_sum_pass(&mut self, now: WallNs, round: u64) -> WallNs {
+    fn launch_sum_pass(&self, now: WallNs, round: u64) -> WallNs {
         self.phase_mark(now, round, GvtPhaseKind::SumPass);
-        let shared = &self.shared;
         let mut msg = CtrlMsg::new(KIND_SUM, round, self.node);
-        msg.sum = shared.per_node[self.node.index()].white.load(Ordering::Acquire);
-        msg.hops = 1;
-        let next = shared.ctrl.ring_next(self.node);
-        shared.ctrl.send(self.node, next, now, msg, &shared.cost);
-        shared.cost.mpi_send
+        msg.sum = self.shared.cm(self.node).white.load(Ordering::Acquire);
+        self.forward(now, msg)
     }
 
     /// Contribute this node's mins and start pass two.
-    fn launch_min_pass(&mut self, now: WallNs, round: u64) -> WallNs {
+    fn launch_min_pass(&self, now: WallNs, round: u64) -> WallNs {
         self.phase_mark(now, round, GvtPhaseKind::MinPass);
-        let shared = &self.shared;
-        let cm = &shared.per_node[self.node.index()];
-        let mut msg = CtrlMsg::new(KIND_MIN, round, self.node);
-        msg.min1 = cm.lvt_min.swap(u64::MAX, Ordering::AcqRel);
-        msg.min2 = cm.red_min.swap(u64::MAX, Ordering::AcqRel);
-        msg.hops = 1;
-        let next = shared.ctrl.ring_next(self.node);
-        shared.ctrl.send(self.node, next, now, msg, &shared.cost);
-        shared.cost.mpi_send
+        self.forward(now, self.fold_mins(CtrlMsg::new(KIND_MIN, round, self.node)))
+    }
+
+    /// Fold this node's min slots into `msg`, resetting them.
+    fn fold_mins(&self, mut msg: CtrlMsg) -> CtrlMsg {
+        let cm = self.shared.cm(self.node);
+        msg.min1 = msg.min1.min(cm.lvt_min.swap(u64::MAX, Ordering::AcqRel));
+        msg.min2 = msg.min2.min(cm.red_min.swap(u64::MAX, Ordering::AcqRel));
+        msg
     }
 
     /// Publication at the initiator once pass two returns, including the
@@ -527,31 +522,25 @@ impl MatternMpi {
 
 impl MpiGvt for MatternMpi {
     fn step(&mut self, now: WallNs) -> WallNs {
-        let mut charge = WallNs::ZERO;
-        let shared = Arc::clone(&self.shared);
-
         // CA barrier relays ride along every step.
-        if shared.ca.is_some() {
-            let latency = shared.cost.collective_latency(shared.nodes);
-            if let Some(ca) = &shared.ca {
-                let ops = ca.barrier.pump(self.node, now, latency);
-                charge += WallNs(shared.cost.mpi_send.0 * ops as u64);
-            }
-        }
+        let mut charge = match &self.shared.ca {
+            Some(ca) => ca.barrier.pump_step(self.node, now, &self.shared.cost),
+            None => WallNs::ZERO,
+        };
 
         // Initiator: kick off rounds and passes.
         if self.is_initiator() {
             match self.initiator {
                 InitiatorState::Idle => {
-                    let started = shared.rounds_started.load(Ordering::Acquire);
-                    if started > shared.core.published_round()
-                        && shared.all_joined(self.node, started)
+                    let started = self.shared.rounds_started.load(Ordering::Acquire);
+                    if started > self.shared.core.published_round()
+                        && self.shared.all_joined(self.node, started)
                     {
                         charge += self.launch_sum_pass(now + charge, started);
                         self.initiator = InitiatorState::SumPass(started);
                     }
                 }
-                InitiatorState::AwaitChecks(round) if shared.all_checked(self.node, round) => {
+                InitiatorState::AwaitChecks(round) if self.shared.all_checked(self.node, round) => {
                     charge += self.launch_min_pass(now + charge, round);
                     self.initiator = InitiatorState::MinPass(round);
                 }
@@ -561,15 +550,15 @@ impl MpiGvt for MatternMpi {
 
         // Receive one control message if none is held.
         if self.held.is_none() {
-            if let Some(m) = shared.ctrl.recv(self.node, now + charge) {
-                charge += shared.cost.mpi_recv;
+            if let Some(m) = self.shared.ctrl.recv(self.node, now + charge) {
+                charge += self.shared.cost.mpi_recv;
                 self.held = Some(m);
             }
         }
 
         // Act on the held message once the local gate opens.
-        if let Some(m) = self.held.take() {
-            let complete = self.is_initiator() && m.hops == shared.nodes;
+        if let Some(mut m) = self.held.take() {
+            let complete = self.is_initiator() && m.hops == self.shared.nodes;
             match (m.kind, complete) {
                 (KIND_SUM, true) => {
                     debug_assert!(
@@ -577,7 +566,7 @@ impl MpiGvt for MatternMpi {
                         "sum pass round mismatch"
                     );
                     if m.sum == 0 {
-                        shared.drained_round.store(m.round, Ordering::Release);
+                        self.shared.drained_round.store(m.round, Ordering::Release);
                         wake::notify_all();
                         self.initiator = InitiatorState::AwaitChecks(m.round);
                     } else {
@@ -586,17 +575,9 @@ impl MpiGvt for MatternMpi {
                         charge += self.launch_sum_pass(now + charge, m.round);
                     }
                 }
-                (KIND_SUM, false) => {
-                    if shared.all_joined(self.node, m.round) {
-                        let mut m = m;
-                        m.sum += shared.per_node[self.node.index()].white.load(Ordering::Acquire);
-                        m.hops += 1;
-                        let next = shared.ctrl.ring_next(self.node);
-                        shared.ctrl.send(self.node, next, now + charge, m, &shared.cost);
-                        charge += shared.cost.mpi_send;
-                    } else {
-                        self.held = Some(m); // wait for local red transition
-                    }
+                (KIND_SUM, false) if self.shared.all_joined(self.node, m.round) => {
+                    m.sum += self.shared.cm(self.node).white.load(Ordering::Acquire);
+                    charge += self.forward(now + charge, m);
                 }
                 (KIND_MIN, true) => {
                     debug_assert!(
@@ -606,20 +587,11 @@ impl MpiGvt for MatternMpi {
                     charge += self.publish(now + charge, &m);
                     self.initiator = InitiatorState::Idle;
                 }
-                (KIND_MIN, false) => {
-                    if shared.all_checked(self.node, m.round) {
-                        let cm = &shared.per_node[self.node.index()];
-                        let mut m = m;
-                        m.min1 = m.min1.min(cm.lvt_min.swap(u64::MAX, Ordering::AcqRel));
-                        m.min2 = m.min2.min(cm.red_min.swap(u64::MAX, Ordering::AcqRel));
-                        m.hops += 1;
-                        let next = shared.ctrl.ring_next(self.node);
-                        shared.ctrl.send(self.node, next, now + charge, m, &shared.cost);
-                        charge += shared.cost.mpi_send;
-                    } else {
-                        self.held = Some(m); // wait for local check-ins
-                    }
+                (KIND_MIN, false) if self.shared.all_checked(self.node, m.round) => {
+                    charge += self.forward(now + charge, self.fold_mins(m));
                 }
+                // Wait for the local red transitions or check-ins.
+                (KIND_SUM | KIND_MIN, false) => self.held = Some(m),
                 _ => unreachable!("unknown control message kind"),
             }
         }
@@ -636,11 +608,20 @@ mod tests {
     use cagvt_net::fabric_pair;
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, MatternBundle) {
+        setup_ca(nodes, wpn, None)
+    }
+
+    fn setup_ca(
+        nodes: u16,
+        wpn: u16,
+        ca: Option<(f64, Option<u64>)>,
+    ) -> (Arc<GvtSharedCore>, MatternBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
         let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, None, None));
         let (_fabric, ctrl) = fabric_pair::<()>(nodes, None, None);
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
-        let bundle = MatternBundle::new(Arc::clone(&core), ctrl, spec, CostModel::knl_cluster());
+        let bundle =
+            MatternBundle::new(Arc::clone(&core), ctrl, spec, CostModel::knl_cluster(), ca);
         (core, bundle)
     }
 
@@ -760,5 +741,66 @@ mod tests {
         w1.on_recv(tag, MsgClass::Regional);
         let after = shared.per_node[0].white.load(Ordering::Relaxed);
         assert_eq!(after, before - 1, "direct node-counter decrement");
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold is a ratio")]
+    fn threshold_must_be_a_ratio() {
+        let _ = setup_ca(1, 1, Some((1.5, None)));
+    }
+
+    #[test]
+    fn queue_threshold_variant_constructs() {
+        let (_core, b) = setup_ca(2, 2, Some((0.8, Some(100))));
+        assert_eq!(b.name(), "ca-gvt");
+        // Both halves construct for every node/lane.
+        let _w = b.worker_gvt(NodeId(1), LaneId(1), 3);
+        let _m = b.mpi_gvt(NodeId(0));
+    }
+
+    #[test]
+    fn queue_depth_feeds_the_shared_core() {
+        let (core, _bundle) = setup(2, 1);
+        assert_eq!(core.max_mpi_queue_depth(), 0);
+        core.mpi_queue_depth[1].store(42, Ordering::Relaxed);
+        assert_eq!(core.max_mpi_queue_depth(), 42);
+    }
+
+    /// A synchronous CA-GVT round blocks at three barriers (red
+    /// transition, check-in, completion) and never reports work.
+    #[test]
+    fn sync_round_passes_three_barriers() {
+        let (core, bundle) = setup_ca(1, 2, Some((0.8, None)));
+        bundle.shared.ca.as_ref().unwrap().sync_flag.store(true, Ordering::Release);
+        let mut ws = [
+            bundle.worker_gvt(NodeId(0), LaneId(0), 0),
+            bundle.worker_gvt(NodeId(0), LaneId(1), 1),
+        ];
+        let mut mpi = bundle.mpi_gvt(NodeId(0));
+        let cost = CostModel::knl_cluster();
+        core.request_round();
+
+        let (mut entries, mut done, mut now) = ([0; 2], [None; 2], 0u64);
+        while done.contains(&None) {
+            now += 1_000;
+            mpi.step(WallNs(now));
+            for (i, w) in ws.iter_mut().enumerate() {
+                if done[i].is_some() {
+                    continue;
+                }
+                match w.step(&ctx(now, 5.0 + i as f64)) {
+                    WorkerGvtOutcome::Blocked(c) if c == cost.node_barrier_arrival => {
+                        entries[i] += 1
+                    }
+                    WorkerGvtOutcome::Completed { gvt, .. } => done[i] = Some(gvt),
+                    WorkerGvtOutcome::Working(_) => panic!("sync transitions are blocked"),
+                    _ => {}
+                }
+            }
+            assert!(now < 10_000_000, "round must complete");
+        }
+        assert_eq!(entries, [3, 3], "one barrier per synchronized transition");
+        assert_eq!(done, [Some(VirtualTime::new(5.0)); 2]);
+        assert_eq!(core.published_round(), 1);
     }
 }

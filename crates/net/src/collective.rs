@@ -1,4 +1,4 @@
-//! Polled barriers and reductions.
+//! Polled barriers-with-reduction.
 //!
 //! The paper's Barrier GVT uses two levels of synchronization: a pthread
 //! barrier + reduction among the threads of one node, and an MPI barrier +
@@ -7,14 +7,14 @@
 //! has been released. That keeps engine actors non-blocking under both
 //! execution substrates.
 //!
-//! Usage contract for the reducing variants: a participant must observe the
+//! Usage contract: a participant must observe the
 //! result of generation `g` (via `try_result`) before arriving for `g + 1`.
 //! Results are double-buffered, so the value for `g` stays readable while
 //! `g + 1` accumulates.
 
 use cagvt_base::time::WallNs;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Combined sum/min reduction value.
 ///
@@ -30,44 +30,6 @@ pub struct ReduceValue {
 
 impl ReduceValue {
     pub const IDENTITY: ReduceValue = ReduceValue { sum: 0, min: u64::MAX };
-}
-
-/// Sense-free polled barrier for the threads of one node.
-#[derive(Debug)]
-pub struct NodeBarrier {
-    parties: u32,
-    count: AtomicU32,
-    generation: AtomicU64,
-}
-
-impl NodeBarrier {
-    pub fn new(parties: u32) -> Self {
-        assert!(parties >= 1);
-        NodeBarrier { parties, count: AtomicU32::new(0), generation: AtomicU64::new(0) }
-    }
-
-    /// Register arrival; returns the generation token to poll with. The
-    /// last arriver releases the generation.
-    pub fn arrive(&self) -> u64 {
-        let gen = self.generation.load(Ordering::Acquire);
-        let prev = self.count.fetch_add(1, Ordering::AcqRel);
-        debug_assert!(prev < self.parties, "barrier over-subscribed");
-        if prev + 1 == self.parties {
-            self.count.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        }
-        gen
-    }
-
-    /// Has the generation obtained from [`Self::arrive`] been released?
-    #[inline]
-    pub fn is_released(&self, gen: u64) -> bool {
-        self.generation.load(Ordering::Acquire) > gen
-    }
-
-    pub fn parties(&self) -> u32 {
-        self.parties
-    }
 }
 
 #[derive(Debug)]
@@ -126,10 +88,6 @@ impl NodeReduce {
         } else {
             None
         }
-    }
-
-    pub fn parties(&self) -> u32 {
-        self.parties
     }
 }
 
@@ -204,47 +162,11 @@ impl ClusterCollective {
         }
         None
     }
-
-    pub fn parties(&self) -> u32 {
-        self.parties
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn node_barrier_releases_when_all_arrive() {
-        let b = NodeBarrier::new(3);
-        let g0 = b.arrive();
-        assert!(!b.is_released(g0));
-        let g1 = b.arrive();
-        assert_eq!(g0, g1);
-        assert!(!b.is_released(g0));
-        b.arrive();
-        assert!(b.is_released(g0));
-    }
-
-    #[test]
-    fn node_barrier_generations_advance() {
-        let b = NodeBarrier::new(2);
-        let g = b.arrive();
-        b.arrive();
-        assert!(b.is_released(g));
-        let g2 = b.arrive();
-        assert_eq!(g2, g + 1);
-        assert!(!b.is_released(g2));
-        b.arrive();
-        assert!(b.is_released(g2));
-    }
-
-    #[test]
-    fn single_party_barrier_self_releases() {
-        let b = NodeBarrier::new(1);
-        let g = b.arrive();
-        assert!(b.is_released(g));
-    }
 
     #[test]
     fn node_reduce_sums_and_mins() {
@@ -291,19 +213,28 @@ mod tests {
         assert_eq!(c.try_result(WallNs(105), g1), None, "latency gate");
     }
 
+    /// Four OS threads run 100 generations; each spins until its
+    /// generation's result is out before arriving for the next, as the
+    /// usage contract requires, and must read every generation's full sum
+    /// and min.
     #[test]
     fn barrier_under_real_threads() {
         use std::sync::Arc;
-        let b = Arc::new(NodeBarrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let b = Arc::clone(&b);
+        let r = Arc::new(NodeReduce::new(4));
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let r = Arc::clone(&r);
                 std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        let g = b.arrive();
-                        while !b.is_released(g) {
-                            std::hint::spin_loop();
-                        }
+                    for round in 0..100u64 {
+                        let g = r.arrive(1, round * 10 + t);
+                        assert_eq!(g, round);
+                        let v = loop {
+                            match r.try_result(g) {
+                                Some(v) => break v,
+                                None => std::hint::spin_loop(),
+                            }
+                        };
+                        assert_eq!(v, ReduceValue { sum: 4, min: round * 10 });
                     }
                 })
             })
@@ -311,6 +242,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(b.generation.load(Ordering::Relaxed), 100);
+        assert_eq!(r.generation.load(Ordering::Relaxed), 100);
     }
 }

@@ -17,7 +17,7 @@
 //! * [`Nic`] — transmit-side serialization (bandwidth) plus wire latency.
 //! * [`MpiFabric`] — node-to-node FIFO channels for event traffic and a
 //!   control plane (ring messages) for GVT algorithms.
-//! * [`collective`] — polled node-level barriers/reductions (the paper's
+//! * [`collective`] — polled node-level barrier-reductions (the paper's
 //!   pthread barrier) and cluster-level collectives with modeled completion
 //!   latency (the paper's MPI barrier / allreduce).
 //!
@@ -32,7 +32,7 @@ pub mod mpi;
 pub mod spec;
 pub mod vmutex;
 
-pub use collective::{ClusterCollective, NodeBarrier, NodeReduce, ReduceValue};
+pub use collective::{ClusterCollective, NodeReduce, ReduceValue};
 pub use envelope::{MsgClass, NetMsg};
 pub use link::Nic;
 pub use mailbox::Mailbox;
