@@ -423,8 +423,8 @@ mod tests {
         let stats = VirtualScheduler::new(VirtualConfig::default())
             .run(vec![Box::new(Zeno { id: ActorId(0), left: 100 })]);
         assert!(stats.completed);
-        // 100 zero-cost steps advanced by MIN_ADVANCE each.
-        assert_eq!(stats.final_time, WallNs(100 * MIN_ADVANCE.0));
+        // 100 zero-cost steps advanced by MIN_ADVANCE (50 ns) each.
+        assert_eq!(stats.final_time, WallNs(100 * 50));
     }
 
     #[test]

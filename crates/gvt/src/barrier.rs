@@ -12,15 +12,15 @@
 //! into the barrier).
 
 use cagvt_base::ids::{LaneId, NodeId};
-use cagvt_base::time::{VirtualTime, WallNs};
-use cagvt_base::trace::{GvtPhaseKind, TraceRecord, Track};
+use cagvt_base::time::VirtualTime;
+use cagvt_base::trace::{GvtPhaseKind, Track};
 use cagvt_core::gvt::{
     GvtBundle, GvtSharedCore, MpiGvt, WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome,
 };
 use cagvt_net::{ClusterSpec, CostModel, MsgClass};
 use std::sync::Arc;
 
-use crate::common::{try_join_round, ReduceMpi, ReduceShared};
+use crate::common::{mark, try_join_round, ReduceMpi, ReduceShared};
 
 /// Bundle factory for Barrier GVT.
 pub struct BarrierBundle {
@@ -76,11 +76,6 @@ pub struct BarrierWorker {
 }
 
 impl BarrierWorker {
-    /// Record phase `phase` of round `round` on `track`.
-    fn mark(&self, now: WallNs, track: Track, round: u64, phase: GvtPhaseKind) {
-        self.shared.core.emit(now, || TraceRecord::GvtRound { track, round, phase });
-    }
-
     /// Contribute this worker's `msgCount` to a new sum reduction.
     fn arrive_sum(&mut self) {
         let msg_count = self.sent as i64 - self.received as i64;
@@ -107,14 +102,14 @@ impl WorkerGvt for BarrierWorker {
                 {
                     return WorkerGvtOutcome::Waiting;
                 }
-                self.mark(ctx.now, track, round, GvtPhaseKind::BarrierEnter);
+                mark(&self.shared.core, ctx.now, track, round, GvtPhaseKind::BarrierEnter);
                 self.arrive_sum();
             }
             State::WaitSum(gen) => match self.shared.reduce.poll(self.node, gen) {
                 None => return WorkerGvtOutcome::Blocked(cost.idle_poll),
                 // All in-transit messages received: reduce LVTs.
                 Some(v) if v.sum == 0 => {
-                    self.mark(ctx.now, track, round, GvtPhaseKind::SumPass);
+                    mark(&self.shared.core, ctx.now, track, round, GvtPhaseKind::SumPass);
                     let gen = self.shared.reduce.arrive(self.node, 0, ctx.lvt.to_ordered_bits());
                     self.state = State::WaitMin(gen);
                 }
@@ -129,11 +124,11 @@ impl WorkerGvt for BarrierWorker {
                 let gvt = VirtualTime::from_ordered_bits(v.min);
                 self.rounds_done = round;
                 self.state = State::Idle;
-                self.mark(ctx.now, track, round, GvtPhaseKind::BarrierExit);
+                mark(&self.shared.core, ctx.now, track, round, GvtPhaseKind::BarrierExit);
                 // First completer publishes for the cluster.
                 if self.shared.core.published_round() < round {
                     self.shared.core.publish(gvt, round);
-                    self.mark(ctx.now, Track::Global, round, GvtPhaseKind::Publish);
+                    mark(&self.shared.core, ctx.now, Track::Global, round, GvtPhaseKind::Publish);
                 }
                 return WorkerGvtOutcome::Completed { gvt, cost: cost.node_barrier_arrival };
             }
@@ -145,6 +140,7 @@ impl WorkerGvt for BarrierWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cagvt_base::time::WallNs;
     use cagvt_core::stats::SharedStats;
     use cagvt_core::WorkerGvtOutcome;
 

@@ -23,6 +23,7 @@
 
 use cagvt_base::ids::NodeId;
 use cagvt_base::time::WallNs;
+use cagvt_base::trace::{GvtPhaseKind, TraceRecord, Track};
 use cagvt_base::wake;
 use cagvt_core::gvt::{GvtSharedCore, MpiGvt};
 use cagvt_net::{ClusterCollective, ClusterSpec, CostModel, NodeReduce, ReduceValue};
@@ -137,6 +138,17 @@ impl MpiGvt for ReduceMpi {
 
 /// Round-join protocol shared by all the algorithms.
 ///
+/// Record phase `phase` of round `round` on `track`.
+pub(crate) fn mark(
+    core: &GvtSharedCore,
+    now: WallNs,
+    track: Track,
+    round: u64,
+    phase: GvtPhaseKind,
+) {
+    core.emit(now, || TraceRecord::GvtRound { track, round, phase });
+}
+
 /// A worker that has completed `rounds_done` rounds joins round
 /// `rounds_done + 1` as soon as it has started; the first worker to
 /// observe the engine's round-request flag — gated on the previous round

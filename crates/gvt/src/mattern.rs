@@ -61,7 +61,7 @@
 use cagvt_base::ids::{LaneId, NodeId};
 use cagvt_base::metrics::SyncCause;
 use cagvt_base::time::{VirtualTime, WallNs};
-use cagvt_base::trace::{GvtPhaseKind, TraceRecord, Track};
+use cagvt_base::trace::{GvtPhaseKind, Track};
 use cagvt_base::wake;
 use cagvt_core::gvt::{
     GvtBundle, GvtSharedCore, MpiGvt, WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome,
@@ -71,7 +71,7 @@ use cagvt_net::{ClusterSpec, CostModel, CtrlMsg, CtrlPlane, MsgClass};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::common::{try_join_round, TwoLevelReduce};
+use crate::common::{mark, try_join_round, TwoLevelReduce};
 
 const KIND_SUM: u8 = 1;
 const KIND_MIN: u8 = 2;
@@ -272,19 +272,14 @@ impl MatternWorker {
         &self.shared.ca.as_ref().expect("synchronous rounds imply CA-GVT").barrier
     }
 
-    /// Record a round phase transition on this worker's track.
-    fn phase_mark(&self, ctx: &WorkerGvtCtx, round: u64, phase: GvtPhaseKind) {
-        let track = Track::Worker(ctx.worker_index);
-        self.shared.core.emit(ctx.now, || TraceRecord::GvtRound { track, round, phase });
-    }
-
     /// Take transition `t` of round `r`: at once in an asynchronous round,
     /// through a CA barrier in a synchronous one.
     fn advance(&mut self, ctx: &WorkerGvtCtx, r: u64, t: Transition) -> WorkerGvtOutcome {
         if !self.sync_round {
             return self.apply(ctx, r, t, WorkerGvtOutcome::Working);
         }
-        self.phase_mark(ctx, r, GvtPhaseKind::BarrierEnter);
+        let track = Track::Worker(ctx.worker_index);
+        mark(&self.shared.core, ctx.now, track, r, GvtPhaseKind::BarrierEnter);
         let gen = self.ca_barrier().arrive(self.node, 0, u64::MAX);
         self.phase = Phase::Barrier { gen, then: t };
         WorkerGvtOutcome::Blocked(self.shared.cost.node_barrier_arrival)
@@ -301,23 +296,23 @@ impl MatternWorker {
         charge: fn(WallNs) -> WorkerGvtOutcome,
     ) -> WorkerGvtOutcome {
         let cost = self.shared.cost.gvt_bookkeeping;
-        match t {
+        let (phase, next) = match t {
             Transition::TurnRed => {
                 self.turn_red();
-                self.phase_mark(ctx, r, GvtPhaseKind::TurnRed);
-                self.phase = Phase::Red;
+                (GvtPhaseKind::TurnRed, Phase::Red)
             }
             Transition::CheckIn => {
                 self.check_in(ctx);
-                self.phase_mark(ctx, r, GvtPhaseKind::CheckIn);
-                self.phase = Phase::Checked;
+                (GvtPhaseKind::CheckIn, Phase::Checked)
             }
             Transition::Complete(gvt) => {
                 self.rounds_done = r;
                 self.phase = Phase::White;
                 return WorkerGvtOutcome::Completed { gvt, cost };
             }
-        }
+        };
+        mark(&self.shared.core, ctx.now, Track::Worker(ctx.worker_index), r, phase);
+        self.phase = next;
         charge(cost)
     }
 
@@ -370,12 +365,13 @@ impl WorkerGvt for MatternWorker {
     fn step(&mut self, ctx: &WorkerGvtCtx) -> WorkerGvtOutcome {
         let r = self.rounds_done + 1;
         let shared = &self.shared;
+        let track = Track::Worker(ctx.worker_index);
         match self.phase {
             Phase::White => {
                 if !try_join_round(&shared.core, &shared.rounds_started, self.rounds_done) {
                     return WorkerGvtOutcome::Waiting;
                 }
-                self.phase_mark(ctx, r, GvtPhaseKind::RoundStart);
+                mark(&shared.core, ctx.now, track, r, GvtPhaseKind::RoundStart);
                 self.sync_round =
                     shared.ca.as_ref().is_some_and(|ca| ca.sync_flag.load(Ordering::Acquire));
                 self.advance(ctx, r, Transition::TurnRed)
@@ -391,7 +387,7 @@ impl WorkerGvt for MatternWorker {
             Phase::Red | Phase::Checked => WorkerGvtOutcome::Waiting,
             Phase::Barrier { gen, then } => match self.ca_barrier().poll(self.node, gen) {
                 Some(_) => {
-                    self.phase_mark(ctx, r, GvtPhaseKind::BarrierExit);
+                    mark(&shared.core, ctx.now, track, r, GvtPhaseKind::BarrierExit);
                     self.apply(ctx, r, then, WorkerGvtOutcome::Blocked)
                 }
                 None => WorkerGvtOutcome::Blocked(shared.cost.idle_poll),
@@ -430,12 +426,6 @@ impl MatternMpi {
         self.node.0 == 0
     }
 
-    /// Record a round phase transition on this MPI actor's track.
-    fn phase_mark(&self, now: WallNs, round: u64, phase: GvtPhaseKind) {
-        let track = Track::Mpi(self.node.0);
-        self.shared.core.emit(now, || TraceRecord::GvtRound { track, round, phase });
-    }
-
     /// Send `msg` one hop along the ring.
     fn forward(&self, now: WallNs, mut msg: CtrlMsg) -> WallNs {
         msg.hops += 1;
@@ -446,7 +436,7 @@ impl MatternMpi {
 
     /// Start (or restart) the white-count pass for `round`.
     fn launch_sum_pass(&self, now: WallNs, round: u64) -> WallNs {
-        self.phase_mark(now, round, GvtPhaseKind::SumPass);
+        mark(&self.shared.core, now, Track::Mpi(self.node.0), round, GvtPhaseKind::SumPass);
         let mut msg = CtrlMsg::new(KIND_SUM, round, self.node);
         msg.sum = self.shared.cm(self.node).white.load(Ordering::Acquire);
         self.forward(now, msg)
@@ -454,7 +444,7 @@ impl MatternMpi {
 
     /// Contribute this node's mins and start pass two.
     fn launch_min_pass(&self, now: WallNs, round: u64) -> WallNs {
-        self.phase_mark(now, round, GvtPhaseKind::MinPass);
+        mark(&self.shared.core, now, Track::Mpi(self.node.0), round, GvtPhaseKind::MinPass);
         self.forward(now, self.fold_mins(CtrlMsg::new(KIND_MIN, round, self.node)))
     }
 
@@ -510,12 +500,7 @@ impl MatternMpi {
             charge += shared.cost.efficiency_check;
         }
         shared.core.publish(gvt, msg.round);
-        let round = msg.round;
-        shared.core.emit(now, || TraceRecord::GvtRound {
-            track: Track::Global,
-            round,
-            phase: GvtPhaseKind::Publish,
-        });
+        mark(&shared.core, now, Track::Global, msg.round, GvtPhaseKind::Publish);
         charge
     }
 }
@@ -764,6 +749,33 @@ mod tests {
         assert_eq!(core.max_mpi_queue_depth(), 0);
         core.mpi_queue_depth[1].store(42, Ordering::Relaxed);
         assert_eq!(core.max_mpi_queue_depth(), 42);
+    }
+
+    /// The threshold the bundle was built with decides the next round's
+    /// mode: a window efficiency of 0.7 arms a synchronous round under
+    /// 0.8 but not under 0.6.
+    #[test]
+    fn threshold_decides_the_next_round_mode() {
+        for (threshold, sync_next) in [(0.6, false), (0.8, true)] {
+            let (core, bundle) = setup_ca(1, 1, Some((threshold, None)));
+            let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
+            let mut mpi = bundle.mpi_gvt(NodeId(0));
+            core.stats.committed.store(70, Ordering::Relaxed);
+            core.stats.rolled_back.store(30, Ordering::Relaxed);
+            core.request_round();
+            let mut now = 0u64;
+            while core.published_round() < 1 {
+                now += 1_000;
+                let _ = w.step(&ctx(now, 5.0));
+                mpi.step(WallNs(now));
+                assert!(now < 10_000_000, "round must complete");
+            }
+            let ca = bundle.shared.ca.as_ref().unwrap();
+            assert_eq!(ca.sync_flag.load(Ordering::Acquire), sync_next, "threshold {threshold}");
+            let rec = core.stats.gvt_trace.lock()[0];
+            assert_eq!(rec.efficiency_window, 0.7);
+            assert!(!rec.synchronous);
+        }
     }
 
     /// A synchronous CA-GVT round blocks at three barriers (red

@@ -5,7 +5,8 @@
 //! reduction among nodes. Both are provided here in *polled* form: a
 //! participant `arrive`s once, then repeatedly asks whether its generation
 //! has been released. That keeps engine actors non-blocking under both
-//! execution substrates.
+//! execution substrates. The node level, [`NodeReduce`], is a
+//! [`ClusterCollective`] whose result is visible at once.
 //!
 //! Usage contract: a participant must observe the
 //! result of generation `g` (via `try_result`) before arriving for `g + 1`.
@@ -33,65 +34,6 @@ impl ReduceValue {
 }
 
 #[derive(Debug)]
-struct ReduceInner {
-    arrived: u32,
-    acc: ReduceValue,
-    results: [ReduceValue; 2],
-}
-
-/// Polled barrier-with-reduction among the threads of one node (the paper's
-/// `PthreadBarrierSum` / `PthreadBarrierMin`).
-#[derive(Debug)]
-pub struct NodeReduce {
-    parties: u32,
-    inner: Mutex<ReduceInner>,
-    generation: AtomicU64,
-}
-
-impl NodeReduce {
-    pub fn new(parties: u32) -> Self {
-        assert!(parties >= 1);
-        NodeReduce {
-            parties,
-            inner: Mutex::new(ReduceInner {
-                arrived: 0,
-                acc: ReduceValue::IDENTITY,
-                results: [ReduceValue::IDENTITY; 2],
-            }),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    /// Contribute `(sum, min)` and return the generation token.
-    pub fn arrive(&self, sum: i64, min: u64) -> u64 {
-        let mut inner = self.inner.lock();
-        let gen = self.generation.load(Ordering::Acquire);
-        inner.acc.sum += sum;
-        inner.acc.min = inner.acc.min.min(min);
-        inner.arrived += 1;
-        debug_assert!(inner.arrived <= self.parties, "reduce over-subscribed");
-        if inner.arrived == self.parties {
-            let slot = (gen % 2) as usize;
-            inner.results[slot] = inner.acc;
-            inner.acc = ReduceValue::IDENTITY;
-            inner.arrived = 0;
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        }
-        gen
-    }
-
-    /// The reduced value for `gen`, once every participant has arrived.
-    pub fn try_result(&self, gen: u64) -> Option<ReduceValue> {
-        if self.generation.load(Ordering::Acquire) > gen {
-            let slot = (gen % 2) as usize;
-            Some(self.inner.lock().results[slot])
-        } else {
-            None
-        }
-    }
-}
-
-#[derive(Debug)]
 struct ClusterInner {
     arrived: u32,
     acc: ReduceValue,
@@ -102,11 +44,11 @@ struct ClusterInner {
 /// Cluster-wide barrier-with-reduction (the paper's `MpiBarrierSum` /
 /// `MpiBarrierMin`), one participant per node.
 ///
-/// Unlike [`NodeReduce`], completion is not instantaneous: the result
-/// becomes *visible* only `latency` after the last arrival, modeling the
-/// stages of an MPI collective over the wire. State is shared in-process
-/// (the fabric is simulated) but observability is gated on the modeled
-/// time, which is what the algorithms are sensitive to.
+/// Completion is not instantaneous: the result becomes *visible* only
+/// `latency` after the last arrival, modeling the stages of an MPI
+/// collective over the wire. State is shared in-process (the fabric is
+/// simulated) but observability is gated on the modeled time, which is
+/// what the algorithms are sensitive to.
 #[derive(Debug)]
 pub struct ClusterCollective {
     parties: u32,
@@ -161,6 +103,28 @@ impl ClusterCollective {
             }
         }
         None
+    }
+}
+
+/// Polled barrier-with-reduction among the threads of one node (the paper's
+/// `PthreadBarrierSum` / `PthreadBarrierMin`): a [`ClusterCollective`]
+/// whose result is visible as soon as the last participant arrives.
+#[derive(Debug)]
+pub struct NodeReduce(ClusterCollective);
+
+impl NodeReduce {
+    pub fn new(parties: u32) -> Self {
+        NodeReduce(ClusterCollective::new(parties))
+    }
+
+    /// Contribute `(sum, min)` and return the generation token.
+    pub fn arrive(&self, sum: i64, min: u64) -> u64 {
+        self.0.arrive(WallNs::ZERO, sum, min, WallNs::ZERO)
+    }
+
+    /// The reduced value for `gen`, once every participant has arrived.
+    pub fn try_result(&self, gen: u64) -> Option<ReduceValue> {
+        self.0.try_result(WallNs(u64::MAX), gen)
     }
 }
 
@@ -242,6 +206,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(r.generation.load(Ordering::Relaxed), 100);
+        assert_eq!(r.0.generation.load(Ordering::Relaxed), 100);
     }
 }
