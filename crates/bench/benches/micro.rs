@@ -8,6 +8,7 @@ use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::{MetricsSink, NullMetrics, NullTrace, TraceSink};
 use cagvt_bench::{base_config, run_one, run_one_observed, Scale};
 use cagvt_core::event::Event;
+use cagvt_core::lp::RollbackStrategy;
 use cagvt_core::queue::PendingSet;
 use cagvt_core::RunReport;
 use cagvt_gvt::GvtKind;
@@ -129,14 +130,15 @@ fn rollback_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("rollback_strategy");
     group.sample_size(10);
     let scale = Scale::bench();
-    for (name, periodic, force_snapshot) in
-        [("reverse", None, false), ("snapshot", None, true), ("periodic_16", Some(16u32), false)]
-    {
+    for (name, rollback) in [
+        ("reverse", RollbackStrategy::Reverse),
+        ("snapshot", RollbackStrategy::Snapshot),
+        ("periodic_16", RollbackStrategy::PeriodicSnapshot(16)),
+    ] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut cfg = base_config(2, MpiMode::Dedicated, 25, &scale);
-                cfg.periodic_snapshot = periodic;
-                cfg.force_snapshot = force_snapshot;
+                cfg.rollback = Some(rollback);
                 let workload = cagvt_models::presets::comm_dominated(&cfg);
                 run_one(GvtKind::Mattern, &workload, cfg)
             })

@@ -122,34 +122,20 @@ pub fn build_cluster<M: Model>(
         }
     }
 
-    // Time-zero seeding: run every LP's initial-event hook, then distribute
-    // the events to their owning workers' pending sets.
+    // Time-zero seeding: run every LP's initial-event hook and hand each
+    // event straight to its owning worker's pending set.
     let mut emitter: Emitter<M::Payload> = Emitter::new();
-    let mut seeds: Vec<(u32, Event<M::Payload>)> = Vec::new();
-    for w in 0..total_workers {
-        let worker = &mut workers[w as usize];
-        for k in 0..cfg.lps_per_worker {
-            let src = LpId(worker_first_lp(&shared, w) + k);
-            let (lp_seeds, _) = {
-                let lp = worker_lp_mut(worker, k as usize);
-                lp.seed_initial(&*shared.model, &mut emitter);
-                let collected: Vec<(LpId, f64, M::Payload)> = emitter.take().collect();
-                let mut out = Vec::with_capacity(collected.len());
-                for (dst, delay, payload) in collected {
-                    let id = EventId::new(src, lp.next_seq());
-                    out.push(Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload });
-                }
-                (out, ())
-            };
-            for e in lp_seeds {
-                let (dn, dl) = shared.locate(e.dst);
-                let dst_widx = shared.worker_index(dn, dl);
-                seeds.push((dst_widx, e));
+    for w in 0..workers.len() {
+        for k in 0..cfg.lps_per_worker as usize {
+            workers[w].lp_mut(k).seed_initial(&*shared.model, &mut emitter);
+            for (dst, delay, payload) in emitter.take() {
+                let lp = workers[w].lp_mut(k);
+                let id = EventId::new(lp.id, lp.next_seq());
+                let (dn, dl) = shared.locate(dst);
+                let event = Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload };
+                workers[shared.worker_index(dn, dl) as usize].preload_event(event);
             }
         }
-    }
-    for (widx, e) in seeds {
-        workers[widx as usize].preload_event(e);
     }
 
     // Box the actors: workers first (ActorId = worker index), then the
@@ -167,14 +153,6 @@ pub fn build_cluster<M: Model>(
     }
 
     (actors, ClusterHandles { shared })
-}
-
-fn worker_first_lp<M: Model>(shared: &EngineShared<M>, widx: u32) -> u32 {
-    widx * shared.cfg.lps_per_worker
-}
-
-fn worker_lp_mut<M: Model>(worker: &mut Worker<M>, k: usize) -> &mut LpRuntime<M> {
-    worker.lp_mut(k)
 }
 
 /// Build and run a complete simulation under the deterministic virtual

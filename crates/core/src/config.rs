@@ -3,6 +3,8 @@
 use cagvt_base::time::VirtualTime;
 use cagvt_net::{ClusterSpec, CostModel};
 
+use crate::lp::RollbackStrategy;
+
 /// Everything that defines one simulation run apart from the model and the
 /// GVT algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -30,13 +32,11 @@ pub struct SimConfig {
     /// synchronous round blocks the still-busy workers, which staggers
     /// completion further and triggers yet more rounds.
     pub idle_request_backoff: cagvt_base::WallNs,
-    /// Use state snapshots even for models that implement reverse
-    /// computation (ablation knob).
-    pub force_snapshot: bool,
-    /// Use periodic state saving with this snapshot period instead of the
-    /// automatic per-event strategy (works with every model; overrides
-    /// `force_snapshot`).
-    pub periodic_snapshot: Option<u32>,
+    /// How LPs undo processed events. `None` picks
+    /// [`RollbackStrategy::Reverse`] for models that implement reverse
+    /// computation and [`RollbackStrategy::Snapshot`] otherwise; `Some`
+    /// forces a strategy (ablation knob).
+    pub rollback: Option<RollbackStrategy>,
 }
 
 impl SimConfig {
@@ -51,8 +51,7 @@ impl SimConfig {
             max_outstanding: 512,
             seed: 0xC0FFEE,
             idle_request_backoff: cagvt_base::WallNs(400_000),
-            force_snapshot: false,
-            periodic_snapshot: None,
+            rollback: None,
         }
     }
 
@@ -68,18 +67,25 @@ impl SimConfig {
             max_outstanding: 512,
             seed: 0x1CC_2019,
             idle_request_backoff: cagvt_base::WallNs(400_000),
-            force_snapshot: false,
-            periodic_snapshot: None,
+            rollback: None,
         }
     }
 
     /// The rollback strategy this configuration selects for `model`.
-    pub fn rollback_strategy(&self, model_supports_reverse: bool) -> crate::lp::RollbackStrategy {
-        use crate::lp::RollbackStrategy::*;
-        match self.periodic_snapshot {
-            Some(k) => PeriodicSnapshot(k),
-            None if model_supports_reverse && !self.force_snapshot => Reverse,
-            None => Snapshot,
+    ///
+    /// # Panics
+    ///
+    /// If reverse computation is forced on a model without
+    /// [`Model::reverse`](crate::model::Model::reverse).
+    pub fn rollback_strategy(&self, model_supports_reverse: bool) -> RollbackStrategy {
+        match self.rollback {
+            Some(RollbackStrategy::Reverse) => {
+                assert!(model_supports_reverse, "reverse rollback needs a model with `reverse`");
+                RollbackStrategy::Reverse
+            }
+            Some(strategy) => strategy,
+            None if model_supports_reverse => RollbackStrategy::Reverse,
+            None => RollbackStrategy::Snapshot,
         }
     }
 
@@ -121,6 +127,24 @@ mod tests {
         assert_eq!(cfg.lps_per_node(), 60 * 128);
         assert_eq!(cfg.end_vt(), VirtualTime::new(200.0));
         cfg.validate();
+    }
+
+    #[test]
+    fn rollback_defaults_to_reverse_when_the_model_has_it() {
+        let mut cfg = SimConfig::small(1, 1);
+        assert_eq!(cfg.rollback_strategy(true), RollbackStrategy::Reverse);
+        assert_eq!(cfg.rollback_strategy(false), RollbackStrategy::Snapshot);
+        cfg.rollback = Some(RollbackStrategy::PeriodicSnapshot(4));
+        assert_eq!(cfg.rollback_strategy(true), RollbackStrategy::PeriodicSnapshot(4));
+        assert_eq!(cfg.rollback_strategy(false), RollbackStrategy::PeriodicSnapshot(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "reverse rollback needs a model with `reverse`")]
+    fn forced_reverse_needs_a_reverse_model() {
+        let mut cfg = SimConfig::small(1, 1);
+        cfg.rollback = Some(RollbackStrategy::Reverse);
+        cfg.rollback_strategy(false);
     }
 
     #[test]

@@ -90,6 +90,18 @@ impl<P> EventMsg<P> {
         }
     }
 
+    /// `(id, recv_time, anti)` of a simulation message; `None` for an
+    /// acknowledgement, which is GVT bookkeeping rather than simulation
+    /// traffic.
+    #[inline]
+    pub fn header(&self) -> Option<(EventId, VirtualTime, bool)> {
+        match self {
+            EventMsg::Event(e) => Some((e.id, e.recv_time, false)),
+            EventMsg::Anti(a) => Some((a.id, a.recv_time, true)),
+            EventMsg::Ack(_) => None,
+        }
+    }
+
     /// Destination LP: for acks, the *sender* of the acknowledged message.
     #[inline]
     pub fn dst(&self) -> LpId {
@@ -162,5 +174,15 @@ mod tests {
         });
         assert_eq!(anti.recv_time(), VirtualTime::new(9.0));
         assert_eq!(anti.dst(), LpId(4));
+    }
+
+    #[test]
+    fn header_names_simulation_messages_only() {
+        let e = ev(1.0, 1, 1);
+        assert_eq!(EventMsg::Event(e.clone()).header(), Some((e.id, e.recv_time, false)));
+        let anti = AntiMsg { recv_time: e.recv_time, dst: e.dst, id: e.id };
+        assert_eq!(EventMsg::<()>::Anti(anti).header(), Some((e.id, e.recv_time, true)));
+        let ack = AckMsg { id: e.id, recv_time: e.recv_time, anti: false, marked: false };
+        assert_eq!(EventMsg::<()>::Ack(ack).header(), None);
     }
 }

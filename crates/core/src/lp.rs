@@ -20,7 +20,7 @@
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::VirtualTime;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::event::{AntiMsg, Event, EventKey};
 use crate::model::{Emitter, EventCtx, Model};
@@ -87,17 +87,10 @@ pub struct LpRuntime<M: Model> {
     /// Key of the most recent processed (uncommitted or committed) event;
     /// `EventKey::MIN` before any processing. The LP's LVT is `last_key.t`.
     last_key: EventKey,
+    /// Uncommitted history in strictly increasing event-key order (each
+    /// event is processed above `last_key`, and rollback pops from the
+    /// back), so it is its own index: lookups bisect it.
     processed: VecDeque<ProcessedEvent<M>>,
-    processed_ids: HashSet<EventId>,
-    /// Absolute index (see `hist_base`) of every history entry whose
-    /// `prior` is a full snapshot, ascending. Maintained on every history
-    /// push/pop so periodic-snapshot fossil collection finds the newest
-    /// snapshot below GVT by bisection instead of scanning the deque.
-    snap_idx: VecDeque<u64>,
-    /// Absolute index of `processed[0]`: the count of entries ever popped
-    /// from the front. Keeps `snap_idx` valid across fossil collection
-    /// without renumbering.
-    hist_base: u64,
     strategy: RollbackStrategy,
     /// Events processed since the last periodic snapshot.
     since_snapshot: u32,
@@ -136,9 +129,6 @@ impl<M: Model> LpRuntime<M> {
             send_seq: 0,
             last_key: EventKey::MIN,
             processed: VecDeque::new(),
-            processed_ids: HashSet::new(),
-            snap_idx: VecDeque::new(),
-            hist_base: 0,
             strategy,
             since_snapshot: 0,
             end_time,
@@ -159,33 +149,6 @@ impl<M: Model> LpRuntime<M> {
             end_time: self.end_time,
             total_lps: self.total_lps,
         }
-    }
-
-    /// Append a history entry, indexing it if it carries a snapshot.
-    fn hist_push_back(&mut self, entry: ProcessedEvent<M>) {
-        if matches!(entry.prior, Prior::Snapshot { .. }) {
-            self.snap_idx.push_back(self.hist_base + self.processed.len() as u64);
-        }
-        self.processed.push_back(entry);
-    }
-
-    /// Pop the newest history entry (rollback), unindexing a snapshot.
-    fn hist_pop_back(&mut self) -> Option<ProcessedEvent<M>> {
-        let entry = self.processed.pop_back()?;
-        if self.snap_idx.back() == Some(&(self.hist_base + self.processed.len() as u64)) {
-            self.snap_idx.pop_back();
-        }
-        Some(entry)
-    }
-
-    /// Pop the oldest history entry (fossil collection).
-    fn hist_pop_front(&mut self) -> Option<ProcessedEvent<M>> {
-        let entry = self.processed.pop_front()?;
-        if self.snap_idx.front() == Some(&self.hist_base) {
-            self.snap_idx.pop_front();
-        }
-        self.hist_base += 1;
-        Some(entry)
     }
 
     /// Allocate the next send sequence number.
@@ -213,9 +176,12 @@ impl<M: Model> LpRuntime<M> {
         self.processed.len()
     }
 
+    /// Whether the event with exactly this key is in the uncommitted
+    /// history. A copy with the same id but another receive time does not
+    /// count: it is a different message.
     #[inline]
-    pub fn has_processed(&self, id: EventId) -> bool {
-        self.processed_ids.contains(&id)
+    pub fn has_processed(&self, key: EventKey) -> bool {
+        self.processed.binary_search_by_key(&key, |e| e.event.key()).is_ok()
     }
 
     /// Run the model's initial-event hook (time-zero seeding). Sends are
@@ -257,8 +223,7 @@ impl<M: Model> LpRuntime<M> {
         };
         let epg = model.handle(ctx, &mut self.state, &event.payload, &mut self.rng, emit);
         self.last_key = event.key();
-        self.processed_ids.insert(event.id);
-        self.hist_push_back(ProcessedEvent { event, prior, sent: Vec::new() });
+        self.processed.push_back(ProcessedEvent { event, prior, sent: Vec::new() });
         epg
     }
 
@@ -274,42 +239,33 @@ impl<M: Model> LpRuntime<M> {
     /// key `to_key` about to be processed). All undone events are
     /// re-enqueued.
     pub fn rollback_to(&mut self, model: &M, to_key: EventKey) -> Rollback<M::Payload> {
-        self.rollback_inner(model, to_key, None)
+        self.rollback_inner(model, to_key, false)
     }
 
     /// Roll back every processed event with key `>= cancel_key`, where
-    /// `cancel_key` belongs to processed event `cancel_id` (anti-message
-    /// induced). The cancelled event is discarded instead of re-enqueued.
-    pub fn rollback_cancel(
-        &mut self,
-        model: &M,
-        cancel_id: EventId,
-        cancel_key: EventKey,
-    ) -> Rollback<M::Payload> {
-        debug_assert!(self.has_processed(cancel_id));
-        self.rollback_inner(model, cancel_key, Some(cancel_id))
+    /// `cancel_key` is a processed event's key (anti-message induced). The
+    /// cancelled event is discarded instead of re-enqueued.
+    pub fn rollback_cancel(&mut self, model: &M, cancel_key: EventKey) -> Rollback<M::Payload> {
+        debug_assert!(self.has_processed(cancel_key));
+        self.rollback_inner(model, cancel_key, true)
     }
 
     fn rollback_inner(
         &mut self,
         model: &M,
         to_key: EventKey,
-        cancel: Option<EventId>,
+        cancel: bool,
     ) -> Rollback<M::Payload> {
         let mut reenqueue = Vec::new();
         let mut antis = Vec::new();
         let mut undone = 0u64;
         while let Some(back) = self.processed.back() {
-            let boundary = if cancel.is_some() {
-                back.event.key() >= to_key
-            } else {
-                back.event.key() > to_key
-            };
+            let boundary =
+                if cancel { back.event.key() >= to_key } else { back.event.key() > to_key };
             if !boundary {
                 break;
             }
-            let entry = self.hist_pop_back().expect("back() was Some");
-            self.processed_ids.remove(&entry.event.id);
+            let entry = self.processed.pop_back().expect("back() was Some");
             undone += 1;
             for s in &entry.sent {
                 antis.push(AntiMsg { recv_time: s.recv_time, dst: s.dst, id: s.id });
@@ -334,7 +290,7 @@ impl<M: Model> LpRuntime<M> {
                 }
                 Prior::Coast => {} // reconstructed below
             }
-            if cancel != Some(entry.event.id) {
+            if !(cancel && entry.event.key() == to_key) {
                 reenqueue.push(entry.event);
             }
         }
@@ -353,7 +309,7 @@ impl<M: Model> LpRuntime<M> {
     /// already sent and remain valid ("coasting forward").
     fn coast_forward(&mut self, model: &M) {
         let mut replay: Vec<ProcessedEvent<M>> = Vec::new();
-        while let Some(e) = self.hist_pop_back() {
+        while let Some(e) = self.processed.pop_back() {
             let is_snapshot = matches!(e.prior, Prior::Snapshot { .. });
             replay.push(e);
             if is_snapshot {
@@ -386,7 +342,7 @@ impl<M: Model> LpRuntime<M> {
                 model.handle(&ctx, &mut self.state, &e.event.payload, &mut self.rng, &mut sink);
             sink.take().for_each(drop);
             self.send_seq += e.sent.len() as u64;
-            self.hist_push_back(e);
+            self.processed.push_back(e);
         }
         // The snapshot cadence counter restarts from the replayed suffix.
         self.since_snapshot = 0;
@@ -409,51 +365,35 @@ impl<M: Model> LpRuntime<M> {
     /// [`Self::fossil_collect_final`] at shutdown, when no rollback can
     /// follow.
     pub fn fossil_collect(&mut self, gvt: VirtualTime) -> u64 {
-        let limit = match self.strategy {
-            RollbackStrategy::PeriodicSnapshot(_) => {
-                // Index of the newest snapshot entry with t < gvt; nothing
-                // at or beyond it may be popped. History times are
-                // non-decreasing, so bisect the snapshot index instead of
-                // scanning the deque: the cost is O(log snapshots) plus
-                // the entries actually freed, not O(history).
-                let (snaps, processed, base) = (&self.snap_idx, &self.processed, self.hist_base);
-                let n = snaps
-                    .partition_point(|&abs| processed[(abs - base) as usize].event.recv_time < gvt);
-                match n {
-                    0 => return 0,
-                    n => (snaps[n - 1] - base) as usize,
-                }
-            }
-            _ => usize::MAX,
+        let below = self.below(gvt);
+        let n = match self.strategy {
+            // Nothing at or beyond the newest snapshot below `gvt` may go.
+            // Scanning back from the GVT boundary meets one within a
+            // snapshot period, so the cost is that plus the entries freed,
+            // never the whole history.
+            RollbackStrategy::PeriodicSnapshot(_) => self
+                .processed
+                .range(..below)
+                .rposition(|e| matches!(e.prior, Prior::Snapshot { .. }))
+                .unwrap_or(0),
+            _ => below,
         };
-        let mut committed = 0u64;
-        while let Some(front) = self.processed.front() {
-            if front.event.recv_time < gvt && (committed as usize) < limit {
-                let entry = self.hist_pop_front().expect("front() was Some");
-                self.processed_ids.remove(&entry.event.id);
-                committed += 1;
-            } else {
-                break;
-            }
-        }
-        committed
+        self.processed.drain(..n);
+        n as u64
     }
 
     /// Fossil collection at shutdown: GVT has passed the end time, no
     /// rollback can follow, so retention is unnecessary and everything
     /// below `gvt` commits regardless of strategy.
     pub fn fossil_collect_final(&mut self, gvt: VirtualTime) -> u64 {
-        let mut committed = 0u64;
-        while let Some(front) = self.processed.front() {
-            if front.event.recv_time < gvt {
-                let entry = self.hist_pop_front().expect("front() was Some");
-                self.processed_ids.remove(&entry.event.id);
-                committed += 1;
-            } else {
-                break;
-            }
-        }
-        committed
+        let n = self.below(gvt);
+        self.processed.drain(..n);
+        n as u64
+    }
+
+    /// Number of history entries with receive time below `gvt`.
+    fn below(&self, gvt: VirtualTime) -> usize {
+        self.processed.partition_point(|e| e.event.recv_time < gvt)
     }
 }
 
@@ -550,7 +490,7 @@ mod tests {
         assert_eq!(lp.lvt(), VirtualTime::new(2.0));
         assert_eq!(lp.history_len(), 2);
         assert_eq!(lp.state.0, 12);
-        assert!(lp.has_processed(EventId::new(LpId(9), 0)));
+        assert!(lp.has_processed(ev(1.0, 0, 5).key()));
     }
 
     #[test]
@@ -573,7 +513,7 @@ mod tests {
         assert_eq!(lp.rng, rng_after_first);
         assert_eq!(lp.lvt(), VirtualTime::new(1.0));
         assert_eq!(lp.history_len(), 1);
-        assert!(!lp.has_processed(EventId::new(LpId(9), 2)));
+        assert!(!lp.has_processed(ev(3.0, 2, 9).key()));
     }
 
     #[test]
@@ -600,16 +540,27 @@ mod tests {
     }
 
     #[test]
+    fn same_id_at_another_time_is_not_processed() {
+        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
+        process_one(&mut lp, ev(1.0, 0, 5));
+        process_one(&mut lp, ev(2.0, 1, 7));
+        assert!(lp.has_processed(ev(2.0, 1, 7).key()));
+        // A re-sent copy carries the same (sender, sequence) id but a new
+        // receive time: an anti for it must not hit the processed copy.
+        assert!(!lp.has_processed(ev(1.5, 1, 7).key()));
+        assert!(!lp.has_processed(ev(3.0, 1, 7).key()));
+    }
+
+    #[test]
     fn rollback_cancel_discards_the_cancelled_event() {
         let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
         let target = ev(2.0, 1, 7);
-        let target_id = target.id;
         let target_key = target.key();
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, target);
         process_one(&mut lp, ev(3.0, 2, 9));
 
-        let rb = lp.rollback_cancel(&CounterModel, target_id, target_key);
+        let rb = lp.rollback_cancel(&CounterModel, target_key);
         assert_eq!(rb.undone, 2, "t=2 (cancelled) and t=3");
         assert_eq!(rb.reenqueue.len(), 1, "only t=3 comes back");
         assert_eq!(rb.reenqueue[0].recv_time, VirtualTime::new(3.0));

@@ -1,26 +1,33 @@
 //! The pending event set of one worker.
 //!
-//! A priority queue over [`EventKey`] with support for annihilation:
+//! An ordered map from [`EventKey`] to event, with support for
+//! annihilation:
 //!
 //! * anti-message arrives while the positive event is **pending** — the
-//!   event is lazily tombstoned and skipped when it reaches the top;
+//!   event with exactly the anti's key is removed from the map on the spot;
 //! * anti-message arrives **before** its positive event (cannot happen on
 //!   the engine's FIFO channels, but kept as a defensive path) — the
-//!   cancellation is remembered and the event is annihilated on insertion.
+//!   cancellation is remembered as an *early anti* and the event is
+//!   annihilated on insertion.
 //!
-//! Tombstones are keyed by the full [`EventKey`] (receive time *and*
+//! Cancellation matches the full [`EventKey`] (receive time *and*
 //! identity), not the id alone: after a rollback, a re-executed LP re-sends
 //! with the same `(sender, sequence)` id but possibly a different receive
-//! time, and an id-keyed tombstone could annihilate the fresh copy while
+//! time, and an id-only match could annihilate the fresh copy while
 //! letting the stale one go live.
+//!
+//! There are no tombstones: a cancelled event leaves the map at once, so
+//! the map holds only live events and a pop never has to skip a dead one.
+//! A rolled-back sender may re-send a bit-identical copy of a message it
+//! already cancelled; the cancelled copy is gone by then, so the key is
+//! free again. Two *live* copies of one key cannot exist (event ids are
+//! unique per sender), and inserting one panics.
 //!
 //! The case where the positive event was already **processed** is handled
 //! one level up (rollback in [`crate::lp`]).
 
-use cagvt_base::ids::EventId;
 use cagvt_base::time::VirtualTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use crate::event::{Event, EventKey};
 
@@ -34,47 +41,14 @@ pub enum CancelOutcome {
     Deferred,
 }
 
-struct HeapEntry<P> {
-    key: EventKey,
-    /// Insertion order. Bit-identical copies of a cancelled-then-re-sent
-    /// message share a key; the stamp distinguishes them, and because
-    /// cancellations always target the oldest surviving copy (antis
-    /// precede re-sends on FIFO channels), the dead copies of a key are
-    /// exactly its lowest-stamped entries.
-    stamp: u64,
-    event: Event<P>,
-}
-
-impl<P> PartialEq for HeapEntry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.stamp == other.stamp
-    }
-}
-impl<P> Eq for HeapEntry<P> {}
-impl<P> PartialOrd for HeapEntry<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for HeapEntry<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.stamp).cmp(&(other.key, other.stamp))
-    }
-}
-
-/// Priority queue of not-yet-processed events for the LPs of one worker.
+/// Not-yet-processed events for the LPs of one worker, in key order.
 pub struct PendingSet<P> {
-    heap: BinaryHeap<Reverse<HeapEntry<P>>>,
-    /// Receive time of each live (non-cancelled) pending event, by id.
-    live: HashMap<EventId, VirtualTime>,
-    /// Exact keys tombstoned while still in the heap, with multiplicity:
-    /// a rolled-back sender can re-send a bit-identical copy of a message
-    /// it already cancelled, so the same key can be dead more than once.
-    cancelled: HashMap<EventKey, u32>,
-    /// Cancellations that arrived before their positive event (with
-    /// multiplicity, for the same reason).
+    events: BTreeMap<EventKey, Event<P>>,
+    /// Cancellations that arrived before their positive event, with
+    /// multiplicity: a rolled-back sender can re-send a bit-identical copy
+    /// of a message it already cancelled, so one key can be owed more than
+    /// one annihilation.
     early_antis: HashMap<EventKey, u32>,
-    next_stamp: u64,
 }
 
 impl<P> Default for PendingSet<P> {
@@ -85,44 +59,32 @@ impl<P> Default for PendingSet<P> {
 
 impl<P> PendingSet<P> {
     pub fn new() -> Self {
-        PendingSet {
-            heap: BinaryHeap::new(),
-            live: HashMap::new(),
-            cancelled: HashMap::new(),
-            early_antis: HashMap::new(),
-            next_stamp: 0,
-        }
+        PendingSet { events: BTreeMap::new(), early_antis: HashMap::new() }
     }
 
     /// Insert a positive event. Returns `false` if it was annihilated by a
     /// waiting early anti-message (in which case it is *not* inserted).
+    ///
+    /// # Panics
+    ///
+    /// If an event with the same key is already pending.
     pub fn insert(&mut self, event: Event<P>) -> bool {
-        if let Some(n) = self.early_antis.get_mut(&event.key()) {
+        let key = event.key();
+        if let Some(n) = self.early_antis.get_mut(&key) {
             *n -= 1;
             if *n == 0 {
-                self.early_antis.remove(&event.key());
+                self.early_antis.remove(&key);
             }
             return false;
         }
-        debug_assert!(
-            !self.live.contains_key(&event.id),
-            "duplicate pending event id {:?}: live at t={:?}, inserting t={:?}",
-            event.id,
-            self.live.get(&event.id),
-            event.recv_time
-        );
-        self.live.insert(event.id, event.recv_time);
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.heap.push(Reverse(HeapEntry { key: event.key(), stamp, event }));
+        let old = self.events.insert(key, event);
+        assert!(old.is_none(), "duplicate pending event {key:?}");
         true
     }
 
     /// Cancel the positive event with exactly this key.
     pub fn cancel(&mut self, key: EventKey) -> CancelOutcome {
-        if self.live.get(&key.id) == Some(&key.t) {
-            self.live.remove(&key.id);
-            *self.cancelled.entry(key).or_insert(0) += 1;
+        if self.events.remove(&key).is_some() {
             CancelOutcome::AnnihilatedPending
         } else {
             *self.early_antis.entry(key).or_insert(0) += 1;
@@ -130,56 +92,29 @@ impl<P> PendingSet<P> {
         }
     }
 
-    /// Drop cancelled entries sitting on top of the heap. Entries of one
-    /// key pop in stamp order, and the dead copies of a key are exactly
-    /// its oldest `cancelled[key]` entries, so decrementing as we pop
-    /// consumes precisely the dead ones and leaves a live same-key copy
-    /// (which has the highest stamp) in place.
-    fn clean_top(&mut self) {
-        while let Some(Reverse(top)) = self.heap.peek() {
-            let key = top.key;
-            match self.cancelled.get_mut(&key) {
-                Some(n) => {
-                    debug_assert!(*n > 0);
-                    *n -= 1;
-                    if *n == 0 {
-                        self.cancelled.remove(&key);
-                    }
-                    self.heap.pop();
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Remove and return the minimum live event.
+    /// Remove and return the minimum event.
     pub fn pop_min(&mut self) -> Option<Event<P>> {
-        self.clean_top();
-        self.heap.pop().map(|Reverse(entry)| {
-            self.live.remove(&entry.event.id);
-            entry.event
-        })
+        self.events.pop_first().map(|(_, e)| e)
     }
 
-    /// Key of the minimum live event (the worker's LVT contribution when
+    /// Key of the minimum event (the worker's LVT contribution when
     /// present).
-    pub fn min_key(&mut self) -> Option<EventKey> {
-        self.clean_top();
-        self.heap.peek().map(|Reverse(e)| e.key)
+    pub fn min_key(&self) -> Option<EventKey> {
+        self.events.first_key_value().map(|(k, _)| *k)
     }
 
-    /// Receive time of the minimum live event, or +inf when empty.
-    pub fn min_time(&mut self) -> VirtualTime {
+    /// Receive time of the minimum event, or +inf when empty.
+    pub fn min_time(&self) -> VirtualTime {
         self.min_key().map(|k| k.t).unwrap_or(VirtualTime::INFINITY)
     }
 
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.events.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.events.is_empty()
     }
 
     /// Number of early (unmatched) anti-messages currently remembered.
@@ -187,37 +122,23 @@ impl<P> PendingSet<P> {
         self.early_antis.len()
     }
 
-    /// Number of distinct keys tombstoned while still in the heap.
-    pub fn cancelled(&self) -> usize {
-        self.cancelled.len()
-    }
-
-    /// Drop tombstones that can never match again: no event with receive
-    /// time below GVT can be inserted or cancelled after GVT is published,
-    /// so `early_antis` entries below it are permanently stale (the
-    /// re-sent copy they missed carries a different key — see
-    /// `early_anti_matches_exact_key_only`). Fossil collection calls this
-    /// each round; without it both maps grow without bound on
-    /// rollback-heavy runs. Returns `(early_antis, cancelled)` purged.
-    pub fn purge_below(&mut self, gvt: VirtualTime) -> (usize, usize) {
-        // No live pending event sits below GVT, so every heap entry below
-        // it is a dead copy and they occupy the top of the heap
-        // contiguously. Drain them (and their `cancelled` counts) first so
-        // the map purge below cannot orphan a dead entry still in the
-        // heap, which would resurrect it as live.
-        self.clean_top();
-        let before_e = self.early_antis.len();
+    /// Drop early antis that can never match again: no event with receive
+    /// time below GVT can be inserted after GVT is published, so entries
+    /// below it are permanently stale (the re-sent copy they missed
+    /// carries a different key — see `early_anti_matches_exact_key_only`).
+    /// Fossil collection calls this each round; without it the map grows
+    /// without bound on rollback-heavy runs. Returns the number purged.
+    pub fn purge_below(&mut self, gvt: VirtualTime) -> usize {
+        let before = self.early_antis.len();
         self.early_antis.retain(|k, _| k.t >= gvt);
-        let before_c = self.cancelled.len();
-        self.cancelled.retain(|k, _| k.t >= gvt);
-        (before_e - self.early_antis.len(), before_c - self.cancelled.len())
+        before - self.early_antis.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cagvt_base::ids::LpId;
+    use cagvt_base::ids::{EventId, LpId};
 
     fn ev(t: f64, src: u32, seq: u64) -> Event<u32> {
         Event {
@@ -316,8 +237,7 @@ mod tests {
         // Fresh deferred anti above the purge horizon must survive.
         ps.cancel(ev(9.0, 0, 5).key());
         assert_eq!(ps.early_antis(), 2);
-        let (ea, ca) = ps.purge_below(VirtualTime::new(3.0));
-        assert_eq!((ea, ca), (1, 0));
+        assert_eq!(ps.purge_below(VirtualTime::new(3.0)), 1);
         assert_eq!(ps.early_antis(), 1, "the t=9 anti must remain");
         // The surviving anti still annihilates its positive on arrival.
         assert!(!ps.insert(ev(9.0, 0, 5)));
@@ -328,32 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn purge_below_never_resurrects_dead_heap_entries() {
-        // A cancelled-while-pending entry below the purge horizon: its
-        // heap copy must be consumed by the purge, not revived by losing
-        // its tombstone.
-        let mut ps = PendingSet::new();
-        let dead = ev(1.0, 0, 0);
-        let key = dead.key();
-        ps.insert(dead);
-        ps.insert(ev(5.0, 0, 1));
-        ps.cancel(key);
-        assert_eq!(ps.cancelled(), 1);
-        ps.purge_below(VirtualTime::new(2.0));
-        assert_eq!(ps.cancelled(), 0);
-        let popped = ps.pop_min().expect("live event remains");
-        assert_eq!(popped.recv_time, VirtualTime::new(5.0), "dead copy must not pop");
-        assert!(ps.pop_min().is_none());
-    }
-
-    #[test]
     fn tombstone_maps_stay_bounded_on_rollback_heavy_runs() {
         // Regression for the leak documented by
         // `early_anti_matches_exact_key_only`: every round leaves behind
         // one permanently-unmatchable deferred anti (the positive is
-        // re-sent with a later receive time) and one cancelled-while-
-        // pending tombstone. With the fossil-pass purge both maps stay
-        // O(1); without it they grow with the round count.
+        // re-sent with a later receive time). With the fossil-pass purge
+        // the early-anti map stays O(1); without it it grows with the
+        // round count.
         let mut ps: PendingSet<u32> = PendingSet::new();
         for round in 0..5_000u64 {
             let t = round as f64 + 1.0;
@@ -362,7 +263,7 @@ mod tests {
             // deferred anti never matches.
             ps.cancel(ev(t, 0, round).key());
             ps.insert(ev(t + 0.25, 0, round));
-            // Cancel the re-sent copy while pending: a heap tombstone.
+            // Cancel the re-sent copy while pending.
             ps.cancel(ev(t + 0.25, 0, round).key());
             // One live event per round is actually processed.
             ps.insert(ev(t + 0.5, 1, round));
@@ -370,7 +271,6 @@ mod tests {
             // Fossil pass at the new GVT.
             ps.purge_below(VirtualTime::new(t + 0.75));
             assert!(ps.early_antis() <= 1, "early_antis leaked: {}", ps.early_antis());
-            assert!(ps.cancelled() <= 1, "cancelled leaked: {}", ps.cancelled());
         }
         assert!(ps.is_empty());
     }
@@ -392,6 +292,14 @@ mod tests {
         assert_eq!(ps.min_time(), VirtualTime::INFINITY);
         assert!(ps.min_key().is_none());
         assert!(ps.pop_min().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate pending event")]
+    fn inserting_a_pending_key_again_panics() {
+        let mut ps = PendingSet::new();
+        ps.insert(ev(1.0, 0, 0));
+        ps.insert(ev(1.0, 0, 0));
     }
 
     #[test]

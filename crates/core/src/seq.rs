@@ -65,12 +65,10 @@ impl<M: Model> SequentialSim<M> {
         let mut emit: Emitter<M::Payload> = Emitter::new();
 
         // Time-zero seeding, identical to the cluster builder.
-        for i in 0..total {
-            let lp = &mut lps[i as usize];
+        for lp in &mut lps {
             lp.seed_initial(&*self.model, &mut emit);
-            let seeds: Vec<(LpId, f64, M::Payload)> = emit.take().collect();
-            for (dst, delay, payload) in seeds {
-                let id = EventId::new(LpId(i), lps[i as usize].next_seq());
+            for (dst, delay, payload) in emit.take() {
+                let id = EventId::new(lp.id, lp.next_seq());
                 pending.insert(Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload });
             }
         }
@@ -89,19 +87,18 @@ impl<M: Model> SequentialSim<M> {
                 total_lps: total,
             };
             let base = event.recv_time;
-            let _epg = lps[idx].process(&*self.model, &ctx, event, &mut emit);
-            let sends: Vec<(LpId, f64, M::Payload)> = emit.take().collect();
-            let mut records = Vec::with_capacity(sends.len());
-            for (dst, delay, payload) in sends {
-                let lp_id = lps[idx].id;
-                let id = EventId::new(lp_id, lps[idx].next_seq());
+            let lp = &mut lps[idx];
+            let _epg = lp.process(&*self.model, &ctx, event, &mut emit);
+            let mut records = Vec::with_capacity(emit.len());
+            for (dst, delay, payload) in emit.take() {
+                let id = EventId::new(lp.id, lp.next_seq());
                 let recv_time = base + delay;
                 records.push(SentRecord { dst, recv_time, id });
                 pending.insert(Event { recv_time, dst, id, payload });
             }
-            lps[idx].record_sends(records);
+            lp.record_sends(records);
             // No rollback can ever happen: commit immediately.
-            lps[idx].fossil_collect_final(VirtualTime::INFINITY);
+            lp.fossil_collect_final(VirtualTime::INFINITY);
             processed += 1;
         }
 

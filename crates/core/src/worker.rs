@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::event::{AntiMsg, Event, EventMsg, RemoteEnv, TaggedMsg};
+use crate::event::{AckMsg, AntiMsg, Event, EventMsg, RemoteEnv, TaggedMsg};
 use crate::gvt::{WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome};
 use crate::lp::{LpRuntime, Rollback, SentRecord};
 use crate::model::{Emitter, EventCtx, Model};
@@ -150,14 +150,10 @@ impl<M: Model> Worker<M> {
         let cost = &self.shared.cfg.cost;
         let dst = msg.dst();
         let (dst_node, dst_lane) = self.shared.locate(dst);
-        let is_ack = matches!(msg, EventMsg::Ack(_));
-        if !is_ack {
-            let (id, vt, anti) = match &msg {
-                EventMsg::Event(e) => (e.id, e.recv_time, false),
-                EventMsg::Anti(a) => (a.id, a.recv_time, true),
-                EventMsg::Ack(_) => unreachable!(),
-            };
-            let (worker, remote) = (self.widx, dst_node != self.node);
+        let header = msg.header();
+        let remote = dst_node != self.node;
+        if let Some((id, vt, anti)) = header {
+            let worker = self.widx;
             self.shared.gvt_core.emit(now, || TraceRecord::MsgSend {
                 worker,
                 id,
@@ -186,36 +182,33 @@ impl<M: Model> Worker<M> {
             }
             return cost.local_send;
         }
-        if matches!(msg, EventMsg::Anti(_)) {
-            self.counters.antis_sent += 1;
-        }
         let recv_time = msg.recv_time();
         // Acknowledgements are GVT-algorithm bookkeeping, not simulation
         // messages: they carry no color tag and stay out of the in-transit
         // accounting (they can never cause a rollback). Samadi tracks the
         // *acknowledged* messages instead.
-        if is_ack {
-            self.counters.acks_sent += 1;
-        } else {
-            self.shared.stats.msgs_sent.fetch_add(1, Ordering::Release);
-            if self.acks_enabled {
-                let (id, anti) = match &msg {
-                    EventMsg::Event(e) => (e.id, false),
-                    EventMsg::Anti(a) => (a.id, true),
-                    EventMsg::Ack(_) => unreachable!(),
-                };
-                self.gvt.on_send_tracked(id, recv_time, anti);
+        let tag = match header {
+            None => {
+                self.counters.acks_sent += 1;
+                0
             }
-        }
-        if dst_node == self.node {
-            let tag = if is_ack { 0 } else { self.gvt.on_send(MsgClass::Regional, recv_time) };
+            Some((id, _, anti)) => {
+                self.counters.antis_sent += anti as u64;
+                self.shared.stats.msgs_sent.fetch_add(1, Ordering::Release);
+                if self.acks_enabled {
+                    self.gvt.on_send_tracked(id, recv_time, anti);
+                }
+                let class = if remote { MsgClass::Remote } else { MsgClass::Regional };
+                self.gvt.on_send(class, recv_time)
+            }
+        };
+        if !remote {
             self.counters.sent_regional += 1;
             let deliver_at = now + cost.regional_latency;
             self.nshared.lane_queues[dst_lane.index()].push(deliver_at, TaggedMsg { msg, tag });
             wake::notify_actor(ActorId(self.shared.worker_index(dst_node, dst_lane)), deliver_at);
             cost.regional_send
         } else {
-            let tag = if is_ack { 0 } else { self.gvt.on_send(MsgClass::Remote, recv_time) };
             self.counters.sent_remote += 1;
             let env = RemoteEnv { dst_node, dst_lane, tagged: TaggedMsg { msg, tag } };
             if self.shared.cfg.spec.mpi_mode == MpiMode::PerWorker {
@@ -274,7 +267,7 @@ impl<M: Model> Worker<M> {
         let worker = self.widx;
         while let Some(a) = self.local_antis.pop_front() {
             let idx = self.lp_index(a.dst);
-            if self.lps[idx].has_processed(a.id) {
+            if self.lps[idx].has_processed(a.key()) {
                 // GVT safety: an anti-message can only cancel work that is
                 // still provisional. Rolling back below the published GVT
                 // would mean a GVT algorithm overshot (fossil-collected
@@ -286,7 +279,7 @@ impl<M: Model> Worker<M> {
                     a.recv_time
                 );
                 cascade += 1;
-                let rb = self.lps[idx].rollback_cancel(&*self.model, a.id, a.key());
+                let rb = self.lps[idx].rollback_cancel(&*self.model, a.key());
                 self.counters.annihilated += 1;
                 let id = a.id;
                 self.shared.gvt_core.emit(now + charge, || TraceRecord::Annihilate {
@@ -330,44 +323,25 @@ impl<M: Model> Worker<M> {
             self.nshared.lane_queues[self.lane.index()].drain_ready_into(now, RECV_BATCH, &mut buf);
         for tagged in buf.drain(..) {
             charge += cost.recv_handling;
-            if let EventMsg::Ack(a) = &tagged.msg {
-                self.gvt.on_ack(a.id, a.recv_time, a.anti, a.marked);
+            let Some((id, vt, anti)) = tagged.msg.header() else {
+                if let EventMsg::Ack(a) = &tagged.msg {
+                    self.gvt.on_ack(a.id, a.recv_time, a.anti, a.marked);
+                }
                 continue;
-            }
+            };
             self.shared.stats.msgs_received.fetch_add(1, Ordering::Release);
             self.gvt.on_recv(tagged.tag, MsgClass::Regional);
             if self.acks_enabled {
-                let ack = match &tagged.msg {
-                    EventMsg::Event(e) => crate::event::AckMsg {
-                        id: e.id,
-                        recv_time: e.recv_time,
-                        anti: false,
-                        marked: self.gvt.mark_acks(),
-                    },
-                    EventMsg::Anti(a) => crate::event::AckMsg {
-                        id: a.id,
-                        recv_time: a.recv_time,
-                        anti: true,
-                        marked: self.gvt.mark_acks(),
-                    },
-                    EventMsg::Ack(_) => unreachable!(),
-                };
+                let ack = AckMsg { id, recv_time: vt, anti, marked: self.gvt.mark_acks() };
                 charge += self.route(now + charge, EventMsg::Ack(ack));
             }
-            {
-                let worker = self.widx;
-                let (id, vt, anti) = match &tagged.msg {
-                    EventMsg::Event(e) => (e.id, e.recv_time, false),
-                    EventMsg::Anti(a) => (a.id, a.recv_time, true),
-                    EventMsg::Ack(_) => unreachable!(),
-                };
-                self.shared.gvt_core.emit(now + charge, || TraceRecord::MsgRecv {
-                    worker,
-                    id,
-                    vt,
-                    anti,
-                });
-            }
+            let worker = self.widx;
+            self.shared.gvt_core.emit(now + charge, || TraceRecord::MsgRecv {
+                worker,
+                id,
+                vt,
+                anti,
+            });
             match tagged.msg {
                 EventMsg::Event(e) => {
                     if !self.pending.insert(e) {
@@ -386,7 +360,7 @@ impl<M: Model> Worker<M> {
 
     /// Fossil collect all LPs at the new GVT.
     fn fossil(&mut self, gvt: VirtualTime) -> WallNs {
-        // Tombstones keyed below the new GVT can never match again; free
+        // Early antis keyed below the new GVT can never match again; free
         // them with the same pass that frees LP history.
         self.pending.purge_below(gvt);
         let mut committed = 0u64;
@@ -464,9 +438,7 @@ impl<M: Model> Worker<M> {
         // Stamp, route and record the emissions.
         let base = ctx.now;
         let mut records: Vec<SentRecord> = Vec::with_capacity(emit.len());
-        let sends: Vec<(LpId, f64, M::Payload)> = emit.take().collect();
-        self.emit = emit;
-        for (dst, delay, payload) in sends {
+        for (dst, delay, payload) in emit.take() {
             let seq = self.lps[idx].next_seq();
             let id = EventId::new(self.lps[idx].id, seq);
             let recv_time = base + delay;
@@ -474,6 +446,7 @@ impl<M: Model> Worker<M> {
             charge +=
                 self.route(now + charge, EventMsg::Event(Event { recv_time, dst, id, payload }));
         }
+        self.emit = emit;
         self.lps[idx].record_sends(records);
         charge += self.drain_local_antis(now + charge);
 

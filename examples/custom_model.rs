@@ -108,12 +108,12 @@ fn main() {
         run_virtual(Arc::new(model), cfg, |shared| make_bundle(GvtKind::CA_DEFAULT, shared));
     // ...vs forced per-event snapshots...
     let mut snap_cfg = cfg;
-    snap_cfg.force_snapshot = true;
+    snap_cfg.rollback = Some(RollbackStrategy::Snapshot);
     let snapshot =
         run_virtual(Arc::new(model), snap_cfg, |shared| make_bundle(GvtKind::CA_DEFAULT, shared));
     // ...vs periodic state saving with coast-forward.
     let mut per_cfg = cfg;
-    per_cfg.periodic_snapshot = Some(16);
+    per_cfg.rollback = Some(RollbackStrategy::PeriodicSnapshot(16));
     let periodic =
         run_virtual(Arc::new(model), per_cfg, |shared| make_bundle(GvtKind::CA_DEFAULT, shared));
 

@@ -71,6 +71,7 @@ pub mod prelude {
     pub use cagvt_core::cluster::{
         build_cluster, build_shared, build_shared_observed, run_virtual, run_virtual_with,
     };
+    pub use cagvt_core::lp::RollbackStrategy;
     pub use cagvt_core::model::{Emitter, EventCtx, Model};
     pub use cagvt_core::seq::SequentialSim;
     pub use cagvt_core::{RunReport, SimConfig};

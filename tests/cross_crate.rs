@@ -210,14 +210,14 @@ fn reverse_computation_matches_snapshot_rollback_exactly() {
     let mut cfg = SimConfig::small(2, 3);
     cfg.lps_per_worker = 8;
     cfg.end_time = 25.0;
-    let run = |force_snapshot: bool| {
+    let run = |rollback: RollbackStrategy| {
         let mut cfg = cfg;
-        cfg.force_snapshot = force_snapshot;
+        cfg.rollback = Some(rollback);
         let workload = comm_dominated(&cfg); // rollback-heavy
         run_virtual(Arc::new(workload.model), cfg, |shared| make_bundle(GvtKind::Mattern, shared))
     };
-    let reverse = run(false);
-    let snapshot = run(true);
+    let reverse = run(RollbackStrategy::Reverse);
+    let snapshot = run(RollbackStrategy::Snapshot);
     assert!(reverse.rollbacks > 0, "rollbacks must exercise the reverse path");
     assert_eq!(reverse.committed, snapshot.committed);
     assert_eq!(reverse.state_fingerprint, snapshot.state_fingerprint);
@@ -238,19 +238,18 @@ fn periodic_snapshot_strategy_matches_other_strategies_exactly() {
     let mut cfg = SimConfig::small(2, 3);
     cfg.lps_per_worker = 8;
     cfg.end_time = 25.0;
-    let run = |periodic: Option<u32>, force_snapshot: bool| {
+    let run = |rollback: RollbackStrategy| {
         let mut cfg = cfg;
-        cfg.periodic_snapshot = periodic;
-        cfg.force_snapshot = force_snapshot;
+        cfg.rollback = Some(rollback);
         let workload = comm_dominated(&cfg); // rollback-heavy
         run_virtual(Arc::new(workload.model), cfg, |shared| make_bundle(GvtKind::Mattern, shared))
     };
-    let reverse = run(None, false);
-    let snapshot = run(None, true);
+    let reverse = run(RollbackStrategy::Reverse);
+    let snapshot = run(RollbackStrategy::Snapshot);
     assert!(reverse.rollbacks > 0);
     assert_eq!(snapshot.sched_steps, reverse.sched_steps, "identical virtual timing");
     for k in [1u32, 4, 16, 64] {
-        let periodic = run(Some(k), false);
+        let periodic = run(RollbackStrategy::PeriodicSnapshot(k));
         // Simulation results are identical; the virtual schedule may
         // differ slightly because snapshot retention shifts when the
         // optimism throttle engages.
