@@ -1,6 +1,7 @@
 //! Microbenchmarks of the engine's hot structures: pending-set operations,
-//! rollback, RNG, mailbox, and the EPG-sweep configuration from the
-//! paper's §4 text (Barrier GVT time vs event granularity).
+//! LP history (process, log sends, fossil collect), rollback, RNG, mailbox,
+//! and the EPG-sweep configuration from the paper's §4 text (Barrier GVT
+//! time vs event granularity).
 
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
@@ -8,7 +9,8 @@ use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::{MetricsSink, NullMetrics, NullTrace, TraceSink};
 use cagvt_bench::{base_config, run_one, run_one_observed, Scale};
 use cagvt_core::event::Event;
-use cagvt_core::lp::RollbackStrategy;
+use cagvt_core::lp::{LpRuntime, RollbackStrategy};
+use cagvt_core::model::{Emitter, EventCtx};
 use cagvt_core::queue::PendingSet;
 use cagvt_core::RunReport;
 use cagvt_gvt::GvtKind;
@@ -61,6 +63,75 @@ fn pending_set(c: &mut Criterion) {
                 while ps.pop_min().is_some() {}
             },
             BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+/// One worker's LP history at `comp-mattern-2n` size: 128 COMP-PHOLD LPs
+/// under reverse computation, rounds of 40 one-send events on random LPs
+/// (each send logged as the worker does), then a fossil pass over every
+/// LP at a GVT that trails the newest event by half a round. Measures the
+/// history push, send logging and commit cost without routing or GVT.
+fn lp_history(c: &mut Criterion) {
+    const LPS: u32 = 128;
+    const ROUNDS: usize = 500;
+    const EVENTS_PER_ROUND: usize = 40;
+    let mut group = c.benchmark_group("lp_history");
+    let topo = Topology { lps_per_worker: LPS, workers_per_node: 60, nodes: 2 };
+    let model =
+        PholdModel::new(topo, PhaseSchedule::constant(PholdParams::new(0.10, 0.01, 10_000)));
+    let end_time = VirtualTime::new(1e9);
+    let lps = || -> Vec<LpRuntime<PholdModel>> {
+        (0..LPS)
+            .map(|i| {
+                LpRuntime::with_strategy(
+                    LpId(i),
+                    &model,
+                    1,
+                    RollbackStrategy::Reverse,
+                    end_time,
+                    topo.total_lps(),
+                )
+            })
+            .collect()
+    };
+    group.bench_function("phold_128lp_40ev_rounds", |b| {
+        b.iter_batched(
+            lps,
+            |mut lps| {
+                let mut rng = Pcg32::new(4, 4);
+                let mut emit = Emitter::new();
+                let mut t = 0.0;
+                let mut committed = 0u64;
+                for round in 0..ROUNDS {
+                    for k in 0..EVENTS_PER_ROUND {
+                        t += 0.01;
+                        let dst = LpId(rng.next_bounded(LPS));
+                        let now = VirtualTime::new(t);
+                        let seq = (round * EVENTS_PER_ROUND + k) as u64;
+                        let event = Event {
+                            recv_time: now,
+                            dst,
+                            id: EventId::new(LpId(LPS), seq),
+                            payload: 0,
+                        };
+                        let ctx =
+                            EventCtx { now, self_lp: dst, end_time, total_lps: topo.total_lps() };
+                        let lp = &mut lps[dst.index()];
+                        lp.process(&model, &ctx, event, &mut emit);
+                        for (to, delay, _payload) in emit.take() {
+                            lp.record_send(to, now + delay);
+                        }
+                    }
+                    let gvt = VirtualTime::new(t - 0.01 * (EVENTS_PER_ROUND / 2) as f64);
+                    for lp in &mut lps {
+                        committed += lp.fossil_collect(gvt);
+                    }
+                }
+                committed
+            },
+            BatchSize::LargeInput,
         )
     });
     group.finish();
@@ -192,6 +263,7 @@ fn metrics_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     pending_set,
+    lp_history,
     rng_and_mailbox,
     epg_sweep,
     rollback_strategies,

@@ -122,20 +122,24 @@ pub fn build_cluster<M: Model>(
         }
     }
 
-    // Time-zero seeding: run every LP's initial-event hook and hand each
-    // event straight to its owning worker's pending set.
+    // Time-zero seeding: run every LP's initial-event hook, gather each
+    // event under its owning worker, then build every pending set in bulk.
     let mut emitter: Emitter<M::Payload> = Emitter::new();
-    for w in 0..workers.len() {
+    let mut seeds: Vec<Vec<Event<M::Payload>>> = workers.iter().map(|_| Vec::new()).collect();
+    for worker in &mut workers {
         for k in 0..cfg.lps_per_worker as usize {
-            workers[w].lp_mut(k).seed_initial(&*shared.model, &mut emitter);
+            let lp = worker.lp_mut(k);
+            lp.seed_initial(&*shared.model, &mut emitter);
             for (dst, delay, payload) in emitter.take() {
-                let lp = workers[w].lp_mut(k);
                 let id = EventId::new(lp.id, lp.next_seq());
                 let (dn, dl) = shared.locate(dst);
                 let event = Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload };
-                workers[shared.worker_index(dn, dl) as usize].preload_event(event);
+                seeds[shared.worker_index(dn, dl) as usize].push(event);
             }
         }
+    }
+    for (worker, events) in workers.iter_mut().zip(seeds) {
+        worker.preload_events(events);
     }
 
     // Box the actors: workers first (ActorId = worker index), then the

@@ -4,18 +4,33 @@
 //! Two rollback strategies, selected per model:
 //!
 //! * **State saving** (default): every processed event keeps a snapshot of
-//!   the LP's `(state, rng, send_seq)` *before* the event plus the
-//!   identities of the messages it sent; undoing restores the earliest
-//!   snapshot.
+//!   the LP's `(state, rng)` *before* the event; undoing restores the
+//!   earliest snapshot.
 //! * **Reverse computation** (ROSS's mechanism, for models that implement
-//!   [`Model::reverse`]): only `(rng, send_seq)` — 24 bytes — are stored
-//!   per event; undoing calls the model's inverse handler in exact LIFO
-//!   order.
+//!   [`Model::reverse`]): only the generator position is stored per event;
+//!   undoing calls the model's inverse handler in exact LIFO order.
 //!
-//! In both strategies, restoring `send_seq` (not just state and RNG) makes
-//! committed re-executions assign identical event ids, which keeps the
-//! optimistic run bit-identical to the sequential reference even under
-//! rollbacks.
+//! Every history entry also records `first_seq`, the LP's send sequence
+//! number before the event. The messages the uncommitted history sent live
+//! in one **send log** per LP, oldest first, as `(dst, recv_time)` pairs
+//! under the invariant
+//!
+//! ```text
+//! sends.len() == send_seq - processed.front().first_seq   (0 when the history is empty)
+//! ```
+//!
+//! so log entry `i` is the message with id `(lp, front.first_seq + i)`, and
+//! an entry's sends are the log slice from its `first_seq` to the next
+//! entry's. Processing appends to the log ([`LpRuntime::record_send`]),
+//! rollback emits anti-messages from its tail and truncates it, and fossil
+//! collection drains its committed prefix: for a model whose state and
+//! payload own no heap memory, a history entry is plain data, processing
+//! allocates nothing per event and committing frees nothing.
+//!
+//! Under every strategy, rollback restores `send_seq` to the first undone
+//! entry's `first_seq` (not just state and RNG), so committed re-executions
+//! assign identical event ids, which keeps the optimistic run bit-identical
+//! to the sequential reference even under rollbacks.
 
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
@@ -25,22 +40,14 @@ use std::collections::VecDeque;
 use crate::event::{AntiMsg, Event, EventKey};
 use crate::model::{Emitter, EventCtx, Model};
 
-/// Record of one optimistic send, kept for anti-message generation.
-#[derive(Clone, Copy, Debug)]
-pub struct SentRecord {
-    pub dst: LpId,
-    pub recv_time: VirtualTime,
-    pub id: EventId,
-}
-
 /// How an LP undoes processed events.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RollbackStrategy {
-    /// Snapshot `(state, rng, seq)` before every event.
+    /// Snapshot `(state, rng)` before every event.
     Snapshot,
-    /// Reverse computation (requires [`Model::reverse`]): store 24 bytes
-    /// per event, undo by running the model's inverse handler in LIFO
-    /// order.
+    /// Reverse computation (requires [`Model::reverse`]): store the
+    /// generator position per event, undo by running the model's inverse
+    /// handler in LIFO order.
     Reverse,
     /// Periodic state saving: snapshot every `k`-th event, store nothing
     /// for the rest; roll back by restoring the nearest snapshot and
@@ -49,22 +56,29 @@ pub enum RollbackStrategy {
     PeriodicSnapshot(u32),
 }
 
-/// What one history entry remembers about the pre-event LP.
+/// What one history entry remembers about the pre-event LP state and
+/// generator. The pre-event send sequence number is the entry's
+/// `first_seq`, under every strategy.
 enum Prior<M: Model> {
     /// Full state snapshot.
-    Snapshot { state: M::State, rng: Pcg32, seq: u64 },
+    Snapshot { state: M::State, rng: Pcg32 },
     /// Reverse computation: the model's inverse handler reconstructs the
-    /// state; only the generator and sequence positions are stored.
-    Reverse { rng: Pcg32, seq: u64 },
+    /// state; only the generator position is stored.
+    Reverse { rng: Pcg32 },
     /// Between periodic snapshots: reconstructed by coast-forward replay.
     Coast,
 }
 
-/// One entry of the processed-event history.
+/// One entry of the processed-event history. Its sends are not stored
+/// here but in the LP's send log (see the module doc), so the entry owns
+/// no heap memory beyond what the model's state and payload own.
 pub struct ProcessedEvent<M: Model> {
     pub event: Event<M::Payload>,
     prior: Prior<M>,
-    pub sent: Vec<SentRecord>,
+    /// The LP's send sequence number before this event: its sends carry
+    /// the ids from here up to the next entry's `first_seq` (the LP's
+    /// `send_seq` for the newest entry).
+    first_seq: u64,
 }
 
 /// Result of a rollback: what the worker must do next.
@@ -91,6 +105,10 @@ pub struct LpRuntime<M: Model> {
     /// event is processed above `last_key`, and rollback pops from the
     /// back), so it is its own index: lookups bisect it.
     processed: VecDeque<ProcessedEvent<M>>,
+    /// Send log: `(dst, recv_time)` of every message the uncommitted
+    /// history sent, oldest first; ids are implied by position (see the
+    /// module doc's invariant).
+    sends: VecDeque<(LpId, VirtualTime)>,
     strategy: RollbackStrategy,
     /// Events processed since the last periodic snapshot.
     since_snapshot: u32,
@@ -129,6 +147,7 @@ impl<M: Model> LpRuntime<M> {
             send_seq: 0,
             last_key: EventKey::MIN,
             processed: VecDeque::new(),
+            sends: VecDeque::new(),
             strategy,
             since_snapshot: 0,
             end_time,
@@ -151,12 +170,32 @@ impl<M: Model> LpRuntime<M> {
         }
     }
 
-    /// Allocate the next send sequence number.
+    /// Allocate the next send sequence number for a time-zero seeding send,
+    /// which is never logged. Sends of processed events go through
+    /// [`Self::record_send`].
     #[inline]
     pub fn next_seq(&mut self) -> u64 {
+        debug_assert!(self.processed.is_empty(), "unlogged send with history present");
         let s = self.send_seq;
         self.send_seq += 1;
         s
+    }
+
+    /// Sequence number of the oldest logged send.
+    #[inline]
+    fn log_base(&self) -> u64 {
+        self.processed.front().map_or(self.send_seq, |e| e.first_seq)
+    }
+
+    /// The send-log invariant (module doc), checked in debug builds after
+    /// every operation that changes the history or the log.
+    #[inline]
+    fn debug_check_log(&self) {
+        debug_assert_eq!(
+            self.sends.len() as u64,
+            self.send_seq - self.log_base(),
+            "send log out of step with the history"
+        );
     }
 
     #[inline]
@@ -193,8 +232,8 @@ impl<M: Model> LpRuntime<M> {
 
     /// Optimistically process `event`, which must be `>` the last processed
     /// key (the worker rolls back first otherwise). Emitted events are left
-    /// in `emit` for the worker to stamp and route; their `SentRecord`s are
-    /// appended by [`Self::record_sends`].
+    /// in `emit` for the worker to stamp and route, logging each through
+    /// [`Self::record_send`].
     ///
     /// Returns the model-reported EPG units.
     pub fn process(
@@ -207,14 +246,14 @@ impl<M: Model> LpRuntime<M> {
         debug_assert!(event.key() > self.last_key, "processing out of order");
         debug_assert!(emit.is_empty());
         let prior = match self.strategy {
-            RollbackStrategy::Reverse => Prior::Reverse { rng: self.rng, seq: self.send_seq },
+            RollbackStrategy::Reverse => Prior::Reverse { rng: self.rng },
             RollbackStrategy::Snapshot => {
-                Prior::Snapshot { state: self.state.clone(), rng: self.rng, seq: self.send_seq }
+                Prior::Snapshot { state: self.state.clone(), rng: self.rng }
             }
             RollbackStrategy::PeriodicSnapshot(k) => {
                 if self.since_snapshot == 0 || self.since_snapshot >= k {
                     self.since_snapshot = 1;
-                    Prior::Snapshot { state: self.state.clone(), rng: self.rng, seq: self.send_seq }
+                    Prior::Snapshot { state: self.state.clone(), rng: self.rng }
                 } else {
                     self.since_snapshot += 1;
                     Prior::Coast
@@ -223,16 +262,21 @@ impl<M: Model> LpRuntime<M> {
         };
         let epg = model.handle(ctx, &mut self.state, &event.payload, &mut self.rng, emit);
         self.last_key = event.key();
-        self.processed.push_back(ProcessedEvent { event, prior, sent: Vec::new() });
+        self.processed.push_back(ProcessedEvent { event, prior, first_seq: self.send_seq });
+        self.debug_check_log();
         epg
     }
 
-    /// Attach the sent-message records of the most recently processed
-    /// event (the worker calls this after routing the emissions).
-    pub fn record_sends(&mut self, sends: Vec<SentRecord>) {
-        let entry = self.processed.back_mut().expect("record_sends after process");
-        debug_assert!(entry.sent.is_empty());
-        entry.sent = sends;
+    /// Log one send of the most recently processed event and return the id
+    /// it carries. The worker calls this once per emission, in emission
+    /// order, after [`Self::process`].
+    #[inline]
+    pub fn record_send(&mut self, dst: LpId, recv_time: VirtualTime) -> EventId {
+        debug_assert!(!self.processed.is_empty(), "record_send before process");
+        self.sends.push_back((dst, recv_time));
+        let id = EventId::new(self.id, self.send_seq);
+        self.send_seq += 1;
+        id
     }
 
     /// Roll back every processed event with key `> to_key` (straggler with
@@ -259,6 +303,9 @@ impl<M: Model> LpRuntime<M> {
         let mut reenqueue = Vec::new();
         let mut antis = Vec::new();
         let mut undone = 0u64;
+        let base = self.log_base();
+        // Sequence number one past the sends of the entry being undone.
+        let mut end = self.send_seq;
         while let Some(back) = self.processed.back() {
             let boundary =
                 if cancel { back.event.key() >= to_key } else { back.event.key() > to_key };
@@ -267,21 +314,25 @@ impl<M: Model> LpRuntime<M> {
             }
             let entry = self.processed.pop_back().expect("back() was Some");
             undone += 1;
-            for s in &entry.sent {
-                antis.push(AntiMsg { recv_time: s.recv_time, dst: s.dst, id: s.id });
-            }
+            // Newest entry first, in send order within the entry.
+            let first = entry.first_seq;
+            let sent = self.sends.range((first - base) as usize..(end - base) as usize);
+            antis.extend(sent.zip(first..).map(|(&(dst, recv_time), seq)| AntiMsg {
+                recv_time,
+                dst,
+                id: EventId::new(self.id, seq),
+            }));
+            end = first;
             // Undo this event (strict LIFO): restore its snapshot, run the
             // model's inverse handler, or (periodic mode) defer to the
             // coast-forward pass below.
             match entry.prior {
-                Prior::Snapshot { state, rng, seq } => {
+                Prior::Snapshot { state, rng } => {
                     self.state = state;
                     self.rng = rng;
-                    self.send_seq = seq;
                 }
-                Prior::Reverse { rng, seq } => {
+                Prior::Reverse { rng } => {
                     self.rng = rng;
-                    self.send_seq = seq;
                     let ctx = self.ctx_for(&entry.event);
                     // Scratch generator at the pre-event position, so the
                     // reversal can re-derive the forward pass's draws.
@@ -294,10 +345,13 @@ impl<M: Model> LpRuntime<M> {
                 reenqueue.push(entry.event);
             }
         }
+        self.sends.truncate((end - base) as usize);
+        self.send_seq = end;
         if undone > 0 && matches!(self.strategy, RollbackStrategy::PeriodicSnapshot(_)) {
             self.coast_forward(model);
         }
         self.last_key = self.processed.back().map(|e| e.event.key()).unwrap_or(EventKey::MIN);
+        self.debug_check_log();
         Rollback { reenqueue, antis, undone }
     }
 
@@ -306,7 +360,9 @@ impl<M: Model> LpRuntime<M> {
     /// back to the nearest snapshot (the oldest retained entry is always
     /// one — see [`Self::fossil_collect`]), restore it, then re-execute
     /// the popped survivors with their emissions suppressed: they were
-    /// already sent and remain valid ("coasting forward").
+    /// already sent, remain valid and stay in the send log ("coasting
+    /// forward"). `send_seq` is already the first undone entry's
+    /// `first_seq` and is not touched.
     fn coast_forward(&mut self, model: &M) {
         let mut replay: Vec<ProcessedEvent<M>> = Vec::new();
         while let Some(e) = self.processed.pop_back() {
@@ -326,22 +382,19 @@ impl<M: Model> LpRuntime<M> {
         // Restore from the snapshot entry (the last pushed).
         let snap = replay.last().expect("non-empty");
         match &snap.prior {
-            Prior::Snapshot { state, rng, seq } => {
+            Prior::Snapshot { state, rng } => {
                 self.state = state.clone();
                 self.rng = *rng;
-                self.send_seq = *seq;
             }
             _ => unreachable!("coast_forward stops at a snapshot"),
         }
-        // Re-execute survivors oldest-first, dropping their emissions and
-        // re-advancing the sequence counter by what they originally sent.
+        // Re-execute survivors oldest-first, dropping their emissions.
         let mut sink: Emitter<M::Payload> = Emitter::new();
         for e in replay.into_iter().rev() {
             let ctx = self.ctx_for(&e.event);
             let _epg =
                 model.handle(&ctx, &mut self.state, &e.event.payload, &mut self.rng, &mut sink);
             sink.take().for_each(drop);
-            self.send_seq += e.sent.len() as u64;
             self.processed.push_back(e);
         }
         // The snapshot cadence counter restarts from the replayed suffix.
@@ -378,8 +431,7 @@ impl<M: Model> LpRuntime<M> {
                 .unwrap_or(0),
             _ => below,
         };
-        self.processed.drain(..n);
-        n as u64
+        self.commit(n)
     }
 
     /// Fossil collection at shutdown: GVT has passed the end time, no
@@ -387,7 +439,19 @@ impl<M: Model> LpRuntime<M> {
     /// below `gvt` commits regardless of strategy.
     pub fn fossil_collect_final(&mut self, gvt: VirtualTime) -> u64 {
         let n = self.below(gvt);
-        self.processed.drain(..n);
+        self.commit(n)
+    }
+
+    /// Drop the oldest `n` history entries and their prefix of the send
+    /// log; returns `n`.
+    fn commit(&mut self, n: usize) -> u64 {
+        if n > 0 {
+            let base = self.log_base();
+            let next = self.processed.get(n).map_or(self.send_seq, |e| e.first_seq);
+            self.sends.drain(..(next - base) as usize);
+            self.processed.drain(..n);
+            self.debug_check_log();
+        }
         n as u64
     }
 
@@ -464,21 +528,28 @@ mod tests {
         }
     }
 
-    fn process_one(lp: &mut LpRuntime<CounterModel>, e: Event<u32>) {
+    /// Process `e` and stamp its emissions as the worker would, logging
+    /// each send; returns `(id, dst, recv_time)` per send, in send order.
+    fn process_with<M: Model<Payload = u32>>(
+        lp: &mut LpRuntime<M>,
+        model: &M,
+        e: Event<u32>,
+    ) -> Vec<(EventId, LpId, VirtualTime)> {
         let mut em = Emitter::new();
         let t = e.recv_time.as_f64();
-        lp.process(&CounterModel, &ctx(t), e, &mut em);
-        // Stamp the emissions as the worker would, recording the sends.
+        lp.process(model, &ctx(t), e, &mut em);
         let sends: Vec<(LpId, f64)> = em.take().map(|(dst, delay, _p)| (dst, delay)).collect();
-        let mut records = Vec::new();
-        for (dst, delay) in sends {
-            records.push(SentRecord {
-                dst,
-                recv_time: VirtualTime::new(t + delay),
-                id: EventId::new(LpId(0), lp.next_seq()),
-            });
-        }
-        lp.record_sends(records);
+        sends
+            .into_iter()
+            .map(|(dst, delay)| {
+                let recv_time = VirtualTime::new(t + delay);
+                (lp.record_send(dst, recv_time), dst, recv_time)
+            })
+            .collect()
+    }
+
+    fn process_one(lp: &mut LpRuntime<CounterModel>, e: Event<u32>) {
+        process_with(lp, &CounterModel, e);
     }
 
     #[test]
@@ -618,5 +689,81 @@ mod tests {
         assert_eq!(lp.state, init_state);
         assert_eq!(lp.rng, init_rng);
         assert_eq!(lp.last_key(), EventKey::MIN);
+    }
+
+    /// Two sends per event, to two different LPs at two delays.
+    struct PairModel;
+
+    impl Model for PairModel {
+        type State = u64;
+        type Payload = u32;
+
+        fn init_state(&self, _lp: LpId, _rng: &mut Pcg32) -> u64 {
+            0
+        }
+
+        fn initial_events(&self, _lp: LpId, _s: &mut u64, _r: &mut Pcg32, _e: &mut Emitter<u32>) {}
+
+        fn handle(
+            &self,
+            _ctx: &EventCtx,
+            state: &mut u64,
+            payload: &u32,
+            _rng: &mut Pcg32,
+            emit: &mut Emitter<u32>,
+        ) -> u64 {
+            *state += *payload as u64;
+            emit.emit(LpId(1), 1.0, 0);
+            emit.emit(LpId(2), 2.0, 0);
+            1
+        }
+    }
+
+    #[test]
+    fn rollback_antis_run_newest_entry_first_in_send_order() {
+        let mut lp = LpRuntime::new(LpId(0), &PairModel, 1);
+        let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0]
+            .iter()
+            .enumerate()
+            .map(|(i, t)| process_with(&mut lp, &PairModel, ev(*t, i as u64, 1)))
+            .collect();
+        // A straggler at t=1.5 undoes the t=2, t=3 and t=4 entries.
+        let rb = lp.rollback_to(&PairModel, ev(1.5, 99, 0).key());
+        assert_eq!(rb.undone, 3);
+        let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
+        let want: Vec<_> = sent[1..].iter().rev().flatten().copied().collect();
+        assert_eq!(got, want);
+        let seqs: Vec<u64> = rb.antis.iter().map(|a| a.id.seq).collect();
+        assert_eq!(seqs, [6, 7, 4, 5, 2, 3]);
+        // The survivor's sends stay logged: undoing it antis exactly them.
+        let rb = lp.rollback_to(&PairModel, EventKey::MIN);
+        let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
+        assert_eq!(got, sent[0]);
+    }
+
+    #[test]
+    fn periodic_reexecution_reuses_the_undone_ids() {
+        let mut lp = LpRuntime::with_strategy(
+            LpId(0),
+            &CounterModel,
+            1,
+            RollbackStrategy::PeriodicSnapshot(3),
+            VirtualTime::new(1e9),
+            1,
+        );
+        // Snapshots land on t=1 and t=4; t=2, t=3 and t=5 coast.
+        let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0, 5.0]
+            .iter()
+            .enumerate()
+            .map(|(i, t)| process_with(&mut lp, &CounterModel, ev(*t, i as u64, 1)))
+            .collect();
+        // Undo t=3, t=4 and t=5; the survivors coast forward from the t=1
+        // snapshot.
+        let rb = lp.rollback_to(&CounterModel, ev(2.5, 99, 0).key());
+        assert_eq!(rb.undone, 3);
+        let mut replay = rb.reenqueue;
+        replay.sort_by_key(|e| e.key());
+        let resent = process_with(&mut lp, &CounterModel, replay.remove(0));
+        assert_eq!(resent[0].0, sent[2][0].0);
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::config::SimConfig;
 use crate::event::Event;
-use crate::lp::{LpRuntime, SentRecord};
+use crate::lp::LpRuntime;
 use crate::model::{Emitter, EventCtx, Model};
 use crate::queue::PendingSet;
 
@@ -89,14 +89,11 @@ impl<M: Model> SequentialSim<M> {
             let base = event.recv_time;
             let lp = &mut lps[idx];
             let _epg = lp.process(&*self.model, &ctx, event, &mut emit);
-            let mut records = Vec::with_capacity(emit.len());
             for (dst, delay, payload) in emit.take() {
-                let id = EventId::new(lp.id, lp.next_seq());
                 let recv_time = base + delay;
-                records.push(SentRecord { dst, recv_time, id });
+                let id = lp.record_send(dst, recv_time);
                 pending.insert(Event { recv_time, dst, id, payload });
             }
-            lp.record_sends(records);
             // No rollback can ever happen: commit immediately.
             lp.fossil_collect_final(VirtualTime::INFINITY);
             processed += 1;

@@ -21,7 +21,7 @@
 //! remembers which ones and credits each poll the scheduler skipped.
 
 use cagvt_base::actor::{Actor, StepResult};
-use cagvt_base::ids::{ActorId, EventId, LaneId, LpId, NodeId};
+use cagvt_base::ids::{ActorId, LaneId, LpId, NodeId};
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::TraceRecord;
 use cagvt_base::wake::{self, Park};
@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use crate::event::{AckMsg, AntiMsg, Event, EventMsg, RemoteEnv, TaggedMsg};
 use crate::gvt::{WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome};
-use crate::lp::{LpRuntime, Rollback, SentRecord};
+use crate::lp::{LpRuntime, Rollback};
 use crate::model::{Emitter, EventCtx, Model};
 use crate::mpi_actor::MpiPump;
 use crate::node::{EngineShared, NodeShared};
@@ -126,10 +126,11 @@ impl<M: Model> Worker<M> {
         }
     }
 
-    /// Insert a pre-run (time-zero) event, used by the cluster builder.
-    pub fn preload_event(&mut self, event: Event<M::Payload>) {
-        let inserted = self.pending.insert(event);
-        debug_assert!(inserted, "no anti-messages can exist before the run");
+    /// Install the pre-run (time-zero) events, used once by the cluster
+    /// builder.
+    pub fn preload_events(&mut self, events: Vec<Event<M::Payload>>) {
+        debug_assert!(self.pending.is_empty(), "preloaded twice");
+        self.pending = PendingSet::from_events(events);
     }
 
     /// Builder access to LP `k` (time-zero seeding).
@@ -435,19 +436,15 @@ impl<M: Model> Worker<M> {
         }
         charge += span;
 
-        // Stamp, route and record the emissions.
+        // Stamp, log and route the emissions.
         let base = ctx.now;
-        let mut records: Vec<SentRecord> = Vec::with_capacity(emit.len());
         for (dst, delay, payload) in emit.take() {
-            let seq = self.lps[idx].next_seq();
-            let id = EventId::new(self.lps[idx].id, seq);
             let recv_time = base + delay;
-            records.push(SentRecord { dst, recv_time, id });
+            let id = self.lps[idx].record_send(dst, recv_time);
             charge +=
                 self.route(now + charge, EventMsg::Event(Event { recv_time, dst, id, payload }));
         }
         self.emit = emit;
-        self.lps[idx].record_sends(records);
         charge += self.drain_local_antis(now + charge);
 
         self.uncommitted += 1;

@@ -6,7 +6,7 @@ use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::VirtualTime;
 use cagvt_core::event::{Event, EventKey};
-use cagvt_core::lp::{LpRuntime, RollbackStrategy, SentRecord};
+use cagvt_core::lp::{LpRuntime, RollbackStrategy};
 use cagvt_core::model::{Emitter, EventCtx, Model};
 use proptest::prelude::*;
 
@@ -100,15 +100,9 @@ fn process(lp: &mut LpRuntime<HashModel>, e: Event<u32>) {
     let mut em = Emitter::new();
     lp.process(&HashModel, &ctx(t), e, &mut em);
     let sends: Vec<(LpId, f64)> = em.take().map(|(d, dl, _)| (d, dl)).collect();
-    let mut recs = Vec::new();
     for (dst, delay) in sends {
-        recs.push(SentRecord {
-            dst,
-            recv_time: VirtualTime::new(t + delay),
-            id: EventId::new(LpId(0), lp.next_seq()),
-        });
+        lp.record_send(dst, VirtualTime::new(t + delay));
     }
-    lp.record_sends(recs);
 }
 
 proptest! {
@@ -242,5 +236,180 @@ proptest! {
         prop_assert_eq!(committed, expected);
         prop_assert_eq!(lp.state, state_before);
         prop_assert_eq!(lp.history_len() as u64, events.len() as u64 - expected);
+    }
+}
+
+/// Model with a reversible state fold that sends zero, one or two messages
+/// per event, the count drawn from the generator, so history entries own
+/// send-log slices of different lengths (empty ones included).
+struct FanModel;
+
+impl Model for FanModel {
+    type State = u64;
+    type Payload = u32;
+
+    fn init_state(&self, lp: LpId, _rng: &mut Pcg32) -> u64 {
+        lp.0 as u64
+    }
+    fn initial_events(&self, _lp: LpId, _s: &mut u64, _r: &mut Pcg32, _e: &mut Emitter<u32>) {}
+    fn handle(
+        &self,
+        _ctx: &EventCtx,
+        state: &mut u64,
+        payload: &u32,
+        rng: &mut Pcg32,
+        emit: &mut Emitter<u32>,
+    ) -> u64 {
+        let draw = rng.next_u32();
+        *state = state.wrapping_add((*payload ^ draw) as u64);
+        for i in 0..draw % 3 {
+            emit.emit(LpId(i + 1), 0.5 * (i + 1) as f64, *payload);
+        }
+        1
+    }
+    fn supports_reverse(&self) -> bool {
+        true
+    }
+    fn reverse(&self, _ctx: &EventCtx, state: &mut u64, payload: &u32, rng: &mut Pcg32) {
+        let draw = rng.next_u32();
+        *state = state.wrapping_sub((*payload ^ draw) as u64);
+    }
+}
+
+/// One send as the test sees it: the id `record_send` returned, the
+/// destination and the receive time.
+type Send = (EventId, LpId, VirtualTime);
+
+/// Process `e` as the worker would; returns its sends in send order.
+fn process_fan(lp: &mut LpRuntime<FanModel>, e: Event<u32>) -> Vec<Send> {
+    let t = e.recv_time;
+    let mut em = Emitter::new();
+    lp.process(&FanModel, &ctx(t.as_f64()), e, &mut em);
+    let sends: Vec<(LpId, f64)> = em.take().map(|(d, dl, _)| (d, dl)).collect();
+    sends
+        .into_iter()
+        .map(|(dst, delay)| {
+            let recv_time = t + delay;
+            (lp.record_send(dst, recv_time), dst, recv_time)
+        })
+        .collect()
+}
+
+/// Key just below every event at time `t` (test events come from `LpId(9)`).
+fn below_key(t: VirtualTime) -> EventKey {
+    EventKey { t, id: EventId::new(LpId(0), 0) }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Random interleavings of processing, straggler and cancel rollbacks
+    /// and fossil collection keep the send log in step with the history,
+    /// under every strategy: `LpRuntime` checks its log invariant after
+    /// every operation (debug builds), and the test checks what the log
+    /// yields against a shadow copy — each rollback's antis are the undone
+    /// entries' sends, newest entry first and in send order within one;
+    /// re-execution continues the id sequence where the undone entries
+    /// started; and a final rollback of everything returns exactly the
+    /// uncommitted sends.
+    #[test]
+    fn send_log_tracks_history(
+        ops in prop::collection::vec((0u8..5, any::<u16>()), 1..80),
+        seed in any::<u64>(),
+    ) {
+        for strategy in [
+            RollbackStrategy::Snapshot,
+            RollbackStrategy::Reverse,
+            RollbackStrategy::PeriodicSnapshot(3),
+        ] {
+            let mut lp = LpRuntime::<FanModel>::with_strategy(
+                LpId(0),
+                &FanModel,
+                seed,
+                strategy,
+                VirtualTime::new(1e9),
+                1,
+            );
+            // Uncommitted history as the test saw it: key and sends.
+            let mut shadow: Vec<(EventKey, Vec<Send>)> = Vec::new();
+            // Undone events waiting to be re-executed.
+            let mut pending: Vec<Event<u32>> = Vec::new();
+            let mut next_seq = 0u64;
+            let mut next_id = 0u64;
+            let mut gvt = VirtualTime::ZERO;
+            for &(kind, arg) in &ops {
+                match kind {
+                    0 | 1 => {
+                        pending.sort_by_key(|e| std::cmp::Reverse(e.key()));
+                        let e = pending.pop().unwrap_or_else(|| {
+                            next_id += 1;
+                            Event {
+                                recv_time: lp.lvt() + 0.25 * (1 + arg % 8) as f64,
+                                dst: LpId(0),
+                                id: EventId::new(LpId(9), next_id),
+                                payload: arg as u32,
+                            }
+                        });
+                        let key = e.key();
+                        let sends = process_fan(&mut lp, e);
+                        for s in &sends {
+                            prop_assert_eq!(s.0, EventId::new(LpId(0), next_seq), "{:?}", strategy);
+                            next_seq += 1;
+                        }
+                        shadow.push((key, sends));
+                    }
+                    2 | 3 => {
+                        // Roll back to an entry at or above GVT, as the
+                        // worker may: a straggler just below it, or an anti
+                        // cancelling it.
+                        let live: Vec<usize> =
+                            (0..shadow.len()).filter(|&i| shadow[i].0.t >= gvt).collect();
+                        if live.is_empty() {
+                            continue;
+                        }
+                        let i = live[arg as usize % live.len()];
+                        let target = shadow[i].0;
+                        let rb = if kind == 2 {
+                            lp.rollback_to(&FanModel, below_key(target.t))
+                        } else {
+                            lp.rollback_cancel(&FanModel, target)
+                        };
+                        let undo = shadow.split_off(i);
+                        prop_assert_eq!(rb.undone as usize, undo.len());
+                        let got: Vec<Send> =
+                            rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
+                        let want: Vec<Send> =
+                            undo.iter().rev().flat_map(|(_, s)| s.iter().copied()).collect();
+                        prop_assert_eq!(got, want, "{:?}", strategy);
+                        if let Some(first) = undo.iter().flat_map(|(_, s)| s.first()).next() {
+                            next_seq = first.0.seq;
+                        }
+                        pending.extend(rb.reenqueue);
+                    }
+                    _ => {
+                        // Advance GVT to an uncommitted entry's time, never
+                        // past an event still waiting to be re-executed.
+                        let Some((key, _)) = shadow.get(arg as usize % shadow.len().max(1))
+                        else {
+                            continue;
+                        };
+                        let floor = pending.iter().map(|e| e.recv_time).fold(key.t, |a, b| {
+                            if b < a { b } else { a }
+                        });
+                        if floor > gvt {
+                            gvt = floor;
+                        }
+                        let n = lp.fossil_collect(gvt) as usize;
+                        shadow.drain(..n);
+                    }
+                }
+                prop_assert_eq!(lp.history_len(), shadow.len(), "{:?}", strategy);
+            }
+            let rb = lp.rollback_to(&FanModel, EventKey::MIN);
+            let got: Vec<Send> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
+            let want: Vec<Send> =
+                shadow.iter().rev().flat_map(|(_, s)| s.iter().copied()).collect();
+            prop_assert_eq!(got, want, "{:?}", strategy);
+        }
     }
 }
