@@ -13,16 +13,15 @@
 //!   actor; there the reported cost is realized by actually spinning for
 //!   the compute portion.
 //!
-//! Steps must be *non-blocking*: an actor that is waiting (for a message,
-//! for a barrier) returns [`StepOutcome::Idle`] and will be polled again
-//! later, with its clock advanced by an idle-poll cost. This polled style is
-//! what lets the identical algorithm code run under both substrates.
+//! Steps must be *non-blocking*: an actor that is waiting returns and is
+//! polled again later, its clock advanced by the poll's cost. This polled
+//! style is what lets the identical algorithm code run under both substrates.
 //!
-//! An idle step may also ask to be *parked* ([`StepResult::park`]): the
-//! virtual scheduler then stops stepping the actor until a notice on the
-//! [`wake`](crate::wake) board says something it waits on changed, and
-//! credits the polls it skipped. Results are identical to polling; only
-//! the host steps are saved. The thread runtime ignores the request.
+//! A step whose repeats would change nothing may ask to be *parked*
+//! ([`StepResult::park`]): the virtual scheduler then stops stepping the
+//! actor until a notice on the [`wake`](crate::wake) board says something
+//! it waits on changed, and credits the polls it skipped. Results are
+//! identical to polling; the thread runtime ignores the request.
 
 use crate::ids::ActorId;
 use crate::time::WallNs;
@@ -31,12 +30,12 @@ use crate::wake::Park;
 /// What a step accomplished.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepOutcome {
-    /// Useful work was done; poll again as soon as the clock allows.
+    /// Work was done, or the actor is held at a barrier; poll again soon.
     Progress,
-    /// Nothing to do right now (empty queues, waiting at a barrier). The
-    /// scheduler re-polls, charging the idle-poll cost, unless the step
-    /// asked to be parked ([`StepResult::park`]); a parked actor is
-    /// re-entered when a notice says what it waits on changed.
+    /// Nothing to do right now (empty queues, no GVT round to join). A
+    /// worker held at a GVT barrier is not idle: it reports `Progress`,
+    /// and the thread runtime never backs it off. Either kind of poll may
+    /// ask to be parked ([`StepResult::park`]).
     Idle,
     /// The actor has observed global termination and will never make
     /// progress again.
@@ -51,7 +50,7 @@ pub struct StepResult {
     /// zero-cost idle polls so virtual time always advances).
     pub cost: WallNs,
     pub outcome: StepOutcome,
-    /// An idle step's request to be parked; `None` keeps polling.
+    /// The step's request to be parked; `None` keeps polling.
     pub park: Option<Park>,
 }
 
@@ -66,11 +65,10 @@ impl StepResult {
         StepResult { cost, outcome: StepOutcome::Idle, park: None }
     }
 
-    /// An idle step that asks to be parked until `park`'s conditions or a
-    /// notice wake it.
+    /// This step, asking to be parked until `park` or a notice wakes it.
     #[inline]
-    pub fn idle_parked(cost: WallNs, park: Park) -> Self {
-        StepResult { cost, outcome: StepOutcome::Idle, park: Some(park) }
+    pub fn parked(self, park: Park) -> Self {
+        StepResult { park: Some(park), ..self }
     }
 
     #[inline]

@@ -1,20 +1,20 @@
-//! Park-and-wake: how an idle actor stops costing a host step per poll.
+//! Park-and-wake: how a waiting actor stops costing a host step per poll.
 //!
-//! An actor whose step found nothing to do may ask the virtual scheduler
-//! to *park* it by returning a [`Park`] in its [`StepResult`]. A parked
-//! actor is not stepped again until something it reads changes; the
-//! scheduler then re-enters it at exactly the poll-grid instant where
-//! polling would first have observed the change, and credits the skipped
-//! polls through [`take_skipped`]. For the result to be exact the parked
-//! step must be a *pure* repeat: re-running it at any later grid instant
-//! with unchanged shared state must do nothing but bump the actor's own
-//! counters.
+//! One rule decides whether a step may park, whatever the actor waits on
+//! (an empty queue, a GVT round, a barrier release): re-running it at any
+//! later grid instant with unchanged shared state must do nothing but bump
+//! the actor's own counters. Such a *pure* step, idle or progress, returns
+//! a [`Park`] in its [`StepResult`]. A parked actor is not stepped again
+//! until something it reads changes; the scheduler then re-enters it at
+//! exactly the poll-grid instant where polling would first have observed
+//! the change, and credits the skipped polls through [`take_skipped`].
 //!
 //! Whoever changes shared state that a parked actor may be waiting on
 //! posts a notice here during its own step:
 //!
 //! * [`notify_all`] — state every parked actor may read (a GVT round
-//!   requested, started, drained or published; a stop);
+//!   requested, started, drained or published; a reduction published; a
+//!   stop);
 //! * [`notify_pace`] — state only actors parked with [`Park::pace`] read;
 //! * [`notify_actor`] — a message for one actor, observable from `at`.
 //!

@@ -327,13 +327,11 @@ pub struct WorkerGvtCtx {
 /// What the worker should do after a GVT step.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WorkerGvtOutcome {
-    /// Nothing to do, and only a poll can tell when that changes (the
-    /// test oracle, which reads raw message counters).
-    Quiet,
     /// Nothing to do until shared GVT state changes, and every change that
     /// could alter this answer posts a [`wake`] notice: a round requested
     /// or started, a white population drained, a reduction or a GVT
-    /// published, a stop. The worker may be parked.
+    /// published, a stop. The worker may be parked. (The test oracle reads
+    /// state that changes silently, so it posts a notice with the answer.)
     ///
     /// [`wake`]: cagvt_base::wake
     Waiting,
@@ -341,7 +339,9 @@ pub enum WorkerGvtOutcome {
     /// (asynchronous style). Cost is the bookkeeping charge.
     Working(WallNs),
     /// The worker is held at a synchronization point; it must not process
-    /// events this step (synchronous style).
+    /// events this step (synchronous style). Cost is the bookkeeping charge;
+    /// `Blocked(WallNs::ZERO)` is a pure held poll, the held twin of
+    /// `Waiting`: the worker charges an idle poll and may be parked.
     Blocked(WallNs),
     /// The round completed; `gvt` is the new value. The worker fossil
     /// collects and resets its interval counter.
@@ -422,7 +422,6 @@ pub trait GvtBundle: Send + Sync {
 /// globals.
 pub struct OracleBundle {
     pub shared: Arc<GvtSharedCore>,
-    pub end_time: VirtualTime,
 }
 
 impl GvtBundle for OracleBundle {
@@ -431,12 +430,7 @@ impl GvtBundle for OracleBundle {
     }
 
     fn worker_gvt(&self, _node: NodeId, _lane: LaneId, _worker_index: u32) -> Box<dyn WorkerGvt> {
-        Box::new(OracleGvt {
-            shared: Arc::clone(&self.shared),
-            end_time: self.end_time,
-            last_gvt: VirtualTime::ZERO,
-            finished: false,
-        })
+        Box::new(OracleGvt { shared: Arc::clone(&self.shared), last_gvt: VirtualTime::ZERO })
     }
 
     fn mpi_gvt(&self, _node: NodeId) -> Box<dyn MpiGvt> {
@@ -447,9 +441,7 @@ impl GvtBundle for OracleBundle {
 /// Worker half of [`OracleBundle`].
 pub struct OracleGvt {
     shared: Arc<GvtSharedCore>,
-    end_time: VirtualTime,
     last_gvt: VirtualTime,
-    finished: bool,
 }
 
 impl WorkerGvt for OracleGvt {
@@ -460,30 +452,24 @@ impl WorkerGvt for OracleGvt {
     fn on_recv(&mut self, _tag: u64, _class: MsgClass) {}
 
     fn step(&mut self, _ctx: &WorkerGvtCtx) -> WorkerGvtOutcome {
-        if self.finished {
-            return WorkerGvtOutcome::Quiet;
-        }
         let stats = &self.shared.stats;
         // Receive counts only grow; reading sent after received can only
         // under-detect quiescence, never falsely claim it.
         let received = stats.msgs_received.load(Ordering::Acquire);
         let sent = stats.msgs_sent.load(Ordering::Acquire);
-        if sent != received {
-            return WorkerGvtOutcome::Quiet;
-        }
         let gvt = stats
             .worker_contrib
             .iter()
             .map(|c| VirtualTime::from_ordered_bits(c.load(Ordering::Acquire)))
             .min()
             .unwrap_or(VirtualTime::INFINITY);
-        if gvt <= self.last_gvt {
-            return WorkerGvtOutcome::Quiet;
+        if sent != received || gvt <= self.last_gvt {
+            // These globals change without a wake notice, so the notice
+            // is posted here: a parked worker re-polls at its next instant.
+            wake::notify_all();
+            return WorkerGvtOutcome::Waiting;
         }
         self.last_gvt = gvt;
-        if gvt >= self.end_time {
-            self.finished = true;
-        }
         // Monotone ratchet on the shared value; rounds count ratchets.
         if self.shared.published_gvt() < gvt {
             let round = self.shared.published_round() + 1;
@@ -614,12 +600,16 @@ mod tests {
     fn oracle_completes_only_at_quiescence() {
         let core = core_with(2);
         let end = VirtualTime::new(10.0);
-        let bundle = OracleBundle { shared: Arc::clone(&core), end_time: end };
+        let bundle = OracleBundle { shared: Arc::clone(&core) };
         let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
         let ctx = WorkerGvtCtx { now: WallNs(0), lvt: end, worker_index: 0 };
+        let board = wake::install(1);
+        let mut notices = wake::Notices::default();
 
-        // Contributions still at zero: not quiescent.
-        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Quiet);
+        // Contributions still at zero: not quiescent. The globals change
+        // without notices, so each not-ready answer posts one itself.
+        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Waiting);
+        assert!(board.drain(&mut notices) && notices.all);
 
         for c in &core.stats.worker_contrib {
             c.store(end.to_ordered_bits(), Ordering::Relaxed);
@@ -627,7 +617,7 @@ mod tests {
         // In-flight message blocks completion.
         core.stats.msgs_sent.store(5, Ordering::Relaxed);
         core.stats.msgs_received.store(4, Ordering::Relaxed);
-        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Quiet);
+        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Waiting);
 
         core.stats.msgs_received.store(5, Ordering::Relaxed);
         match w.step(&ctx) {
@@ -636,6 +626,6 @@ mod tests {
         }
         assert_eq!(core.published_gvt(), end);
         // Idempotent afterwards.
-        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Quiet);
+        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Waiting);
     }
 }

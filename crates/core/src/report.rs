@@ -166,11 +166,11 @@ pub struct RunReport {
     /// idle.
     pub sched_steps: u64,
     pub sched_idle_steps: u64,
-    /// Idle polls the virtual scheduler skipped for parked workers. Each
-    /// one is credited to the worker's counters as if it had run, so
-    /// `sched_steps + sched_skipped_polls` is the step count of polling
-    /// every idle worker.
+    /// Polls skipped for parked workers, each credited as if it had run
+    /// (`sched_steps + sched_skipped_polls` is the polling step count),
+    /// and those of them that were held (progress) polls.
     pub sched_skipped_polls: u64,
+    pub sched_skipped_held: u64,
     /// False if the scheduler hit a safety valve before completion.
     pub completed: bool,
 
@@ -251,7 +251,8 @@ impl RunReport {
             throttled_steps: w.throttled,
             sched_steps: sched.steps,
             sched_idle_steps: sched.idle_steps,
-            sched_skipped_polls: w.skipped_polls,
+            sched_skipped_polls: sched.skipped_polls,
+            sched_skipped_held: sched.skipped_progress,
             completed: sched.completed,
             faults: shared.faults.as_ref().map(|f| f.stats()).unwrap_or_default(),
             health: Vec::new(),

@@ -42,9 +42,6 @@ pub struct WorkerCounters {
     /// Deepest rollback cascade observed: the most rollback episodes
     /// triggered within one local anti-message drain.
     pub max_cascade: u64,
-    /// Idle polls the virtual scheduler skipped while this worker was
-    /// parked (each credited to the counters above as if it had run).
-    pub skipped_polls: u64,
 }
 
 impl WorkerCounters {
@@ -62,7 +59,6 @@ impl WorkerCounters {
         self.requests_interval += o.requests_interval;
         self.requests_idle += o.requests_idle;
         self.barrier_wait += o.barrier_wait;
-        self.skipped_polls += o.skipped_polls;
         self.max_cascade = self.max_cascade.max(o.max_cascade);
     }
 }

@@ -14,11 +14,11 @@
 //! the identical code yields paper-scale timing under the virtual
 //! scheduler and real timing under the thread runtime.
 //!
-//! A step that found nothing to do at all — nothing drained, no MPI duty,
-//! no event processed, and a GVT half [`Waiting`](WorkerGvtOutcome::Waiting)
-//! on notified state — asks to be parked (see [`cagvt_base::wake`]). Every
-//! repeat of such a poll would only bump the same counters, so the worker
-//! remembers which ones and credits each poll the scheduler skipped.
+//! Each layer (drain, inline MPI duty, GVT half, processing) reports its
+//! part of one wait state, which one function maps to the step's result. A
+//! step that changed nothing and ran no MPI pump is a *pure* poll (idle if
+//! the GVT half is `Waiting`, progress if it holds the worker) and asks to
+//! be parked ([`cagvt_base::wake`]); each skipped poll is credited as run.
 
 use cagvt_base::actor::{Actor, StepResult};
 use cagvt_base::ids::{ActorId, LaneId, LpId, NodeId};
@@ -70,18 +70,44 @@ pub struct Worker<M: Model> {
     blocked_since: Option<WallNs>,
     /// The GVT algorithm requires acknowledgement traffic (Samadi).
     acks_enabled: bool,
-    /// Set when this worker asked to be parked: the counters its repeated
-    /// idle poll bumps, credited once per poll the scheduler skipped.
-    parked: Option<IdlePoll>,
+    /// Set when this worker asked to be parked: the poll it repeats.
+    parked: Option<PurePoll>,
     finished: bool,
 }
 
-/// The counters one pure idle poll bumps.
+/// What a step leaves the worker waiting on, combined over its layers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Wait {
+    /// Nothing changed; the GVT half waits on notified state. Idle, pure.
+    Idle,
+    /// Nothing changed; the GVT half holds the worker. Progress, pure.
+    Held,
+    /// Nothing moved, but the inline MPI pump ran. Idle, impure.
+    Polled,
+    /// Something changed. Progress, impure.
+    Busy,
+}
+
+impl Wait {
+    /// The state of a step with both parts: progress if either part is,
+    /// pure only if both are.
+    fn join(self, other: Wait) -> Wait {
+        match (self.min(other), self.max(other)) {
+            (Wait::Held, Wait::Polled) => Wait::Busy,
+            (_, max) => max,
+        }
+    }
+}
+
+/// What a step's repeat would do: the counters it bumps, and until when an
+/// idle worker holds back its round request (a later repeat would raise it).
 #[derive(Clone, Copy, Debug)]
-struct IdlePoll {
+struct PurePoll {
     throttled: bool,
     requests_interval: bool,
     requests_idle: bool,
+    gvt_time: WallNs,
+    backoff: Option<WallNs>,
 }
 
 impl<M: Model> Worker<M> {
@@ -316,7 +342,7 @@ impl<M: Model> Worker<M> {
     }
 
     /// Drain this lane's inbound queue.
-    fn drain_inbound(&mut self, now: WallNs) -> (WallNs, bool) {
+    fn drain_inbound(&mut self, now: WallNs) -> (WallNs, Wait) {
         let cost = self.shared.cfg.cost;
         let mut charge = WallNs::ZERO;
         let mut buf = std::mem::take(&mut self.recv_buf);
@@ -356,7 +382,7 @@ impl<M: Model> Worker<M> {
             }
         }
         self.recv_buf = buf;
-        (charge, n > 0)
+        (charge, if n > 0 { Wait::Busy } else { Wait::Idle })
     }
 
     /// Fossil collect all LPs at the new GVT.
@@ -476,6 +502,23 @@ impl<M: Model> Worker<M> {
         }
         self.finished = true;
     }
+
+    /// Map the step's wait state to its result. A pure poll parks until a
+    /// message, a GVT notice, its backoff's end or (while requesting) a
+    /// new round end could change what the next poll does.
+    fn settle(&mut self, wait: Wait, charge: WallNs, poll: PurePoll) -> StepResult {
+        let result = match wait {
+            Wait::Held | Wait::Busy => StepResult::progress(charge.max(WallNs(1))),
+            Wait::Idle | Wait::Polled => StepResult::idle(charge + self.shared.cfg.cost.idle_poll),
+        };
+        if matches!(wait, Wait::Polled | Wait::Busy) {
+            return result;
+        }
+        let head = self.nshared.lane_queues[self.lane.index()].head_deliver_at();
+        let until = poll.backoff.into_iter().chain(head).min();
+        self.parked = Some(poll);
+        result.parked(Park { until, pace: poll.requests_idle })
+    }
 }
 
 impl<M: Model> Actor for Worker<M> {
@@ -492,25 +535,21 @@ impl<M: Model> Actor for Worker<M> {
             return StepResult::done();
         }
         if let Some(poll) = self.parked.take() {
-            let skipped = wake::take_skipped(self.actor_id);
-            let c = &mut self.counters;
-            c.skipped_polls += skipped;
-            c.throttled += skipped * poll.throttled as u64;
-            c.requests_interval += skipped * poll.requests_interval as u64;
-            c.requests_idle += skipped * poll.requests_idle as u64;
+            // The exactness rule: each skipped poll counts as if it had run.
+            let (n, c) = (wake::take_skipped(self.actor_id), &mut self.counters);
+            c.throttled += n * poll.throttled as u64;
+            c.requests_interval += n * poll.requests_interval as u64;
+            c.requests_idle += n * poll.requests_idle as u64;
+            c.gvt_time += WallNs(n * poll.gvt_time.0);
         }
         if self.shared.gvt_core.stopped() {
             self.finish();
             return StepResult::progress(WallNs(100));
         }
         let cfg = self.shared.cfg;
-        let mut charge = WallNs::ZERO;
-        let mut did_work = false;
 
         // 1. Inbound messages.
-        let (c, moved) = self.drain_inbound(now);
-        charge += c;
-        did_work |= moved;
+        let (mut charge, mut wait) = self.drain_inbound(now);
         // Publish the post-drain contribution before any GVT step can run:
         // draining (including anti-message rollbacks) is the only way this
         // worker's minimum can *decrease*, and a stale-high published value
@@ -522,7 +561,7 @@ impl<M: Model> Actor for Worker<M> {
         if let Some(mut pump) = self.mpi_duty.take() {
             let (c, moved) = pump.pump(now + charge);
             charge += c;
-            did_work |= moved;
+            wait = wait.join(if moved { Wait::Busy } else { Wait::Polled });
             self.mpi_duty = Some(pump);
         }
 
@@ -532,83 +571,71 @@ impl<M: Model> Actor for Worker<M> {
             lvt: self.pending.min_time(),
             worker_index: self.widx,
         };
-        let mut blocked = false;
         let outcome = self.gvt.step(&ctx);
-        let gvt_waiting = outcome == WorkerGvtOutcome::Waiting;
-        // Close out a barrier-blocked stretch: one `BarrierWait` record and
-        // counter update spanning first blocked step to release.
-        if !matches!(outcome, WorkerGvtOutcome::Blocked(_)) {
-            if let Some(start) = self.blocked_since.take() {
-                let dur = now.saturating_sub(start);
-                self.counters.barrier_wait += dur;
-                let worker = self.widx;
-                self.shared.gvt_core.emit(start, || TraceRecord::BarrierWait { worker, dur });
-            }
+        // A barrier-blocked stretch, first blocked step to release, is one
+        // `BarrierWait` record and counter update.
+        if let WorkerGvtOutcome::Blocked(_) = outcome {
+            self.blocked_since.get_or_insert(now);
+        } else if let Some(start) = self.blocked_since.take() {
+            let dur = now.saturating_sub(start);
+            self.counters.barrier_wait += dur;
+            let worker = self.widx;
+            self.shared.gvt_core.emit(start, || TraceRecord::BarrierWait { worker, dur });
         }
-        match outcome {
-            WorkerGvtOutcome::Quiet | WorkerGvtOutcome::Waiting => {}
-            WorkerGvtOutcome::Working(c) => {
-                charge += c;
-                self.counters.gvt_time += c;
-                did_work = true;
+        let (gvt_charge, part) = match outcome {
+            WorkerGvtOutcome::Waiting => (WallNs::ZERO, Wait::Idle),
+            // A pure held poll, charged as an idle poll of GVT time.
+            WorkerGvtOutcome::Blocked(WallNs::ZERO) => (cfg.cost.idle_poll, Wait::Held),
+            WorkerGvtOutcome::Working(c) | WorkerGvtOutcome::Blocked(c) => (c, Wait::Busy),
+            WorkerGvtOutcome::Completed { cost, .. } => (cost, Wait::Busy),
+        };
+        charge += gvt_charge;
+        self.counters.gvt_time += gvt_charge;
+        wait = wait.join(part);
+        if let WorkerGvtOutcome::Completed { gvt, .. } = outcome {
+            self.shared.gvt_core.mark_round_end(now + charge);
+            charge += self.fossil(gvt);
+            self.events_since_round = 0;
+            // Metrics cells refresh once per round (never on the event
+            // path): each worker snapshots its private counters here so
+            // the epoch assembler can merge them. Gated, so un-metered
+            // runs skip even these stores.
+            if self.shared.gvt_core.metrics_on() {
+                self.shared.stats.publish_worker_cell(self.widx, &self.counters);
             }
-            WorkerGvtOutcome::Blocked(c) => {
-                charge += c;
-                self.counters.gvt_time += c;
-                blocked = true;
-                if self.blocked_since.is_none() {
-                    self.blocked_since = Some(now);
-                }
+            if self.widx == 0 {
+                // One read of the worker LVTs feeds every round
+                // observer: the report's disparity/width/progress
+                // samples, the trace horizon records and the metrics
+                // epoch — after the round's fossil pass, before the
+                // termination check so the final round is included.
+                // Records only; charges no virtual time.
+                let core = &self.shared.gvt_core;
+                let stats = &self.shared.stats;
+                let snap = RoundSnapshot::new(
+                    core.published_round(),
+                    gvt,
+                    now + charge,
+                    stats.read_lvts(),
+                );
+                stats.record_round(&snap);
+                core.trace_round(&snap);
+                core.publish_epoch(&snap);
             }
-            WorkerGvtOutcome::Completed { gvt, cost } => {
-                charge += cost;
-                self.counters.gvt_time += cost;
-                self.shared.gvt_core.mark_round_end(now + charge);
-                charge += self.fossil(gvt);
-                self.events_since_round = 0;
-                did_work = true;
-                // Metrics cells refresh once per round (never on the event
-                // path): each worker snapshots its private counters here so
-                // the epoch assembler can merge them. Gated, so un-metered
-                // runs skip even these stores.
-                if self.shared.gvt_core.metrics_on() {
-                    self.shared.stats.publish_worker_cell(self.widx, &self.counters);
-                }
-                if self.widx == 0 {
-                    // One read of the worker LVTs feeds every round
-                    // observer: the report's disparity/width/progress
-                    // samples, the trace horizon records and the metrics
-                    // epoch — after the round's fossil pass, before the
-                    // termination check so the final round is included.
-                    // Records only; charges no virtual time.
-                    let core = &self.shared.gvt_core;
-                    let stats = &self.shared.stats;
-                    let snap = RoundSnapshot::new(
-                        core.published_round(),
-                        gvt,
-                        now + charge,
-                        stats.read_lvts(),
-                    );
-                    stats.record_round(&snap);
-                    core.trace_round(&snap);
-                    core.publish_epoch(&snap);
-                }
-                if gvt >= cfg.end_vt() {
-                    self.shared.gvt_core.signal_stop();
-                    self.finish();
-                    return StepResult::progress(charge);
-                }
+            if gvt >= cfg.end_vt() {
+                self.shared.gvt_core.signal_stop();
+                self.finish();
+                return StepResult::progress(charge);
             }
         }
 
-        // 4. Event processing.
-        let mut processed = false;
-        if !blocked {
-            let (c, p) = self.process_next(now + charge);
+        // 4. Event processing, unless the GVT half holds the worker.
+        let starved = !matches!(outcome, WorkerGvtOutcome::Blocked(_)) && {
+            let (c, processed) = self.process_next(now + charge);
             charge += c;
-            processed = p;
-            did_work |= p;
-        }
+            wait = wait.join(if processed { Wait::Busy } else { Wait::Idle });
+            !processed
+        };
 
         // Publish this worker's GVT contribution.
         self.shared.stats.worker_contrib[self.widx as usize]
@@ -616,44 +643,29 @@ impl<M: Model> Actor for Worker<M> {
 
         // Round initiation: on interval, or whenever progress is gated on
         // a new GVT (throttled or drained below the end time).
-        let requests_interval = self.events_since_round >= cfg.gvt_interval;
-        let mut requests_idle = false;
-        // Until when an idle worker holds back its request.
-        let mut backoff_until = None;
-        if requests_interval {
+        let mut poll = PurePoll {
+            throttled: starved && self.uncommitted >= cfg.max_outstanding,
+            requests_interval: self.events_since_round >= cfg.gvt_interval,
+            requests_idle: false,
+            gvt_time: gvt_charge,
+            backoff: None,
+        };
+        if poll.requests_interval {
             self.counters.requests_interval += 1;
             self.shared.gvt_core.request_round();
-        } else if !processed && !blocked && self.shared.gvt_core.published_gvt() < cfg.end_vt() {
+        } else if starved && self.shared.gvt_core.published_gvt() < cfg.end_vt() {
             // Globally paced: give busy workers a full quiet interval
             // after each completed round before idle workers may force
             // another one (prevents the end-of-run round convoy).
             let last_round = WallNs(self.shared.gvt_core.last_round_wall.load(Ordering::Relaxed));
             if now.saturating_sub(last_round) >= cfg.idle_request_backoff {
-                requests_idle = true;
+                poll.requests_idle = true;
                 self.counters.requests_idle += 1;
                 self.shared.gvt_core.request_round();
             } else {
-                backoff_until = Some(last_round + cfg.idle_request_backoff);
+                poll.backoff = Some(last_round + cfg.idle_request_backoff);
             }
         }
-
-        if did_work || blocked {
-            return StepResult::progress(charge.max(WallNs(1)));
-        }
-        let cost = charge + cfg.cost.idle_poll;
-        if !gvt_waiting || charge > WallNs::ZERO || self.mpi_duty.is_some() {
-            return StepResult::idle(cost);
-        }
-        // A pure idle poll: park until a message, a GVT notice, the end of
-        // the request backoff, or (while requesting) a new round end could
-        // change what the next poll does.
-        let head = self.nshared.lane_queues[self.lane.index()].head_deliver_at();
-        let until = backoff_until.into_iter().chain(head).min();
-        self.parked = Some(IdlePoll {
-            throttled: self.uncommitted >= cfg.max_outstanding,
-            requests_interval,
-            requests_idle,
-        });
-        StepResult::idle_parked(cost, Park { until, pace: requests_idle })
+        self.settle(wait, charge, poll)
     }
 }

@@ -11,10 +11,7 @@ use std::sync::Arc;
 
 fn oracle_run(model: MiniHold, cfg: SimConfig) -> RunReport {
     run_virtual(Arc::new(model), cfg, |shared| {
-        Box::new(OracleBundle {
-            shared: Arc::clone(&shared.gvt_core),
-            end_time: shared.cfg.end_vt(),
-        }) as Box<dyn GvtBundle>
+        Box::new(OracleBundle { shared: Arc::clone(&shared.gvt_core) }) as Box<dyn GvtBundle>
     })
 }
 

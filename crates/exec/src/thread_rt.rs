@@ -18,9 +18,9 @@ use crate::clock::RealClock;
 /// actors than cores) live.
 const IDLE_POLLS_BEFORE_YIELD: u32 = 64;
 /// After this many consecutive yields on top of the spin phase, an idle
-/// actor sleeps [`IDLE_SLEEP`] per poll. Long-idle actors (a worker blocked
-/// on a barrier straggler, a drained model) stop burning their core; any
-/// message delivery ends the nap at the next poll.
+/// actor sleeps [`IDLE_SLEEP`] per poll, so long-idle actors stop burning
+/// their core; any message delivery ends the nap at the next poll. A worker
+/// held at a GVT barrier reports progress and never backs off.
 const IDLE_YIELDS_BEFORE_SLEEP: u32 = 16;
 /// Sleep length of the deepest backoff stage.
 const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);

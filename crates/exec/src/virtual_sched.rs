@@ -51,16 +51,19 @@ impl std::fmt::Debug for VirtualConfig {
 }
 
 /// Outcome of a virtual run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct VirtualRunStats {
     /// Wall-clock instant at which the last actor finished — the simulated
     /// makespan of the run.
     pub final_time: WallNs,
-    /// Total actor steps executed (polls skipped for parked actors are not
-    /// steps; the actors credit them to their own counters).
+    /// Total actor steps executed.
     pub steps: u64,
     /// Executed steps that reported [`StepOutcome::Idle`].
     pub idle_steps: u64,
+    /// Polls skipped for parked actors (credited to their own counters),
+    /// and those of them repeating a [`StepOutcome::Progress`] step.
+    pub skipped_polls: u64,
+    pub skipped_progress: u64,
     /// False if the run was cut off by `horizon` or `max_steps`, or if
     /// every live actor was parked with nothing left to wake it (where the
     /// polling scheduler would have spun until a valve).
@@ -75,10 +78,10 @@ pub struct VirtualRunStats {
 ///
 /// ## Parking
 ///
-/// An idle step may ask to be parked ([`StepResult::park`]). The actor
+/// Any step may ask to be parked ([`StepResult::park`]). The actor
 /// then leaves the heap and its repeat polls are not executed. Its poll
 /// grid — the instants polling would have stepped it at, each advanced by
-/// `max(actor_cost(idle poll), MIN_ADVANCE)` — is walked lazily, one
+/// `max(actor_cost(repeated poll), MIN_ADVANCE)` — is walked lazily, one
 /// `actor_cost` call per skipped poll, when a wake arrives:
 ///
 /// * a [`notify_all`](wake::notify_all) (or, for actors parked with
@@ -106,8 +109,9 @@ pub struct VirtualScheduler {
 struct Parked {
     /// The next grid instant, the first poll not yet skipped.
     next: u64,
-    /// The repeated idle poll's reported cost.
+    /// The repeated poll's reported cost and outcome.
     cost: WallNs,
+    outcome: StepOutcome,
     park: Park,
     /// Distinguishes this parking from earlier ones in timer entries.
     gen: u32,
@@ -127,6 +131,8 @@ struct Parking {
     count: usize,
     pace: usize,
     gens: u32,
+    /// Polls skipped so far, repeating idle and progress steps.
+    skipped: [u64; 2],
     /// `(until, slot, gen)` of each timer set, earliest first; entries of
     /// woken or re-timed parkings are skipped when they surface.
     timers: BinaryHeap<Reverse<(u64, usize, u32)>>,
@@ -148,15 +154,16 @@ impl Parking {
             count: 0,
             pace: 0,
             gens: 0,
+            skipped: [0; 2],
             timers: BinaryHeap::new(),
         }
     }
 
     /// Park `slot`, whose next poll would be at `next`.
-    fn park(&mut self, slot: usize, next: u64, cost: WallNs, park: Park) {
+    fn park(&mut self, slot: usize, next: u64, cost: WallNs, outcome: StepOutcome, park: Park) {
         self.gens = self.gens.wrapping_add(1);
         let gen = self.gens;
-        self.slots[slot] = Some(Parked { next, cost, park, gen });
+        self.slots[slot] = Some(Parked { next, cost, outcome, park, gen });
         self.count += 1;
         self.pace += park.pace as usize;
         if let Some(until) = park.until {
@@ -190,6 +197,7 @@ impl Parking {
         }
         if skipped > 0 {
             self.board.credit(ActorId(id), skipped);
+            self.skipped[(p.outcome == StepOutcome::Progress) as usize] += skipped;
         }
         heap.push(Reverse((g, id, slot)));
     }
@@ -256,15 +264,12 @@ impl VirtualScheduler {
         let mut parking = Parking::new(actors.iter().map(|a| a.id().0).collect());
 
         let mut live = actors.len();
-        let mut steps = 0u64;
-        let mut idle_steps = 0u64;
-        let mut final_time = WallNs::ZERO;
-        let mut completed = true;
+        let mut run = VirtualRunStats { completed: true, ..Default::default() };
 
         while live > 0 {
             if let Some(max) = self.cfg.max_steps {
-                if steps >= max {
-                    completed = false;
+                if run.steps >= max {
+                    run.completed = false;
                     break;
                 }
             }
@@ -273,24 +278,24 @@ impl VirtualScheduler {
             }
             let Some(mut top) = heap.peek_mut() else {
                 // Every live actor is parked and nothing can wake one.
-                completed = false;
+                run.completed = false;
                 break;
             };
             let Reverse((clock, id, slot)) = *top;
             let now = WallNs(clock);
             if let Some(horizon) = self.cfg.horizon {
                 if now > horizon {
-                    completed = false;
+                    run.completed = false;
                     break;
                 }
             }
             let result = actors[slot].step(now);
-            steps += 1;
+            run.steps += 1;
             match result.outcome {
                 StepOutcome::Done => {
                     PeekMut::pop(top);
                     live -= 1;
-                    final_time = final_time.max(now);
+                    run.final_time = run.final_time.max(now);
                     if let Some(tr) = &self.cfg.trace {
                         if tr.enabled() {
                             tr.record(now, &TraceRecord::ActorDone { actor: id });
@@ -299,7 +304,7 @@ impl VirtualScheduler {
                 }
                 outcome => {
                     if outcome == StepOutcome::Idle {
-                        idle_steps += 1;
+                        run.idle_steps += 1;
                     }
                     let cost = match &self.cfg.faults {
                         Some(f) => f.actor_cost(ActorId(id), now, result.cost),
@@ -307,9 +312,9 @@ impl VirtualScheduler {
                     };
                     let next = clock + cost.max(MIN_ADVANCE).0;
                     match result.park {
-                        Some(park) if outcome == StepOutcome::Idle => {
+                        Some(park) => {
                             PeekMut::pop(top);
-                            parking.park(slot, next, result.cost, park);
+                            parking.park(slot, next, result.cost, outcome, park);
                         }
                         // Reposition in place: one sift-down on drop instead
                         // of a pop (sift-down) plus push (sift-up). When the
@@ -328,7 +333,8 @@ impl VirtualScheduler {
             parking.deliver(&self.cfg, &mut heap, (clock, id));
         }
 
-        VirtualRunStats { final_time, steps, idle_steps, completed }
+        let [idle, progress] = parking.skipped;
+        VirtualRunStats { skipped_polls: idle + progress, skipped_progress: progress, ..run }
     }
 }
 

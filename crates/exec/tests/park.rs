@@ -2,14 +2,16 @@
 //! every non-idle step at the same instant as the same consumer polling,
 //! whether a mailbox push, a broadcast, a pace notice or a timer wakes it,
 //! and whether the notifier's clock ties the consumer's with a lower or a
-//! higher actor id. Executed plus skipped polls equal the polling run's.
+//! higher actor id. The same holds for an actor that parks on progress
+//! steps (a worker held at a barrier). Executed plus skipped polls equal
+//! the polling run's, and the scheduler counts skipped polls by kind.
 
 use cagvt_base::actor::{Actor, StepResult};
 use cagvt_base::fault::FaultInjector;
 use cagvt_base::ids::ActorId;
 use cagvt_base::time::WallNs;
 use cagvt_base::wake::{self, Park};
-use cagvt_exec::{VirtualConfig, VirtualScheduler};
+use cagvt_exec::{VirtualConfig, VirtualRunStats, VirtualScheduler};
 use cagvt_net::Mailbox;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +76,7 @@ impl Actor for Consumer {
             }
             let head = s.mailbox.head_deliver_at();
             let until = [timer.map(WallNs), head].into_iter().flatten().min();
-            return StepResult::idle_parked(POLL, Park { until, pace: true });
+            return StepResult::idle(POLL).parked(Park { until, pace: true });
         }
         s.log.lock().push((CONSUMER.0, now.0));
         StepResult::progress(WallNs(300))
@@ -216,6 +218,92 @@ fn skipped_polls_walk_the_faulted_grid() {
     assert_eq!(parked.steps + parked.skipped, plain.steps);
 }
 
+/// Held (a progress poll) until the first broadcast, idle until the
+/// second, then done; asks to park every poll when `park` is set.
+struct Holder {
+    shared: Arc<Shared>,
+    park: bool,
+    seen_epoch: u64,
+}
+
+impl Actor for Holder {
+    fn id(&self) -> ActorId {
+        CONSUMER
+    }
+
+    fn step(&mut self, now: WallNs) -> StepResult {
+        let s = &self.shared;
+        s.skipped.fetch_add(wake::take_skipped(CONSUMER), Ordering::Relaxed);
+        let epoch = s.epoch.load(Ordering::Relaxed);
+        if epoch != self.seen_epoch {
+            self.seen_epoch = epoch;
+            s.log.lock().push((CONSUMER.0, now.0));
+        }
+        let poll = match epoch {
+            0 => StepResult::progress(POLL),
+            1 => StepResult::idle(POLL),
+            _ => return StepResult::done(),
+        };
+        if self.park {
+            poll.parked(Park::default())
+        } else {
+            poll
+        }
+    }
+}
+
+/// The holder released by actor 0 at 3 µs (it steps first at a tie) and
+/// by actor 2 at 7 µs (it steps after): its step log, the scheduler's
+/// stats, and the polls credited to it.
+fn run_holder(
+    park: bool,
+    faults: Option<Arc<dyn FaultInjector>>,
+) -> (Vec<(u32, u64)>, VirtualRunStats, u64) {
+    let shared = Arc::new(Shared::default());
+    let notifier = |id, at| Notifier {
+        id: ActorId(id),
+        shared: Arc::clone(&shared),
+        plan: vec![(at, Act::Broadcast)],
+    };
+    let actors: Vec<Box<dyn Actor>> = vec![
+        Box::new(notifier(0, 3_000)),
+        Box::new(Holder { shared: Arc::clone(&shared), park, seen_epoch: 0 }),
+        Box::new(notifier(2, 7_000)),
+    ];
+    let stats = VirtualScheduler::new(VirtualConfig { faults, ..Default::default() }).run(actors);
+    assert!(stats.completed);
+    let log = std::mem::take(&mut *shared.log.lock());
+    (log, stats, shared.skipped.load(Ordering::Relaxed))
+}
+
+#[test]
+fn parked_progress_steps_reenter_at_the_polling_instants() {
+    for faulted in [false, true] {
+        let [((plain_log, plain, _), plain_calls), ((log, parked, credited), calls)] =
+            [false, true].map(|park| {
+                let straggle = Arc::new(Straggle::default());
+                let faults = faulted.then(|| Arc::clone(&straggle) as Arc<dyn FaultInjector>);
+                let out = run_holder(park, faults);
+                (out, straggle.calls.each_ref().map(|c| c.load(Ordering::Relaxed)))
+            });
+        let holder: Vec<u64> =
+            log.iter().filter(|(id, _)| *id == CONSUMER.0).map(|&(_, t)| t).collect();
+        assert_eq!(holder == [3_000, 7_100], !faulted, "the straggle moves the grid");
+        assert_eq!(log, plain_log, "every step at the same (actor, instant)");
+        assert_eq!(calls, plain_calls, "one actor_cost call per step or skipped poll");
+        assert_eq!(plain.skipped_polls, 0);
+        assert!(parked.skipped_progress > 0 && parked.skipped_polls > parked.skipped_progress);
+        assert_eq!(credited, parked.skipped_polls, "every skipped poll is credited");
+        assert_eq!(parked.steps + parked.skipped_polls, plain.steps);
+        let skipped_idle = parked.skipped_polls - parked.skipped_progress;
+        assert_eq!(parked.idle_steps + skipped_idle, plain.idle_steps);
+        if !faulted {
+            // Held polls at 100..=2_900 and idle polls at 3_100..=7_000.
+            assert_eq!((parked.skipped_polls, parked.skipped_progress), (69, 29));
+        }
+    }
+}
+
 #[test]
 fn all_parked_with_nothing_to_wake_is_incomplete() {
     struct Sleeper;
@@ -224,7 +312,7 @@ fn all_parked_with_nothing_to_wake_is_incomplete() {
             ActorId(0)
         }
         fn step(&mut self, _now: WallNs) -> StepResult {
-            StepResult::idle_parked(POLL, Park::default())
+            StepResult::idle(POLL).parked(Park::default())
         }
     }
     let stats = VirtualScheduler::new(VirtualConfig::default()).run(vec![Box::new(Sleeper)]);

@@ -12,7 +12,7 @@
 //! into the barrier).
 
 use cagvt_base::ids::{LaneId, NodeId};
-use cagvt_base::time::VirtualTime;
+use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::{GvtPhaseKind, Track};
 use cagvt_core::gvt::{
     GvtBundle, GvtSharedCore, MpiGvt, WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome,
@@ -106,7 +106,7 @@ impl WorkerGvt for BarrierWorker {
                 self.arrive_sum();
             }
             State::WaitSum(gen) => match self.shared.reduce.poll(self.node, gen) {
-                None => return WorkerGvtOutcome::Blocked(cost.idle_poll),
+                None => return WorkerGvtOutcome::Blocked(WallNs::ZERO),
                 // All in-transit messages received: reduce LVTs.
                 Some(v) if v.sum == 0 => {
                     mark(&self.shared.core, ctx.now, track, round, GvtPhaseKind::SumPass);
@@ -119,7 +119,7 @@ impl WorkerGvt for BarrierWorker {
             },
             State::WaitMin(gen) => {
                 let Some(v) = self.shared.reduce.poll(self.node, gen) else {
-                    return WorkerGvtOutcome::Blocked(cost.idle_poll);
+                    return WorkerGvtOutcome::Blocked(WallNs::ZERO);
                 };
                 let gvt = VirtualTime::from_ordered_bits(v.min);
                 self.rounds_done = round;
@@ -140,13 +140,22 @@ impl WorkerGvt for BarrierWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cagvt_base::time::WallNs;
+    use crate::common::tests::{hold_until_notified, PhaseMarks};
+    use cagvt_base::trace::TraceSink;
     use cagvt_core::stats::SharedStats;
     use cagvt_core::WorkerGvtOutcome;
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, BarrierBundle) {
+        setup_traced(nodes, wpn, None)
+    }
+
+    fn setup_traced(
+        nodes: u16,
+        wpn: u16,
+        trace: Option<Arc<dyn TraceSink>>,
+    ) -> (Arc<GvtSharedCore>, BarrierBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, None, None));
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, trace, None));
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         let bundle = BarrierBundle::new(Arc::clone(&core), spec, CostModel::knl_cluster());
         (core, bundle)
@@ -162,6 +171,28 @@ mod tests {
         let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
         assert_eq!(w.step(&ctx(1.0, 0)), WorkerGvtOutcome::Waiting);
         assert_eq!(w.step(&ctx(1.0, 0)), WorkerGvtOutcome::Waiting);
+    }
+
+    /// Held at each reduction, a worker's repeated steps are pure held
+    /// polls until the MPI half publishes the result, which posts a wake
+    /// notice; the published result releases it.
+    #[test]
+    fn held_polls_are_pure_until_the_reduction_publishes() {
+        let marks = Arc::new(PhaseMarks::default());
+        let (core, bundle) = setup_traced(1, 1, Some(marks.clone()));
+        let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
+        let mut mpi = bundle.mpi_gvt(NodeId(0));
+        let arrival = CostModel::knl_cluster().node_barrier_arrival;
+        core.request_round();
+        assert_eq!(w.step(&ctx(5.0, 0)), WorkerGvtOutcome::Blocked(arrival));
+        assert!(hold_until_notified(&mut *w, &mut *mpi, &marks) > 1);
+        // Nothing in transit: the sum pass arrives at the min reduction.
+        let marked = marks.count();
+        assert_eq!(w.step(&ctx(5.0, 0)), WorkerGvtOutcome::Blocked(arrival));
+        assert_eq!(marks.count(), marked + 1, "sum pass");
+        assert!(hold_until_notified(&mut *w, &mut *mpi, &marks) > 1);
+        let done = w.step(&ctx(5.0, 0));
+        assert!(matches!(done, WorkerGvtOutcome::Completed { .. }), "{done:?}");
     }
 
     #[test]

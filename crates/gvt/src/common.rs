@@ -185,8 +185,55 @@ pub fn try_join_round(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use cagvt_base::time::VirtualTime;
+    use cagvt_base::trace::TraceSink;
+    use cagvt_core::gvt::{WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome};
+
+    /// Counts the GVT phase marks recorded through it.
+    #[derive(Default)]
+    pub(crate) struct PhaseMarks(pub(crate) AtomicU64);
+
+    impl PhaseMarks {
+        pub(crate) fn count(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    impl TraceSink for PhaseMarks {
+        fn record(&self, _t: WallNs, rec: &TraceRecord) {
+            if let TraceRecord::GvtRound { .. } = rec {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Step a worker held at a barrier, then the MPI half that releases
+    /// it, with a wake board installed, until the MPI half posts a notice.
+    /// Every worker step until then must be a pure held poll: zero charge
+    /// and no phase mark. Returns the number of held polls.
+    pub(crate) fn hold_until_notified(
+        w: &mut dyn WorkerGvt,
+        mpi: &mut dyn MpiGvt,
+        marks: &PhaseMarks,
+    ) -> u64 {
+        let board = wake::install(1);
+        let mut notices = wake::Notices::default();
+        let before = marks.count();
+        for poll in 1..1_000 {
+            let now = WallNs(poll * 1_000);
+            let ctx = WorkerGvtCtx { now, lvt: VirtualTime::new(5.0), worker_index: 0 };
+            assert_eq!(w.step(&ctx), WorkerGvtOutcome::Blocked(WallNs::ZERO));
+            assert_eq!(marks.count(), before, "a held poll marks no phase");
+            mpi.step(now);
+            if board.drain(&mut notices) {
+                assert!(notices.all, "the publication wakes every parked worker");
+                return poll;
+            }
+        }
+        panic!("the MPI half never released the worker");
+    }
 
     /// Drive a full generation by hand: 2 nodes x 2 workers.
     #[test]

@@ -390,7 +390,7 @@ impl WorkerGvt for MatternWorker {
                     mark(&shared.core, ctx.now, track, r, GvtPhaseKind::BarrierExit);
                     self.apply(ctx, r, then, WorkerGvtOutcome::Blocked)
                 }
-                None => WorkerGvtOutcome::Blocked(shared.cost.idle_poll),
+                None => WorkerGvtOutcome::Blocked(WallNs::ZERO),
             },
         }
     }
@@ -588,21 +588,24 @@ impl MpiGvt for MatternMpi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::{hold_until_notified, PhaseMarks};
+    use cagvt_base::trace::TraceSink;
     use cagvt_core::stats::SharedStats;
     use cagvt_core::WorkerGvtOutcome;
     use cagvt_net::fabric_pair;
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, MatternBundle) {
-        setup_ca(nodes, wpn, None)
+        setup_ca(nodes, wpn, None, None)
     }
 
     fn setup_ca(
         nodes: u16,
         wpn: u16,
         ca: Option<(f64, Option<u64>)>,
+        trace: Option<Arc<dyn TraceSink>>,
     ) -> (Arc<GvtSharedCore>, MatternBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, None, None));
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, trace, None));
         let (_fabric, ctrl) = fabric_pair::<()>(nodes, None, None);
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         let bundle =
@@ -731,12 +734,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold is a ratio")]
     fn threshold_must_be_a_ratio() {
-        let _ = setup_ca(1, 1, Some((1.5, None)));
+        let _ = setup_ca(1, 1, Some((1.5, None)), None);
     }
 
     #[test]
     fn queue_threshold_variant_constructs() {
-        let (_core, b) = setup_ca(2, 2, Some((0.8, Some(100))));
+        let (_core, b) = setup_ca(2, 2, Some((0.8, Some(100))), None);
         assert_eq!(b.name(), "ca-gvt");
         // Both halves construct for every node/lane.
         let _w = b.worker_gvt(NodeId(1), LaneId(1), 3);
@@ -757,7 +760,7 @@ mod tests {
     #[test]
     fn threshold_decides_the_next_round_mode() {
         for (threshold, sync_next) in [(0.6, false), (0.8, true)] {
-            let (core, bundle) = setup_ca(1, 1, Some((threshold, None)));
+            let (core, bundle) = setup_ca(1, 1, Some((threshold, None)), None);
             let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
             let mut mpi = bundle.mpi_gvt(NodeId(0));
             core.stats.committed.store(70, Ordering::Relaxed);
@@ -782,7 +785,7 @@ mod tests {
     /// transition, check-in, completion) and never reports work.
     #[test]
     fn sync_round_passes_three_barriers() {
-        let (core, bundle) = setup_ca(1, 2, Some((0.8, None)));
+        let (core, bundle) = setup_ca(1, 2, Some((0.8, None)), None);
         bundle.shared.ca.as_ref().unwrap().sync_flag.store(true, Ordering::Release);
         let mut ws = [
             bundle.worker_gvt(NodeId(0), LaneId(0), 0),
@@ -814,5 +817,24 @@ mod tests {
         assert_eq!(entries, [3, 3], "one barrier per synchronized transition");
         assert_eq!(done, [Some(VirtualTime::new(5.0)); 2]);
         assert_eq!(core.published_round(), 1);
+    }
+
+    /// Held at a synchronous round's barrier, a CA-GVT worker's repeated
+    /// steps are pure held polls until the MPI half publishes the barrier,
+    /// which posts a wake notice; the worker then leaves the barrier.
+    #[test]
+    fn held_polls_are_pure_until_the_barrier_publishes() {
+        let marks = Arc::new(PhaseMarks::default());
+        let (core, bundle) = setup_ca(1, 1, Some((0.8, None)), Some(marks.clone()));
+        bundle.shared.ca.as_ref().unwrap().sync_flag.store(true, Ordering::Release);
+        let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
+        let mut mpi = bundle.mpi_gvt(NodeId(0));
+        let cost = CostModel::knl_cluster();
+        core.request_round();
+        assert_eq!(w.step(&ctx(0, 5.0)), WorkerGvtOutcome::Blocked(cost.node_barrier_arrival));
+        assert!(hold_until_notified(&mut *w, &mut *mpi, &marks) > 1);
+        let marked = marks.count();
+        assert_eq!(w.step(&ctx(0, 5.0)), WorkerGvtOutcome::Blocked(cost.gvt_bookkeeping));
+        assert_eq!(marks.count(), marked + 2, "barrier exit, then the red transition");
     }
 }

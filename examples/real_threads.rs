@@ -40,8 +40,8 @@ fn main() {
         VirtualRunStats {
             final_time: stats.elapsed,
             steps: stats.steps,
-            idle_steps: 0,
             completed: stats.completed,
+            ..Default::default()
         },
     );
     println!("{report}");

@@ -148,8 +148,8 @@ fn thread_runtime_matches_sequential() {
         VirtualRunStats {
             final_time: stats.elapsed,
             steps: stats.steps,
-            idle_steps: 0,
             completed: stats.completed,
+            ..Default::default()
         },
     );
     let seq = SequentialSim::new(model, cfg).run();

@@ -1,10 +1,12 @@
 //! Park-and-wake scheduling must not move a single counter. Every
-//! `GvtKind` × `MpiMode` at bench scale, throttle-bound and short-backoff
-//! variants and two runs under a straggle-and-stall fault plan reproduce
-//! the values the polling scheduler produced (the table below). Each idle
-//! poll the scheduler skipped for a parked worker counts once in
-//! `sched_skipped_polls`, so executed plus skipped steps equal the polling
-//! scheduler's step count.
+//! `GvtKind` × `MpiMode` at bench scale, throttle-bound, short-backoff and
+//! short-interval variants and two runs under a straggle-and-stall fault
+//! plan reproduce the values the polling scheduler produced (the table
+//! below). Each poll the scheduler skipped for a parked worker counts once
+//! in `sched_skipped_polls`, so executed plus skipped steps equal the
+//! polling scheduler's step count. Skipped held polls (a worker held at a
+//! GVT barrier) are progress steps, so only the other skipped polls add to
+//! the polling scheduler's idle steps.
 
 use cagvt::prelude::*;
 use cagvt_base::NodeId;
@@ -41,6 +43,9 @@ enum Variant {
     /// raise requests while other workers are still ending the previous
     /// round (the `last_round_wall` pace wake).
     Paced,
+    /// COMM-PHOLD with a GVT interval of 5 instead of 25, so Barrier runs
+    /// many more rounds and its workers are often held.
+    Interval5,
 }
 
 const CAQ: GvtKind = GvtKind::CaGvtQueue { threshold: 0.93, queue_threshold: 50 };
@@ -72,6 +77,8 @@ const PINNED: &[(GvtKind, MpiMode, Variant, Pinned)] = &[
     (CA_HARNESS, MpiMode::Dedicated, Variant::Faulted, pin(136331, 124401, 0, 10326, 16760, 1668700, 2701, FP_COMM, 45539, 433)),
     (GvtKind::Mattern, MpiMode::Dedicated, Variant::Paced, pin(66876, 63325, 0, 7946, 47998, 982150, 2701, FP_COMM, 0, 0)),
     (GvtKind::Samadi, MpiMode::Dedicated, Variant::Paced, pin(26876, 22856, 0, 105, 15023, 847650, 2701, FP_COMM, 0, 0)),
+    (GvtKind::Barrier, MpiMode::Dedicated, Variant::Interval5, pin(343259, 98004, 0, 8134, 1, 2732150, 2701, FP_COMM, 0, 0)),
+    (CA_HARNESS, MpiMode::InlineWorker, Variant::Throttled, pin(302670, 291806, 188823, 42778, 40389, 2838190, 2716, FP_MIXED, 0, 0)),
 ];
 
 #[allow(clippy::too_many_arguments)]
@@ -141,6 +148,10 @@ fn run(kind: GvtKind, mode: MpiMode, variant: Variant) -> RunReport {
             cfg.idle_request_backoff = WallNs(300);
             run_one_observed(kind, &comm_dominated(&cfg), cfg, None, None, None)
         }
+        Variant::Interval5 => {
+            let cfg = base_config(2, mode, 5, &Scale::bench());
+            run_one_observed(kind, &comm_dominated(&cfg), cfg, None, None, None)
+        }
     }
 }
 
@@ -148,10 +159,10 @@ fn run(kind: GvtKind, mode: MpiMode, variant: Variant) -> RunReport {
 fn parked_runs_reproduce_the_polling_scheduler() {
     for &(kind, mode, variant, want) in PINNED {
         let r = run(kind, mode, variant);
-        let skipped = r.sched_skipped_polls;
+        let (skipped, held) = (r.sched_skipped_polls, r.sched_skipped_held);
         let got = Pinned {
             sched_steps: r.sched_steps + skipped,
-            sched_idle_steps: r.sched_idle_steps + skipped,
+            sched_idle_steps: r.sched_idle_steps + skipped - held,
             throttled_steps: r.throttled_steps,
             requests_interval: r.requests_interval,
             requests_idle: r.requests_idle,
@@ -163,10 +174,15 @@ fn parked_runs_reproduce_the_polling_scheduler() {
         };
         assert_eq!(got, want, "{kind:?} {mode:?} {variant:?} ({skipped} polls skipped)");
         // Workers with a dedicated MPI thread wait on notified state under
-        // every algorithm but Barrier, whose idle workers are mostly
-        // barrier-blocked and keep polling.
-        if mode == MpiMode::Dedicated && kind != GvtKind::Barrier {
-            assert!(skipped > 0, "{kind:?} {variant:?}: idle workers must park");
+        // every algorithm, and are held at barriers under Barrier and
+        // CA-GVT; both kinds of poll park.
+        if mode == MpiMode::Dedicated {
+            assert!(skipped > held, "{kind:?} {variant:?}: idle workers must park");
+            let holds = matches!(
+                kind,
+                GvtKind::Barrier | GvtKind::CaGvt { .. } | GvtKind::CaGvtQueue { .. }
+            );
+            assert!(!holds || held > 0, "{kind:?} {variant:?}: held workers must park");
         }
     }
 }
