@@ -1,23 +1,27 @@
 //! Benchmark harness: every experiment of the paper's evaluation section
-//! as a callable function.
+//! as data.
 //!
-//! Each `figN` function regenerates the series of the corresponding paper
-//! figure (committed event rate vs node count); the `stats`, `epg_sweep`,
-//! `ca_trace` and sweep functions cover the in-text tables and the
-//! ablations listed in DESIGN.md. The `figures` binary formats these as
-//! CSV; `hostbench/` (a separate package) times the host cost of such runs
-//! layer by layer.
+//! A figure is a grid of runs over algorithm x MPI mode x workload x node
+//! count. Each run is a [`Cell`]: its row labels plus everything the run
+//! depends on, so a run's workload and topology are readable without
+//! running it. Each `figN` function returns the cell table of the
+//! corresponding paper figure (committed event rate vs node count); the
+//! `stats_table`, `epg_sweep` and sweep functions cover the in-text tables
+//! and the ablations listed in DESIGN.md. [`grid`] runs every pure grid;
+//! [`MODES`] is the one list of experiments the `figures` binary runs and
+//! formats as CSV. `hostbench/` (a separate package) times the host cost
+//! of such runs layer by layer.
 //!
-//! Scale: [`Scale::paper`] is the paper's geometry (60 workers and 128 LPs
-//! per worker per node); [`Scale::default`] keeps the 60-workers-per-MPI
-//! -thread ratio that drives the saturation effects but trims LP count and
-//! horizon so a full figure regenerates in seconds under the virtual
-//! scheduler.
+//! Scale: [`Scale::default`] and [`Scale::paper`] share the paper's
+//! geometry (60 workers and 128 LPs per worker per node); `paper`
+//! lengthens the horizon from 12 to 60 virtual time units. [`Scale::bench`]
+//! shrinks the geometry and horizon for smoke tests, the golden test and
+//! the benchmarks.
 
 pub mod runner;
 pub mod summary;
 
-pub use runner::{execute, execute_with, sweep_threads, RunSpec, THREADS_ENV};
+pub use runner::{grid, grid_with, sweep_threads, THREADS_ENV};
 
 use cagvt_base::metrics::{EpochMode, MetricsEpoch, MetricsSink};
 use cagvt_base::{FaultInjector, NodeId, TraceSink, WallNs};
@@ -27,10 +31,12 @@ use cagvt_exec::VirtualConfig;
 use cagvt_fault::{FaultPlan, FaultRuntime, FaultSpec, FaultTopology, Perturbation};
 use cagvt_gvt::{make_bundle, GvtKind};
 use cagvt_metrics::{HealthMonitor, MetricsRegistry};
-use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams};
-use cagvt_models::presets::{comm_dominated, comp_dominated, mixed_model, Workload};
+use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
+use cagvt_models::presets::{comm_dominated, comp_dominated, mixed_model, Workload, COMP_PARAMS};
 use cagvt_net::MpiMode;
 use cagvt_trace::{chrome_trace, csv_trace, HorizonStats, TraceMeta, TraceRecorder};
+use runner::{par_map, Task};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Run geometry knobs.
@@ -174,96 +180,165 @@ impl Row {
     }
 }
 
-type WorkloadFn = fn(&SimConfig) -> Workload;
+/// The workload of a run cell.
+#[derive(Clone, Copy, Debug)]
+pub enum Load {
+    /// The paper's computation-dominated PHOLD ([`comp_dominated`]).
+    Comp,
+    /// The paper's communication-dominated PHOLD ([`comm_dominated`]).
+    Comm,
+    /// The mixed `X-Y` model ([`mixed_model`]).
+    Mixed(f64, f64),
+    /// COMP's message mix at the given event-processing granularity.
+    Epg(u64),
+}
 
-fn sweep(
-    figure: &'static str,
-    make_workload: WorkloadFn,
-    combos: &[(GvtKind, MpiMode, &str)],
-    gvt_interval: u64,
-    scale: &Scale,
-) -> Vec<Row> {
-    let mut specs = Vec::new();
-    for &(kind, mode, series) in combos {
-        for &nodes in &NODE_COUNTS {
-            let scale = *scale;
-            specs.push(RunSpec::new(figure, series.to_string(), nodes, move || {
-                let cfg = base_config(nodes, mode, gvt_interval, &scale);
-                run_one(kind, &make_workload(&cfg), cfg)
-            }));
+impl Load {
+    /// The workload on `cfg`'s topology.
+    pub fn workload(self, cfg: &SimConfig) -> Workload {
+        match self {
+            Load::Comp => comp_dominated(cfg),
+            Load::Comm => comm_dominated(cfg),
+            Load::Mixed(x, y) => mixed_model(cfg, x, y),
+            Load::Epg(epg) => Workload {
+                name: format!("epg-{epg}"),
+                model: PholdModel::new(
+                    Topology {
+                        lps_per_worker: cfg.lps_per_worker,
+                        workers_per_node: cfg.spec.workers_per_node,
+                        nodes: cfg.spec.nodes,
+                    },
+                    PhaseSchedule::constant(PholdParams { epg, ..COMP_PARAMS }),
+                ),
+                gvt_interval: 25,
+            },
         }
     }
-    runner::execute(specs)
 }
 
-/// Figures 3-4 run the inline-MPI baseline, whose pathology (the paper's
-/// point) inflates simulated *and* host time; a shorter horizon shows the
-/// same steady-state ratios at tolerable cost.
-fn dedicated_scale(scale: &Scale) -> Scale {
-    Scale { end_time: scale.end_time.min(5.0), ..*scale }
+/// The largest node count of [`NODE_COUNTS`]: where the in-text tables and
+/// single-run ablations measure.
+pub const MAX_NODES: u16 = NODE_COUNTS[NODE_COUNTS.len() - 1];
+
+/// One run of a figure's grid: the row labels (`series`, `nodes`) plus
+/// everything the run depends on. [`Cell::config`] and [`Load::workload`]
+/// give its topology and workload without running it.
+#[derive(Clone)]
+pub struct Cell {
+    pub series: String,
+    pub nodes: u16,
+    pub kind: GvtKind,
+    pub mode: MpiMode,
+    pub interval: u64,
+    pub load: Load,
+    pub scale: Scale,
+    pub faults: Option<Arc<dyn FaultInjector>>,
 }
 
-/// Figure 3: dedicated vs inline MPI thread, computation-dominated.
-pub fn fig3(scale: &Scale) -> Vec<Row> {
-    let scale = dedicated_scale(scale);
-    sweep(
-        "fig3",
-        comp_dominated,
-        &[
-            (GvtKind::Mattern, MpiMode::Dedicated, "mattern-dedicated"),
-            (GvtKind::Mattern, MpiMode::InlineWorker, "mattern-inline"),
-            (GvtKind::Barrier, MpiMode::Dedicated, "barrier-dedicated"),
-            (GvtKind::Barrier, MpiMode::InlineWorker, "barrier-inline"),
-        ],
-        50,
-        &scale,
-    )
+impl Cell {
+    /// `kind` on `load` at [`MAX_NODES`] with a dedicated MPI thread, GVT
+    /// interval 25 and no faults; cell tables change the rest by struct
+    /// update.
+    pub fn new(series: impl Into<String>, kind: GvtKind, load: Load, scale: &Scale) -> Self {
+        Cell {
+            series: series.into(),
+            nodes: MAX_NODES,
+            kind,
+            mode: MpiMode::Dedicated,
+            interval: 25,
+            load,
+            scale: *scale,
+            faults: None,
+        }
+    }
+
+    /// The run's configuration.
+    pub fn config(&self) -> SimConfig {
+        base_config(self.nodes, self.mode, self.interval, &self.scale)
+    }
+
+    /// Run the cell through [`run_one_observed`] with its fault injector
+    /// and the given observers.
+    pub fn run(
+        &self,
+        trace: Option<Arc<dyn TraceSink>>,
+        metrics: Option<Arc<dyn MetricsSink>>,
+    ) -> RunReport {
+        let cfg = self.config();
+        let workload = self.load.workload(&cfg);
+        run_one_observed(self.kind, &workload, cfg, self.faults.clone(), trace, metrics)
+    }
+
+    /// The row of `figure` that reports this cell's run.
+    pub fn row(self, figure: &'static str, report: RunReport) -> Row {
+        Row { figure, series: self.series, nodes: self.nodes, report }
+    }
 }
 
-/// Figure 4: dedicated vs inline MPI thread, communication-dominated.
-pub fn fig4(scale: &Scale) -> Vec<Row> {
-    let scale = dedicated_scale(scale);
-    sweep(
-        "fig4",
-        comm_dominated,
-        &[
-            (GvtKind::Mattern, MpiMode::Dedicated, "mattern-dedicated"),
-            (GvtKind::Mattern, MpiMode::InlineWorker, "mattern-inline"),
-            (GvtKind::Barrier, MpiMode::Dedicated, "barrier-dedicated"),
-            (GvtKind::Barrier, MpiMode::InlineWorker, "barrier-inline"),
-        ],
-        50,
-        &scale,
-    )
+/// Each of `cells` at every node count of [`NODE_COUNTS`], series-major.
+fn every_node_count(cells: Vec<Cell>) -> Vec<Cell> {
+    cells.iter().flat_map(|cell| NODE_COUNTS.map(|nodes| Cell { nodes, ..cell.clone() })).collect()
 }
 
-/// Figure 5: Mattern vs Barrier, computation-dominated.
-pub fn fig5(scale: &Scale) -> Vec<Row> {
-    sweep(
-        "fig5",
-        comp_dominated,
-        &[
-            (GvtKind::Mattern, MpiMode::Dedicated, "mattern"),
-            (GvtKind::Barrier, MpiMode::Dedicated, "barrier"),
-        ],
-        25,
-        scale,
-    )
+/// One cell per `(series, algorithm)` on `load`.
+fn algorithms(series: &[(&str, GvtKind)], load: Load, scale: &Scale) -> Vec<Cell> {
+    series.iter().map(|&(name, kind)| Cell::new(name, kind, load, scale)).collect()
 }
 
-/// Figure 6: Mattern vs Barrier, communication-dominated.
-pub fn fig6(scale: &Scale) -> Vec<Row> {
-    sweep(
-        "fig6",
-        comm_dominated,
-        &[
-            (GvtKind::Mattern, MpiMode::Dedicated, "mattern"),
-            (GvtKind::Barrier, MpiMode::Dedicated, "barrier"),
-        ],
-        25,
-        scale,
-    )
+/// How a mode produces its rows.
+#[derive(Clone, Copy)]
+pub enum Run {
+    /// A pure grid experiment: its cell table, run by [`grid`] under the
+    /// mode's name.
+    Grid(fn(&Scale) -> Vec<Cell>),
+    /// An experiment that anchors on a first run, reports per run or
+    /// writes artifacts to the output directory.
+    Driver(fn(&Scale, Option<&Path>) -> Vec<Row>),
 }
+
+/// One experiment mode of the `figures` binary.
+pub struct Mode {
+    pub name: &'static str,
+    /// Included in the default run and in `all` (ablations stay opt-in).
+    pub core: bool,
+    pub run: Run,
+}
+
+impl Mode {
+    /// The mode's rows at `scale`; drivers write their artifacts to
+    /// `out_dir` when given.
+    pub fn run(&self, scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
+        match self.run {
+            Run::Grid(cells) => grid(self.name, cells(scale)),
+            Run::Driver(driver) => driver(scale, out_dir),
+        }
+    }
+}
+
+/// Every experiment the harness knows, in the order `all` runs and the
+/// usage message lists them.
+pub const MODES: &[Mode] = &[
+    Mode { name: "fig3", core: true, run: Run::Grid(fig3) },
+    Mode { name: "fig4", core: true, run: Run::Grid(fig4) },
+    Mode { name: "fig5", core: true, run: Run::Grid(fig5) },
+    Mode { name: "fig6", core: true, run: Run::Grid(fig6) },
+    Mode { name: "fig8", core: true, run: Run::Grid(fig8) },
+    Mode { name: "fig9", core: true, run: Run::Grid(fig9) },
+    Mode { name: "fig10", core: true, run: Run::Grid(fig10) },
+    Mode { name: "fig11", core: true, run: Run::Grid(fig11) },
+    Mode { name: "fig12", core: true, run: Run::Grid(fig12) },
+    Mode { name: "stats", core: true, run: Run::Grid(stats_table) },
+    Mode { name: "epg-sweep", core: true, run: Run::Grid(epg_sweep) },
+    Mode { name: "ca-trace", core: true, run: Run::Driver(ca_trace) },
+    Mode { name: "threshold-sweep", core: false, run: Run::Grid(threshold_sweep) },
+    Mode { name: "ca-queue", core: false, run: Run::Grid(ca_queue) },
+    Mode { name: "samadi", core: false, run: Run::Grid(samadi) },
+    Mode { name: "interval-sweep", core: false, run: Run::Grid(interval_sweep) },
+    Mode { name: "mpi-modes", core: false, run: Run::Grid(mpi_modes) },
+    Mode { name: "faults", core: false, run: Run::Driver(fault_sweep) },
+    Mode { name: "trace", core: false, run: Run::Driver(trace_experiment) },
+    Mode { name: "health", core: false, run: Run::Driver(health_experiment) },
+];
 
 /// CA-GVT threshold used by the harness: the paper's 0.80 is tuned to
 /// their efficiency distribution (COMP ~93%, COMM ~36%); this substrate's
@@ -272,175 +347,190 @@ pub fn fig6(scale: &Scale) -> Vec<Row> {
 /// shows the sensitivity.
 pub const CA_HARNESS: GvtKind = GvtKind::CaGvt { threshold: 0.93 };
 
-const THREE_ALGORITHMS: [(GvtKind, MpiMode, &str); 3] = [
-    (GvtKind::Mattern, MpiMode::Dedicated, "mattern"),
-    (GvtKind::Barrier, MpiMode::Dedicated, "barrier"),
-    (CA_HARNESS, MpiMode::Dedicated, "ca-gvt"),
-];
+const MATTERN_BARRIER: [(&str, GvtKind); 2] =
+    [("mattern", GvtKind::Mattern), ("barrier", GvtKind::Barrier)];
+
+const THREE_ALGORITHMS: [(&str, GvtKind); 3] =
+    [("mattern", GvtKind::Mattern), ("barrier", GvtKind::Barrier), ("ca-gvt", CA_HARNESS)];
+
+/// The two paper workloads, with the series prefix of the tables that
+/// run both.
+const WORKLOADS: [(&str, Load); 2] = [("comp", Load::Comp), ("comm", Load::Comm)];
+
+/// Figures 3-4: Mattern and Barrier with a dedicated vs an inline MPI
+/// thread, GVT interval 50. The inline baseline's pathology (the paper's
+/// point) inflates simulated *and* host time; a horizon of at most 5 shows
+/// the same steady-state ratios at tolerable cost.
+fn dedicated_vs_inline(load: Load, scale: &Scale) -> Vec<Cell> {
+    let scale = Scale { end_time: scale.end_time.min(5.0), ..*scale };
+    let mut cells = Vec::new();
+    for (name, kind) in MATTERN_BARRIER {
+        for mode in [MpiMode::Dedicated, MpiMode::InlineWorker] {
+            let series = format!("{name}-{}", mode.label());
+            cells.push(Cell { mode, interval: 50, ..Cell::new(series, kind, load, &scale) });
+        }
+    }
+    every_node_count(cells)
+}
+
+/// Figure 3: dedicated vs inline MPI thread, computation-dominated.
+pub fn fig3(scale: &Scale) -> Vec<Cell> {
+    dedicated_vs_inline(Load::Comp, scale)
+}
+
+/// Figure 4: dedicated vs inline MPI thread, communication-dominated.
+pub fn fig4(scale: &Scale) -> Vec<Cell> {
+    dedicated_vs_inline(Load::Comm, scale)
+}
+
+/// Figure 5: Mattern vs Barrier, computation-dominated.
+pub fn fig5(scale: &Scale) -> Vec<Cell> {
+    every_node_count(algorithms(&MATTERN_BARRIER, Load::Comp, scale))
+}
+
+/// Figure 6: Mattern vs Barrier, communication-dominated.
+pub fn fig6(scale: &Scale) -> Vec<Cell> {
+    every_node_count(algorithms(&MATTERN_BARRIER, Load::Comm, scale))
+}
 
 /// Figure 8: all three algorithms, computation-dominated.
-pub fn fig8(scale: &Scale) -> Vec<Row> {
-    sweep("fig8", comp_dominated, &THREE_ALGORITHMS, 25, scale)
+pub fn fig8(scale: &Scale) -> Vec<Cell> {
+    every_node_count(algorithms(&THREE_ALGORITHMS, Load::Comp, scale))
 }
 
 /// Figure 9: all three algorithms, communication-dominated.
-pub fn fig9(scale: &Scale) -> Vec<Row> {
-    sweep("fig9", comm_dominated, &THREE_ALGORITHMS, 25, scale)
-}
-
-fn fig_mixed(figure: &'static str, x: f64, y: f64, scale: &Scale) -> Vec<Row> {
-    let mut specs = Vec::new();
-    for &(kind, mode, series) in &THREE_ALGORITHMS {
-        for &nodes in &NODE_COUNTS {
-            let scale = *scale;
-            specs.push(RunSpec::new(figure, series.to_string(), nodes, move || {
-                let cfg = base_config(nodes, mode, 25, &scale);
-                run_one(kind, &mixed_model(&cfg, x, y), cfg)
-            }));
-        }
-    }
-    runner::execute(specs)
+pub fn fig9(scale: &Scale) -> Vec<Cell> {
+    every_node_count(algorithms(&THREE_ALGORITHMS, Load::Comm, scale))
 }
 
 /// Figure 10: 10-15 mixed model.
-pub fn fig10(scale: &Scale) -> Vec<Row> {
-    fig_mixed("fig10", 10.0, 15.0, scale)
+pub fn fig10(scale: &Scale) -> Vec<Cell> {
+    every_node_count(algorithms(&THREE_ALGORITHMS, Load::Mixed(10.0, 15.0), scale))
 }
 
 /// Figure 11: 15-10 mixed model.
-pub fn fig11(scale: &Scale) -> Vec<Row> {
-    fig_mixed("fig11", 15.0, 10.0, scale)
+pub fn fig11(scale: &Scale) -> Vec<Cell> {
+    every_node_count(algorithms(&THREE_ALGORITHMS, Load::Mixed(15.0, 10.0), scale))
 }
 
 /// Figure 12: 5-5 mixed model.
-pub fn fig12(scale: &Scale) -> Vec<Row> {
-    fig_mixed("fig12", 5.0, 5.0, scale)
+pub fn fig12(scale: &Scale) -> Vec<Cell> {
+    every_node_count(algorithms(&THREE_ALGORITHMS, Load::Mixed(5.0, 5.0), scale))
 }
 
 /// In-text stats table (§4): per algorithm and workload at the maximum
 /// node count: efficiency, rollbacks, disparity, GVT-function time.
-pub fn stats_table(scale: &Scale) -> Vec<Row> {
-    let mut specs = Vec::new();
-    for (make, wname) in [(comp_dominated as WorkloadFn, "comp"), (comm_dominated, "comm")] {
-        for &(kind, mode, series) in &THREE_ALGORITHMS {
-            let nodes = *NODE_COUNTS.last().expect("non-empty");
-            let scale = *scale;
-            specs.push(RunSpec::new("stats", format!("{wname}-{series}"), nodes, move || {
-                let cfg = base_config(nodes, mode, 25, &scale);
-                run_one(kind, &make(&cfg), cfg)
-            }));
+pub fn stats_table(scale: &Scale) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for (workload, load) in WORKLOADS {
+        for (name, kind) in THREE_ALGORITHMS {
+            cells.push(Cell::new(format!("{workload}-{name}"), kind, load, scale));
         }
     }
-    runner::execute(specs)
+    cells
 }
 
 /// EPG sweep (§4 text): time spent in the Barrier GVT function as EPG
 /// grows from 10K to 40K.
-pub fn epg_sweep(scale: &Scale) -> Vec<Row> {
-    let mut specs = Vec::new();
-    for epg in [10_000u64, 20_000, 30_000, 40_000] {
-        let nodes = *NODE_COUNTS.last().expect("non-empty");
-        let scale = *scale;
-        specs.push(RunSpec::new("epg-sweep", format!("epg-{epg}"), nodes, move || {
-            let cfg = base_config(nodes, MpiMode::Dedicated, 25, &scale);
-            let params = PholdParams::new(0.10, 0.01, epg);
-            let workload = Workload {
-                name: format!("epg-{epg}"),
-                model: PholdModel::new(
-                    cagvt_models::phold::Topology {
-                        lps_per_worker: cfg.lps_per_worker,
-                        workers_per_node: cfg.spec.workers_per_node,
-                        nodes: cfg.spec.nodes,
-                    },
-                    PhaseSchedule::constant(params),
-                ),
-                gvt_interval: 25,
-            };
-            run_one(GvtKind::Barrier, &workload, cfg)
-        }));
-    }
-    runner::execute(specs)
+pub fn epg_sweep(scale: &Scale) -> Vec<Cell> {
+    [10_000u64, 20_000, 30_000, 40_000]
+        .map(|epg| Cell::new(format!("epg-{epg}"), GvtKind::Barrier, Load::Epg(epg), scale))
+        .into()
 }
 
 /// CA-GVT threshold ablation on the 10-15 mixed model.
-pub fn threshold_sweep(scale: &Scale) -> Vec<Row> {
-    let mut specs = Vec::new();
-    for threshold in [0.50, 0.60, 0.70, 0.80, 0.90, 0.95] {
-        let nodes = *NODE_COUNTS.last().expect("non-empty");
-        let scale = *scale;
-        specs.push(RunSpec::new(
-            "threshold-sweep",
-            format!("thr-{threshold:.2}"),
-            nodes,
-            move || {
-                let cfg = base_config(nodes, MpiMode::Dedicated, 25, &scale);
-                run_one(GvtKind::CaGvt { threshold }, &mixed_model(&cfg, 10.0, 15.0), cfg)
-            },
-        ));
-    }
-    runner::execute(specs)
+pub fn threshold_sweep(scale: &Scale) -> Vec<Cell> {
+    [0.50, 0.60, 0.70, 0.80, 0.90, 0.95]
+        .map(|threshold| {
+            let kind = GvtKind::CaGvt { threshold };
+            Cell::new(format!("thr-{threshold:.2}"), kind, Load::Mixed(10.0, 15.0), scale)
+        })
+        .into()
 }
 
 /// GVT interval ablation.
-pub fn interval_sweep(scale: &Scale) -> Vec<Row> {
-    let mut specs = Vec::new();
-    for (make, wname) in [(comp_dominated as WorkloadFn, "comp"), (comm_dominated, "comm")] {
+pub fn interval_sweep(scale: &Scale) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for (workload, load) in WORKLOADS {
         for interval in [10u64, 25, 50, 100] {
-            for (kind, series) in [(GvtKind::Mattern, "mattern"), (GvtKind::Barrier, "barrier")] {
-                let nodes = *NODE_COUNTS.last().expect("non-empty");
-                let scale = *scale;
-                specs.push(RunSpec::new(
-                    "interval-sweep",
-                    format!("{wname}-{series}-i{interval}"),
-                    nodes,
-                    move || {
-                        let cfg = base_config(nodes, MpiMode::Dedicated, interval, &scale);
-                        run_one(kind, &make(&cfg), cfg)
-                    },
-                ));
+            for (name, kind) in MATTERN_BARRIER {
+                let series = format!("{workload}-{name}-i{interval}");
+                cells.push(Cell { interval, ..Cell::new(series, kind, load, scale) });
             }
         }
     }
-    runner::execute(specs)
+    cells
 }
 
 /// CA-GVT trigger ablation: efficiency-only vs efficiency-or-queue
 /// occupancy (the extended trigger from the paper's concluding remarks)
 /// on the communication-dominated workload, where saturation shows in the
 /// queue before it shows in cumulative efficiency.
-pub fn ca_queue(scale: &Scale) -> Vec<Row> {
-    let mut specs = Vec::new();
-    let nodes = *NODE_COUNTS.last().expect("non-empty");
-    for (kind, series) in [
-        (CA_HARNESS, "ca-efficiency"),
-        (GvtKind::CaGvtQueue { threshold: 0.93, queue_threshold: 200 }, "ca-queue-200"),
-        (GvtKind::CaGvtQueue { threshold: 0.93, queue_threshold: 50 }, "ca-queue-50"),
-    ] {
-        let scale = *scale;
-        specs.push(RunSpec::new("ca-queue", series.to_string(), nodes, move || {
-            let cfg = base_config(nodes, MpiMode::Dedicated, 25, &scale);
-            run_one(kind, &comm_dominated(&cfg), cfg)
-        }));
-    }
-    runner::execute(specs)
+pub fn ca_queue(scale: &Scale) -> Vec<Cell> {
+    let queue = |queue_threshold| GvtKind::CaGvtQueue { threshold: 0.93, queue_threshold };
+    algorithms(
+        &[("ca-efficiency", CA_HARNESS), ("ca-queue-200", queue(200)), ("ca-queue-50", queue(50))],
+        Load::Comm,
+        scale,
+    )
 }
 
 /// Samadi's acknowledgement-based GVT (paper §7 related work) against
 /// Mattern: same committed events, roughly double the channel traffic.
-pub fn samadi(scale: &Scale) -> Vec<Row> {
-    let mut specs = Vec::new();
-    for (make, wname) in [(comp_dominated as WorkloadFn, "comp"), (comm_dominated, "comm")] {
-        for (kind, series) in [(GvtKind::Mattern, "mattern"), (GvtKind::Samadi, "samadi")] {
-            for &nodes in &NODE_COUNTS {
-                let scale = *scale;
-                specs.push(RunSpec::new("samadi", format!("{wname}-{series}"), nodes, move || {
-                    let cfg = base_config(nodes, MpiMode::Dedicated, 25, &scale);
-                    run_one(kind, &make(&cfg), cfg)
-                }));
-            }
+pub fn samadi(scale: &Scale) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for (workload, load) in WORKLOADS {
+        for (name, kind) in [("mattern", GvtKind::Mattern), ("samadi", GvtKind::Samadi)] {
+            cells.push(Cell::new(format!("{workload}-{name}"), kind, load, scale));
         }
     }
-    runner::execute(specs)
+    every_node_count(cells)
+}
+
+/// MPI-mode ablation including the `PerWorker` pathology that motivates
+/// the dedicated MPI thread.
+pub fn mpi_modes(scale: &Scale) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for (workload, load) in WORKLOADS {
+        for mode in [MpiMode::Dedicated, MpiMode::InlineWorker, MpiMode::PerWorker] {
+            let series = format!("{workload}-{}", mode.label());
+            cells.push(Cell { mode, ..Cell::new(series, GvtKind::Mattern, load, scale) });
+        }
+    }
+    cells
+}
+
+/// §6 text: CA-GVT's sync/async mode trace on the communication-dominated
+/// workload, with its round split on stderr.
+pub fn ca_trace(scale: &Scale, _: Option<&Path>) -> Vec<Row> {
+    let rows = grid("ca-trace", vec![Cell::new("ca-gvt", CA_HARNESS, Load::Comm, scale)]);
+    let report = &rows[0].report;
+    eprintln!(
+        "# ca-trace: {} rounds total, {} synchronous, {} asynchronous, final efficiency {:.2}%",
+        report.gvt_rounds,
+        report.sync_rounds,
+        report.async_rounds,
+        report.efficiency * 100.0
+    );
+    rows
+}
+
+/// The three algorithms on COMM-PHOLD on a mid-size cluster (4 nodes):
+/// the cells the fault, trace and health experiments vary.
+fn mid_cluster_comm(scale: &Scale) -> Vec<Cell> {
+    let cells = algorithms(&THREE_ALGORITHMS, Load::Comm, scale);
+    cells.into_iter().map(|cell| Cell { nodes: 4, ..cell }).collect()
+}
+
+/// The fault window and topology of the mid-cluster experiments. The
+/// window is the clean Mattern makespan (at least 1 ms), so perturbations
+/// actually overlap each run; one shared span keeps every algorithm facing
+/// the identical plan.
+fn fault_anchor(scale: &Scale) -> (WallNs, FaultTopology) {
+    let anchor = Cell { nodes: 4, ..Cell::new("anchor", GvtKind::Mattern, Load::Comm, scale) };
+    let clean = anchor.run(None, None);
+    let span = WallNs(((clean.sim_seconds * 1e9) as u64).max(1_000_000));
+    (span, FaultTopology::from(&anchor.config().spec))
 }
 
 /// Fault severities swept by the resilience experiment (severity 0 is the
@@ -468,34 +558,19 @@ pub fn make_faults(
 /// stalled MPI pumps and message drops, all from one seeded plan per
 /// severity. The x-axis here is severity (the `series` column carries it),
 /// not node count.
-pub fn fault_sweep(scale: &Scale) -> Vec<Row> {
-    let nodes = 4;
-    let mut rows = Vec::new();
-    // Anchor the perturbation windows on the clean Mattern makespan so
-    // they actually overlap each run; one shared span keeps every
-    // algorithm facing the identical plan at each severity.
-    let cfg0 = base_config(nodes, MpiMode::Dedicated, 25, scale);
-    let clean = run_one(GvtKind::Mattern, &comm_dominated(&cfg0), cfg0);
-    let span = WallNs(((clean.sim_seconds * 1e9) as u64).max(1_000_000));
-    let topology = FaultTopology::from(&cfg0.spec);
-    let mut specs = Vec::new();
-    for &(kind, mode, series) in &THREE_ALGORITHMS {
-        for &severity in &FAULT_SEVERITIES {
-            let scale = *scale;
-            specs.push(RunSpec::new(
-                "faults",
-                format!("{series}-s{severity:.2}"),
-                nodes,
-                move || {
-                    let cfg = base_config(nodes, mode, 25, &scale);
-                    let faults = make_faults(severity, topology, scale.seed ^ 0xFA17, span);
-                    run_one_observed(kind, &comm_dominated(&cfg), cfg, faults, None, None)
-                },
-            ));
+pub fn fault_sweep(scale: &Scale, _: Option<&Path>) -> Vec<Row> {
+    let (span, topology) = fault_anchor(scale);
+    let mut cells = Vec::new();
+    for cell in mid_cluster_comm(scale) {
+        for severity in FAULT_SEVERITIES {
+            cells.push(Cell {
+                series: format!("{}-s{severity:.2}", cell.series),
+                faults: make_faults(severity, topology, scale.seed ^ 0xFA17, span),
+                ..cell.clone()
+            });
         }
     }
-    rows.extend(runner::execute(specs));
-    rows
+    grid("faults", cells)
 }
 
 /// `figures trace`: COMM-PHOLD on 4 virtual nodes under each of the three
@@ -505,34 +580,31 @@ pub fn fault_sweep(scale: &Scale) -> Vec<Row> {
 /// `trace-horizon.csv` carries the per-round virtual-time-horizon series
 /// (width, roughness, utilization) with an `algorithm` column so the three
 /// algorithms' horizon behaviour can be compared directly.
-pub fn trace_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Vec<Row> {
-    let nodes = 4u16;
+pub fn trace_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
     // Each job returns the raw run artifacts; all reporting (stderr lines,
     // the horizon CSV, per-algorithm trace files) happens serially after
     // collection so the output stream and files are deterministic and
     // identical whatever the thread count.
-    type TraceRun = (RunReport, Vec<cagvt_trace::TraceEvent>, u64, u64, u16);
-    let mut jobs: Vec<Box<dyn FnOnce() -> TraceRun + Send>> = Vec::new();
-    for &(kind, mode, _series) in &THREE_ALGORITHMS {
-        let scale = *scale;
-        jobs.push(Box::new(move || {
-            let cfg = base_config(nodes, mode, 25, &scale);
-            let workload = comm_dominated(&cfg);
-            let recorder = TraceRecorder::new();
-            let trace = Some(recorder.clone() as Arc<dyn TraceSink>);
-            let report = run_one_observed(kind, &workload, cfg, None, trace, None);
-            let events = recorder.snapshot();
-            (report, events, recorder.recorded(), recorder.dropped(), cfg.spec.workers_per_node)
-        }));
-    }
-    let runs = runner::par_map(jobs, sweep_threads());
+    type TraceRun = (RunReport, Vec<cagvt_trace::TraceEvent>, u64, u64);
+    let cells = mid_cluster_comm(scale);
+    let jobs = cells
+        .iter()
+        .cloned()
+        .map(|cell| -> Task<TraceRun> {
+            Box::new(move || {
+                let recorder = TraceRecorder::new();
+                let report = cell.run(Some(recorder.clone() as Arc<dyn TraceSink>), None);
+                (report, recorder.snapshot(), recorder.recorded(), recorder.dropped())
+            })
+        })
+        .collect();
+    let runs = par_map(jobs, sweep_threads());
 
     let mut rows = Vec::new();
     let mut horizon =
         String::from("algorithm,round,t_ns,gvt,mean_lvt,width,roughness,utilization,samples\n");
-    for (&(_, _, series), (report, events, recorded, dropped, workers_per_node)) in
-        THREE_ALGORITHMS.iter().zip(runs)
-    {
+    for (cell, (report, events, recorded, dropped)) in cells.into_iter().zip(runs) {
+        let series = &cell.series;
         let stats = HorizonStats::compute(&events);
         eprintln!(
             "# trace {series}: {recorded} records ({dropped} dropped), {} horizon rounds, \
@@ -545,13 +617,14 @@ pub fn trace_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Vec
             horizon.push_str(&format!("{series},{line}\n"));
         }
         if let Some(dir) = out_dir {
-            let meta = TraceMeta { nodes, workers_per_node };
+            let meta =
+                TraceMeta { nodes: cell.nodes, workers_per_node: cell.scale.workers_per_node };
             std::fs::write(dir.join(format!("trace-{series}.json")), chrome_trace(&meta, &events))
                 .expect("write chrome trace");
             std::fs::write(dir.join(format!("trace-records-{series}.csv")), csv_trace(&events))
                 .expect("write trace record csv");
         }
-        rows.push(Row { figure: "trace", series: series.to_string(), nodes, report });
+        rows.push(cell.row("trace", report));
     }
     if let Some(dir) = out_dir {
         std::fs::write(dir.join("trace-horizon.csv"), horizon).expect("write horizon csv");
@@ -590,32 +663,29 @@ fn health_straggle_injector(topology: FaultTopology, span: WallNs) -> Arc<dyn Fa
 /// (and the `health_alerts` CSV column). The paired arms demonstrate the
 /// monitor's contract: quiet on the clean runs, straggler/efficiency
 /// alerts on the perturbed ones, annotated with the fault signature.
-pub fn health_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Vec<Row> {
-    let nodes = 4u16;
-    // Anchor the straggle window on the clean Mattern makespan (same
-    // discipline as `fault_sweep`) so one plan covers every algorithm.
-    let cfg0 = base_config(nodes, MpiMode::Dedicated, 25, scale);
-    let clean = run_one(GvtKind::Mattern, &comm_dominated(&cfg0), cfg0);
-    let span = WallNs(((clean.sim_seconds * 1e9) as u64).max(1_000_000));
-    let topology = FaultTopology::from(&cfg0.spec);
+pub fn health_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
+    let (span, topology) = fault_anchor(scale);
+    let mut cells = Vec::new();
+    for cell in mid_cluster_comm(scale) {
+        let straggle = Some(health_straggle_injector(topology, span));
+        cells.push(Cell { series: format!("{}-clean", cell.series), ..cell.clone() });
+        cells.push(Cell { series: format!("{}-straggle", cell.series), faults: straggle, ..cell });
+    }
 
     type HealthRun = (RunReport, Vec<MetricsEpoch>);
-    let mut labels: Vec<(String, bool)> = Vec::new();
-    let mut jobs: Vec<Box<dyn FnOnce() -> HealthRun + Send>> = Vec::new();
-    for &(kind, mode, series) in &THREE_ALGORITHMS {
-        for straggled in [false, true] {
-            let scale = *scale;
-            let out = out_dir.map(std::path::Path::to_path_buf);
-            let tag = format!("{series}-{}", if straggled { "straggle" } else { "clean" });
-            labels.push((tag.clone(), straggled));
-            jobs.push(Box::new(move || {
-                let cfg = base_config(nodes, mode, 25, &scale);
-                let workload = comm_dominated(&cfg);
+    let jobs = cells
+        .iter()
+        .cloned()
+        .map(|cell| -> Task<HealthRun> {
+            let out = out_dir.map(Path::to_path_buf);
+            Box::new(move || {
+                let cfg = cell.config();
+                let tag = &cell.series;
                 let mut registry = MetricsRegistry::new()
-                    .with_label("algorithm", series)
+                    .with_label("algorithm", cell.kind.label())
                     .with_label("series", tag.clone())
-                    .with_label("workload", workload.name.clone())
-                    .with_label("nodes", nodes.to_string())
+                    .with_label("workload", cell.load.workload(&cfg).name)
+                    .with_label("nodes", cell.nodes.to_string())
                     .with_label("workers", cfg.spec.total_workers().to_string());
                 if let Some(dir) = &out {
                     registry = registry
@@ -626,22 +696,19 @@ pub fn health_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Ve
                         .with_prometheus(dir.join(format!("metrics-{tag}.prom")));
                 }
                 let registry = Arc::new(registry);
-                let faults = straggled.then(|| health_straggle_injector(topology, span));
-                let metrics = Some(registry.clone() as Arc<dyn MetricsSink>);
-                let report = run_one_observed(kind, &workload, cfg, faults, None, metrics);
-                let epochs = registry.epochs();
-                (report, epochs)
-            }));
-        }
-    }
-    let runs = runner::par_map(jobs, sweep_threads());
+                let report = cell.run(None, Some(registry.clone() as Arc<dyn MetricsSink>));
+                (report, registry.epochs())
+            })
+        })
+        .collect();
+    let runs = par_map(jobs, sweep_threads());
 
     // All reporting happens serially after collection (same discipline as
     // `trace_experiment`): deterministic output whatever the thread count.
     let mut rows = Vec::new();
-    for ((tag, straggled), (mut report, epochs)) in labels.into_iter().zip(runs) {
+    for (cell, (mut report, epochs)) in cells.into_iter().zip(runs) {
         let mut monitor = HealthMonitor::default();
-        if straggled {
+        if cell.faults.is_some() {
             monitor.set_fault_context(format!(
                 "node-straggle node=1 x{}",
                 HEALTH_STRAGGLE_NUM / cagvt_fault::plan::SCALE_DEN
@@ -651,38 +718,17 @@ pub fn health_experiment(scale: &Scale, out_dir: Option<&std::path::Path>) -> Ve
         report.health = monitor.report_lines();
         let sync_epochs = epochs.iter().filter(|e| e.mode == EpochMode::Sync).count();
         eprintln!(
-            "# health {tag}: {} epochs ({sync_epochs} sync), {} alerts",
+            "# health {}: {} epochs ({sync_epochs} sync), {} alerts",
+            cell.series,
             epochs.len(),
             report.health.len(),
         );
         for alert in &report.health {
             eprintln!("#   ! {alert}");
         }
-        rows.push(Row { figure: "health", series: tag, nodes, report });
+        rows.push(cell.row("health", report));
     }
     rows
-}
-
-/// MPI-mode ablation including the `PerWorker` pathology that motivates
-/// the dedicated MPI thread.
-pub fn mpi_modes(scale: &Scale) -> Vec<Row> {
-    let mut specs = Vec::new();
-    for (make, wname) in [(comp_dominated as WorkloadFn, "comp"), (comm_dominated, "comm")] {
-        for mode in [MpiMode::Dedicated, MpiMode::InlineWorker, MpiMode::PerWorker] {
-            let nodes = *NODE_COUNTS.last().expect("non-empty");
-            let scale = *scale;
-            specs.push(RunSpec::new(
-                "mpi-modes",
-                format!("{wname}-{}", mode.label()),
-                nodes,
-                move || {
-                    let cfg = base_config(nodes, mode, 25, &scale);
-                    run_one(GvtKind::Mattern, &make(&cfg), cfg)
-                },
-            ));
-        }
-    }
-    runner::execute(specs)
 }
 
 #[cfg(test)]
@@ -711,6 +757,28 @@ mod tests {
             run_virtual_with(model, cfg, vcfg, |shared| make_bundle(GvtKind::Mattern, shared));
         assert!(!report.completed);
         checked(GvtKind::Mattern, cfg, report);
+    }
+
+    /// `summary::at` finds a row by `(series, nodes)`, and the binary finds
+    /// a mode by name, so both must be unique. Builds every pure grid's
+    /// cells without running them.
+    #[test]
+    fn experiment_labels_are_unique() {
+        let mut names = std::collections::HashSet::new();
+        for mode in MODES {
+            assert!(names.insert(mode.name), "mode {} is listed twice", mode.name);
+            let Run::Grid(cells) = mode.run else { continue };
+            let mut labels = std::collections::HashSet::new();
+            for cell in cells(&Scale::bench()) {
+                assert!(
+                    labels.insert((cell.series.clone(), cell.nodes)),
+                    "{}: row ({}, {}) appears twice",
+                    mode.name,
+                    cell.series,
+                    cell.nodes
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Parallel sweep runner.
 //!
 //! Every figure of the harness is a grid of fully independent,
-//! deterministic virtual-cluster runs: each run builds its own engine,
+//! deterministic virtual-cluster runs: each [`Cell`] builds its own engine,
 //! shares no mutable state with its neighbours, and produces the same
 //! [`RunReport`] regardless of when or where it executes. The runner
-//! exploits that: a figure's grid is lifted into a list of [`RunSpec`]s,
-//! executed by a scoped pool of OS threads pulling from a work queue, with
-//! results collected **by spec index** so the emitted rows — and therefore
-//! the figure CSVs — are byte-identical to the serial execution order.
+//! exploits that: [`grid`] executes a figure's cells on a scoped pool of OS
+//! threads pulling from a work queue ([`par_map`]), with results collected
+//! **by cell index** so the emitted rows — and therefore the figure CSVs —
+//! are byte-identical to the serial execution order.
 //!
 //! Thread count: the `CAGVT_SWEEP_THREADS` environment variable when set
 //! (`1` forces the serial path), otherwise one thread per host core.
 
-use crate::Row;
+use crate::{Cell, Row};
 use cagvt_core::RunReport;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -32,42 +32,25 @@ pub fn sweep_threads() -> usize {
     }
 }
 
-/// One cell of a figure's run grid: the row labels plus a closure that
-/// performs the (deterministic, self-contained) run.
-pub struct RunSpec {
-    pub figure: &'static str,
-    pub series: String,
-    pub nodes: u16,
-    job: Box<dyn FnOnce() -> RunReport + Send>,
-}
-
-impl RunSpec {
-    pub fn new(
-        figure: &'static str,
-        series: String,
-        nodes: u16,
-        job: impl FnOnce() -> RunReport + Send + 'static,
-    ) -> Self {
-        RunSpec { figure, series, nodes, job: Box::new(job) }
-    }
-}
+/// A boxed, self-contained job for [`par_map`].
+pub type Task<T> = Box<dyn FnOnce() -> T + Send>;
 
 /// Run `jobs` across `threads` OS threads (scoped; a panicking job aborts
 /// the sweep), returning results **in input order** regardless of the
 /// completion order. `threads <= 1` degenerates to an in-place serial loop
 /// with no thread machinery at all.
-pub fn par_map<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>, threads: usize) -> Vec<T> {
-    type JobSlot<T> = Mutex<Option<Box<dyn FnOnce() -> T + Send>>>;
+pub fn par_map<T: Send>(jobs: Vec<Task<T>>, threads: usize) -> Vec<T> {
     let n = jobs.len();
     let threads = threads.min(n).max(1);
     if threads <= 1 {
         return jobs.into_iter().map(|job| job()).collect();
     }
-    // Work queue over spec indices: each worker claims the next unclaimed
+    // Work queue over job indices: each worker claims the next unclaimed
     // index, takes the job out of its slot, and deposits the result in the
     // matching result slot. Index-addressed slots (not a shared Vec push)
     // are what make the output order independent of scheduling.
-    let slots: Vec<JobSlot<T>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    let slots: Vec<Mutex<Option<Task<T>>>> =
+        jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -93,26 +76,21 @@ pub fn par_map<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>, threads: usize
         .collect()
 }
 
-/// Execute a figure's run grid with [`sweep_threads`] workers.
-pub fn execute(specs: Vec<RunSpec>) -> Vec<Row> {
-    execute_with(specs, sweep_threads())
+/// Run a figure's cells with [`sweep_threads`] workers, one row per cell.
+pub fn grid(figure: &'static str, cells: Vec<Cell>) -> Vec<Row> {
+    grid_with(figure, cells, sweep_threads())
 }
 
-/// [`execute`] with an explicit thread count. Row order always equals spec
+/// [`grid`] with an explicit thread count. Row order always equals cell
 /// order; with `threads == 1` this *is* the serial runner.
-pub fn execute_with(specs: Vec<RunSpec>, threads: usize) -> Vec<Row> {
-    let mut labels = Vec::with_capacity(specs.len());
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::with_capacity(specs.len());
-    for spec in specs {
-        labels.push((spec.figure, spec.series, spec.nodes));
-        jobs.push(spec.job);
-    }
+pub fn grid_with(figure: &'static str, cells: Vec<Cell>, threads: usize) -> Vec<Row> {
+    let jobs = cells
+        .iter()
+        .cloned()
+        .map(|cell| -> Task<RunReport> { Box::new(move || cell.run(None, None)) })
+        .collect();
     let reports = par_map(jobs, threads);
-    labels
-        .into_iter()
-        .zip(reports)
-        .map(|((figure, series, nodes), report)| Row { figure, series, nodes, report })
-        .collect()
+    cells.into_iter().zip(reports).map(|(cell, report)| cell.row(figure, report)).collect()
 }
 
 #[cfg(test)]

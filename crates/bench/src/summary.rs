@@ -185,15 +185,16 @@ pub fn summarize(dir: &Path) -> Result<String, String> {
                 .unwrap();
             continue;
         };
-        let (Some(a), Some(b)) = (at(rows, claim.over, 8), at(rows, claim.under, 8)) else {
+        let rate = |series| {
+            let r = at(rows, series, 8)?;
+            let rate = if claim.whole_run { r.committed_rate } else { r.steady_rate };
+            // A zero rate is a run that committed nothing: no ratio to judge.
+            (rate > 0.0).then_some(rate)
+        };
+        let (Some(ra), Some(rb)) = (rate(claim.over), rate(claim.under)) else {
             writeln!(out, "{:<44} {:>9.1}% {:>10}", claim.label, claim.paper_pct, "no-data")
                 .unwrap();
             continue;
-        };
-        let (ra, rb) = if claim.whole_run {
-            (a.committed_rate, b.committed_rate)
-        } else {
-            (a.steady_rate, b.steady_rate)
         };
         let measured_pct = (ra / rb - 1.0) * 100.0;
         let verdict = if measured_pct > 0.0 {
@@ -260,6 +261,25 @@ fig5,barrier,8,30.0,29.0,0.99,800
         assert!(at(&rows, "mattern", 8).is_some());
         assert!(at(&rows, "mattern", 4).is_none());
         assert!(at(&rows, "ca-gvt", 8).is_none());
+    }
+
+    /// A zero rate on either side of a claim has no ratio: `no-data`, never
+    /// `inf%` or `NaN%`.
+    #[test]
+    fn zero_rate_claims_are_no_data() {
+        let dir = std::env::temp_dir().join(format!("cagvt-summary-zero-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (mattern, barrier) in [("40.0", "0.0"), ("0.0", "30.0"), ("0.0", "0.0")] {
+            let csv = SAMPLE
+                .replace("fig5,mattern,8,40.0", &format!("fig5,mattern,8,{mattern}"))
+                .replace("fig5,barrier,8,30.0", &format!("fig5,barrier,8,{barrier}"));
+            std::fs::write(dir.join("fig5.csv"), csv).unwrap();
+            let text = summarize(&dir).unwrap();
+            let line = text.lines().find(|l| l.starts_with("Mattern over Barrier, COMP")).unwrap();
+            assert!(line.ends_with("no-data"), "{line}");
+            assert!(!text.contains("inf") && !text.contains("NaN"), "{text}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -54,3 +54,20 @@ fn out_directory_holds_only_the_figure_csv() {
     assert_eq!(in_cwd, ["out"], "nothing is written to the working directory");
     assert_eq!(in_out, ["fig5.csv"]);
 }
+
+/// Naming a mode twice runs it once, in first-occurrence order: one set
+/// of rows and one progress line per mode.
+#[test]
+fn duplicate_modes_run_once() {
+    for args in [&["fig5", "fig5"][..], &["fig5", "fig6", "fig5"]] {
+        let run = figures(&[args, &["--bench-scale"]].concat());
+        assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        let rows = stdout.lines().filter(|l| l.starts_with("fig5,")).count();
+        assert_eq!(rows, 8, "{args:?}: fig5 is 2 series x 4 node counts");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        let progress: Vec<&str> = stderr.lines().filter(|l| l.contains(" rows in ")).collect();
+        assert_eq!(progress.len(), args.len() - 1, "{args:?}: {stderr}");
+        assert!(progress[0].starts_with("# fig5:"), "{args:?}: {stderr}");
+    }
+}

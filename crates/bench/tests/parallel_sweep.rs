@@ -1,37 +1,37 @@
-//! Serial/parallel equivalence of the sweep runner: the same spec grid
+//! Serial/parallel equivalence of the sweep runner: the same cell grid
 //! executed on one thread and on several must produce byte-identical CSV
 //! rows, in the same order. This is the contract that lets the figure
 //! harness parallelize without perturbing any published artifact.
 
-use cagvt_bench::{base_config, execute_with, run_one, RunSpec, Scale};
+use cagvt_bench::{grid_with, Cell, Load, Row, Scale};
 use cagvt_gvt::GvtKind;
-use cagvt_models::presets::{comm_dominated, comp_dominated};
-use cagvt_net::MpiMode;
 
 /// A small but non-trivial grid: two algorithms, two workloads, two node
 /// counts — eight deterministic runs, each with rollback traffic.
-fn tiny_specs() -> Vec<RunSpec> {
+fn tiny_cells() -> Vec<Cell> {
     let scale = Scale::bench();
-    let mut specs = Vec::new();
+    let mut cells = Vec::new();
     for (kind, series) in [(GvtKind::Mattern, "mattern"), (GvtKind::Barrier, "barrier")] {
-        for (make, wname) in
-            [(comp_dominated as fn(&_) -> _, "comp"), (comm_dominated as fn(&_) -> _, "comm")]
-        {
+        for (load, wname) in [(Load::Comp, "comp"), (Load::Comm, "comm")] {
             for nodes in [1u16, 2] {
-                specs.push(RunSpec::new("ident", format!("{wname}-{series}"), nodes, move || {
-                    let cfg = base_config(nodes, MpiMode::Dedicated, 25, &scale);
-                    run_one(kind, &make(&cfg), cfg)
-                }));
+                cells.push(Cell {
+                    nodes,
+                    ..Cell::new(format!("{wname}-{series}"), kind, load, &scale)
+                });
             }
         }
     }
-    specs
+    cells
+}
+
+fn run(threads: usize) -> Vec<Row> {
+    grid_with("ident", tiny_cells(), threads)
 }
 
 #[test]
 fn parallel_rows_are_byte_identical_to_serial() {
-    let serial: Vec<String> = execute_with(tiny_specs(), 1).iter().map(|r| r.csv()).collect();
-    let parallel: Vec<String> = execute_with(tiny_specs(), 4).iter().map(|r| r.csv()).collect();
+    let serial: Vec<String> = run(1).iter().map(|r| r.csv()).collect();
+    let parallel: Vec<String> = run(4).iter().map(|r| r.csv()).collect();
     assert_eq!(serial.len(), 8);
     assert_eq!(serial, parallel, "thread count must not perturb any CSV byte");
 }
@@ -40,8 +40,8 @@ fn parallel_rows_are_byte_identical_to_serial() {
 fn parallel_reports_match_serial_fingerprints() {
     // Beyond the CSV projection: the full simulation outcome (state
     // fingerprint, committed counts, final GVT) is thread-count-invariant.
-    let serial = execute_with(tiny_specs(), 1);
-    let parallel = execute_with(tiny_specs(), 3);
+    let serial = run(1);
+    let parallel = run(3);
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.report.state_fingerprint, p.report.state_fingerprint, "{}", s.series);
         assert_eq!(s.report.committed, p.report.committed, "{}", s.series);

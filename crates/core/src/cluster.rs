@@ -61,13 +61,8 @@ pub fn build_shared_observed<M: Model>(
     let trace = trace.or_else(cagvt_base::trace::env_sink);
     let spec = cfg.spec;
     let stats = Arc::new(SharedStats::new(spec.total_workers()));
-    let gvt_core = Arc::new(GvtSharedCore::new(
-        Arc::clone(&stats),
-        spec.nodes,
-        spec.workers_per_node,
-        trace.clone(),
-        metrics,
-    ));
+    let gvt_core =
+        Arc::new(GvtSharedCore::new(Arc::clone(&stats), spec.nodes, trace.clone(), metrics));
     let (fabric, ctrl) = fabric_pair(spec.nodes, faults.clone(), trace);
     let nodes = (0..spec.nodes)
         .map(|n| Arc::new(NodeShared::new(NodeId(n), spec.workers_per_node)))

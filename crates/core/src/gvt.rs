@@ -68,9 +68,6 @@ pub struct GvtSharedCore {
     /// subtraction base for the windowed deltas. Metrics-private; only
     /// touched from [`GvtSharedCore::publish_epoch`].
     epoch_base: Mutex<EpochBase>,
-    pub total_workers: u32,
-    pub nodes: u16,
-    pub workers_per_node: u16,
 }
 
 /// Counter totals at the last published epoch (see
@@ -91,7 +88,6 @@ impl GvtSharedCore {
     pub fn new(
         stats: Arc<SharedStats>,
         nodes: u16,
-        workers_per_node: u16,
         trace: Option<Arc<dyn TraceSink>>,
         metrics: Option<Arc<dyn MetricsSink>>,
     ) -> Self {
@@ -106,9 +102,6 @@ impl GvtSharedCore {
             trace,
             metrics,
             epoch_base: Mutex::new(EpochBase::default()),
-            total_workers: nodes as u32 * workers_per_node as u32,
-            nodes,
-            workers_per_node,
         }
     }
 
@@ -494,7 +487,7 @@ mod tests {
 
     fn core_with(workers: u32) -> Arc<GvtSharedCore> {
         let stats = Arc::new(SharedStats::new(workers));
-        Arc::new(GvtSharedCore::new(stats, 1, workers as u16, None, None))
+        Arc::new(GvtSharedCore::new(stats, 1, None, None))
     }
 
     #[test]
@@ -541,7 +534,6 @@ mod tests {
         let core = GvtSharedCore::new(
             Arc::clone(&stats),
             1,
-            2,
             None,
             Some(sink.clone() as Arc<dyn MetricsSink>),
         );

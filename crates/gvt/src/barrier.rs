@@ -155,7 +155,7 @@ mod tests {
         trace: Option<Arc<dyn TraceSink>>,
     ) -> (Arc<GvtSharedCore>, BarrierBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, trace, None));
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, trace, None));
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         let bundle = BarrierBundle::new(Arc::clone(&core), spec, CostModel::knl_cluster());
         (core, bundle)

@@ -605,7 +605,7 @@ mod tests {
         trace: Option<Arc<dyn TraceSink>>,
     ) -> (Arc<GvtSharedCore>, MatternBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, trace, None));
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, trace, None));
         let (_fabric, ctrl) = fabric_pair::<()>(nodes, None, None);
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         let bundle =

@@ -176,7 +176,7 @@ mod tests {
 
     fn setup(nodes: u16, wpn: u16) -> (Arc<GvtSharedCore>, SamadiBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
-        let core = Arc::new(GvtSharedCore::new(stats, nodes, wpn, None, None));
+        let core = Arc::new(GvtSharedCore::new(stats, nodes, None, None));
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
         (Arc::clone(&core), SamadiBundle::new(core, spec, CostModel::knl_cluster()))
     }
