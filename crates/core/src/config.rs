@@ -22,7 +22,10 @@ pub struct SimConfig {
     /// Optimism throttle: a worker stops processing (but keeps
     /// communicating and participating in GVT) once it holds this many
     /// uncommitted processed events. Plays the role of ROSS's bounded
-    /// event-memory pool.
+    /// event-memory pool. Liveness: the throttle never holds back a
+    /// pending event at or below the published GVT (no rollback can reach
+    /// it, and GVT cannot advance past it while it waits), so only events
+    /// at the GVT instant can exceed the cap.
     pub max_outstanding: usize,
     /// Master seed; per-LP streams derive from it.
     pub seed: u64,

@@ -15,11 +15,6 @@
 //! and the stop flag. Algorithm-private shared state (node counters,
 //! barriers, control-message slots) lives inside the algorithm's own
 //! structures in `cagvt-gvt`.
-//!
-//! [`OracleGvt`] is a shared-memory termination oracle used by unit tests:
-//! it is *not* a distributed algorithm (it reads global quiescence
-//! directly) but it lets the engine be tested independently of the real
-//! algorithms.
 
 use cagvt_base::ids::{LaneId, NodeId};
 use cagvt_base::metrics::{
@@ -33,7 +28,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::event::WHITE_TAG;
 use crate::report::efficiency_of;
 use crate::stats::{RoundSnapshot, SharedStats};
 
@@ -323,8 +317,9 @@ pub enum WorkerGvtOutcome {
     /// Nothing to do until shared GVT state changes, and every change that
     /// could alter this answer posts a [`wake`] notice: a round requested
     /// or started, a white population drained, a reduction or a GVT
-    /// published, a stop. The worker may be parked. (The test oracle reads
-    /// state that changes silently, so it posts a notice with the answer.)
+    /// published, a stop. The worker may be parked. An implementation
+    /// whose answer depends on state that changes without a notice must not
+    /// return `Waiting`: a parked worker would never see the change.
     ///
     /// [`wake`]: cagvt_base::wake
     Waiting,
@@ -395,90 +390,6 @@ pub trait GvtBundle: Send + Sync {
     fn name(&self) -> &'static str;
     fn worker_gvt(&self, node: NodeId, lane: LaneId, worker_index: u32) -> Box<dyn WorkerGvt>;
     fn mpi_gvt(&self, node: NodeId) -> Box<dyn MpiGvt>;
-}
-
-// ---------------------------------------------------------------------------
-// Test oracle
-// ---------------------------------------------------------------------------
-
-/// Shared-memory GVT oracle for engine tests.
-///
-/// At instants when no message is in flight (`msgs_sent == msgs_received`
-/// — a momentary global condition the sequential virtual scheduler makes
-/// observable), the minimum over the workers' published contributions *is*
-/// the exact minimum unprocessed event time, and that quantity is monotone
-/// across such instants (every new event is later than its processed
-/// parent; rollback re-enqueues stay above the straggler that caused
-/// them). The oracle ratchets this value as the published GVT, which keeps
-/// fossil collection and the optimism throttle working without any
-/// distributed algorithm. Test-only: no real cluster could read these
-/// globals.
-pub struct OracleBundle {
-    pub shared: Arc<GvtSharedCore>,
-}
-
-impl GvtBundle for OracleBundle {
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn worker_gvt(&self, _node: NodeId, _lane: LaneId, _worker_index: u32) -> Box<dyn WorkerGvt> {
-        Box::new(OracleGvt { shared: Arc::clone(&self.shared), last_gvt: VirtualTime::ZERO })
-    }
-
-    fn mpi_gvt(&self, _node: NodeId) -> Box<dyn MpiGvt> {
-        Box::new(NullMpiGvt)
-    }
-}
-
-/// Worker half of [`OracleBundle`].
-pub struct OracleGvt {
-    shared: Arc<GvtSharedCore>,
-    last_gvt: VirtualTime,
-}
-
-impl WorkerGvt for OracleGvt {
-    fn on_send(&mut self, _class: MsgClass, _recv_time: VirtualTime) -> u64 {
-        WHITE_TAG
-    }
-
-    fn on_recv(&mut self, _tag: u64, _class: MsgClass) {}
-
-    fn step(&mut self, _ctx: &WorkerGvtCtx) -> WorkerGvtOutcome {
-        let stats = &self.shared.stats;
-        // Receive counts only grow; reading sent after received can only
-        // under-detect quiescence, never falsely claim it.
-        let received = stats.msgs_received.load(Ordering::Acquire);
-        let sent = stats.msgs_sent.load(Ordering::Acquire);
-        let gvt = stats
-            .worker_contrib
-            .iter()
-            .map(|c| VirtualTime::from_ordered_bits(c.load(Ordering::Acquire)))
-            .min()
-            .unwrap_or(VirtualTime::INFINITY);
-        if sent != received || gvt <= self.last_gvt {
-            // These globals change without a wake notice, so the notice
-            // is posted here: a parked worker re-polls at its next instant.
-            wake::notify_all();
-            return WorkerGvtOutcome::Waiting;
-        }
-        self.last_gvt = gvt;
-        // Monotone ratchet on the shared value; rounds count ratchets.
-        if self.shared.published_gvt() < gvt {
-            let round = self.shared.published_round() + 1;
-            self.shared.publish(gvt, round);
-        }
-        WorkerGvtOutcome::Completed { gvt, cost: WallNs(100) }
-    }
-}
-
-/// MPI half that does nothing (the oracle needs no cluster communication).
-pub struct NullMpiGvt;
-
-impl MpiGvt for NullMpiGvt {
-    fn step(&mut self, _now: WallNs) -> WallNs {
-        WallNs::ZERO
-    }
 }
 
 #[cfg(test)]
@@ -586,38 +497,5 @@ mod tests {
         assert_eq!(second.finite_workers(), 1);
         assert!(second.worker_lag[1].is_nan());
         assert_eq!((second.horizon_width, second.mean_lag), (0.0, 1.0));
-    }
-
-    #[test]
-    fn oracle_completes_only_at_quiescence() {
-        let core = core_with(2);
-        let end = VirtualTime::new(10.0);
-        let bundle = OracleBundle { shared: Arc::clone(&core) };
-        let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
-        let ctx = WorkerGvtCtx { now: WallNs(0), lvt: end, worker_index: 0 };
-        let board = wake::install(1);
-        let mut notices = wake::Notices::default();
-
-        // Contributions still at zero: not quiescent. The globals change
-        // without notices, so each not-ready answer posts one itself.
-        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Waiting);
-        assert!(board.drain(&mut notices) && notices.all);
-
-        for c in &core.stats.worker_contrib {
-            c.store(end.to_ordered_bits(), Ordering::Relaxed);
-        }
-        // In-flight message blocks completion.
-        core.stats.msgs_sent.store(5, Ordering::Relaxed);
-        core.stats.msgs_received.store(4, Ordering::Relaxed);
-        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Waiting);
-
-        core.stats.msgs_received.store(5, Ordering::Relaxed);
-        match w.step(&ctx) {
-            WorkerGvtOutcome::Completed { gvt, .. } => assert_eq!(gvt, end),
-            other => panic!("expected completion, got {other:?}"),
-        }
-        assert_eq!(core.published_gvt(), end);
-        // Idempotent afterwards.
-        assert_eq!(w.step(&ctx), WorkerGvtOutcome::Waiting);
     }
 }

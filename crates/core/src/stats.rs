@@ -166,8 +166,9 @@ pub struct CellTotals {
 /// Cluster-shared statistics and live signals.
 ///
 /// The atomics are written on hot paths (event commit/rollback, message
-/// send/receive) and read by CA-GVT's efficiency check, the test oracle,
-/// and the final report.
+/// send/receive) and read by CA-GVT's efficiency check, the GVT round
+/// observers and the final report. The counters publish no other data, so
+/// they are `Relaxed`.
 pub struct SharedStats {
     pub committed: AtomicU64,
     pub processed: AtomicU64,
@@ -179,9 +180,6 @@ pub struct SharedStats {
     /// Per-worker published LVT (ordered bits of the last processed event
     /// time) — the paper's disparity metric samples these.
     pub worker_lvts: Vec<AtomicU64>,
-    /// Per-worker published GVT contribution (ordered bits of the minimum
-    /// pending event time), used by the test oracle.
-    pub worker_contrib: Vec<AtomicU64>,
     /// Std-dev of worker LVTs, one sample per GVT round.
     pub disparity: Mutex<Welford>,
     /// Virtual-time-horizon width (max − min finite worker LVT), one
@@ -213,9 +211,6 @@ impl SharedStats {
             msgs_sent: AtomicU64::new(0),
             msgs_received: AtomicU64::new(0),
             worker_lvts: (0..total_workers)
-                .map(|_| AtomicU64::new(VirtualTime::ZERO.to_ordered_bits()))
-                .collect(),
-            worker_contrib: (0..total_workers)
                 .map(|_| AtomicU64::new(VirtualTime::ZERO.to_ordered_bits()))
                 .collect(),
             disparity: Mutex::new(Welford::new()),

@@ -5,13 +5,22 @@ use cagvt_base::ids::{EventId, LaneId, LpId, NodeId};
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_core::cluster::build_shared;
 use cagvt_core::event::{AntiMsg, EventMsg, RemoteEnv, TaggedMsg};
-use cagvt_core::gvt::NullMpiGvt;
+use cagvt_core::gvt::MpiGvt;
 use cagvt_core::mpi_actor::MpiPump;
 use cagvt_core::testmodel::MiniHold;
 use cagvt_core::SimConfig;
 use cagvt_net::MpiMode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// A node-side GVT half that does nothing: these tests drive traffic only.
+struct NoGvt;
+
+impl MpiGvt for NoGvt {
+    fn step(&mut self, _now: WallNs) -> WallNs {
+        WallNs::ZERO
+    }
+}
 
 fn env(dst_node: u16, dst_lane: u16, seq: u64) -> RemoteEnv<u32> {
     RemoteEnv {
@@ -32,8 +41,8 @@ fn env(dst_node: u16, dst_lane: u16, seq: u64) -> RemoteEnv<u32> {
 fn pump_moves_outbox_to_fabric_and_routes_inbound() {
     let cfg = SimConfig::small(2, 2);
     let shared = build_shared(Arc::new(MiniHold::default()), cfg);
-    let mut pump0 = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NullMpiGvt));
-    let mut pump1 = MpiPump::new(NodeId(1), Arc::clone(&shared), Box::new(NullMpiGvt));
+    let mut pump0 = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NoGvt));
+    let mut pump1 = MpiPump::new(NodeId(1), Arc::clone(&shared), Box::new(NoGvt));
 
     // Worker on node 0 posts two remote messages for node 1 lane 1.
     shared.nodes[0].outbox.push(WallNs(0), env(1, 1, 0));
@@ -44,7 +53,6 @@ fn pump_moves_outbox_to_fabric_and_routes_inbound() {
     assert!(moved);
     assert!(charge >= cfg.cost.mpi_send, "per-message costs are paid");
     assert_eq!(shared.nodes[0].outbox.len(), 0, "outbox drained");
-    assert_eq!(shared.fabric.event_inbox_len(NodeId(1)), 2, "on the wire");
 
     // Node 1's pump routes them to lane 1 once the wire latency passes.
     let (_, moved_early) = pump1.pump(WallNs(20));
@@ -63,7 +71,7 @@ fn pump_publishes_queue_depth_signal() {
     let mut cfg = SimConfig::small(2, 2);
     cfg.spec.mpi_mode = MpiMode::PerWorker;
     let shared = build_shared(Arc::new(MiniHold::default()), cfg);
-    let mut pump = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NullMpiGvt));
+    let mut pump = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NoGvt));
 
     for seq in 0..5 {
         shared.nodes[0].outbox.push(WallNs(0), env(1, 0, seq));
@@ -81,13 +89,17 @@ fn locked_pump_charges_through_the_node_lock() {
     let mut cfg = SimConfig::small(2, 1);
     cfg.spec.mpi_mode = MpiMode::PerWorker;
     let shared = build_shared(Arc::new(MiniHold::default()), cfg);
-    let mut pump = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NullMpiGvt));
+    let mut pump = MpiPump::new(NodeId(0), Arc::clone(&shared), Box::new(NoGvt));
     // One message from node 1 arrives on node 0's fabric inbox.
-    shared.fabric.send_event(NodeId(1), NodeId(0), WallNs(0), env(0, 0, 0), &cfg.cost);
-    let (charge, moved) = pump.pump(WallNs(10_000_000));
+    shared.fabric.send(NodeId(1), NodeId(0), WallNs(0), env(0, 0, 0), &cfg.cost);
+    let now = WallNs(10_000_000);
+    let (charge, moved) = pump.pump(now);
     assert!(moved);
     // Worker-context pump: poll + lock hold + receive are all charged.
     assert!(charge >= cfg.cost.mpi_poll + cfg.cost.mpi_recv + cfg.cost.mpi_lock_hold);
-    assert_eq!(shared.nodes[0].mpi_lock.acquisitions(), 1);
+    // The receive booked the node lock after the poll: a caller arriving
+    // at the pump's start waits until the end of that one hold.
+    let booked = cfg.cost.mpi_poll + cfg.cost.mpi_recv + cfg.cost.mpi_lock_hold;
+    assert_eq!(shared.nodes[0].mpi_lock.acquire(now, WallNs::ZERO), booked);
     assert_eq!(shared.nodes[0].lane_queues[0].len(), 1, "routed to the destination lane");
 }

@@ -39,12 +39,6 @@ impl<T> NetMsg<T> {
     pub fn new(deliver_at: WallNs, payload: T) -> Self {
         NetMsg { deliver_at, payload }
     }
-
-    /// Immediately observable (zero modeled propagation).
-    #[inline]
-    pub fn immediate(payload: T) -> Self {
-        NetMsg { deliver_at: WallNs::ZERO, payload }
-    }
 }
 
 #[cfg(test)]
@@ -56,12 +50,5 @@ mod tests {
         assert_eq!(MsgClass::Local.label(), "local");
         assert_eq!(MsgClass::Regional.label(), "regional");
         assert_eq!(MsgClass::Remote.label(), "remote");
-    }
-
-    #[test]
-    fn immediate_is_observable_at_time_zero() {
-        let m = NetMsg::immediate(42u32);
-        assert_eq!(m.deliver_at, WallNs::ZERO);
-        assert_eq!(m.payload, 42);
     }
 }

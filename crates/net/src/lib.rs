@@ -14,9 +14,10 @@
 //! * [`VirtualMutex`] — queueing model of a contended lock; reproduces the
 //!   threaded-MPI lock contention of Amer et al. that motivates the paper's
 //!   dedicated MPI thread.
-//! * [`Nic`] — transmit-side serialization (bandwidth) plus wire latency.
-//! * [`MpiFabric`] — node-to-node FIFO channels for event traffic and a
-//!   control plane (ring messages) for GVT algorithms.
+//! * [`MpiFabric`] — node-to-node FIFO channels, one plane for event
+//!   traffic and one ([`CtrlPlane`]) for GVT ring messages; transmissions
+//!   serialize on each node's NIC (a [`VirtualMutex`] held for the
+//!   per-message wire time) and then spend the wire latency in flight.
 //! * [`collective`] — polled node-level barrier-reductions (the paper's
 //!   pthread barrier) and cluster-level collectives with modeled completion
 //!   latency (the paper's MPI barrier / allreduce).
@@ -26,7 +27,6 @@
 
 pub mod collective;
 pub mod envelope;
-pub mod link;
 pub mod mailbox;
 pub mod mpi;
 pub mod spec;
@@ -34,7 +34,6 @@ pub mod vmutex;
 
 pub use collective::{ClusterCollective, NodeReduce, ReduceValue};
 pub use envelope::{MsgClass, NetMsg};
-pub use link::Nic;
 pub use mailbox::Mailbox;
 pub use mpi::{fabric_pair, CtrlMsg, CtrlPlane, MpiFabric};
 pub use spec::{ClusterSpec, CostModel, MpiMode};

@@ -1,15 +1,14 @@
 //! Node-to-node MPI-like fabric.
 //!
-//! Two planes, both FIFO per destination and both charged through the same
-//! per-node [`Nic`]s (so GVT control traffic queues behind event backlog,
-//! as it does on a real wire):
+//! Two planes of one type, [`MpiFabric`], both FIFO per destination and
+//! both booked on the same per-node NICs (so GVT control traffic queues
+//! behind event backlog, as it does on a real wire):
 //!
-//! * [`MpiFabric`] — the **event plane**, carrying remote event messages
-//!   (payload type `M`, supplied by the engine);
-//! * [`CtrlPlane`] — the **control plane**, carrying small fixed-format
+//! * the **event plane**, carrying remote event messages (payload type
+//!   `M`, supplied by the engine);
+//! * the **control plane** ([`CtrlPlane`]), carrying small fixed-format
 //!   [`CtrlMsg`]s used by the GVT algorithms (Mattern's circulating control
-//!   message travels here, node to node around the ring). Non-generic so
-//!   the GVT crate can hold it without knowing the model's payload type.
+//!   message travels here, node to node around the ring).
 //!
 //! Construct both with [`fabric_pair`]. The fabric models transport only;
 //! per-message MPI *software* costs (`mpi_send`/`mpi_recv`, lock holds) are
@@ -20,12 +19,11 @@ use cagvt_base::fault::{FaultInjector, LinkShape};
 use cagvt_base::ids::NodeId;
 use cagvt_base::time::WallNs;
 use cagvt_base::trace::{TraceRecord, TraceSink};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::link::Nic;
 use crate::mailbox::Mailbox;
 use crate::spec::CostModel;
+use crate::vmutex::VirtualMutex;
 
 /// Fixed-format GVT control message.
 ///
@@ -58,91 +56,81 @@ impl CtrlMsg {
 /// sink, the event plane samples its inbound inbox occupancy on every
 /// drain, giving the in-flight side of the MPI-queue picture (the outbound
 /// side is sampled by the MPI pumps).
-pub fn fabric_pair<M: Send>(
+pub fn fabric_pair<M>(
     nodes: u16,
     faults: Option<Arc<dyn FaultInjector>>,
     trace: Option<Arc<dyn TraceSink>>,
 ) -> (Arc<MpiFabric<M>>, Arc<CtrlPlane>) {
-    let nics: Arc<Vec<Nic>> = Arc::new((0..nodes).map(|_| Nic::new()).collect());
-    let fabric = Arc::new(MpiFabric {
-        nodes,
-        nics: Arc::clone(&nics),
-        inboxes: (0..nodes).map(|_| Mailbox::new()).collect(),
-        sent: AtomicU64::new(0),
-        faults: faults.clone(),
-        trace,
-    });
-    let ctrl = Arc::new(CtrlPlane {
-        nodes,
-        nics,
-        inboxes: (0..nodes).map(|_| Mailbox::new()).collect(),
-        sent: AtomicU64::new(0),
-        faults,
-    });
-    (fabric, ctrl)
+    let nics: Arc<Vec<VirtualMutex>> = Arc::new((0..nodes).map(|_| VirtualMutex::new()).collect());
+    let ctrl = MpiFabric::new(Arc::clone(&nics), faults.clone(), None);
+    (Arc::new(MpiFabric::new(nics, faults, trace)), Arc::new(ctrl))
 }
 
-/// Shape one wire transmission through the optional injector. The message
-/// always reaches its inbox — a drop is recovered by retransmit timeouts
-/// appended to the delivery instant — so send/receive conservation (the
-/// invariant Mattern's white-message count rests on) holds under faults.
-#[inline]
-fn shaped_send(
-    faults: &Option<Arc<dyn FaultInjector>>,
-    nic: &Nic,
-    from: NodeId,
-    to: NodeId,
-    now: WallNs,
-    cost: &CostModel,
-) -> WallNs {
-    let shape = match faults {
-        Some(f) => f.link(from, to, now, cost.wire_per_msg, cost.wire_latency),
-        None => LinkShape::clean(cost.wire_per_msg, cost.wire_latency),
-    };
-    nic.send(now, shape.per_msg, shape.latency) + shape.retransmit_delay
-}
-
-/// The event plane of the simulated interconnect.
+/// One plane of the simulated interconnect: a FIFO inbox per node, with
+/// every transmission booked on the sending node's NIC.
 pub struct MpiFabric<M> {
-    nodes: u16,
-    nics: Arc<Vec<Nic>>,
+    /// Transmit side of each node's NIC, shared by both planes. A message
+    /// handed over at `now` starts transmitting once the NIC is free, so
+    /// the NIC is a [`VirtualMutex`] held for the per-message wire time.
+    nics: Arc<Vec<VirtualMutex>>,
     inboxes: Vec<Mailbox<M>>,
-    sent: AtomicU64,
     faults: Option<Arc<dyn FaultInjector>>,
+    /// Inbound-depth sampling on every drain (the event plane's only).
     trace: Option<Arc<dyn TraceSink>>,
 }
 
-impl<M: Send> MpiFabric<M> {
-    #[inline]
-    pub fn nodes(&self) -> u16 {
-        self.nodes
+/// The GVT control plane: same NICs as the event plane, its own inboxes.
+/// Non-generic so the GVT crate can hold it without knowing the model's
+/// payload type.
+pub type CtrlPlane = MpiFabric<CtrlMsg>;
+
+impl<M> MpiFabric<M> {
+    fn new(
+        nics: Arc<Vec<VirtualMutex>>,
+        faults: Option<Arc<dyn FaultInjector>>,
+        trace: Option<Arc<dyn TraceSink>>,
+    ) -> Self {
+        let inboxes = nics.iter().map(|_| Mailbox::new()).collect();
+        MpiFabric { nics, inboxes, faults, trace }
     }
 
-    /// Transmit an event message. Returns the instant it becomes receivable
-    /// at `to`. The caller charges itself the MPI software cost.
-    pub fn send_event(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        now: WallNs,
-        msg: M,
-        cost: &CostModel,
-    ) -> WallNs {
-        debug_assert_ne!(from, to, "remote send to self");
-        let deliver_at = shaped_send(&self.faults, &self.nics[from.index()], from, to, now, cost);
+    /// Next node on Mattern's ring.
+    #[inline]
+    pub fn ring_next(&self, n: NodeId) -> NodeId {
+        NodeId((n.0 + 1) % self.inboxes.len() as u16)
+    }
+
+    /// Transmit a message. Returns the instant it becomes receivable at
+    /// `to`: NIC queueing, transmit time and wire latency, plus the
+    /// retransmit timeouts of a shaped link. The message always reaches its
+    /// inbox — a drop is recovered by the retransmit delay — so
+    /// send/receive conservation (the invariant Mattern's white-message
+    /// count rests on) holds under faults. A self-send (the control ring of
+    /// a one-node cluster) is immediate; the event plane never sends to
+    /// itself. The caller charges itself the MPI software cost.
+    pub fn send(&self, from: NodeId, to: NodeId, now: WallNs, msg: M, cost: &CostModel) -> WallNs {
+        let deliver_at = if from == to {
+            now
+        } else {
+            let shape = match &self.faults {
+                Some(f) => f.link(from, to, now, cost.wire_per_msg, cost.wire_latency),
+                None => LinkShape::clean(cost.wire_per_msg, cost.wire_latency),
+            };
+            now + self.nics[from.index()].acquire(now, shape.per_msg)
+                + shape.latency
+                + shape.retransmit_delay
+        };
         self.inboxes[to.index()].push(deliver_at, msg);
-        self.sent.fetch_add(1, Ordering::Relaxed);
         deliver_at
     }
 
-    /// Receive one event message at node `at`, if its delivery time has
-    /// passed.
-    pub fn recv_event(&self, at: NodeId, now: WallNs) -> Option<M> {
+    /// Receive one message at node `at`, if its delivery time has passed.
+    pub fn recv(&self, at: NodeId, now: WallNs) -> Option<M> {
         self.inboxes[at.index()].pop_ready(now)
     }
 
-    /// Batch-receive event messages at node `at`.
-    pub fn drain_events(&self, at: NodeId, now: WallNs, max: usize, out: &mut Vec<M>) -> usize {
+    /// Batch-receive up to `max` delivered messages at node `at`.
+    pub fn drain(&self, at: NodeId, now: WallNs, max: usize, out: &mut Vec<M>) -> usize {
         let n = self.inboxes[at.index()].drain_ready_into(now, max, out);
         if let Some(tr) = &self.trace {
             if tr.enabled() {
@@ -151,70 +139,6 @@ impl<M: Send> MpiFabric<M> {
             }
         }
         n
-    }
-
-    /// Depth of the event inbox at `at` (includes in-flight messages).
-    pub fn event_inbox_len(&self, at: NodeId) -> usize {
-        self.inboxes[at.index()].len()
-    }
-
-    pub fn nic(&self, n: NodeId) -> &Nic {
-        &self.nics[n.index()]
-    }
-
-    pub fn events_sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-}
-
-/// The GVT control plane: same NICs, separate inboxes.
-pub struct CtrlPlane {
-    nodes: u16,
-    nics: Arc<Vec<Nic>>,
-    inboxes: Vec<Mailbox<CtrlMsg>>,
-    sent: AtomicU64,
-    faults: Option<Arc<dyn FaultInjector>>,
-}
-
-impl CtrlPlane {
-    #[inline]
-    pub fn nodes(&self) -> u16 {
-        self.nodes
-    }
-
-    /// Next node on Mattern's ring.
-    #[inline]
-    pub fn ring_next(&self, n: NodeId) -> NodeId {
-        NodeId((n.0 + 1) % self.nodes)
-    }
-
-    /// Transmit a control message. On a single-node cluster the ring
-    /// degenerates to a self-loop with no wire cost.
-    pub fn send(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        now: WallNs,
-        msg: CtrlMsg,
-        cost: &CostModel,
-    ) -> WallNs {
-        let deliver_at = if from == to {
-            now
-        } else {
-            shaped_send(&self.faults, &self.nics[from.index()], from, to, now, cost)
-        };
-        self.inboxes[to.index()].push(deliver_at, msg);
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        deliver_at
-    }
-
-    /// Receive one control message at node `at`.
-    pub fn recv(&self, at: NodeId, now: WallNs) -> Option<CtrlMsg> {
-        self.inboxes[at.index()].pop_ready(now)
-    }
-
-    pub fn sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
     }
 }
 
@@ -229,21 +153,36 @@ mod tests {
     #[test]
     fn event_travels_with_wire_latency() {
         let (fab, _ctrl) = fabric_pair::<u32>(2, None, None);
-        let at = fab.send_event(NodeId(0), NodeId(1), WallNs(0), 7, &cm());
+        let at = fab.send(NodeId(0), NodeId(1), WallNs(0), 7, &cm());
         assert_eq!(at.0, cm().wire_per_msg.0 + cm().wire_latency.0);
-        assert_eq!(fab.recv_event(NodeId(1), WallNs(0)), None, "still in flight");
-        assert_eq!(fab.recv_event(NodeId(1), at), Some(7));
-        assert_eq!(fab.events_sent(), 1);
+        assert_eq!(fab.recv(NodeId(1), WallNs(0)), None, "still in flight");
+        assert_eq!(fab.recv(NodeId(1), at), Some(7));
     }
 
     #[test]
     fn fifo_per_destination_across_sources() {
         let (fab, _ctrl) = fabric_pair::<u32>(3, None, None);
-        fab.send_event(NodeId(0), NodeId(2), WallNs(0), 1, &cm());
-        fab.send_event(NodeId(1), NodeId(2), WallNs(0), 2, &cm());
+        fab.send(NodeId(0), NodeId(2), WallNs(0), 1, &cm());
+        fab.send(NodeId(1), NodeId(2), WallNs(0), 2, &cm());
         let mut out = Vec::new();
-        fab.drain_events(NodeId(2), WallNs(1_000_000), 10, &mut out);
+        assert_eq!(fab.drain(NodeId(2), WallNs(1_000_000), 10, &mut out), 2);
         assert_eq!(out, vec![1, 2]);
+    }
+
+    #[test]
+    fn burst_serializes_on_the_nic_and_an_idle_nic_adds_nothing() {
+        let cost = CostModel { wire_per_msg: WallNs(500), wire_latency: WallNs(20_000), ..cm() };
+        let (fab, _ctrl) = fabric_pair::<u8>(2, None, None);
+        let burst: Vec<WallNs> =
+            (0..3).map(|i| fab.send(NodeId(0), NodeId(1), WallNs(0), i, &cost)).collect();
+        assert_eq!(burst, [WallNs(20_500), WallNs(21_000), WallNs(21_500)]);
+        // Handed over long after the NIC went idle: no queueing.
+        let late = fab.send(NodeId(0), NodeId(1), WallNs(50_000), 3, &cost);
+        assert_eq!(late, WallNs(70_500));
+        let mut out = Vec::new();
+        assert_eq!(fab.drain(NodeId(1), WallNs(21_000), 10, &mut out), 2, "two delivered");
+        assert_eq!(fab.drain(NodeId(1), late, 10, &mut out), 2);
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -263,7 +202,6 @@ mod tests {
         let got = ctrl.recv(NodeId(1), at).unwrap();
         assert_eq!(got.sum, -3);
         assert_eq!(got.round, 9);
-        assert_eq!(ctrl.sent(), 1);
     }
 
     #[test]
@@ -273,16 +211,6 @@ mod tests {
         let at = ctrl.send(NodeId(0), NodeId(0), WallNs(5), CtrlMsg::new(0, 1, NodeId(0)), &cm());
         assert_eq!(at, WallNs(5));
         assert!(ctrl.recv(NodeId(0), WallNs(5)).is_some());
-    }
-
-    #[test]
-    fn inbox_len_counts_in_flight() {
-        let (fab, _ctrl) = fabric_pair::<u8>(2, None, None);
-        fab.send_event(NodeId(0), NodeId(1), WallNs(0), 1, &cm());
-        fab.send_event(NodeId(0), NodeId(1), WallNs(0), 2, &cm());
-        assert_eq!(fab.event_inbox_len(NodeId(1)), 2);
-        let _ = fab.recv_event(NodeId(1), WallNs(u64::MAX / 2));
-        assert_eq!(fab.event_inbox_len(NodeId(1)), 1);
     }
 
     #[test]
@@ -312,13 +240,14 @@ mod tests {
         }
 
         let (fab, ctrl) = fabric_pair::<u32>(2, Some(Arc::new(DegradeForward)), None);
-        let fwd = fab.send_event(NodeId(0), NodeId(1), WallNs(0), 7, &cm());
+        let fwd = fab.send(NodeId(0), NodeId(1), WallNs(0), 7, &cm());
         assert_eq!(fwd.0, cm().wire_per_msg.0 + 3 * cm().wire_latency.0 + 1_000_000);
         // Delayed, not lost: the message still arrives exactly once.
-        assert_eq!(fab.recv_event(NodeId(1), WallNs(fwd.0 - 1)), None);
-        assert_eq!(fab.recv_event(NodeId(1), fwd), Some(7));
+        assert_eq!(fab.recv(NodeId(1), WallNs(fwd.0 - 1)), None);
+        assert_eq!(fab.recv(NodeId(1), fwd), Some(7));
+        assert_eq!(fab.recv(NodeId(1), fwd), None);
         // Reverse direction (node 1's own NIC) is clean.
-        let rev = fab.send_event(NodeId(1), NodeId(0), WallNs(0), 9, &cm());
+        let rev = fab.send(NodeId(1), NodeId(0), WallNs(0), 9, &cm());
         assert_eq!(rev.0, cm().wire_per_msg.0 + cm().wire_latency.0);
         // The control plane is shaped through the same injector.
         let c = ctrl.send(NodeId(0), NodeId(1), fwd, CtrlMsg::new(0, 0, NodeId(0)), &cm());
@@ -330,7 +259,7 @@ mod tests {
         let (fab, ctrl) = fabric_pair::<u8>(2, None, None);
         // Burst of events books the NIC ahead...
         for i in 0..10 {
-            fab.send_event(NodeId(0), NodeId(1), WallNs(0), i, &cm());
+            fab.send(NodeId(0), NodeId(1), WallNs(0), i, &cm());
         }
         // ...so a control message sent at t=0 queues behind them.
         let at = ctrl.send(NodeId(0), NodeId(1), WallNs(0), CtrlMsg::new(0, 0, NodeId(0)), &cm());

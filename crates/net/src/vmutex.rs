@@ -6,7 +6,8 @@
 //! exactly that: acquisitions serialize in time. A caller arriving at `now`
 //! begins its critical section at `max(now, lock_free_at)`, holds for
 //! `hold`, and is charged the whole interval. The paper's `PerWorker` MPI
-//! mode routes every worker's MPI calls through one of these.
+//! mode routes every worker's MPI calls through one of these, and each
+//! node's NIC is one too, held for a message's transmit time.
 
 use cagvt_base::time::WallNs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,13 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// assert_eq!(lock.acquire(WallNs(0), WallNs(100)), WallNs(100));
 /// assert_eq!(lock.acquire(WallNs(0), WallNs(100)), WallNs(200));
 /// assert_eq!(lock.acquire(WallNs(0), WallNs(100)), WallNs(300));
-/// assert_eq!(lock.total_wait(), WallNs(300));
 /// ```
 #[derive(Debug, Default)]
 pub struct VirtualMutex {
     free_at: AtomicU64,
-    acquisitions: AtomicU64,
-    total_wait: AtomicU64,
 }
 
 impl VirtualMutex {
@@ -53,23 +51,9 @@ impl VirtualMutex {
                 .compare_exchange(free, new_free, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                let wait = start - now.0;
-                self.acquisitions.fetch_add(1, Ordering::Relaxed);
-                self.total_wait.fetch_add(wait, Ordering::Relaxed);
                 return WallNs(new_free - now.0);
             }
         }
-    }
-
-    /// Number of acquisitions so far.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
-    }
-
-    /// Accumulated queueing delay across all acquisitions (the contention
-    /// signal the dedicated-MPI-thread experiments visualize).
-    pub fn total_wait(&self) -> WallNs {
-        WallNs(self.total_wait.load(Ordering::Relaxed))
     }
 }
 
@@ -80,29 +64,14 @@ mod tests {
     #[test]
     fn uncontended_acquire_charges_only_hold() {
         let m = VirtualMutex::new();
-        let charge = m.acquire(WallNs(1_000), WallNs(100));
-        assert_eq!(charge, WallNs(100));
-        assert_eq!(m.total_wait(), WallNs::ZERO);
-    }
-
-    #[test]
-    fn back_to_back_acquires_queue_up() {
-        let m = VirtualMutex::new();
-        // Three callers all arrive at t=0 wanting 100ns each.
-        assert_eq!(m.acquire(WallNs(0), WallNs(100)), WallNs(100));
-        assert_eq!(m.acquire(WallNs(0), WallNs(100)), WallNs(200));
-        assert_eq!(m.acquire(WallNs(0), WallNs(100)), WallNs(300));
-        assert_eq!(m.acquisitions(), 3);
-        assert_eq!(m.total_wait(), WallNs(300)); // 0 + 100 + 200
+        assert_eq!(m.acquire(WallNs(1_000), WallNs(100)), WallNs(100));
     }
 
     #[test]
     fn late_arrival_after_free_pays_no_wait() {
         let m = VirtualMutex::new();
         m.acquire(WallNs(0), WallNs(100));
-        let charge = m.acquire(WallNs(500), WallNs(100));
-        assert_eq!(charge, WallNs(100));
-        assert_eq!(m.total_wait(), WallNs::ZERO);
+        assert_eq!(m.acquire(WallNs(500), WallNs(100)), WallNs(100));
     }
 
     #[test]
@@ -111,7 +80,6 @@ mod tests {
         m.acquire(WallNs(0), WallNs(1_000)); // free at 1000
         let charge = m.acquire(WallNs(400), WallNs(200)); // waits 600, holds 200
         assert_eq!(charge, WallNs(800));
-        assert_eq!(m.total_wait(), WallNs(600));
     }
 
     #[test]
@@ -131,9 +99,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(m.acquisitions(), 8_000);
-        // All arrived at t=0 holding 10ns each: the lock is finally free at
-        // exactly 80_000 regardless of interleaving.
-        assert_eq!(m.free_at.load(Ordering::Relaxed), 80_000);
+        // All arrived at t=0 holding 10ns each: whatever the interleaving,
+        // a caller arriving at t=0 waits until exactly 80_000.
+        assert_eq!(m.acquire(WallNs(0), WallNs::ZERO), WallNs(80_000));
     }
 }

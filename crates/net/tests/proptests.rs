@@ -1,7 +1,8 @@
 //! Property tests for the cluster substrate's time-queueing primitives.
 
+use cagvt_base::ids::NodeId;
 use cagvt_base::time::WallNs;
-use cagvt_net::{Mailbox, Nic, VirtualMutex};
+use cagvt_net::{fabric_pair, CostModel, Mailbox, VirtualMutex};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,22 +26,30 @@ proptest! {
         }
     }
 
-    /// NIC deliveries per sender are monotone in transmit completion and
-    /// each message occupies the wire exclusively.
+    /// A node's fabric sends serialize on its NIC: each message occupies
+    /// the wire exclusively, never before it was handed over, and every
+    /// message is delivered.
     #[test]
     fn nic_serializes(ops in prop::collection::vec(0u64..1_000_000, 1..100),
                       per_msg in 1u64..5_000, latency in 0u64..100_000) {
-        let nic = Nic::new();
+        let cost = CostModel {
+            wire_per_msg: WallNs(per_msg),
+            wire_latency: WallNs(latency),
+            ..CostModel::knl_cluster()
+        };
+        let (fabric, _ctrl) = fabric_pair::<u64>(2, None, None);
         let mut last_tx_done = 0u64;
         for &now in &ops {
-            let deliver = nic.send(WallNs(now), WallNs(per_msg), WallNs(latency));
+            let deliver = fabric.send(NodeId(0), NodeId(1), WallNs(now), now, &cost);
             let tx_done = deliver.as_nanos() - latency;
             let tx_start = tx_done - per_msg;
             prop_assert!(tx_start >= last_tx_done, "transmissions overlap");
             prop_assert!(tx_start >= now);
             last_tx_done = tx_done;
         }
-        prop_assert_eq!(nic.sent(), ops.len() as u64);
+        let mut got = Vec::new();
+        prop_assert_eq!(fabric.drain(NodeId(1), WallNs(u64::MAX / 2), usize::MAX, &mut got), ops.len());
+        prop_assert_eq!(got, ops);
     }
 }
 
