@@ -1,6 +1,8 @@
 //! End-to-end tests: the optimistic engine, driven by each *real* GVT
 //! algorithm, must terminate and commit exactly the sequential reference's
-//! events and states, on every topology and MPI mode.
+//! events and states, on every topology and MPI mode. Every run goes
+//! through a step valve, so a liveness regression fails in seconds instead
+//! of spinning.
 
 use cagvt_core::cluster::{build_shared, run_virtual_with};
 use cagvt_core::seq::SequentialSim;
@@ -11,16 +13,13 @@ use cagvt_gvt::{make_bundle, GvtKind};
 use cagvt_net::MpiMode;
 use std::sync::Arc;
 
-fn vcfg() -> VirtualConfig {
-    VirtualConfig {
-        max_steps: Some(80_000_000),
-        horizon: Some(cagvt_base::WallNs(120_000_000_000)),
-        ..Default::default()
-    }
-}
+/// Scheduler steps any run here may take; the largest takes well under a
+/// fifth of this.
+const MAX_STEPS: u64 = 2_000_000;
 
 fn run(kind: GvtKind, model: MiniHold, cfg: SimConfig) -> RunReport {
-    run_virtual_with(Arc::new(model), cfg, vcfg(), |shared| make_bundle(kind, shared))
+    let vcfg = VirtualConfig { max_steps: Some(MAX_STEPS), ..Default::default() };
+    run_virtual_with(Arc::new(model), cfg, vcfg, |shared| make_bundle(kind, shared))
 }
 
 fn assert_matches_sequential(kind: GvtKind, model: MiniHold, cfg: SimConfig) -> RunReport {
@@ -32,7 +31,7 @@ fn assert_matches_sequential(kind: GvtKind, model: MiniHold, cfg: SimConfig) -> 
     report
 }
 
-/// Every algorithm the oracle tests run. Samadi is left out: on the
+/// Every algorithm the matrix tests run. Samadi is left out: on the
 /// rollback-heavy config its rolled-back work grows much faster with the
 /// end time than the others' and the run hits the step valve at end time
 /// 40 (see ROADMAP.md); it has its own tests below.
@@ -44,10 +43,14 @@ fn all_kinds() -> [GvtKind; 4] {
 #[test]
 fn single_node_all_algorithms_match_sequential() {
     for kind in all_kinds() {
-        let mut cfg = SimConfig::small(1, 3);
-        cfg.end_time = 40.0;
-        let report = assert_matches_sequential(kind, MiniHold::default(), cfg);
-        assert!(report.gvt_rounds > 0, "{kind:?} must run rounds\n{report}");
+        for workers in [1, 3, 4] {
+            let mut cfg = SimConfig::small(1, workers);
+            cfg.end_time = 40.0;
+            let report = assert_matches_sequential(kind, MiniHold::default(), cfg);
+            assert!(report.gvt_rounds > 0, "{kind:?} must run rounds\n{report}");
+            assert_eq!(report.sent_regional > 0, workers > 1, "cross-worker traffic\n{report}");
+            assert_eq!(report.sent_remote, 0, "one node sends nothing remote\n{report}");
+        }
     }
 }
 
@@ -62,6 +65,7 @@ fn multi_node_all_algorithms_match_sequential() {
             cfg,
         );
         assert!(report.sent_remote > 0, "{kind:?}: remote traffic expected");
+        assert!(report.sent_regional > 0, "{kind:?}: cross-worker traffic expected");
         assert!(report.gvt_rounds > 1, "{kind:?}: several rounds expected\n{report}");
     }
 }
@@ -74,6 +78,7 @@ fn rollback_heavy_runs_stay_correct() {
         let model = MiniHold { far_fraction: 0.7, epg: 200, ..Default::default() };
         let report = assert_matches_sequential(kind, model, cfg);
         assert!(report.rollbacks > 0, "{kind:?}: rollbacks expected\n{report}");
+        assert!(report.antis_sent > 0, "{kind:?}: anti-messages expected\n{report}");
     }
 }
 
@@ -97,6 +102,8 @@ fn per_worker_mpi_mode_works_with_all_algorithms() {
     }
 }
 
+/// The seed alone decides a run: the same seed repeats it exactly, another
+/// seed changes the result.
 #[test]
 fn runs_are_deterministic_per_algorithm() {
     for kind in all_kinds() {
@@ -105,9 +112,62 @@ fn runs_are_deterministic_per_algorithm() {
         let a = run(kind, MiniHold::default(), cfg);
         let b = run(kind, MiniHold::default(), cfg);
         assert_eq!(a.committed, b.committed);
+        assert_eq!(a.state_fingerprint, b.state_fingerprint);
         assert_eq!(a.sched_steps, b.sched_steps, "{kind:?} schedule must be deterministic");
         assert_eq!(a.sim_seconds, b.sim_seconds);
+
+        cfg.seed ^= 0x5EED;
+        let reseeded = run(kind, MiniHold::default(), cfg);
+        assert_ne!(reseeded.state_fingerprint, a.state_fingerprint, "{kind:?}");
     }
+}
+
+/// A worker whose cap is full of events later than its earliest pending
+/// event holds the cluster's minimum, so GVT sits at that event's time and
+/// can commit none of the capped events: only processing that event lets
+/// GVT advance. Every algorithm must finish such runs, and the throttle
+/// still engages and is counted.
+#[test]
+fn tight_throttles_never_stall_gvt() {
+    let mut cfg = SimConfig::small(1, 2);
+    cfg.end_time = 6.0;
+    cfg.gvt_interval = 2;
+    for kind in all_kinds().into_iter().chain([GvtKind::Samadi]) {
+        for cap in [2, 4, 8] {
+            cfg.max_outstanding = cap;
+            let report = assert_matches_sequential(kind, MiniHold::default(), cfg);
+            assert!(report.throttled_steps > 0, "{kind:?}: a cap of {cap} must engage\n{report}");
+        }
+    }
+    // With the bound orders of magnitude looser it binds less, and the
+    // results do not change.
+    cfg.max_outstanding = 2;
+    let tight = run(GvtKind::Mattern, MiniHold::default(), cfg);
+    cfg.max_outstanding = 4096;
+    let loose = assert_matches_sequential(GvtKind::Mattern, MiniHold::default(), cfg);
+    assert!(loose.throttled_steps < tight.throttled_steps);
+}
+
+#[test]
+fn throttle_keeps_memory_bounded_and_preserves_results() {
+    for kind in all_kinds() {
+        let mut cfg = SimConfig::small(2, 2);
+        cfg.end_time = 30.0;
+        cfg.max_outstanding = cfg.gvt_interval as usize; // tightest legal throttle
+        assert_matches_sequential(kind, MiniHold::default(), cfg);
+    }
+}
+
+#[test]
+fn request_counters_are_populated() {
+    let mut cfg = SimConfig::small(1, 2);
+    cfg.end_time = 10.0;
+    // Interval 1: every processed event raises a round request.
+    cfg.gvt_interval = 1;
+    cfg.max_outstanding = 64;
+    let report = run(GvtKind::Mattern, MiniHold::default(), cfg);
+    report.check_conservation(cfg.end_vt());
+    assert!(report.requests_interval > 0, "round requests must be recorded\n{report}");
 }
 
 #[test]
@@ -172,9 +232,11 @@ fn ca_gvt_queue_trigger_alone_selects_sync_rounds() {
 }
 
 #[test]
-fn shared_handles_expose_gvt_state() {
-    let cfg = SimConfig::small(1, 2);
+fn shared_handles_expose_topology_and_gvt_state() {
+    let cfg = SimConfig::small(2, 3);
     let shared = build_shared(Arc::new(MiniHold::default()), cfg);
+    assert_eq!(shared.nodes.len(), 2);
+    assert_eq!(shared.cfg.total_lps(), 2 * 3 * cfg.lps_per_worker);
     let bundle = make_bundle(GvtKind::Mattern, &shared);
     assert_eq!(bundle.name(), "mattern");
     let bundle = make_bundle(GvtKind::CA_DEFAULT, &shared);
