@@ -14,7 +14,7 @@
 //! path is untouched. Metered and unmetered runs are therefore
 //! bit-identical (the `metrics_never_perturb` proptest pins this).
 //!
-//! The concrete registry, the CSV/JSONL/Prometheus exporters and the
+//! The concrete registry, the epoch CSV and the
 //! [`HealthMonitor`](../../cagvt_metrics) rules live in the
 //! `cagvt-metrics` crate; this module defines only the trait and the epoch
 //! record so every layer can hold the hook without a dependency cycle
@@ -38,7 +38,7 @@ pub enum EpochMode {
 }
 
 impl EpochMode {
-    /// Stable lower-case label used by the exporters.
+    /// Stable lower-case label used by the epoch CSV.
     pub fn label(self) -> &'static str {
         match self {
             EpochMode::Uncontrolled => "uncontrolled",
@@ -68,7 +68,7 @@ pub enum SyncCause {
 }
 
 impl SyncCause {
-    /// Stable lower-case label used by the exporters.
+    /// Stable lower-case label used by the epoch CSV.
     pub fn label(self) -> &'static str {
         match self {
             SyncCause::None => "none",
@@ -107,33 +107,6 @@ impl SyncCause {
             (false, true) => SyncCause::QueueDepth,
             (false, false) => SyncCause::None,
         }
-    }
-}
-
-/// Conditional-barrier bitmask: which of CA-GVT's barriers A/B/C the round
-/// passed through (`barriers` field of [`MetricsEpoch`]).
-pub const BARRIER_A: u8 = 1 << 0;
-/// See [`BARRIER_A`].
-pub const BARRIER_B: u8 = 1 << 1;
-/// See [`BARRIER_A`].
-pub const BARRIER_C: u8 = 1 << 2;
-
-/// Render a barrier bitmask as `"A+B+C"` / `"-"` for the exporters.
-pub fn barrier_label(mask: u8) -> String {
-    let mut parts = Vec::new();
-    if mask & BARRIER_A != 0 {
-        parts.push("A");
-    }
-    if mask & BARRIER_B != 0 {
-        parts.push("B");
-    }
-    if mask & BARRIER_C != 0 {
-        parts.push("C");
-    }
-    if parts.is_empty() {
-        "-".to_string()
-    } else {
-        parts.join("+")
     }
 }
 
@@ -187,16 +160,12 @@ pub struct MetricsEpoch {
     pub horizon_roughness: f64,
     /// Mean of the finite worker lags.
     pub mean_lag: f64,
-    /// Per-node MPI outbox occupancy at the publication.
-    pub mpi_queue_depths: Vec<u64>,
-    /// `max` over [`MetricsEpoch::mpi_queue_depths`].
+    /// Deepest per-node MPI outbox at the publication.
     pub mpi_queue_max: u64,
-    /// Controller mode of the round.
+    /// Controller mode of the round. A `Sync` round passes through all
+    /// three of CA-GVT's conditional barriers A, B and C; no other round
+    /// passes through any.
     pub mode: EpochMode,
-    /// Which conditional barriers the round passed through
-    /// ([`BARRIER_A`]`|`[`BARRIER_B`]`|`[`BARRIER_C`]; 0 for async or
-    /// uncontrolled rounds).
-    pub barriers: u8,
     /// Why the controller armed the barriers (sync rounds only).
     pub cause: SyncCause,
 }
@@ -267,14 +236,6 @@ mod tests {
         assert_eq!(SyncCause::from_flags(true, false), SyncCause::Efficiency);
         assert_eq!(SyncCause::from_flags(false, true), SyncCause::QueueDepth);
         assert_eq!(SyncCause::from_flags(true, true), SyncCause::Both);
-    }
-
-    #[test]
-    fn barrier_labels_are_stable() {
-        assert_eq!(barrier_label(0), "-");
-        assert_eq!(barrier_label(BARRIER_A), "A");
-        assert_eq!(barrier_label(BARRIER_A | BARRIER_C), "A+C");
-        assert_eq!(barrier_label(BARRIER_A | BARRIER_B | BARRIER_C), "A+B+C");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use cagvt_core::{RunReport, SimConfig};
 use cagvt_exec::VirtualConfig;
 use cagvt_fault::{FaultPlan, FaultRuntime, FaultSpec, FaultTopology, Perturbation};
 use cagvt_gvt::{make_bundle, GvtKind};
-use cagvt_metrics::{HealthMonitor, MetricsRegistry};
+use cagvt_metrics::{epoch_csv, HealthMonitor, MetricsRegistry};
 use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
 use cagvt_models::presets::{comm_dominated, comp_dominated, mixed_model, Workload, COMP_PARAMS};
 use cagvt_net::MpiMode;
@@ -655,14 +655,13 @@ fn health_straggle_injector(topology: FaultTopology, span: WallNs) -> Arc<dyn Fa
 
 /// `figures health`: COMM-PHOLD on 4 virtual nodes under each of the
 /// three GVT algorithms, clean and with a deterministic node-straggle
-/// plan, with a [`MetricsRegistry`] attached. Per series this writes the
-/// per-epoch telemetry as tidy CSV (`metrics-<series>.csv`), JSON-lines
-/// (`.jsonl`) and a Prometheus text-exposition snapshot of the final
-/// epoch (`.prom`); the recorded stream is then replayed through
-/// [`HealthMonitor`], whose alerts land in the report's `health` section
-/// (and the `health_alerts` CSV column). The paired arms demonstrate the
-/// monitor's contract: quiet on the clean runs, straggler/efficiency
-/// alerts on the perturbed ones, annotated with the fault signature.
+/// plan, with a [`MetricsRegistry`] attached. After each run the recorded
+/// per-epoch telemetry is written as tidy CSV (`metrics-<series>.csv`)
+/// and replayed through [`HealthMonitor`], whose alerts land in the
+/// report's `health` section (and the `health_alerts` CSV column). The
+/// paired arms demonstrate the monitor's contract: quiet on the clean
+/// runs, straggler/efficiency alerts on the perturbed ones, annotated with
+/// the fault signature.
 pub fn health_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
     let (span, topology) = fault_anchor(scale);
     let mut cells = Vec::new();
@@ -677,25 +676,8 @@ pub fn health_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
         .iter()
         .cloned()
         .map(|cell| -> Task<HealthRun> {
-            let out = out_dir.map(Path::to_path_buf);
             Box::new(move || {
-                let cfg = cell.config();
-                let tag = &cell.series;
-                let mut registry = MetricsRegistry::new()
-                    .with_label("algorithm", cell.kind.label())
-                    .with_label("series", tag.clone())
-                    .with_label("workload", cell.load.workload(&cfg).name)
-                    .with_label("nodes", cell.nodes.to_string())
-                    .with_label("workers", cfg.spec.total_workers().to_string());
-                if let Some(dir) = &out {
-                    registry = registry
-                        .with_csv(dir.join(format!("metrics-{tag}.csv")))
-                        .expect("create metrics csv")
-                        .with_jsonl(dir.join(format!("metrics-{tag}.jsonl")))
-                        .expect("create metrics jsonl")
-                        .with_prometheus(dir.join(format!("metrics-{tag}.prom")));
-                }
-                let registry = Arc::new(registry);
+                let registry = Arc::new(MetricsRegistry::new());
                 let report = cell.run(None, Some(registry.clone() as Arc<dyn MetricsSink>));
                 (report, registry.epochs())
             })
@@ -716,6 +698,10 @@ pub fn health_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
         }
         monitor.observe_all(&epochs);
         report.health = monitor.report_lines();
+        if let Some(dir) = out_dir {
+            std::fs::write(dir.join(format!("metrics-{}.csv", cell.series)), epoch_csv(&epochs))
+                .expect("write metrics csv");
+        }
         let sync_epochs = epochs.iter().filter(|e| e.mode == EpochMode::Sync).count();
         eprintln!(
             "# health {}: {} epochs ({sync_epochs} sync), {} alerts",

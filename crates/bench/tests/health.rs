@@ -1,10 +1,9 @@
 //! Bench-scale integration test of the metrics/health pipeline: the
-//! `figures health` experiment must emit parseable telemetry for every
-//! series, fire the straggler rule under the node-straggle plan, and stay
+//! `figures health` experiment must write an epoch CSV for every series,
+//! fire the straggler rule under the node-straggle plan, and stay
 //! straggler-quiet on the clean arms.
 
 use cagvt_bench::{health_experiment, Row, Scale};
-use cagvt_metrics::parse_exposition;
 use std::path::PathBuf;
 
 fn scratch_dir() -> PathBuf {
@@ -46,25 +45,12 @@ fn health_experiment_detects_the_straggling_node_and_exports_telemetry() {
             }
         }
 
-        // Per-series telemetry: epoch CSV with the stable header, JSONL
-        // with one object per line, and a Prometheus snapshot that parses.
+        // Per-series telemetry: an epoch CSV with the stable header and at
+        // least one epoch row.
         let csv = std::fs::read_to_string(dir.join(format!("metrics-{}.csv", row.series))).unwrap();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some(cagvt_metrics::epoch_csv_header()));
-        let epoch_rows = lines.count();
-        assert!(epoch_rows > 0, "series {} recorded no epochs", row.series);
-
-        let jsonl =
-            std::fs::read_to_string(dir.join(format!("metrics-{}.jsonl", row.series))).unwrap();
-        assert_eq!(jsonl.lines().count(), epoch_rows, "JSONL and CSV row counts agree");
-
-        let prom =
-            std::fs::read_to_string(dir.join(format!("metrics-{}.prom", row.series))).unwrap();
-        let samples = parse_exposition(&prom)
-            .unwrap_or_else(|e| panic!("series {} snapshot must parse: {e}", row.series));
-        let round = samples.iter().find(|s| s.name == "cagvt_gvt_round").unwrap();
-        assert_eq!(round.value, epoch_rows as f64, "snapshot is the last epoch");
-        assert_eq!(round.label("series"), Some(row.series.as_str()));
+        assert!(lines.count() > 0, "series {} recorded no epochs", row.series);
     }
     assert!(
         straggle_hits > 0,

@@ -17,9 +17,7 @@
 //! structures in `cagvt-gvt`.
 
 use cagvt_base::ids::{LaneId, NodeId};
-use cagvt_base::metrics::{
-    EpochMode, MetricsEpoch, MetricsSink, SyncCause, BARRIER_A, BARRIER_B, BARRIER_C,
-};
+use cagvt_base::metrics::{EpochMode, MetricsEpoch, MetricsSink, SyncCause};
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::{TraceRecord, TraceSink};
 use cagvt_base::wake;
@@ -160,24 +158,23 @@ impl GvtSharedCore {
             .collect();
         let h = snap.horizon;
 
-        let depths: Vec<u64> =
-            self.mpi_queue_depth.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-        let mpi_queue_max = depths.iter().copied().max().unwrap_or(0);
+        let mpi_queue_max =
+            self.mpi_queue_depth.iter().map(|d| d.load(Ordering::Relaxed)).max().unwrap_or(0);
 
         // Controller decision for *this* round, if a controller ran one
         // (only CA-GVT appends to gvt_trace; Barrier/Mattern epochs are
         // "uncontrolled").
-        let (mode, cause, barriers) = {
+        let (mode, cause) = {
             let tr = stats.gvt_trace.lock();
             match tr.last() {
                 Some(r) if r.round == snap.round => {
                     if r.synchronous {
-                        (EpochMode::Sync, r.cause, BARRIER_A | BARRIER_B | BARRIER_C)
+                        (EpochMode::Sync, r.cause)
                     } else {
-                        (EpochMode::Async, SyncCause::None, 0)
+                        (EpochMode::Async, SyncCause::None)
                     }
                 }
-                _ => (EpochMode::Uncontrolled, SyncCause::None, 0),
+                _ => (EpochMode::Uncontrolled, SyncCause::None),
             }
         };
 
@@ -199,10 +196,8 @@ impl GvtSharedCore {
             horizon_width: h.width,
             horizon_roughness: h.roughness,
             mean_lag: if h.samples > 0 { h.mean - gvt_f } else { 0.0 },
-            mpi_queue_depths: depths,
             mpi_queue_max,
             mode,
-            barriers,
             cause,
         };
         sink.on_epoch(snap.t, &epoch);
@@ -492,7 +487,6 @@ mod tests {
         assert!((second.efficiency_window - 0.4).abs() < 1e-12);
         assert_eq!(second.mode, EpochMode::Sync);
         assert_eq!(second.cause, SyncCause::Efficiency);
-        assert_eq!(second.barriers, BARRIER_A | BARRIER_B | BARRIER_C);
         // An idle worker's infinite LVT is a NaN lag, outside the horizon.
         assert_eq!(second.finite_workers(), 1);
         assert!(second.worker_lag[1].is_nan());

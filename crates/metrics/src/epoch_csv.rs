@@ -1,12 +1,11 @@
-//! Tidy CSV and JSON-lines formatting for [`MetricsEpoch`] records.
+//! Tidy CSV formatting for [`MetricsEpoch`] records.
 //!
-//! One row per published GVT round; the vector-valued fields (per-worker
-//! lags, per-node queue depths) are summarized in the CSV (the full
-//! vectors are in the JSONL and Prometheus exports) so the CSV stays
+//! One row per published GVT round. The per-worker lags are summarized
+//! (finite count, horizon width and roughness, mean lag) so the CSV stays
 //! schema-stable across cluster shapes and loads directly into notebook
 //! tooling.
 
-use cagvt_base::metrics::{barrier_label, MetricsEpoch};
+use cagvt_base::metrics::{EpochMode, MetricsEpoch};
 
 /// Header matching [`epoch_csv_row`].
 pub fn epoch_csv_header() -> &'static str {
@@ -16,7 +15,9 @@ pub fn epoch_csv_header() -> &'static str {
      mean_lag,mpi_queue_max,mode,barriers,cause"
 }
 
-/// One CSV row (no trailing newline).
+/// One CSV row (no trailing newline). The `barriers` column names the
+/// conditional barriers the round passed through: all three for a
+/// synchronous round, none (`-`) otherwise.
 pub fn epoch_csv_row(e: &MetricsEpoch) -> String {
     format!(
         "{},{},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{},{:.6},{:.6},{:.6},{},{},{},{}",
@@ -39,58 +40,25 @@ pub fn epoch_csv_row(e: &MetricsEpoch) -> String {
         e.mean_lag,
         e.mpi_queue_max,
         e.mode.label(),
-        barrier_label(e.barriers),
+        if e.mode == EpochMode::Sync { "A+B+C" } else { "-" },
         e.cause.label(),
     )
 }
 
-/// One JSON-lines object (no trailing newline), carrying the full
-/// per-worker and per-node vectors. `NaN` lags (idle workers) are encoded
-/// as `null` to stay strict-JSON parseable.
-pub fn epoch_jsonl_row(e: &MetricsEpoch) -> String {
-    let lags: Vec<String> = e
-        .worker_lag
-        .iter()
-        .map(|l| if l.is_finite() { format!("{l}") } else { "null".to_string() })
-        .collect();
-    let queues: Vec<String> = e.mpi_queue_depths.iter().map(|q| q.to_string()).collect();
-    format!(
-        "{{\"round\":{},\"t_ns\":{},\"gvt\":{},\"committed_delta\":{},\
-         \"processed_delta\":{},\"rolled_back_delta\":{},\"rollbacks_delta\":{},\
-         \"antis_sent_delta\":{},\"annihilated_delta\":{},\"msgs_sent_delta\":{},\
-         \"msgs_received_delta\":{},\"efficiency_window\":{},\"efficiency_cum\":{},\
-         \"horizon_width\":{},\"horizon_roughness\":{},\"mean_lag\":{},\
-         \"worker_lag\":[{}],\"mpi_queue_depths\":[{}],\"mpi_queue_max\":{},\
-         \"mode\":\"{}\",\"barriers\":\"{}\",\"cause\":\"{}\"}}",
-        e.round,
-        e.t.0,
-        e.gvt,
-        e.committed_delta,
-        e.processed_delta,
-        e.rolled_back_delta,
-        e.rollbacks_delta,
-        e.antis_sent_delta,
-        e.annihilated_delta,
-        e.msgs_sent_delta,
-        e.msgs_received_delta,
-        e.efficiency_window,
-        e.efficiency_cum,
-        e.horizon_width,
-        e.horizon_roughness,
-        if e.mean_lag.is_finite() { e.mean_lag } else { 0.0 },
-        lags.join(","),
-        queues.join(","),
-        e.mpi_queue_max,
-        e.mode.label(),
-        barrier_label(e.barriers),
-        e.cause.label(),
-    )
+/// The whole series as one CSV document: header, then one row per epoch.
+pub fn epoch_csv(epochs: &[MetricsEpoch]) -> String {
+    let mut out = format!("{}\n", epoch_csv_header());
+    for e in epochs {
+        out.push_str(&epoch_csv_row(e));
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cagvt_base::metrics::{EpochMode, SyncCause, BARRIER_A, BARRIER_B, BARRIER_C};
+    use cagvt_base::metrics::SyncCause;
     use cagvt_base::WallNs;
 
     fn epoch() -> MetricsEpoch {
@@ -112,10 +80,8 @@ mod tests {
             horizon_width: 1.5,
             horizon_roughness: 0.75,
             mean_lag: 1.25,
-            mpi_queue_depths: vec![3, 0],
             mpi_queue_max: 3,
             mode: EpochMode::Sync,
-            barriers: BARRIER_A | BARRIER_B | BARRIER_C,
             cause: SyncCause::Efficiency,
         }
     }
@@ -130,15 +96,28 @@ mod tests {
     #[test]
     fn row_carries_mode_barriers_and_cause_labels() {
         let row = epoch_csv_row(&epoch());
-        assert!(row.ends_with("sync,A+B+C,efficiency"), "row: {row}");
+        assert!(row.ends_with(",3,sync,A+B+C,efficiency"), "row: {row}");
         assert!(row.starts_with("3,1000,12.5,40,100,60,"), "row: {row}");
     }
 
     #[test]
-    fn jsonl_encodes_nan_lag_as_null() {
-        let line = epoch_jsonl_row(&epoch());
-        assert!(line.contains("\"worker_lag\":[0.5,null,2]"), "line: {line}");
-        assert!(line.contains("\"mpi_queue_depths\":[3,0]"), "line: {line}");
-        assert!(line.contains("\"cause\":\"efficiency\""), "line: {line}");
+    fn only_sync_rounds_pass_the_barriers() {
+        for (mode, tail) in [
+            (EpochMode::Sync, ",sync,A+B+C,none"),
+            (EpochMode::Async, ",async,-,none"),
+            (EpochMode::Uncontrolled, ",uncontrolled,-,none"),
+        ] {
+            let row = epoch_csv_row(&MetricsEpoch { mode, ..MetricsEpoch::default() });
+            assert!(row.ends_with(tail), "{mode:?} row: {row}");
+        }
+    }
+
+    #[test]
+    fn document_is_header_then_one_row_per_epoch() {
+        let second = MetricsEpoch { round: 4, ..epoch() };
+        let doc = epoch_csv(&[epoch(), second.clone()]);
+        let lines: Vec<_> = doc.lines().collect();
+        assert_eq!(lines, [epoch_csv_header(), &epoch_csv_row(&epoch()), &epoch_csv_row(&second)]);
+        assert!(doc.ends_with('\n'));
     }
 }

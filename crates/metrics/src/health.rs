@@ -64,42 +64,26 @@ impl Alert {
     }
 }
 
-/// Tunables for [`HealthMonitor`]. Defaults are calibrated on the bench
-/// workloads: conservative enough to stay quiet on clean runs, sharp
-/// enough to flag a 4-6x node slowdown within a handful of GVT rounds.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthConfig {
-    /// Robust z-score below which a worker's lag counts as straggling
-    /// (stragglers sit *below* the median — the test is one-sided).
-    pub straggler_z: f64,
-    /// Consecutive flagged epochs before a straggler alert fires.
-    pub straggler_persistence: usize,
-    /// Minimum finite-lag workers for the straggler rule to apply; with
-    /// fewer samples the median/MAD statistics are meaningless.
-    pub straggler_min_workers: usize,
-    /// Windowed efficiency below this counts toward a collapse.
-    pub collapse_threshold: f64,
-    /// Consecutive low-efficiency epochs before a collapse alert fires.
-    pub collapse_persistence: usize,
-    /// Sliding window (epochs) over which sync/async flips are counted.
-    pub flap_window: usize,
-    /// Flips within the window that trigger a mode-flapping alert.
-    pub flap_threshold: usize,
-}
+// Tunables, calibrated on the bench workloads: conservative enough to stay
+// quiet on clean runs, sharp enough to flag a 4-6x node slowdown within a
+// handful of GVT rounds.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            straggler_z: 4.0,
-            straggler_persistence: 3,
-            straggler_min_workers: 8,
-            collapse_threshold: 0.5,
-            collapse_persistence: 4,
-            flap_window: 16,
-            flap_threshold: 6,
-        }
-    }
-}
+/// Robust z-score below which a worker's lag counts as straggling
+/// (stragglers sit *below* the median — the test is one-sided).
+const STRAGGLER_Z: f64 = 4.0;
+/// Consecutive flagged epochs before a straggler alert fires.
+const STRAGGLER_PERSISTENCE: usize = 3;
+/// Minimum finite-lag workers for the straggler rule to apply; with fewer
+/// samples the median/MAD statistics are meaningless.
+const STRAGGLER_MIN_WORKERS: usize = 8;
+/// Windowed efficiency below this counts toward a collapse.
+const COLLAPSE_THRESHOLD: f64 = 0.5;
+/// Consecutive low-efficiency epochs before a collapse alert fires.
+const COLLAPSE_PERSISTENCE: usize = 4;
+/// Sliding window (epochs) over which sync/async flips are counted.
+const FLAP_WINDOW: usize = 16;
+/// Flips within the window that trigger a mode-flapping alert.
+const FLAP_THRESHOLD: usize = 6;
 
 /// Consistency constant turning a MAD into a σ-equivalent scale for
 /// normally-distributed data.
@@ -110,9 +94,8 @@ const MAD_TO_SIGMA: f64 = 1.4826;
 const MIN_MAD: f64 = 1e-12;
 
 /// Online health-rule evaluator; see the module docs for the rules.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
     fault_context: Option<String>,
     alerts: Vec<Alert>,
     /// Per-worker consecutive low-z streaks (indexed by worker id).
@@ -121,24 +104,14 @@ pub struct HealthMonitor {
     straggle_latched: Vec<bool>,
     collapse_streak: usize,
     collapse_latched: bool,
-    /// Recent controller modes, newest last, capped at `flap_window`.
+    /// Recent controller modes, newest last, capped at [`FLAP_WINDOW`].
     recent_modes: Vec<EpochMode>,
     flap_latched: bool,
 }
 
 impl HealthMonitor {
-    pub fn new(cfg: HealthConfig) -> Self {
-        HealthMonitor {
-            cfg,
-            fault_context: None,
-            alerts: Vec::new(),
-            straggle_streak: Vec::new(),
-            straggle_latched: Vec::new(),
-            collapse_streak: 0,
-            collapse_latched: false,
-            recent_modes: Vec::new(),
-            flap_latched: false,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Tag every subsequent alert with an active fault plan's signature.
@@ -184,27 +157,25 @@ impl HealthMonitor {
             self.straggle_latched.resize(e.worker_lag.len(), false);
         }
         let finite: Vec<f64> = e.worker_lag.iter().copied().filter(|l| l.is_finite()).collect();
-        if finite.len() < self.cfg.straggler_min_workers {
+        if finite.len() < STRAGGLER_MIN_WORKERS {
             return;
         }
         let med = median(&finite);
         let mut abs_dev: Vec<f64> = finite.iter().map(|l| (l - med).abs()).collect();
         let mad = median_mut(&mut abs_dev);
         if mad < MIN_MAD {
-            // Lockstep horizon: no spread to straggle against.
-            for s in &mut self.straggle_streak {
-                *s = 0;
-            }
+            // Lockstep horizon: no spread to straggle against, so every
+            // worker's condition has cleared.
+            self.straggle_streak.fill(0);
+            self.straggle_latched.fill(false);
             return;
         }
         let scale = MAD_TO_SIGMA * mad;
         for (w, lag) in e.worker_lag.iter().enumerate() {
             let z = if lag.is_finite() { (lag - med) / scale } else { 0.0 };
-            if z < -self.cfg.straggler_z {
+            if z < -STRAGGLER_Z {
                 self.straggle_streak[w] += 1;
-                if self.straggle_streak[w] >= self.cfg.straggler_persistence
-                    && !self.straggle_latched[w]
-                {
+                if self.straggle_streak[w] >= STRAGGLER_PERSISTENCE && !self.straggle_latched[w] {
                     self.straggle_latched[w] = true;
                     self.push_alert(
                         AlertKind::Straggler,
@@ -224,16 +195,16 @@ impl HealthMonitor {
     }
 
     fn observe_collapse(&mut self, e: &MetricsEpoch) {
-        if e.efficiency_window < self.cfg.collapse_threshold {
+        if e.efficiency_window < COLLAPSE_THRESHOLD {
             self.collapse_streak += 1;
-            if self.collapse_streak >= self.cfg.collapse_persistence && !self.collapse_latched {
+            if self.collapse_streak >= COLLAPSE_PERSISTENCE && !self.collapse_latched {
                 self.collapse_latched = true;
                 self.push_alert(
                     AlertKind::EfficiencyCollapse,
                     e.round,
                     format!(
                         "windowed efficiency {:.3} below {:.2} for {} consecutive epochs",
-                        e.efficiency_window, self.cfg.collapse_threshold, self.collapse_streak,
+                        e.efficiency_window, COLLAPSE_THRESHOLD, self.collapse_streak,
                     ),
                 );
             }
@@ -250,11 +221,11 @@ impl HealthMonitor {
             return;
         }
         self.recent_modes.push(e.mode);
-        if self.recent_modes.len() > self.cfg.flap_window {
+        if self.recent_modes.len() > FLAP_WINDOW {
             self.recent_modes.remove(0);
         }
         let flips = self.recent_modes.windows(2).filter(|pair| pair[0] != pair[1]).count();
-        if flips >= self.cfg.flap_threshold {
+        if flips >= FLAP_THRESHOLD {
             if !self.flap_latched {
                 self.flap_latched = true;
                 self.push_alert(
@@ -266,17 +237,11 @@ impl HealthMonitor {
                     ),
                 );
             }
-        } else if flips <= self.cfg.flap_threshold / 2 {
+        } else if flips <= FLAP_THRESHOLD / 2 {
             // Hysteresis: re-arm only once the oscillation has clearly
             // settled, not the first epoch the count dips below threshold.
             self.flap_latched = false;
         }
-    }
-}
-
-impl Default for HealthMonitor {
-    fn default() -> Self {
-        HealthMonitor::new(HealthConfig::default())
     }
 }
 
@@ -342,7 +307,7 @@ mod tests {
             m.alerts().iter().filter(|a| a.kind == AlertKind::Straggler).collect();
         assert_eq!(stragglers.len(), 1, "latched rule must fire once: {:?}", m.alerts());
         assert!(stragglers[0].message.contains("worker 3"), "msg: {}", stragglers[0].message);
-        assert_eq!(stragglers[0].round, HealthConfig::default().straggler_persistence as u64);
+        assert_eq!(stragglers[0].round, STRAGGLER_PERSISTENCE as u64);
     }
 
     #[test]
@@ -359,6 +324,22 @@ mod tests {
         }
         let stragglers = m.alerts().iter().filter(|a| a.kind == AlertKind::Straggler).count();
         assert_eq!(stragglers, 2);
+    }
+
+    /// A lockstep epoch (zero lag spread) clears the condition like a
+    /// healthy one does, so the next episode fires again.
+    #[test]
+    fn straggler_rule_realarms_after_a_lockstep_epoch() {
+        let mut m = HealthMonitor::default();
+        for r in 1..=5 {
+            m.observe(&epoch(r, straggling_lags(), 0.9, EpochMode::Async));
+        }
+        m.observe(&epoch(6, vec![2.0; 16], 0.9, EpochMode::Async));
+        for r in 7..=11 {
+            m.observe(&epoch(r, straggling_lags(), 0.9, EpochMode::Async));
+        }
+        let stragglers = m.alerts().iter().filter(|a| a.kind == AlertKind::Straggler).count();
+        assert_eq!(stragglers, 2, "alerts: {:?}", m.alerts());
     }
 
     #[test]
@@ -408,7 +389,7 @@ mod tests {
         let collapses: Vec<_> =
             m.alerts().iter().filter(|a| a.kind == AlertKind::EfficiencyCollapse).collect();
         assert_eq!(collapses.len(), 1);
-        assert_eq!(collapses[0].round, HealthConfig::default().collapse_persistence as u64);
+        assert_eq!(collapses[0].round, COLLAPSE_PERSISTENCE as u64);
     }
 
     #[test]

@@ -8,12 +8,9 @@
 //! LVT-lag horizon and the CA-GVT controller's mode/cause decision — and
 //! turns it into:
 //!
-//! * [`MetricsRegistry`] — the in-memory epoch store, with optional
-//!   file exporters appended per epoch: tidy CSV ([`epoch_csv`]),
-//!   JSON-lines, and a Prometheus text-exposition snapshot
-//!   ([`prometheus`]) rewritten at every publication so a file-scraping
-//!   collector always sees the latest round. An optional stderr ticker
-//!   prints one line per epoch for live runs.
+//! * [`MetricsRegistry`] — the in-memory epoch store, read back after the
+//!   run;
+//! * [`epoch_csv()`] — the series as tidy CSV, one row per epoch;
 //! * [`HealthMonitor`] — online rules over the epoch stream: robust
 //!   z-score straggler detection on the lag horizon, efficiency-collapse
 //!   and mode-flapping (with hysteresis) alerts, plus fault-plan
@@ -27,10 +24,8 @@
 
 pub mod epoch_csv;
 pub mod health;
-pub mod prometheus;
 pub mod registry;
 
-pub use epoch_csv::{epoch_csv_header, epoch_csv_row, epoch_jsonl_row};
-pub use health::{Alert, AlertKind, HealthConfig, HealthMonitor};
-pub use prometheus::{parse_exposition, prometheus_exposition, PromSample};
+pub use epoch_csv::{epoch_csv, epoch_csv_header, epoch_csv_row};
+pub use health::{Alert, AlertKind, HealthMonitor};
 pub use registry::MetricsRegistry;

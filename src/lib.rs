@@ -46,7 +46,7 @@
 //! | [`gvt`] | Barrier, Mattern and CA-GVT algorithms |
 //! | [`fault`] | deterministic fault plans: stragglers, link degradation, drops |
 //! | [`trace`] | ring-buffer trace recorder, Chrome/Perfetto export, horizon statistics |
-//! | [`metrics`] | per-GVT-epoch metrics registry, CSV/JSONL/Prometheus exporters, health rules |
+//! | [`metrics`] | per-GVT-epoch metrics registry, epoch CSV, health rules |
 //! | [`models`] | modified PHOLD, epidemic (SIR), PCS cellular models |
 //!
 //! See `DESIGN.md` for the system inventory and the experiment index, and
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use cagvt_exec::{ThreadConfig, ThreadRuntime, VirtualConfig, VirtualScheduler};
     pub use cagvt_fault::{FaultPlan, FaultRuntime, FaultSpec, FaultTopology, Perturbation};
     pub use cagvt_gvt::{make_bundle, GvtKind};
-    pub use cagvt_metrics::{HealthConfig, HealthMonitor, MetricsRegistry};
+    pub use cagvt_metrics::{HealthMonitor, MetricsRegistry};
     pub use cagvt_models::presets::{comm_dominated, comp_dominated, mixed_model};
     pub use cagvt_models::{CqnModel, EpidemicModel, PcsModel, PholdModel, TrafficModel};
     pub use cagvt_net::{ClusterSpec, CostModel, MpiMode};
