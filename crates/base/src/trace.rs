@@ -17,8 +17,8 @@
 //! the interleaving — and hence the trace — is only as deterministic as the
 //! thread schedule.
 //!
-//! The concrete ring-buffer recorder and the Chrome-trace / CSV exporters
-//! live in the `cagvt-trace` crate; this module only defines the trait and
+//! The concrete ring-buffer recorder and the Chrome-trace exporter live in
+//! the `cagvt-trace` crate; this module only defines the trait and
 //! the record vocabulary so every layer can hold a hook without a
 //! dependency cycle (mirroring [`crate::fault::FaultInjector`]).
 
@@ -253,12 +253,33 @@ impl TraceSink for NullTrace {
 
 /// A stderr sink with an optional single-event filter — the successor of
 /// the old `CAGVT_TRACE` eprintln macro in `worker.rs`. With a filter it
-/// prints only records about event `lp:seq`; without one it prints every
+/// prints only records about event `lp#seq`; without one it prints every
 /// record (verbose!).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StderrSink {
     /// Print only records whose [`TraceRecord::event_id`] matches.
     pub filter: Option<(LpId, u64)>,
+}
+
+impl StderrSink {
+    /// Parse a `CAGVT_TRACE` value: `all` prints every record, and an event
+    /// id in the form every trace prints it ([`EventId`]'s `Display`,
+    /// `lp<N>#<seq>`, e.g. `lp4711#9`) prints that one event's lifecycle.
+    /// Panics on any other value, so a mistyped id never runs untraced.
+    pub fn parse(spec: &str) -> StderrSink {
+        let spec = spec.trim();
+        if spec == "all" {
+            return StderrSink { filter: None };
+        }
+        let id = spec.strip_prefix("lp").and_then(|rest| rest.split_once('#'));
+        match id.and_then(|(lp, seq)| Some((LpId(lp.parse().ok()?), seq.parse().ok()?))) {
+            Some(filter) => StderrSink { filter: Some(filter) },
+            None => panic!(
+                "{TRACE_ENV} must be `all` or an event id as traces print it, \
+                 `lp<N>#<seq>` (e.g. `lp4711#9`), got {spec:?}"
+            ),
+        }
+    }
 }
 
 impl TraceSink for StderrSink {
@@ -273,18 +294,17 @@ impl TraceSink for StderrSink {
     }
 }
 
+/// The environment variable [`env_sink`] reads.
+const TRACE_ENV: &str = "CAGVT_TRACE";
+
 /// Build the convenience sink selected by the `CAGVT_TRACE` environment
-/// variable: `CAGVT_TRACE=<lp>:<seq>` yields a [`StderrSink`] filtered to
-/// that one event's lifecycle; `CAGVT_TRACE=all` yields an unfiltered
-/// stderr sink; unset/unparsable yields `None`.
+/// variable ([`StderrSink::parse`]): `CAGVT_TRACE=lp<N>#<seq>` yields a
+/// [`StderrSink`] filtered to that one event's lifecycle, `CAGVT_TRACE=all`
+/// an unfiltered stderr sink, and unset yields `None`. Any other value
+/// panics.
 pub fn env_sink() -> Option<Arc<dyn TraceSink>> {
-    let spec = std::env::var("CAGVT_TRACE").ok()?;
-    if spec == "all" {
-        return Some(Arc::new(StderrSink { filter: None }));
-    }
-    let (lp, seq) = spec.split_once(':')?;
-    let filter = Some((LpId(lp.parse().ok()?), seq.parse().ok()?));
-    Some(Arc::new(StderrSink { filter }))
+    let spec = std::env::var_os(TRACE_ENV)?;
+    Some(Arc::new(StderrSink::parse(&spec.to_string_lossy())))
 }
 
 #[cfg(test)]
@@ -361,6 +381,20 @@ mod tests {
         sink.record(WallNs(0), &miss);
         assert_eq!(hit.event_id(), Some(id(4, 7)));
         assert_ne!(miss.event_id(), Some(id(4, 7)));
+    }
+
+    #[test]
+    fn trace_env_accepts_the_printed_event_id() {
+        let printed = id(4711, 9).to_string();
+        assert_eq!(printed, "lp4711#9");
+        assert_eq!(StderrSink::parse(&printed).filter, Some((LpId(4711), 9)));
+        assert_eq!(StderrSink::parse("all").filter, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "CAGVT_TRACE must be `all` or an event id")]
+    fn trace_env_rejects_a_malformed_value() {
+        StderrSink::parse("4711:9");
     }
 
     #[test]

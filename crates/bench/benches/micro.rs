@@ -184,7 +184,6 @@ fn epg_sweep(c: &mut Criterion) {
                         },
                         PhaseSchedule::constant(PholdParams::new(0.10, 0.01, epg)),
                     ),
-                    gvt_interval: 25,
                 };
                 run_one(GvtKind::Barrier, &workload, cfg)
             })

@@ -34,7 +34,7 @@ use cagvt_metrics::{epoch_csv, HealthMonitor, MetricsRegistry};
 use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
 use cagvt_models::presets::{comm_dominated, comp_dominated, mixed_model, Workload, COMP_PARAMS};
 use cagvt_net::MpiMode;
-use cagvt_trace::{chrome_trace, csv_trace, HorizonStats, TraceMeta, TraceRecorder};
+use cagvt_trace::{chrome_trace, TraceMeta, TraceRecorder};
 use runner::{par_map, Task};
 use std::path::Path;
 use std::sync::Arc;
@@ -210,7 +210,6 @@ impl Load {
                     },
                     PhaseSchedule::constant(PholdParams { epg, ..COMP_PARAMS }),
                 ),
-                gvt_interval: 25,
             },
         }
     }
@@ -574,17 +573,15 @@ pub fn fault_sweep(scale: &Scale, _: Option<&Path>) -> Vec<Row> {
 }
 
 /// `figures trace`: COMM-PHOLD on 4 virtual nodes under each of the three
-/// GVT algorithms with a ring-buffer recorder attached. Per algorithm this
-/// writes a Perfetto-loadable Chrome trace (`trace-<algo>.json`) and a tidy
-/// record CSV (`trace-records-<algo>.csv`); a combined
-/// `trace-horizon.csv` carries the per-round virtual-time-horizon series
-/// (width, roughness, utilization) with an `algorithm` column so the three
-/// algorithms' horizon behaviour can be compared directly.
+/// GVT algorithms with a ring-buffer recorder attached; per algorithm this
+/// writes a Perfetto-loadable Chrome trace (`trace-<algo>.json`). These are
+/// `figures health`'s clean cells, so the per-round horizon series of each
+/// run is `metrics-<algo>-clean.csv`.
 pub fn trace_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
     // Each job returns the raw run artifacts; all reporting (stderr lines,
-    // the horizon CSV, per-algorithm trace files) happens serially after
-    // collection so the output stream and files are deterministic and
-    // identical whatever the thread count.
+    // per-algorithm trace files) happens serially after collection so the
+    // output stream and files are deterministic and identical whatever the
+    // thread count.
     type TraceRun = (RunReport, Vec<cagvt_trace::TraceEvent>, u64, u64);
     let cells = mid_cluster_comm(scale);
     let jobs = cells
@@ -601,33 +598,16 @@ pub fn trace_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
     let runs = par_map(jobs, sweep_threads());
 
     let mut rows = Vec::new();
-    let mut horizon =
-        String::from("algorithm,round,t_ns,gvt,mean_lvt,width,roughness,utilization,samples\n");
     for (cell, (report, events, recorded, dropped)) in cells.into_iter().zip(runs) {
         let series = &cell.series;
-        let stats = HorizonStats::compute(&events);
-        eprintln!(
-            "# trace {series}: {recorded} records ({dropped} dropped), {} horizon rounds, \
-             mean width {:.3}, mean utilization {:.3}",
-            stats.rounds.len(),
-            stats.mean_width,
-            stats.mean_utilization,
-        );
-        for line in stats.to_csv().lines().skip(1) {
-            horizon.push_str(&format!("{series},{line}\n"));
-        }
+        eprintln!("# trace {series}: {recorded} records ({dropped} dropped)");
         if let Some(dir) = out_dir {
             let meta =
                 TraceMeta { nodes: cell.nodes, workers_per_node: cell.scale.workers_per_node };
             std::fs::write(dir.join(format!("trace-{series}.json")), chrome_trace(&meta, &events))
                 .expect("write chrome trace");
-            std::fs::write(dir.join(format!("trace-records-{series}.csv")), csv_trace(&events))
-                .expect("write trace record csv");
         }
         rows.push(cell.row("trace", report));
-    }
-    if let Some(dir) = out_dir {
-        std::fs::write(dir.join("trace-horizon.csv"), horizon).expect("write horizon csv");
     }
     rows
 }

@@ -10,11 +10,10 @@
 //!     all faults health trace samadi ca-queue mpi-modes threshold-sweep \
 //!     interval-sweep --bench-scale --out /tmp/golden
 //! cp /tmp/golden/*.csv crates/bench/tests/golden/
-//! rm crates/bench/tests/golden/trace-*.csv
 //! ```
 //!
-//! (`trace-*.csv` are per-record trace dumps and horizon statistics; they
-//! are several megabytes and are covered by the trace crate's own tests.)
+//! (The `trace-*.json` Chrome traces are several megabytes and are not
+//! copied; the trace crate's own tests cover them.)
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

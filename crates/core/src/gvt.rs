@@ -105,9 +105,10 @@ impl GvtSharedCore {
         matches!(&self.metrics, Some(m) if m.enabled())
     }
 
-    /// Record the horizon of the round just published: one `GvtPublish`
-    /// followed by an `Lvt` record per finite worker LVT, batched so
-    /// `cagvt_trace::HorizonStats::compute` can pair them up.
+    /// Record the round just published as one `GvtPublish` followed by an
+    /// `Lvt` record per finite worker LVT: the Chrome trace's `gvt` and
+    /// `lvt` counters. The per-round horizon statistics are the metrics
+    /// epoch's ([`publish_epoch`](Self::publish_epoch)).
     pub(crate) fn trace_round(&self, snap: &RoundSnapshot) {
         let Some(tr) = self.tracing() else { return };
         tr.record(snap.t, &TraceRecord::GvtPublish { round: snap.round, gvt: snap.gvt });
@@ -119,9 +120,11 @@ impl GvtSharedCore {
     }
 
     /// Assemble and emit the [`MetricsEpoch`] for the round just
-    /// published. Called by worker 0 in its round-completion branch —
-    /// after the round's fossil pass, before the termination check, so the
-    /// final round is included.
+    /// published. Called by worker 0 in its round-completion branch, after
+    /// the round's fossil pass and before the termination check. The final
+    /// round is missed when another worker completes it first: that worker
+    /// signals stop, and worker 0 then stops without completing the round
+    /// (ROADMAP: the final-round snapshot).
     ///
     /// Read-only with respect to engine state (the only mutation is the
     /// metrics-private `epoch_base`) and charges no virtual time, which is

@@ -1,7 +1,7 @@
 //! Logical process runtime: optimistic processing, rollback, fossil
 //! collection.
 //!
-//! Two rollback strategies, selected per model:
+//! Three rollback strategies ([`RollbackStrategy`]), selected per model:
 //!
 //! * **State saving** (default): every processed event keeps a snapshot of
 //!   the LP's `(state, rng)` *before* the event; undoing restores the
@@ -9,6 +9,18 @@
 //! * **Reverse computation** (ROSS's mechanism, for models that implement
 //!   [`Model::reverse`]): only the generator position is stored per event;
 //!   undoing calls the model's inverse handler in exact LIFO order.
+//! * **Periodic state saving**: only every `k`-th event keeps a snapshot.
+//!   Undoing restores the nearest snapshot at or before the first undone
+//!   event and *coasts forward*: it re-executes the surviving events after
+//!   that snapshot with their emissions dropped, because those messages
+//!   were already sent and stay valid.
+//!
+//! Coasting needs a snapshot to start from, so under periodic saving
+//! [`LpRuntime::fossil_collect`] keeps the newest snapshot entry below GVT
+//! and everything after it: a later straggler may roll back to any time at
+//! or above GVT. [`LpRuntime::fossil_collect_final`] runs at shutdown,
+//! when GVT has passed the end time and no rollback can follow, so it
+//! commits everything below GVT and keeps no restoration point.
 //!
 //! Every history entry also records `first_seq`, the LP's send sequence
 //! number before the event. The messages the uncommitted history sent live

@@ -116,10 +116,12 @@ pub struct GvtRoundRecord {
 }
 
 /// Worker 0's one read of the cluster when a GVT round completes: the
-/// round, its GVT, the instant, and every worker's published LVT. The
-/// report's disparity and width samples, the metrics epoch and the trace
-/// horizon records all derive from this snapshot, so under real threads
-/// they see the same LVTs.
+/// round, its GVT, the instant, and every worker's published LVT. It is the
+/// one producer of the per-round horizon: the report's disparity and width
+/// samples and the metrics epoch derive from it, and the trace records its
+/// GVT and LVTs as counters, so under real threads all of them see the same
+/// LVTs. A final round that another worker completes first is not
+/// snapshotted (ROADMAP: the final-round snapshot).
 #[derive(Debug)]
 pub(crate) struct RoundSnapshot {
     pub round: u64,

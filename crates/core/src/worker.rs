@@ -604,10 +604,12 @@ impl<M: Model> Actor for Worker<M> {
             if self.widx == 0 {
                 // One read of the worker LVTs feeds every round
                 // observer: the report's disparity/width/progress
-                // samples, the trace horizon records and the metrics
+                // samples, the trace's GVT/LVT records and the metrics
                 // epoch — after the round's fossil pass, before the
-                // termination check so the final round is included.
-                // Records only; charges no virtual time.
+                // termination check. The final round is missed when
+                // another worker completes it first and signals stop
+                // (ROADMAP: the final-round snapshot). Records only;
+                // charges no virtual time.
                 let core = &self.shared.gvt_core;
                 let stats = &self.shared.stats;
                 let snap = RoundSnapshot::new(

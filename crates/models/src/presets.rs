@@ -17,13 +17,11 @@ pub const COMP_PARAMS: PholdParams =
 pub const COMM_PARAMS: PholdParams =
     PholdParams { regional_pct: 0.90, remote_pct: 0.10, epg: 5_000 };
 
-/// A named workload: the model plus the GVT interval the paper uses for
-/// it.
+/// A named workload: the PHOLD model of one paper parameter set.
 #[derive(Clone, Debug)]
 pub struct Workload {
     pub name: String,
     pub model: PholdModel,
-    pub gvt_interval: u64,
 }
 
 fn topo_of(cfg: &SimConfig) -> Topology {
@@ -39,7 +37,6 @@ pub fn comp_dominated(cfg: &SimConfig) -> Workload {
     Workload {
         name: "comp".to_string(),
         model: PholdModel::new(topo_of(cfg), PhaseSchedule::constant(COMP_PARAMS)),
-        gvt_interval: 25,
     }
 }
 
@@ -48,7 +45,6 @@ pub fn comm_dominated(cfg: &SimConfig) -> Workload {
     Workload {
         name: "comm".to_string(),
         model: PholdModel::new(topo_of(cfg), PhaseSchedule::constant(COMM_PARAMS)),
-        gvt_interval: 25,
     }
 }
 
@@ -63,7 +59,6 @@ pub fn mixed_model(cfg: &SimConfig, x: f64, y: f64) -> Workload {
             topo_of(cfg),
             PhaseSchedule::alternating_cycles(x, COMP_PARAMS, y, COMM_PARAMS, 2),
         ),
-        gvt_interval: 25,
     }
 }
 
@@ -88,7 +83,6 @@ mod tests {
         assert_eq!(w.model.topo.nodes, 2);
         assert_eq!(w.model.topo.workers_per_node, 3);
         assert_eq!(w.model.topo.lps_per_worker, cfg.lps_per_worker);
-        assert_eq!(w.gvt_interval, 25);
     }
 
     #[test]

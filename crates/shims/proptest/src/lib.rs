@@ -12,10 +12,11 @@
 //! * `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!`.
 //!
 //! Differences from real proptest, chosen for simplicity: no shrinking
-//! (a failing case reports its case index and RNG seed instead of a
-//! minimized input) and no failure persistence. Case generation is fully
-//! deterministic: the RNG seed is derived from the test's module path and
-//! name, so a failure reproduces on every run until the test changes.
+//! (a failing case panics with its case index, RNG seed and generated
+//! inputs instead of a minimized input) and no failure persistence. Case
+//! generation is fully deterministic: the RNG seed is derived from the
+//! test's module path and name, so a failure reproduces on every run until
+//! the test changes. Every generated value must implement `Debug`.
 
 pub mod collection;
 pub mod strategy;
@@ -78,23 +79,23 @@ macro_rules! __proptest_impl {
                 ));
                 let mut rng = $crate::test_runner::TestRng::from_seed(seed);
                 for case in 0..config.cases {
-                    $(
-                        let $pat =
-                            $crate::strategy::Strategy::generate(&($strat), &mut rng);
-                    )+
+                    let values = ($(
+                        $crate::strategy::Strategy::generate(&($strat), &mut rng),
+                    )+);
+                    let inputs = format!("{:?}", values);
+                    let ($($pat,)+) = values;
                     let outcome = ::std::panic::catch_unwind(
                         ::std::panic::AssertUnwindSafe(move || $body),
                     );
                     if let Err(payload) = outcome {
-                        eprintln!(
-                            "proptest {}: case {}/{} failed (rng seed {:#018x}; \
-                             no shrinking in this offline shim)",
+                        $crate::test_runner::fail(
                             stringify!($name),
                             case + 1,
                             config.cases,
                             seed,
+                            &inputs,
+                            payload,
                         );
-                        ::std::panic::resume_unwind(payload);
                     }
                 }
             }
@@ -125,4 +126,22 @@ macro_rules! prop_assert_eq {
 #[macro_export]
 macro_rules! prop_assert_ne {
     ($($args:tt)*) => { assert_ne!($($args)*) };
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1, ..ProptestConfig::default() })]
+
+        #[test]
+        #[should_panic(expected = "inputs: (7, [true, true])")]
+        fn a_failing_case_names_its_inputs(
+            x in 7u32..8,
+            flags in prop::collection::vec(Just(true), 2..3),
+        ) {
+            prop_assert!(x != 7 || flags.is_empty(), "x is seven");
+        }
+    }
 }

@@ -251,7 +251,7 @@ mod tests {
         for _ in 0..200 {
             match strat.generate(&mut r) {
                 0 => saw_zero = true,
-                v if (11..25).contains(&v) => saw_sum = true,
+                v if (11u32..25).contains(&v) => saw_sum = true,
                 v => panic!("impossible value {v}"),
             }
         }

@@ -56,6 +56,28 @@ impl TestRng {
     }
 }
 
+/// Fail a property test: panic with the test name, the case number
+/// (1-based) out of `cases`, the RNG seed that replays it, the case's
+/// generated inputs and the message of the original panic.
+pub fn fail(
+    name: &str,
+    case: u32,
+    cases: u32,
+    seed: u64,
+    inputs: &str,
+    payload: Box<dyn std::any::Any + Send>,
+) -> ! {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".to_string());
+    panic!(
+        "proptest {name}: case {case}/{cases} failed (rng seed {seed:#018x}; no shrinking in \
+         this offline shim)\ninputs: {inputs}\n{message}"
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

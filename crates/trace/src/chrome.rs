@@ -17,7 +17,6 @@
 use crate::ring::TraceEvent;
 use cagvt_base::{GvtPhaseKind, TraceRecord, Track};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Cluster shape the exporter needs to label tracks.
 #[derive(Clone, Copy, Debug)]
@@ -202,120 +201,6 @@ pub fn chrome_trace(meta: &TraceMeta, events: &[TraceEvent]) -> String {
     out.finish()
 }
 
-/// Tidy-CSV exporter: one record per row, stable column set.
-pub fn csv_trace(events: &[TraceEvent]) -> String {
-    let mut out = String::from("seq,t_ns,track,kind,round,phase,id,vt,dur_ns,value,tags\n");
-    for ev in events {
-        let track = match ev.rec.track() {
-            Track::Worker(w) => format!("w{w}"),
-            Track::Mpi(n) => format!("mpi{n}"),
-            Track::Global => "global".to_string(),
-        };
-        let id = ev.rec.event_id().map(|i| i.to_string()).unwrap_or_default();
-        let (round, phase, vt, dur, value, tags) = match ev.rec {
-            TraceRecord::EventSpan { vt, dur, .. } => {
-                (String::new(), "", fmt_vt(vt), dur.0.to_string(), String::new(), String::new())
-            }
-            TraceRecord::MsgSend { vt, anti, remote, .. } => (
-                String::new(),
-                "",
-                fmt_vt(vt),
-                String::new(),
-                String::new(),
-                tag_list(&[("anti", anti), ("remote", remote)]),
-            ),
-            TraceRecord::MsgRecv { vt, anti, .. } => (
-                String::new(),
-                "",
-                fmt_vt(vt),
-                String::new(),
-                String::new(),
-                tag_list(&[("anti", anti)]),
-            ),
-            TraceRecord::Reenqueue { vt, .. } | TraceRecord::AntiDeferred { vt, .. } => {
-                (String::new(), "", fmt_vt(vt), String::new(), String::new(), String::new())
-            }
-            TraceRecord::Annihilate { pending, .. } => (
-                String::new(),
-                "",
-                String::new(),
-                String::new(),
-                String::new(),
-                tag_list(&[("pending", pending)]),
-            ),
-            TraceRecord::Rollback { undone, straggler, .. } => (
-                String::new(),
-                "",
-                String::new(),
-                String::new(),
-                undone.to_string(),
-                tag_list(&[("straggler", straggler)]),
-            ),
-            TraceRecord::GvtRound { round, phase, .. } => (
-                round.to_string(),
-                phase.label(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
-            TraceRecord::GvtPublish { round, gvt } => (
-                round.to_string(),
-                "publish",
-                fmt_vt(gvt),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
-            TraceRecord::BarrierWait { dur, .. } => {
-                (String::new(), "", String::new(), dur.0.to_string(), String::new(), String::new())
-            }
-            TraceRecord::MpiQueue { depth, inbound, .. } => (
-                String::new(),
-                "",
-                String::new(),
-                String::new(),
-                depth.to_string(),
-                tag_list(&[("inbound", inbound)]),
-            ),
-            TraceRecord::Lvt { lvt, .. } => {
-                (String::new(), "", fmt_vt(lvt), String::new(), String::new(), String::new())
-            }
-            TraceRecord::ActorDone { actor } => {
-                (String::new(), "", String::new(), String::new(), actor.to_string(), String::new())
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{}",
-            ev.seq,
-            ev.t.0,
-            track,
-            ev.rec.kind(),
-            round,
-            phase,
-            id,
-            vt,
-            dur,
-            value,
-            tags
-        );
-    }
-    out
-}
-
-fn fmt_vt(vt: cagvt_base::VirtualTime) -> String {
-    if vt.is_finite() {
-        format!("{}", vt.as_f64())
-    } else {
-        "inf".to_string()
-    }
-}
-
-fn tag_list(tags: &[(&str, bool)]) -> String {
-    tags.iter().filter(|(_, on)| *on).map(|(n, _)| *n).collect::<Vec<_>>().join(";")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,17 +268,5 @@ mod tests {
         let span = evs.iter().find(|e| e["ph"].as_str() == Some("X")).unwrap();
         assert_eq!(span["ts"].as_f64(), Some(2.0));
         assert_eq!(span["dur"].as_f64(), Some(0.75));
-    }
-
-    #[test]
-    fn csv_has_one_row_per_record() {
-        let csv = csv_trace(&sample_events());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + 5);
-        let cols = lines[0].split(',').count();
-        for l in &lines[1..] {
-            assert_eq!(l.split(',').count(), cols, "ragged row: {l}");
-        }
-        assert!(lines.iter().any(|l| l.contains("gvt-publish")));
     }
 }

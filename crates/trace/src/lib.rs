@@ -8,10 +8,13 @@
 //! * [`chrome_trace`] — Chrome trace-event JSON export, loadable in
 //!   Perfetto (<https://ui.perfetto.dev>): nodes as processes, workers and
 //!   MPI actors as threads, GVT rounds as flow events, queue depths and
-//!   LVTs as counters.
-//! * [`csv_trace`] — the same stream as tidy CSV for notebook analysis.
-//! * [`HorizonStats`] — virtual-time-horizon statistics (width, roughness,
-//!   per-round utilization) computed from the LVT snapshots in a trace.
+//!   LVTs as counters. It is the recorder's one serialization: it carries
+//!   every field of every record, in recording order, one JSON object per
+//!   line (a GVT phase or publication adds a flow or counter object).
+//!
+//! The per-round horizon (width, roughness, mean lag) comes from worker 0's
+//! `RoundSnapshot`, once, for the run report and the metrics epochs
+//! (`metrics-<series>.csv`).
 //!
 //! Recording charges no simulated wall-clock cost: the trace observes the
 //! run, it never participates in it. The `tracing_never_perturbs` proptest
@@ -19,11 +22,9 @@
 //! results.
 
 pub mod chrome;
-pub mod horizon;
 pub mod recorder;
 pub mod ring;
 
-pub use chrome::{chrome_trace, csv_trace, TraceMeta};
-pub use horizon::{HorizonStats, RoundHorizon};
+pub use chrome::{chrome_trace, TraceMeta};
 pub use recorder::{TraceRecorder, DEFAULT_RING_CAP};
 pub use ring::{Ring, TraceEvent};

@@ -8,25 +8,25 @@ use cagvt_core::{RunReport, SimConfig};
 use cagvt_exec::VirtualConfig;
 use cagvt_gvt::{make_bundle, GvtKind};
 use cagvt_models::presets::comm_dominated;
-use cagvt_trace::{chrome_trace, csv_trace, HorizonStats, TraceMeta, TraceRecorder};
+use cagvt_trace::{chrome_trace, TraceMeta, TraceRecorder};
 use std::sync::Arc;
 
 const NODES: u16 = 4;
 const WPN: u16 = 4;
 
-fn config(gvt_interval: u64) -> SimConfig {
+fn config() -> SimConfig {
     let mut cfg = SimConfig::paper(NODES);
     cfg.spec = cagvt_net::ClusterSpec::new(NODES, WPN, cagvt_net::MpiMode::Dedicated);
     cfg.lps_per_worker = 8;
     cfg.end_time = 2.0;
-    cfg.gvt_interval = gvt_interval;
+    cfg.gvt_interval = 25;
     cfg.max_outstanding = 600;
     cfg.seed = 0x7ACE;
     cfg
 }
 
-fn traced_run_at(kind: GvtKind, gvt_interval: u64) -> (Arc<TraceRecorder>, RunReport) {
-    let cfg = config(gvt_interval);
+fn traced_run(kind: GvtKind) -> (Arc<TraceRecorder>, RunReport) {
+    let cfg = config();
     let workload = comm_dominated(&cfg);
     let recorder = TraceRecorder::new();
     let model = Arc::new(workload.model.clone());
@@ -36,10 +36,6 @@ fn traced_run_at(kind: GvtKind, gvt_interval: u64) -> (Arc<TraceRecorder>, RunRe
     };
     let report = run_virtual_with(model, cfg, vcfg, |shared| make_bundle(kind, shared));
     (recorder, report)
-}
-
-fn traced_run(kind: GvtKind) -> (Arc<TraceRecorder>, RunReport) {
-    traced_run_at(kind, 25)
 }
 
 /// Two identical runs under the virtual scheduler must record the exact
@@ -106,37 +102,4 @@ fn chrome_export_has_expected_track_and_phase_structure() {
     assert!(flow_starts > 0, "rounds must open flow events");
     assert!(flow_ends > 0, "published rounds must close flow events");
     assert!(flow_ends <= flow_starts);
-}
-
-/// Horizon statistics derived from the trace must cover the run's rounds
-/// and stay internally consistent with the CSV exporter.
-#[test]
-fn horizon_statistics_cover_published_rounds() {
-    // A short round interval forces several finite mid-run publications
-    // (a drained run's final publish is infinite and carries no horizon).
-    let (recorder, report) = traced_run_at(GvtKind::Mattern, 5);
-    let events = recorder.snapshot();
-    let stats = HorizonStats::compute(&events);
-    assert!(!stats.rounds.is_empty(), "no horizon snapshots recorded");
-    assert!(
-        stats.rounds.len() as u64 <= report.gvt_rounds,
-        "{} horizon rounds vs {} gvt rounds",
-        stats.rounds.len(),
-        report.gvt_rounds
-    );
-    for r in &stats.rounds {
-        assert!(r.width >= 0.0 && r.roughness >= 0.0);
-        if let Some(u) = r.utilization {
-            assert!((0.0..=1.0).contains(&u));
-        }
-    }
-    let csv = stats.to_csv();
-    assert_eq!(csv.lines().count(), stats.rounds.len() + 1);
-    // The tidy record CSV matches its header width on every line.
-    let records = csv_trace(&events);
-    let mut lines = records.lines();
-    let width = lines.next().expect("header").split(',').count();
-    for l in lines.take(50) {
-        assert_eq!(l.split(',').count(), width, "ragged csv line: {l}");
-    }
 }

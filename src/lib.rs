@@ -45,7 +45,7 @@
 //! | [`core`] | the Time Warp engine, GVT interface, sequential reference |
 //! | [`gvt`] | Barrier, Mattern and CA-GVT algorithms |
 //! | [`fault`] | deterministic fault plans: stragglers, link degradation, drops |
-//! | [`trace`] | ring-buffer trace recorder, Chrome/Perfetto export, horizon statistics |
+//! | [`trace`] | ring-buffer trace recorder and Chrome/Perfetto export |
 //! | [`metrics`] | per-GVT-epoch metrics registry, epoch CSV, health rules |
 //! | [`models`] | modified PHOLD, epidemic (SIR), PCS cellular models |
 //!
@@ -82,5 +82,5 @@ pub mod prelude {
     pub use cagvt_models::presets::{comm_dominated, comp_dominated, mixed_model};
     pub use cagvt_models::{CqnModel, EpidemicModel, PcsModel, PholdModel, TrafficModel};
     pub use cagvt_net::{ClusterSpec, CostModel, MpiMode};
-    pub use cagvt_trace::{chrome_trace, csv_trace, HorizonStats, TraceMeta, TraceRecorder};
+    pub use cagvt_trace::{chrome_trace, TraceMeta, TraceRecorder};
 }
