@@ -102,19 +102,18 @@ pub trait FaultInjector: Send + Sync {
     }
 }
 
-/// The identity injector: useful as an explicit "no faults" value.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// An injector that overrides nothing.
+    struct Defaults;
+
+    impl FaultInjector for Defaults {}
+
     #[test]
     fn defaults_are_identity() {
-        let f = NoFaults;
+        let f = Defaults;
         assert_eq!(f.actor_cost(ActorId(3), WallNs(10), WallNs(77)), WallNs(77));
         let shape = f.link(NodeId(0), NodeId(1), WallNs(5), WallNs(500), WallNs(30_000));
         assert_eq!(shape, LinkShape::clean(WallNs(500), WallNs(30_000)));

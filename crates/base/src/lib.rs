@@ -34,10 +34,10 @@ pub mod trace;
 pub mod wake;
 
 pub use actor::{Actor, StepOutcome, StepResult};
-pub use fault::{FaultInjector, FaultStats, LinkShape, NoFaults};
+pub use fault::{FaultInjector, FaultStats, LinkShape};
 pub use ids::{ActorId, EventId, LaneId, LpId, NodeId};
-pub use metrics::{EpochMode, MetricsEpoch, MetricsSink, NullMetrics, SyncCause};
+pub use metrics::{EpochMode, MetricsEpoch, MetricsSink, SyncCause};
 pub use rng::{Pcg32, SplitMix64};
 pub use stats::{Horizon, Welford};
 pub use time::{VirtualTime, WallNs};
-pub use trace::{GvtPhaseKind, NullTrace, StderrSink, TraceRecord, TraceSink, Track};
+pub use trace::{GvtPhaseKind, StderrSink, TraceRecord, TraceSink, Track};

@@ -9,10 +9,11 @@
 //!
 //! The discipline is identical to tracing: the engine consults an optional
 //! [`MetricsSink`] but never branches on it, a sink only records and never
-//! charges wall-clock cost, and per-worker counters are deposited into
-//! lock-free cells that are merged *at GVT rounds* — the per-event hot
-//! path is untouched. Metered and unmetered runs are therefore
-//! bit-identical (the `metrics_never_perturb` proptest pins this).
+//! charges wall-clock cost, and the epoch reads each worker's counters from
+//! the per-worker slot the worker refreshes at its own round completions —
+//! the per-event hot path is untouched. Metered and unmetered runs are
+//! therefore bit-identical (the `metrics_never_perturb` proptest pins
+//! this).
 //!
 //! The concrete registry, the epoch CSV and the
 //! [`HealthMonitor`](../../cagvt_metrics) rules live in the
@@ -116,10 +117,10 @@ impl SyncCause {
 /// the cluster-wide counter totals between this publication and the
 /// previous one — so the series shows the signal the CA-GVT controller
 /// actually reacts to, not a cumulative average. Counter totals include
-/// the per-worker cells deposited at round boundaries; a worker's cell may
-/// lag the very latest events by at most one round (it is refreshed when
-/// the worker passes its own round completion), which keeps the event loop
-/// free of any metrics cost.
+/// the per-worker counter slots; a worker's slot may lag its very latest
+/// events by at most one round (the worker refreshes it when it passes its
+/// own round completion), which keeps the event loop free of any metrics
+/// cost.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsEpoch {
     /// GVT round number (1-based, as published).
@@ -182,43 +183,16 @@ impl MetricsEpoch {
 /// Same contract as [`crate::trace::TraceSink`]: implementations may
 /// allocate and lock internally but must never feed anything back into
 /// engine state, and the engine never charges virtual time for a sink
-/// call. Call sites assemble the epoch lazily, so a disabled sink costs
-/// one virtual call per round.
+/// call. Metering is off only by absence: with no sink installed the
+/// engine assembles no epoch, and a round pays one branch.
 pub trait MetricsSink: Send + Sync {
-    /// Cheap global gate. The engine skips epoch assembly — including the
-    /// per-worker cell deposits — when this returns `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Record one epoch published at simulated wall-clock time `t`.
     fn on_epoch(&self, t: WallNs, epoch: &MetricsEpoch);
-}
-
-/// The no-op sink: `enabled()` is `false`, so the engine skips epoch
-/// assembly entirely and the per-round overhead reduces to one virtual
-/// call — the overhead the `metrics_overhead` micro-bench pins to noise.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullMetrics;
-
-impl MetricsSink for NullMetrics {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn on_epoch(&self, _t: WallNs, _epoch: &MetricsEpoch) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let s = NullMetrics;
-        assert!(!s.enabled());
-        s.on_epoch(WallNs(1), &MetricsEpoch::default()); // no-op
-    }
 
     #[test]
     fn sync_cause_round_trips_through_u8() {

@@ -5,7 +5,8 @@
 //! at the moments the paper's analysis cares about — when an event is
 //! processed or rolled back, when a GVT round changes phase, when a worker
 //! blocks on a barrier, when an MPI queue is sampled, and when the
-//! per-worker LVT horizon is snapshotted. Engine logic never branches on
+//! per-worker LVT horizon is snapshotted. An absent sink is the only "off":
+//! each hook is one `Option` check. Engine logic never branches on
 //! tracing; a sink only *records*, it never charges wall-clock cost, which
 //! is what keeps traced and untraced runs observationally identical (the
 //! `tracing_never_perturbs` proptest pins this).
@@ -224,31 +225,12 @@ impl fmt::Display for TraceRecord {
 ///
 /// Implementations must be cheap and side-effect-free with respect to the
 /// simulation: a sink may allocate and lock internally, but it must never
-/// feed anything back into engine state. Call sites construct records
-/// lazily, so a disabled sink costs one virtual call.
+/// feed anything back into engine state. Tracing is off only by absence:
+/// every layer holds an `Option` of a sink, and with `None` a hook costs
+/// one branch and constructs no record.
 pub trait TraceSink: Send + Sync {
-    /// Cheap global gate. Call sites skip record construction entirely
-    /// when this returns `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Record one observation at simulated wall-clock time `t`.
     fn record(&self, t: WallNs, rec: &TraceRecord);
-}
-
-/// The no-op sink: `enabled()` is `false`, so instrumented call sites skip
-/// record construction and the hot path reduces to one virtual call per
-/// hook — the overhead the `trace_overhead` micro-bench pins to noise.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullTrace;
-
-impl TraceSink for NullTrace {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _t: WallNs, _rec: &TraceRecord) {}
 }
 
 /// A stderr sink with an optional single-event filter — the successor of
@@ -313,13 +295,6 @@ mod tests {
 
     fn id(lp: u32, seq: u64) -> EventId {
         EventId::new(LpId(lp), seq)
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let s = NullTrace;
-        assert!(!s.enabled());
-        s.record(WallNs(1), &TraceRecord::ActorDone { actor: 0 }); // no-op
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::{VirtualTime, WallNs};
-use cagvt_base::{MetricsSink, NullMetrics, NullTrace, TraceSink};
+use cagvt_base::{MetricsSink, TraceSink};
 use cagvt_bench::{base_config, run_one, run_one_observed, Scale};
 use cagvt_core::event::Event;
 use cagvt_core::lp::{LpRuntime, RollbackStrategy};
@@ -228,33 +228,25 @@ fn observed_run(
     run_one_observed(GvtKind::Mattern, &workload, cfg, None, trace, metrics)
 }
 
-/// Cost of the tracing hook when no one is listening: the same run with no
-/// sink installed, with the disabled [`NullTrace`] sink (one `enabled()`
-/// branch per hook), and with the full ring-buffer recorder. The first two
-/// must be within noise of each other — that is the subsystem's
-/// zero-overhead contract.
+/// Cost of the tracing hook: the same run with no sink installed (one
+/// `Option` branch per hook) and with the full ring-buffer recorder.
 fn trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(10);
     let run = |trace| observed_run(trace, None);
     group.bench_function("no_sink", |b| b.iter(|| run(None)));
-    group.bench_function("null_sink", |b| b.iter(|| run(Some(Arc::new(NullTrace)))));
     group.bench_function("ring_recorder", |b| b.iter(|| run(Some(TraceRecorder::new()))));
     group.finish();
 }
 
-/// Cost of the metrics hook when no one is listening: the same run with no
-/// sink installed, with the disabled [`NullMetrics`] sink (one `enabled()`
-/// branch per GVT round) and with the full in-memory registry. The first
-/// two must be within noise of each other — same zero-overhead contract as
-/// `trace_overhead`; even the registry is cheap because the hook fires per
-/// GVT round, not per event.
+/// Cost of the metrics hook: the same run with no sink installed (one
+/// `Option` branch per GVT round) and with the full in-memory registry,
+/// which is cheap because the hook fires per GVT round, not per event.
 fn metrics_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics_overhead");
     group.sample_size(10);
     let run = |metrics| observed_run(None, metrics);
     group.bench_function("no_sink", |b| b.iter(|| run(None)));
-    group.bench_function("null_sink", |b| b.iter(|| run(Some(Arc::new(NullMetrics)))));
     group.bench_function("registry", |b| b.iter(|| run(Some(Arc::new(MetricsRegistry::new())))));
     group.finish();
 }

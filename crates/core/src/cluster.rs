@@ -41,13 +41,13 @@ pub fn build_shared<M: Model>(model: Arc<M>, cfg: SimConfig) -> Arc<EngineShared
 /// * `trace` — a trace sink on every instrumented layer (workers and GVT
 ///   algorithms via `GvtSharedCore`, the event fabric's inbox sampling).
 ///   When `None`, the `CAGVT_TRACE` environment variable can still enable
-///   a filtered stderr sink (`<lp>:<seq>` for one event's lifecycle, `all`
-///   for everything);
+///   a filtered stderr sink (an event id as traces print it, `lp<N>#<seq>`
+///   such as `lp4711#9`, for one event's lifecycle; `all` for everything);
 /// * `metrics` — each completed GVT round publishes one windowed
 ///   [`MetricsEpoch`] to it (see `GvtSharedCore::publish_epoch`).
 ///
-/// Observation never charges virtual time and a disabled sink costs one
-/// branch.
+/// Observation never charges virtual time, and an absent observer costs
+/// one branch.
 ///
 /// [`MetricsEpoch`]: cagvt_base::metrics::MetricsEpoch
 pub fn build_shared_observed<M: Model>(

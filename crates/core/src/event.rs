@@ -3,10 +3,6 @@
 use cagvt_base::ids::{EventId, LaneId, LpId, NodeId};
 use cagvt_base::time::VirtualTime;
 
-/// Tag value meaning "sent while the sender was white" (Mattern coloring).
-/// Non-zero tags carry the GVT round in which the sender was red.
-pub const WHITE_TAG: u64 = 0;
-
 /// A positive event message.
 #[derive(Clone, Debug)]
 pub struct Event<P> {

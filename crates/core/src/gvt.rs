@@ -97,20 +97,12 @@ impl GvtSharedCore {
         }
     }
 
-    /// Whether an enabled metrics sink is installed. Workers gate their
-    /// per-round cell deposits on this so un-metered runs skip even the
-    /// round-boundary stores.
-    #[inline]
-    pub fn metrics_on(&self) -> bool {
-        matches!(&self.metrics, Some(m) if m.enabled())
-    }
-
     /// Record the round just published as one `GvtPublish` followed by an
     /// `Lvt` record per finite worker LVT: the Chrome trace's `gvt` and
     /// `lvt` counters. The per-round horizon statistics are the metrics
     /// epoch's ([`publish_epoch`](Self::publish_epoch)).
     pub(crate) fn trace_round(&self, snap: &RoundSnapshot) {
-        let Some(tr) = self.tracing() else { return };
+        let Some(tr) = self.trace.as_deref() else { return };
         tr.record(snap.t, &TraceRecord::GvtPublish { round: snap.round, gvt: snap.gvt });
         for (i, &lvt) in snap.lvts.iter().enumerate() {
             if lvt.is_finite() {
@@ -131,23 +123,20 @@ impl GvtSharedCore {
     /// what keeps metered runs bit-identical (`metrics_never_perturb`).
     pub(crate) fn publish_epoch(&self, snap: &RoundSnapshot) {
         let Some(sink) = self.metrics.as_deref() else { return };
-        if !sink.enabled() {
-            return;
-        }
         let gvt_f = snap.gvt.as_f64();
         let stats = &self.stats;
 
-        // Cluster totals: live atomics plus the round-refreshed cells.
-        let cells = stats.merged_cells();
+        // Cluster totals: live atomics plus the round-refreshed slots.
+        let w = stats.worker_totals();
         let now = EpochBase {
             committed: stats.committed.load(Ordering::Relaxed),
             processed: stats.processed.load(Ordering::Relaxed),
             rolled_back: stats.rolled_back.load(Ordering::Relaxed),
             msgs_sent: stats.msgs_sent.load(Ordering::Relaxed),
             msgs_received: stats.msgs_received.load(Ordering::Relaxed),
-            rollbacks: cells.rollbacks,
-            antis_sent: cells.antis_sent,
-            annihilated: cells.annihilated,
+            rollbacks: w.rollbacks,
+            antis_sent: w.antis_sent,
+            annihilated: w.annihilated,
         };
         let prev = std::mem::replace(&mut *self.epoch_base.lock(), now);
         let dc = now.committed - prev.committed;
@@ -160,9 +149,6 @@ impl GvtSharedCore {
             .map(|l| if l.is_finite() { l.as_f64() - gvt_f } else { f64::NAN })
             .collect();
         let h = snap.horizon;
-
-        let mpi_queue_max =
-            self.mpi_queue_depth.iter().map(|d| d.load(Ordering::Relaxed)).max().unwrap_or(0);
 
         // Controller decision for *this* round, if a controller ran one
         // (only CA-GVT appends to gvt_trace; Barrier/Mattern epochs are
@@ -199,7 +185,7 @@ impl GvtSharedCore {
             horizon_width: h.width,
             horizon_roughness: h.roughness,
             mean_lag: if h.samples > 0 { h.mean - gvt_f } else { 0.0 },
-            mpi_queue_max,
+            mpi_queue_max: self.max_mpi_queue_depth(),
             mode,
             cause,
         };
@@ -207,24 +193,11 @@ impl GvtSharedCore {
     }
 
     /// Record one trace observation. The record is constructed lazily, so
-    /// with no sink (or a disabled one) the cost is a branch or a branch
-    /// plus one virtual call.
+    /// with no sink the cost is one branch.
     #[inline]
     pub fn emit(&self, t: WallNs, rec: impl FnOnce() -> TraceRecord) {
         if let Some(tr) = &self.trace {
-            if tr.enabled() {
-                tr.record(t, &rec());
-            }
-        }
-    }
-
-    /// Whether an enabled trace sink is installed (lets call sites batch
-    /// several records without re-checking).
-    #[inline]
-    pub fn tracing(&self) -> Option<&dyn TraceSink> {
-        match &self.trace {
-            Some(tr) if tr.enabled() => Some(&**tr),
-            _ => None,
+            tr.record(t, &rec());
         }
     }
 
@@ -446,8 +419,6 @@ mod tests {
             None,
             Some(sink.clone() as Arc<dyn MetricsSink>),
         );
-        assert!(core.metrics_on());
-
         stats.committed.store(80, Ordering::Relaxed);
         stats.rolled_back.store(20, Ordering::Relaxed);
         let lvts = vec![VirtualTime::new(6.0), VirtualTime::new(4.0)];
@@ -464,8 +435,6 @@ mod tests {
             gvt: 5.0,
             synchronous: true,
             efficiency: 0.6,
-            committed_delta: 40,
-            rolled_back_delta: 60,
             efficiency_window: 0.4,
             cause: SyncCause::Efficiency,
         });

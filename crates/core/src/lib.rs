@@ -43,7 +43,7 @@ pub use cluster::{
     ClusterHandles,
 };
 pub use config::SimConfig;
-pub use event::{AntiMsg, Event, EventKey, EventMsg, RemoteEnv, TaggedMsg, WHITE_TAG};
+pub use event::{AntiMsg, Event, EventKey, EventMsg, RemoteEnv, TaggedMsg};
 pub use gvt::{GvtBundle, GvtSharedCore, MpiGvt, WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome};
 pub use model::{Emitter, EventCtx, Model};
 pub use report::RunReport;

@@ -9,15 +9,13 @@ use std::sync::Arc;
 
 use crate::model::Model;
 use crate::node::EngineShared;
-use crate::stats::{MpiCounters, ProgressSample, WorkerCounters};
+use crate::stats::{MpiCounters, ProgressSample};
 
 /// Steady-state measurement window: the report's `steady_rate` measures
-/// committed throughput between these fractions of GVT progress, excluding
-/// the warm-up ramp below the lower bound and the termination tail above
-/// the upper one (which at short horizons would otherwise dominate).
+/// committed throughput from this fraction of GVT progress to the last
+/// round below the end time, excluding the warm-up ramp and the final
+/// round (which at short horizons would otherwise dominate).
 pub const STEADY_WINDOW_LO_FRAC: f64 = 0.15;
-/// See [`STEADY_WINDOW_LO_FRAC`].
-pub const STEADY_WINDOW_HI_FRAC: f64 = 0.85;
 /// The window must span at least this fraction of GVT progress to be
 /// trusted; sparser sampling falls back to the whole-run rate.
 pub const STEADY_WINDOW_MIN_SPAN_FRAC: f64 = 0.3;
@@ -26,12 +24,11 @@ pub const STEADY_WINDOW_MIN_SPAN_FRAC: f64 = 0.3;
 /// bracket an idle stretch).
 pub const STEADY_WINDOW_MIN_COMMITTED_DIV: u64 = 4;
 
-/// Compute `(steady_rate, window_rounds)` from the progress samples.
+/// Compute the steady-state committed rate from the progress samples.
 ///
-/// `window_rounds` counts GVT rounds whose sample fell inside
-/// `[STEADY_WINDOW_LO_FRAC, STEADY_WINDOW_HI_FRAC) * end`. The rate is the
-/// committed-per-second slope between the first in-window sample and the
-/// last pre-termination sample, *if* that slope covers enough of the run
+/// The rate is the committed-per-second slope between the first sample at
+/// or above `STEADY_WINDOW_LO_FRAC * end` and the last pre-termination
+/// sample, *if* that slope covers enough of the run
 /// (see the constants above); otherwise — empty sample sets, short runs
 /// with too few rounds, degenerate slopes — it falls back to the honest
 /// whole-run rate `committed / sim_seconds`.
@@ -40,14 +37,12 @@ pub fn steady_window(
     end: f64,
     committed: u64,
     sim_seconds: f64,
-) -> (f64, u64) {
+) -> f64 {
     let lo_gvt = STEADY_WINDOW_LO_FRAC * end;
-    let hi_gvt = STEADY_WINDOW_HI_FRAC * end;
-    let in_window = samples.iter().filter(|s| s.gvt >= lo_gvt && s.gvt < hi_gvt).count() as u64;
     let lo = samples.iter().find(|s| s.gvt >= lo_gvt);
     let hi = samples.iter().rev().find(|s| s.gvt < end).or(samples.last());
     let whole = safe_rate(committed as f64, sim_seconds);
-    let rate = match (lo, hi) {
+    match (lo, hi) {
         (Some(a), Some(b))
             if b.wall > a.wall
                 && b.committed > a.committed
@@ -60,8 +55,7 @@ pub fn steady_window(
             (b.committed - a.committed) as f64 / (b.wall - a.wall).as_secs_f64()
         }
         _ => whole,
-    };
-    (rate, in_window)
+    }
 }
 
 /// `num / den`, or 0.0 when the denominator is not positive. Every rate
@@ -117,10 +111,10 @@ pub struct RunReport {
     /// Committed events per simulated second over the whole run — the
     /// paper's y-axis.
     pub committed_rate: f64,
-    /// Committed events per simulated second between 15% and 85% of GVT
-    /// progress — excludes warm-up and the termination tail, which at
-    /// short horizons would otherwise dominate. Falls back to
-    /// `committed_rate` when the run had too few rounds to window.
+    /// Committed events per simulated second from 15% of GVT progress to
+    /// the last round below the end time — excludes warm-up and the final
+    /// round, which at short horizons would otherwise dominate. Falls back
+    /// to `committed_rate` when the run had too few rounds to window.
     pub steady_rate: f64,
     /// Host wall-clock seconds the run took under the scheduler that
     /// produced it (set by the run drivers; 0.0 when not measured). This
@@ -129,8 +123,6 @@ pub struct RunReport {
     pub host_seconds: f64,
 
     pub gvt_rounds: u64,
-    /// GVT rounds completed inside the steady-state measurement window.
-    pub window_rounds: u64,
     /// Mean per-worker wall time attributed to the GVT function (seconds).
     pub gvt_time_mean: f64,
     /// Average over rounds of the std-dev of worker LVTs (the paper's
@@ -185,17 +177,14 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Fold the deposited per-actor counters into a report.
+    /// Fold the per-actor counters into a report.
     pub fn assemble<M: Model>(
         algorithm: &str,
         shared: &Arc<EngineShared<M>>,
         sched: VirtualRunStats,
     ) -> RunReport {
         let stats = &shared.stats;
-        let mut w = WorkerCounters::default();
-        for c in stats.worker_deposits.lock().iter() {
-            w.merge(c);
-        }
+        let w = stats.worker_totals();
         let mut mpi = MpiCounters::default();
         for c in stats.mpi_deposits.lock().iter() {
             mpi.merge(c);
@@ -210,8 +199,7 @@ impl RunReport {
         let committed = stats.committed.load(Ordering::Relaxed);
         let rolled_back = stats.rolled_back.load(Ordering::Relaxed);
         let end = shared.cfg.end_time;
-        let (steady_rate, window_rounds) =
-            steady_window(&stats.progress.lock(), end, committed, sim_seconds);
+        let steady_rate = steady_window(&stats.progress.lock(), end, committed, sim_seconds);
         let efficiency = efficiency_of(committed, rolled_back);
         RunReport {
             algorithm: algorithm.to_string(),
@@ -232,7 +220,6 @@ impl RunReport {
             steady_rate,
             host_seconds: 0.0,
             gvt_rounds: shared.gvt_core.published_round(),
-            window_rounds,
             gvt_time_mean: w.gvt_time.as_secs_f64() / total_workers,
             lvt_disparity: stats.disparity.lock().mean(),
             horizon_width: stats.horizon_width.lock().mean(),
@@ -400,13 +387,10 @@ mod tests {
     #[test]
     fn steady_window_empty_samples_fall_back_to_whole_run_rate() {
         // No progress samples at all (a run that never completed a GVT
-        // round): zero window rounds, rate = committed / sim_seconds.
-        let (rate, rounds) = steady_window(&[], 10.0, 100, 2.0);
-        assert_eq!(rounds, 0);
-        assert_eq!(rate, 50.0);
+        // round): rate = committed / sim_seconds.
+        assert_eq!(steady_window(&[], 10.0, 100, 2.0), 50.0);
         // ...and the degenerate zero-makespan corner stays finite.
-        let (rate, _) = steady_window(&[], 10.0, 0, 0.0);
-        assert_eq!(rate, 0.0);
+        assert_eq!(steady_window(&[], 10.0, 0, 0.0), 0.0);
     }
 
     #[test]
@@ -415,14 +399,14 @@ mod tests {
         // window span guard rejects the slope.
         let end = 10.0;
         let samples = [sample(0.5, 1_000, 5), sample(1.0, 2_000, 10)];
-        let (rate, rounds) = steady_window(&samples, end, 100, 4.0);
-        assert_eq!(rounds, 0, "no sample reached the window");
-        assert_eq!(rate, 25.0, "whole-run fallback");
+        assert_eq!(steady_window(&samples, end, 100, 4.0), 25.0, "whole-run fallback");
         // A single in-window sample can't form a slope either (lo == hi).
         let samples = [sample(5.0, 1_000, 50)];
-        let (rate, rounds) = steady_window(&samples, end, 100, 4.0);
-        assert_eq!(rounds, 1);
-        assert_eq!(rate, 25.0, "single sample forces the fallback");
+        assert_eq!(
+            steady_window(&samples, end, 100, 4.0),
+            25.0,
+            "single sample forces the fallback"
+        );
     }
 
     #[test]
@@ -436,12 +420,9 @@ mod tests {
             sample(8.0, 2_000_000_000, 80),
             sample(10.5, 3_000_000_000, 100),
         ];
-        let (rate, rounds) = steady_window(&samples, end, 100, 3.0);
-        // Window [1.5, 8.5): the gvt=2 and gvt=8 samples.
-        assert_eq!(rounds, 2);
         // Slope from gvt=2 (the first sample at/after lo) to gvt=8 (the
         // last sample below end): 60 events over 1 s.
-        assert_eq!(rate, 60.0);
+        assert_eq!(steady_window(&samples, end, 100, 3.0), 60.0);
     }
 
     #[test]
@@ -450,16 +431,14 @@ mod tests {
         // Both in-window samples exist but the committed share between
         // them is below committed / STEADY_WINDOW_MIN_COMMITTED_DIV.
         let samples = [sample(2.0, 1_000_000_000, 2), sample(8.0, 2_000_000_000, 10)];
-        let (rate, _) = steady_window(&samples, end, 1000, 4.0);
+        let rate = steady_window(&samples, end, 1000, 4.0);
         assert_eq!(rate, 250.0, "sparse window falls back to whole-run rate");
     }
 
     #[test]
     fn steady_window_constants_are_a_sane_window() {
         const {
-            assert!(STEADY_WINDOW_LO_FRAC < STEADY_WINDOW_HI_FRAC);
-            assert!(STEADY_WINDOW_HI_FRAC < 1.0);
-            assert!(STEADY_WINDOW_MIN_SPAN_FRAC < STEADY_WINDOW_HI_FRAC - STEADY_WINDOW_LO_FRAC);
+            assert!(STEADY_WINDOW_MIN_SPAN_FRAC < 1.0 - STEADY_WINDOW_LO_FRAC);
             assert!(STEADY_WINDOW_MIN_COMMITTED_DIV > 0);
         }
     }

@@ -8,10 +8,10 @@ use cagvt_base::time::{VirtualTime, WallNs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters owned (contention-free) by one worker, deposited into
-/// [`SharedStats`] when the worker finishes. Committed, processed and
-/// rolled-back events are not here: the [`SharedStats`] atomics are their
-/// one count.
+/// Counters owned (contention-free) by one worker, copied into its shared
+/// slot in [`SharedStats`] at every round completion and when it finishes.
+/// Committed, processed and rolled-back events are not here: the
+/// [`SharedStats`] atomics are their one count.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerCounters {
     /// Rollback episodes.
@@ -102,13 +102,10 @@ pub struct GvtRoundRecord {
     pub synchronous: bool,
     /// Cumulative efficiency observed at the end of the round.
     pub efficiency: f64,
-    /// Events committed cluster-wide during this round's window.
-    pub committed_delta: u64,
-    /// Events rolled back cluster-wide during this round's window.
-    pub rolled_back_delta: u64,
-    /// Windowed efficiency `committed_delta / (committed_delta +
-    /// rolled_back_delta)` — falls back to the cumulative ratio when the
-    /// window saw no activity (mirroring the controller's own fallback).
+    /// Windowed efficiency: committed over committed plus rolled back,
+    /// cluster-wide, during this round's window — falls back to the
+    /// cumulative ratio when the window saw no activity (mirroring the
+    /// controller's own fallback).
     pub efficiency_window: f64,
     /// Why the conditional barriers were armed for this round
     /// (`SyncCause::None` for asynchronous rounds).
@@ -140,30 +137,15 @@ impl RoundSnapshot {
     }
 }
 
-/// Lock-free per-worker counter cell, refreshed (not accumulated) with a
-/// snapshot of the worker's private [`WorkerCounters`] once per completed
-/// GVT round — never on the event hot path. Cache-line aligned so
-/// neighboring workers' deposits never share a line.
-///
-/// Only the counters that are *not* already live in [`SharedStats`]
-/// atomics are mirrored here; the epoch assembler sums cells with
-/// [`SharedStats::merged_cells`]. A cell may lag its worker's very latest
-/// events by at most one round.
+/// The one shared home of a worker's [`WorkerCounters`]: the worker
+/// overwrites it with its private counters at every round completion and
+/// when it finishes — never on the event hot path. The metrics epoch reads
+/// it at rounds (so it may lag the worker's very latest events by one
+/// round) and the run report after every worker finished. Cache-line
+/// aligned so neighboring workers' writes never share a line.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-pub struct WorkerCell {
-    pub rollbacks: AtomicU64,
-    pub antis_sent: AtomicU64,
-    pub annihilated: AtomicU64,
-}
-
-/// Cluster-wide totals summed over the [`WorkerCell`] deposits.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CellTotals {
-    pub rollbacks: u64,
-    pub antis_sent: u64,
-    pub annihilated: u64,
-}
+pub(crate) struct WorkerSlot(Mutex<WorkerCounters>);
 
 /// Cluster-shared statistics and live signals.
 ///
@@ -187,13 +169,11 @@ pub struct SharedStats {
     /// Virtual-time-horizon width (max − min finite worker LVT), one
     /// sample per GVT round — the Kolakowska–Novotny width statistic.
     pub horizon_width: Mutex<Welford>,
-    /// Final per-worker counters, deposited at shutdown.
-    pub worker_deposits: Mutex<Vec<WorkerCounters>>,
+    /// Per-worker counters, indexed by dense worker index (see
+    /// [`WorkerSlot`]).
+    worker_slots: Vec<WorkerSlot>,
     /// Final per-pump counters.
     pub mpi_deposits: Mutex<Vec<MpiCounters>>,
-    /// Per-worker metric cells, refreshed at GVT rounds when a metrics
-    /// sink is installed (see [`WorkerCell`]).
-    pub worker_cells: Vec<WorkerCell>,
     /// CA-GVT round trace.
     pub gvt_trace: Mutex<Vec<GvtRoundRecord>>,
     /// Progress curve samples (one per GVT round, recorded by worker 0).
@@ -217,9 +197,8 @@ impl SharedStats {
                 .collect(),
             disparity: Mutex::new(Welford::new()),
             horizon_width: Mutex::new(Welford::new()),
-            worker_deposits: Mutex::new(Vec::new()),
+            worker_slots: (0..total_workers).map(|_| WorkerSlot::default()).collect(),
             mpi_deposits: Mutex::new(Vec::new()),
-            worker_cells: (0..total_workers).map(|_| WorkerCell::default()).collect(),
             gvt_trace: Mutex::new(Vec::new()),
             progress: Mutex::new(Vec::new()),
             state_fp: AtomicU64::new(0),
@@ -256,23 +235,16 @@ impl SharedStats {
             .collect()
     }
 
-    /// Refresh worker `widx`'s metric cell with a snapshot of its private
-    /// counters. Relaxed stores: the cell is a monotone snapshot, read
-    /// only by the epoch assembler which tolerates one round of skew.
-    pub fn publish_worker_cell(&self, widx: u32, c: &WorkerCounters) {
-        let cell = &self.worker_cells[widx as usize];
-        cell.rollbacks.store(c.rollbacks, Ordering::Relaxed);
-        cell.antis_sent.store(c.antis_sent, Ordering::Relaxed);
-        cell.annihilated.store(c.annihilated, Ordering::Relaxed);
+    /// Overwrite worker `widx`'s slot with its private counters.
+    pub(crate) fn store_worker_counters(&self, widx: u32, c: &WorkerCounters) {
+        *self.worker_slots[widx as usize].0.lock() = *c;
     }
 
-    /// Sum the per-worker cells into cluster-wide totals.
-    pub fn merged_cells(&self) -> CellTotals {
-        let mut t = CellTotals::default();
-        for cell in &self.worker_cells {
-            t.rollbacks += cell.rollbacks.load(Ordering::Relaxed);
-            t.antis_sent += cell.antis_sent.load(Ordering::Relaxed);
-            t.annihilated += cell.annihilated.load(Ordering::Relaxed);
+    /// Every worker slot merged into cluster-wide totals.
+    pub(crate) fn worker_totals(&self) -> WorkerCounters {
+        let mut t = WorkerCounters::default();
+        for slot in &self.worker_slots {
+            t.merge(&slot.0.lock());
         }
         t
     }
@@ -332,18 +304,29 @@ mod tests {
     }
 
     #[test]
-    fn worker_cells_snapshot_and_merge() {
+    fn worker_slots_snapshot_and_merge() {
         let s = SharedStats::new(2);
-        assert_eq!(s.merged_cells(), CellTotals::default());
-        let c0 = WorkerCounters { rollbacks: 3, antis_sent: 5, ..Default::default() };
-        let c1 = WorkerCounters { rollbacks: 1, annihilated: 4, ..Default::default() };
-        s.publish_worker_cell(0, &c0);
-        s.publish_worker_cell(1, &c1);
-        assert_eq!(s.merged_cells(), CellTotals { rollbacks: 4, antis_sent: 5, annihilated: 4 });
-        // Cells are snapshots, not accumulators: re-publishing replaces.
-        s.publish_worker_cell(0, &WorkerCounters { rollbacks: 7, ..Default::default() });
-        assert_eq!(s.merged_cells().rollbacks, 8);
-        assert_eq!(s.merged_cells().antis_sent, 0);
+        assert_eq!(s.worker_totals().rollbacks, 0);
+        let c0 =
+            WorkerCounters { rollbacks: 3, antis_sent: 5, max_cascade: 2, ..Default::default() };
+        let c1 = WorkerCounters {
+            rollbacks: 1,
+            annihilated: 4,
+            gvt_time: WallNs(30),
+            max_cascade: 6,
+            ..Default::default()
+        };
+        s.store_worker_counters(0, &c0);
+        s.store_worker_counters(1, &c1);
+        let t = s.worker_totals();
+        assert_eq!((t.rollbacks, t.antis_sent, t.annihilated), (4, 5, 4));
+        assert_eq!(t.gvt_time, WallNs(30));
+        assert_eq!(t.max_cascade, 6, "cascade depth merges as a maximum");
+        // Slots are snapshots, not accumulators: a refresh replaces.
+        s.store_worker_counters(1, &WorkerCounters { rollbacks: 7, ..Default::default() });
+        let t = s.worker_totals();
+        assert_eq!((t.rollbacks, t.antis_sent, t.annihilated), (10, 5, 0));
+        assert_eq!(t.max_cascade, 2);
     }
 
     #[test]

@@ -500,7 +500,7 @@ impl<M: Model> Worker<M> {
             fp ^= crate::seq::fingerprint_mix(lp.id, self.model.state_fingerprint(&lp.state));
         }
         self.shared.stats.state_fp.fetch_xor(fp, Ordering::AcqRel);
-        self.shared.stats.worker_deposits.lock().push(self.counters);
+        self.shared.stats.store_worker_counters(self.widx, &self.counters);
         if let Some(pump) = &self.mpi_duty {
             self.shared.stats.mpi_deposits.lock().push(pump.counters);
         }
@@ -594,13 +594,9 @@ impl<M: Model> Actor for Worker<M> {
             self.shared.gvt_core.mark_round_end(now + charge);
             charge += self.fossil(gvt);
             self.events_since_round = 0;
-            // Metrics cells refresh once per round (never on the event
-            // path): each worker snapshots its private counters here so
-            // the epoch assembler can merge them. Gated, so un-metered
-            // runs skip even these stores.
-            if self.shared.gvt_core.metrics_on() {
-                self.shared.stats.publish_worker_cell(self.widx, &self.counters);
-            }
+            // The counter slot refreshes once per round, never on the
+            // event path, so the metrics epoch can merge every worker's.
+            self.shared.stats.store_worker_counters(self.widx, &self.counters);
             if self.widx == 0 {
                 // One read of the worker LVTs feeds every round
                 // observer: the report's disparity/width/progress

@@ -297,9 +297,7 @@ impl VirtualScheduler {
                     live -= 1;
                     run.final_time = run.final_time.max(now);
                     if let Some(tr) = &self.cfg.trace {
-                        if tr.enabled() {
-                            tr.record(now, &TraceRecord::ActorDone { actor: id });
-                        }
+                        tr.record(now, &TraceRecord::ActorDone { actor: id });
                     }
                 }
                 outcome => {

@@ -492,8 +492,6 @@ impl MatternMpi {
                 gvt: gvt.as_f64(),
                 synchronous: was_sync,
                 efficiency: shared.core.stats.efficiency(),
-                committed_delta: dc,
-                rolled_back_delta: dr,
                 efficiency_window,
                 cause,
             });

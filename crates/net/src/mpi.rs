@@ -133,10 +133,8 @@ impl<M> MpiFabric<M> {
     pub fn drain(&self, at: NodeId, now: WallNs, max: usize, out: &mut Vec<M>) -> usize {
         let n = self.inboxes[at.index()].drain_ready_into(now, max, out);
         if let Some(tr) = &self.trace {
-            if tr.enabled() {
-                let depth = self.inboxes[at.index()].len() as u64;
-                tr.record(now, &TraceRecord::MpiQueue { node: at.0, depth, inbound: true });
-            }
+            let depth = self.inboxes[at.index()].len() as u64;
+            tr.record(now, &TraceRecord::MpiQueue { node: at.0, depth, inbound: true });
         }
         n
     }

@@ -65,8 +65,8 @@ pub use cagvt_trace as trace;
 /// The commonly-needed imports in one place.
 pub mod prelude {
     pub use cagvt_base::{
-        Actor, FaultInjector, FaultStats, LpId, MetricsEpoch, MetricsSink, NoFaults, NullMetrics,
-        NullTrace, TraceSink, VirtualTime, WallNs,
+        Actor, FaultInjector, FaultStats, LpId, MetricsEpoch, MetricsSink, TraceSink, VirtualTime,
+        WallNs,
     };
     pub use cagvt_core::cluster::{
         build_cluster, build_shared, build_shared_observed, run_virtual, run_virtual_with,
