@@ -84,16 +84,7 @@ fn lp_history(c: &mut Criterion) {
     let end_time = VirtualTime::new(1e9);
     let lps = || -> Vec<LpRuntime<PholdModel>> {
         (0..LPS)
-            .map(|i| {
-                LpRuntime::with_strategy(
-                    LpId(i),
-                    &model,
-                    1,
-                    RollbackStrategy::Reverse,
-                    end_time,
-                    topo.total_lps(),
-                )
-            })
+            .map(|i| LpRuntime::with_strategy(LpId(i), &model, 1, RollbackStrategy::Reverse))
             .collect()
     };
     group.bench_function("phold_128lp_40ev_rounds", |b| {

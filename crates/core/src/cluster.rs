@@ -91,14 +91,7 @@ pub fn build_cluster<M: Model>(
             let strategy = cfg.rollback_strategy(shared.model.supports_reverse());
             let lps: Vec<LpRuntime<M>> = (0..cfg.lps_per_worker)
                 .map(|k| {
-                    LpRuntime::with_strategy(
-                        LpId(first.0 + k),
-                        &*shared.model,
-                        cfg.seed,
-                        strategy,
-                        cfg.end_vt(),
-                        cfg.total_lps(),
-                    )
+                    LpRuntime::with_strategy(LpId(first.0 + k), &*shared.model, cfg.seed, strategy)
                 })
                 .collect();
             let gvt = bundle.worker_gvt(node, lane, widx);

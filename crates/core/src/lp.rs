@@ -1,19 +1,20 @@
 //! Logical process runtime: optimistic processing, rollback, fossil
 //! collection.
 //!
-//! Three rollback strategies ([`RollbackStrategy`]), selected per model:
+//! Three rollback strategies ([`RollbackStrategy`]), selected per model,
+//! differ only in which events get a pre-event state copy:
 //!
-//! * **State saving** (default): every processed event keeps a snapshot of
-//!   the LP's `(state, rng)` *before* the event; undoing restores the
-//!   earliest snapshot.
+//! * **State saving** (default): every processed event copies the LP's
+//!   state *before* the event into the snapshot log; undoing restores the
+//!   earliest undone event's copy.
 //! * **Reverse computation** (ROSS's mechanism, for models that implement
-//!   [`Model::reverse`]): only the generator position is stored per event;
-//!   undoing calls the model's inverse handler in exact LIFO order.
-//! * **Periodic state saving**: only every `k`-th event keeps a snapshot.
-//!   Undoing restores the nearest snapshot at or before the first undone
+//!   [`Model::reverse`]): no event copies the state; undoing calls the
+//!   model's inverse handler in exact LIFO order.
+//! * **Periodic state saving**: only every `k`-th event copies the state.
+//!   Undoing restores the nearest copy at or before the first undone
 //!   event and *coasts forward*: it re-executes the surviving events after
-//!   that snapshot with their emissions dropped, because those messages
-//!   were already sent and stay valid.
+//!   that copy with their emissions dropped, because those messages were
+//!   already sent and stay valid.
 //!
 //! Coasting needs a snapshot to start from, so under periodic saving
 //! [`LpRuntime::fossil_collect`] keeps the newest snapshot entry below GVT
@@ -22,22 +23,39 @@
 //! when GVT has passed the end time and no rollback can follow, so it
 //! commits everything below GVT and keeps no restoration point.
 //!
-//! Every history entry also records `first_seq`, the LP's send sequence
-//! number before the event. The messages the uncommitted history sent live
-//! in one **send log** per LP, oldest first, as `(dst, recv_time)` pairs
-//! under the invariant
+//! Every history entry has one layout under every strategy: the event, the
+//! pre-event generator, `first_seq` (the LP's send sequence number before
+//! the event) and a `snapshot` flag. What the uncommitted history saved
+//! and sent lives beside it in two logs per LP, oldest first:
 //!
-//! ```text
-//! sends.len() == send_seq - processed.front().first_seq   (0 when the history is empty)
-//! ```
+//! * the **send log**, the `(dst, recv_time)` of every message the history
+//!   sent, under
 //!
-//! so log entry `i` is the message with id `(lp, front.first_seq + i)`, and
-//! an entry's sends are the log slice from its `first_seq` to the next
-//! entry's. Processing appends to the log ([`LpRuntime::record_send`]),
-//! rollback emits anti-messages from its tail and truncates it, and fossil
-//! collection drains its committed prefix: for a model whose state and
-//! payload own no heap memory, a history entry is plain data, processing
-//! allocates nothing per event and committing frees nothing.
+//!   ```text
+//!   sends.len() == send_seq - processed.front().first_seq   (0 when the history is empty)
+//!   ```
+//!
+//!   so log entry `i` is the message with id `(lp, front.first_seq + i)`,
+//!   and an entry's sends are the log slice from its `first_seq` to the
+//!   next entry's;
+//! * the **snapshot log**, one pre-event state per flagged entry, under
+//!
+//!   ```text
+//!   log.len() == number of history entries with `snapshot` set
+//!   ```
+//!
+//!   so the `j`-th flagged entry's state is `log[j]`. The log lives in the
+//!   LP's state-saving bookkeeping, which is allocated on the first
+//!   processed event of a strategy that copies states: under reverse
+//!   computation an LP carries one word for it.
+//!
+//! Processing appends to both logs ([`LpRuntime::record_send`] for sends),
+//! rollback pops their tails in step with the undone entries (emitting
+//! anti-messages for the sends), and fossil collection drains their
+//! committed prefixes. A history entry is therefore plain data of a fixed
+//! size whatever the state's size: for a model whose state and payload own
+//! no heap memory, processing allocates nothing per event and committing
+//! frees nothing, and a strategy that copies no state stores none.
 //!
 //! Under every strategy, rollback restores `send_seq` to the first undone
 //! entry's `first_seq` (not just state and RNG), so committed re-executions
@@ -55,42 +73,43 @@ use crate::model::{Emitter, EventCtx, Model};
 /// How an LP undoes processed events.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RollbackStrategy {
-    /// Snapshot `(state, rng)` before every event.
+    /// Copy the state before every event.
     Snapshot,
-    /// Reverse computation (requires [`Model::reverse`]): store the
-    /// generator position per event, undo by running the model's inverse
-    /// handler in LIFO order.
+    /// Reverse computation (requires [`Model::reverse`]): copy no state,
+    /// undo by running the model's inverse handler in LIFO order.
     Reverse,
-    /// Periodic state saving: snapshot every `k`-th event, store nothing
-    /// for the rest; roll back by restoring the nearest snapshot and
+    /// Periodic state saving: copy the state before every `k`-th event
+    /// only; roll back by restoring the nearest snapshot and
     /// *coasting forward* — re-executing the surviving events with their
     /// emissions suppressed (they were already sent and stay valid).
     PeriodicSnapshot(u32),
 }
 
-/// What one history entry remembers about the pre-event LP state and
-/// generator. The pre-event send sequence number is the entry's
-/// `first_seq`, under every strategy.
-enum Prior<M: Model> {
-    /// Full state snapshot.
-    Snapshot { state: M::State, rng: Pcg32 },
-    /// Reverse computation: the model's inverse handler reconstructs the
-    /// state; only the generator position is stored.
-    Reverse { rng: Pcg32 },
-    /// Between periodic snapshots: reconstructed by coast-forward replay.
-    Coast,
-}
-
-/// One entry of the processed-event history. Its sends are not stored
-/// here but in the LP's send log (see the module doc), so the entry owns
-/// no heap memory beyond what the model's state and payload own.
+/// One entry of the processed-event history. Its sends and its state copy
+/// are not stored here but in the LP's send and snapshot logs (see the
+/// module doc), so the entry's size does not depend on the model's state
+/// and it owns no heap memory beyond what the payload owns.
 pub struct ProcessedEvent<M: Model> {
     pub event: Event<M::Payload>,
-    prior: Prior<M>,
+    /// The LP's generator before this event.
+    rng: Pcg32,
     /// The LP's send sequence number before this event: its sends carry
     /// the ids from here up to the next entry's `first_seq` (the LP's
     /// `send_seq` for the newest entry).
     first_seq: u64,
+    /// Whether the snapshot log holds the LP's state before this event.
+    /// Otherwise undoing it runs the model's inverse handler (reverse
+    /// computation) or replays from an earlier snapshot (coast-forward).
+    snapshot: bool,
+}
+
+/// What an LP that copies states keeps beside its history.
+struct Saving<S> {
+    /// Snapshot log: the pre-event state of every flagged history entry,
+    /// oldest first (see the module doc's invariant).
+    log: VecDeque<S>,
+    /// Events processed since the last periodic snapshot.
+    since: u32,
 }
 
 /// Result of a rollback: what the worker must do next.
@@ -121,32 +140,22 @@ pub struct LpRuntime<M: Model> {
     /// history sent, oldest first; ids are implied by position (see the
     /// module doc's invariant).
     sends: VecDeque<(LpId, VirtualTime)>,
+    /// State-saving bookkeeping, absent until a strategy that copies
+    /// states processes an event. Boxed because the LP tables are a large
+    /// share of the heap at tens of thousands of LPs per run.
+    saving: Option<Box<Saving<M::State>>>,
     strategy: RollbackStrategy,
-    /// Events processed since the last periodic snapshot.
-    since_snapshot: u32,
-    /// Run constants needed to rebuild an [`EventCtx`] for reverse and
-    /// coast-forward calls.
-    end_time: VirtualTime,
-    total_lps: u32,
 }
 
 impl<M: Model> LpRuntime<M> {
     /// Snapshot-strategy LP (models that don't implement `reverse`, and
     /// unit tests).
     pub fn new(id: LpId, model: &M, seed: u64) -> Self {
-        Self::with_strategy(id, model, seed, RollbackStrategy::Snapshot, VirtualTime::INFINITY, 0)
+        Self::with_strategy(id, model, seed, RollbackStrategy::Snapshot)
     }
 
-    /// LP with an explicit rollback strategy and the run constants the
-    /// reverse/coast handlers see in their context.
-    pub fn with_strategy(
-        id: LpId,
-        model: &M,
-        seed: u64,
-        strategy: RollbackStrategy,
-        end_time: VirtualTime,
-        total_lps: u32,
-    ) -> Self {
+    /// LP with an explicit rollback strategy.
+    pub fn with_strategy(id: LpId, model: &M, seed: u64, strategy: RollbackStrategy) -> Self {
         if let RollbackStrategy::PeriodicSnapshot(k) = strategy {
             assert!(k >= 1, "snapshot period must be at least 1");
         }
@@ -160,10 +169,8 @@ impl<M: Model> LpRuntime<M> {
             last_key: EventKey::MIN,
             processed: VecDeque::new(),
             sends: VecDeque::new(),
+            saving: None,
             strategy,
-            since_snapshot: 0,
-            end_time,
-            total_lps,
         }
     }
 
@@ -173,13 +180,20 @@ impl<M: Model> LpRuntime<M> {
         self.strategy
     }
 
-    fn ctx_for(&self, event: &Event<M::Payload>) -> EventCtx {
-        EventCtx {
-            now: event.recv_time,
-            self_lp: self.id,
-            end_time: self.end_time,
-            total_lps: self.total_lps,
-        }
+    /// The state-saving bookkeeping, allocated on first use.
+    fn saving(&mut self) -> &mut Saving<M::State> {
+        self.saving.get_or_insert_with(|| Box::new(Saving { log: VecDeque::new(), since: 0 }))
+    }
+
+    /// The context `event` was processed in, rebuilt for a reverse or
+    /// coast-forward call from the run constants the caller passes.
+    fn ctx_for(
+        &self,
+        event: &Event<M::Payload>,
+        end_time: VirtualTime,
+        total_lps: u32,
+    ) -> EventCtx {
+        EventCtx { now: event.recv_time, self_lp: self.id, end_time, total_lps }
     }
 
     /// Allocate the next send sequence number for a time-zero seeding send,
@@ -199,14 +213,20 @@ impl<M: Model> LpRuntime<M> {
         self.processed.front().map_or(self.send_seq, |e| e.first_seq)
     }
 
-    /// The send-log invariant (module doc), checked in debug builds after
-    /// every operation that changes the history or the log.
+    /// The send-log and snapshot-log invariants (module doc), checked in
+    /// debug builds after every operation that changes the history or a
+    /// log.
     #[inline]
     fn debug_check_log(&self) {
         debug_assert_eq!(
             self.sends.len() as u64,
             self.send_seq - self.log_base(),
             "send log out of step with the history"
+        );
+        debug_assert_eq!(
+            self.saving.as_ref().map_or(0, |s| s.log.len()),
+            self.processed.iter().filter(|e| e.snapshot).count(),
+            "snapshot log out of step with the history"
         );
     }
 
@@ -257,24 +277,28 @@ impl<M: Model> LpRuntime<M> {
     ) -> u64 {
         debug_assert!(event.key() > self.last_key, "processing out of order");
         debug_assert!(emit.is_empty());
-        let prior = match self.strategy {
-            RollbackStrategy::Reverse => Prior::Reverse { rng: self.rng },
-            RollbackStrategy::Snapshot => {
-                Prior::Snapshot { state: self.state.clone(), rng: self.rng }
-            }
+        let snapshot = match self.strategy {
+            RollbackStrategy::Reverse => false,
+            RollbackStrategy::Snapshot => true,
             RollbackStrategy::PeriodicSnapshot(k) => {
-                if self.since_snapshot == 0 || self.since_snapshot >= k {
-                    self.since_snapshot = 1;
-                    Prior::Snapshot { state: self.state.clone(), rng: self.rng }
+                let since = &mut self.saving().since;
+                if *since == 0 || *since >= k {
+                    *since = 1;
+                    true
                 } else {
-                    self.since_snapshot += 1;
-                    Prior::Coast
+                    *since += 1;
+                    false
                 }
             }
         };
+        if snapshot {
+            let state = self.state.clone();
+            self.saving().log.push_back(state);
+        }
+        let rng = self.rng;
         let epg = model.handle(ctx, &mut self.state, &event.payload, &mut self.rng, emit);
         self.last_key = event.key();
-        self.processed.push_back(ProcessedEvent { event, prior, first_seq: self.send_seq });
+        self.processed.push_back(ProcessedEvent { event, rng, first_seq: self.send_seq, snapshot });
         self.debug_check_log();
         epg
     }
@@ -293,17 +317,31 @@ impl<M: Model> LpRuntime<M> {
 
     /// Roll back every processed event with key `> to_key` (straggler with
     /// key `to_key` about to be processed). All undone events are
-    /// re-enqueued.
-    pub fn rollback_to(&mut self, model: &M, to_key: EventKey) -> Rollback<M::Payload> {
-        self.rollback_inner(model, to_key, false)
+    /// re-enqueued. `end_time` and `total_lps` are the run's, for the
+    /// contexts of the inverse-handler and coast-forward calls.
+    pub fn rollback_to(
+        &mut self,
+        model: &M,
+        to_key: EventKey,
+        end_time: VirtualTime,
+        total_lps: u32,
+    ) -> Rollback<M::Payload> {
+        self.rollback_inner(model, to_key, false, end_time, total_lps)
     }
 
     /// Roll back every processed event with key `>= cancel_key`, where
     /// `cancel_key` is a processed event's key (anti-message induced). The
-    /// cancelled event is discarded instead of re-enqueued.
-    pub fn rollback_cancel(&mut self, model: &M, cancel_key: EventKey) -> Rollback<M::Payload> {
+    /// cancelled event is discarded instead of re-enqueued. The run
+    /// constants are as for [`Self::rollback_to`].
+    pub fn rollback_cancel(
+        &mut self,
+        model: &M,
+        cancel_key: EventKey,
+        end_time: VirtualTime,
+        total_lps: u32,
+    ) -> Rollback<M::Payload> {
         debug_assert!(self.has_processed(cancel_key));
-        self.rollback_inner(model, cancel_key, true)
+        self.rollback_inner(model, cancel_key, true, end_time, total_lps)
     }
 
     fn rollback_inner(
@@ -311,6 +349,8 @@ impl<M: Model> LpRuntime<M> {
         model: &M,
         to_key: EventKey,
         cancel: bool,
+        end_time: VirtualTime,
+        total_lps: u32,
     ) -> Rollback<M::Payload> {
         let mut reenqueue = Vec::new();
         let mut antis = Vec::new();
@@ -335,23 +375,18 @@ impl<M: Model> LpRuntime<M> {
                 id: EventId::new(self.id, seq),
             }));
             end = first;
-            // Undo this event (strict LIFO): restore its snapshot, run the
-            // model's inverse handler, or (periodic mode) defer to the
-            // coast-forward pass below.
-            match entry.prior {
-                Prior::Snapshot { state, rng } => {
-                    self.state = state;
-                    self.rng = rng;
-                }
-                Prior::Reverse { rng } => {
-                    self.rng = rng;
-                    let ctx = self.ctx_for(&entry.event);
-                    // Scratch generator at the pre-event position, so the
-                    // reversal can re-derive the forward pass's draws.
-                    let mut scratch = rng;
-                    model.reverse(&ctx, &mut self.state, &entry.event.payload, &mut scratch);
-                }
-                Prior::Coast => {} // reconstructed below
+            // Undo this event (strict LIFO): restore its generator, then its
+            // snapshot, or run the model's inverse handler, or (periodic
+            // mode) leave the state to the coast-forward pass below.
+            self.rng = entry.rng;
+            if entry.snapshot {
+                self.state = self.saving().log.pop_back().expect("a snapshot per flagged entry");
+            } else if self.strategy == RollbackStrategy::Reverse {
+                let ctx = self.ctx_for(&entry.event, end_time, total_lps);
+                // Scratch generator at the pre-event position, so the
+                // reversal can re-derive the forward pass's draws.
+                let mut scratch = entry.rng;
+                model.reverse(&ctx, &mut self.state, &entry.event.payload, &mut scratch);
             }
             if !(cancel && entry.event.key() == to_key) {
                 reenqueue.push(entry.event);
@@ -360,25 +395,26 @@ impl<M: Model> LpRuntime<M> {
         self.sends.truncate((end - base) as usize);
         self.send_seq = end;
         if undone > 0 && matches!(self.strategy, RollbackStrategy::PeriodicSnapshot(_)) {
-            self.coast_forward(model);
+            self.coast_forward(model, end_time, total_lps);
         }
         self.last_key = self.processed.back().map(|e| e.event.key()).unwrap_or(EventKey::MIN);
         self.debug_check_log();
         Rollback { reenqueue, antis, undone }
     }
 
-    /// Periodic-snapshot restoration: the undone entries are already
-    /// popped, but the LP state may be anywhere. Pop surviving entries
-    /// back to the nearest snapshot (the oldest retained entry is always
-    /// one — see [`Self::fossil_collect`]), restore it, then re-execute
-    /// the popped survivors with their emissions suppressed: they were
-    /// already sent, remain valid and stay in the send log ("coasting
-    /// forward"). `send_seq` is already the first undone entry's
-    /// `first_seq` and is not touched.
-    fn coast_forward(&mut self, model: &M) {
+    /// Periodic-snapshot restoration: the undone entries and their
+    /// snapshots are already popped, but the LP state may be anywhere. Pop
+    /// surviving entries back to the nearest flagged one (the oldest
+    /// retained entry always is — see [`Self::fossil_collect`]), restore
+    /// its state from the snapshot log's tail, which stays logged, then
+    /// re-execute the popped survivors with their emissions suppressed:
+    /// they were already sent, remain valid and stay in the send log
+    /// ("coasting forward"). `send_seq` is already the first undone
+    /// entry's `first_seq` and is not touched.
+    fn coast_forward(&mut self, model: &M, end_time: VirtualTime, total_lps: u32) {
         let mut replay: Vec<ProcessedEvent<M>> = Vec::new();
         while let Some(e) = self.processed.pop_back() {
-            let is_snapshot = matches!(e.prior, Prior::Snapshot { .. });
+            let is_snapshot = e.snapshot;
             replay.push(e);
             if is_snapshot {
                 break;
@@ -388,36 +424,25 @@ impl<M: Model> LpRuntime<M> {
             // The rollback undid the whole history; its earliest entry was
             // a snapshot (the first entry always is), so phase one already
             // restored the state directly.
-            self.since_snapshot = 0;
+            self.saving().since = 0;
             return;
         }
+        // The snapshot cadence restarts from the replayed suffix, which
+        // begins at the snapshot entry.
+        self.saving().since = replay.len() as u32;
         // Restore from the snapshot entry (the last pushed).
         let snap = replay.last().expect("non-empty");
-        match &snap.prior {
-            Prior::Snapshot { state, rng } => {
-                self.state = state.clone();
-                self.rng = *rng;
-            }
-            _ => unreachable!("coast_forward stops at a snapshot"),
-        }
+        debug_assert!(snap.snapshot, "coast_forward stops at a snapshot");
+        self.state = self.saving().log.back().expect("a snapshot per flagged entry").clone();
+        self.rng = snap.rng;
         // Re-execute survivors oldest-first, dropping their emissions.
         let mut sink: Emitter<M::Payload> = Emitter::new();
         for e in replay.into_iter().rev() {
-            let ctx = self.ctx_for(&e.event);
+            let ctx = self.ctx_for(&e.event, end_time, total_lps);
             let _epg =
                 model.handle(&ctx, &mut self.state, &e.event.payload, &mut self.rng, &mut sink);
             sink.take().for_each(drop);
             self.processed.push_back(e);
-        }
-        // The snapshot cadence counter restarts from the replayed suffix.
-        self.since_snapshot = 0;
-        let mut n = 0;
-        for e in self.processed.iter().rev() {
-            n += 1;
-            if matches!(e.prior, Prior::Snapshot { .. }) {
-                self.since_snapshot = n;
-                break;
-            }
         }
     }
 
@@ -436,11 +461,9 @@ impl<M: Model> LpRuntime<M> {
             // Scanning back from the GVT boundary meets one within a
             // snapshot period, so the cost is that plus the entries freed,
             // never the whole history.
-            RollbackStrategy::PeriodicSnapshot(_) => self
-                .processed
-                .range(..below)
-                .rposition(|e| matches!(e.prior, Prior::Snapshot { .. }))
-                .unwrap_or(0),
+            RollbackStrategy::PeriodicSnapshot(_) => {
+                self.processed.range(..below).rposition(|e| e.snapshot).unwrap_or(0)
+            }
             _ => below,
         };
         self.commit(n)
@@ -454,13 +477,16 @@ impl<M: Model> LpRuntime<M> {
         self.commit(n)
     }
 
-    /// Drop the oldest `n` history entries and their prefix of the send
-    /// log; returns `n`.
+    /// Drop the oldest `n` history entries and their prefixes of the send
+    /// and snapshot logs; returns `n`.
     fn commit(&mut self, n: usize) -> u64 {
         if n > 0 {
             let base = self.log_base();
             let next = self.processed.get(n).map_or(self.send_seq, |e| e.first_seq);
             self.sends.drain(..(next - base) as usize);
+            if let Some(saving) = &mut self.saving {
+                saving.log.drain(..self.processed.range(..n).filter(|e| e.snapshot).count());
+            }
             self.processed.drain(..n);
             self.debug_check_log();
         }
@@ -522,13 +548,13 @@ mod tests {
     #[allow(dead_code)]
     fn _topology_types(_n: NodeId, _l: LaneId) {}
 
+    /// The run's end time; the run has one LP.
+    fn end() -> VirtualTime {
+        VirtualTime::new(1e9)
+    }
+
     fn ctx(t: f64) -> EventCtx {
-        EventCtx {
-            now: VirtualTime::new(t),
-            self_lp: LpId(0),
-            end_time: VirtualTime::new(1e9),
-            total_lps: 1,
-        }
+        EventCtx { now: VirtualTime::new(t), self_lp: LpId(0), end_time: end(), total_lps: 1 }
     }
 
     fn ev(t: f64, seq: u64, payload: u32) -> Event<u32> {
@@ -588,7 +614,7 @@ mod tests {
 
         // Straggler at t=1.5 undoes the t=2 and t=3 events.
         let straggler_key = EventKey { t: VirtualTime::new(1.5), id: EventId::new(LpId(9), 10) };
-        let rb = lp.rollback_to(&CounterModel, straggler_key);
+        let rb = lp.rollback_to(&CounterModel, straggler_key, end(), 1);
         assert_eq!(rb.undone, 2);
         assert_eq!(rb.reenqueue.len(), 2);
         assert_eq!(rb.antis.len(), 2, "one optimistic send per undone event");
@@ -610,6 +636,8 @@ mod tests {
         let rb = lp.rollback_to(
             &CounterModel,
             EventKey { t: VirtualTime::new(0.5), id: EventId::new(LpId(9), 99) },
+            end(),
+            1,
         );
         assert_eq!(rb.undone, 2);
         // Replay both in order.
@@ -643,7 +671,7 @@ mod tests {
         process_one(&mut lp, target);
         process_one(&mut lp, ev(3.0, 2, 9));
 
-        let rb = lp.rollback_cancel(&CounterModel, target_key);
+        let rb = lp.rollback_cancel(&CounterModel, target_key, end(), 1);
         assert_eq!(rb.undone, 2, "t=2 (cancelled) and t=3");
         assert_eq!(rb.reenqueue.len(), 1, "only t=3 comes back");
         assert_eq!(rb.reenqueue[0].recv_time, VirtualTime::new(3.0));
@@ -671,8 +699,6 @@ mod tests {
             &CounterModel,
             1,
             RollbackStrategy::PeriodicSnapshot(2),
-            VirtualTime::new(1e9),
-            1,
         );
         // Entries at t=1..=5; snapshots land on t=1, t=3, t=5.
         for (i, t) in [1.0, 2.0, 3.0, 4.0, 5.0].iter().enumerate() {
@@ -696,7 +722,7 @@ mod tests {
         let init_state = lp.state.clone();
         let init_rng = lp.rng;
         process_one(&mut lp, ev(1.0, 0, 2));
-        let rb = lp.rollback_to(&CounterModel, EventKey::MIN);
+        let rb = lp.rollback_to(&CounterModel, EventKey::MIN, end(), 1);
         assert_eq!(rb.undone, 1);
         assert_eq!(lp.state, init_state);
         assert_eq!(lp.rng, init_rng);
@@ -740,7 +766,7 @@ mod tests {
             .map(|(i, t)| process_with(&mut lp, &PairModel, ev(*t, i as u64, 1)))
             .collect();
         // A straggler at t=1.5 undoes the t=2, t=3 and t=4 entries.
-        let rb = lp.rollback_to(&PairModel, ev(1.5, 99, 0).key());
+        let rb = lp.rollback_to(&PairModel, ev(1.5, 99, 0).key(), end(), 1);
         assert_eq!(rb.undone, 3);
         let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
         let want: Vec<_> = sent[1..].iter().rev().flatten().copied().collect();
@@ -748,7 +774,7 @@ mod tests {
         let seqs: Vec<u64> = rb.antis.iter().map(|a| a.id.seq).collect();
         assert_eq!(seqs, [6, 7, 4, 5, 2, 3]);
         // The survivor's sends stay logged: undoing it antis exactly them.
-        let rb = lp.rollback_to(&PairModel, EventKey::MIN);
+        let rb = lp.rollback_to(&PairModel, EventKey::MIN, end(), 1);
         let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
         assert_eq!(got, sent[0]);
     }
@@ -760,8 +786,6 @@ mod tests {
             &CounterModel,
             1,
             RollbackStrategy::PeriodicSnapshot(3),
-            VirtualTime::new(1e9),
-            1,
         );
         // Snapshots land on t=1 and t=4; t=2, t=3 and t=5 coast.
         let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -771,11 +795,103 @@ mod tests {
             .collect();
         // Undo t=3, t=4 and t=5; the survivors coast forward from the t=1
         // snapshot.
-        let rb = lp.rollback_to(&CounterModel, ev(2.5, 99, 0).key());
+        let rb = lp.rollback_to(&CounterModel, ev(2.5, 99, 0).key(), end(), 1);
         assert_eq!(rb.undone, 3);
         let mut replay = rb.reenqueue;
         replay.sort_by_key(|e| e.key());
         let resent = process_with(&mut lp, &CounterModel, replay.remove(0));
         assert_eq!(resent[0].0, sent[2][0].0);
+    }
+
+    /// A model whose state is `N` inert bytes.
+    struct Bytes<const N: usize>;
+
+    impl<const N: usize> Model for Bytes<N> {
+        type State = [u8; N];
+        type Payload = u32;
+
+        fn init_state(&self, _lp: LpId, _rng: &mut Pcg32) -> [u8; N] {
+            [0; N]
+        }
+
+        fn initial_events(&self, _: LpId, _: &mut [u8; N], _: &mut Pcg32, _: &mut Emitter<u32>) {}
+
+        fn handle(
+            &self,
+            _ctx: &EventCtx,
+            _state: &mut [u8; N],
+            _payload: &u32,
+            _rng: &mut Pcg32,
+            _emit: &mut Emitter<u32>,
+        ) -> u64 {
+            1
+        }
+    }
+
+    #[test]
+    fn history_entry_size_does_not_depend_on_the_state() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<ProcessedEvent<Bytes<8>>>(), size_of::<ProcessedEvent<Bytes<256>>>());
+    }
+
+    /// The LP's snapshot log, oldest first.
+    fn snapshots<M: Model>(lp: &LpRuntime<M>) -> Vec<M::State> {
+        lp.saving.iter().flat_map(|s| s.log.iter().cloned()).collect()
+    }
+
+    /// Walk a period-3 LP through processing, fossil collection (which
+    /// retains a restoration point), a straggler rollback and its
+    /// coast-forward, checking the snapshot log and the restored state
+    /// against a straight-through run at each step.
+    #[test]
+    fn periodic_snapshot_log_through_fossil_rollback_and_coast() {
+        let events: Vec<Event<u32>> = (1..=7).map(|t| ev(t as f64, t, t as u32)).collect();
+        // Straight-through reference: `(state, rng)` after each event.
+        let mut truth = LpRuntime::new(LpId(0), &CounterModel, 1);
+        let after: Vec<_> = events
+            .iter()
+            .map(|e| {
+                process_one(&mut truth, e.clone());
+                (truth.state.clone(), truth.rng)
+            })
+            .collect();
+        let strategy = RollbackStrategy::PeriodicSnapshot(3);
+        let mut lp = LpRuntime::with_strategy(LpId(0), &CounterModel, 1, strategy);
+
+        // Snapshots land on t=1, t=4 and t=7, each holding the state
+        // before its event.
+        for (e, want) in events.iter().zip([1, 1, 1, 2, 2, 2, 3]) {
+            process_one(&mut lp, e.clone());
+            assert_eq!(snapshots(&lp).len(), want);
+        }
+        assert_eq!(snapshots(&lp), [(0, vec![]), after[2].0.clone(), after[5].0.clone()]);
+
+        // The newest snapshot below GVT 5.5 is t=4's: t=1..3 commit with
+        // t=1's state copy, and t=4's stays as the restoration point.
+        assert_eq!(lp.fossil_collect(VirtualTime::new(5.5)), 3);
+        assert_eq!(lp.history_len(), 4);
+        assert_eq!(snapshots(&lp), [after[2].0.clone(), after[5].0.clone()]);
+
+        // A straggler at t=4.5 undoes t=5..7, popping t=7's copy; the LP
+        // coasts forward from t=4's copy, which stays logged, through t=4.
+        let rb = lp.rollback_to(&CounterModel, ev(4.5, 99, 0).key(), end(), 1);
+        assert_eq!(rb.undone, 3);
+        assert_eq!(snapshots(&lp), [after[2].0.clone()]);
+        assert_eq!((lp.state.clone(), lp.rng), after[3]);
+        assert_eq!(lp.lvt(), VirtualTime::new(4.0));
+
+        // Re-executing the undone events restarts the cadence from t=4:
+        // t=7 is flagged again, and the run converges on the reference.
+        let mut replay = rb.reenqueue;
+        replay.sort_by_key(|e| e.key());
+        for e in replay {
+            process_one(&mut lp, e);
+        }
+        assert_eq!(snapshots(&lp), [after[2].0.clone(), after[5].0.clone()]);
+        assert_eq!((lp.state.clone(), lp.rng), after[6]);
+
+        // At shutdown everything commits and the log empties.
+        assert_eq!(lp.fossil_collect_final(VirtualTime::INFINITY), 4);
+        assert!(snapshots(&lp).is_empty());
     }
 }

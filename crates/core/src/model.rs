@@ -84,8 +84,9 @@ impl<P> Default for Emitter<P> {
 /// global state — so that rollback/replay and the sequential reference
 /// produce identical trajectories.
 pub trait Model: Send + Sync + 'static {
-    /// Per-LP state. Cloned into the processed-event history for rollback,
-    /// so keep it small (the paper's models carry counters and RNG state).
+    /// Per-LP state. Under state saving it is cloned into the LP's snapshot
+    /// log for rollback, so keep it small (the paper's models carry
+    /// counters and RNG state).
     type State: Clone + Send + 'static;
     /// Event payload.
     type Payload: Clone + Send + 'static;

@@ -56,9 +56,7 @@ impl<M: Model> SequentialSim<M> {
         let end = self.cfg.end_vt();
         let strategy = self.cfg.rollback_strategy(self.model.supports_reverse());
         let mut lps: Vec<LpRuntime<M>> = (0..total)
-            .map(|i| {
-                LpRuntime::with_strategy(LpId(i), &*self.model, self.cfg.seed, strategy, end, total)
-            })
+            .map(|i| LpRuntime::with_strategy(LpId(i), &*self.model, self.cfg.seed, strategy))
             .collect();
 
         let mut pending: PendingSet<M::Payload> = PendingSet::new();

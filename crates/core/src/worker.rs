@@ -307,7 +307,13 @@ impl<M: Model> Worker<M> {
                     a.recv_time
                 );
                 cascade += 1;
-                let rb = self.lps[idx].rollback_cancel(&*self.model, a.key());
+                let cfg = &self.shared.cfg;
+                let rb = self.lps[idx].rollback_cancel(
+                    &*self.model,
+                    a.key(),
+                    cfg.end_vt(),
+                    cfg.total_lps(),
+                );
                 self.counters.annihilated += 1;
                 let id = a.id;
                 self.shared.gvt_core.emit(now + charge, || TraceRecord::Annihilate {
@@ -438,7 +444,7 @@ impl<M: Model> Worker<M> {
                 event.recv_time
             );
             self.counters.stragglers += 1;
-            let rb = self.lps[idx].rollback_to(&*self.model, event.key());
+            let rb = self.lps[idx].rollback_to(&*self.model, event.key(), end, cfg.total_lps());
             charge += self.apply_rollback(now, rb, true);
             charge += self.drain_local_antis(now + charge);
         }

@@ -70,13 +70,13 @@ fn strategies() -> [RollbackStrategy; 5] {
     ]
 }
 
+/// The run's end time; the run has one LP.
+fn end() -> VirtualTime {
+    VirtualTime::new(1e9)
+}
+
 fn ctx(t: f64) -> EventCtx {
-    EventCtx {
-        now: VirtualTime::new(t),
-        self_lp: LpId(0),
-        end_time: VirtualTime::new(1e9),
-        total_lps: 1,
-    }
+    EventCtx { now: VirtualTime::new(t), self_lp: LpId(0), end_time: end(), total_lps: 1 }
 }
 
 fn make_events(times: &[u16]) -> Vec<Event<u32>> {
@@ -127,14 +127,7 @@ proptest! {
         for strategy in strategies() {
             // Optimistic: process everything, then roll back to a random
             // cut and replay the tail — under every rollback strategy.
-            let mut lp = LpRuntime::<HashModel>::with_strategy(
-                LpId(0),
-                &HashModel,
-                seed,
-                strategy,
-                cagvt_base::VirtualTime::new(1e9),
-                1,
-            );
+            let mut lp = LpRuntime::<HashModel>::with_strategy(LpId(0), &HashModel, seed, strategy);
             for e in &events {
                 process(&mut lp, e.clone());
             }
@@ -143,7 +136,7 @@ proptest! {
                 t: events[cut_idx].recv_time,
                 id: EventId::new(LpId(0), 0), // below any real id at that time
             };
-            let rb = lp.rollback_to(&HashModel, cut_key);
+            let rb = lp.rollback_to(&HashModel, cut_key, end(), 1);
             // Everything from cut_idx (inclusive, because its key is above
             // the synthetic cut key) must have been undone.
             prop_assert_eq!(rb.undone as usize, events.len() - cut_idx, "{:?}", strategy);
@@ -177,14 +170,8 @@ proptest! {
         for e in &events {
             process(&mut truth, e.clone());
         }
-        let mut lp = LpRuntime::<HashModel>::with_strategy(
-            LpId(0),
-            &HashModel,
-            seed,
-            RollbackStrategy::PeriodicSnapshot(k),
-            cagvt_base::VirtualTime::new(1e9),
-            1,
-        );
+        let strategy = RollbackStrategy::PeriodicSnapshot(k);
+        let mut lp = LpRuntime::<HashModel>::with_strategy(LpId(0), &HashModel, seed, strategy);
         for e in &events {
             process(&mut lp, e.clone());
         }
@@ -204,7 +191,7 @@ proptest! {
                 t: survivors[cut_idx].recv_time,
                 id: EventId::new(LpId(0), 0),
             };
-            let rb = lp.rollback_to(&HashModel, cut_key);
+            let rb = lp.rollback_to(&HashModel, cut_key, end(), 1);
             let mut replay = rb.reenqueue;
             replay.sort_by_key(|e| e.key());
             for e in replay {
@@ -322,14 +309,7 @@ proptest! {
             RollbackStrategy::Reverse,
             RollbackStrategy::PeriodicSnapshot(3),
         ] {
-            let mut lp = LpRuntime::<FanModel>::with_strategy(
-                LpId(0),
-                &FanModel,
-                seed,
-                strategy,
-                VirtualTime::new(1e9),
-                1,
-            );
+            let mut lp = LpRuntime::<FanModel>::with_strategy(LpId(0), &FanModel, seed, strategy);
             // Uncommitted history as the test saw it: key and sends.
             let mut shadow: Vec<(EventKey, Vec<Send>)> = Vec::new();
             // Undone events waiting to be re-executed.
@@ -370,9 +350,9 @@ proptest! {
                         let i = live[arg as usize % live.len()];
                         let target = shadow[i].0;
                         let rb = if kind == 2 {
-                            lp.rollback_to(&FanModel, below_key(target.t))
+                            lp.rollback_to(&FanModel, below_key(target.t), end(), 1)
                         } else {
-                            lp.rollback_cancel(&FanModel, target)
+                            lp.rollback_cancel(&FanModel, target, end(), 1)
                         };
                         let undo = shadow.split_off(i);
                         prop_assert_eq!(rb.undone as usize, undo.len());
@@ -405,7 +385,7 @@ proptest! {
                 }
                 prop_assert_eq!(lp.history_len(), shadow.len(), "{:?}", strategy);
             }
-            let rb = lp.rollback_to(&FanModel, EventKey::MIN);
+            let rb = lp.rollback_to(&FanModel, EventKey::MIN, end(), 1);
             let got: Vec<Send> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
             let want: Vec<Send> =
                 shadow.iter().rev().flat_map(|(_, s)| s.iter().copied()).collect();

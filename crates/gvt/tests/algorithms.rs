@@ -70,16 +70,46 @@ fn multi_node_all_algorithms_match_sequential() {
     }
 }
 
+/// The rollback-heavy configuration: two nodes of two workers, most
+/// traffic remote, and enough work per event that stragglers are common.
+fn rollback_heavy(end_time: f64) -> (MiniHold, SimConfig) {
+    let mut cfg = SimConfig::small(2, 2);
+    cfg.end_time = end_time;
+    (MiniHold { far_fraction: 0.7, epg: 200, ..Default::default() }, cfg)
+}
+
 #[test]
 fn rollback_heavy_runs_stay_correct() {
     for kind in all_kinds() {
-        let mut cfg = SimConfig::small(2, 2);
-        cfg.end_time = 40.0;
-        let model = MiniHold { far_fraction: 0.7, epg: 200, ..Default::default() };
+        let (model, cfg) = rollback_heavy(40.0);
         let report = assert_matches_sequential(kind, model, cfg);
         assert!(report.rollbacks > 0, "{kind:?}: rollbacks expected\n{report}");
         assert!(report.antis_sent > 0, "{kind:?}: anti-messages expected\n{report}");
     }
+}
+
+/// The paper's thesis on the rollback-heavy configuration: as the end
+/// time doubles from 15 to 30, Mattern's count-only throttle lets
+/// optimism thrash and its efficiency more than halves, while CA-GVT
+/// holds its efficiency and stays within a factor of two of the
+/// synchronous barrier's.
+#[test]
+fn ca_gvt_efficiency_holds_while_mattern_decays() {
+    let efficiency = |kind: GvtKind, end_time: f64| {
+        let (model, cfg) = rollback_heavy(end_time);
+        assert_matches_sequential(kind, model, cfg).efficiency
+    };
+    let barrier_30 = efficiency(GvtKind::Barrier, 30.0);
+    let (ca_15, ca_30) =
+        (efficiency(GvtKind::CA_DEFAULT, 15.0), efficiency(GvtKind::CA_DEFAULT, 30.0));
+    let (mattern_15, mattern_30) =
+        (efficiency(GvtKind::Mattern, 15.0), efficiency(GvtKind::Mattern, 30.0));
+    assert!(ca_30 >= 0.5 * barrier_30, "CA-GVT {ca_30} vs Barrier {barrier_30} at end 30");
+    assert!(ca_30 >= 0.8 * ca_15, "CA-GVT decays: {ca_15} at end 15, {ca_30} at end 30");
+    assert!(
+        mattern_30 <= 0.5 * mattern_15,
+        "Mattern holds: {mattern_15} at end 15, {mattern_30} at end 30"
+    );
 }
 
 #[test]

@@ -397,6 +397,16 @@ mod tests {
         emit.take().count();
         assert_ne!(model.state_fingerprint(&a), model.state_fingerprint(&b));
     }
+
+    /// A PHOLD history entry is the event, the pre-event generator, the
+    /// first send sequence number and a snapshot flag: 64 bytes on a
+    /// 64-bit target, with no room for a state copy.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn history_entry_is_64_bytes() {
+        use cagvt_core::lp::ProcessedEvent;
+        assert_eq!(std::mem::size_of::<ProcessedEvent<PholdModel>>(), 64);
+    }
 }
 
 #[cfg(test)]
