@@ -29,7 +29,8 @@ impl VirtualTime {
     pub const ZERO: VirtualTime = VirtualTime(0.0);
     pub const INFINITY: VirtualTime = VirtualTime(f64::INFINITY);
 
-    /// Construct from a raw `f64`.
+    /// Construct from a raw `f64`. `-0.0` becomes `0.0`, so zero has one
+    /// bit pattern (one hash, one place in the ordered-bits order).
     ///
     /// # Panics
     /// Panics on `NaN` or negative values: virtual time is a forward-only
@@ -37,7 +38,7 @@ impl VirtualTime {
     #[inline]
     pub fn new(t: f64) -> Self {
         assert!(!t.is_nan() && t >= 0.0, "invalid virtual time: {t}");
-        VirtualTime(t)
+        VirtualTime(t + 0.0)
     }
 
     #[inline]
@@ -92,8 +93,8 @@ impl Eq for VirtualTime {}
 
 impl std::hash::Hash for VirtualTime {
     /// Hash of the ordered bit pattern; consistent with `Eq` because
-    /// construction forbids `NaN` and negative values (so `-0.0`, the one
-    /// value with two representations, cannot occur alongside `0.0`).
+    /// construction forbids `NaN` and negative values and turns `-0.0`, the
+    /// one value with two representations, into `0.0`.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.to_ordered_bits().hash(state);
     }
@@ -245,6 +246,18 @@ mod tests {
     #[should_panic]
     fn virtual_time_rejects_negative() {
         let _ = VirtualTime::new(-1.0);
+    }
+
+    #[test]
+    fn negative_zero_is_zero() {
+        use std::hash::{BuildHasher, RandomState};
+        let z = VirtualTime::new(-0.0);
+        assert_eq!(z.to_ordered_bits(), VirtualTime::ZERO.to_ordered_bits());
+        assert!(z.to_ordered_bits() < VirtualTime::INFINITY.to_ordered_bits());
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(z), hasher.hash_one(VirtualTime::ZERO));
+        assert_eq!(z.cmp(&VirtualTime::ZERO), std::cmp::Ordering::Equal);
+        assert!(z < VirtualTime::new(f64::MIN_POSITIVE));
     }
 
     #[test]

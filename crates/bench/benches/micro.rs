@@ -23,14 +23,21 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
 
 fn ev(t: f64, seq: u64) -> Event<u32> {
+    ev_at(0, t, seq)
+}
+
+fn ev_at(dst: u32, t: f64, seq: u64) -> Event<u32> {
     Event {
         recv_time: VirtualTime::new(t),
-        dst: LpId(0),
+        dst: LpId(dst),
         id: EventId::new(LpId(0), seq),
         payload: 0,
     }
 }
 
+/// The `_1k` rows put all 1 000 events on one LP, the per-LP chains' worst
+/// case; `insert_pop_1k_128lp` spreads them over one worker's 128 LPs, the
+/// harness geometry.
 fn pending_set(c: &mut Criterion) {
     let mut group = c.benchmark_group("pending_set");
     group.bench_function("insert_pop_1k", |b| {
@@ -38,7 +45,25 @@ fn pending_set(c: &mut Criterion) {
         b.iter_batched(
             || (0..1_000).map(|i| ev(rng.next_f64() * 100.0, i)).collect::<Vec<_>>(),
             |events| {
-                let mut ps = PendingSet::new();
+                let mut ps = PendingSet::new(LpId(0), 1);
+                for e in events {
+                    ps.insert(e);
+                }
+                while ps.pop_min().is_some() {}
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("insert_pop_1k_128lp", |b| {
+        let mut rng = Pcg32::new(1, 1);
+        b.iter_batched(
+            || {
+                (0..1_000)
+                    .map(|i| ev_at(rng.next_bounded(128), rng.next_f64() * 100.0, i))
+                    .collect::<Vec<_>>()
+            },
+            |events| {
+                let mut ps = PendingSet::new(LpId(0), 128);
                 for e in events {
                     ps.insert(e);
                 }
@@ -52,13 +77,13 @@ fn pending_set(c: &mut Criterion) {
         b.iter_batched(
             || (0..1_000).map(|i| ev(rng.next_f64() * 100.0, i)).collect::<Vec<_>>(),
             |events| {
-                let mut ps = PendingSet::new();
+                let mut ps = PendingSet::new(LpId(0), 1);
                 let keys: Vec<_> = events.iter().map(|e| e.key()).collect();
                 for e in events {
                     ps.insert(e);
                 }
                 for k in keys.iter().step_by(2) {
-                    ps.cancel(*k);
+                    ps.cancel(LpId(0), *k);
                 }
                 while ps.pop_min().is_some() {}
             },

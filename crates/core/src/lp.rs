@@ -493,9 +493,11 @@ impl<M: Model> LpRuntime<M> {
         n as u64
     }
 
-    /// Number of history entries with receive time below `gvt`.
+    /// Number of history entries with receive time below `gvt`. Scans from
+    /// the oldest entry: the cost is the entries committed plus one, and
+    /// the commit touches those entries anyway.
     fn below(&self, gvt: VirtualTime) -> usize {
-        self.processed.partition_point(|e| e.event.recv_time < gvt)
+        self.processed.iter().position(|e| e.event.recv_time >= gvt).unwrap_or(self.processed.len())
     }
 }
 
@@ -690,6 +692,22 @@ mod tests {
         assert_eq!(lp.history_len(), 0);
         // LVT is unaffected by fossil collection.
         assert_eq!(lp.lvt(), VirtualTime::new(3.0));
+    }
+
+    #[test]
+    fn fossil_boundary_counts_entries_strictly_below_gvt() {
+        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
+        assert_eq!(lp.below(VirtualTime::new(5.0)), 0, "empty history");
+        for (t, src) in [(1.0, 0), (2.0, 1), (2.0, 2), (3.0, 3)] {
+            process_one(&mut lp, ev(t, src, 1));
+        }
+        assert_eq!(lp.below(VirtualTime::INFINITY), 4, "every entry below");
+        assert_eq!(lp.below(VirtualTime::new(0.5)), 0, "none below");
+        assert_eq!(lp.below(VirtualTime::new(1.0)), 0, "an entry at gvt stays");
+        assert_eq!(lp.below(VirtualTime::new(2.0)), 1, "both entries at gvt stay");
+        assert_eq!(lp.below(VirtualTime::new(2.5)), 3);
+        assert_eq!(lp.fossil_collect(VirtualTime::new(2.0)), 1);
+        assert_eq!(lp.below(VirtualTime::new(2.0)), 0);
     }
 
     #[test]

@@ -1,10 +1,39 @@
 //! The pending event set of one worker.
 //!
-//! An ordered map from [`EventKey`] to event, with support for
-//! annihilation:
+//! One sorted chain of pending events per LP, under an indexed min-heap of
+//! the LPs' earliest keys:
+//!
+//! * the chains are singly linked lists, ascending in [`EventKey`], whose
+//!   nodes live in one slab per set (freed slots are reused, so a run in
+//!   steady state allocates nothing);
+//! * the heap holds one `(head time, LP)` entry per LP with a non-empty
+//!   chain, ordered by the head's full key (the time decides unless two
+//!   heads share it), and a position array per LP says where that entry
+//!   sits, so a changed head is re-sifted in place.
+//!
+//! Costs, with `c` the events pending at the destination LP and `h` the LPs
+//! with pending events:
+//!
+//! * [`PendingSet::min_key`] / [`PendingSet::min_time`]: O(1), the heap
+//!   root;
+//! * [`PendingSet::pop_min`]: O(log h), unlink the root LP's chain head and
+//!   re-sift its entry;
+//! * [`PendingSet::insert`] and [`PendingSet::cancel`]: O(c) for the chain
+//!   walk, plus O(log h) when the LP's head changes;
+//! * [`PendingSet::from_events`]: one sort, then linear.
+//!
+//! The chain walk makes an insert linear in the events pending at one LP.
+//! That suits PHOLD-like models, whose chains hold one or two events. It
+//! does not suit a model that piles events onto one LP: 1 000 random-time
+//! events pending at a single LP cost about eight times what an ordered map
+//! did per insert and pop, while the same events over 128 LPs cost about
+//! the same (the `pending_set` micro-benchmarks).
+//!
+//! Annihilation:
 //!
 //! * anti-message arrives while the positive event is **pending** — the
-//!   event with exactly the anti's key is removed from the map on the spot;
+//!   event with exactly the anti's key is unlinked from its LP's chain on
+//!   the spot;
 //! * anti-message arrives **before** its positive event (cannot happen on
 //!   the engine's FIFO channels, but kept as a defensive path) — the
 //!   cancellation is remembered as an *early anti* and the event is
@@ -14,22 +43,30 @@
 //! identity), not the id alone: after a rollback, a re-executed LP re-sends
 //! with the same `(sender, sequence)` id but possibly a different receive
 //! time, and an id-only match could annihilate the fresh copy while
-//! letting the stale one go live.
+//! letting the stale one go live. An anti carries its destination, so the
+//! match walks that LP's chain only.
 //!
-//! There are no tombstones: a cancelled event leaves the map at once, so
-//! the map holds only live events and a pop never has to skip a dead one.
+//! There are no tombstones: a cancelled event leaves its chain at once, so
+//! the set holds only live events and a pop never has to skip a dead one.
 //! A rolled-back sender may re-send a bit-identical copy of a message it
 //! already cancelled; the cancelled copy is gone by then, so the key is
 //! free again. Two *live* copies of one key cannot exist (event ids are
-//! unique per sender), and inserting one panics.
+//! unique per sender), and the set panics on one: inserting a key already
+//! on the destination's chain panics at once, and a key pending at two LPs
+//! panics when the first copy pops, because the second is then the new
+//! minimum.
 //!
 //! The case where the positive event was already **processed** is handled
 //! one level up (rollback in [`crate::lp`]).
 
+use cagvt_base::ids::LpId;
 use cagvt_base::time::VirtualTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::event::{Event, EventKey};
+
+/// End of a chain, an empty LP, or an LP absent from the heap.
+const NIL: u32 = u32::MAX;
 
 /// Result of [`PendingSet::cancel`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,9 +78,27 @@ pub enum CancelOutcome {
     Deferred,
 }
 
-/// Not-yet-processed events for the LPs of one worker, in key order.
+/// A slab slot: a chain node, or a free slot linked into the free list.
+struct Node<P> {
+    event: Option<Event<P>>,
+    next: u32,
+}
+
+/// Not-yet-processed events for a contiguous range of LPs, in key order.
 pub struct PendingSet<P> {
-    events: BTreeMap<EventKey, Event<P>>,
+    first_lp: u32,
+    nodes: Vec<Node<P>>,
+    /// First free slot of `nodes`, or `NIL`.
+    free: u32,
+    /// Per LP (offset from `first_lp`): slot of its earliest event, or `NIL`.
+    heads: Vec<u32>,
+    /// Per LP: index of its entry in `heap`, or `NIL` while it has none.
+    pos: Vec<u32>,
+    /// Min-heap of `(head time, LP offset)` in head-key order, one entry
+    /// per non-empty chain. The time alone orders all but equal-time heads,
+    /// and keeps an entry at 16 bytes.
+    heap: Vec<(VirtualTime, u32)>,
+    len: usize,
     /// Cancellations that arrived before their positive event, with
     /// multiplicity: a rolled-back sender can re-send a bit-identical copy
     /// of a message it already cancelled, so one key can be owed more than
@@ -51,28 +106,81 @@ pub struct PendingSet<P> {
     early_antis: HashMap<EventKey, u32>,
 }
 
-impl<P> Default for PendingSet<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<P> PendingSet<P> {
-    pub fn new() -> Self {
-        PendingSet { events: BTreeMap::new(), early_antis: HashMap::new() }
+    /// An empty set for the LPs `first_lp .. first_lp + n_lps`.
+    pub fn new(first_lp: LpId, n_lps: usize) -> Self {
+        Self::with_capacity(first_lp, n_lps, 0)
     }
 
-    /// A set holding exactly `events` and no early antis, built in bulk
-    /// (sorted once instead of inserted one by one).
+    fn with_capacity(first_lp: LpId, n_lps: usize, capacity: usize) -> Self {
+        assert!(n_lps < NIL as usize, "too many LPs for one pending set");
+        PendingSet {
+            first_lp: first_lp.0,
+            nodes: Vec::with_capacity(capacity),
+            free: NIL,
+            heads: vec![NIL; n_lps],
+            pos: vec![NIL; n_lps],
+            heap: Vec::with_capacity(n_lps.min(capacity)),
+            len: 0,
+            early_antis: HashMap::new(),
+        }
+    }
+
+    /// A set for the LPs `first_lp .. first_lp + n_lps` holding exactly
+    /// `events` and no early antis, built in bulk (sorted once instead of
+    /// inserted one by one) with its slab sized to the preload.
     ///
     /// # Panics
     ///
-    /// If two events share a key, as [`Self::insert`] would.
-    pub fn from_events(events: Vec<Event<P>>) -> Self {
-        let n = events.len();
-        let events: BTreeMap<_, _> = events.into_iter().map(|e| (e.key(), e)).collect();
-        assert_eq!(events.len(), n, "duplicate pending event");
-        PendingSet { events, early_antis: HashMap::new() }
+    /// If two events share a key, as [`Self::insert`] would, or an event's
+    /// destination lies outside the range.
+    pub fn from_events(first_lp: LpId, n_lps: usize, mut events: Vec<Event<P>>) -> Self {
+        events.sort_unstable_by_key(Event::key);
+        let mut set = Self::with_capacity(first_lp, n_lps, events.len());
+        let mut tails = vec![NIL; n_lps];
+        let mut last = None;
+        for event in events {
+            let key = event.key();
+            assert!(last != Some(key), "duplicate pending event {key:?}");
+            last = Some(key);
+            let lp = set.lp_index(event.dst);
+            let node = set.nodes.len() as u32;
+            set.nodes.push(Node { event: Some(event), next: NIL });
+            match tails[lp] {
+                // Chains first appear in ascending key order, so appending
+                // their entries keeps the heap array sorted, hence a heap.
+                NIL => {
+                    set.heads[lp] = node;
+                    set.pos[lp] = set.heap.len() as u32;
+                    set.heap.push((key.t, lp as u32));
+                }
+                tail => set.nodes[tail as usize].next = node,
+            }
+            tails[lp] = node;
+        }
+        set.len = set.nodes.len();
+        set.debug_check();
+        set
+    }
+
+    #[inline]
+    fn lp_index(&self, lp: LpId) -> usize {
+        let idx = lp.0.wrapping_sub(self.first_lp) as usize;
+        assert!(idx < self.heads.len(), "event for {lp} outside this pending set");
+        idx
+    }
+
+    #[inline]
+    fn event(&self, node: u32) -> &Event<P> {
+        match &self.nodes[node as usize].event {
+            Some(e) => e,
+            None => unreachable!("free slot on a chain"),
+        }
+    }
+
+    #[inline]
+    fn key(&self, node: u32) -> EventKey {
+        self.event(node).key()
     }
 
     /// Insert a positive event. Returns `false` if it was annihilated by a
@@ -80,7 +188,8 @@ impl<P> PendingSet<P> {
     ///
     /// # Panics
     ///
-    /// If an event with the same key is already pending.
+    /// If an event with the same key is already pending at the event's
+    /// destination, or the destination lies outside the set's LPs.
     pub fn insert(&mut self, event: Event<P>) -> bool {
         let key = event.key();
         // Early antis are almost never owed: one length test, and the
@@ -88,8 +197,28 @@ impl<P> PendingSet<P> {
         if !self.early_antis.is_empty() && self.take_early_anti(key) {
             return false;
         }
-        let old = self.events.insert(key, event);
-        assert!(old.is_none(), "duplicate pending event {key:?}");
+        let lp = self.lp_index(event.dst);
+        let (prev, at) = self.seek(lp, key);
+        assert!(at == NIL || self.key(at) != key, "duplicate pending event {key:?}");
+        let node = self.alloc(event, at);
+        if prev == NIL {
+            self.heads[lp] = node;
+            match self.pos[lp] {
+                NIL => {
+                    self.pos[lp] = self.heap.len() as u32;
+                    self.heap.push((key.t, lp as u32));
+                    self.sift_up(self.heap.len() - 1);
+                }
+                p => {
+                    self.heap[p as usize].0 = key.t;
+                    self.sift_up(p as usize);
+                }
+            }
+        } else {
+            self.nodes[prev as usize].next = node;
+        }
+        self.len += 1;
+        self.debug_check();
         true
     }
 
@@ -107,39 +236,200 @@ impl<P> PendingSet<P> {
         true
     }
 
-    /// Cancel the positive event with exactly this key.
-    pub fn cancel(&mut self, key: EventKey) -> CancelOutcome {
-        if self.events.remove(&key).is_some() {
-            CancelOutcome::AnnihilatedPending
-        } else {
+    /// Cancel the positive event with exactly this key, pending at `dst`.
+    pub fn cancel(&mut self, dst: LpId, key: EventKey) -> CancelOutcome {
+        let lp = self.lp_index(dst);
+        let (prev, at) = self.seek(lp, key);
+        if at == NIL || self.key(at) != key {
             *self.early_antis.entry(key).or_insert(0) += 1;
-            CancelOutcome::Deferred
+            return CancelOutcome::Deferred;
         }
+        drop(self.unlink(lp, prev, at));
+        self.debug_check();
+        CancelOutcome::AnnihilatedPending
     }
 
     /// Remove and return the minimum event.
+    ///
+    /// # Panics
+    ///
+    /// If the same key is also pending at another LP.
     pub fn pop_min(&mut self) -> Option<Event<P>> {
-        self.events.pop_first().map(|(_, e)| e)
+        let &(_, lp) = self.heap.first()?;
+        let event = self.unlink(lp as usize, NIL, self.heads[lp as usize]);
+        let key = event.key();
+        assert!(self.min_key() != Some(key), "duplicate pending event {key:?}");
+        self.debug_check();
+        Some(event)
+    }
+
+    /// The first node of LP `lp`'s chain with a key at or above `key`
+    /// (`NIL` if none), and the node before it (`NIL` at the head).
+    #[inline]
+    fn seek(&self, lp: usize, key: EventKey) -> (u32, u32) {
+        let mut prev = NIL;
+        let mut at = self.heads[lp];
+        while at != NIL && self.key(at) < key {
+            prev = at;
+            at = self.nodes[at as usize].next;
+        }
+        (prev, at)
+    }
+
+    /// Take `node` (after `prev`, or the head if `prev` is `NIL`) off LP
+    /// `lp`'s chain and return its event.
+    fn unlink(&mut self, lp: usize, prev: u32, node: u32) -> Event<P> {
+        let next = self.nodes[node as usize].next;
+        if prev == NIL {
+            self.heads[lp] = next;
+            let p = self.pos[lp] as usize;
+            if next == NIL {
+                self.heap_remove(p);
+            } else {
+                self.heap[p].0 = self.event(next).recv_time;
+                self.sift_down(p);
+            }
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        self.len -= 1;
+        self.release(node)
+    }
+
+    fn alloc(&mut self, event: Event<P>, next: u32) -> u32 {
+        match self.free {
+            NIL => {
+                self.nodes.push(Node { event: Some(event), next });
+                (self.nodes.len() - 1) as u32
+            }
+            node => {
+                let slot = &mut self.nodes[node as usize];
+                self.free = slot.next;
+                *slot = Node { event: Some(event), next };
+                node
+            }
+        }
+    }
+
+    fn release(&mut self, node: u32) -> Event<P> {
+        let slot = &mut self.nodes[node as usize];
+        slot.next = self.free;
+        self.free = node;
+        slot.event.take().expect("released a free slot")
+    }
+
+    fn heap_swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].1 as usize] = a as u32;
+        self.pos[self.heap[b].1 as usize] = b as u32;
+    }
+
+    /// Key of the earliest event of LP `lp`, which must have one.
+    #[inline]
+    fn head_key(&self, lp: u32) -> EventKey {
+        self.key(self.heads[lp as usize])
+    }
+
+    /// Whether heap entry `a` orders before entry `b`.
+    #[inline]
+    fn heap_less(&self, a: usize, b: usize) -> bool {
+        let ((ta, la), (tb, lb)) = (self.heap[a], self.heap[b]);
+        ta < tb || (ta == tb && self.head_key(la) < self.head_key(lb))
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.heap_less(i, parent) {
+                break;
+            }
+            self.heap_swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.heap_less(right, left) { right } else { left };
+            if !self.heap_less(child, i) {
+                break;
+            }
+            self.heap_swap(i, child);
+            i = child;
+        }
+    }
+
+    fn heap_remove(&mut self, i: usize) {
+        let last = self.heap.len() - 1;
+        self.heap_swap(i, last);
+        let (_, lp) = self.heap.pop().expect("heap entry to remove");
+        self.pos[lp as usize] = NIL;
+        if i < last {
+            self.sift_down(i);
+            self.sift_up(i);
+        }
+    }
+
+    /// Check every invariant (debug builds only): heap order, the position
+    /// array against the heap, each chain strictly ascending and headed by
+    /// its heap key, and `len` against the chains and the slab.
+    fn debug_check(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut chained = 0;
+        for (i, &(t, lp)) in self.heap.iter().enumerate() {
+            assert!(i == 0 || !self.heap_less(i, (i - 1) / 2), "heap out of order at {i}");
+            let lp = lp as usize;
+            assert_eq!(self.pos[lp], i as u32, "position array out of step with the heap");
+            let mut node = self.heads[lp];
+            assert_eq!(self.key(node).t, t, "heap time is not its chain head's");
+            while node != NIL {
+                let next = self.nodes[node as usize].next;
+                assert!(
+                    next == NIL || self.key(node) < self.key(next),
+                    "chain of LP offset {lp} out of order"
+                );
+                chained += 1;
+                node = next;
+            }
+        }
+        assert_eq!(chained, self.len, "len is not the chains' total");
+        let mut free = 0;
+        let mut node = self.free;
+        while node != NIL {
+            assert!(self.nodes[node as usize].event.is_none(), "live slot on the free list");
+            free += 1;
+            node = self.nodes[node as usize].next;
+        }
+        assert_eq!(free + self.len, self.nodes.len(), "slab slots lost or on no chain");
     }
 
     /// Key of the minimum event (the worker's LVT contribution when
     /// present).
+    #[inline]
     pub fn min_key(&self) -> Option<EventKey> {
-        self.events.first_key_value().map(|(k, _)| *k)
+        self.heap.first().map(|&(_, lp)| self.head_key(lp))
     }
 
     /// Receive time of the minimum event, or +inf when empty.
     pub fn min_time(&self) -> VirtualTime {
-        self.min_key().map(|k| k.t).unwrap_or(VirtualTime::INFINITY)
+        self.heap.first().map_or(VirtualTime::INFINITY, |&(t, _)| t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
     }
 
     /// Number of early (unmatched) anti-messages currently remembered.
@@ -163,20 +453,33 @@ impl<P> PendingSet<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cagvt_base::ids::{EventId, LpId};
+    use cagvt_base::ids::EventId;
 
-    fn ev(t: f64, src: u32, seq: u64) -> Event<u32> {
+    fn ev_at(dst: u32, t: f64, src: u32, seq: u64) -> Event<u32> {
         Event {
             recv_time: VirtualTime::new(t),
-            dst: LpId(0),
+            dst: LpId(dst),
             id: EventId::new(LpId(src), seq),
             payload: (t * 10.0) as u32,
         }
     }
 
+    fn ev(t: f64, src: u32, seq: u64) -> Event<u32> {
+        ev_at(0, t, src, seq)
+    }
+
+    /// A set over LP 0 alone.
+    fn one_lp() -> PendingSet<u32> {
+        PendingSet::new(LpId(0), 1)
+    }
+
+    fn cancel(ps: &mut PendingSet<u32>, e: &Event<u32>) -> CancelOutcome {
+        ps.cancel(e.dst, e.key())
+    }
+
     #[test]
     fn pops_in_key_order() {
-        let mut ps = PendingSet::new();
+        let mut ps = one_lp();
         ps.insert(ev(3.0, 0, 0));
         ps.insert(ev(1.0, 2, 5));
         ps.insert(ev(1.0, 1, 9));
@@ -188,7 +491,7 @@ mod tests {
 
     #[test]
     fn equal_times_break_by_sender_then_seq() {
-        let mut ps = PendingSet::new();
+        let mut ps = one_lp();
         ps.insert(ev(1.0, 2, 0));
         ps.insert(ev(1.0, 1, 7));
         ps.insert(ev(1.0, 1, 3));
@@ -201,13 +504,36 @@ mod tests {
     }
 
     #[test]
+    fn pops_in_key_order_across_lps() {
+        // LPs 10..14; equal receive times on different LPs break by id.
+        let mut ps = PendingSet::new(LpId(10), 4);
+        ps.insert(ev_at(13, 2.0, 0, 0));
+        ps.insert(ev_at(10, 2.0, 5, 1));
+        ps.insert(ev_at(11, 1.0, 9, 0));
+        ps.insert(ev_at(10, 0.5, 1, 2));
+        ps.insert(ev_at(13, 1.5, 2, 2));
+        ps.insert(ev_at(11, 2.0, 3, 0));
+        let order: Vec<_> = std::iter::from_fn(|| ps.pop_min()).map(|e| (e.dst.0, e.id)).collect();
+        assert_eq!(
+            order,
+            [
+                (10, EventId::new(LpId(1), 2)),
+                (11, EventId::new(LpId(9), 0)),
+                (13, EventId::new(LpId(2), 2)),
+                (13, EventId::new(LpId(0), 0)),
+                (11, EventId::new(LpId(3), 0)),
+                (10, EventId::new(LpId(5), 1)),
+            ]
+        );
+    }
+
+    #[test]
     fn cancel_pending_annihilates() {
-        let mut ps = PendingSet::new();
+        let mut ps = one_lp();
         let e = ev(1.0, 0, 0);
-        let key = e.key();
-        ps.insert(e);
+        ps.insert(e.clone());
         ps.insert(ev(2.0, 0, 1));
-        assert_eq!(ps.cancel(key), CancelOutcome::AnnihilatedPending);
+        assert_eq!(cancel(&mut ps, &e), CancelOutcome::AnnihilatedPending);
         assert_eq!(ps.len(), 1);
         assert_eq!(ps.min_time(), VirtualTime::new(2.0));
         let popped = ps.pop_min().unwrap();
@@ -216,10 +542,29 @@ mod tests {
     }
 
     #[test]
+    fn cancel_unlinks_head_middle_and_tail_across_lps() {
+        let mut ps = PendingSet::new(LpId(0), 3);
+        let chain: Vec<_> = (0..4).map(|i| ev_at(1, i as f64 + 1.0, 0, i)).collect();
+        for e in &chain {
+            ps.insert(e.clone());
+        }
+        ps.insert(ev_at(2, 1.5, 1, 0));
+        // The key pending at LP 1 is not pending at LP 0.
+        assert_eq!(ps.cancel(LpId(0), chain[1].key()), CancelOutcome::Deferred);
+        ps.purge_below(VirtualTime::INFINITY);
+        assert_eq!(cancel(&mut ps, &chain[2]), CancelOutcome::AnnihilatedPending);
+        assert_eq!(cancel(&mut ps, &chain[3]), CancelOutcome::AnnihilatedPending);
+        assert_eq!(cancel(&mut ps, &chain[0]), CancelOutcome::AnnihilatedPending);
+        assert_eq!(ps.min_time(), VirtualTime::new(1.5));
+        let order: Vec<_> = std::iter::from_fn(|| ps.pop_min()).map(|e| e.dst.0).collect();
+        assert_eq!(order, [2, 1]);
+    }
+
+    #[test]
     fn early_anti_annihilates_on_insert() {
-        let mut ps: PendingSet<u32> = PendingSet::new();
+        let mut ps = one_lp();
         let e = ev(5.0, 3, 4);
-        assert_eq!(ps.cancel(e.key()), CancelOutcome::Deferred);
+        assert_eq!(cancel(&mut ps, &e), CancelOutcome::Deferred);
         assert_eq!(ps.early_antis(), 1);
         assert!(!ps.insert(e), "must annihilate against the waiting anti");
         assert!(ps.is_empty());
@@ -230,11 +575,10 @@ mod tests {
     fn stale_tombstone_does_not_kill_resent_copy() {
         // A cancelled (id, t=1.0) copy must not annihilate the re-sent
         // (id, t=2.0) copy that shares the id.
-        let mut ps = PendingSet::new();
+        let mut ps = one_lp();
         let old = ev(1.0, 0, 0);
-        let old_key = old.key();
-        ps.insert(old);
-        assert_eq!(ps.cancel(old_key), CancelOutcome::AnnihilatedPending);
+        ps.insert(old.clone());
+        assert_eq!(cancel(&mut ps, &old), CancelOutcome::AnnihilatedPending);
         let fresh = ev(2.0, 0, 0);
         assert!(ps.insert(fresh.clone()), "fresh copy must be accepted");
         let popped = ps.pop_min().unwrap();
@@ -244,9 +588,9 @@ mod tests {
 
     #[test]
     fn early_anti_matches_exact_key_only() {
-        let mut ps: PendingSet<u32> = PendingSet::new();
+        let mut ps = one_lp();
         let old = ev(1.0, 0, 0);
-        ps.cancel(old.key()); // deferred anti for (id, t=1.0)
+        cancel(&mut ps, &old); // deferred anti for (id, t=1.0)
         let fresh = ev(2.0, 0, 0); // same id, different time
         assert!(ps.insert(fresh), "anti for the old copy must not hit the new one");
         assert_eq!(ps.len(), 1);
@@ -255,12 +599,12 @@ mod tests {
 
     #[test]
     fn purge_below_drops_stale_tombstones_only() {
-        let mut ps: PendingSet<u32> = PendingSet::new();
+        let mut ps = one_lp();
         // Stale deferred anti at t=1.0 (its positive was re-sent at t=2.0).
-        ps.cancel(ev(1.0, 0, 0).key());
+        cancel(&mut ps, &ev(1.0, 0, 0));
         assert!(ps.insert(ev(2.0, 0, 0)));
         // Fresh deferred anti above the purge horizon must survive.
-        ps.cancel(ev(9.0, 0, 5).key());
+        cancel(&mut ps, &ev(9.0, 0, 5));
         assert_eq!(ps.early_antis(), 2);
         assert_eq!(ps.purge_below(VirtualTime::new(3.0)), 1);
         assert_eq!(ps.early_antis(), 1, "the t=9 anti must remain");
@@ -280,16 +624,16 @@ mod tests {
         // re-sent with a later receive time). With the fossil-pass purge
         // the early-anti map stays O(1); without it it grows with the
         // round count.
-        let mut ps: PendingSet<u32> = PendingSet::new();
+        let mut ps = one_lp();
         for round in 0..5_000u64 {
             let t = round as f64 + 1.0;
             // Anti arrives before its positive; the rolled-back sender
             // then re-sends the same id at a different time, so the
             // deferred anti never matches.
-            ps.cancel(ev(t, 0, round).key());
+            cancel(&mut ps, &ev(t, 0, round));
             ps.insert(ev(t + 0.25, 0, round));
             // Cancel the re-sent copy while pending.
-            ps.cancel(ev(t + 0.25, 0, round).key());
+            cancel(&mut ps, &ev(t + 0.25, 0, round));
             // One live event per round is actually processed.
             ps.insert(ev(t + 0.5, 1, round));
             assert_eq!(ps.pop_min().expect("live event").recv_time, VirtualTime::new(t + 0.5));
@@ -302,38 +646,65 @@ mod tests {
 
     #[test]
     fn min_time_skips_cancelled_head() {
-        let mut ps = PendingSet::new();
+        let mut ps = one_lp();
         let head = ev(1.0, 0, 0);
-        let key = head.key();
-        ps.insert(head);
+        ps.insert(head.clone());
         ps.insert(ev(4.0, 0, 1));
-        ps.cancel(key);
+        cancel(&mut ps, &head);
         assert_eq!(ps.min_time(), VirtualTime::new(4.0));
     }
 
     #[test]
     fn empty_set_reports_infinity() {
-        let mut ps: PendingSet<u32> = PendingSet::new();
+        let mut ps = one_lp();
         assert_eq!(ps.min_time(), VirtualTime::INFINITY);
         assert!(ps.min_key().is_none());
         assert!(ps.pop_min().is_none());
     }
 
     #[test]
+    fn freed_slots_are_reused() {
+        let mut ps = PendingSet::new(LpId(0), 2);
+        for round in 0..100u64 {
+            ps.insert(ev_at(round as u32 % 2, round as f64, 0, round));
+            ps.insert(ev_at(1, round as f64 + 0.5, 1, round));
+            ps.pop_min().unwrap();
+            ps.pop_min().unwrap();
+        }
+        assert!(ps.is_empty());
+        assert_eq!(ps.nodes.len(), 2, "the slab grew past the set's peak");
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate pending event")]
     fn inserting_a_pending_key_again_panics() {
-        let mut ps = PendingSet::new();
+        let mut ps = one_lp();
         ps.insert(ev(1.0, 0, 0));
         ps.insert(ev(1.0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate pending event")]
+    fn a_key_pending_at_two_lps_panics_on_pop() {
+        let mut ps = PendingSet::new(LpId(0), 2);
+        ps.insert(ev_at(0, 1.0, 0, 0));
+        ps.insert(ev_at(1, 1.0, 0, 0));
+        ps.pop_min();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside this pending set")]
+    fn an_event_for_a_foreign_lp_panics() {
+        let mut ps = PendingSet::new(LpId(4), 2);
+        ps.insert(ev_at(6, 1.0, 0, 0));
     }
 
     #[test]
     fn reinsert_after_rollback_is_allowed() {
         // Rollback re-enqueues previously processed events: same id enters
         // the set again after having been popped.
-        let mut ps = PendingSet::new();
-        let e = ev(1.0, 0, 0);
-        ps.insert(e);
+        let mut ps = one_lp();
+        ps.insert(ev(1.0, 0, 0));
         let popped = ps.pop_min().unwrap();
         assert!(ps.insert(popped));
         assert_eq!(ps.len(), 1);
@@ -341,17 +712,35 @@ mod tests {
 
     #[test]
     fn bulk_build_pops_in_key_order() {
-        let mut ps = PendingSet::from_events(vec![ev(3.0, 0, 0), ev(1.0, 2, 5), ev(1.0, 1, 9)]);
+        let events = vec![
+            ev_at(1, 3.0, 0, 0),
+            ev_at(0, 1.0, 2, 5),
+            ev_at(2, 1.0, 1, 9),
+            ev_at(0, 0.5, 7, 1),
+        ];
+        let mut ps = PendingSet::from_events(LpId(0), 3, events);
+        assert_eq!(ps.len(), 4);
         let order: Vec<_> = std::iter::from_fn(|| ps.pop_min()).map(|e| e.id).collect();
         assert_eq!(
             order,
-            [EventId::new(LpId(1), 9), EventId::new(LpId(2), 5), EventId::new(LpId(0), 0)]
+            [
+                EventId::new(LpId(7), 1),
+                EventId::new(LpId(1), 9),
+                EventId::new(LpId(2), 5),
+                EventId::new(LpId(0), 0)
+            ]
         );
     }
 
     #[test]
     #[should_panic(expected = "duplicate pending event")]
     fn bulk_build_with_a_duplicate_key_panics() {
-        PendingSet::from_events(vec![ev(1.0, 0, 0), ev(1.0, 0, 0)]);
+        PendingSet::from_events(LpId(0), 1, vec![ev(1.0, 0, 0), ev(1.0, 0, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate pending event")]
+    fn bulk_build_with_a_key_at_two_lps_panics() {
+        PendingSet::from_events(LpId(0), 2, vec![ev_at(0, 1.0, 0, 0), ev_at(1, 1.0, 0, 0)]);
     }
 }

@@ -59,17 +59,18 @@ impl<M: Model> SequentialSim<M> {
             .map(|i| LpRuntime::with_strategy(LpId(i), &*self.model, self.cfg.seed, strategy))
             .collect();
 
-        let mut pending: PendingSet<M::Payload> = PendingSet::new();
         let mut emit: Emitter<M::Payload> = Emitter::new();
 
         // Time-zero seeding, identical to the cluster builder.
+        let mut seeds = Vec::new();
         for lp in &mut lps {
             lp.seed_initial(&*self.model, &mut emit);
             for (dst, delay, payload) in emit.take() {
                 let id = EventId::new(lp.id, lp.next_seq());
-                pending.insert(Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload });
+                seeds.push(Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload });
             }
         }
+        let mut pending = PendingSet::from_events(LpId(0), lps.len(), seeds);
 
         let mut processed = 0u64;
         while let Some(key) = pending.min_key() {

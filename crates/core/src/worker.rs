@@ -126,6 +126,7 @@ impl<M: Model> Worker<M> {
         let widx = shared.worker_index(node, lane);
         let first_lp = shared.first_lp(node, lane).0;
         let acks_enabled = gvt.wants_acks();
+        let pending = PendingSet::new(LpId(first_lp), lps.len());
         Worker {
             actor_id,
             node,
@@ -136,7 +137,7 @@ impl<M: Model> Worker<M> {
             nshared,
             model,
             lps,
-            pending: PendingSet::new(),
+            pending,
             gvt,
             mpi_duty,
             counters: WorkerCounters::default(),
@@ -156,7 +157,7 @@ impl<M: Model> Worker<M> {
     /// builder.
     pub fn preload_events(&mut self, events: Vec<Event<M::Payload>>) {
         debug_assert!(self.pending.is_empty(), "preloaded twice");
-        self.pending = PendingSet::from_events(events);
+        self.pending = PendingSet::from_events(LpId(self.first_lp), self.lps.len(), events);
     }
 
     /// Builder access to LP `k` (time-zero seeding).
@@ -323,7 +324,7 @@ impl<M: Model> Worker<M> {
                 });
                 charge += self.apply_rollback(now + charge, rb, false);
             } else {
-                match self.pending.cancel(a.key()) {
+                match self.pending.cancel(a.dst, a.key()) {
                     CancelOutcome::AnnihilatedPending => {
                         self.counters.annihilated += 1;
                         let id = a.id;

@@ -4,135 +4,188 @@
 
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::time::VirtualTime;
-use cagvt_core::event::Event;
+use cagvt_core::event::{Event, EventKey};
 use cagvt_core::queue::{CancelOutcome, PendingSet};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+/// The set's LPs: `FIRST_LP .. FIRST_LP + LPS`.
+const FIRST_LP: u32 = 40;
+const LPS: u8 = 5;
+
 #[derive(Clone, Debug)]
 enum Op {
-    /// Insert event (src, seq, time-in-tenths).
-    Insert(u8, u8, u16),
-    /// Cancel the most recent live copy of (src, seq) if any, else a
-    /// random key (exercising the deferred path).
+    /// Insert event (dst offset, src, seq, time-in-tenths).
+    Insert(u8, u8, u8, u16),
+    /// Cancel (src, seq) at a destination offset: the live copy's key if
+    /// the id is live, else the given time (exercising the deferred path,
+    /// and a later insert of exactly that key).
+    Cancel(u8, u8, u8, u16),
+    /// Cancel the live copy of (src, seq), if any, at its own destination.
     CancelLive(u8, u8),
     /// Pop the minimum.
     Pop,
+    /// Purge early antis below time-in-tenths.
+    Purge(u16),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    // Few distinct times, so equal receive times on different LPs are
+    // common.
     prop_oneof![
-        (any::<u8>(), 0u8..16, 1u16..1000).prop_map(|(a, b, t)| Op::Insert(a % 4, b, t)),
-        (any::<u8>(), 0u8..16).prop_map(|(a, b)| Op::CancelLive(a % 4, b)),
+        (0..LPS, 0u8..4, 0u8..16, 1u16..40).prop_map(|(d, a, b, t)| Op::Insert(d, a, b, t)),
+        (0..LPS, 0u8..4, 0u8..16, 1u16..40).prop_map(|(d, a, b, t)| Op::Insert(d, a, b, t)),
+        (0..LPS, 0u8..4, 0u8..16, 1u16..40).prop_map(|(d, a, b, t)| Op::Cancel(d, a, b, t)),
+        (0u8..4, 0u8..16).prop_map(|(a, b)| Op::CancelLive(a, b)),
         Just(Op::Pop),
+        Just(Op::Pop),
+        (1u16..40).prop_map(Op::Purge),
     ]
 }
 
-fn ev(src: u8, seq: u8, tenths: u16) -> Event<u16> {
+fn time(tenths: u16) -> VirtualTime {
+    VirtualTime::new(tenths as f64 / 10.0)
+}
+
+fn ev(dst: u8, src: u8, seq: u8, tenths: u16) -> Event<u16> {
     Event {
-        recv_time: VirtualTime::new(tenths as f64 / 10.0),
-        dst: LpId(0),
+        recv_time: time(tenths),
+        dst: LpId(FIRST_LP + dst as u32),
         id: EventId::new(LpId(src as u32), seq as u64),
         payload: tenths,
     }
+}
+
+fn key(src: u8, seq: u8, tenths: u16) -> EventKey {
+    EventKey { t: time(tenths), id: EventId::new(LpId(src as u32), seq as u64) }
+}
+
+/// The engine's contract, kept naively: live events in one key-ordered
+/// map, owed early antis as a key multiset.
+#[derive(Default)]
+struct Reference {
+    live: BTreeMap<EventKey, (u8, u16)>,
+    /// The live copy of each id: (time, destination offset).
+    live_copy: BTreeMap<(u8, u8), (u16, u8)>,
+    owed: BTreeMap<EventKey, u32>,
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// The pending set behaves exactly like a sorted map of live events
-    /// under arbitrary interleavings of insert, cancel and pop — with the
-    /// engine's constraint that at most one copy per id is live at a time.
+    /// plus a multiset of early antis, under arbitrary interleavings of
+    /// insert, cancel, pop and purge over several LPs — with the engine's
+    /// constraint that at most one copy per id is live at a time.
     #[test]
     fn pending_set_matches_reference(ops in prop::collection::vec(arb_op(), 1..300)) {
-        let mut ps: PendingSet<u16> = PendingSet::new();
-        // Reference: live events keyed by (time-bits, src, seq).
-        let mut reference: BTreeMap<(u64, u32, u64), u16> = BTreeMap::new();
-        // Engine constraint bookkeeping: the live copy per id, if any.
-        let mut live_copy: BTreeMap<(u8, u8), u16> = BTreeMap::new();
+        let mut ps: PendingSet<u16> = PendingSet::new(LpId(FIRST_LP), LPS as usize);
+        let mut r = Reference::default();
 
         for op in ops {
             match op {
-                Op::Insert(src, seq, t) => {
-                    if live_copy.contains_key(&(src, seq)) {
+                Op::Insert(dst, src, seq, t) => {
+                    if r.live_copy.contains_key(&(src, seq)) {
                         // Engine never has two live copies of one id.
                         continue;
                     }
-                    let e = ev(src, seq, t);
-                    if ps.insert(e) {
-                        reference.insert(
-                            (VirtualTime::new(t as f64 / 10.0).to_ordered_bits(),
-                             src as u32, seq as u64),
-                            t,
-                        );
-                        live_copy.insert((src, seq), t);
+                    let k = key(src, seq, t);
+                    let owed = r.owed.get(&k).copied().unwrap_or(0);
+                    prop_assert_eq!(ps.insert(ev(dst, src, seq, t)), owed == 0);
+                    if owed == 0 {
+                        r.live.insert(k, (dst, t));
+                        r.live_copy.insert((src, seq), (t, dst));
+                    } else if owed == 1 {
+                        r.owed.remove(&k);
                     } else {
-                        // Annihilated by a deferred anti: the reference
-                        // must have recorded that cancellation.
+                        r.owed.insert(k, owed - 1);
+                    }
+                }
+                Op::Cancel(dst, src, seq, t) => {
+                    let (t, live_dst) = match r.live_copy.get(&(src, seq)) {
+                        Some(&(t, d)) => (t, Some(d)),
+                        None => (t, None),
+                    };
+                    let k = key(src, seq, t);
+                    let lp = LpId(FIRST_LP + dst as u32);
+                    if live_dst == Some(dst) {
+                        prop_assert_eq!(ps.cancel(lp, k), CancelOutcome::AnnihilatedPending);
+                        r.live.remove(&k);
+                        r.live_copy.remove(&(src, seq));
+                    } else {
+                        // Not pending at `dst` (maybe at another LP): the
+                        // anti is owed to the next insert of that key.
+                        prop_assert_eq!(ps.cancel(lp, k), CancelOutcome::Deferred);
+                        *r.owed.entry(k).or_insert(0) += 1;
                     }
                 }
                 Op::CancelLive(src, seq) => {
-                    let t = live_copy.get(&(src, seq)).copied();
-                    match t {
-                        Some(t) => {
-                            let key = cagvt_core::event::EventKey {
-                                t: VirtualTime::new(t as f64 / 10.0),
-                                id: EventId::new(LpId(src as u32), seq as u64),
-                            };
-                            prop_assert_eq!(ps.cancel(key), CancelOutcome::AnnihilatedPending);
-                            reference.remove(&(key.t.to_ordered_bits(), src as u32, seq as u64));
-                            live_copy.remove(&(src, seq));
-                        }
-                        None => {
-                            // Cancel something that is not live: deferred.
-                            let key = cagvt_core::event::EventKey {
-                                t: VirtualTime::new(0.05),
-                                id: EventId::new(LpId(src as u32), seq as u64 + 1000),
-                            };
-                            prop_assert_eq!(ps.cancel(key), CancelOutcome::Deferred);
-                            // A matching insert would annihilate — the ids
-                            // used above (seq + 1000) are never inserted,
-                            // so the deferred entry stays inert.
-                        }
+                    if let Some((t, dst)) = r.live_copy.remove(&(src, seq)) {
+                        let k = key(src, seq, t);
+                        let lp = LpId(FIRST_LP + dst as u32);
+                        prop_assert_eq!(ps.cancel(lp, k), CancelOutcome::AnnihilatedPending);
+                        r.live.remove(&k);
                     }
                 }
                 Op::Pop => {
                     let got = ps.pop_min();
-                    let want = reference.iter().next().map(|(k, v)| (*k, *v));
+                    let want = r.live.pop_first();
                     match (got, want) {
                         (None, None) => {}
-                        (Some(e), Some(((bits, src, seq), payload))) => {
-                            prop_assert_eq!(e.recv_time.to_ordered_bits(), bits);
-                            prop_assert_eq!(e.id, EventId::new(LpId(src), seq));
+                        (Some(e), Some((k, (dst, payload)))) => {
+                            prop_assert_eq!(e.key(), k);
+                            prop_assert_eq!(e.dst, LpId(FIRST_LP + dst as u32));
                             prop_assert_eq!(e.payload, payload);
-                            reference.remove(&(bits, src, seq));
-                            live_copy.remove(&(src as u8, seq as u8));
+                            r.live_copy.remove(&(k.id.src.0 as u8, k.id.seq as u8));
                         }
                         (got, want) => prop_assert!(false, "mismatch: {got:?} vs {want:?}"),
                     }
                 }
+                Op::Purge(t) => {
+                    let before = r.owed.len();
+                    r.owed.retain(|k, _| k.t >= time(t));
+                    prop_assert_eq!(ps.purge_below(time(t)), before - r.owed.len());
+                }
             }
-            prop_assert_eq!(ps.len(), reference.len());
+            prop_assert_eq!(ps.len(), r.live.len());
+            prop_assert_eq!(ps.is_empty(), r.live.is_empty());
+            prop_assert_eq!(ps.min_key(), r.live.keys().next().copied());
             prop_assert_eq!(
-                ps.min_time().to_ordered_bits(),
-                reference
-                    .keys()
-                    .next()
-                    .map(|(bits, _, _)| *bits)
-                    .unwrap_or(VirtualTime::INFINITY.to_ordered_bits())
+                ps.min_time(),
+                r.live.keys().next().map_or(VirtualTime::INFINITY, |k| k.t)
             );
+            prop_assert_eq!(ps.early_antis(), r.owed.len());
         }
+    }
+
+    /// A bulk build over several LPs pops exactly the sorted input.
+    #[test]
+    fn bulk_build_matches_sorted_input(
+        events in prop::collection::vec((0..LPS, 0u8..4, 0u8..16, 1u16..40), 0..120)
+    ) {
+        // One event per id, as a preload has.
+        let mut by_id = BTreeMap::new();
+        for (dst, src, seq, t) in events {
+            by_id.insert((src, seq), ev(dst, src, seq, t));
+        }
+        let mut want: Vec<_> = by_id.values().map(|e| (e.key(), e.dst)).collect();
+        want.sort();
+        let mut ps =
+            PendingSet::from_events(LpId(FIRST_LP), LPS as usize, by_id.into_values().collect());
+        prop_assert_eq!(ps.len(), want.len());
+        let got: Vec<_> = std::iter::from_fn(|| ps.pop_min()).map(|e| (e.key(), e.dst)).collect();
+        prop_assert_eq!(got, want);
     }
 
     /// Cancel-then-resend with an identical key (time and id) any number
     /// of times: exactly the last surviving copy pops.
     #[test]
     fn identical_copy_cancellation_chain(n in 1u8..8) {
-        let mut ps: PendingSet<u16> = PendingSet::new();
-        let e = ev(1, 1, 500);
+        let mut ps: PendingSet<u16> = PendingSet::new(LpId(FIRST_LP), LPS as usize);
+        let e = ev(2, 1, 1, 500);
         for _ in 0..n {
             prop_assert!(ps.insert(e.clone()));
-            prop_assert_eq!(ps.cancel(e.key()), CancelOutcome::AnnihilatedPending);
+            prop_assert_eq!(ps.cancel(e.dst, e.key()), CancelOutcome::AnnihilatedPending);
         }
         prop_assert!(ps.insert(e.clone()), "final copy must be accepted");
         let popped = ps.pop_min().expect("final copy must be live");

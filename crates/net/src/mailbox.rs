@@ -48,7 +48,16 @@ impl<T> Mailbox<T> {
     }
 
     /// Pop the head if it is observable at `now`.
+    ///
+    /// An empty mailbox (`len == 0`) returns without taking the lock, here
+    /// and in [`Self::drain_ready_into`] and [`Self::head_deliver_at`].
+    /// Under the virtual scheduler `len` is exact. Under threads a push
+    /// racing this read may be missed, which only moves its pop to the
+    /// consumer's next poll.
     pub fn pop_ready(&self, now: WallNs) -> Option<T> {
+        if self.is_empty() {
+            return None;
+        }
         let mut q = self.q.lock();
         match q.front() {
             Some(head) if head.deliver_at <= now => {
@@ -63,6 +72,9 @@ impl<T> Mailbox<T> {
     /// popped. A single lock acquisition per batch keeps the per-message
     /// overhead down on hot paths (MPI pump, worker drain).
     pub fn drain_ready_into(&self, now: WallNs, max: usize, out: &mut Vec<T>) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
         let mut q = self.q.lock();
         let mut n = 0;
         while n < max {
@@ -96,6 +108,9 @@ impl<T> Mailbox<T> {
     /// `deliver_at` of the head message, if any. Lets an otherwise-idle
     /// consumer report how long it will stay idle.
     pub fn head_deliver_at(&self) -> Option<WallNs> {
+        if self.is_empty() {
+            return None;
+        }
         self.q.lock().front().map(|m| m.deliver_at)
     }
 }
@@ -142,6 +157,22 @@ mod tests {
         // behind it here, but it must not be delivered early).
         assert_eq!(mb.drain_ready_into(WallNs(99), 10, &mut out), 0);
         assert_eq!(mb.drain_ready_into(WallNs(100), 10, &mut out), 1);
+    }
+
+    #[test]
+    fn empty_mailbox_reports_nothing_and_sees_a_later_push() {
+        let mb = Mailbox::new();
+        let mut out = Vec::new();
+        assert_eq!(mb.pop_ready(WallNs(5)), None);
+        assert_eq!(mb.drain_ready_into(WallNs(5), 8, &mut out), 0);
+        assert_eq!(mb.head_deliver_at(), None);
+        mb.push(WallNs(3), 'a');
+        assert_eq!(mb.head_deliver_at(), Some(WallNs(3)));
+        assert_eq!(mb.pop_ready(WallNs(5)), Some('a'));
+        assert_eq!(mb.pop_ready(WallNs(5)), None);
+        mb.push(WallNs(4), 'b');
+        assert_eq!(mb.drain_ready_into(WallNs(5), 8, &mut out), 1);
+        assert_eq!(out, ['b']);
     }
 
     #[test]
