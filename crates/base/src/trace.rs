@@ -96,9 +96,6 @@ pub enum TraceRecord {
     MsgRecv { worker: u32, id: EventId, vt: VirtualTime, anti: bool },
     /// A rolled-back event re-enqueued for reprocessing.
     Reenqueue { worker: u32, id: EventId, vt: VirtualTime },
-    /// An anti-message that arrived before its positive copy and was
-    /// deferred.
-    AntiDeferred { worker: u32, id: EventId, vt: VirtualTime },
     /// An event/anti pair annihilated (`pending`: the positive copy was
     /// still unprocessed).
     Annihilate { worker: u32, id: EventId, pending: bool },
@@ -128,7 +125,6 @@ impl TraceRecord {
             | TraceRecord::MsgSend { worker, .. }
             | TraceRecord::MsgRecv { worker, .. }
             | TraceRecord::Reenqueue { worker, .. }
-            | TraceRecord::AntiDeferred { worker, .. }
             | TraceRecord::Annihilate { worker, .. }
             | TraceRecord::Rollback { worker, .. }
             | TraceRecord::BarrierWait { worker, .. }
@@ -147,7 +143,6 @@ impl TraceRecord {
             | TraceRecord::MsgSend { id, .. }
             | TraceRecord::MsgRecv { id, .. }
             | TraceRecord::Reenqueue { id, .. }
-            | TraceRecord::AntiDeferred { id, .. }
             | TraceRecord::Annihilate { id, .. } => Some(id),
             _ => None,
         }
@@ -160,7 +155,6 @@ impl TraceRecord {
             TraceRecord::MsgSend { .. } => "send",
             TraceRecord::MsgRecv { .. } => "recv",
             TraceRecord::Reenqueue { .. } => "reenqueue",
-            TraceRecord::AntiDeferred { .. } => "anti-deferred",
             TraceRecord::Annihilate { .. } => "annihilate",
             TraceRecord::Rollback { .. } => "rollback",
             TraceRecord::GvtRound { .. } => "gvt-phase",
@@ -190,9 +184,6 @@ impl fmt::Display for TraceRecord {
             }
             TraceRecord::Reenqueue { worker, id, vt } => {
                 write!(f, "w{worker} REENQ {id} t={vt}")
-            }
-            TraceRecord::AntiDeferred { worker, id, vt } => {
-                write!(f, "w{worker} ANTI-DEFER {id} t={vt}")
             }
             TraceRecord::Annihilate { worker, id, pending } => {
                 let which = if pending { "pending" } else { "processed" };

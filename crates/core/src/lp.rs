@@ -61,6 +61,11 @@
 //! entry's `first_seq` (not just state and RNG), so committed re-executions
 //! assign identical event ids, which keeps the optimistic run bit-identical
 //! to the sequential reference even under rollbacks.
+//!
+//! An anti-message whose event is not pending rolls its LP back through
+//! [`LpRuntime::rollback_cancel`], which panics, naming the LP and the key,
+//! unless it meets the anti's exact key in the history: on FIFO channels an
+//! anti never arrives before its event, so a miss is a bug to report.
 
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
@@ -134,7 +139,7 @@ pub struct LpRuntime<M: Model> {
     last_key: EventKey,
     /// Uncommitted history in strictly increasing event-key order (each
     /// event is processed above `last_key`, and rollback pops from the
-    /// back), so it is its own index: lookups bisect it.
+    /// back).
     processed: VecDeque<ProcessedEvent<M>>,
     /// Send log: `(dst, recv_time)` of every message the uncommitted
     /// history sent, oldest first; ids are implied by position (see the
@@ -247,14 +252,6 @@ impl<M: Model> LpRuntime<M> {
         self.processed.len()
     }
 
-    /// Whether the event with exactly this key is in the uncommitted
-    /// history. A copy with the same id but another receive time does not
-    /// count: it is a different message.
-    #[inline]
-    pub fn has_processed(&self, key: EventKey) -> bool {
-        self.processed.binary_search_by_key(&key, |e| e.event.key()).is_ok()
-    }
-
     /// Run the model's initial-event hook (time-zero seeding). Sends are
     /// assigned sequence numbers but not recorded in history: nothing can
     /// roll back past time zero.
@@ -329,10 +326,10 @@ impl<M: Model> LpRuntime<M> {
         self.rollback_inner(model, to_key, false, end_time, total_lps)
     }
 
-    /// Roll back every processed event with key `>= cancel_key`, where
-    /// `cancel_key` is a processed event's key (anti-message induced). The
-    /// cancelled event is discarded instead of re-enqueued. The run
-    /// constants are as for [`Self::rollback_to`].
+    /// Roll back every processed event with key `>= cancel_key`, which must
+    /// be a processed event's key (anti-message induced). The cancelled
+    /// event is discarded instead of re-enqueued. The run constants are as
+    /// for [`Self::rollback_to`].
     pub fn rollback_cancel(
         &mut self,
         model: &M,
@@ -340,7 +337,6 @@ impl<M: Model> LpRuntime<M> {
         end_time: VirtualTime,
         total_lps: u32,
     ) -> Rollback<M::Payload> {
-        debug_assert!(self.has_processed(cancel_key));
         self.rollback_inner(model, cancel_key, true, end_time, total_lps)
     }
 
@@ -392,6 +388,9 @@ impl<M: Model> LpRuntime<M> {
                 reenqueue.push(entry.event);
             }
         }
+        let (lp, id, t) = (self.id, to_key.id, to_key.t);
+        let met = !cancel || undone == reenqueue.len() as u64 + 1;
+        assert!(met, "{lp}: anti-message {id} at t={t} matches no pending or processed event");
         self.sends.truncate((end - base) as usize);
         self.send_seq = end;
         if undone > 0 && matches!(self.strategy, RollbackStrategy::PeriodicSnapshot(_)) {
@@ -504,8 +503,6 @@ impl<M: Model> LpRuntime<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cagvt_base::ids::LaneId;
-    use cagvt_base::ids::NodeId;
 
     /// Counter model: state is (value, log of processed payloads); each
     /// event adds its payload and emits one follow-on to self.
@@ -544,11 +541,6 @@ mod tests {
             100
         }
     }
-
-    // Unused in lp tests, but keeps the imports exercised symmetric with
-    // the worker layer.
-    #[allow(dead_code)]
-    fn _topology_types(_n: NodeId, _l: LaneId) {}
 
     /// The run's end time; the run has one LP.
     fn end() -> VirtualTime {
@@ -601,7 +593,7 @@ mod tests {
         assert_eq!(lp.lvt(), VirtualTime::new(2.0));
         assert_eq!(lp.history_len(), 2);
         assert_eq!(lp.state.0, 12);
-        assert!(lp.has_processed(ev(1.0, 0, 5).key()));
+        assert_eq!(lp.last_key(), ev(2.0, 1, 7).key());
     }
 
     #[test]
@@ -624,7 +616,6 @@ mod tests {
         assert_eq!(lp.rng, rng_after_first);
         assert_eq!(lp.lvt(), VirtualTime::new(1.0));
         assert_eq!(lp.history_len(), 1);
-        assert!(!lp.has_processed(ev(3.0, 2, 9).key()));
     }
 
     #[test]
@@ -653,15 +644,14 @@ mod tests {
     }
 
     #[test]
-    fn same_id_at_another_time_is_not_processed() {
+    #[should_panic(expected = "lp0: anti-message lp9#1 at t=1.5 matches no pending or processed")]
+    fn cancelling_the_same_id_at_another_time_panics() {
         let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, ev(2.0, 1, 7));
-        assert!(lp.has_processed(ev(2.0, 1, 7).key()));
         // A re-sent copy carries the same (sender, sequence) id but a new
-        // receive time: an anti for it must not hit the processed copy.
-        assert!(!lp.has_processed(ev(1.5, 1, 7).key()));
-        assert!(!lp.has_processed(ev(3.0, 1, 7).key()));
+        // receive time: an anti for it must not cancel the processed copy.
+        lp.rollback_cancel(&CounterModel, ev(1.5, 1, 7).key(), end(), 1);
     }
 
     #[test]

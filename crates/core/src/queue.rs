@@ -29,22 +29,15 @@
 //! did per insert and pop, while the same events over 128 LPs cost about
 //! the same (the `pending_set` micro-benchmarks).
 //!
-//! Annihilation:
-//!
-//! * anti-message arrives while the positive event is **pending** — the
-//!   event with exactly the anti's key is unlinked from its LP's chain on
-//!   the spot;
-//! * anti-message arrives **before** its positive event (cannot happen on
-//!   the engine's FIFO channels, but kept as a defensive path) — the
-//!   cancellation is remembered as an *early anti* and the event is
-//!   annihilated on insertion.
-//!
-//! Cancellation matches the full [`EventKey`] (receive time *and*
-//! identity), not the id alone: after a rollback, a re-executed LP re-sends
+//! Annihilation: an anti-message carries its destination and the full
+//! [`EventKey`] (receive time *and* identity) of the event it cancels, and
+//! [`PendingSet::cancel`] unlinks exactly that key from that LP's chain. An
+//! id-only match would be wrong: after a rollback, a re-executed LP re-sends
 //! with the same `(sender, sequence)` id but possibly a different receive
-//! time, and an id-only match could annihilate the fresh copy while
-//! letting the stale one go live. An anti carries its destination, so the
-//! match walks that LP's chain only.
+//! time, and could annihilate the fresh copy while the stale one went live.
+//! The engine's channels are FIFO, so an anti never arrives before its
+//! positive event: if the key is not pending it was processed, and the
+//! worker rolls the LP back instead (see [`crate::lp`]).
 //!
 //! There are no tombstones: a cancelled event leaves its chain at once, so
 //! the set holds only live events and a pop never has to skip a dead one.
@@ -55,28 +48,14 @@
 //! on the destination's chain panics at once, and a key pending at two LPs
 //! panics when the first copy pops, because the second is then the new
 //! minimum.
-//!
-//! The case where the positive event was already **processed** is handled
-//! one level up (rollback in [`crate::lp`]).
 
 use cagvt_base::ids::LpId;
 use cagvt_base::time::VirtualTime;
-use std::collections::HashMap;
 
 use crate::event::{Event, EventKey};
 
 /// End of a chain, an empty LP, or an LP absent from the heap.
 const NIL: u32 = u32::MAX;
-
-/// Result of [`PendingSet::cancel`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CancelOutcome {
-    /// The positive event was pending; both are now annihilated.
-    AnnihilatedPending,
-    /// The positive event is not pending (defensive path); it will be
-    /// annihilated if it ever arrives.
-    Deferred,
-}
 
 /// A slab slot: a chain node, or a free slot linked into the free list.
 struct Node<P> {
@@ -99,11 +78,6 @@ pub struct PendingSet<P> {
     /// and keeps an entry at 16 bytes.
     heap: Vec<(VirtualTime, u32)>,
     len: usize,
-    /// Cancellations that arrived before their positive event, with
-    /// multiplicity: a rolled-back sender can re-send a bit-identical copy
-    /// of a message it already cancelled, so one key can be owed more than
-    /// one annihilation.
-    early_antis: HashMap<EventKey, u32>,
 }
 
 impl<P> PendingSet<P> {
@@ -122,13 +96,12 @@ impl<P> PendingSet<P> {
             pos: vec![NIL; n_lps],
             heap: Vec::with_capacity(n_lps.min(capacity)),
             len: 0,
-            early_antis: HashMap::new(),
         }
     }
 
     /// A set for the LPs `first_lp .. first_lp + n_lps` holding exactly
-    /// `events` and no early antis, built in bulk (sorted once instead of
-    /// inserted one by one) with its slab sized to the preload.
+    /// `events`, built in bulk (sorted once instead of inserted one by one)
+    /// with its slab sized to the preload.
     ///
     /// # Panics
     ///
@@ -183,20 +156,14 @@ impl<P> PendingSet<P> {
         self.event(node).key()
     }
 
-    /// Insert a positive event. Returns `false` if it was annihilated by a
-    /// waiting early anti-message (in which case it is *not* inserted).
+    /// Insert a positive event.
     ///
     /// # Panics
     ///
     /// If an event with the same key is already pending at the event's
     /// destination, or the destination lies outside the set's LPs.
-    pub fn insert(&mut self, event: Event<P>) -> bool {
+    pub fn insert(&mut self, event: Event<P>) {
         let key = event.key();
-        // Early antis are almost never owed: one length test, and the
-        // lookup stays out of line so it does not bloat every insert site.
-        if !self.early_antis.is_empty() && self.take_early_anti(key) {
-            return false;
-        }
         let lp = self.lp_index(event.dst);
         let (prev, at) = self.seek(lp, key);
         assert!(at == NIL || self.key(at) != key, "duplicate pending event {key:?}");
@@ -219,34 +186,20 @@ impl<P> PendingSet<P> {
         }
         self.len += 1;
         self.debug_check();
-        true
     }
 
-    /// Consume one early anti owed to `key`, if any.
-    #[cold]
-    #[inline(never)]
-    fn take_early_anti(&mut self, key: EventKey) -> bool {
-        let Some(n) = self.early_antis.get_mut(&key) else {
-            return false;
-        };
-        *n -= 1;
-        if *n == 0 {
-            self.early_antis.remove(&key);
-        }
-        true
-    }
-
-    /// Cancel the positive event with exactly this key, pending at `dst`.
-    pub fn cancel(&mut self, dst: LpId, key: EventKey) -> CancelOutcome {
+    /// Unlink the event with exactly this key if it is pending at `dst`;
+    /// returns whether it was. The walk stops at the first key at or above
+    /// `key`, so a key below `dst`'s head costs one comparison.
+    pub fn cancel(&mut self, dst: LpId, key: EventKey) -> bool {
         let lp = self.lp_index(dst);
         let (prev, at) = self.seek(lp, key);
         if at == NIL || self.key(at) != key {
-            *self.early_antis.entry(key).or_insert(0) += 1;
-            return CancelOutcome::Deferred;
+            return false;
         }
         drop(self.unlink(lp, prev, at));
         self.debug_check();
-        CancelOutcome::AnnihilatedPending
+        true
     }
 
     /// Remove and return the minimum event.
@@ -431,23 +384,6 @@ impl<P> PendingSet<P> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Number of early (unmatched) anti-messages currently remembered.
-    pub fn early_antis(&self) -> usize {
-        self.early_antis.len()
-    }
-
-    /// Drop early antis that can never match again: no event with receive
-    /// time below GVT can be inserted after GVT is published, so entries
-    /// below it are permanently stale (the re-sent copy they missed
-    /// carries a different key — see `early_anti_matches_exact_key_only`).
-    /// Fossil collection calls this each round; without it the map grows
-    /// without bound on rollback-heavy runs. Returns the number purged.
-    pub fn purge_below(&mut self, gvt: VirtualTime) -> usize {
-        let before = self.early_antis.len();
-        self.early_antis.retain(|k, _| k.t >= gvt);
-        before - self.early_antis.len()
-    }
 }
 
 #[cfg(test)]
@@ -473,7 +409,7 @@ mod tests {
         PendingSet::new(LpId(0), 1)
     }
 
-    fn cancel(ps: &mut PendingSet<u32>, e: &Event<u32>) -> CancelOutcome {
+    fn cancel(ps: &mut PendingSet<u32>, e: &Event<u32>) -> bool {
         ps.cancel(e.dst, e.key())
     }
 
@@ -533,7 +469,7 @@ mod tests {
         let e = ev(1.0, 0, 0);
         ps.insert(e.clone());
         ps.insert(ev(2.0, 0, 1));
-        assert_eq!(cancel(&mut ps, &e), CancelOutcome::AnnihilatedPending);
+        assert!(cancel(&mut ps, &e));
         assert_eq!(ps.len(), 1);
         assert_eq!(ps.min_time(), VirtualTime::new(2.0));
         let popped = ps.pop_min().unwrap();
@@ -550,98 +486,53 @@ mod tests {
         }
         ps.insert(ev_at(2, 1.5, 1, 0));
         // The key pending at LP 1 is not pending at LP 0.
-        assert_eq!(ps.cancel(LpId(0), chain[1].key()), CancelOutcome::Deferred);
-        ps.purge_below(VirtualTime::INFINITY);
-        assert_eq!(cancel(&mut ps, &chain[2]), CancelOutcome::AnnihilatedPending);
-        assert_eq!(cancel(&mut ps, &chain[3]), CancelOutcome::AnnihilatedPending);
-        assert_eq!(cancel(&mut ps, &chain[0]), CancelOutcome::AnnihilatedPending);
+        assert!(!ps.cancel(LpId(0), chain[1].key()));
+        assert!(cancel(&mut ps, &chain[2]));
+        assert!(cancel(&mut ps, &chain[3]));
+        assert!(cancel(&mut ps, &chain[0]));
         assert_eq!(ps.min_time(), VirtualTime::new(1.5));
         let order: Vec<_> = std::iter::from_fn(|| ps.pop_min()).map(|e| e.dst.0).collect();
         assert_eq!(order, [2, 1]);
     }
 
     #[test]
-    fn early_anti_annihilates_on_insert() {
-        let mut ps = one_lp();
-        let e = ev(5.0, 3, 4);
-        assert_eq!(cancel(&mut ps, &e), CancelOutcome::Deferred);
-        assert_eq!(ps.early_antis(), 1);
-        assert!(!ps.insert(e), "must annihilate against the waiting anti");
-        assert!(ps.is_empty());
-        assert_eq!(ps.early_antis(), 0);
+    fn cancelling_an_absent_key_changes_nothing() {
+        let mut ps = PendingSet::new(LpId(0), 3);
+        ps.insert(ev_at(0, 2.0, 0, 0));
+        ps.insert(ev_at(0, 4.0, 0, 1));
+        ps.insert(ev_at(1, 3.0, 1, 0));
+        // Below the head, between two chain keys, past the tail, the same
+        // id at another time, another LP's key, and on an empty chain.
+        for (dst, t, src, seq) in [
+            (0, 1.0, 0, 0),
+            (0, 3.0, 0, 0),
+            (0, 5.0, 0, 1),
+            (0, 2.5, 0, 0),
+            (0, 3.0, 1, 0),
+            (2, 1.0, 2, 0),
+        ] {
+            assert!(!cancel(&mut ps, &ev_at(dst, t, src, seq)));
+        }
+        assert_eq!(ps.len(), 3);
+        let order: Vec<_> =
+            std::iter::from_fn(|| ps.pop_min()).map(|e| e.recv_time.as_f64()).collect();
+        assert_eq!(order, [2.0, 3.0, 4.0]);
     }
 
     #[test]
-    fn stale_tombstone_does_not_kill_resent_copy() {
+    fn cancelling_a_copy_does_not_kill_the_resent_one() {
         // A cancelled (id, t=1.0) copy must not annihilate the re-sent
         // (id, t=2.0) copy that shares the id.
         let mut ps = one_lp();
         let old = ev(1.0, 0, 0);
         ps.insert(old.clone());
-        assert_eq!(cancel(&mut ps, &old), CancelOutcome::AnnihilatedPending);
+        assert!(cancel(&mut ps, &old));
         let fresh = ev(2.0, 0, 0);
-        assert!(ps.insert(fresh.clone()), "fresh copy must be accepted");
+        ps.insert(fresh.clone());
+        assert!(!cancel(&mut ps, &old), "the old copy is gone");
         let popped = ps.pop_min().unwrap();
         assert_eq!(popped.recv_time, fresh.recv_time, "fresh copy must survive");
         assert!(ps.pop_min().is_none());
-    }
-
-    #[test]
-    fn early_anti_matches_exact_key_only() {
-        let mut ps = one_lp();
-        let old = ev(1.0, 0, 0);
-        cancel(&mut ps, &old); // deferred anti for (id, t=1.0)
-        let fresh = ev(2.0, 0, 0); // same id, different time
-        assert!(ps.insert(fresh), "anti for the old copy must not hit the new one");
-        assert_eq!(ps.len(), 1);
-        assert_eq!(ps.early_antis(), 1, "stale deferred anti remains remembered");
-    }
-
-    #[test]
-    fn purge_below_drops_stale_tombstones_only() {
-        let mut ps = one_lp();
-        // Stale deferred anti at t=1.0 (its positive was re-sent at t=2.0).
-        cancel(&mut ps, &ev(1.0, 0, 0));
-        assert!(ps.insert(ev(2.0, 0, 0)));
-        // Fresh deferred anti above the purge horizon must survive.
-        cancel(&mut ps, &ev(9.0, 0, 5));
-        assert_eq!(ps.early_antis(), 2);
-        assert_eq!(ps.purge_below(VirtualTime::new(3.0)), 1);
-        assert_eq!(ps.early_antis(), 1, "the t=9 anti must remain");
-        // The surviving anti still annihilates its positive on arrival.
-        assert!(!ps.insert(ev(9.0, 0, 5)));
-        assert_eq!(ps.early_antis(), 0);
-        // The live t=2 event was untouched.
-        assert_eq!(ps.len(), 1);
-        assert_eq!(ps.min_time(), VirtualTime::new(2.0));
-    }
-
-    #[test]
-    fn tombstone_maps_stay_bounded_on_rollback_heavy_runs() {
-        // Regression for the leak documented by
-        // `early_anti_matches_exact_key_only`: every round leaves behind
-        // one permanently-unmatchable deferred anti (the positive is
-        // re-sent with a later receive time). With the fossil-pass purge
-        // the early-anti map stays O(1); without it it grows with the
-        // round count.
-        let mut ps = one_lp();
-        for round in 0..5_000u64 {
-            let t = round as f64 + 1.0;
-            // Anti arrives before its positive; the rolled-back sender
-            // then re-sends the same id at a different time, so the
-            // deferred anti never matches.
-            cancel(&mut ps, &ev(t, 0, round));
-            ps.insert(ev(t + 0.25, 0, round));
-            // Cancel the re-sent copy while pending.
-            cancel(&mut ps, &ev(t + 0.25, 0, round));
-            // One live event per round is actually processed.
-            ps.insert(ev(t + 0.5, 1, round));
-            assert_eq!(ps.pop_min().expect("live event").recv_time, VirtualTime::new(t + 0.5));
-            // Fossil pass at the new GVT.
-            ps.purge_below(VirtualTime::new(t + 0.75));
-            assert!(ps.early_antis() <= 1, "early_antis leaked: {}", ps.early_antis());
-        }
-        assert!(ps.is_empty());
     }
 
     #[test]
@@ -706,7 +597,7 @@ mod tests {
         let mut ps = one_lp();
         ps.insert(ev(1.0, 0, 0));
         let popped = ps.pop_min().unwrap();
-        assert!(ps.insert(popped));
+        ps.insert(popped);
         assert_eq!(ps.len(), 1);
     }
 

@@ -21,7 +21,7 @@ pub struct WorkerCounters {
     pub antis_sent: u64,
     /// Acknowledgement messages (Samadi's GVT only).
     pub acks_sent: u64,
-    /// Message pairs annihilated (pending, early, or via rollback-cancel).
+    /// Message pairs annihilated (pending, or processed via rollback-cancel).
     pub annihilated: u64,
     pub sent_local: u64,
     pub sent_regional: u64,

@@ -2,8 +2,8 @@
 //!
 //! Each step performs one iteration of the classic optimistic main loop:
 //!
-//! 1. drain the lane's inbound queue (insert events, handle anti-messages,
-//!    annihilate, roll back as needed);
+//! 1. drain the lane's inbound queue (insert events; each anti-message
+//!    annihilates its pending event or rolls back its processed one);
 //! 2. if this worker carries MPI duty (inline modes), pump the MPI layer;
 //! 3. advance the GVT algorithm; fossil collect on round completion;
 //! 4. unless the GVT step blocked (synchronous algorithms) or the optimism
@@ -36,7 +36,7 @@ use crate::lp::{LpRuntime, Rollback};
 use crate::model::{Emitter, EventCtx, Model};
 use crate::mpi_actor::MpiPump;
 use crate::node::{EngineShared, NodeShared};
-use crate::queue::{CancelOutcome, PendingSet};
+use crate::queue::PendingSet;
 use crate::stats::{RoundSnapshot, WorkerCounters};
 
 /// Max messages a worker drains from its queue per step.
@@ -196,9 +196,7 @@ impl<M: Model> Worker<M> {
             match msg {
                 EventMsg::Event(e) => {
                     self.counters.sent_local += 1;
-                    if !self.pending.insert(e) {
-                        self.counters.annihilated += 1;
-                    }
+                    self.pending.insert(e);
                 }
                 EventMsg::Anti(a) => {
                     self.counters.sent_local += 1;
@@ -270,9 +268,7 @@ impl<M: Model> Worker<M> {
         for e in rb.reenqueue {
             let (id, vt) = (e.id, e.recv_time);
             self.shared.gvt_core.emit(now, || TraceRecord::Reenqueue { worker, id, vt });
-            if !self.pending.insert(e) {
-                self.counters.annihilated += 1;
-            }
+            self.pending.insert(e);
         }
         for a in rb.antis {
             charge += self.route(now + charge, EventMsg::Anti(a));
@@ -290,60 +286,41 @@ impl<M: Model> Worker<M> {
     /// path that can call [`Self::route`] outside this loop must drain
     /// afterwards, or a locally-routed anti would sit unapplied while its
     /// target is re-sent.
+    ///
+    /// The channels are FIFO, so an anti never overtakes its positive
+    /// event: the event is either still pending, and annihilates on the
+    /// spot, or already processed, and its LP rolls back past it.
     fn drain_local_antis(&mut self, now: WallNs) -> WallNs {
         let mut charge = WallNs::ZERO;
         let mut cascade = 0u64;
         let worker = self.widx;
         while let Some(a) = self.local_antis.pop_front() {
-            let idx = self.lp_index(a.dst);
-            if self.lps[idx].has_processed(a.key()) {
-                // GVT safety: an anti-message can only cancel work that is
-                // still provisional. Rolling back below the published GVT
-                // would mean a GVT algorithm overshot (fossil-collected
-                // state is gone), so this is checked unconditionally.
-                let gvt_floor = self.shared.gvt_core.published_gvt();
-                assert!(
-                    a.recv_time >= gvt_floor,
-                    "anti-message rollback target {} below published GVT {gvt_floor}",
-                    a.recv_time
-                );
-                cascade += 1;
-                let cfg = &self.shared.cfg;
-                let rb = self.lps[idx].rollback_cancel(
-                    &*self.model,
-                    a.key(),
-                    cfg.end_vt(),
-                    cfg.total_lps(),
-                );
-                self.counters.annihilated += 1;
-                let id = a.id;
-                self.shared.gvt_core.emit(now + charge, || TraceRecord::Annihilate {
-                    worker,
-                    id,
-                    pending: false,
-                });
-                charge += self.apply_rollback(now + charge, rb, false);
-            } else {
-                match self.pending.cancel(a.dst, a.key()) {
-                    CancelOutcome::AnnihilatedPending => {
-                        self.counters.annihilated += 1;
-                        let id = a.id;
-                        self.shared.gvt_core.emit(now + charge, || TraceRecord::Annihilate {
-                            worker,
-                            id,
-                            pending: true,
-                        });
-                    }
-                    CancelOutcome::Deferred => {
-                        let (id, vt) = (a.id, a.recv_time);
-                        self.shared.gvt_core.emit(now + charge, || TraceRecord::AntiDeferred {
-                            worker,
-                            id,
-                            vt,
-                        });
-                    }
-                }
+            let (id, pending) = (a.id, self.pending.cancel(a.dst, a.key()));
+            self.counters.annihilated += 1;
+            self.shared.gvt_core.emit(now + charge, || TraceRecord::Annihilate {
+                worker,
+                id,
+                pending,
+            });
+            if pending {
+                continue;
             }
+            // GVT safety: an anti-message can only cancel work that is
+            // still provisional. Rolling back below the published GVT
+            // would mean a GVT algorithm overshot (fossil-collected state
+            // is gone), so this is checked unconditionally.
+            let gvt_floor = self.shared.gvt_core.published_gvt();
+            assert!(
+                a.recv_time >= gvt_floor,
+                "anti-message rollback target {} below published GVT {gvt_floor}",
+                a.recv_time
+            );
+            cascade += 1;
+            let cfg = &self.shared.cfg;
+            let idx = self.lp_index(a.dst);
+            let rb =
+                self.lps[idx].rollback_cancel(&*self.model, a.key(), cfg.end_vt(), cfg.total_lps());
+            charge += self.apply_rollback(now + charge, rb, false);
         }
         self.counters.max_cascade = self.counters.max_cascade.max(cascade);
         charge
@@ -378,11 +355,7 @@ impl<M: Model> Worker<M> {
                 anti,
             });
             match tagged.msg {
-                EventMsg::Event(e) => {
-                    if !self.pending.insert(e) {
-                        self.counters.annihilated += 1;
-                    }
-                }
+                EventMsg::Event(e) => self.pending.insert(e),
                 EventMsg::Anti(a) => {
                     charge += self.handle_anti(now + charge, a);
                 }
@@ -395,9 +368,6 @@ impl<M: Model> Worker<M> {
 
     /// Fossil collect all LPs at the new GVT.
     fn fossil(&mut self, gvt: VirtualTime) -> WallNs {
-        // Early antis keyed below the new GVT can never match again; free
-        // them with the same pass that frees LP history.
-        self.pending.purge_below(gvt);
         let mut committed = 0u64;
         for lp in &mut self.lps {
             committed += lp.fossil_collect(gvt);

@@ -5,7 +5,7 @@
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::time::VirtualTime;
 use cagvt_core::event::{Event, EventKey};
-use cagvt_core::queue::{CancelOutcome, PendingSet};
+use cagvt_core::queue::PendingSet;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -18,15 +18,13 @@ enum Op {
     /// Insert event (dst offset, src, seq, time-in-tenths).
     Insert(u8, u8, u8, u16),
     /// Cancel (src, seq) at a destination offset: the live copy's key if
-    /// the id is live, else the given time (exercising the deferred path,
-    /// and a later insert of exactly that key).
+    /// the id is live, else the given time (a key pending nowhere, which
+    /// must change nothing).
     Cancel(u8, u8, u8, u16),
     /// Cancel the live copy of (src, seq), if any, at its own destination.
     CancelLive(u8, u8),
     /// Pop the minimum.
     Pop,
-    /// Purge early antis below time-in-tenths.
-    Purge(u16),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -39,7 +37,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u8..4, 0u8..16).prop_map(|(a, b)| Op::CancelLive(a, b)),
         Just(Op::Pop),
         Just(Op::Pop),
-        (1u16..40).prop_map(Op::Purge),
     ]
 }
 
@@ -61,22 +58,22 @@ fn key(src: u8, seq: u8, tenths: u16) -> EventKey {
 }
 
 /// The engine's contract, kept naively: live events in one key-ordered
-/// map, owed early antis as a key multiset.
+/// map.
 #[derive(Default)]
 struct Reference {
     live: BTreeMap<EventKey, (u8, u16)>,
     /// The live copy of each id: (time, destination offset).
     live_copy: BTreeMap<(u8, u8), (u16, u8)>,
-    owed: BTreeMap<EventKey, u32>,
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The pending set behaves exactly like a sorted map of live events
-    /// plus a multiset of early antis, under arbitrary interleavings of
-    /// insert, cancel, pop and purge over several LPs — with the engine's
-    /// constraint that at most one copy per id is live at a time.
+    /// The pending set behaves exactly like a sorted map of live events,
+    /// under arbitrary interleavings of insert, cancel and pop over several
+    /// LPs — with the engine's constraint that at most one copy per id is
+    /// live at a time. A cancel unlinks exactly the key pending at its
+    /// destination, and a cancel of a key not pending there changes nothing.
     #[test]
     fn pending_set_matches_reference(ops in prop::collection::vec(arb_op(), 1..300)) {
         let mut ps: PendingSet<u16> = PendingSet::new(LpId(FIRST_LP), LPS as usize);
@@ -89,17 +86,9 @@ proptest! {
                         // Engine never has two live copies of one id.
                         continue;
                     }
-                    let k = key(src, seq, t);
-                    let owed = r.owed.get(&k).copied().unwrap_or(0);
-                    prop_assert_eq!(ps.insert(ev(dst, src, seq, t)), owed == 0);
-                    if owed == 0 {
-                        r.live.insert(k, (dst, t));
-                        r.live_copy.insert((src, seq), (t, dst));
-                    } else if owed == 1 {
-                        r.owed.remove(&k);
-                    } else {
-                        r.owed.insert(k, owed - 1);
-                    }
+                    ps.insert(ev(dst, src, seq, t));
+                    r.live.insert(key(src, seq, t), (dst, t));
+                    r.live_copy.insert((src, seq), (t, dst));
                 }
                 Op::Cancel(dst, src, seq, t) => {
                     let (t, live_dst) = match r.live_copy.get(&(src, seq)) {
@@ -108,22 +97,19 @@ proptest! {
                     };
                     let k = key(src, seq, t);
                     let lp = LpId(FIRST_LP + dst as u32);
+                    // Not pending at `dst` (maybe at another LP): nothing
+                    // to unlink.
+                    prop_assert_eq!(ps.cancel(lp, k), live_dst == Some(dst));
                     if live_dst == Some(dst) {
-                        prop_assert_eq!(ps.cancel(lp, k), CancelOutcome::AnnihilatedPending);
                         r.live.remove(&k);
                         r.live_copy.remove(&(src, seq));
-                    } else {
-                        // Not pending at `dst` (maybe at another LP): the
-                        // anti is owed to the next insert of that key.
-                        prop_assert_eq!(ps.cancel(lp, k), CancelOutcome::Deferred);
-                        *r.owed.entry(k).or_insert(0) += 1;
                     }
                 }
                 Op::CancelLive(src, seq) => {
                     if let Some((t, dst)) = r.live_copy.remove(&(src, seq)) {
                         let k = key(src, seq, t);
                         let lp = LpId(FIRST_LP + dst as u32);
-                        prop_assert_eq!(ps.cancel(lp, k), CancelOutcome::AnnihilatedPending);
+                        prop_assert!(ps.cancel(lp, k));
                         r.live.remove(&k);
                     }
                 }
@@ -141,11 +127,6 @@ proptest! {
                         (got, want) => prop_assert!(false, "mismatch: {got:?} vs {want:?}"),
                     }
                 }
-                Op::Purge(t) => {
-                    let before = r.owed.len();
-                    r.owed.retain(|k, _| k.t >= time(t));
-                    prop_assert_eq!(ps.purge_below(time(t)), before - r.owed.len());
-                }
             }
             prop_assert_eq!(ps.len(), r.live.len());
             prop_assert_eq!(ps.is_empty(), r.live.is_empty());
@@ -154,7 +135,6 @@ proptest! {
                 ps.min_time(),
                 r.live.keys().next().map_or(VirtualTime::INFINITY, |k| k.t)
             );
-            prop_assert_eq!(ps.early_antis(), r.owed.len());
         }
     }
 
@@ -184,10 +164,11 @@ proptest! {
         let mut ps: PendingSet<u16> = PendingSet::new(LpId(FIRST_LP), LPS as usize);
         let e = ev(2, 1, 1, 500);
         for _ in 0..n {
-            prop_assert!(ps.insert(e.clone()));
-            prop_assert_eq!(ps.cancel(e.dst, e.key()), CancelOutcome::AnnihilatedPending);
+            ps.insert(e.clone());
+            prop_assert!(ps.cancel(e.dst, e.key()));
+            prop_assert!(!ps.cancel(e.dst, e.key()), "the cancelled copy is gone");
         }
-        prop_assert!(ps.insert(e.clone()), "final copy must be accepted");
+        ps.insert(e.clone());
         let popped = ps.pop_min().expect("final copy must be live");
         prop_assert_eq!(popped.id, e.id);
         prop_assert!(ps.pop_min().is_none(), "no zombie copies");

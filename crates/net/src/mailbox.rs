@@ -4,9 +4,9 @@
 //! cores, or a node's MPI in/out queue): any number of producers push
 //! messages stamped with a `deliver_at` instant; the consumer pops a message
 //! only once its own clock has passed the *head's* `deliver_at`. Gating on
-//! the head (not on any ready message) preserves FIFO order, which the
-//! engine relies on so that an anti-message can never overtake the positive
-//! message it cancels on the same channel.
+//! the head (not on any ready message) keeps FIFO order, and annihilation
+//! rests on it: an anti-message never overtakes the event it cancels, and
+//! one that finds its event neither pending nor processed panics the run.
 
 use cagvt_base::time::WallNs;
 use parking_lot::Mutex;

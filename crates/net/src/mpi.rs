@@ -253,6 +253,39 @@ mod tests {
     }
 
     #[test]
+    fn a_retransmitted_message_holds_back_later_ones_on_its_inbox() {
+        /// Every transmission handed over before t=1000 is dropped once and
+        /// recovered after a retransmit delay; later ones go clean.
+        struct DropEarly;
+        impl FaultInjector for DropEarly {
+            fn link(
+                &self,
+                _from: NodeId,
+                _to: NodeId,
+                now: WallNs,
+                per_msg: WallNs,
+                latency: WallNs,
+            ) -> LinkShape {
+                let retransmit_delay =
+                    if now < WallNs(1_000) { WallNs(1_000_000) } else { WallNs(0) };
+                LinkShape { retransmit_delay, ..LinkShape::clean(per_msg, latency) }
+            }
+        }
+
+        // The engine's annihilation needs exactly this: an anti-message sent
+        // after its positive event must not be received before it.
+        let (fab, _ctrl) = fabric_pair::<u32>(2, Some(Arc::new(DropEarly)), None);
+        let delayed = fab.send(NodeId(0), NodeId(1), WallNs(0), 1, &cm());
+        let clean = fab.send(NodeId(0), NodeId(1), WallNs(2_000), 2, &cm());
+        assert!(clean < delayed, "the later message alone would arrive first");
+        assert_eq!(fab.recv(NodeId(1), clean), None, "held behind the retransmission");
+        let mut out = Vec::new();
+        assert_eq!(fab.drain(NodeId(1), WallNs(delayed.0 - 1), 10, &mut out), 0);
+        assert_eq!(fab.drain(NodeId(1), delayed, 10, &mut out), 2);
+        assert_eq!(out, [1, 2], "received in send order");
+    }
+
+    #[test]
     fn ctrl_and_events_share_the_nic() {
         let (fab, ctrl) = fabric_pair::<u8>(2, None, None);
         // Burst of events books the NIC ahead...

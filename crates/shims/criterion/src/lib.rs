@@ -6,15 +6,12 @@
 //! `criterion_group!` / `criterion_main!` macros. Instead of criterion's
 //! statistical machinery it runs each benchmark `sample_size` times and
 //! prints the mean and minimum wall time — enough to eyeball regressions
-//! without the dependency.
+//! without the dependency. As in criterion, the first argument that is not
+//! a flag filters: `cargo bench --bench micro -- pending_set` runs only the
+//! functions whose `group/function` id contains `pending_set`.
 
-use std::hint::black_box as std_black_box;
+pub use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Re-export of `std::hint::black_box` under criterion's name.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
 
 /// How `iter_batched` amortizes setup; all variants behave identically in
 /// this shim (one setup per timed invocation, setup excluded from timing).
@@ -47,7 +44,7 @@ impl Bencher {
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         for _ in 0..self.samples {
             let t0 = Instant::now();
-            std_black_box(routine());
+            black_box(routine());
             self.record(t0.elapsed());
         }
     }
@@ -60,7 +57,7 @@ impl Bencher {
         for _ in 0..self.samples {
             let input = setup();
             let t0 = Instant::now();
-            std_black_box(routine(input));
+            black_box(routine(input));
             self.record(t0.elapsed());
         }
     }
@@ -68,7 +65,7 @@ impl Bencher {
 
 /// A named group of benchmark functions.
 pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
+    criterion: &'a Criterion,
     name: String,
     sample_size: u64,
 }
@@ -83,12 +80,14 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
+        let id = format!("{}/{}", self.name, id.into());
+        if self.criterion.filter.as_ref().is_some_and(|filter| !id.contains(filter.as_str())) {
+            return self;
+        }
         let mut b = Bencher::new(self.sample_size);
         f(&mut b);
         let mean = if b.timed > 0 { b.total / b.timed as u32 } else { Duration::ZERO };
-        println!("{}/{}: mean {:?}, min {:?} over {} samples", self.name, id, mean, b.min, b.timed);
-        let _ = &self.criterion;
+        println!("{id}: mean {mean:?}, min {:?} over {} samples", b.min, b.timed);
         self
     }
 
@@ -96,20 +95,20 @@ impl BenchmarkGroup<'_> {
 }
 
 /// Entry point handed to each `criterion_group!` target.
-#[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Substring an id must contain to run: the first non-flag argument.
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    fn default() -> Self {
+        Criterion { filter: std::env::args().skip(1).find(|arg| !arg.starts_with('-')) }
+    }
+}
 
 impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup { criterion: self, name: name.into(), sample_size: 10 }
-    }
-
-    pub fn bench_function<F>(&mut self, id: impl Into<String>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        self.benchmark_group("bench").bench_function(id, f);
-        self
     }
 }
 
@@ -138,7 +137,8 @@ mod tests {
 
     #[test]
     fn groups_time_and_report() {
-        let mut c = Criterion::default();
+        // Not `default()`: that would read the test binary's own arguments.
+        let mut c = Criterion { filter: None };
         let mut group = c.benchmark_group("shim");
         group.sample_size(3);
         let mut runs = 0;
@@ -150,5 +150,16 @@ mod tests {
         });
         group.finish();
         assert_eq!(batched, 15);
+    }
+
+    #[test]
+    fn the_filter_runs_matching_ids_only() {
+        let mut c = Criterion { filter: Some("pending_set/pop".into()) };
+        let mut group = c.benchmark_group("pending_set");
+        group.sample_size(2);
+        let (mut matched, mut skipped) = (0, 0);
+        group.bench_function("pop_min", |b| b.iter(|| matched += 1));
+        group.bench_function("insert", |b| b.iter(|| skipped += 1));
+        assert_eq!((matched, skipped), (2, 0));
     }
 }

@@ -132,14 +132,12 @@ pub fn chrome_trace(meta: &TraceMeta, events: &[TraceEvent]) -> String {
                  \"anti\":{anti}}}}}",
                 vt = f64_json(vt.as_f64()),
             )),
-            TraceRecord::Reenqueue { id, vt, .. } | TraceRecord::AntiDeferred { id, vt, .. } => out
-                .push(format!(
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{name}\",\"cat\":\"msg\",\
-                     \"pid\":{pid},\"tid\":{tid},\"ts\":{t},\"args\":{{\"id\":\"{id}\",\
-                     \"vt\":{vt}}}}}",
-                    name = ev.rec.kind(),
-                    vt = f64_json(vt.as_f64()),
-                )),
+            TraceRecord::Reenqueue { id, vt, .. } => out.push(format!(
+                "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"reenqueue\",\"cat\":\"msg\",\
+                 \"pid\":{pid},\"tid\":{tid},\"ts\":{t},\"args\":{{\"id\":\"{id}\",\
+                 \"vt\":{vt}}}}}",
+                vt = f64_json(vt.as_f64()),
+            )),
             TraceRecord::Annihilate { id, pending, .. } => out.push(format!(
                 "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"annihilate\",\"cat\":\"msg\",\
                  \"pid\":{pid},\"tid\":{tid},\"ts\":{t},\"args\":{{\"id\":\"{id}\",\

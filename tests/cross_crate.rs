@@ -3,6 +3,7 @@
 //! substrates.
 
 use cagvt::core::cluster::{build_cluster, build_shared};
+use cagvt::core::testmodel::MiniHold;
 use cagvt::prelude::*;
 use cagvt_exec::VirtualRunStats;
 use std::sync::Arc;
@@ -122,18 +123,16 @@ fn all_algorithms_commit_identical_events() {
     }
 }
 
-#[test]
-fn thread_runtime_matches_sequential() {
-    // The identical actors on real OS threads (nondeterministic schedule,
-    // deterministic results).
-    let mut cfg = SimConfig::small(2, 2);
-    cfg.lps_per_worker = 4;
-    cfg.end_time = 8.0;
-    let workload = comp_dominated(&cfg);
-    let model = Arc::new(workload.model);
-
+/// Run `model` under `kind` on real OS threads (nondeterministic schedule,
+/// deterministic results) and check it against the sequential reference.
+fn assert_threaded_matches_sequential<M: Model>(
+    kind: GvtKind,
+    model: M,
+    cfg: SimConfig,
+) -> cagvt::core::RunReport {
+    let model = Arc::new(model);
     let shared = build_shared(Arc::clone(&model), cfg);
-    let bundle = make_bundle(GvtKind::Mattern, &shared);
+    let bundle = make_bundle(kind, &shared);
     let (actors, handles) = build_cluster(Arc::clone(&shared), &*bundle);
     let stats = ThreadRuntime::new(ThreadConfig {
         realize_costs: false,
@@ -143,7 +142,7 @@ fn thread_runtime_matches_sequential() {
     assert!(stats.completed, "threaded run timed out");
 
     let report = cagvt::core::RunReport::assemble(
-        "mattern",
+        &format!("{kind:?}"),
         &handles.shared,
         VirtualRunStats {
             final_time: stats.elapsed,
@@ -153,8 +152,34 @@ fn thread_runtime_matches_sequential() {
         },
     );
     let seq = SequentialSim::new(model, cfg).run();
-    assert_eq!(report.committed, seq.processed);
-    assert_eq!(report.state_fingerprint, seq.fingerprint);
+    assert_eq!(report.committed, seq.processed, "committed mismatch for {kind:?}\n{report}");
+    assert_eq!(report.state_fingerprint, seq.fingerprint, "state mismatch for {kind:?}");
+    report
+}
+
+#[test]
+fn thread_runtime_matches_sequential() {
+    let mut cfg = SimConfig::small(2, 2);
+    cfg.lps_per_worker = 4;
+    cfg.end_time = 8.0;
+    let workload = comp_dominated(&cfg);
+    assert_threaded_matches_sequential(GvtKind::Mattern, workload.model, cfg);
+}
+
+#[test]
+fn thread_runtime_annihilates_and_matches_sequential() {
+    // Mostly cluster-wide sends: the threads race ahead of each other, so
+    // stragglers roll LPs back, and the anti-messages of the undone sends
+    // annihilate events still pending or roll back ones already processed.
+    let mut cfg = SimConfig::small(2, 2);
+    cfg.lps_per_worker = 4;
+    cfg.end_time = 30.0;
+    let model = MiniHold { far_fraction: 0.9, ..MiniHold::default() };
+    let report = assert_threaded_matches_sequential(GvtKind::Mattern, model, cfg);
+    assert!(report.antis_sent > 0, "no anti-message was sent\n{report}");
+    let anti_rollbacks = report.rollbacks - report.stragglers;
+    assert!(anti_rollbacks > 0, "no anti-message met a processed event\n{report}");
+    assert!(report.annihilated > anti_rollbacks, "no anti-message met a pending event\n{report}");
 }
 
 #[test]
