@@ -9,7 +9,7 @@ use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::{MetricsSink, TraceSink};
 use cagvt_bench::{base_config, run_one, run_one_observed, Scale};
 use cagvt_core::event::Event;
-use cagvt_core::lp::{LpRuntime, RollbackStrategy};
+use cagvt_core::lp::{LpTable, RollbackStrategy};
 use cagvt_core::model::{Emitter, EventCtx};
 use cagvt_core::queue::PendingSet;
 use cagvt_core::RunReport;
@@ -107,11 +107,7 @@ fn lp_history(c: &mut Criterion) {
     let model =
         PholdModel::new(topo, PhaseSchedule::constant(PholdParams::new(0.10, 0.01, 10_000)));
     let end_time = VirtualTime::new(1e9);
-    let lps = || -> Vec<LpRuntime<PholdModel>> {
-        (0..LPS)
-            .map(|i| LpRuntime::with_strategy(LpId(i), &model, 1, RollbackStrategy::Reverse))
-            .collect()
-    };
+    let lps = || LpTable::new(&model, LpId(0), LPS, 1, RollbackStrategy::Reverse);
     group.bench_function("phold_128lp_40ev_rounds", |b| {
         b.iter_batched(
             lps,
@@ -134,15 +130,14 @@ fn lp_history(c: &mut Criterion) {
                         };
                         let ctx =
                             EventCtx { now, self_lp: dst, end_time, total_lps: topo.total_lps() };
-                        let lp = &mut lps[dst.index()];
-                        lp.process(&model, &ctx, event, &mut emit);
+                        lps.process(&model, dst.index(), &ctx, event, &mut emit);
                         for (to, delay, _payload) in emit.take() {
-                            lp.record_send(to, now + delay);
+                            lps.record_send(dst.index(), to, now + delay);
                         }
                     }
                     let gvt = VirtualTime::new(t - 0.01 * (EVENTS_PER_ROUND / 2) as f64);
-                    for lp in &mut lps {
-                        committed += lp.fossil_collect(gvt);
+                    for k in 0..lps.len() {
+                        committed += lps.fossil_collect(k, gvt);
                     }
                 }
                 committed

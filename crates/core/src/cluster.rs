@@ -2,7 +2,7 @@
 
 use cagvt_base::actor::Actor;
 use cagvt_base::fault::FaultInjector;
-use cagvt_base::ids::{ActorId, EventId, LaneId, LpId, NodeId};
+use cagvt_base::ids::{ActorId, EventId, LaneId, NodeId};
 use cagvt_base::metrics::MetricsSink;
 use cagvt_base::time::VirtualTime;
 use cagvt_base::trace::TraceSink;
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crate::config::SimConfig;
 use crate::event::Event;
 use crate::gvt::{GvtBundle, GvtSharedCore};
-use crate::lp::LpRuntime;
+use crate::lp::LpTable;
 use crate::model::{Emitter, Model};
 use crate::mpi_actor::{MpiActor, MpiPump};
 use crate::node::{EngineShared, NodeShared};
@@ -89,11 +89,7 @@ pub fn build_cluster<M: Model>(
             let widx = shared.worker_index(node, lane);
             let first = shared.first_lp(node, lane);
             let strategy = cfg.rollback_strategy(shared.model.supports_reverse());
-            let lps: Vec<LpRuntime<M>> = (0..cfg.lps_per_worker)
-                .map(|k| {
-                    LpRuntime::with_strategy(LpId(first.0 + k), &*shared.model, cfg.seed, strategy)
-                })
-                .collect();
+            let lps = LpTable::new(&*shared.model, first, cfg.lps_per_worker, cfg.seed, strategy);
             let gvt = bundle.worker_gvt(node, lane, widx);
             // Without a dedicated MPI thread, worker lane 0 drives the pump.
             let mpi_duty = (spec.mpi_mode != MpiMode::Dedicated && l == 0)
@@ -115,11 +111,11 @@ pub fn build_cluster<M: Model>(
     let mut emitter: Emitter<M::Payload> = Emitter::new();
     let mut seeds: Vec<Vec<Event<M::Payload>>> = workers.iter().map(|_| Vec::new()).collect();
     for worker in &mut workers {
-        for k in 0..cfg.lps_per_worker as usize {
-            let lp = worker.lp_mut(k);
-            lp.seed_initial(&*shared.model, &mut emitter);
+        let lps = worker.lps_mut();
+        for k in 0..lps.len() {
+            lps.seed_initial(&*shared.model, k, &mut emitter);
             for (dst, delay, payload) in emitter.take() {
-                let id = EventId::new(lp.id, lp.next_seq());
+                let id = EventId::new(lps.id(k), lps.next_seq(k));
                 let (dn, dl) = shared.locate(dst);
                 let event = Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload };
                 seeds[shared.worker_index(dn, dl) as usize].push(event);

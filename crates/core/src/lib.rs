@@ -35,6 +35,7 @@ pub mod node;
 pub mod queue;
 pub mod report;
 pub mod seq;
+mod slab;
 pub mod stats;
 pub mod worker;
 

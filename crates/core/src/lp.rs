@@ -1,5 +1,5 @@
-//! Logical process runtime: optimistic processing, rollback, fossil
-//! collection.
+//! Logical processes under optimistic execution: processing, rollback,
+//! fossil collection.
 //!
 //! Three rollback strategies ([`RollbackStrategy`]), selected per model,
 //! differ only in which events get a pre-event state copy:
@@ -17,53 +17,74 @@
 //!   already sent and stay valid.
 //!
 //! Coasting needs a snapshot to start from, so under periodic saving
-//! [`LpRuntime::fossil_collect`] keeps the newest snapshot entry below GVT
+//! [`LpTable::fossil_collect`] keeps the newest snapshot entry below GVT
 //! and everything after it: a later straggler may roll back to any time at
-//! or above GVT. [`LpRuntime::fossil_collect_final`] runs at shutdown,
-//! when GVT has passed the end time and no rollback can follow, so it
-//! commits everything below GVT and keeps no restoration point.
+//! or above GVT. [`LpTable::fossil_collect_final`] runs at shutdown, when
+//! GVT has passed the end time and no rollback can follow, so it commits
+//! everything below GVT and keeps no restoration point.
 //!
-//! Every history entry has one layout under every strategy: the event, the
-//! pre-event generator, `first_seq` (the LP's send sequence number before
-//! the event) and a `snapshot` flag. What the uncommitted history saved
-//! and sent lives beside it in two logs per LP, oldest first:
+//! ## Storage
 //!
-//! * the **send log**, the `(dst, recv_time)` of every message the history
-//!   sent, under
+//! One [`LpTable`] holds all LPs of a worker (or of the sequential
+//! reference), as in ROSS, whose processed lists are linked through per-PE
+//! event pools:
+//!
+//! * a dense array of per-LP records ([`LpRecord`]): state, generator, send
+//!   sequence number, last processed key, the two ends of the LP's history
+//!   chain and the boxed state-saving bookkeeping. An LP's id is the table's
+//!   first LP plus its index, and the rollback strategy is the table's, so
+//!   neither is stored per LP;
+//! * one slab of history nodes and one of send nodes, shared by the table's
+//!   LPs; a freed node is the next one handed out (`slab.rs`), so processing
+//!   and committing call the allocator only when a slab grows.
+//!
+//! An LP's uncommitted history is a doubly linked **history chain**, oldest
+//! to newest, in strictly increasing event-key order: processing appends at
+//! the newest end, rollback unlinks from it, and fossil collection unlinks
+//! from the oldest end. Every node has one layout under every strategy: the
+//! event, the pre-event generator, a `snapshot` flag and the head of the
+//! entry's send chain. What the history sent and saved hangs off it:
+//!
+//! * each entry's **send chain** holds the `(dst, recv_time)` of every
+//!   message the entry's event sent, newest send first. Ids are implied by
+//!   position, under
 //!
 //!   ```text
-//!   sends.len() == send_seq - processed.front().first_seq   (0 when the history is empty)
+//!   the i-th send counted from the newest entry's newest send carries
+//!   sequence number send_seq - 1 - i, the count running on through each
+//!   older entry's chain
 //!   ```
 //!
-//!   so log entry `i` is the message with id `(lp, front.first_seq + i)`,
-//!   and an entry's sends are the log slice from its `first_seq` to the
-//!   next entry's;
+//!   so rollback rebuilds every anti's id from `send_seq` by counting down,
+//!   and leaves `send_seq` at the first undone entry's first send;
 //! * the **snapshot log**, one pre-event state per flagged entry, under
 //!
 //!   ```text
 //!   log.len() == number of history entries with `snapshot` set
 //!   ```
 //!
-//!   so the `j`-th flagged entry's state is `log[j]`. The log lives in the
-//!   LP's state-saving bookkeeping, which is allocated on the first
-//!   processed event of a strategy that copies states: under reverse
-//!   computation an LP carries one word for it.
+//!   so the `j`-th flagged entry, oldest first, has its state in `log[j]`.
+//!   The log lives in the LP's state-saving bookkeeping, which is allocated
+//!   on the first processed event of a strategy that copies states: under
+//!   reverse computation an LP carries one word for it.
 //!
-//! Processing appends to both logs ([`LpRuntime::record_send`] for sends),
-//! rollback pops their tails in step with the undone entries (emitting
-//! anti-messages for the sends), and fossil collection drains their
-//! committed prefixes. A history entry is therefore plain data of a fixed
-//! size whatever the state's size: for a model whose state and payload own
-//! no heap memory, processing allocates nothing per event and committing
-//! frees nothing, and a strategy that copies no state stores none.
+//! Processing appends a history node and, per send, a send node
+//! ([`LpTable::record_send`]) and a state copy; rollback frees the undone
+//! nodes newest first, emitting an anti per send, and pops the log's tail
+//! in step; fossil collection frees the committed nodes oldest first and
+//! drains the log's head. Rollback costs O(undone) and fossil collection
+//! O(committed + 1), plus the sends of those entries. A history node is
+//! plain data of a fixed size whatever the state's size: for a model whose
+//! state and payload own no heap memory, a strategy that copies no state
+//! stores none.
 //!
 //! Under every strategy, rollback restores `send_seq` to the first undone
-//! entry's `first_seq` (not just state and RNG), so committed re-executions
+//! entry's first send (not just state and RNG), so committed re-executions
 //! assign identical event ids, which keeps the optimistic run bit-identical
 //! to the sequential reference even under rollbacks.
 //!
 //! An anti-message whose event is not pending rolls its LP back through
-//! [`LpRuntime::rollback_cancel`], which panics, naming the LP and the key,
+//! [`LpTable::rollback_cancel`], which panics, naming the LP and the key,
 //! unless it meets the anti's exact key in the history: on FIFO channels an
 //! anti never arrives before its event, so a miss is a bug to report.
 
@@ -74,6 +95,7 @@ use std::collections::VecDeque;
 
 use crate::event::{AntiMsg, Event, EventKey};
 use crate::model::{Emitter, EventCtx, Model};
+use crate::slab::{Link, Slab, NIL};
 
 /// How an LP undoes processed events.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,22 +112,54 @@ pub enum RollbackStrategy {
     PeriodicSnapshot(u32),
 }
 
-/// One entry of the processed-event history. Its sends and its state copy
-/// are not stored here but in the LP's send and snapshot logs (see the
-/// module doc), so the entry's size does not depend on the model's state
-/// and it owns no heap memory beyond what the payload owns.
-pub struct ProcessedEvent<M: Model> {
-    pub event: Event<M::Payload>,
+/// One entry of an LP's processed-event history: a node of its history
+/// chain. Its sends and its state copy are not stored here but in its send
+/// chain and the LP's snapshot log (see the module doc), so the node's size
+/// does not depend on the model's state.
+pub struct HistoryNode<M: Model> {
+    /// The processed event; `None` while the slot is free.
+    event: Option<Event<M::Payload>>,
     /// The LP's generator before this event.
     rng: Pcg32,
-    /// The LP's send sequence number before this event: its sends carry
-    /// the ids from here up to the next entry's `first_seq` (the LP's
-    /// `send_seq` for the newest entry).
-    first_seq: u64,
+    /// The next older and next newer entry of the LP's chain, or `NIL`.
+    /// `newer` links the slab's free list while the slot is free.
+    older: u32,
+    newer: u32,
+    /// The newest node of this entry's send chain, or `NIL`.
+    sends: u32,
     /// Whether the snapshot log holds the LP's state before this event.
     /// Otherwise undoing it runs the model's inverse handler (reverse
     /// computation) or replays from an earlier snapshot (coast-forward).
     snapshot: bool,
+}
+
+impl<M: Model> Link for HistoryNode<M> {
+    fn link(&mut self) -> &mut u32 {
+        &mut self.newer
+    }
+}
+
+impl<M: Model> HistoryNode<M> {
+    #[inline]
+    fn event(&self) -> &Event<M::Payload> {
+        self.event.as_ref().expect("a free slot on a history chain")
+    }
+}
+
+/// One message a history entry sent: a node of the entry's send chain. The
+/// link sits where `(LpId, VirtualTime)` has padding.
+pub struct SendNode {
+    recv_time: VirtualTime,
+    dst: LpId,
+    /// The entry's next older send, or `NIL`; the free list's link while
+    /// the slot is free.
+    next: u32,
+}
+
+impl Link for SendNode {
+    fn link(&mut self) -> &mut u32 {
+        &mut self.next
+    }
 }
 
 /// What an LP that copies states keeps beside its history.
@@ -117,7 +171,9 @@ struct Saving<S> {
     since: u32,
 }
 
-/// Result of a rollback: what the worker must do next.
+/// Result of a rollback: what the worker must do next. The caller keeps
+/// one and passes it to every rollback, which refills it, so the vectors'
+/// buffers are reused instead of allocated per rollback.
 pub struct Rollback<P> {
     /// Undone events to put back into the pending set (already excludes a
     /// cancelled event, if the rollback was anti-message induced).
@@ -128,157 +184,197 @@ pub struct Rollback<P> {
     pub undone: u64,
 }
 
-/// A logical process under optimistic execution.
-pub struct LpRuntime<M: Model> {
-    pub id: LpId,
-    pub state: M::State,
-    pub rng: Pcg32,
-    send_seq: u64,
+impl<P> Default for Rollback<P> {
+    fn default() -> Self {
+        Rollback { reenqueue: Vec::new(), antis: Vec::new(), undone: 0 }
+    }
+}
+
+/// The per-LP part of an [`LpTable`]. `repr(C)` keeps the declaration
+/// order, which puts the fields processing touches first.
+#[repr(C)]
+pub struct LpRecord<M: Model> {
     /// Key of the most recent processed (uncommitted or committed) event;
     /// `EventKey::MIN` before any processing. The LP's LVT is `last_key.t`.
     last_key: EventKey,
-    /// Uncommitted history in strictly increasing event-key order (each
-    /// event is processed above `last_key`, and rollback pops from the
-    /// back).
-    processed: VecDeque<ProcessedEvent<M>>,
-    /// Send log: `(dst, recv_time)` of every message the uncommitted
-    /// history sent, oldest first; ids are implied by position (see the
-    /// module doc's invariant).
-    sends: VecDeque<(LpId, VirtualTime)>,
+    rng: Pcg32,
+    send_seq: u64,
+    /// The newest and oldest node of the LP's history chain, or `NIL`.
+    newest: u32,
+    oldest: u32,
+    state: M::State,
     /// State-saving bookkeeping, absent until a strategy that copies
     /// states processes an event. Boxed because the LP tables are a large
     /// share of the heap at tens of thousands of LPs per run.
     saving: Option<Box<Saving<M::State>>>,
-    strategy: RollbackStrategy,
 }
 
-impl<M: Model> LpRuntime<M> {
-    /// Snapshot-strategy LP (models that don't implement `reverse`, and
-    /// unit tests).
-    pub fn new(id: LpId, model: &M, seed: u64) -> Self {
-        Self::with_strategy(id, model, seed, RollbackStrategy::Snapshot)
-    }
-
-    /// LP with an explicit rollback strategy.
-    pub fn with_strategy(id: LpId, model: &M, seed: u64, strategy: RollbackStrategy) -> Self {
-        if let RollbackStrategy::PeriodicSnapshot(k) = strategy {
-            assert!(k >= 1, "snapshot period must be at least 1");
-        }
-        let mut rng = Pcg32::new(seed, id.0 as u64);
-        let state = model.init_state(id, &mut rng);
-        LpRuntime {
-            id,
-            state,
-            rng,
-            send_seq: 0,
-            last_key: EventKey::MIN,
-            processed: VecDeque::new(),
-            sends: VecDeque::new(),
-            saving: None,
-            strategy,
-        }
-    }
-
-    /// This LP's rollback strategy.
-    #[inline]
-    pub fn strategy(&self) -> RollbackStrategy {
-        self.strategy
-    }
-
+impl<M: Model> LpRecord<M> {
     /// The state-saving bookkeeping, allocated on first use.
     fn saving(&mut self) -> &mut Saving<M::State> {
         self.saving.get_or_insert_with(|| Box::new(Saving { log: VecDeque::new(), since: 0 }))
     }
+}
 
-    /// The context `event` was processed in, rebuilt for a reverse or
-    /// coast-forward call from the run constants the caller passes.
-    fn ctx_for(
-        &self,
-        event: &Event<M::Payload>,
-        end_time: VirtualTime,
-        total_lps: u32,
-    ) -> EventCtx {
-        EventCtx { now: event.recv_time, self_lp: self.id, end_time, total_lps }
+/// The LPs `first_lp .. first_lp + len` under optimistic execution, with
+/// their histories (see the module doc). Every method takes an LP's index
+/// in the table.
+pub struct LpTable<M: Model> {
+    first_lp: u32,
+    strategy: RollbackStrategy,
+    lps: Vec<LpRecord<M>>,
+    history: Slab<HistoryNode<M>>,
+    sends: Slab<SendNode>,
+    /// Coast-forward's sink for the emissions it drops.
+    sink: Emitter<M::Payload>,
+}
+
+impl<M: Model> LpTable<M> {
+    /// `n_lps` LPs from `first_lp` on, each with its initial state and a
+    /// generator seeded from `seed` and its id.
+    pub fn new(
+        model: &M,
+        first_lp: LpId,
+        n_lps: u32,
+        seed: u64,
+        strategy: RollbackStrategy,
+    ) -> Self {
+        if let RollbackStrategy::PeriodicSnapshot(k) = strategy {
+            assert!(k >= 1, "snapshot period must be at least 1");
+        }
+        let lps = (first_lp.0..first_lp.0 + n_lps)
+            .map(|id| {
+                let mut rng = Pcg32::new(seed, id as u64);
+                let state = model.init_state(LpId(id), &mut rng);
+                LpRecord {
+                    last_key: EventKey::MIN,
+                    rng,
+                    send_seq: 0,
+                    newest: NIL,
+                    oldest: NIL,
+                    state,
+                    saving: None,
+                }
+            })
+            .collect();
+        LpTable {
+            first_lp: first_lp.0,
+            strategy,
+            lps,
+            history: Slab::with_capacity(0),
+            sends: Slab::with_capacity(0),
+            sink: Emitter::new(),
+        }
     }
 
-    /// Allocate the next send sequence number for a time-zero seeding send,
-    /// which is never logged. Sends of processed events go through
+    /// Number of LPs.
+    pub fn len(&self) -> usize {
+        self.lps.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.lps.is_empty()
+    }
+
+    /// The id of the table's first LP.
+    pub fn first_lp(&self) -> LpId {
+        LpId(self.first_lp)
+    }
+
+    /// The id of LP `lp`.
+    #[inline]
+    pub fn id(&self, lp: usize) -> LpId {
+        LpId(self.first_lp + lp as u32)
+    }
+
+    /// The index of LP `id`, which must belong to the table.
+    #[inline]
+    pub fn index(&self, id: LpId) -> usize {
+        let idx = id.0.wrapping_sub(self.first_lp) as usize;
+        debug_assert!(idx < self.lps.len(), "{id} is not in this LP table");
+        idx
+    }
+
+    #[inline]
+    pub fn state(&self, lp: usize) -> &M::State {
+        &self.lps[lp].state
+    }
+
+    #[inline]
+    pub fn rng(&self, lp: usize) -> Pcg32 {
+        self.lps[lp].rng
+    }
+
+    #[inline]
+    pub fn lvt(&self, lp: usize) -> VirtualTime {
+        self.lps[lp].last_key.t
+    }
+
+    #[inline]
+    pub fn last_key(&self, lp: usize) -> EventKey {
+        self.lps[lp].last_key
+    }
+
+    /// Uncommitted history length of LP `lp`. Walks the chain; the engine's
+    /// optimism throttle counts per worker instead.
+    pub fn history_len(&self, lp: usize) -> usize {
+        let mut n = 0;
+        let mut node = self.lps[lp].oldest;
+        while node != NIL {
+            n += 1;
+            node = self.history[node].newer;
+        }
+        n
+    }
+
+    /// History and send nodes in use across the table. Both are zero once
+    /// every LP's history has been committed.
+    pub fn live_nodes(&self) -> (usize, usize) {
+        (self.history.live(), self.sends.live())
+    }
+
+    /// Run the model's initial-event hook for LP `lp` (time-zero seeding).
+    /// Its sends take sequence numbers from [`Self::next_seq`] but are not
+    /// recorded in history: nothing can roll back past time zero.
+    pub fn seed_initial(&mut self, model: &M, lp: usize, emit: &mut Emitter<M::Payload>) {
+        let id = self.id(lp);
+        let rec = &mut self.lps[lp];
+        model.initial_events(id, &mut rec.state, &mut rec.rng, emit);
+    }
+
+    /// Allocate LP `lp`'s next send sequence number for a time-zero seeding
+    /// send, which is never logged. Sends of processed events go through
     /// [`Self::record_send`].
     #[inline]
-    pub fn next_seq(&mut self) -> u64 {
-        debug_assert!(self.processed.is_empty(), "unlogged send with history present");
-        let s = self.send_seq;
-        self.send_seq += 1;
-        s
+    pub fn next_seq(&mut self, lp: usize) -> u64 {
+        let rec = &mut self.lps[lp];
+        debug_assert!(rec.newest == NIL, "unlogged send with history present");
+        rec.send_seq += 1;
+        rec.send_seq - 1
     }
 
-    /// Sequence number of the oldest logged send.
-    #[inline]
-    fn log_base(&self) -> u64 {
-        self.processed.front().map_or(self.send_seq, |e| e.first_seq)
-    }
-
-    /// The send-log and snapshot-log invariants (module doc), checked in
-    /// debug builds after every operation that changes the history or a
-    /// log.
-    #[inline]
-    fn debug_check_log(&self) {
-        debug_assert_eq!(
-            self.sends.len() as u64,
-            self.send_seq - self.log_base(),
-            "send log out of step with the history"
-        );
-        debug_assert_eq!(
-            self.saving.as_ref().map_or(0, |s| s.log.len()),
-            self.processed.iter().filter(|e| e.snapshot).count(),
-            "snapshot log out of step with the history"
-        );
-    }
-
-    #[inline]
-    pub fn lvt(&self) -> VirtualTime {
-        self.last_key.t
-    }
-
-    #[inline]
-    pub fn last_key(&self) -> EventKey {
-        self.last_key
-    }
-
-    /// Uncommitted history length (the memory the optimism throttle
-    /// bounds).
-    #[inline]
-    pub fn history_len(&self) -> usize {
-        self.processed.len()
-    }
-
-    /// Run the model's initial-event hook (time-zero seeding). Sends are
-    /// assigned sequence numbers but not recorded in history: nothing can
-    /// roll back past time zero.
-    pub fn seed_initial(&mut self, model: &M, emit: &mut Emitter<M::Payload>) {
-        model.initial_events(self.id, &mut self.state, &mut self.rng, emit);
-    }
-
-    /// Optimistically process `event`, which must be `>` the last processed
-    /// key (the worker rolls back first otherwise). Emitted events are left
-    /// in `emit` for the worker to stamp and route, logging each through
-    /// [`Self::record_send`].
+    /// Optimistically process `event` at LP `lp`. Its key must be above the
+    /// LP's last processed key (the worker rolls back first otherwise).
+    /// Emitted events are left in `emit` for the worker to stamp and route,
+    /// logging each through [`Self::record_send`].
     ///
     /// Returns the model-reported EPG units.
     pub fn process(
         &mut self,
         model: &M,
+        lp: usize,
         ctx: &EventCtx,
         event: Event<M::Payload>,
         emit: &mut Emitter<M::Payload>,
     ) -> u64 {
-        debug_assert!(event.key() > self.last_key, "processing out of order");
+        let rec = &mut self.lps[lp];
+        debug_assert!(event.key() > rec.last_key, "processing out of order");
         debug_assert!(emit.is_empty());
         let snapshot = match self.strategy {
             RollbackStrategy::Reverse => false,
             RollbackStrategy::Snapshot => true,
             RollbackStrategy::PeriodicSnapshot(k) => {
-                let since = &mut self.saving().since;
+                let since = &mut rec.saving().since;
                 if *since == 0 || *since >= k {
                     *since = 1;
                     true
@@ -289,163 +385,197 @@ impl<M: Model> LpRuntime<M> {
             }
         };
         if snapshot {
-            let state = self.state.clone();
-            self.saving().log.push_back(state);
+            let state = rec.state.clone();
+            rec.saving().log.push_back(state);
         }
-        let rng = self.rng;
-        let epg = model.handle(ctx, &mut self.state, &event.payload, &mut self.rng, emit);
-        self.last_key = event.key();
-        self.processed.push_back(ProcessedEvent { event, rng, first_seq: self.send_seq, snapshot });
-        self.debug_check_log();
+        let rng = rec.rng;
+        let epg = model.handle(ctx, &mut rec.state, &event.payload, &mut rec.rng, emit);
+        rec.last_key = event.key();
+        let older = rec.newest;
+        let node = self.history.alloc(HistoryNode {
+            event: Some(event),
+            rng,
+            older,
+            newer: NIL,
+            sends: NIL,
+            snapshot,
+        });
+        match older {
+            NIL => rec.oldest = node,
+            older => self.history[older].newer = node,
+        }
+        rec.newest = node;
+        self.debug_check(lp);
         epg
     }
 
-    /// Log one send of the most recently processed event and return the id
-    /// it carries. The worker calls this once per emission, in emission
-    /// order, after [`Self::process`].
+    /// Log one send of LP `lp`'s most recently processed event and return
+    /// the id it carries. The worker calls this once per emission, in
+    /// emission order, after [`Self::process`].
     #[inline]
-    pub fn record_send(&mut self, dst: LpId, recv_time: VirtualTime) -> EventId {
-        debug_assert!(!self.processed.is_empty(), "record_send before process");
-        self.sends.push_back((dst, recv_time));
-        let id = EventId::new(self.id, self.send_seq);
-        self.send_seq += 1;
-        id
+    pub fn record_send(&mut self, lp: usize, dst: LpId, recv_time: VirtualTime) -> EventId {
+        let id = self.id(lp);
+        let rec = &mut self.lps[lp];
+        debug_assert!(rec.newest != NIL, "record_send before process");
+        let entry = &mut self.history[rec.newest];
+        entry.sends = self.sends.alloc(SendNode { recv_time, dst, next: entry.sends });
+        rec.send_seq += 1;
+        EventId::new(id, rec.send_seq - 1)
     }
 
-    /// Roll back every processed event with key `> to_key` (straggler with
-    /// key `to_key` about to be processed). All undone events are
-    /// re-enqueued. `end_time` and `total_lps` are the run's, for the
-    /// contexts of the inverse-handler and coast-forward calls.
+    /// Roll LP `lp` back past every processed event with key `> to_key`
+    /// (a straggler with key `to_key` is about to be processed), refilling
+    /// `out`. All undone events are re-enqueued. `end_time` and `total_lps`
+    /// are the run's, for the contexts of the inverse-handler and
+    /// coast-forward calls.
     pub fn rollback_to(
         &mut self,
         model: &M,
+        lp: usize,
         to_key: EventKey,
         end_time: VirtualTime,
         total_lps: u32,
-    ) -> Rollback<M::Payload> {
-        self.rollback_inner(model, to_key, false, end_time, total_lps)
+        out: &mut Rollback<M::Payload>,
+    ) {
+        self.rollback_inner(model, lp, to_key, false, end_time, total_lps, out);
     }
 
-    /// Roll back every processed event with key `>= cancel_key`, which must
-    /// be a processed event's key (anti-message induced). The cancelled
-    /// event is discarded instead of re-enqueued. The run constants are as
-    /// for [`Self::rollback_to`].
+    /// Roll LP `lp` back past every processed event with key
+    /// `>= cancel_key`, which must be a processed event's key (anti-message
+    /// induced), refilling `out`. The cancelled event is discarded instead
+    /// of re-enqueued. The run constants are as for [`Self::rollback_to`].
     pub fn rollback_cancel(
         &mut self,
         model: &M,
+        lp: usize,
         cancel_key: EventKey,
         end_time: VirtualTime,
         total_lps: u32,
-    ) -> Rollback<M::Payload> {
-        self.rollback_inner(model, cancel_key, true, end_time, total_lps)
+        out: &mut Rollback<M::Payload>,
+    ) {
+        self.rollback_inner(model, lp, cancel_key, true, end_time, total_lps, out);
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn rollback_inner(
         &mut self,
         model: &M,
+        lp: usize,
         to_key: EventKey,
         cancel: bool,
         end_time: VirtualTime,
         total_lps: u32,
-    ) -> Rollback<M::Payload> {
-        let mut reenqueue = Vec::new();
-        let mut antis = Vec::new();
-        let mut undone = 0u64;
-        let base = self.log_base();
+        out: &mut Rollback<M::Payload>,
+    ) {
+        out.reenqueue.clear();
+        out.antis.clear();
+        out.undone = 0;
+        let id = self.id(lp);
+        let reverse = self.strategy == RollbackStrategy::Reverse;
+        let rec = &mut self.lps[lp];
         // Sequence number one past the sends of the entry being undone.
-        let mut end = self.send_seq;
-        while let Some(back) = self.processed.back() {
-            let boundary =
-                if cancel { back.event.key() >= to_key } else { back.event.key() > to_key };
-            if !boundary {
+        let mut seq = rec.send_seq;
+        let mut met = !cancel;
+        while rec.newest != NIL {
+            let key = self.history[rec.newest].event().key();
+            if if cancel { key < to_key } else { key <= to_key } {
                 break;
             }
-            let entry = self.processed.pop_back().expect("back() was Some");
-            undone += 1;
-            // Newest entry first, in send order within the entry.
-            let first = entry.first_seq;
-            let sent = self.sends.range((first - base) as usize..(end - base) as usize);
-            antis.extend(sent.zip(first..).map(|(&(dst, recv_time), seq)| AntiMsg {
-                recv_time,
-                dst,
-                id: EventId::new(self.id, seq),
-            }));
-            end = first;
+            let (_, entry) = self.history.free(rec.newest);
+            let event = entry.event.take().expect("a live history node");
+            rec.newest = entry.older;
+            out.undone += 1;
+            // Newest entry first, in send order within the entry: its
+            // chain runs newest send first, so reverse what it yields.
+            let first = out.antis.len();
+            let mut send = entry.sends;
+            while send != NIL {
+                let (next, &mut SendNode { recv_time, dst, .. }) = self.sends.free(send);
+                seq -= 1;
+                out.antis.push(AntiMsg { recv_time, dst, id: EventId::new(id, seq) });
+                send = next;
+            }
+            out.antis[first..].reverse();
             // Undo this event (strict LIFO): restore its generator, then its
             // snapshot, or run the model's inverse handler, or (periodic
             // mode) leave the state to the coast-forward pass below.
-            self.rng = entry.rng;
+            rec.rng = entry.rng;
             if entry.snapshot {
-                self.state = self.saving().log.pop_back().expect("a snapshot per flagged entry");
-            } else if self.strategy == RollbackStrategy::Reverse {
-                let ctx = self.ctx_for(&entry.event, end_time, total_lps);
+                rec.state = rec.saving().log.pop_back().expect("a snapshot per flagged entry");
+            } else if reverse {
+                let ctx = EventCtx { now: event.recv_time, self_lp: id, end_time, total_lps };
                 // Scratch generator at the pre-event position, so the
                 // reversal can re-derive the forward pass's draws.
                 let mut scratch = entry.rng;
-                model.reverse(&ctx, &mut self.state, &entry.event.payload, &mut scratch);
+                model.reverse(&ctx, &mut rec.state, &event.payload, &mut scratch);
             }
-            if !(cancel && entry.event.key() == to_key) {
-                reenqueue.push(entry.event);
+            if cancel && key == to_key {
+                met = true;
+            } else {
+                out.reenqueue.push(event);
             }
         }
-        let (lp, id, t) = (self.id, to_key.id, to_key.t);
-        let met = !cancel || undone == reenqueue.len() as u64 + 1;
-        assert!(met, "{lp}: anti-message {id} at t={t} matches no pending or processed event");
-        self.sends.truncate((end - base) as usize);
-        self.send_seq = end;
-        if undone > 0 && matches!(self.strategy, RollbackStrategy::PeriodicSnapshot(_)) {
-            self.coast_forward(model, end_time, total_lps);
+        let (key_id, t) = (to_key.id, to_key.t);
+        assert!(met, "{id}: anti-message {key_id} at t={t} matches no pending or processed event");
+        rec.send_seq = seq;
+        match rec.newest {
+            NIL => rec.oldest = NIL,
+            newest => self.history[newest].newer = NIL,
         }
-        self.last_key = self.processed.back().map(|e| e.event.key()).unwrap_or(EventKey::MIN);
-        self.debug_check_log();
-        Rollback { reenqueue, antis, undone }
+        if out.undone > 0 && matches!(self.strategy, RollbackStrategy::PeriodicSnapshot(_)) {
+            self.coast_forward(model, lp, end_time, total_lps);
+        }
+        let rec = &mut self.lps[lp];
+        rec.last_key = match rec.newest {
+            NIL => EventKey::MIN,
+            newest => self.history[newest].event().key(),
+        };
+        self.debug_check(lp);
     }
 
     /// Periodic-snapshot restoration: the undone entries and their
-    /// snapshots are already popped, but the LP state may be anywhere. Pop
-    /// surviving entries back to the nearest flagged one (the oldest
-    /// retained entry always is — see [`Self::fossil_collect`]), restore
-    /// its state from the snapshot log's tail, which stays logged, then
-    /// re-execute the popped survivors with their emissions suppressed:
-    /// they were already sent, remain valid and stay in the send log
-    /// ("coasting forward"). `send_seq` is already the first undone
-    /// entry's `first_seq` and is not touched.
-    fn coast_forward(&mut self, model: &M, end_time: VirtualTime, total_lps: u32) {
-        let mut replay: Vec<ProcessedEvent<M>> = Vec::new();
-        while let Some(e) = self.processed.pop_back() {
-            let is_snapshot = e.snapshot;
-            replay.push(e);
-            if is_snapshot {
-                break;
-            }
-        }
-        if replay.is_empty() {
+    /// snapshots are already gone, but LP `lp`'s state may be anywhere. Walk
+    /// back from the newest surviving entry to the nearest flagged one (the
+    /// oldest retained entry always is — see [`Self::fossil_collect`]),
+    /// restore its state from the snapshot log's tail, which stays logged,
+    /// then re-execute it and the survivors after it with their emissions
+    /// dropped: they were already sent, remain valid and stay in their send
+    /// chains ("coasting forward"). `send_seq` is already the first undone
+    /// entry's first send and is not touched.
+    fn coast_forward(&mut self, model: &M, lp: usize, end_time: VirtualTime, total_lps: u32) {
+        let id = self.id(lp);
+        let rec = &mut self.lps[lp];
+        if rec.newest == NIL {
             // The rollback undid the whole history; its earliest entry was
-            // a snapshot (the first entry always is), so phase one already
-            // restored the state directly.
-            self.saving().since = 0;
+            // a snapshot (the first entry always is), so the rollback
+            // already restored the state directly.
+            rec.saving().since = 0;
             return;
         }
+        let mut node = rec.newest;
         // The snapshot cadence restarts from the replayed suffix, which
         // begins at the snapshot entry.
-        self.saving().since = replay.len() as u32;
-        // Restore from the snapshot entry (the last pushed).
-        let snap = replay.last().expect("non-empty");
-        debug_assert!(snap.snapshot, "coast_forward stops at a snapshot");
-        self.state = self.saving().log.back().expect("a snapshot per flagged entry").clone();
-        self.rng = snap.rng;
-        // Re-execute survivors oldest-first, dropping their emissions.
-        let mut sink: Emitter<M::Payload> = Emitter::new();
-        for e in replay.into_iter().rev() {
-            let ctx = self.ctx_for(&e.event, end_time, total_lps);
-            let _epg =
-                model.handle(&ctx, &mut self.state, &e.event.payload, &mut self.rng, &mut sink);
-            sink.take().for_each(drop);
-            self.processed.push_back(e);
+        let mut replayed = 1;
+        while !self.history[node].snapshot {
+            node = self.history[node].older;
+            debug_assert!(node != NIL, "coast_forward found no snapshot");
+            replayed += 1;
+        }
+        rec.saving().since = replayed;
+        rec.state = rec.saving().log.back().expect("a snapshot per flagged entry").clone();
+        rec.rng = self.history[node].rng;
+        while node != NIL {
+            let entry = &self.history[node];
+            let event = entry.event();
+            let ctx = EventCtx { now: event.recv_time, self_lp: id, end_time, total_lps };
+            model.handle(&ctx, &mut rec.state, &event.payload, &mut rec.rng, &mut self.sink);
+            self.sink.take().for_each(drop);
+            node = entry.newer;
         }
     }
 
-    /// Free history below `gvt`; returns the number of events committed.
+    /// Free LP `lp`'s history below `gvt`; returns the number of events
+    /// committed.
     ///
     /// Under [`RollbackStrategy::PeriodicSnapshot`], the newest snapshot
     /// entry below `gvt` (and everything after it) is retained so that a
@@ -453,50 +583,111 @@ impl<M: Model> LpRuntime<M> {
     /// for the retained suffix is deferred to a later pass. Use
     /// [`Self::fossil_collect_final`] at shutdown, when no rollback can
     /// follow.
-    pub fn fossil_collect(&mut self, gvt: VirtualTime) -> u64 {
-        let below = self.below(gvt);
+    pub fn fossil_collect(&mut self, lp: usize, gvt: VirtualTime) -> u64 {
         let n = match self.strategy {
             // Nothing at or beyond the newest snapshot below `gvt` may go.
-            // Scanning back from the GVT boundary meets one within a
-            // snapshot period, so the cost is that plus the entries freed,
-            // never the whole history.
-            RollbackStrategy::PeriodicSnapshot(_) => {
-                self.processed.range(..below).rposition(|e| e.snapshot).unwrap_or(0)
-            }
-            _ => below,
+            RollbackStrategy::PeriodicSnapshot(_) => self.below(lp, gvt).1,
+            _ => usize::MAX,
         };
-        self.commit(n)
+        self.commit(lp, n, gvt)
     }
 
     /// Fossil collection at shutdown: GVT has passed the end time, no
     /// rollback can follow, so retention is unnecessary and everything
     /// below `gvt` commits regardless of strategy.
-    pub fn fossil_collect_final(&mut self, gvt: VirtualTime) -> u64 {
-        let n = self.below(gvt);
-        self.commit(n)
+    pub fn fossil_collect_final(&mut self, lp: usize, gvt: VirtualTime) -> u64 {
+        self.commit(lp, usize::MAX, gvt)
     }
 
-    /// Drop the oldest `n` history entries and their prefixes of the send
-    /// and snapshot logs; returns `n`.
-    fn commit(&mut self, n: usize) -> u64 {
-        if n > 0 {
-            let base = self.log_base();
-            let next = self.processed.get(n).map_or(self.send_seq, |e| e.first_seq);
-            self.sends.drain(..(next - base) as usize);
-            if let Some(saving) = &mut self.saving {
-                saving.log.drain(..self.processed.range(..n).filter(|e| e.snapshot).count());
+    /// Free LP `lp`'s oldest history entries with receive time below `gvt`,
+    /// at most `n` of them, with their send chains and their prefix of the
+    /// snapshot log; returns how many. Stops at the first entry it keeps, so
+    /// the cost is the entries freed plus one.
+    fn commit(&mut self, lp: usize, n: usize, gvt: VirtualTime) -> u64 {
+        let rec = &mut self.lps[lp];
+        let (mut committed, mut flagged) = (0, 0);
+        while committed < n && rec.oldest != NIL && self.history[rec.oldest].event().recv_time < gvt
+        {
+            committed += 1;
+            let (newer, entry) = self.history.free(rec.oldest);
+            entry.event = None;
+            flagged += entry.snapshot as usize;
+            let mut send = entry.sends;
+            while send != NIL {
+                send = self.sends.free(send).0;
             }
-            self.processed.drain(..n);
-            self.debug_check_log();
+            rec.oldest = newer;
         }
-        n as u64
+        if committed == 0 {
+            return 0;
+        }
+        match rec.oldest {
+            NIL => rec.newest = NIL,
+            oldest => self.history[oldest].older = NIL,
+        }
+        if let Some(saving) = &mut rec.saving {
+            saving.log.drain(..flagged);
+        }
+        self.debug_check(lp);
+        committed as u64
     }
 
-    /// Number of history entries with receive time below `gvt`. Scans from
-    /// the oldest entry: the cost is the entries committed plus one, and
-    /// the commit touches those entries anyway.
-    fn below(&self, gvt: VirtualTime) -> usize {
-        self.processed.iter().position(|e| e.event.recv_time >= gvt).unwrap_or(self.processed.len())
+    /// The number of LP `lp`'s history entries with receive time below
+    /// `gvt`, and the position among them of the newest flagged one (0 if
+    /// none is). Scans from the oldest entry: the cost is the entries
+    /// below plus one, and the commit touches those entries anyway.
+    fn below(&self, lp: usize, gvt: VirtualTime) -> (usize, usize) {
+        let (mut below, mut newest_flagged) = (0, 0);
+        let mut node = self.lps[lp].oldest;
+        while node != NIL {
+            let entry = &self.history[node];
+            if entry.event().recv_time >= gvt {
+                break;
+            }
+            if entry.snapshot {
+                newest_flagged = below;
+            }
+            below += 1;
+            node = entry.newer;
+        }
+        (below, newest_flagged)
+    }
+
+    /// LP `lp`'s chain and logs against the module doc's invariants,
+    /// checked in debug builds after every operation that changes them:
+    /// the chain's links agree both ways and its keys ascend up to
+    /// `last_key`, the snapshot log holds one state per flagged entry, and
+    /// the send chains hold no more sends than were numbered.
+    fn debug_check(&self, lp: usize) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let rec = &self.lps[lp];
+        let (mut node, mut older, mut last) = (rec.oldest, NIL, None);
+        let (mut flagged, mut sent) = (0, 0);
+        while node != NIL {
+            let entry = &self.history[node];
+            assert_eq!(entry.older, older, "history chain links out of step");
+            let key = entry.event().key();
+            assert!(last < Some(key), "history chain out of key order");
+            last = Some(key);
+            flagged += entry.snapshot as usize;
+            let mut send = entry.sends;
+            while send != NIL {
+                sent += 1;
+                send = self.sends[send].next;
+            }
+            older = node;
+            node = entry.newer;
+        }
+        assert_eq!(rec.newest, older, "history chain ends out of step");
+        assert!(last.is_none_or(|key| key == rec.last_key), "newest entry is not the last key");
+        assert!(sent <= rec.send_seq, "more sends logged than numbered");
+        assert_eq!(
+            rec.saving.as_ref().map_or(0, |s| s.log.len()),
+            flagged,
+            "snapshot log out of step with the history"
+        );
     }
 }
 
@@ -563,74 +754,98 @@ mod tests {
     /// Process `e` and stamp its emissions as the worker would, logging
     /// each send; returns `(id, dst, recv_time)` per send, in send order.
     fn process_with<M: Model<Payload = u32>>(
-        lp: &mut LpRuntime<M>,
+        lp: &mut LpTable<M>,
         model: &M,
         e: Event<u32>,
     ) -> Vec<(EventId, LpId, VirtualTime)> {
         let mut em = Emitter::new();
         let t = e.recv_time.as_f64();
-        lp.process(model, &ctx(t), e, &mut em);
+        lp.process(model, 0, &ctx(t), e, &mut em);
         let sends: Vec<(LpId, f64)> = em.take().map(|(dst, delay, _p)| (dst, delay)).collect();
         sends
             .into_iter()
             .map(|(dst, delay)| {
                 let recv_time = VirtualTime::new(t + delay);
-                (lp.record_send(dst, recv_time), dst, recv_time)
+                (lp.record_send(0, dst, recv_time), dst, recv_time)
             })
             .collect()
     }
 
-    fn process_one(lp: &mut LpRuntime<CounterModel>, e: Event<u32>) {
+    /// A table holding LP 0 alone.
+    fn one<M: Model>(model: &M, seed: u64, strategy: RollbackStrategy) -> LpTable<M> {
+        LpTable::new(model, LpId(0), 1, seed, strategy)
+    }
+
+    fn rollback_to<M: Model>(
+        lp: &mut LpTable<M>,
+        model: &M,
+        key: EventKey,
+    ) -> Rollback<M::Payload> {
+        let mut rb = Rollback::default();
+        lp.rollback_to(model, 0, key, end(), 1, &mut rb);
+        rb
+    }
+
+    fn rollback_cancel<M: Model>(
+        lp: &mut LpTable<M>,
+        model: &M,
+        key: EventKey,
+    ) -> Rollback<M::Payload> {
+        let mut rb = Rollback::default();
+        lp.rollback_cancel(model, 0, key, end(), 1, &mut rb);
+        rb
+    }
+
+    fn process_one(lp: &mut LpTable<CounterModel>, e: Event<u32>) {
         process_with(lp, &CounterModel, e);
     }
 
     #[test]
     fn process_advances_lvt_and_history() {
-        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
-        assert_eq!(lp.lvt(), VirtualTime::ZERO);
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        assert_eq!(lp.lvt(0), VirtualTime::ZERO);
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, ev(2.0, 1, 7));
-        assert_eq!(lp.lvt(), VirtualTime::new(2.0));
-        assert_eq!(lp.history_len(), 2);
-        assert_eq!(lp.state.0, 12);
-        assert_eq!(lp.last_key(), ev(2.0, 1, 7).key());
+        assert_eq!(lp.lvt(0), VirtualTime::new(2.0));
+        assert_eq!(lp.history_len(0), 2);
+        assert_eq!(lp.state(0).0, 12);
+        assert_eq!(lp.last_key(0), ev(2.0, 1, 7).key());
     }
 
     #[test]
     fn rollback_restores_state_rng_and_seq() {
-        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
         process_one(&mut lp, ev(1.0, 0, 5));
-        let rng_after_first = lp.rng;
-        let state_after_first = lp.state.clone();
+        let rng_after_first = lp.rng(0);
+        let state_after_first = lp.state(0).clone();
 
         process_one(&mut lp, ev(2.0, 1, 7));
         process_one(&mut lp, ev(3.0, 2, 9));
 
         // Straggler at t=1.5 undoes the t=2 and t=3 events.
         let straggler_key = EventKey { t: VirtualTime::new(1.5), id: EventId::new(LpId(9), 10) };
-        let rb = lp.rollback_to(&CounterModel, straggler_key, end(), 1);
+        let rb = rollback_to(&mut lp, &CounterModel, straggler_key);
         assert_eq!(rb.undone, 2);
         assert_eq!(rb.reenqueue.len(), 2);
         assert_eq!(rb.antis.len(), 2, "one optimistic send per undone event");
-        assert_eq!(lp.state, state_after_first);
-        assert_eq!(lp.rng, rng_after_first);
-        assert_eq!(lp.lvt(), VirtualTime::new(1.0));
-        assert_eq!(lp.history_len(), 1);
+        assert_eq!(*lp.state(0), state_after_first);
+        assert_eq!(lp.rng(0), rng_after_first);
+        assert_eq!(lp.lvt(0), VirtualTime::new(1.0));
+        assert_eq!(lp.history_len(0), 1);
     }
 
     #[test]
     fn reexecution_after_rollback_replays_identically() {
-        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 7);
+        let mut lp = one(&CounterModel, 7, RollbackStrategy::Snapshot);
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, ev(2.0, 1, 7));
-        let final_state = lp.state.clone();
-        let final_rng = lp.rng;
+        let final_state = lp.state(0).clone();
+        let final_rng = lp.rng(0);
 
-        let rb = lp.rollback_to(
+        let rb = rollback_to(
+            &mut lp,
             &CounterModel,
             EventKey { t: VirtualTime::new(0.5), id: EventId::new(LpId(9), 99) },
-            end(),
-            1,
         );
         assert_eq!(rb.undone, 2);
         // Replay both in order.
@@ -639,102 +854,97 @@ mod tests {
         for e in events {
             process_one(&mut lp, e);
         }
-        assert_eq!(lp.state, final_state);
-        assert_eq!(lp.rng, final_rng);
+        assert_eq!(*lp.state(0), final_state);
+        assert_eq!(lp.rng(0), final_rng);
     }
 
     #[test]
     #[should_panic(expected = "lp0: anti-message lp9#1 at t=1.5 matches no pending or processed")]
     fn cancelling_the_same_id_at_another_time_panics() {
-        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, ev(2.0, 1, 7));
         // A re-sent copy carries the same (sender, sequence) id but a new
         // receive time: an anti for it must not cancel the processed copy.
-        lp.rollback_cancel(&CounterModel, ev(1.5, 1, 7).key(), end(), 1);
+        rollback_cancel(&mut lp, &CounterModel, ev(1.5, 1, 7).key());
     }
 
     #[test]
     fn rollback_cancel_discards_the_cancelled_event() {
-        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
         let target = ev(2.0, 1, 7);
         let target_key = target.key();
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, target);
         process_one(&mut lp, ev(3.0, 2, 9));
 
-        let rb = lp.rollback_cancel(&CounterModel, target_key, end(), 1);
+        let rb = rollback_cancel(&mut lp, &CounterModel, target_key);
         assert_eq!(rb.undone, 2, "t=2 (cancelled) and t=3");
         assert_eq!(rb.reenqueue.len(), 1, "only t=3 comes back");
         assert_eq!(rb.reenqueue[0].recv_time, VirtualTime::new(3.0));
-        assert_eq!(lp.lvt(), VirtualTime::new(1.0));
+        assert_eq!(lp.lvt(0), VirtualTime::new(1.0));
     }
 
     #[test]
     fn fossil_commits_strictly_below_gvt() {
-        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
         process_one(&mut lp, ev(1.0, 0, 1));
         process_one(&mut lp, ev(2.0, 1, 1));
         process_one(&mut lp, ev(3.0, 2, 1));
-        assert_eq!(lp.fossil_collect(VirtualTime::new(2.0)), 1, "only t=1 < gvt");
-        assert_eq!(lp.history_len(), 2);
-        assert_eq!(lp.fossil_collect(VirtualTime::new(10.0)), 2);
-        assert_eq!(lp.history_len(), 0);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(2.0)), 1, "only t=1 < gvt");
+        assert_eq!(lp.history_len(0), 2);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(10.0)), 2);
+        assert_eq!(lp.history_len(0), 0);
         // LVT is unaffected by fossil collection.
-        assert_eq!(lp.lvt(), VirtualTime::new(3.0));
+        assert_eq!(lp.lvt(0), VirtualTime::new(3.0));
     }
 
     #[test]
     fn fossil_boundary_counts_entries_strictly_below_gvt() {
-        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
-        assert_eq!(lp.below(VirtualTime::new(5.0)), 0, "empty history");
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        assert_eq!(lp.below(0, VirtualTime::new(5.0)).0, 0, "empty history");
         for (t, src) in [(1.0, 0), (2.0, 1), (2.0, 2), (3.0, 3)] {
             process_one(&mut lp, ev(t, src, 1));
         }
-        assert_eq!(lp.below(VirtualTime::INFINITY), 4, "every entry below");
-        assert_eq!(lp.below(VirtualTime::new(0.5)), 0, "none below");
-        assert_eq!(lp.below(VirtualTime::new(1.0)), 0, "an entry at gvt stays");
-        assert_eq!(lp.below(VirtualTime::new(2.0)), 1, "both entries at gvt stay");
-        assert_eq!(lp.below(VirtualTime::new(2.5)), 3);
-        assert_eq!(lp.fossil_collect(VirtualTime::new(2.0)), 1);
-        assert_eq!(lp.below(VirtualTime::new(2.0)), 0);
+        assert_eq!(lp.below(0, VirtualTime::INFINITY).0, 4, "every entry below");
+        assert_eq!(lp.below(0, VirtualTime::new(0.5)).0, 0, "none below");
+        assert_eq!(lp.below(0, VirtualTime::new(1.0)).0, 0, "an entry at gvt stays");
+        assert_eq!(lp.below(0, VirtualTime::new(2.0)).0, 1, "both entries at gvt stay");
+        assert_eq!(lp.below(0, VirtualTime::new(2.5)).0, 3);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(2.0)), 1);
+        assert_eq!(lp.below(0, VirtualTime::new(2.0)).0, 0);
     }
 
     #[test]
     fn periodic_fossil_keeps_newest_snapshot_below_gvt() {
-        let mut lp = LpRuntime::with_strategy(
-            LpId(0),
-            &CounterModel,
-            1,
-            RollbackStrategy::PeriodicSnapshot(2),
-        );
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::PeriodicSnapshot(2));
         // Entries at t=1..=5; snapshots land on t=1, t=3, t=5.
         for (i, t) in [1.0, 2.0, 3.0, 4.0, 5.0].iter().enumerate() {
             process_one(&mut lp, ev(*t, i as u64, 1));
         }
         // Newest snapshot below 4.5 is t=3: everything before it commits.
-        assert_eq!(lp.fossil_collect(VirtualTime::new(4.5)), 2);
-        assert_eq!(lp.history_len(), 3);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(4.5)), 2);
+        assert_eq!(lp.history_len(0), 3);
         // No snapshot strictly below 3.0 remains: nothing frees.
-        assert_eq!(lp.fossil_collect(VirtualTime::new(3.0)), 0);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(3.0)), 0);
         // The t=5 snapshot unlocks the t=3 and t=4 entries.
-        assert_eq!(lp.fossil_collect(VirtualTime::new(5.5)), 2);
-        assert_eq!(lp.history_len(), 1);
-        assert_eq!(lp.fossil_collect_final(VirtualTime::new(10.0)), 1);
-        assert_eq!(lp.history_len(), 0);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(5.5)), 2);
+        assert_eq!(lp.history_len(0), 1);
+        assert_eq!(lp.fossil_collect_final(0, VirtualTime::new(10.0)), 1);
+        assert_eq!(lp.history_len(0), 0);
     }
 
     #[test]
     fn rollback_below_everything_resets_to_initial() {
-        let mut lp = LpRuntime::new(LpId(0), &CounterModel, 1);
-        let init_state = lp.state.clone();
-        let init_rng = lp.rng;
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let init_state = lp.state(0).clone();
+        let init_rng = lp.rng(0);
         process_one(&mut lp, ev(1.0, 0, 2));
-        let rb = lp.rollback_to(&CounterModel, EventKey::MIN, end(), 1);
+        let rb = rollback_to(&mut lp, &CounterModel, EventKey::MIN);
         assert_eq!(rb.undone, 1);
-        assert_eq!(lp.state, init_state);
-        assert_eq!(lp.rng, init_rng);
-        assert_eq!(lp.last_key(), EventKey::MIN);
+        assert_eq!(*lp.state(0), init_state);
+        assert_eq!(lp.rng(0), init_rng);
+        assert_eq!(lp.last_key(0), EventKey::MIN);
     }
 
     /// Two sends per event, to two different LPs at two delays.
@@ -767,14 +977,14 @@ mod tests {
 
     #[test]
     fn rollback_antis_run_newest_entry_first_in_send_order() {
-        let mut lp = LpRuntime::new(LpId(0), &PairModel, 1);
+        let mut lp = one(&PairModel, 1, RollbackStrategy::Snapshot);
         let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0]
             .iter()
             .enumerate()
             .map(|(i, t)| process_with(&mut lp, &PairModel, ev(*t, i as u64, 1)))
             .collect();
         // A straggler at t=1.5 undoes the t=2, t=3 and t=4 entries.
-        let rb = lp.rollback_to(&PairModel, ev(1.5, 99, 0).key(), end(), 1);
+        let rb = rollback_to(&mut lp, &PairModel, ev(1.5, 99, 0).key());
         assert_eq!(rb.undone, 3);
         let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
         let want: Vec<_> = sent[1..].iter().rev().flatten().copied().collect();
@@ -782,19 +992,14 @@ mod tests {
         let seqs: Vec<u64> = rb.antis.iter().map(|a| a.id.seq).collect();
         assert_eq!(seqs, [6, 7, 4, 5, 2, 3]);
         // The survivor's sends stay logged: undoing it antis exactly them.
-        let rb = lp.rollback_to(&PairModel, EventKey::MIN, end(), 1);
+        let rb = rollback_to(&mut lp, &PairModel, EventKey::MIN);
         let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
         assert_eq!(got, sent[0]);
     }
 
     #[test]
     fn periodic_reexecution_reuses_the_undone_ids() {
-        let mut lp = LpRuntime::with_strategy(
-            LpId(0),
-            &CounterModel,
-            1,
-            RollbackStrategy::PeriodicSnapshot(3),
-        );
+        let mut lp = one(&CounterModel, 1, RollbackStrategy::PeriodicSnapshot(3));
         // Snapshots land on t=1 and t=4; t=2, t=3 and t=5 coast.
         let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0, 5.0]
             .iter()
@@ -803,7 +1008,7 @@ mod tests {
             .collect();
         // Undo t=3, t=4 and t=5; the survivors coast forward from the t=1
         // snapshot.
-        let rb = lp.rollback_to(&CounterModel, ev(2.5, 99, 0).key(), end(), 1);
+        let rb = rollback_to(&mut lp, &CounterModel, ev(2.5, 99, 0).key());
         assert_eq!(rb.undone, 3);
         let mut replay = rb.reenqueue;
         replay.sort_by_key(|e| e.key());
@@ -839,12 +1044,12 @@ mod tests {
     #[test]
     fn history_entry_size_does_not_depend_on_the_state() {
         use std::mem::size_of;
-        assert_eq!(size_of::<ProcessedEvent<Bytes<8>>>(), size_of::<ProcessedEvent<Bytes<256>>>());
+        assert_eq!(size_of::<HistoryNode<Bytes<8>>>(), size_of::<HistoryNode<Bytes<256>>>());
     }
 
     /// The LP's snapshot log, oldest first.
-    fn snapshots<M: Model>(lp: &LpRuntime<M>) -> Vec<M::State> {
-        lp.saving.iter().flat_map(|s| s.log.iter().cloned()).collect()
+    fn snapshots<M: Model>(lp: &LpTable<M>) -> Vec<M::State> {
+        lp.lps[0].saving.iter().flat_map(|s| s.log.iter().cloned()).collect()
     }
 
     /// Walk a period-3 LP through processing, fossil collection (which
@@ -855,16 +1060,16 @@ mod tests {
     fn periodic_snapshot_log_through_fossil_rollback_and_coast() {
         let events: Vec<Event<u32>> = (1..=7).map(|t| ev(t as f64, t, t as u32)).collect();
         // Straight-through reference: `(state, rng)` after each event.
-        let mut truth = LpRuntime::new(LpId(0), &CounterModel, 1);
+        let mut truth = one(&CounterModel, 1, RollbackStrategy::Snapshot);
         let after: Vec<_> = events
             .iter()
             .map(|e| {
                 process_one(&mut truth, e.clone());
-                (truth.state.clone(), truth.rng)
+                (truth.state(0).clone(), truth.rng(0))
             })
             .collect();
         let strategy = RollbackStrategy::PeriodicSnapshot(3);
-        let mut lp = LpRuntime::with_strategy(LpId(0), &CounterModel, 1, strategy);
+        let mut lp = one(&CounterModel, 1, strategy);
 
         // Snapshots land on t=1, t=4 and t=7, each holding the state
         // before its event.
@@ -876,17 +1081,17 @@ mod tests {
 
         // The newest snapshot below GVT 5.5 is t=4's: t=1..3 commit with
         // t=1's state copy, and t=4's stays as the restoration point.
-        assert_eq!(lp.fossil_collect(VirtualTime::new(5.5)), 3);
-        assert_eq!(lp.history_len(), 4);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(5.5)), 3);
+        assert_eq!(lp.history_len(0), 4);
         assert_eq!(snapshots(&lp), [after[2].0.clone(), after[5].0.clone()]);
 
         // A straggler at t=4.5 undoes t=5..7, popping t=7's copy; the LP
         // coasts forward from t=4's copy, which stays logged, through t=4.
-        let rb = lp.rollback_to(&CounterModel, ev(4.5, 99, 0).key(), end(), 1);
+        let rb = rollback_to(&mut lp, &CounterModel, ev(4.5, 99, 0).key());
         assert_eq!(rb.undone, 3);
         assert_eq!(snapshots(&lp), [after[2].0.clone()]);
-        assert_eq!((lp.state.clone(), lp.rng), after[3]);
-        assert_eq!(lp.lvt(), VirtualTime::new(4.0));
+        assert_eq!((lp.state(0).clone(), lp.rng(0)), after[3]);
+        assert_eq!(lp.lvt(0), VirtualTime::new(4.0));
 
         // Re-executing the undone events restarts the cadence from t=4:
         // t=7 is flagged again, and the run converges on the reference.
@@ -896,10 +1101,10 @@ mod tests {
             process_one(&mut lp, e);
         }
         assert_eq!(snapshots(&lp), [after[2].0.clone(), after[5].0.clone()]);
-        assert_eq!((lp.state.clone(), lp.rng), after[6]);
+        assert_eq!((lp.state(0).clone(), lp.rng(0)), after[6]);
 
         // At shutdown everything commits and the log empties.
-        assert_eq!(lp.fossil_collect_final(VirtualTime::INFINITY), 4);
+        assert_eq!(lp.fossil_collect_final(0, VirtualTime::INFINITY), 4);
         assert!(snapshots(&lp).is_empty());
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! * the chains are singly linked lists, ascending in [`EventKey`], whose
 //!   nodes live in one slab per set (freed slots are reused, so a run in
-//!   steady state allocates nothing);
+//!   steady state allocates nothing; see `slab.rs`);
 //! * the heap holds one `(head time, LP)` entry per LP with a non-empty
 //!   chain, ordered by the head's full key (the time decides unless two
 //!   heads share it), and a position array per LP says where that entry
@@ -53,22 +53,26 @@ use cagvt_base::ids::LpId;
 use cagvt_base::time::VirtualTime;
 
 use crate::event::{Event, EventKey};
+use crate::slab::{Link, Slab, NIL};
 
-/// End of a chain, an empty LP, or an LP absent from the heap.
-const NIL: u32 = u32::MAX;
-
-/// A slab slot: a chain node, or a free slot linked into the free list.
+/// A chain node (`event` is `None` while the slot is free).
 struct Node<P> {
     event: Option<Event<P>>,
     next: u32,
 }
 
+impl<P> Link for Node<P> {
+    fn link(&mut self) -> &mut u32 {
+        &mut self.next
+    }
+}
+
 /// Not-yet-processed events for a contiguous range of LPs, in key order.
+/// `NIL` marks the end of a chain, an empty LP, or an LP absent from the
+/// heap.
 pub struct PendingSet<P> {
     first_lp: u32,
-    nodes: Vec<Node<P>>,
-    /// First free slot of `nodes`, or `NIL`.
-    free: u32,
+    nodes: Slab<Node<P>>,
     /// Per LP (offset from `first_lp`): slot of its earliest event, or `NIL`.
     heads: Vec<u32>,
     /// Per LP: index of its entry in `heap`, or `NIL` while it has none.
@@ -90,8 +94,7 @@ impl<P> PendingSet<P> {
         assert!(n_lps < NIL as usize, "too many LPs for one pending set");
         PendingSet {
             first_lp: first_lp.0,
-            nodes: Vec::with_capacity(capacity),
-            free: NIL,
+            nodes: Slab::with_capacity(capacity),
             heads: vec![NIL; n_lps],
             pos: vec![NIL; n_lps],
             heap: Vec::with_capacity(n_lps.min(capacity)),
@@ -117,8 +120,7 @@ impl<P> PendingSet<P> {
             assert!(last != Some(key), "duplicate pending event {key:?}");
             last = Some(key);
             let lp = set.lp_index(event.dst);
-            let node = set.nodes.len() as u32;
-            set.nodes.push(Node { event: Some(event), next: NIL });
+            let node = set.nodes.alloc(Node { event: Some(event), next: NIL });
             match tails[lp] {
                 // Chains first appear in ascending key order, so appending
                 // their entries keeps the heap array sorted, hence a heap.
@@ -127,11 +129,11 @@ impl<P> PendingSet<P> {
                     set.pos[lp] = set.heap.len() as u32;
                     set.heap.push((key.t, lp as u32));
                 }
-                tail => set.nodes[tail as usize].next = node,
+                tail => set.nodes[tail].next = node,
             }
             tails[lp] = node;
         }
-        set.len = set.nodes.len();
+        set.len = set.nodes.live();
         set.debug_check();
         set
     }
@@ -145,7 +147,7 @@ impl<P> PendingSet<P> {
 
     #[inline]
     fn event(&self, node: u32) -> &Event<P> {
-        match &self.nodes[node as usize].event {
+        match &self.nodes[node].event {
             Some(e) => e,
             None => unreachable!("free slot on a chain"),
         }
@@ -167,7 +169,7 @@ impl<P> PendingSet<P> {
         let lp = self.lp_index(event.dst);
         let (prev, at) = self.seek(lp, key);
         assert!(at == NIL || self.key(at) != key, "duplicate pending event {key:?}");
-        let node = self.alloc(event, at);
+        let node = self.nodes.alloc(Node { event: Some(event), next: at });
         if prev == NIL {
             self.heads[lp] = node;
             match self.pos[lp] {
@@ -182,7 +184,7 @@ impl<P> PendingSet<P> {
                 }
             }
         } else {
-            self.nodes[prev as usize].next = node;
+            self.nodes[prev].next = node;
         }
         self.len += 1;
         self.debug_check();
@@ -224,7 +226,7 @@ impl<P> PendingSet<P> {
         let mut at = self.heads[lp];
         while at != NIL && self.key(at) < key {
             prev = at;
-            at = self.nodes[at as usize].next;
+            at = self.nodes[at].next;
         }
         (prev, at)
     }
@@ -232,7 +234,7 @@ impl<P> PendingSet<P> {
     /// Take `node` (after `prev`, or the head if `prev` is `NIL`) off LP
     /// `lp`'s chain and return its event.
     fn unlink(&mut self, lp: usize, prev: u32, node: u32) -> Event<P> {
-        let next = self.nodes[node as usize].next;
+        let next = self.nodes[node].next;
         if prev == NIL {
             self.heads[lp] = next;
             let p = self.pos[lp] as usize;
@@ -243,32 +245,10 @@ impl<P> PendingSet<P> {
                 self.sift_down(p);
             }
         } else {
-            self.nodes[prev as usize].next = next;
+            self.nodes[prev].next = next;
         }
         self.len -= 1;
-        self.release(node)
-    }
-
-    fn alloc(&mut self, event: Event<P>, next: u32) -> u32 {
-        match self.free {
-            NIL => {
-                self.nodes.push(Node { event: Some(event), next });
-                (self.nodes.len() - 1) as u32
-            }
-            node => {
-                let slot = &mut self.nodes[node as usize];
-                self.free = slot.next;
-                *slot = Node { event: Some(event), next };
-                node
-            }
-        }
-    }
-
-    fn release(&mut self, node: u32) -> Event<P> {
-        let slot = &mut self.nodes[node as usize];
-        slot.next = self.free;
-        self.free = node;
-        slot.event.take().expect("released a free slot")
+        self.nodes.free(node).1.event.take().expect("released a free slot")
     }
 
     fn heap_swap(&mut self, a: usize, b: usize) {
@@ -331,7 +311,7 @@ impl<P> PendingSet<P> {
 
     /// Check every invariant (debug builds only): heap order, the position
     /// array against the heap, each chain strictly ascending and headed by
-    /// its heap key, and `len` against the chains and the slab.
+    /// its heap key, and `len` against the chains and the slab's live slots.
     fn debug_check(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -344,7 +324,7 @@ impl<P> PendingSet<P> {
             let mut node = self.heads[lp];
             assert_eq!(self.key(node).t, t, "heap time is not its chain head's");
             while node != NIL {
-                let next = self.nodes[node as usize].next;
+                let next = self.nodes[node].next;
                 assert!(
                     next == NIL || self.key(node) < self.key(next),
                     "chain of LP offset {lp} out of order"
@@ -354,14 +334,7 @@ impl<P> PendingSet<P> {
             }
         }
         assert_eq!(chained, self.len, "len is not the chains' total");
-        let mut free = 0;
-        let mut node = self.free;
-        while node != NIL {
-            assert!(self.nodes[node as usize].event.is_none(), "live slot on the free list");
-            free += 1;
-            node = self.nodes[node as usize].next;
-        }
-        assert_eq!(free + self.len, self.nodes.len(), "slab slots lost or on no chain");
+        assert_eq!(self.nodes.live(), self.len, "slab slots lost or on no chain");
     }
 
     /// Key of the minimum event (the worker's LVT contribution when
@@ -563,7 +536,7 @@ mod tests {
             ps.pop_min().unwrap();
         }
         assert!(ps.is_empty());
-        assert_eq!(ps.nodes.len(), 2, "the slab grew past the set's peak");
+        assert_eq!(ps.nodes.slots(), 2, "the slab grew past the set's peak");
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Processes the global event stream in the engine's total order
 //! `(recv_time, sender, sequence)` with no optimism, no rollback and no
 //! communication — the ground truth the optimistic engine must agree with.
-//! It reuses [`LpRuntime`] (with immediate fossil collection), so state
-//! initialization, RNG streams and sequence-number assignment are
-//! *identical by construction* to the parallel engine's.
+//! It keeps its LPs in one [`LpTable`] over every LP of the run, committing
+//! each event as soon as it is processed, so state initialization, RNG
+//! streams and sequence-number assignment are *identical by construction*
+//! to the parallel engine's, whose workers each keep one table over their
+//! own LPs.
 
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::time::VirtualTime;
@@ -13,7 +15,7 @@ use std::sync::Arc;
 
 use crate::config::SimConfig;
 use crate::event::Event;
-use crate::lp::LpRuntime;
+use crate::lp::LpTable;
 use crate::model::{Emitter, EventCtx, Model};
 use crate::queue::PendingSet;
 
@@ -55,18 +57,16 @@ impl<M: Model> SequentialSim<M> {
         let total = self.cfg.total_lps();
         let end = self.cfg.end_vt();
         let strategy = self.cfg.rollback_strategy(self.model.supports_reverse());
-        let mut lps: Vec<LpRuntime<M>> = (0..total)
-            .map(|i| LpRuntime::with_strategy(LpId(i), &*self.model, self.cfg.seed, strategy))
-            .collect();
+        let mut lps = LpTable::new(&*self.model, LpId(0), total, self.cfg.seed, strategy);
 
         let mut emit: Emitter<M::Payload> = Emitter::new();
 
         // Time-zero seeding, identical to the cluster builder.
         let mut seeds = Vec::new();
-        for lp in &mut lps {
-            lp.seed_initial(&*self.model, &mut emit);
+        for k in 0..lps.len() {
+            lps.seed_initial(&*self.model, k, &mut emit);
             for (dst, delay, payload) in emit.take() {
-                let id = EventId::new(lp.id, lp.next_seq());
+                let id = EventId::new(lps.id(k), lps.next_seq(k));
                 seeds.push(Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload });
             }
         }
@@ -86,21 +86,20 @@ impl<M: Model> SequentialSim<M> {
                 total_lps: total,
             };
             let base = event.recv_time;
-            let lp = &mut lps[idx];
-            let _epg = lp.process(&*self.model, &ctx, event, &mut emit);
+            let _epg = lps.process(&*self.model, idx, &ctx, event, &mut emit);
             for (dst, delay, payload) in emit.take() {
                 let recv_time = base + delay;
-                let id = lp.record_send(dst, recv_time);
+                let id = lps.record_send(idx, dst, recv_time);
                 pending.insert(Event { recv_time, dst, id, payload });
             }
             // No rollback can ever happen: commit immediately.
-            lp.fossil_collect_final(VirtualTime::INFINITY);
+            lps.fossil_collect_final(idx, VirtualTime::INFINITY);
             processed += 1;
         }
 
         let mut fingerprint = 0u64;
-        for lp in &lps {
-            fingerprint ^= fingerprint_mix(lp.id, self.model.state_fingerprint(&lp.state));
+        for k in 0..lps.len() {
+            fingerprint ^= fingerprint_mix(lps.id(k), self.model.state_fingerprint(lps.state(k)));
         }
         SeqOutcome { processed, fingerprint }
     }

@@ -21,7 +21,7 @@
 //! be parked ([`cagvt_base::wake`]); each skipped poll is credited as run.
 
 use cagvt_base::actor::{Actor, StepResult};
-use cagvt_base::ids::{ActorId, LaneId, LpId, NodeId};
+use cagvt_base::ids::{ActorId, LaneId, NodeId};
 use cagvt_base::time::{VirtualTime, WallNs};
 use cagvt_base::trace::TraceRecord;
 use cagvt_base::wake::{self, Park};
@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use crate::event::{AckMsg, AntiMsg, Event, EventMsg, RemoteEnv, TaggedMsg};
 use crate::gvt::{WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome};
-use crate::lp::{LpRuntime, Rollback};
+use crate::lp::{LpTable, Rollback};
 use crate::model::{Emitter, EventCtx, Model};
 use crate::mpi_actor::MpiPump;
 use crate::node::{EngineShared, NodeShared};
@@ -49,11 +49,10 @@ pub struct Worker<M: Model> {
     lane: LaneId,
     /// Dense global worker index.
     widx: u32,
-    first_lp: u32,
     shared: Arc<EngineShared<M>>,
     nshared: Arc<NodeShared<M::Payload>>,
     model: Arc<M>,
-    lps: Vec<LpRuntime<M>>,
+    lps: LpTable<M>,
     pending: PendingSet<M::Payload>,
     gvt: Box<dyn WorkerGvt>,
     /// MPI duty carried by this worker (inline modes, lane 0 only).
@@ -64,6 +63,7 @@ pub struct Worker<M: Model> {
     uncommitted: usize,
     recv_buf: Vec<TaggedMsg<M::Payload>>,
     emit: Emitter<M::Payload>,
+    rollback: Rollback<M::Payload>,
     local_antis: VecDeque<AntiMsg>,
     /// Start of the current contiguous barrier-blocked stretch, if any
     /// (one `BarrierWait` record and counter update on release).
@@ -117,22 +117,21 @@ impl<M: Model> Worker<M> {
         node: NodeId,
         lane: LaneId,
         shared: Arc<EngineShared<M>>,
-        lps: Vec<LpRuntime<M>>,
+        lps: LpTable<M>,
         gvt: Box<dyn WorkerGvt>,
         mpi_duty: Option<MpiPump<M>>,
     ) -> Self {
         let nshared = Arc::clone(&shared.nodes[node.index()]);
         let model = Arc::clone(&shared.model);
         let widx = shared.worker_index(node, lane);
-        let first_lp = shared.first_lp(node, lane).0;
+        debug_assert_eq!(lps.first_lp(), shared.first_lp(node, lane));
         let acks_enabled = gvt.wants_acks();
-        let pending = PendingSet::new(LpId(first_lp), lps.len());
+        let pending = PendingSet::new(lps.first_lp(), lps.len());
         Worker {
             actor_id,
             node,
             lane,
             widx,
-            first_lp,
             shared,
             nshared,
             model,
@@ -145,6 +144,7 @@ impl<M: Model> Worker<M> {
             uncommitted: 0,
             recv_buf: Vec::new(),
             emit: Emitter::new(),
+            rollback: Rollback::default(),
             local_antis: VecDeque::new(),
             blocked_since: None,
             acks_enabled,
@@ -157,19 +157,12 @@ impl<M: Model> Worker<M> {
     /// builder.
     pub fn preload_events(&mut self, events: Vec<Event<M::Payload>>) {
         debug_assert!(self.pending.is_empty(), "preloaded twice");
-        self.pending = PendingSet::from_events(LpId(self.first_lp), self.lps.len(), events);
+        self.pending = PendingSet::from_events(self.lps.first_lp(), self.lps.len(), events);
     }
 
-    /// Builder access to LP `k` (time-zero seeding).
-    pub fn lp_mut(&mut self, k: usize) -> &mut LpRuntime<M> {
-        &mut self.lps[k]
-    }
-
-    #[inline]
-    fn lp_index(&self, lp: LpId) -> usize {
-        let idx = (lp.0 - self.first_lp) as usize;
-        debug_assert!(idx < self.lps.len(), "event routed to wrong worker: {lp}");
-        idx
+    /// Builder access to the LPs (time-zero seeding).
+    pub fn lps_mut(&mut self) -> &mut LpTable<M> {
+        &mut self.lps
     }
 
     /// Route a tagged message to its destination queue, returning the send
@@ -252,11 +245,15 @@ impl<M: Model> Worker<M> {
         }
     }
 
-    /// Apply a rollback result: account, re-enqueue, send anti-messages.
-    fn apply_rollback(&mut self, now: WallNs, rb: Rollback<M::Payload>, straggler: bool) -> WallNs {
+    /// Apply the rollback just written to `self.rollback`: account,
+    /// re-enqueue, send anti-messages. Empties its vectors and keeps their
+    /// buffers for the next rollback.
+    fn apply_rollback(&mut self, now: WallNs, straggler: bool) -> WallNs {
         let cost = &self.shared.cfg.cost;
         let mut charge = WallNs::ZERO;
+        let mut rb = std::mem::take(&mut self.rollback);
         if rb.undone == 0 {
+            self.rollback = rb;
             return charge;
         }
         self.counters.rollbacks += 1;
@@ -265,14 +262,15 @@ impl<M: Model> Worker<M> {
         let (worker, undone) = (self.widx, rb.undone);
         self.shared.gvt_core.emit(now, || TraceRecord::Rollback { worker, undone, straggler });
         charge += WallNs(cost.rollback_per_event.0 * rb.undone);
-        for e in rb.reenqueue {
+        for e in rb.reenqueue.drain(..) {
             let (id, vt) = (e.id, e.recv_time);
             self.shared.gvt_core.emit(now, || TraceRecord::Reenqueue { worker, id, vt });
             self.pending.insert(e);
         }
-        for a in rb.antis {
+        for a in rb.antis.drain(..) {
             charge += self.route(now + charge, EventMsg::Anti(a));
         }
+        self.rollback = rb;
         charge
     }
 
@@ -316,11 +314,10 @@ impl<M: Model> Worker<M> {
                 a.recv_time
             );
             cascade += 1;
-            let cfg = &self.shared.cfg;
-            let idx = self.lp_index(a.dst);
-            let rb =
-                self.lps[idx].rollback_cancel(&*self.model, a.key(), cfg.end_vt(), cfg.total_lps());
-            charge += self.apply_rollback(now + charge, rb, false);
+            let (end, total) = (self.shared.cfg.end_vt(), self.shared.cfg.total_lps());
+            let idx = self.lps.index(a.dst);
+            self.lps.rollback_cancel(&*self.model, idx, a.key(), end, total, &mut self.rollback);
+            charge += self.apply_rollback(now + charge, false);
         }
         self.counters.max_cascade = self.counters.max_cascade.max(cascade);
         charge
@@ -368,10 +365,7 @@ impl<M: Model> Worker<M> {
 
     /// Fossil collect all LPs at the new GVT.
     fn fossil(&mut self, gvt: VirtualTime) -> WallNs {
-        let mut committed = 0u64;
-        for lp in &mut self.lps {
-            committed += lp.fossil_collect(gvt);
-        }
+        let committed: u64 = (0..self.lps.len()).map(|k| self.lps.fossil_collect(k, gvt)).sum();
         self.uncommitted -= committed as usize;
         self.shared.stats.committed.fetch_add(committed, Ordering::Relaxed);
         WallNs(self.shared.cfg.cost.fossil_per_event.0 * committed)
@@ -399,8 +393,8 @@ impl<M: Model> Worker<M> {
         let cost = cfg.cost;
         let mut charge = WallNs::ZERO;
 
-        let idx = self.lp_index(event.dst);
-        if event.key() <= self.lps[idx].last_key() {
+        let idx = self.lps.index(event.dst);
+        if event.key() <= self.lps.last_key(idx) {
             // Straggler: roll the LP back to just before this event. Local
             // antis must apply before processing resumes — the re-execution
             // below reuses the sequence numbers they cancel.
@@ -415,8 +409,9 @@ impl<M: Model> Worker<M> {
                 event.recv_time
             );
             self.counters.stragglers += 1;
-            let rb = self.lps[idx].rollback_to(&*self.model, event.key(), end, cfg.total_lps());
-            charge += self.apply_rollback(now, rb, true);
+            let rb = &mut self.rollback;
+            self.lps.rollback_to(&*self.model, idx, event.key(), end, cfg.total_lps(), rb);
+            charge += self.apply_rollback(now, true);
             charge += self.drain_local_antis(now + charge);
         }
 
@@ -429,7 +424,7 @@ impl<M: Model> Worker<M> {
         let (eid, edst) = (event.id, event.dst);
         let span_start = now + charge;
         let mut emit = std::mem::take(&mut self.emit);
-        let epg = self.lps[idx].process(&*self.model, &ctx, event, &mut emit);
+        let epg = self.lps.process(&*self.model, idx, &ctx, event, &mut emit);
         let span = cost.event_overhead + cost.epg_cost(epg);
         {
             let (worker, vt) = (self.widx, ctx.now);
@@ -447,7 +442,7 @@ impl<M: Model> Worker<M> {
         let base = ctx.now;
         for (dst, delay, payload) in emit.take() {
             let recv_time = base + delay;
-            let id = self.lps[idx].record_send(dst, recv_time);
+            let id = self.lps.record_send(idx, dst, recv_time);
             charge +=
                 self.route(now + charge, EventMsg::Event(Event { recv_time, dst, id, payload }));
         }
@@ -466,15 +461,14 @@ impl<M: Model> Worker<M> {
         // GVT has passed the end time: everything processed is final and
         // no rollback can follow (so periodic-snapshot retention lifts).
         let end = self.shared.cfg.end_vt();
-        let mut committed = 0u64;
-        for lp in &mut self.lps {
-            committed += lp.fossil_collect_final(end);
-        }
+        let committed: u64 =
+            (0..self.lps.len()).map(|k| self.lps.fossil_collect_final(k, end)).sum();
         self.uncommitted -= committed as usize;
         self.shared.stats.committed.fetch_add(committed, Ordering::Relaxed);
         let mut fp = 0u64;
-        for lp in &self.lps {
-            fp ^= crate::seq::fingerprint_mix(lp.id, self.model.state_fingerprint(&lp.state));
+        for k in 0..self.lps.len() {
+            let lp_fp = self.model.state_fingerprint(self.lps.state(k));
+            fp ^= crate::seq::fingerprint_mix(self.lps.id(k), lp_fp);
         }
         self.shared.stats.state_fp.fetch_xor(fp, Ordering::AcqRel);
         self.shared.stats.store_worker_counters(self.widx, &self.counters);

@@ -1,12 +1,13 @@
 //! Property tests for LP rollback: arbitrary interleavings of processing
-//! and rollbacks always restore exact state, and replay converges to the
-//! in-order execution.
+//! and rollbacks always restore exact state, replay converges to the
+//! in-order execution, and LPs sharing one table behave as if each had a
+//! table of its own.
 
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::VirtualTime;
 use cagvt_core::event::{Event, EventKey};
-use cagvt_core::lp::{LpRuntime, RollbackStrategy};
+use cagvt_core::lp::{LpTable, Rollback, RollbackStrategy};
 use cagvt_core::model::{Emitter, EventCtx, Model};
 use proptest::prelude::*;
 
@@ -79,6 +80,27 @@ fn ctx(t: f64) -> EventCtx {
     EventCtx { now: VirtualTime::new(t), self_lp: LpId(0), end_time: end(), total_lps: 1 }
 }
 
+/// A table holding LP 0 alone.
+fn one<M: Model>(model: &M, seed: u64, strategy: RollbackStrategy) -> LpTable<M> {
+    LpTable::new(model, LpId(0), 1, seed, strategy)
+}
+
+fn rollback_to<M: Model>(lp: &mut LpTable<M>, model: &M, key: EventKey) -> Rollback<M::Payload> {
+    let mut rb = Rollback::default();
+    lp.rollback_to(model, 0, key, end(), 1, &mut rb);
+    rb
+}
+
+fn rollback_cancel<M: Model>(
+    lp: &mut LpTable<M>,
+    model: &M,
+    key: EventKey,
+) -> Rollback<M::Payload> {
+    let mut rb = Rollback::default();
+    lp.rollback_cancel(model, 0, key, end(), 1, &mut rb);
+    rb
+}
+
 fn make_events(times: &[u16]) -> Vec<Event<u32>> {
     let mut sorted: Vec<u16> = times.to_vec();
     sorted.sort_unstable();
@@ -95,13 +117,13 @@ fn make_events(times: &[u16]) -> Vec<Event<u32>> {
         .collect()
 }
 
-fn process(lp: &mut LpRuntime<HashModel>, e: Event<u32>) {
+fn process(lp: &mut LpTable<HashModel>, e: Event<u32>) {
     let t = e.recv_time.as_f64();
     let mut em = Emitter::new();
-    lp.process(&HashModel, &ctx(t), e, &mut em);
+    lp.process(&HashModel, 0, &ctx(t), e, &mut em);
     let sends: Vec<(LpId, f64)> = em.take().map(|(d, dl, _)| (d, dl)).collect();
     for (dst, delay) in sends {
-        lp.record_send(dst, VirtualTime::new(t + delay));
+        lp.record_send(0, dst, VirtualTime::new(t + delay));
     }
 }
 
@@ -119,7 +141,7 @@ proptest! {
         let events = make_events(&times);
 
         // Ground truth: straight-through processing.
-        let mut truth = LpRuntime::<HashModel>::new(LpId(0), &HashModel, seed);
+        let mut truth = one(&HashModel, seed, RollbackStrategy::Snapshot);
         for e in &events {
             process(&mut truth, e.clone());
         }
@@ -127,7 +149,7 @@ proptest! {
         for strategy in strategies() {
             // Optimistic: process everything, then roll back to a random
             // cut and replay the tail — under every rollback strategy.
-            let mut lp = LpRuntime::<HashModel>::with_strategy(LpId(0), &HashModel, seed, strategy);
+            let mut lp = one(&HashModel, seed, strategy);
             for e in &events {
                 process(&mut lp, e.clone());
             }
@@ -136,7 +158,7 @@ proptest! {
                 t: events[cut_idx].recv_time,
                 id: EventId::new(LpId(0), 0), // below any real id at that time
             };
-            let rb = lp.rollback_to(&HashModel, cut_key, end(), 1);
+            let rb = rollback_to(&mut lp, &HashModel, cut_key);
             // Everything from cut_idx (inclusive, because its key is above
             // the synthetic cut key) must have been undone.
             prop_assert_eq!(rb.undone as usize, events.len() - cut_idx, "{:?}", strategy);
@@ -147,9 +169,9 @@ proptest! {
             for e in replay {
                 process(&mut lp, e);
             }
-            prop_assert_eq!(lp.state, truth.state, "state must converge ({:?})", strategy);
-            prop_assert_eq!(lp.rng, truth.rng, "rng must converge ({:?})", strategy);
-            prop_assert_eq!(lp.lvt(), truth.lvt());
+            prop_assert_eq!(lp.state(0), truth.state(0), "state must converge ({:?})", strategy);
+            prop_assert_eq!(lp.rng(0), truth.rng(0), "rng must converge ({:?})", strategy);
+            prop_assert_eq!(lp.lvt(0), truth.lvt(0));
         }
     }
 
@@ -166,12 +188,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let events = make_events(&times);
-        let mut truth = LpRuntime::<HashModel>::new(LpId(0), &HashModel, seed);
+        let mut truth = one(&HashModel, seed, RollbackStrategy::Snapshot);
         for e in &events {
             process(&mut truth, e.clone());
         }
         let strategy = RollbackStrategy::PeriodicSnapshot(k);
-        let mut lp = LpRuntime::<HashModel>::with_strategy(LpId(0), &HashModel, seed, strategy);
+        let mut lp = one(&HashModel, seed, strategy);
         for e in &events {
             process(&mut lp, e.clone());
         }
@@ -179,7 +201,7 @@ proptest! {
         let mut committed = 0u64;
         for g in &gvt_tenths {
             let gvt = VirtualTime::new(*g as f64 / 10.0);
-            committed += lp.fossil_collect(gvt);
+            committed += lp.fossil_collect(0, gvt);
             let below = events.iter().filter(|e| e.recv_time < gvt).count() as u64;
             prop_assert!(committed <= below, "over-committed past GVT");
         }
@@ -191,16 +213,16 @@ proptest! {
                 t: survivors[cut_idx].recv_time,
                 id: EventId::new(LpId(0), 0),
             };
-            let rb = lp.rollback_to(&HashModel, cut_key, end(), 1);
+            let rb = rollback_to(&mut lp, &HashModel, cut_key);
             let mut replay = rb.reenqueue;
             replay.sort_by_key(|e| e.key());
             for e in replay {
                 process(&mut lp, e);
             }
         }
-        prop_assert_eq!(lp.state, truth.state, "state must converge after fossil+rollback");
-        prop_assert_eq!(lp.rng, truth.rng);
-        prop_assert_eq!(lp.lvt(), truth.lvt());
+        prop_assert_eq!(lp.state(0), truth.state(0), "state must converge after fossil+rollback");
+        prop_assert_eq!(lp.rng(0), truth.rng(0));
+        prop_assert_eq!(lp.lvt(0), truth.lvt(0));
     }
 
     /// Fossil collection frees exactly the events strictly below GVT and
@@ -212,17 +234,17 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let events = make_events(&times);
-        let mut lp = LpRuntime::<HashModel>::new(LpId(0), &HashModel, seed);
+        let mut lp = one(&HashModel, seed, RollbackStrategy::Snapshot);
         for e in &events {
             process(&mut lp, e.clone());
         }
-        let state_before = lp.state;
+        let state_before = *lp.state(0);
         let gvt = VirtualTime::new(gvt_tenths as f64 / 10.0);
-        let committed = lp.fossil_collect(gvt);
+        let committed = lp.fossil_collect(0, gvt);
         let expected = events.iter().filter(|e| e.recv_time < gvt).count() as u64;
         prop_assert_eq!(committed, expected);
-        prop_assert_eq!(lp.state, state_before);
-        prop_assert_eq!(lp.history_len() as u64, events.len() as u64 - expected);
+        prop_assert_eq!(*lp.state(0), state_before);
+        prop_assert_eq!(lp.history_len(0) as u64, events.len() as u64 - expected);
     }
 }
 
@@ -267,17 +289,19 @@ impl Model for FanModel {
 /// destination and the receive time.
 type Send = (EventId, LpId, VirtualTime);
 
-/// Process `e` as the worker would; returns its sends in send order.
-fn process_fan(lp: &mut LpRuntime<FanModel>, e: Event<u32>) -> Vec<Send> {
+/// Process `e` at LP `lp` of `table` as the worker would; returns its sends
+/// in send order.
+fn process_fan(table: &mut LpTable<FanModel>, lp: usize, e: Event<u32>) -> Vec<Send> {
     let t = e.recv_time;
+    let ctx = EventCtx { now: t, self_lp: table.id(lp), end_time: end(), total_lps: 1 };
     let mut em = Emitter::new();
-    lp.process(&FanModel, &ctx(t.as_f64()), e, &mut em);
+    table.process(&FanModel, lp, &ctx, e, &mut em);
     let sends: Vec<(LpId, f64)> = em.take().map(|(d, dl, _)| (d, dl)).collect();
     sends
         .into_iter()
         .map(|(dst, delay)| {
             let recv_time = t + delay;
-            (lp.record_send(dst, recv_time), dst, recv_time)
+            (table.record_send(lp, dst, recv_time), dst, recv_time)
         })
         .collect()
 }
@@ -291,10 +315,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// Random interleavings of processing, straggler and cancel rollbacks
-    /// and fossil collection keep the send log in step with the history,
-    /// under every strategy: `LpRuntime` checks its log invariant after
-    /// every operation (debug builds), and the test checks what the log
-    /// yields against a shadow copy — each rollback's antis are the undone
+    /// and fossil collection keep the send chains in step with the history,
+    /// under every strategy: `LpTable` checks its chain invariants after
+    /// every operation (debug builds), and the test checks what the chains
+    /// yield against a shadow copy — each rollback's antis are the undone
     /// entries' sends, newest entry first and in send order within one;
     /// re-execution continues the id sequence where the undone entries
     /// started; and a final rollback of everything returns exactly the
@@ -309,7 +333,7 @@ proptest! {
             RollbackStrategy::Reverse,
             RollbackStrategy::PeriodicSnapshot(3),
         ] {
-            let mut lp = LpRuntime::<FanModel>::with_strategy(LpId(0), &FanModel, seed, strategy);
+            let mut lp = one(&FanModel, seed, strategy);
             // Uncommitted history as the test saw it: key and sends.
             let mut shadow: Vec<(EventKey, Vec<Send>)> = Vec::new();
             // Undone events waiting to be re-executed.
@@ -324,14 +348,14 @@ proptest! {
                         let e = pending.pop().unwrap_or_else(|| {
                             next_id += 1;
                             Event {
-                                recv_time: lp.lvt() + 0.25 * (1 + arg % 8) as f64,
+                                recv_time: lp.lvt(0) + 0.25 * (1 + arg % 8) as f64,
                                 dst: LpId(0),
                                 id: EventId::new(LpId(9), next_id),
                                 payload: arg as u32,
                             }
                         });
                         let key = e.key();
-                        let sends = process_fan(&mut lp, e);
+                        let sends = process_fan(&mut lp, 0, e);
                         for s in &sends {
                             prop_assert_eq!(s.0, EventId::new(LpId(0), next_seq), "{:?}", strategy);
                             next_seq += 1;
@@ -350,9 +374,9 @@ proptest! {
                         let i = live[arg as usize % live.len()];
                         let target = shadow[i].0;
                         let rb = if kind == 2 {
-                            lp.rollback_to(&FanModel, below_key(target.t), end(), 1)
+                            rollback_to(&mut lp, &FanModel, below_key(target.t))
                         } else {
-                            lp.rollback_cancel(&FanModel, target, end(), 1)
+                            rollback_cancel(&mut lp, &FanModel, target)
                         };
                         let undo = shadow.split_off(i);
                         prop_assert_eq!(rb.undone as usize, undo.len());
@@ -379,17 +403,140 @@ proptest! {
                         if floor > gvt {
                             gvt = floor;
                         }
-                        let n = lp.fossil_collect(gvt) as usize;
+                        let n = lp.fossil_collect(0, gvt) as usize;
                         shadow.drain(..n);
                     }
                 }
-                prop_assert_eq!(lp.history_len(), shadow.len(), "{:?}", strategy);
+                prop_assert_eq!(lp.history_len(0), shadow.len(), "{:?}", strategy);
             }
-            let rb = lp.rollback_to(&FanModel, EventKey::MIN, end(), 1);
+            let rb = rollback_to(&mut lp, &FanModel, EventKey::MIN);
             let got: Vec<Send> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
             let want: Vec<Send> =
                 shadow.iter().rev().flat_map(|(_, s)| s.iter().copied()).collect();
             prop_assert_eq!(got, want, "{:?}", strategy);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Several LPs share one table, so their history and send chains
+    /// interleave in its two slabs. Random interleavings of processing,
+    /// straggler and cancel rollbacks and both fossil collections, each on
+    /// a random LP, leave every LP exactly where a one-LP table given the
+    /// same operations stands: state, generator, last key, history length,
+    /// and each rollback's undone events and antis, in order. Once all
+    /// history commits, neither slab holds a live node, so a leaked chain
+    /// fails.
+    #[test]
+    fn shared_table_matches_one_table_per_lp(
+        ops in prop::collection::vec((0u8..6, any::<u8>(), any::<u16>()), 1..120),
+        seed in any::<u64>(),
+    ) {
+        const LPS: usize = 3;
+        const FIRST: u32 = 4;
+        for strategy in [
+            RollbackStrategy::Snapshot,
+            RollbackStrategy::Reverse,
+            RollbackStrategy::PeriodicSnapshot(3),
+        ] {
+            let mut shared = LpTable::new(&FanModel, LpId(FIRST), LPS as u32, seed, strategy);
+            let mut alone: Vec<LpTable<FanModel>> = (0..LPS as u32)
+                .map(|k| LpTable::new(&FanModel, LpId(FIRST + k), 1, seed, strategy))
+                .collect();
+            // Per LP: the uncommitted history's keys, and the undone events
+            // waiting to be re-executed.
+            let mut shadow: Vec<Vec<EventKey>> = vec![Vec::new(); LPS];
+            let mut pending: Vec<Vec<Event<u32>>> = vec![Vec::new(); LPS];
+            // A final fossil collection leaves periodic saving no
+            // restoration point, so that LP takes no more rollbacks.
+            let mut settled = [false; LPS];
+            let (mut rb, mut rb_alone) = (Rollback::default(), Rollback::default());
+            let mut next_id = 0u64;
+            let mut gvt = VirtualTime::ZERO;
+            for &(kind, pick, arg) in &ops {
+                let k = pick as usize % LPS;
+                match kind {
+                    0 | 1 => {
+                        pending[k].sort_by_key(|e| std::cmp::Reverse(e.key()));
+                        let e = pending[k].pop().unwrap_or_else(|| {
+                            next_id += 1;
+                            Event {
+                                recv_time: shared.lvt(k) + 0.25 * (1 + arg % 8) as f64,
+                                dst: shared.id(k),
+                                id: EventId::new(LpId(99), next_id),
+                                payload: arg as u32,
+                            }
+                        });
+                        shadow[k].push(e.key());
+                        let got = process_fan(&mut shared, k, e.clone());
+                        prop_assert_eq!(got, process_fan(&mut alone[k], 0, e), "{:?}", strategy);
+                    }
+                    2 | 3 => {
+                        let live: Vec<usize> =
+                            (0..shadow[k].len()).filter(|&i| shadow[k][i].t >= gvt).collect();
+                        if live.is_empty() || settled[k] {
+                            continue;
+                        }
+                        let i = live[arg as usize % live.len()];
+                        let target = shadow[k][i];
+                        let (run_end, total) = (end(), LPS as u32);
+                        if kind == 2 {
+                            let key = below_key(target.t);
+                            shared.rollback_to(&FanModel, k, key, run_end, total, &mut rb);
+                            alone[k].rollback_to(&FanModel, 0, key, run_end, total, &mut rb_alone);
+                        } else {
+                            shared.rollback_cancel(&FanModel, k, target, run_end, total, &mut rb);
+                            alone[k]
+                                .rollback_cancel(&FanModel, 0, target, run_end, total, &mut rb_alone);
+                        }
+                        let undone = shadow[k].split_off(i);
+                        prop_assert_eq!(rb.undone as usize, undone.len());
+                        prop_assert_eq!(rb.undone, rb_alone.undone);
+                        prop_assert_eq!(&rb.antis, &rb_alone.antis, "{:?}", strategy);
+                        let keys = |r: &Rollback<u32>| -> Vec<EventKey> {
+                            r.reenqueue.iter().map(Event::key).collect()
+                        };
+                        prop_assert_eq!(keys(&rb), keys(&rb_alone));
+                        pending[k].append(&mut rb.reenqueue);
+                    }
+                    _ => {
+                        // Advance GVT to an uncommitted entry's time, never
+                        // past an event still waiting to be re-executed.
+                        let keys: Vec<EventKey> = shadow.iter().flatten().copied().collect();
+                        let Some(key) = keys.get(arg as usize % keys.len().max(1)) else {
+                            continue;
+                        };
+                        let floor = pending.iter().flatten().map(|e| e.recv_time).fold(key.t, |a, b| {
+                            if b < a { b } else { a }
+                        });
+                        if floor > gvt {
+                            gvt = floor;
+                        }
+                        let (got, want) = if kind == 4 {
+                            (shared.fossil_collect(k, gvt), alone[k].fossil_collect(0, gvt))
+                        } else {
+                            settled[k] |= matches!(strategy, RollbackStrategy::PeriodicSnapshot(_));
+                            (shared.fossil_collect_final(k, gvt), alone[k].fossil_collect_final(0, gvt))
+                        };
+                        prop_assert_eq!(got, want, "{:?}", strategy);
+                        shadow[k].drain(..got as usize);
+                    }
+                }
+                for (k, lp) in alone.iter().enumerate() {
+                    prop_assert_eq!(shared.state(k), lp.state(0), "{:?}", strategy);
+                    prop_assert_eq!(shared.rng(k), lp.rng(0));
+                    prop_assert_eq!(shared.last_key(k), lp.last_key(0));
+                    prop_assert_eq!(shared.history_len(k), lp.history_len(0));
+                    prop_assert_eq!(shared.history_len(k), shadow[k].len());
+                }
+            }
+            for (k, lp) in alone.iter_mut().enumerate() {
+                let n = shared.fossil_collect_final(k, VirtualTime::INFINITY);
+                prop_assert_eq!(n, lp.fossil_collect_final(0, VirtualTime::INFINITY));
+            }
+            prop_assert_eq!(shared.live_nodes(), (0, 0), "{:?}: a chain leaked", strategy);
         }
     }
 }

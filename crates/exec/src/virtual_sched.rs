@@ -81,8 +81,10 @@ pub struct VirtualRunStats {
 /// Any step may ask to be parked ([`StepResult::park`]). The actor
 /// then leaves the heap and its repeat polls are not executed. Its poll
 /// grid — the instants polling would have stepped it at, each advanced by
-/// `max(actor_cost(repeated poll), MIN_ADVANCE)` — is walked lazily, one
-/// `actor_cost` call per skipped poll, when a wake arrives:
+/// `max(actor_cost(repeated poll), MIN_ADVANCE)` — is walked lazily when a
+/// wake arrives: with no fault injector every step is the same and the
+/// walk is one division, otherwise it is one `actor_cost` call per skipped
+/// poll.
 ///
 /// * a [`notify_all`](wake::notify_all) (or, for actors parked with
 ///   [`Park::pace`], a [`notify_pace`](wake::notify_pace)) posted by the
@@ -138,6 +140,32 @@ struct Parking {
     timers: BinaryHeap<Reverse<(u64, usize, u32)>>,
 }
 
+/// The first instant `g` of actor `id`'s poll grid from `next` with
+/// `g >= at` and `(g, id) > after`, and the number of polls before it. The
+/// grid advances by `step(g)` from each instant `g`.
+fn walk_polls(
+    next: u64,
+    at: u64,
+    after: (u64, u32),
+    id: u32,
+    mut step: impl FnMut(u64) -> u64,
+) -> (u64, u64) {
+    let (mut g, mut skipped) = (next, 0);
+    while g < at || (g, id) <= after {
+        g += step(g);
+        skipped += 1;
+    }
+    (g, skipped)
+}
+
+/// [`walk_polls`] for a grid of fixed `step`, in closed form: the bounds
+/// amount to `g >= lo`, so the grid takes `ceil((lo - next) / step)` steps.
+fn first_poll(next: u64, step: u64, at: u64, after: (u64, u32), id: u32) -> (u64, u64) {
+    let lo = at.max(after.0 + (id <= after.1) as u64);
+    let skipped = lo.saturating_sub(next).div_ceil(step);
+    (next + skipped * step, skipped)
+}
+
 impl Parking {
     fn new(ids: Vec<u32>) -> Self {
         let id_bound = ids.iter().map(|&id| id as usize + 1).max().unwrap_or(0);
@@ -185,16 +213,12 @@ impl Parking {
         self.count -= 1;
         self.pace -= p.park.pace as usize;
         let id = self.ids[slot];
-        let mut g = p.next;
-        let mut skipped = 0u64;
-        while g < at || (g, id) <= after {
-            let cost = match &cfg.faults {
-                Some(f) => f.actor_cost(ActorId(id), WallNs(g), p.cost),
-                None => p.cost,
-            };
-            g += cost.max(MIN_ADVANCE).0;
-            skipped += 1;
-        }
+        let (g, skipped) = match &cfg.faults {
+            None => first_poll(p.next, p.cost.max(MIN_ADVANCE).0, at, after, id),
+            Some(f) => walk_polls(p.next, at, after, id, |g| {
+                f.actor_cost(ActorId(id), WallNs(g), p.cost).max(MIN_ADVANCE).0
+            }),
+        };
         if skipped > 0 {
             self.board.credit(ActorId(id), skipped);
             self.skipped[(p.outcome == StepOutcome::Progress) as usize] += skipped;
@@ -341,8 +365,54 @@ mod tests {
     use super::*;
     use cagvt_base::actor::StepResult;
     use cagvt_base::ids::ActorId;
+    use cagvt_base::rng::Pcg32;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    /// The closed form lands on the instant, and skips the polls, that
+    /// walking the grid one step at a time does: on the edge cases (an
+    /// instant exactly at `at`, or at `after.0` with the id on either side
+    /// of `after.1`, and steps raised to `MIN_ADVANCE`) and on random grids.
+    #[test]
+    fn closed_form_poll_walk_matches_the_loop() {
+        let check = |next: u64, cost: u64, at: u64, after: (u64, u32), id: u32| {
+            let step = cost.max(MIN_ADVANCE.0);
+            let want = walk_polls(next, at, after, id, |_| step);
+            assert_eq!(
+                first_poll(next, step, at, after, id),
+                want,
+                "next {next} cost {cost} at {at} after {after:?} id {id}"
+            );
+            want
+        };
+        // A grid 100, 200, 300, ...: `at` on an instant, `at` between two.
+        assert_eq!(check(100, 100, 300, (0, 0), 5), (300, 2));
+        assert_eq!(check(100, 100, 301, (0, 0), 5), (400, 3));
+        // An instant at `after.0`: taken only if the id orders after it.
+        assert_eq!(check(100, 100, 0, (300, 4), 5), (300, 2));
+        assert_eq!(check(100, 100, 0, (300, 5), 5), (400, 3));
+        assert_eq!(check(100, 100, 0, (300, 6), 5), (400, 3));
+        // Both bounds at once; the later one decides.
+        assert_eq!(check(100, 100, 300, (300, 7), 5), (400, 3));
+        // Already past both bounds: nothing is skipped.
+        assert_eq!(check(500, 100, 300, (400, 9), 5), (500, 0));
+        // A cost under `MIN_ADVANCE` steps by `MIN_ADVANCE`.
+        assert_eq!(check(0, 0, 120, (0, 0), 1), (150, 3));
+        assert_eq!(check(0, 7, 0, (100, 1), 1), (150, 3));
+        let mut rng = Pcg32::new(9, 9);
+        for _ in 0..100_000 {
+            let next = rng.next_bounded(10_000) as u64;
+            let cost = rng.next_bounded(300) as u64;
+            let at = rng.next_bounded(20_000) as u64;
+            // Often exactly on the grid, to hit the boundary.
+            let step = cost.max(MIN_ADVANCE.0);
+            let on_grid = next + step * rng.next_bounded(100) as u64;
+            let after_t =
+                if rng.next_bounded(2) == 0 { on_grid } else { rng.next_bounded(20_000) as u64 };
+            let at = if rng.next_bounded(4) == 0 { on_grid } else { at };
+            check(next, cost, at, (after_t, rng.next_bounded(4)), rng.next_bounded(4));
+        }
+    }
 
     /// Appends (actor, step-time) to a shared trace; finishes after `n`
     /// steps of fixed cost.

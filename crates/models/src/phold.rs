@@ -398,14 +398,24 @@ mod tests {
         assert_ne!(model.state_fingerprint(&a), model.state_fingerprint(&b));
     }
 
-    /// A PHOLD history entry is the event, the pre-event generator, the
-    /// first send sequence number and a snapshot flag: 64 bytes on a
-    /// 64-bit target, with no room for a state copy.
+    /// The LP table's layout for PHOLD on a 64-bit target: an LP record
+    /// within two cache lines, a history node (the event, the pre-event
+    /// generator, three chain links and a snapshot flag) with no room for
+    /// a state copy, and a send node whose link fills the padding of
+    /// `(LpId, VirtualTime)`.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn history_entry_is_64_bytes() {
-        use cagvt_core::lp::ProcessedEvent;
-        assert_eq!(std::mem::size_of::<ProcessedEvent<PholdModel>>(), 64);
+    fn lp_table_nodes_stay_small() {
+        use cagvt_core::lp::{HistoryNode, LpRecord, SendNode};
+        use std::mem::size_of;
+        assert!(size_of::<LpRecord<PholdModel>>() <= 128, "{}", size_of::<LpRecord<PholdModel>>());
+        assert!(
+            size_of::<HistoryNode<PholdModel>>() <= 72,
+            "{}",
+            size_of::<HistoryNode<PholdModel>>()
+        );
+        assert_eq!(size_of::<SendNode>(), 16);
+        assert_eq!(size_of::<(LpId, VirtualTime)>(), 16);
     }
 }
 
