@@ -10,9 +10,8 @@ use cagvt_base::{MetricsSink, TraceSink};
 use cagvt_bench::{base_config, run_one, run_one_observed, Scale};
 use cagvt_core::event::Event;
 use cagvt_core::lp::{LpTable, RollbackStrategy};
-use cagvt_core::model::{Emitter, EventCtx};
 use cagvt_core::queue::PendingSet;
-use cagvt_core::RunReport;
+use cagvt_core::{RunReport, SimConfig};
 use cagvt_gvt::GvtKind;
 use cagvt_metrics::MetricsRegistry;
 use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
@@ -95,7 +94,7 @@ fn pending_set(c: &mut Criterion) {
 
 /// One worker's LP history at `comp-mattern-2n` size: 128 COMP-PHOLD LPs
 /// under reverse computation, rounds of 40 one-send events on random LPs
-/// (each send logged as the worker does), then a fossil pass over every
+/// (the table stamps and logs each send), then a fossil pass over every
 /// LP at a GVT that trails the newest event by half a round. Measures the
 /// history push, send logging and commit cost without routing or GVT.
 fn lp_history(c: &mut Criterion) {
@@ -104,16 +103,20 @@ fn lp_history(c: &mut Criterion) {
     const EVENTS_PER_ROUND: usize = 40;
     let mut group = c.benchmark_group("lp_history");
     let topo = Topology { lps_per_worker: LPS, workers_per_node: 60, nodes: 2 };
-    let model =
-        PholdModel::new(topo, PhaseSchedule::constant(PholdParams::new(0.10, 0.01, 10_000)));
-    let end_time = VirtualTime::new(1e9);
-    let lps = || LpTable::new(&model, LpId(0), LPS, 1, RollbackStrategy::Reverse);
+    let model = Arc::new(PholdModel::new(
+        topo,
+        PhaseSchedule::constant(PholdParams::new(0.10, 0.01, 10_000)),
+    ));
+    let mut cfg = SimConfig::paper(2);
+    (cfg.end_time, cfg.seed, cfg.rollback) = (1e9, 1, Some(RollbackStrategy::Reverse));
+    assert_eq!(cfg.total_lps(), topo.total_lps());
+    let lps = || LpTable::new(Arc::clone(&model), &cfg, LpId(0), LPS);
     group.bench_function("phold_128lp_40ev_rounds", |b| {
         b.iter_batched(
             lps,
             |mut lps| {
                 let mut rng = Pcg32::new(4, 4);
-                let mut emit = Emitter::new();
+                let mut sent = Vec::new();
                 let mut t = 0.0;
                 let mut committed = 0u64;
                 for round in 0..ROUNDS {
@@ -128,12 +131,8 @@ fn lp_history(c: &mut Criterion) {
                             id: EventId::new(LpId(LPS), seq),
                             payload: 0,
                         };
-                        let ctx =
-                            EventCtx { now, self_lp: dst, end_time, total_lps: topo.total_lps() };
-                        lps.process(&model, dst.index(), &ctx, event, &mut emit);
-                        for (to, delay, _payload) in emit.take() {
-                            lps.record_send(dst.index(), to, now + delay);
-                        }
+                        lps.process(dst.index(), event, &mut sent);
+                        sent.clear();
                     }
                     let gvt = VirtualTime::new(t - 0.01 * (EVENTS_PER_ROUND / 2) as f64);
                     for k in 0..lps.len() {

@@ -2,9 +2,8 @@
 
 use cagvt_base::actor::Actor;
 use cagvt_base::fault::FaultInjector;
-use cagvt_base::ids::{ActorId, EventId, LaneId, NodeId};
+use cagvt_base::ids::{ActorId, LaneId, NodeId};
 use cagvt_base::metrics::MetricsSink;
-use cagvt_base::time::VirtualTime;
 use cagvt_base::trace::TraceSink;
 use cagvt_exec::{VirtualConfig, VirtualScheduler};
 use cagvt_net::{fabric_pair, MpiMode};
@@ -14,7 +13,7 @@ use crate::config::SimConfig;
 use crate::event::Event;
 use crate::gvt::{GvtBundle, GvtSharedCore};
 use crate::lp::LpTable;
-use crate::model::{Emitter, Model};
+use crate::model::Model;
 use crate::mpi_actor::{MpiActor, MpiPump};
 use crate::node::{EngineShared, NodeShared};
 use crate::report::RunReport;
@@ -80,57 +79,34 @@ pub fn build_cluster<M: Model>(
     let spec = cfg.spec;
     let total_workers = spec.total_workers();
 
-    // Construct workers with their LPs.
-    let mut workers: Vec<Worker<M>> = Vec::with_capacity(total_workers as usize);
+    // Each worker's LP table, seeded at time zero, every seeding event
+    // gathered under the worker owning its destination.
+    let mut tables = Vec::with_capacity(total_workers as usize);
+    let mut seeds: Vec<Vec<Event<M::Payload>>> = (0..total_workers).map(|_| Vec::new()).collect();
+    let mut sent = Vec::new();
     for n in 0..spec.nodes {
         for l in 0..spec.workers_per_node {
-            let node = NodeId(n);
-            let lane = LaneId(l);
-            let widx = shared.worker_index(node, lane);
-            let first = shared.first_lp(node, lane);
-            let strategy = cfg.rollback_strategy(shared.model.supports_reverse());
-            let lps = LpTable::new(&*shared.model, first, cfg.lps_per_worker, cfg.seed, strategy);
-            let gvt = bundle.worker_gvt(node, lane, widx);
-            // Without a dedicated MPI thread, worker lane 0 drives the pump.
-            let mpi_duty = (spec.mpi_mode != MpiMode::Dedicated && l == 0)
-                .then(|| MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node)));
-            workers.push(Worker::new(
-                ActorId(widx),
-                node,
-                lane,
-                Arc::clone(&shared),
-                lps,
-                gvt,
-                mpi_duty,
-            ));
-        }
-    }
-
-    // Time-zero seeding: run every LP's initial-event hook, gather each
-    // event under its owning worker, then build every pending set in bulk.
-    let mut emitter: Emitter<M::Payload> = Emitter::new();
-    let mut seeds: Vec<Vec<Event<M::Payload>>> = workers.iter().map(|_| Vec::new()).collect();
-    for worker in &mut workers {
-        let lps = worker.lps_mut();
-        for k in 0..lps.len() {
-            lps.seed_initial(&*shared.model, k, &mut emitter);
-            for (dst, delay, payload) in emitter.take() {
-                let id = EventId::new(lps.id(k), lps.next_seq(k));
-                let (dn, dl) = shared.locate(dst);
-                let event = Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload };
+            let first = shared.first_lp(NodeId(n), LaneId(l));
+            let mut lps = LpTable::new(Arc::clone(&shared.model), &cfg, first, cfg.lps_per_worker);
+            lps.seed(&mut sent);
+            for event in sent.drain(..) {
+                let (dn, dl) = shared.locate(event.dst);
                 seeds[shared.worker_index(dn, dl) as usize].push(event);
             }
+            tables.push(lps);
         }
     }
-    for (worker, events) in workers.iter_mut().zip(seeds) {
-        worker.preload_events(events);
-    }
 
-    // Box the actors: workers first (ActorId = worker index), then the
+    // The actors: workers first (ActorId = worker index), then the
     // dedicated MPI actors.
     let mut actors: Vec<Box<dyn Actor>> = Vec::new();
-    for w in workers {
-        actors.push(Box::new(w));
+    for (lps, events) in tables.into_iter().zip(seeds) {
+        let (node, lane) = shared.locate(lps.first_lp());
+        let gvt = bundle.worker_gvt(node, lane, shared.worker_index(node, lane));
+        // Without a dedicated MPI thread, worker lane 0 drives the pump.
+        let mpi_duty = (spec.mpi_mode != MpiMode::Dedicated && lane.0 == 0)
+            .then(|| MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node)));
+        actors.push(Box::new(Worker::new(Arc::clone(&shared), lps, events, gvt, mpi_duty)));
     }
     if spec.mpi_mode == MpiMode::Dedicated {
         for n in 0..spec.nodes {

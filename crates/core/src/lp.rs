@@ -27,7 +27,15 @@
 //!
 //! One [`LpTable`] holds all LPs of a worker (or of the sequential
 //! reference), as in ROSS, whose processed lists are linked through per-PE
-//! event pools:
+//! event pools. It owns the model and the run's constants (seed, rollback
+//! strategy, end time, LP total) and builds every handler call's context
+//! itself, and it is the only code that turns a model's emissions into
+//! identified events: [`LpTable::seed`] at time zero and
+//! [`LpTable::process`] afterwards stamp each one with `now + delay` and the
+//! sending LP's next sequence number. The engine's workers and the
+//! sequential reference call the same methods, so their events, ids and
+//! final [`LpTable::fingerprint`] agree whatever the partition of LPs into
+//! tables. The table stores:
 //!
 //! * a dense array of per-LP records ([`LpRecord`]): state, generator, send
 //!   sequence number, last processed key, the two ends of the LP's history
@@ -68,15 +76,14 @@
 //!   on the first processed event of a strategy that copies states: under
 //!   reverse computation an LP carries one word for it.
 //!
-//! Processing appends a history node and, per send, a send node
-//! ([`LpTable::record_send`]) and a state copy; rollback frees the undone
-//! nodes newest first, emitting an anti per send, and pops the log's tail
-//! in step; fossil collection frees the committed nodes oldest first and
-//! drains the log's head. Rollback costs O(undone) and fossil collection
-//! O(committed + 1), plus the sends of those entries. A history node is
-//! plain data of a fixed size whatever the state's size: for a model whose
-//! state and payload own no heap memory, a strategy that copies no state
-//! stores none.
+//! Processing appends a history node, a send node per send and a state
+//! copy; rollback frees the undone nodes newest first, emitting an anti per
+//! send, and pops the log's tail in step; fossil collection frees the
+//! committed nodes oldest first and drains the log's head. Rollback costs
+//! O(undone) and fossil collection O(committed + 1), plus the sends of those
+//! entries. A history node is plain data of a fixed size whatever the
+//! state's size: for a model whose state and payload own no heap memory, a
+//! strategy that copies no state stores none.
 //!
 //! Under every strategy, rollback restores `send_seq` to the first undone
 //! entry's first send (not just state and RNG), so committed re-executions
@@ -92,7 +99,9 @@ use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::VirtualTime;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
+use crate::config::SimConfig;
 use crate::event::{AntiMsg, Event, EventKey};
 use crate::model::{Emitter, EventCtx, Model};
 use crate::slab::{Link, Slab, NIL};
@@ -216,35 +225,59 @@ impl<M: Model> LpRecord<M> {
     }
 }
 
-/// The LPs `first_lp .. first_lp + len` under optimistic execution, with
-/// their histories (see the module doc). Every method takes an LP's index
-/// in the table.
+/// Scramble one LP's state fingerprint into a position-independent
+/// contribution; the total is the XOR over all LPs, so any partitioning of
+/// LPs across workers folds to the same value.
+fn fingerprint_mix(lp: LpId, fp: u64) -> u64 {
+    let mut z = (lp.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ fp;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The context every handler call shares: the run's end time and LP total.
+#[derive(Clone, Copy)]
+struct Run {
+    end_time: VirtualTime,
+    total_lps: u32,
+}
+
+impl Run {
+    /// The context of LP `lp`'s handler call at `now`.
+    #[inline]
+    fn ctx(self, lp: LpId, now: VirtualTime) -> EventCtx {
+        EventCtx { now, self_lp: lp, end_time: self.end_time, total_lps: self.total_lps }
+    }
+}
+
+/// The LPs `first_lp .. first_lp + len` of one run under optimistic
+/// execution, with the model, their histories (see the module doc) and the
+/// numbering of their sends. Every method takes an LP's index in the table.
 pub struct LpTable<M: Model> {
+    model: Arc<M>,
     first_lp: u32,
     strategy: RollbackStrategy,
+    run: Run,
     lps: Vec<LpRecord<M>>,
     history: Slab<HistoryNode<M>>,
     sends: Slab<SendNode>,
-    /// Coast-forward's sink for the emissions it drops.
+    /// The model's emissions from one hook or handler call, stamped into
+    /// events by [`Self::stamp`] (dropped while coasting forward).
     sink: Emitter<M::Payload>,
 }
 
 impl<M: Model> LpTable<M> {
-    /// `n_lps` LPs from `first_lp` on, each with its initial state and a
-    /// generator seeded from `seed` and its id.
-    pub fn new(
-        model: &M,
-        first_lp: LpId,
-        n_lps: u32,
-        seed: u64,
-        strategy: RollbackStrategy,
-    ) -> Self {
+    /// `n_lps` LPs of the run `cfg` from `first_lp` on, each with its
+    /// initial state and a generator seeded from `cfg.seed` and its id,
+    /// undone by the strategy `cfg` selects for `model`.
+    pub fn new(model: Arc<M>, cfg: &SimConfig, first_lp: LpId, n_lps: u32) -> Self {
+        let strategy = cfg.rollback_strategy(model.supports_reverse());
         if let RollbackStrategy::PeriodicSnapshot(k) = strategy {
             assert!(k >= 1, "snapshot period must be at least 1");
         }
         let lps = (first_lp.0..first_lp.0 + n_lps)
             .map(|id| {
-                let mut rng = Pcg32::new(seed, id as u64);
+                let mut rng = Pcg32::new(cfg.seed, id as u64);
                 let state = model.init_state(LpId(id), &mut rng);
                 LpRecord {
                     last_key: EventKey::MIN,
@@ -258,8 +291,10 @@ impl<M: Model> LpTable<M> {
             })
             .collect();
         LpTable {
+            model,
             first_lp: first_lp.0,
             strategy,
+            run: Run { end_time: cfg.end_vt(), total_lps: cfg.total_lps() },
             lps,
             history: Slab::with_capacity(0),
             sends: Slab::with_capacity(0),
@@ -333,43 +368,42 @@ impl<M: Model> LpTable<M> {
         (self.history.live(), self.sends.live())
     }
 
-    /// Run the model's initial-event hook for LP `lp` (time-zero seeding).
-    /// Its sends take sequence numbers from [`Self::next_seq`] but are not
-    /// recorded in history: nothing can roll back past time zero.
-    pub fn seed_initial(&mut self, model: &M, lp: usize, emit: &mut Emitter<M::Payload>) {
-        let id = self.id(lp);
-        let rec = &mut self.lps[lp];
-        model.initial_events(id, &mut rec.state, &mut rec.rng, emit);
+    /// The XOR over the table's LPs of each one's state fingerprint,
+    /// scrambled with its id: any partition of a run's LPs into tables folds
+    /// to the same total.
+    pub fn fingerprint(&self) -> u64 {
+        let fp = |k: usize| self.model.state_fingerprint(&self.lps[k].state);
+        (0..self.lps.len()).fold(0, |acc, k| acc ^ fingerprint_mix(self.id(k), fp(k)))
     }
 
-    /// Allocate LP `lp`'s next send sequence number for a time-zero seeding
-    /// send, which is never logged. Sends of processed events go through
-    /// [`Self::record_send`].
-    #[inline]
-    pub fn next_seq(&mut self, lp: usize) -> u64 {
-        let rec = &mut self.lps[lp];
-        debug_assert!(rec.newest == NIL, "unlogged send with history present");
-        rec.send_seq += 1;
-        rec.send_seq - 1
+    /// Time-zero seeding: run every LP's initial-event hook, in LP order,
+    /// appending the events to `out`. Their sends take sequence numbers but
+    /// are not logged: nothing can roll back past time zero.
+    pub fn seed(&mut self, out: &mut Vec<Event<M::Payload>>) {
+        for lp in 0..self.lps.len() {
+            let id = self.id(lp);
+            let rec = &mut self.lps[lp];
+            debug_assert!(rec.newest == NIL, "seeding after processing");
+            self.model.initial_events(id, &mut rec.state, &mut rec.rng, &mut self.sink);
+            self.stamp(lp, VirtualTime::ZERO, NIL, out);
+        }
     }
 
-    /// Optimistically process `event` at LP `lp`. Its key must be above the
-    /// LP's last processed key (the worker rolls back first otherwise).
-    /// Emitted events are left in `emit` for the worker to stamp and route,
-    /// logging each through [`Self::record_send`].
+    /// Optimistically process `event` at LP `lp`, appending the events it
+    /// sends to `out`, in send order. Its key must be above the LP's last
+    /// processed key (the worker rolls back first otherwise).
     ///
     /// Returns the model-reported EPG units.
     pub fn process(
         &mut self,
-        model: &M,
         lp: usize,
-        ctx: &EventCtx,
         event: Event<M::Payload>,
-        emit: &mut Emitter<M::Payload>,
+        out: &mut Vec<Event<M::Payload>>,
     ) -> u64 {
+        let now = event.recv_time;
+        let ctx = self.run.ctx(self.id(lp), now);
         let rec = &mut self.lps[lp];
         debug_assert!(event.key() > rec.last_key, "processing out of order");
-        debug_assert!(emit.is_empty());
         let snapshot = match self.strategy {
             RollbackStrategy::Reverse => false,
             RollbackStrategy::Snapshot => true,
@@ -389,7 +423,8 @@ impl<M: Model> LpTable<M> {
             rec.saving().log.push_back(state);
         }
         let rng = rec.rng;
-        let epg = model.handle(ctx, &mut rec.state, &event.payload, &mut rec.rng, emit);
+        let epg =
+            self.model.handle(&ctx, &mut rec.state, &event.payload, &mut rec.rng, &mut self.sink);
         rec.last_key = event.key();
         let older = rec.newest;
         let node = self.history.alloc(HistoryNode {
@@ -405,66 +440,54 @@ impl<M: Model> LpTable<M> {
             older => self.history[older].newer = node,
         }
         rec.newest = node;
+        self.stamp(lp, now, node, out);
         self.debug_check(lp);
         epg
     }
 
-    /// Log one send of LP `lp`'s most recently processed event and return
-    /// the id it carries. The worker calls this once per emission, in
-    /// emission order, after [`Self::process`].
-    #[inline]
-    pub fn record_send(&mut self, lp: usize, dst: LpId, recv_time: VirtualTime) -> EventId {
+    /// Turn the sink's emissions, made by LP `lp` at `now`, into events
+    /// appended to `out`: each receives at `now + delay` and carries the
+    /// LP's next sequence number. The sends of a processed event are logged
+    /// on its history node `entry`; seeding's (`entry == NIL`) are not.
+    fn stamp(&mut self, lp: usize, now: VirtualTime, entry: u32, out: &mut Vec<Event<M::Payload>>) {
         let id = self.id(lp);
         let rec = &mut self.lps[lp];
-        debug_assert!(rec.newest != NIL, "record_send before process");
-        let entry = &mut self.history[rec.newest];
-        entry.sends = self.sends.alloc(SendNode { recv_time, dst, next: entry.sends });
-        rec.send_seq += 1;
-        EventId::new(id, rec.send_seq - 1)
+        for (dst, delay, payload) in self.sink.take() {
+            let recv_time = now + delay;
+            if entry != NIL {
+                let node = &mut self.history[entry];
+                node.sends = self.sends.alloc(SendNode { recv_time, dst, next: node.sends });
+            }
+            out.push(Event { recv_time, dst, id: EventId::new(id, rec.send_seq), payload });
+            rec.send_seq += 1;
+        }
     }
 
     /// Roll LP `lp` back past every processed event with key `> to_key`
     /// (a straggler with key `to_key` is about to be processed), refilling
-    /// `out`. All undone events are re-enqueued. `end_time` and `total_lps`
-    /// are the run's, for the contexts of the inverse-handler and
-    /// coast-forward calls.
-    pub fn rollback_to(
-        &mut self,
-        model: &M,
-        lp: usize,
-        to_key: EventKey,
-        end_time: VirtualTime,
-        total_lps: u32,
-        out: &mut Rollback<M::Payload>,
-    ) {
-        self.rollback_inner(model, lp, to_key, false, end_time, total_lps, out);
+    /// `out`. All undone events are re-enqueued.
+    pub fn rollback_to(&mut self, lp: usize, to_key: EventKey, out: &mut Rollback<M::Payload>) {
+        self.rollback_inner(lp, to_key, false, out);
     }
 
     /// Roll LP `lp` back past every processed event with key
     /// `>= cancel_key`, which must be a processed event's key (anti-message
     /// induced), refilling `out`. The cancelled event is discarded instead
-    /// of re-enqueued. The run constants are as for [`Self::rollback_to`].
+    /// of re-enqueued.
     pub fn rollback_cancel(
         &mut self,
-        model: &M,
         lp: usize,
         cancel_key: EventKey,
-        end_time: VirtualTime,
-        total_lps: u32,
         out: &mut Rollback<M::Payload>,
     ) {
-        self.rollback_inner(model, lp, cancel_key, true, end_time, total_lps, out);
+        self.rollback_inner(lp, cancel_key, true, out);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn rollback_inner(
         &mut self,
-        model: &M,
         lp: usize,
         to_key: EventKey,
         cancel: bool,
-        end_time: VirtualTime,
-        total_lps: u32,
         out: &mut Rollback<M::Payload>,
     ) {
         out.reenqueue.clear();
@@ -503,11 +526,11 @@ impl<M: Model> LpTable<M> {
             if entry.snapshot {
                 rec.state = rec.saving().log.pop_back().expect("a snapshot per flagged entry");
             } else if reverse {
-                let ctx = EventCtx { now: event.recv_time, self_lp: id, end_time, total_lps };
+                let ctx = self.run.ctx(id, event.recv_time);
                 // Scratch generator at the pre-event position, so the
                 // reversal can re-derive the forward pass's draws.
                 let mut scratch = entry.rng;
-                model.reverse(&ctx, &mut rec.state, &event.payload, &mut scratch);
+                self.model.reverse(&ctx, &mut rec.state, &event.payload, &mut scratch);
             }
             if cancel && key == to_key {
                 met = true;
@@ -523,7 +546,7 @@ impl<M: Model> LpTable<M> {
             newest => self.history[newest].newer = NIL,
         }
         if out.undone > 0 && matches!(self.strategy, RollbackStrategy::PeriodicSnapshot(_)) {
-            self.coast_forward(model, lp, end_time, total_lps);
+            self.coast_forward(lp);
         }
         let rec = &mut self.lps[lp];
         rec.last_key = match rec.newest {
@@ -542,7 +565,7 @@ impl<M: Model> LpTable<M> {
     /// dropped: they were already sent, remain valid and stay in their send
     /// chains ("coasting forward"). `send_seq` is already the first undone
     /// entry's first send and is not touched.
-    fn coast_forward(&mut self, model: &M, lp: usize, end_time: VirtualTime, total_lps: u32) {
+    fn coast_forward(&mut self, lp: usize) {
         let id = self.id(lp);
         let rec = &mut self.lps[lp];
         if rec.newest == NIL {
@@ -567,8 +590,8 @@ impl<M: Model> LpTable<M> {
         while node != NIL {
             let entry = &self.history[node];
             let event = entry.event();
-            let ctx = EventCtx { now: event.recv_time, self_lp: id, end_time, total_lps };
-            model.handle(&ctx, &mut rec.state, &event.payload, &mut rec.rng, &mut self.sink);
+            let ctx = self.run.ctx(id, event.recv_time);
+            self.model.handle(&ctx, &mut rec.state, &event.payload, &mut rec.rng, &mut self.sink);
             self.sink.take().for_each(drop);
             node = entry.newer;
         }
@@ -733,13 +756,12 @@ mod tests {
         }
     }
 
-    /// The run's end time; the run has one LP.
-    fn end() -> VirtualTime {
-        VirtualTime::new(1e9)
-    }
-
-    fn ctx(t: f64) -> EventCtx {
-        EventCtx { now: VirtualTime::new(t), self_lp: LpId(0), end_time: end(), total_lps: 1 }
+    /// A one-LP run with end time 1e9 under `strategy`.
+    fn cfg(seed: u64, strategy: RollbackStrategy) -> SimConfig {
+        let mut cfg = SimConfig::small(1, 1);
+        (cfg.lps_per_worker, cfg.end_time, cfg.seed) = (1, 1e9, seed);
+        cfg.rollback = Some(strategy);
+        cfg
     }
 
     fn ev(t: f64, seq: u64, payload: u32) -> Event<u32> {
@@ -751,58 +773,40 @@ mod tests {
         }
     }
 
-    /// Process `e` and stamp its emissions as the worker would, logging
-    /// each send; returns `(id, dst, recv_time)` per send, in send order.
+    /// Process `e`; returns `(id, dst, recv_time)` per send, in send order.
     fn process_with<M: Model<Payload = u32>>(
         lp: &mut LpTable<M>,
-        model: &M,
         e: Event<u32>,
     ) -> Vec<(EventId, LpId, VirtualTime)> {
-        let mut em = Emitter::new();
-        let t = e.recv_time.as_f64();
-        lp.process(model, 0, &ctx(t), e, &mut em);
-        let sends: Vec<(LpId, f64)> = em.take().map(|(dst, delay, _p)| (dst, delay)).collect();
-        sends
-            .into_iter()
-            .map(|(dst, delay)| {
-                let recv_time = VirtualTime::new(t + delay);
-                (lp.record_send(0, dst, recv_time), dst, recv_time)
-            })
-            .collect()
+        let mut out = Vec::new();
+        lp.process(0, e, &mut out);
+        out.iter().map(|e| (e.id, e.dst, e.recv_time)).collect()
     }
 
     /// A table holding LP 0 alone.
-    fn one<M: Model>(model: &M, seed: u64, strategy: RollbackStrategy) -> LpTable<M> {
-        LpTable::new(model, LpId(0), 1, seed, strategy)
+    fn one<M: Model>(model: M, seed: u64, strategy: RollbackStrategy) -> LpTable<M> {
+        LpTable::new(Arc::new(model), &cfg(seed, strategy), LpId(0), 1)
     }
 
-    fn rollback_to<M: Model>(
-        lp: &mut LpTable<M>,
-        model: &M,
-        key: EventKey,
-    ) -> Rollback<M::Payload> {
+    fn rollback_to<M: Model>(lp: &mut LpTable<M>, key: EventKey) -> Rollback<M::Payload> {
         let mut rb = Rollback::default();
-        lp.rollback_to(model, 0, key, end(), 1, &mut rb);
+        lp.rollback_to(0, key, &mut rb);
         rb
     }
 
-    fn rollback_cancel<M: Model>(
-        lp: &mut LpTable<M>,
-        model: &M,
-        key: EventKey,
-    ) -> Rollback<M::Payload> {
+    fn rollback_cancel<M: Model>(lp: &mut LpTable<M>, key: EventKey) -> Rollback<M::Payload> {
         let mut rb = Rollback::default();
-        lp.rollback_cancel(model, 0, key, end(), 1, &mut rb);
+        lp.rollback_cancel(0, key, &mut rb);
         rb
     }
 
     fn process_one(lp: &mut LpTable<CounterModel>, e: Event<u32>) {
-        process_with(lp, &CounterModel, e);
+        process_with(lp, e);
     }
 
     #[test]
     fn process_advances_lvt_and_history() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
         assert_eq!(lp.lvt(0), VirtualTime::ZERO);
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, ev(2.0, 1, 7));
@@ -814,7 +818,7 @@ mod tests {
 
     #[test]
     fn rollback_restores_state_rng_and_seq() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
         process_one(&mut lp, ev(1.0, 0, 5));
         let rng_after_first = lp.rng(0);
         let state_after_first = lp.state(0).clone();
@@ -824,7 +828,7 @@ mod tests {
 
         // Straggler at t=1.5 undoes the t=2 and t=3 events.
         let straggler_key = EventKey { t: VirtualTime::new(1.5), id: EventId::new(LpId(9), 10) };
-        let rb = rollback_to(&mut lp, &CounterModel, straggler_key);
+        let rb = rollback_to(&mut lp, straggler_key);
         assert_eq!(rb.undone, 2);
         assert_eq!(rb.reenqueue.len(), 2);
         assert_eq!(rb.antis.len(), 2, "one optimistic send per undone event");
@@ -836,7 +840,7 @@ mod tests {
 
     #[test]
     fn reexecution_after_rollback_replays_identically() {
-        let mut lp = one(&CounterModel, 7, RollbackStrategy::Snapshot);
+        let mut lp = one(CounterModel, 7, RollbackStrategy::Snapshot);
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, ev(2.0, 1, 7));
         let final_state = lp.state(0).clone();
@@ -844,7 +848,6 @@ mod tests {
 
         let rb = rollback_to(
             &mut lp,
-            &CounterModel,
             EventKey { t: VirtualTime::new(0.5), id: EventId::new(LpId(9), 99) },
         );
         assert_eq!(rb.undone, 2);
@@ -861,24 +864,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "lp0: anti-message lp9#1 at t=1.5 matches no pending or processed")]
     fn cancelling_the_same_id_at_another_time_panics() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, ev(2.0, 1, 7));
         // A re-sent copy carries the same (sender, sequence) id but a new
         // receive time: an anti for it must not cancel the processed copy.
-        rollback_cancel(&mut lp, &CounterModel, ev(1.5, 1, 7).key());
+        rollback_cancel(&mut lp, ev(1.5, 1, 7).key());
     }
 
     #[test]
     fn rollback_cancel_discards_the_cancelled_event() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
         let target = ev(2.0, 1, 7);
         let target_key = target.key();
         process_one(&mut lp, ev(1.0, 0, 5));
         process_one(&mut lp, target);
         process_one(&mut lp, ev(3.0, 2, 9));
 
-        let rb = rollback_cancel(&mut lp, &CounterModel, target_key);
+        let rb = rollback_cancel(&mut lp, target_key);
         assert_eq!(rb.undone, 2, "t=2 (cancelled) and t=3");
         assert_eq!(rb.reenqueue.len(), 1, "only t=3 comes back");
         assert_eq!(rb.reenqueue[0].recv_time, VirtualTime::new(3.0));
@@ -887,7 +890,7 @@ mod tests {
 
     #[test]
     fn fossil_commits_strictly_below_gvt() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
         process_one(&mut lp, ev(1.0, 0, 1));
         process_one(&mut lp, ev(2.0, 1, 1));
         process_one(&mut lp, ev(3.0, 2, 1));
@@ -901,7 +904,7 @@ mod tests {
 
     #[test]
     fn fossil_boundary_counts_entries_strictly_below_gvt() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
         assert_eq!(lp.below(0, VirtualTime::new(5.0)).0, 0, "empty history");
         for (t, src) in [(1.0, 0), (2.0, 1), (2.0, 2), (3.0, 3)] {
             process_one(&mut lp, ev(t, src, 1));
@@ -917,7 +920,7 @@ mod tests {
 
     #[test]
     fn periodic_fossil_keeps_newest_snapshot_below_gvt() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::PeriodicSnapshot(2));
+        let mut lp = one(CounterModel, 1, RollbackStrategy::PeriodicSnapshot(2));
         // Entries at t=1..=5; snapshots land on t=1, t=3, t=5.
         for (i, t) in [1.0, 2.0, 3.0, 4.0, 5.0].iter().enumerate() {
             process_one(&mut lp, ev(*t, i as u64, 1));
@@ -936,11 +939,11 @@ mod tests {
 
     #[test]
     fn rollback_below_everything_resets_to_initial() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
         let init_state = lp.state(0).clone();
         let init_rng = lp.rng(0);
         process_one(&mut lp, ev(1.0, 0, 2));
-        let rb = rollback_to(&mut lp, &CounterModel, EventKey::MIN);
+        let rb = rollback_to(&mut lp, EventKey::MIN);
         assert_eq!(rb.undone, 1);
         assert_eq!(*lp.state(0), init_state);
         assert_eq!(lp.rng(0), init_rng);
@@ -977,14 +980,14 @@ mod tests {
 
     #[test]
     fn rollback_antis_run_newest_entry_first_in_send_order() {
-        let mut lp = one(&PairModel, 1, RollbackStrategy::Snapshot);
+        let mut lp = one(PairModel, 1, RollbackStrategy::Snapshot);
         let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0]
             .iter()
             .enumerate()
-            .map(|(i, t)| process_with(&mut lp, &PairModel, ev(*t, i as u64, 1)))
+            .map(|(i, t)| process_with(&mut lp, ev(*t, i as u64, 1)))
             .collect();
         // A straggler at t=1.5 undoes the t=2, t=3 and t=4 entries.
-        let rb = rollback_to(&mut lp, &PairModel, ev(1.5, 99, 0).key());
+        let rb = rollback_to(&mut lp, ev(1.5, 99, 0).key());
         assert_eq!(rb.undone, 3);
         let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
         let want: Vec<_> = sent[1..].iter().rev().flatten().copied().collect();
@@ -992,27 +995,27 @@ mod tests {
         let seqs: Vec<u64> = rb.antis.iter().map(|a| a.id.seq).collect();
         assert_eq!(seqs, [6, 7, 4, 5, 2, 3]);
         // The survivor's sends stay logged: undoing it antis exactly them.
-        let rb = rollback_to(&mut lp, &PairModel, EventKey::MIN);
+        let rb = rollback_to(&mut lp, EventKey::MIN);
         let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
         assert_eq!(got, sent[0]);
     }
 
     #[test]
     fn periodic_reexecution_reuses_the_undone_ids() {
-        let mut lp = one(&CounterModel, 1, RollbackStrategy::PeriodicSnapshot(3));
+        let mut lp = one(CounterModel, 1, RollbackStrategy::PeriodicSnapshot(3));
         // Snapshots land on t=1 and t=4; t=2, t=3 and t=5 coast.
         let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0, 5.0]
             .iter()
             .enumerate()
-            .map(|(i, t)| process_with(&mut lp, &CounterModel, ev(*t, i as u64, 1)))
+            .map(|(i, t)| process_with(&mut lp, ev(*t, i as u64, 1)))
             .collect();
         // Undo t=3, t=4 and t=5; the survivors coast forward from the t=1
         // snapshot.
-        let rb = rollback_to(&mut lp, &CounterModel, ev(2.5, 99, 0).key());
+        let rb = rollback_to(&mut lp, ev(2.5, 99, 0).key());
         assert_eq!(rb.undone, 3);
         let mut replay = rb.reenqueue;
         replay.sort_by_key(|e| e.key());
-        let resent = process_with(&mut lp, &CounterModel, replay.remove(0));
+        let resent = process_with(&mut lp, replay.remove(0));
         assert_eq!(resent[0].0, sent[2][0].0);
     }
 
@@ -1042,6 +1045,12 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_mix_is_lp_sensitive() {
+        assert_ne!(fingerprint_mix(LpId(0), 5), fingerprint_mix(LpId(1), 5));
+        assert_ne!(fingerprint_mix(LpId(0), 5), fingerprint_mix(LpId(0), 6));
+    }
+
+    #[test]
     fn history_entry_size_does_not_depend_on_the_state() {
         use std::mem::size_of;
         assert_eq!(size_of::<HistoryNode<Bytes<8>>>(), size_of::<HistoryNode<Bytes<256>>>());
@@ -1060,7 +1069,7 @@ mod tests {
     fn periodic_snapshot_log_through_fossil_rollback_and_coast() {
         let events: Vec<Event<u32>> = (1..=7).map(|t| ev(t as f64, t, t as u32)).collect();
         // Straight-through reference: `(state, rng)` after each event.
-        let mut truth = one(&CounterModel, 1, RollbackStrategy::Snapshot);
+        let mut truth = one(CounterModel, 1, RollbackStrategy::Snapshot);
         let after: Vec<_> = events
             .iter()
             .map(|e| {
@@ -1069,7 +1078,7 @@ mod tests {
             })
             .collect();
         let strategy = RollbackStrategy::PeriodicSnapshot(3);
-        let mut lp = one(&CounterModel, 1, strategy);
+        let mut lp = one(CounterModel, 1, strategy);
 
         // Snapshots land on t=1, t=4 and t=7, each holding the state
         // before its event.
@@ -1087,7 +1096,7 @@ mod tests {
 
         // A straggler at t=4.5 undoes t=5..7, popping t=7's copy; the LP
         // coasts forward from t=4's copy, which stays logged, through t=4.
-        let rb = rollback_to(&mut lp, &CounterModel, ev(4.5, 99, 0).key());
+        let rb = rollback_to(&mut lp, ev(4.5, 99, 0).key());
         assert_eq!(rb.undone, 3);
         assert_eq!(snapshots(&lp), [after[2].0.clone()]);
         assert_eq!((lp.state(0).clone(), lp.rng(0)), after[3]);

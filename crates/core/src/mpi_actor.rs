@@ -62,17 +62,6 @@ impl<M: Model> MpiPump<M> {
         }
     }
 
-    /// Charge for one MPI library call of base cost `base` at time `now`
-    /// (already including accrued charge).
-    fn mpi_call(&self, now: WallNs, base: WallNs) -> WallNs {
-        if self.shared.cfg.spec.mpi_mode == MpiMode::PerWorker {
-            let hold = base + self.shared.cfg.cost.mpi_lock_hold;
-            self.nshared.mpi_lock.acquire(now, hold)
-        } else {
-            base
-        }
-    }
-
     /// Move one batch in each direction and step the GVT half. Returns the
     /// total wall charge and whether any traffic moved.
     pub fn pump(&mut self, now: WallNs) -> (WallNs, bool) {
@@ -106,7 +95,8 @@ impl<M: Model> MpiPump<M> {
             let mut out_buf = std::mem::take(&mut self.out_buf);
             let n = self.nshared.outbox.drain_ready_into(now, MPI_BATCH, &mut out_buf);
             for env in out_buf.drain(..) {
-                charge += self.mpi_call(now + charge, cost_model.mpi_send);
+                charge +=
+                    self.nshared.mpi_call(&self.shared.cfg, now + charge, cost_model.mpi_send);
                 debug_assert_ne!(self.node, env.dst_node, "remote send to self");
                 self.shared.fabric.send(self.node, env.dst_node, now + charge, env, &cost_model);
             }
@@ -119,7 +109,7 @@ impl<M: Model> MpiPump<M> {
         let mut in_buf = std::mem::take(&mut self.in_buf);
         let m = self.shared.fabric.drain(self.node, now, MPI_BATCH, &mut in_buf);
         for env in in_buf.drain(..) {
-            charge += self.mpi_call(now + charge, cost_model.mpi_recv);
+            charge += self.nshared.mpi_call(&self.shared.cfg, now + charge, cost_model.mpi_recv);
             debug_assert_eq!(env.dst_node, self.node, "misrouted remote message");
             let deliver_at = now + charge + cost_model.regional_latency;
             self.nshared.lane_queues[env.dst_lane.index()].push(deliver_at, env.tagged);

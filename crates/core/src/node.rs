@@ -1,7 +1,8 @@
 //! Shared state: per-node wiring and the cluster-wide engine handle.
 
 use cagvt_base::ids::{LaneId, LpId, NodeId};
-use cagvt_net::{CtrlPlane, Mailbox, MpiFabric, VirtualMutex};
+use cagvt_base::time::WallNs;
+use cagvt_net::{CtrlPlane, Mailbox, MpiFabric, MpiMode, VirtualMutex};
 use std::sync::Arc;
 
 use crate::config::SimConfig;
@@ -29,6 +30,18 @@ impl<P> NodeShared<P> {
             lane_queues: (0..workers).map(|_| Mailbox::new()).collect(),
             outbox: Mailbox::new(),
             mpi_lock: VirtualMutex::new(),
+        }
+    }
+
+    /// Charge for one MPI library call of base cost `base` at `now`
+    /// (already including accrued charge): in `PerWorker` mode the caller
+    /// takes the node's library lock and holds it for `base` plus
+    /// `mpi_lock_hold`; otherwise the call costs `base`.
+    pub fn mpi_call(&self, cfg: &SimConfig, now: WallNs, base: WallNs) -> WallNs {
+        if cfg.spec.mpi_mode == MpiMode::PerWorker {
+            self.mpi_lock.acquire(now, base + cfg.cost.mpi_lock_hold)
+        } else {
+            base
         }
     }
 }

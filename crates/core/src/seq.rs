@@ -4,19 +4,19 @@
 //! `(recv_time, sender, sequence)` with no optimism, no rollback and no
 //! communication — the ground truth the optimistic engine must agree with.
 //! It keeps its LPs in one [`LpTable`] over every LP of the run, committing
-//! each event as soon as it is processed, so state initialization, RNG
-//! streams and sequence-number assignment are *identical by construction*
-//! to the parallel engine's, whose workers each keep one table over their
-//! own LPs.
+//! each event as soon as it is processed. The parallel engine's workers each
+//! keep one table over their own LPs, and both call the same table methods
+//! to seed, to process and stamp events and to fold the final fingerprint,
+//! so state initialization, RNG streams, sequence-number assignment and the
+//! fingerprint are *identical by construction*: one code path, not copies.
 
-use cagvt_base::ids::{EventId, LpId};
+use cagvt_base::ids::LpId;
 use cagvt_base::time::VirtualTime;
 use std::sync::Arc;
 
 use crate::config::SimConfig;
-use crate::event::Event;
 use crate::lp::LpTable;
-use crate::model::{Emitter, EventCtx, Model};
+use crate::model::Model;
 use crate::queue::PendingSet;
 
 /// Result of a sequential run.
@@ -24,18 +24,8 @@ use crate::queue::PendingSet;
 pub struct SeqOutcome {
     /// Events processed (all with `recv_time < end_time`).
     pub processed: u64,
-    /// XOR-combined per-LP state fingerprint (see [`fingerprint_mix`]).
+    /// XOR-combined per-LP state fingerprint (see [`LpTable::fingerprint`]).
     pub fingerprint: u64,
-}
-
-/// Scramble one LP's state fingerprint into a position-independent
-/// contribution; the total is the XOR over all LPs, so any partitioning of
-/// LPs across workers folds to the same value.
-pub fn fingerprint_mix(lp: LpId, fp: u64) -> u64 {
-    let mut z = (lp.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ fp;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The reference simulator.
@@ -54,60 +44,30 @@ impl<M: Model> SequentialSim<M> {
 
     /// Run to the configured end time.
     pub fn run(&self) -> SeqOutcome {
-        let total = self.cfg.total_lps();
         let end = self.cfg.end_vt();
-        let strategy = self.cfg.rollback_strategy(self.model.supports_reverse());
-        let mut lps = LpTable::new(&*self.model, LpId(0), total, self.cfg.seed, strategy);
-
-        let mut emit: Emitter<M::Payload> = Emitter::new();
-
-        // Time-zero seeding, identical to the cluster builder.
-        let mut seeds = Vec::new();
-        for k in 0..lps.len() {
-            lps.seed_initial(&*self.model, k, &mut emit);
-            for (dst, delay, payload) in emit.take() {
-                let id = EventId::new(lps.id(k), lps.next_seq(k));
-                seeds.push(Event { recv_time: VirtualTime::ZERO + delay, dst, id, payload });
-            }
-        }
-        let mut pending = PendingSet::from_events(LpId(0), lps.len(), seeds);
-
+        let mut lps =
+            LpTable::new(Arc::clone(&self.model), &self.cfg, LpId(0), self.cfg.total_lps());
+        let mut sent = Vec::new();
+        lps.seed(&mut sent);
+        let mut pending = PendingSet::from_events(LpId(0), lps.len(), std::mem::take(&mut sent));
         let mut processed = 0u64;
-        while let Some(key) = pending.min_key() {
-            if key.t >= end {
-                break;
-            }
+        while pending.min_key().is_some_and(|key| key.t < end) {
             let event = pending.pop_min().expect("min_key was Some");
             let idx = event.dst.index();
-            let ctx = EventCtx {
-                now: event.recv_time,
-                self_lp: event.dst,
-                end_time: end,
-                total_lps: total,
-            };
-            let base = event.recv_time;
-            let _epg = lps.process(&*self.model, idx, &ctx, event, &mut emit);
-            for (dst, delay, payload) in emit.take() {
-                let recv_time = base + delay;
-                let id = lps.record_send(idx, dst, recv_time);
-                pending.insert(Event { recv_time, dst, id, payload });
-            }
+            lps.process(idx, event, &mut sent);
+            sent.drain(..).for_each(|e| pending.insert(e));
             // No rollback can ever happen: commit immediately.
             lps.fossil_collect_final(idx, VirtualTime::INFINITY);
             processed += 1;
         }
-
-        let mut fingerprint = 0u64;
-        for k in 0..lps.len() {
-            fingerprint ^= fingerprint_mix(lps.id(k), self.model.state_fingerprint(lps.state(k)));
-        }
-        SeqOutcome { processed, fingerprint }
+        SeqOutcome { processed, fingerprint: lps.fingerprint() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{Emitter, EventCtx};
     use cagvt_base::rng::Pcg32;
 
     /// Tiny PHOLD-like model: each event re-sends to a random LP after an
@@ -187,11 +147,5 @@ mod tests {
         let expected = 4.0 * 30.0 / 1.01;
         let ratio = short.processed as f64 / expected;
         assert!((0.5..2.0).contains(&ratio), "rate far off: {}", short.processed);
-    }
-
-    #[test]
-    fn fingerprint_mix_is_lp_sensitive() {
-        assert_ne!(fingerprint_mix(LpId(0), 5), fingerprint_mix(LpId(1), 5));
-        assert_ne!(fingerprint_mix(LpId(0), 5), fingerprint_mix(LpId(0), 6));
     }
 }

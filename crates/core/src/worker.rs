@@ -33,7 +33,7 @@ use std::sync::Arc;
 use crate::event::{AckMsg, AntiMsg, Event, EventMsg, RemoteEnv, TaggedMsg};
 use crate::gvt::{WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome};
 use crate::lp::{LpTable, Rollback};
-use crate::model::{Emitter, EventCtx, Model};
+use crate::model::Model;
 use crate::mpi_actor::MpiPump;
 use crate::node::{EngineShared, NodeShared};
 use crate::queue::PendingSet;
@@ -51,7 +51,6 @@ pub struct Worker<M: Model> {
     widx: u32,
     shared: Arc<EngineShared<M>>,
     nshared: Arc<NodeShared<M::Payload>>,
-    model: Arc<M>,
     lps: LpTable<M>,
     pending: PendingSet<M::Payload>,
     gvt: Box<dyn WorkerGvt>,
@@ -62,7 +61,8 @@ pub struct Worker<M: Model> {
     /// Total uncommitted history across this worker's LPs (throttle input).
     uncommitted: usize,
     recv_buf: Vec<TaggedMsg<M::Payload>>,
-    emit: Emitter<M::Payload>,
+    /// The events the LP table stamped for the processed event's sends.
+    sent: Vec<Event<M::Payload>>,
     rollback: Rollback<M::Payload>,
     local_antis: VecDeque<AntiMsg>,
     /// Start of the current contiguous barrier-blocked stretch, if any
@@ -111,30 +111,28 @@ struct PurePoll {
 }
 
 impl<M: Model> Worker<M> {
-    #[allow(clippy::too_many_arguments)]
+    /// The worker owning the LP table `lps`, starting with the time-zero
+    /// events `seeds` pending.
     pub fn new(
-        actor_id: ActorId,
-        node: NodeId,
-        lane: LaneId,
         shared: Arc<EngineShared<M>>,
         lps: LpTable<M>,
+        seeds: Vec<Event<M::Payload>>,
         gvt: Box<dyn WorkerGvt>,
         mpi_duty: Option<MpiPump<M>>,
     ) -> Self {
-        let nshared = Arc::clone(&shared.nodes[node.index()]);
-        let model = Arc::clone(&shared.model);
-        let widx = shared.worker_index(node, lane);
+        let (node, lane) = shared.locate(lps.first_lp());
         debug_assert_eq!(lps.first_lp(), shared.first_lp(node, lane));
+        let nshared = Arc::clone(&shared.nodes[node.index()]);
+        let widx = shared.worker_index(node, lane);
         let acks_enabled = gvt.wants_acks();
-        let pending = PendingSet::new(lps.first_lp(), lps.len());
+        let pending = PendingSet::from_events(lps.first_lp(), lps.len(), seeds);
         Worker {
-            actor_id,
+            actor_id: ActorId(widx),
             node,
             lane,
             widx,
             shared,
             nshared,
-            model,
             lps,
             pending,
             gvt,
@@ -143,7 +141,7 @@ impl<M: Model> Worker<M> {
             events_since_round: 0,
             uncommitted: 0,
             recv_buf: Vec::new(),
-            emit: Emitter::new(),
+            sent: Vec::new(),
             rollback: Rollback::default(),
             local_antis: VecDeque::new(),
             blocked_since: None,
@@ -151,18 +149,6 @@ impl<M: Model> Worker<M> {
             parked: None,
             finished: false,
         }
-    }
-
-    /// Install the pre-run (time-zero) events, used once by the cluster
-    /// builder.
-    pub fn preload_events(&mut self, events: Vec<Event<M::Payload>>) {
-        debug_assert!(self.pending.is_empty(), "preloaded twice");
-        self.pending = PendingSet::from_events(self.lps.first_lp(), self.lps.len(), events);
-    }
-
-    /// Builder access to the LPs (time-zero seeding).
-    pub fn lps_mut(&mut self) -> &mut LpTable<M> {
-        &mut self.lps
     }
 
     /// Route a tagged message to its destination queue, returning the send
@@ -233,8 +219,7 @@ impl<M: Model> Worker<M> {
             if self.shared.cfg.spec.mpi_mode == MpiMode::PerWorker {
                 // This worker performs the MPI send itself, through the
                 // contended library lock.
-                let hold = cost.mpi_send + cost.mpi_lock_hold;
-                let charge = self.nshared.mpi_lock.acquire(now, hold);
+                let charge = self.nshared.mpi_call(&self.shared.cfg, now, cost.mpi_send);
                 debug_assert_ne!(self.node, dst_node, "remote send to self");
                 self.shared.fabric.send(self.node, dst_node, now + charge, env, cost);
                 charge
@@ -314,9 +299,8 @@ impl<M: Model> Worker<M> {
                 a.recv_time
             );
             cascade += 1;
-            let (end, total) = (self.shared.cfg.end_vt(), self.shared.cfg.total_lps());
             let idx = self.lps.index(a.dst);
-            self.lps.rollback_cancel(&*self.model, idx, a.key(), end, total, &mut self.rollback);
+            self.lps.rollback_cancel(idx, a.key(), &mut self.rollback);
             charge += self.apply_rollback(now + charge, false);
         }
         self.counters.max_cascade = self.counters.max_cascade.max(cascade);
@@ -365,18 +349,24 @@ impl<M: Model> Worker<M> {
 
     /// Fossil collect all LPs at the new GVT.
     fn fossil(&mut self, gvt: VirtualTime) -> WallNs {
-        let committed: u64 = (0..self.lps.len()).map(|k| self.lps.fossil_collect(k, gvt)).sum();
+        let committed = self.commit(|lps, k| lps.fossil_collect(k, gvt));
+        WallNs(self.shared.cfg.cost.fossil_per_event.0 * committed)
+    }
+
+    /// Commit each LP's history through `collect` and account for the
+    /// events it commits; returns their number.
+    fn commit(&mut self, mut collect: impl FnMut(&mut LpTable<M>, usize) -> u64) -> u64 {
+        let committed: u64 = (0..self.lps.len()).map(|k| collect(&mut self.lps, k)).sum();
         self.uncommitted -= committed as usize;
         self.shared.stats.committed.fetch_add(committed, Ordering::Relaxed);
-        WallNs(self.shared.cfg.cost.fossil_per_event.0 * committed)
+        committed
     }
 
     /// Process the minimum pending event, if allowed. Returns (charge,
     /// processed?).
     fn process_next(&mut self, now: WallNs) -> (WallNs, bool) {
         let cfg = self.shared.cfg;
-        let end = cfg.end_vt();
-        let next = self.pending.min_key().filter(|key| key.t < end);
+        let next = self.pending.min_key().filter(|key| key.t < cfg.end_vt());
         // The throttle never holds back an event at or below the published
         // GVT: no rollback can reach it, and while it waits GVT cannot pass
         // it to commit the events that fill the cap.
@@ -409,25 +399,18 @@ impl<M: Model> Worker<M> {
                 event.recv_time
             );
             self.counters.stragglers += 1;
-            let rb = &mut self.rollback;
-            self.lps.rollback_to(&*self.model, idx, event.key(), end, cfg.total_lps(), rb);
+            self.lps.rollback_to(idx, event.key(), &mut self.rollback);
             charge += self.apply_rollback(now, true);
             charge += self.drain_local_antis(now + charge);
         }
 
-        let ctx = EventCtx {
-            now: event.recv_time,
-            self_lp: event.dst,
-            end_time: end,
-            total_lps: cfg.total_lps(),
-        };
-        let (eid, edst) = (event.id, event.dst);
+        let (eid, edst, vt) = (event.id, event.dst, event.recv_time);
         let span_start = now + charge;
-        let mut emit = std::mem::take(&mut self.emit);
-        let epg = self.lps.process(&*self.model, idx, &ctx, event, &mut emit);
+        let mut sent = std::mem::take(&mut self.sent);
+        let epg = self.lps.process(idx, event, &mut sent);
         let span = cost.event_overhead + cost.epg_cost(epg);
         {
-            let (worker, vt) = (self.widx, ctx.now);
+            let worker = self.widx;
             self.shared.gvt_core.emit(span_start, || TraceRecord::EventSpan {
                 worker,
                 id: eid,
@@ -438,22 +421,18 @@ impl<M: Model> Worker<M> {
         }
         charge += span;
 
-        // Stamp, log and route the emissions.
-        let base = ctx.now;
-        for (dst, delay, payload) in emit.take() {
-            let recv_time = base + delay;
-            let id = self.lps.record_send(idx, dst, recv_time);
-            charge +=
-                self.route(now + charge, EventMsg::Event(Event { recv_time, dst, id, payload }));
+        // Route the sends the table stamped and logged.
+        for e in sent.drain(..) {
+            charge += self.route(now + charge, EventMsg::Event(e));
         }
-        self.emit = emit;
+        self.sent = sent;
         charge += self.drain_local_antis(now + charge);
 
         self.uncommitted += 1;
         self.shared.stats.processed.fetch_add(1, Ordering::Relaxed);
         self.events_since_round += 1;
         self.shared.stats.worker_lvts[self.widx as usize]
-            .store(base.to_ordered_bits(), Ordering::Relaxed);
+            .store(vt.to_ordered_bits(), Ordering::Relaxed);
         (charge, true)
     }
 
@@ -461,16 +440,8 @@ impl<M: Model> Worker<M> {
         // GVT has passed the end time: everything processed is final and
         // no rollback can follow (so periodic-snapshot retention lifts).
         let end = self.shared.cfg.end_vt();
-        let committed: u64 =
-            (0..self.lps.len()).map(|k| self.lps.fossil_collect_final(k, end)).sum();
-        self.uncommitted -= committed as usize;
-        self.shared.stats.committed.fetch_add(committed, Ordering::Relaxed);
-        let mut fp = 0u64;
-        for k in 0..self.lps.len() {
-            let lp_fp = self.model.state_fingerprint(self.lps.state(k));
-            fp ^= crate::seq::fingerprint_mix(self.lps.id(k), lp_fp);
-        }
-        self.shared.stats.state_fp.fetch_xor(fp, Ordering::AcqRel);
+        self.commit(|lps, k| lps.fossil_collect_final(k, end));
+        self.shared.stats.state_fp.fetch_xor(self.lps.fingerprint(), Ordering::AcqRel);
         self.shared.stats.store_worker_counters(self.widx, &self.counters);
         if let Some(pump) = &self.mpi_duty {
             self.shared.stats.mpi_deposits.lock().push(pump.counters);

@@ -9,7 +9,9 @@ use cagvt_base::time::VirtualTime;
 use cagvt_core::event::{Event, EventKey};
 use cagvt_core::lp::{LpTable, Rollback, RollbackStrategy};
 use cagvt_core::model::{Emitter, EventCtx, Model};
+use cagvt_core::SimConfig;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Model whose state is an order-sensitive hash of everything processed,
 /// consuming randomness each event (so restored RNG state is observable).
@@ -71,33 +73,28 @@ fn strategies() -> [RollbackStrategy; 5] {
     ]
 }
 
-/// The run's end time; the run has one LP.
-fn end() -> VirtualTime {
-    VirtualTime::new(1e9)
+/// A run of `lps` LPs with end time 1e9 under `strategy`.
+fn cfg(lps: u32, seed: u64, strategy: RollbackStrategy) -> SimConfig {
+    let mut cfg = SimConfig::small(1, 1);
+    (cfg.lps_per_worker, cfg.end_time, cfg.seed) = (lps, 1e9, seed);
+    cfg.rollback = Some(strategy);
+    cfg
 }
 
-fn ctx(t: f64) -> EventCtx {
-    EventCtx { now: VirtualTime::new(t), self_lp: LpId(0), end_time: end(), total_lps: 1 }
+/// A table holding LP 0 of a one-LP run alone.
+fn one<M: Model>(model: M, seed: u64, strategy: RollbackStrategy) -> LpTable<M> {
+    LpTable::new(Arc::new(model), &cfg(1, seed, strategy), LpId(0), 1)
 }
 
-/// A table holding LP 0 alone.
-fn one<M: Model>(model: &M, seed: u64, strategy: RollbackStrategy) -> LpTable<M> {
-    LpTable::new(model, LpId(0), 1, seed, strategy)
-}
-
-fn rollback_to<M: Model>(lp: &mut LpTable<M>, model: &M, key: EventKey) -> Rollback<M::Payload> {
+fn rollback_to<M: Model>(lp: &mut LpTable<M>, key: EventKey) -> Rollback<M::Payload> {
     let mut rb = Rollback::default();
-    lp.rollback_to(model, 0, key, end(), 1, &mut rb);
+    lp.rollback_to(0, key, &mut rb);
     rb
 }
 
-fn rollback_cancel<M: Model>(
-    lp: &mut LpTable<M>,
-    model: &M,
-    key: EventKey,
-) -> Rollback<M::Payload> {
+fn rollback_cancel<M: Model>(lp: &mut LpTable<M>, key: EventKey) -> Rollback<M::Payload> {
     let mut rb = Rollback::default();
-    lp.rollback_cancel(model, 0, key, end(), 1, &mut rb);
+    lp.rollback_cancel(0, key, &mut rb);
     rb
 }
 
@@ -118,13 +115,7 @@ fn make_events(times: &[u16]) -> Vec<Event<u32>> {
 }
 
 fn process(lp: &mut LpTable<HashModel>, e: Event<u32>) {
-    let t = e.recv_time.as_f64();
-    let mut em = Emitter::new();
-    lp.process(&HashModel, 0, &ctx(t), e, &mut em);
-    let sends: Vec<(LpId, f64)> = em.take().map(|(d, dl, _)| (d, dl)).collect();
-    for (dst, delay) in sends {
-        lp.record_send(0, dst, VirtualTime::new(t + delay));
-    }
+    lp.process(0, e, &mut Vec::new());
 }
 
 proptest! {
@@ -141,7 +132,7 @@ proptest! {
         let events = make_events(&times);
 
         // Ground truth: straight-through processing.
-        let mut truth = one(&HashModel, seed, RollbackStrategy::Snapshot);
+        let mut truth = one(HashModel, seed, RollbackStrategy::Snapshot);
         for e in &events {
             process(&mut truth, e.clone());
         }
@@ -149,7 +140,7 @@ proptest! {
         for strategy in strategies() {
             // Optimistic: process everything, then roll back to a random
             // cut and replay the tail — under every rollback strategy.
-            let mut lp = one(&HashModel, seed, strategy);
+            let mut lp = one(HashModel, seed, strategy);
             for e in &events {
                 process(&mut lp, e.clone());
             }
@@ -158,7 +149,7 @@ proptest! {
                 t: events[cut_idx].recv_time,
                 id: EventId::new(LpId(0), 0), // below any real id at that time
             };
-            let rb = rollback_to(&mut lp, &HashModel, cut_key);
+            let rb = rollback_to(&mut lp, cut_key);
             // Everything from cut_idx (inclusive, because its key is above
             // the synthetic cut key) must have been undone.
             prop_assert_eq!(rb.undone as usize, events.len() - cut_idx, "{:?}", strategy);
@@ -188,12 +179,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let events = make_events(&times);
-        let mut truth = one(&HashModel, seed, RollbackStrategy::Snapshot);
+        let mut truth = one(HashModel, seed, RollbackStrategy::Snapshot);
         for e in &events {
             process(&mut truth, e.clone());
         }
         let strategy = RollbackStrategy::PeriodicSnapshot(k);
-        let mut lp = one(&HashModel, seed, strategy);
+        let mut lp = one(HashModel, seed, strategy);
         for e in &events {
             process(&mut lp, e.clone());
         }
@@ -213,7 +204,7 @@ proptest! {
                 t: survivors[cut_idx].recv_time,
                 id: EventId::new(LpId(0), 0),
             };
-            let rb = rollback_to(&mut lp, &HashModel, cut_key);
+            let rb = rollback_to(&mut lp, cut_key);
             let mut replay = rb.reenqueue;
             replay.sort_by_key(|e| e.key());
             for e in replay {
@@ -234,7 +225,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let events = make_events(&times);
-        let mut lp = one(&HashModel, seed, RollbackStrategy::Snapshot);
+        let mut lp = one(HashModel, seed, RollbackStrategy::Snapshot);
         for e in &events {
             process(&mut lp, e.clone());
         }
@@ -249,8 +240,9 @@ proptest! {
 }
 
 /// Model with a reversible state fold that sends zero, one or two messages
-/// per event, the count drawn from the generator, so history entries own
-/// send-log slices of different lengths (empty ones included).
+/// per event (and at time zero), the count drawn from the generator, so
+/// history entries own send-log slices of different lengths (empty ones
+/// included).
 struct FanModel;
 
 impl Model for FanModel {
@@ -260,7 +252,11 @@ impl Model for FanModel {
     fn init_state(&self, lp: LpId, _rng: &mut Pcg32) -> u64 {
         lp.0 as u64
     }
-    fn initial_events(&self, _lp: LpId, _s: &mut u64, _r: &mut Pcg32, _e: &mut Emitter<u32>) {}
+    fn initial_events(&self, lp: LpId, _s: &mut u64, rng: &mut Pcg32, emit: &mut Emitter<u32>) {
+        for i in 0..rng.next_u32() % 3 {
+            emit.emit(LpId(i + 1), 0.5 * (i + 1) as f64, lp.0);
+        }
+    }
     fn handle(
         &self,
         _ctx: &EventCtx,
@@ -276,6 +272,9 @@ impl Model for FanModel {
         }
         1
     }
+    fn state_fingerprint(&self, state: &u64) -> u64 {
+        *state
+    }
     fn supports_reverse(&self) -> bool {
         true
     }
@@ -285,25 +284,15 @@ impl Model for FanModel {
     }
 }
 
-/// One send as the test sees it: the id `record_send` returned, the
-/// destination and the receive time.
+/// One send as the test sees it: the id the table stamped, the destination
+/// and the receive time.
 type Send = (EventId, LpId, VirtualTime);
 
-/// Process `e` at LP `lp` of `table` as the worker would; returns its sends
-/// in send order.
+/// Process `e` at LP `lp` of `table`; returns its sends in send order.
 fn process_fan(table: &mut LpTable<FanModel>, lp: usize, e: Event<u32>) -> Vec<Send> {
-    let t = e.recv_time;
-    let ctx = EventCtx { now: t, self_lp: table.id(lp), end_time: end(), total_lps: 1 };
-    let mut em = Emitter::new();
-    table.process(&FanModel, lp, &ctx, e, &mut em);
-    let sends: Vec<(LpId, f64)> = em.take().map(|(d, dl, _)| (d, dl)).collect();
-    sends
-        .into_iter()
-        .map(|(dst, delay)| {
-            let recv_time = t + delay;
-            (table.record_send(lp, dst, recv_time), dst, recv_time)
-        })
-        .collect()
+    let mut sent = Vec::new();
+    table.process(lp, e, &mut sent);
+    sent.iter().map(|e| (e.id, e.dst, e.recv_time)).collect()
 }
 
 /// Key just below every event at time `t` (test events come from `LpId(9)`).
@@ -333,7 +322,7 @@ proptest! {
             RollbackStrategy::Reverse,
             RollbackStrategy::PeriodicSnapshot(3),
         ] {
-            let mut lp = one(&FanModel, seed, strategy);
+            let mut lp = one(FanModel, seed, strategy);
             // Uncommitted history as the test saw it: key and sends.
             let mut shadow: Vec<(EventKey, Vec<Send>)> = Vec::new();
             // Undone events waiting to be re-executed.
@@ -374,9 +363,9 @@ proptest! {
                         let i = live[arg as usize % live.len()];
                         let target = shadow[i].0;
                         let rb = if kind == 2 {
-                            rollback_to(&mut lp, &FanModel, below_key(target.t))
+                            rollback_to(&mut lp, below_key(target.t))
                         } else {
-                            rollback_cancel(&mut lp, &FanModel, target)
+                            rollback_cancel(&mut lp, target)
                         };
                         let undo = shadow.split_off(i);
                         prop_assert_eq!(rb.undone as usize, undo.len());
@@ -409,7 +398,7 @@ proptest! {
                 }
                 prop_assert_eq!(lp.history_len(0), shadow.len(), "{:?}", strategy);
             }
-            let rb = rollback_to(&mut lp, &FanModel, EventKey::MIN);
+            let rb = rollback_to(&mut lp, EventKey::MIN);
             let got: Vec<Send> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
             let want: Vec<Send> =
                 shadow.iter().rev().flat_map(|(_, s)| s.iter().copied()).collect();
@@ -422,13 +411,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Several LPs share one table, so their history and send chains
-    /// interleave in its two slabs. Random interleavings of processing,
-    /// straggler and cancel rollbacks and both fossil collections, each on
-    /// a random LP, leave every LP exactly where a one-LP table given the
-    /// same operations stands: state, generator, last key, history length,
-    /// and each rollback's undone events and antis, in order. Once all
-    /// history commits, neither slab holds a live node, so a leaked chain
-    /// fails.
+    /// interleave in its two slabs. Seeding the shared table yields the
+    /// events the one-LP tables seed together. Random interleavings of
+    /// processing, straggler and cancel rollbacks and both fossil
+    /// collections, each on a random LP, leave every LP exactly where a
+    /// one-LP table given the same operations stands: state, generator,
+    /// last key, history length, and each rollback's undone events and
+    /// antis, in order; and the shared table's fingerprint is the XOR of the
+    /// one-LP tables'. Once all history commits, neither slab holds a live
+    /// node, so a leaked chain fails.
     #[test]
     fn shared_table_matches_one_table_per_lp(
         ops in prop::collection::vec((0u8..6, any::<u8>(), any::<u16>()), 1..120),
@@ -441,10 +432,20 @@ proptest! {
             RollbackStrategy::Reverse,
             RollbackStrategy::PeriodicSnapshot(3),
         ] {
-            let mut shared = LpTable::new(&FanModel, LpId(FIRST), LPS as u32, seed, strategy);
+            let (model, cfg) = (Arc::new(FanModel), cfg(FIRST + LPS as u32, seed, strategy));
+            let mut shared = LpTable::new(Arc::clone(&model), &cfg, LpId(FIRST), LPS as u32);
             let mut alone: Vec<LpTable<FanModel>> = (0..LPS as u32)
-                .map(|k| LpTable::new(&FanModel, LpId(FIRST + k), 1, seed, strategy))
+                .map(|k| LpTable::new(Arc::clone(&model), &cfg, LpId(FIRST + k), 1))
                 .collect();
+            // Seeding numbers each LP's time-zero sends as its own table
+            // would, in LP order.
+            let (mut seeded, mut seeded_alone) = (Vec::new(), Vec::new());
+            shared.seed(&mut seeded);
+            alone.iter_mut().for_each(|lp| lp.seed(&mut seeded_alone));
+            let sends = |sent: &[Event<u32>]| -> Vec<(EventId, LpId, VirtualTime, u32)> {
+                sent.iter().map(|e| (e.id, e.dst, e.recv_time, e.payload)).collect()
+            };
+            prop_assert_eq!(sends(&seeded), sends(&seeded_alone), "{:?}", strategy);
             // Per LP: the uncommitted history's keys, and the undone events
             // waiting to be re-executed.
             let mut shadow: Vec<Vec<EventKey>> = vec![Vec::new(); LPS];
@@ -481,15 +482,13 @@ proptest! {
                         }
                         let i = live[arg as usize % live.len()];
                         let target = shadow[k][i];
-                        let (run_end, total) = (end(), LPS as u32);
                         if kind == 2 {
                             let key = below_key(target.t);
-                            shared.rollback_to(&FanModel, k, key, run_end, total, &mut rb);
-                            alone[k].rollback_to(&FanModel, 0, key, run_end, total, &mut rb_alone);
+                            shared.rollback_to(k, key, &mut rb);
+                            alone[k].rollback_to(0, key, &mut rb_alone);
                         } else {
-                            shared.rollback_cancel(&FanModel, k, target, run_end, total, &mut rb);
-                            alone[k]
-                                .rollback_cancel(&FanModel, 0, target, run_end, total, &mut rb_alone);
+                            shared.rollback_cancel(k, target, &mut rb);
+                            alone[k].rollback_cancel(0, target, &mut rb_alone);
                         }
                         let undone = shadow[k].split_off(i);
                         prop_assert_eq!(rb.undone as usize, undone.len());
@@ -531,6 +530,8 @@ proptest! {
                     prop_assert_eq!(shared.history_len(k), lp.history_len(0));
                     prop_assert_eq!(shared.history_len(k), shadow[k].len());
                 }
+                let xor = alone.iter().fold(0, |fp, lp| fp ^ lp.fingerprint());
+                prop_assert_eq!(shared.fingerprint(), xor, "{:?}", strategy);
             }
             for (k, lp) in alone.iter_mut().enumerate() {
                 let n = shared.fossil_collect_final(k, VirtualTime::INFINITY);
