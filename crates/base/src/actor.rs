@@ -18,10 +18,11 @@
 //! style is what lets the identical algorithm code run under both substrates.
 //!
 //! A step whose repeats would change nothing may ask to be *parked*
-//! ([`StepResult::park`]): the virtual scheduler then stops stepping the
-//! actor until a notice on the [`wake`](crate::wake) board says something
-//! it waits on changed, and credits the polls it skipped. Results are
-//! identical to polling; the thread runtime ignores the request.
+//! ([`StepResult::park`]). Both substrates then stop stepping the actor
+//! until a notice on the [`wake`](crate::wake) board says something it
+//! waits on changed, or its timer passes: the virtual scheduler skips its
+//! polls and credits them, so results are identical to polling, and the
+//! thread runtime parks its OS thread.
 
 use crate::ids::ActorId;
 use crate::time::WallNs;
@@ -33,9 +34,10 @@ pub enum StepOutcome {
     /// Work was done, or the actor is held at a barrier; poll again soon.
     Progress,
     /// Nothing to do right now (empty queues, no GVT round to join). A
-    /// worker held at a GVT barrier is not idle: it reports `Progress`,
-    /// and the thread runtime never backs it off. Either kind of poll may
-    /// ask to be parked ([`StepResult::park`]).
+    /// worker held at a GVT barrier is not idle: it reports `Progress`.
+    /// Either kind of poll may ask to be parked ([`StepResult::park`]). The
+    /// thread runtime yields its thread once after an idle poll that does
+    /// not.
     Idle,
     /// The actor has observed global termination and will never make
     /// progress again.

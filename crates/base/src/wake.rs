@@ -5,9 +5,7 @@
 //! later grid instant with unchanged shared state must do nothing but bump
 //! the actor's own counters. Such a *pure* step, idle or progress, returns
 //! a [`Park`] in its [`StepResult`]. A parked actor is not stepped again
-//! until something it reads changes; the scheduler then re-enters it at
-//! exactly the poll-grid instant where polling would first have observed
-//! the change, and credits the skipped polls through [`take_skipped`].
+//! until something it reads changes.
 //!
 //! Whoever changes shared state that a parked actor may be waiting on
 //! posts a notice here during its own step:
@@ -18,10 +16,16 @@
 //! * [`notify_pace`] — state only actors parked with [`Park::pace`] read;
 //! * [`notify_actor`] — a message for one actor, observable from `at`.
 //!
-//! The scheduler installs a board on its thread for the duration of a run
-//! ([`install`]) and drains the notices after every step. Without a board —
-//! under the thread runtime, or outside any run — every call here is a
-//! no-op and [`take_skipped`] returns zero, so actors keep polling.
+//! Both runtimes install a board for the duration of a run ([`install`]):
+//! the virtual scheduler on its one thread, the thread runtime on every
+//! actor thread. Each drains the notices after every step, so a notice
+//! takes effect once its step has returned, wherever in the step it was
+//! posted. The virtual scheduler re-enters a parked actor at exactly the
+//! poll-grid instant where polling would first have observed the change,
+//! and credits the skipped polls through [`take_skipped`]. The thread
+//! runtime unparks the threads of the actors a notice covers; it skips no
+//! poll, so [`take_skipped`] returns zero there. Without a board, outside
+//! any run, every call here is a no-op and [`take_skipped`] returns zero.
 //!
 //! [`StepResult`]: crate::actor::StepResult
 
@@ -87,7 +91,7 @@ pub fn take_skipped(actor: ActorId) -> u64 {
     with_board(|b| b.credit.get_mut(actor.0 as usize).map(std::mem::take)).flatten().unwrap_or(0)
 }
 
-/// The scheduler's handle on this thread's board; uninstalls it on drop
+/// A runtime's handle on this thread's board; uninstalls it on drop
 /// (restoring any board it displaced).
 pub struct Installed {
     prev: Option<Board>,

@@ -2,7 +2,7 @@
 //! reports.
 
 use cagvt_base::time::VirtualTime;
-use cagvt_exec::VirtualRunStats;
+use cagvt_exec::RunStats;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -154,16 +154,20 @@ pub struct RunReport {
     pub requests_interval: u64,
     pub requests_idle: u64,
     pub throttled_steps: u64,
-    /// Scheduler bookkeeping: executed actor steps, and those that were
-    /// idle.
+    /// Runtime bookkeeping: executed actor steps, and those that were
+    /// idle. Under threads these count the polls each thread actually ran,
+    /// which vary from run to run.
     pub sched_steps: u64,
     pub sched_idle_steps: u64,
-    /// Polls skipped for parked workers, each credited as if it had run
-    /// (`sched_steps + sched_skipped_polls` is the polling step count),
-    /// and those of them that were held (progress) polls.
+    /// Polls the virtual scheduler skipped for parked workers, each
+    /// credited as if it had run (`sched_steps + sched_skipped_polls` is
+    /// the polling step count), and those of them that were held (progress)
+    /// polls. Always 0 under threads: a parked thread skips no poll that
+    /// anyone credits.
     pub sched_skipped_polls: u64,
     pub sched_skipped_held: u64,
-    /// False if the scheduler hit a safety valve before completion.
+    /// False if the run hit a safety valve (or, under threads, its
+    /// timeout) before completion.
     pub completed: bool,
 
     /// Fault-injection activity (all zero on a clean run).
@@ -181,7 +185,7 @@ impl RunReport {
     pub fn assemble<M: Model>(
         algorithm: &str,
         shared: &Arc<EngineShared<M>>,
-        sched: VirtualRunStats,
+        sched: RunStats,
     ) -> RunReport {
         let stats = &shared.stats;
         let w = stats.worker_totals();

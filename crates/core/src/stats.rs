@@ -158,11 +158,19 @@ pub struct SharedStats {
     pub processed: AtomicU64,
     pub rolled_back: AtomicU64,
     /// Regional + remote messages handed to a channel (events and antis).
+    /// With `msgs_received`, observational: only the metrics epochs read
+    /// them, as deltas, and no GVT algorithm or wake decision does, so a
+    /// `Relaxed` count that lags under threads shifts a metrics row, never a
+    /// result.
     pub msgs_sent: AtomicU64,
     /// Regional + remote messages drained by their destination worker.
     pub msgs_received: AtomicU64,
     /// Per-worker published LVT (ordered bits of the last processed event
-    /// time) — the paper's disparity metric samples these.
+    /// time) — the paper's disparity metric samples these. `Relaxed`: each
+    /// slot has one writer, and its only reader is the per-round snapshot
+    /// that feeds the round observers (disparity, horizon width, trace,
+    /// metrics), which neither computes GVT nor decides a wake; under
+    /// threads a snapshot may see a slightly stale LVT.
     pub worker_lvts: Vec<AtomicU64>,
     /// Std-dev of worker LVTs, one sample per GVT round.
     pub disparity: Mutex<Welford>,

@@ -12,6 +12,8 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use crate::RunStats;
+
 /// Minimum clock advance for a step that reported zero cost. Keeps
 /// virtual time strictly advancing so idle polling cannot livelock the
 /// scheduler.
@@ -48,26 +50,6 @@ impl std::fmt::Debug for VirtualConfig {
             .field("metrics", &self.metrics.is_some())
             .finish()
     }
-}
-
-/// Outcome of a virtual run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VirtualRunStats {
-    /// Wall-clock instant at which the last actor finished — the simulated
-    /// makespan of the run.
-    pub final_time: WallNs,
-    /// Total actor steps executed.
-    pub steps: u64,
-    /// Executed steps that reported [`StepOutcome::Idle`].
-    pub idle_steps: u64,
-    /// Polls skipped for parked actors (credited to their own counters),
-    /// and those of them repeating a [`StepOutcome::Progress`] step.
-    pub skipped_polls: u64,
-    pub skipped_progress: u64,
-    /// False if the run was cut off by `horizon` or `max_steps`, or if
-    /// every live actor was parked with nothing left to wake it (where the
-    /// polling scheduler would have spun until a valve).
-    pub completed: bool,
 }
 
 /// Drives a set of actors in virtual time.
@@ -281,14 +263,14 @@ impl VirtualScheduler {
 
     /// Run the actors to completion (all [`StepOutcome::Done`]) or until a
     /// safety valve triggers.
-    pub fn run(&self, mut actors: Vec<Box<dyn Actor>>) -> VirtualRunStats {
+    pub fn run(&self, mut actors: Vec<Box<dyn Actor>>) -> RunStats {
         assert!(!actors.is_empty(), "no actors to schedule");
         let mut heap: Heap =
             actors.iter().enumerate().map(|(slot, a)| Reverse((0u64, a.id().0, slot))).collect();
         let mut parking = Parking::new(actors.iter().map(|a| a.id().0).collect());
 
         let mut live = actors.len();
-        let mut run = VirtualRunStats { completed: true, ..Default::default() };
+        let mut run = RunStats { completed: true, ..Default::default() };
 
         while live > 0 {
             if let Some(max) = self.cfg.max_steps {
@@ -356,7 +338,7 @@ impl VirtualScheduler {
         }
 
         let [idle, progress] = parking.skipped;
-        VirtualRunStats { skipped_polls: idle + progress, skipped_progress: progress, ..run }
+        RunStats { skipped_polls: idle + progress, skipped_progress: progress, ..run }
     }
 }
 

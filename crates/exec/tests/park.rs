@@ -11,7 +11,7 @@ use cagvt_base::fault::FaultInjector;
 use cagvt_base::ids::ActorId;
 use cagvt_base::time::WallNs;
 use cagvt_base::wake::{self, Park};
-use cagvt_exec::{VirtualConfig, VirtualRunStats, VirtualScheduler};
+use cagvt_exec::{RunStats, VirtualConfig, VirtualScheduler};
 use cagvt_net::Mailbox;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -258,7 +258,7 @@ impl Actor for Holder {
 fn run_holder(
     park: bool,
     faults: Option<Arc<dyn FaultInjector>>,
-) -> (Vec<(u32, u64)>, VirtualRunStats, u64) {
+) -> (Vec<(u32, u64)>, RunStats, u64) {
     let shared = Arc::new(Shared::default());
     let notifier = |id, at| Notifier {
         id: ActorId(id),

@@ -51,9 +51,14 @@ impl<T> Mailbox<T> {
     ///
     /// An empty mailbox (`len == 0`) returns without taking the lock, here
     /// and in [`Self::drain_ready_into`] and [`Self::head_deliver_at`].
-    /// Under the virtual scheduler `len` is exact. Under threads a push
-    /// racing this read may be missed, which only moves its pop to the
-    /// consumer's next poll.
+    /// Under the virtual scheduler `len` is exact. Under threads the
+    /// `Relaxed` read may miss a racing push, and a consumer that then
+    /// parks gets the message only through the producer's wake notice,
+    /// posted after the push: the thread runtime bumps the consumer's epoch
+    /// with `Release` and unparks it, and the consumer's `Acquire` re-read
+    /// of its epoch (or `park`/`unpark` synchronization) orders the push's
+    /// `len` increment before its next poll. No other ordering on `len` is
+    /// needed.
     pub fn pop_ready(&self, now: WallNs) -> Option<T> {
         if self.is_empty() {
             return None;

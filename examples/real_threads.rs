@@ -10,7 +10,6 @@
 use cagvt::core::cluster::{build_cluster, build_shared};
 use cagvt::core::RunReport;
 use cagvt::prelude::*;
-use cagvt_exec::VirtualRunStats;
 use std::sync::Arc;
 
 fn main() {
@@ -33,17 +32,9 @@ fn main() {
     .run(actors);
     println!("real time: {:.3}s, {} total steps\n", t0.elapsed().as_secs_f64(), stats.steps);
 
-    let report = RunReport::assemble(
-        "mattern",
-        &handles.shared,
-        // Reuse the report assembler; wall stats come from the real clock.
-        VirtualRunStats {
-            final_time: stats.elapsed,
-            steps: stats.steps,
-            completed: stats.completed,
-            ..Default::default()
-        },
-    );
+    // Both runtimes return the same stats, so one report assembler serves
+    // both; here its times come from the real clock.
+    let report = RunReport::assemble("mattern", &handles.shared, stats);
     println!("{report}");
 
     // The committed events still match the sequential reference exactly.

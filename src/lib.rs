@@ -35,6 +35,17 @@
 //! [`build_shared_observed`](core::build_shared_observed) when assembling
 //! a cluster by hand. None of them changes a run's results.
 //!
+//! The same cluster runs on real OS threads: pass the actors of
+//! [`build_cluster`](core::cluster::build_cluster) to
+//! [`ThreadRuntime`](exec::ThreadRuntime) instead of
+//! [`VirtualScheduler`](exec::VirtualScheduler). Both runtimes honour the
+//! same park-and-wake protocol ([`base::wake`]): a waiting actor parks,
+//! skipped and credited under the virtual scheduler, asleep on its thread
+//! under threads, until a notice or its timer wakes it. Both return one
+//! [`RunStats`](exec::RunStats), which
+//! [`RunReport::assemble`](core::RunReport::assemble) folds into a report
+//! (see `examples/real_threads.rs`).
+//!
 //! ## Crate map
 //!
 //! | Crate | Contents |

@@ -5,7 +5,6 @@
 use cagvt::core::cluster::{build_cluster, build_shared};
 use cagvt::core::testmodel::MiniHold;
 use cagvt::prelude::*;
-use cagvt_exec::VirtualRunStats;
 use std::sync::Arc;
 
 fn all_kinds() -> [GvtKind; 3] {
@@ -141,16 +140,7 @@ fn assert_threaded_matches_sequential<M: Model>(
     .run(actors);
     assert!(stats.completed, "threaded run timed out");
 
-    let report = cagvt::core::RunReport::assemble(
-        &format!("{kind:?}"),
-        &handles.shared,
-        VirtualRunStats {
-            final_time: stats.elapsed,
-            steps: stats.steps,
-            completed: stats.completed,
-            ..Default::default()
-        },
-    );
+    let report = cagvt::core::RunReport::assemble(&format!("{kind:?}"), &handles.shared, stats);
     let seq = SequentialSim::new(model, cfg).run();
     assert_eq!(report.committed, seq.processed, "committed mismatch for {kind:?}\n{report}");
     assert_eq!(report.state_fingerprint, seq.fingerprint, "state mismatch for {kind:?}");
@@ -159,11 +149,15 @@ fn assert_threaded_matches_sequential<M: Model>(
 
 #[test]
 fn thread_runtime_matches_sequential() {
+    // Barrier and CA-GVT hold workers at a barrier: on threads they park
+    // until a `TwoLevelReduce` publication unparks them.
     let mut cfg = SimConfig::small(2, 2);
     cfg.lps_per_worker = 4;
     cfg.end_time = 8.0;
-    let workload = comp_dominated(&cfg);
-    assert_threaded_matches_sequential(GvtKind::Mattern, workload.model, cfg);
+    for kind in [GvtKind::Barrier, GvtKind::Mattern, GvtKind::CA_DEFAULT, GvtKind::Samadi] {
+        let workload = comp_dominated(&cfg);
+        assert_threaded_matches_sequential(kind, workload.model, cfg);
+    }
 }
 
 #[test]
