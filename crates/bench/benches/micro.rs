@@ -202,19 +202,17 @@ fn epg_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three rollback strategies on a rollback-heavy PHOLD run: per-event
-/// snapshots vs reverse computation vs periodic state saving. Results are
-/// identical (the test suite proves it); this measures the host-side cost
-/// difference of the history machinery.
+/// The two rollback strategies on a rollback-heavy PHOLD run: per-event
+/// snapshots vs reverse computation. Results are identical (the test suite
+/// proves it); this measures the host-side cost difference of the history
+/// machinery.
 fn rollback_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("rollback_strategy");
     group.sample_size(10);
     let scale = Scale::bench();
-    for (name, rollback) in [
-        ("reverse", RollbackStrategy::Reverse),
-        ("snapshot", RollbackStrategy::Snapshot),
-        ("periodic_16", RollbackStrategy::PeriodicSnapshot(16)),
-    ] {
+    for (name, rollback) in
+        [("reverse", RollbackStrategy::Reverse), ("snapshot", RollbackStrategy::Snapshot)]
+    {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut cfg = base_config(2, MpiMode::Dedicated, 25, &scale);

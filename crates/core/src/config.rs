@@ -38,7 +38,8 @@ pub struct SimConfig {
     /// How LPs undo processed events. `None` picks
     /// [`RollbackStrategy::Reverse`] for models that implement reverse
     /// computation and [`RollbackStrategy::Snapshot`] otherwise; `Some`
-    /// forces a strategy (ablation knob).
+    /// forces one of the two (ablation knob: state saving on a model that
+    /// could reverse).
     pub rollback: Option<RollbackStrategy>,
 }
 
@@ -137,9 +138,9 @@ mod tests {
         let mut cfg = SimConfig::small(1, 1);
         assert_eq!(cfg.rollback_strategy(true), RollbackStrategy::Reverse);
         assert_eq!(cfg.rollback_strategy(false), RollbackStrategy::Snapshot);
-        cfg.rollback = Some(RollbackStrategy::PeriodicSnapshot(4));
-        assert_eq!(cfg.rollback_strategy(true), RollbackStrategy::PeriodicSnapshot(4));
-        assert_eq!(cfg.rollback_strategy(false), RollbackStrategy::PeriodicSnapshot(4));
+        cfg.rollback = Some(RollbackStrategy::Snapshot);
+        assert_eq!(cfg.rollback_strategy(true), RollbackStrategy::Snapshot);
+        assert_eq!(cfg.rollback_strategy(false), RollbackStrategy::Snapshot);
     }
 
     #[test]

@@ -1,27 +1,18 @@
 //! Logical processes under optimistic execution: processing, rollback,
 //! fossil collection.
 //!
-//! Three rollback strategies ([`RollbackStrategy`]), selected per model,
-//! differ only in which events get a pre-event state copy:
+//! Two rollback strategies ([`RollbackStrategy`]), selected per model,
+//! differ only in whether events get a pre-event state copy:
 //!
 //! * **State saving** (default): every processed event copies the LP's
-//!   state *before* the event into the snapshot log; undoing restores the
-//!   earliest undone event's copy.
+//!   state *before* the event; undoing restores the earliest undone
+//!   event's copy.
 //! * **Reverse computation** (ROSS's mechanism, for models that implement
 //!   [`Model::reverse`]): no event copies the state; undoing calls the
 //!   model's inverse handler in exact LIFO order.
-//! * **Periodic state saving**: only every `k`-th event copies the state.
-//!   Undoing restores the nearest copy at or before the first undone
-//!   event and *coasts forward*: it re-executes the surviving events after
-//!   that copy with their emissions dropped, because those messages were
-//!   already sent and stay valid.
 //!
-//! Coasting needs a snapshot to start from, so under periodic saving
-//! [`LpTable::fossil_collect`] keeps the newest snapshot entry below GVT
-//! and everything after it: a later straggler may roll back to any time at
-//! or above GVT. [`LpTable::fossil_collect_final`] runs at shutdown, when
-//! GVT has passed the end time and no rollback can follow, so it commits
-//! everything below GVT and keeps no restoration point.
+//! Either way undoing an entry needs nothing older than it, so
+//! [`LpTable::fossil_collect`] commits every entry below GVT.
 //!
 //! ## Storage
 //!
@@ -39,19 +30,19 @@
 //!
 //! * a dense array of per-LP records ([`LpRecord`]): state, generator, send
 //!   sequence number, last processed key, the two ends of the LP's history
-//!   chain and the boxed state-saving bookkeeping. An LP's id is the table's
-//!   first LP plus its index, and the rollback strategy is the table's, so
-//!   neither is stored per LP;
+//!   chain. An LP's id is the table's first LP plus its index, and the
+//!   rollback strategy is the table's, so neither is stored per LP;
 //! * one slab of history nodes and one of send nodes, shared by the table's
 //!   LPs; a freed node is the next one handed out (`slab.rs`), so processing
-//!   and committing call the allocator only when a slab grows.
+//!   and committing call the allocator only when a slab grows;
+//! * under state saving, a **snapshot array** beside the history slab.
 //!
 //! An LP's uncommitted history is a doubly linked **history chain**, oldest
 //! to newest, in strictly increasing event-key order: processing appends at
 //! the newest end, rollback unlinks from it, and fossil collection unlinks
-//! from the oldest end. Every node has one layout under every strategy: the
-//! event, the pre-event generator, a `snapshot` flag and the head of the
-//! entry's send chain. What the history sent and saved hangs off it:
+//! from the oldest end. Every node has one layout under both strategies: the
+//! event, the pre-event generator and the head of the entry's send chain.
+//! What the history sent and saved hangs off it:
 //!
 //! * each entry's **send chain** holds the `(dst, recv_time)` of every
 //!   message the entry's event sent, newest send first. Ids are implied by
@@ -65,27 +56,27 @@
 //!
 //!   so rollback rebuilds every anti's id from `send_seq` by counting down,
 //!   and leaves `send_seq` at the first undone entry's first send;
-//! * the **snapshot log**, one pre-event state per flagged entry, under
+//! * under state saving, the entry's pre-event state, under
 //!
 //!   ```text
-//!   log.len() == number of history entries with `snapshot` set
+//!   snapshots[i] is Some for every live history node i (state saving);
+//!   snapshots is empty (reverse computation)
 //!   ```
 //!
-//!   so the `j`-th flagged entry, oldest first, has its state in `log[j]`.
-//!   The log lives in the LP's state-saving bookkeeping, which is allocated
-//!   on the first processed event of a strategy that copies states: under
-//!   reverse computation an LP carries one word for it.
+//!   so the array grows with the history slab under state saving, and
+//!   under reverse computation a table carries one empty `Vec` for it.
 //!
-//! Processing appends a history node, a send node per send and a state
-//! copy; rollback frees the undone nodes newest first, emitting an anti per
-//! send, and pops the log's tail in step; fossil collection frees the
-//! committed nodes oldest first and drains the log's head. Rollback costs
-//! O(undone) and fossil collection O(committed + 1), plus the sends of those
-//! entries. A history node is plain data of a fixed size whatever the
-//! state's size: for a model whose state and payload own no heap memory, a
-//! strategy that copies no state stores none.
+//! Processing appends a history node, a send node per send and (state
+//! saving) a state copy at the node's slot; rollback frees the undone nodes
+//! newest first, emitting an anti per send and taking back each node's
+//! copy; fossil collection frees the committed nodes oldest first and drops
+//! their copies. Rollback costs O(undone) and fossil collection
+//! O(committed + 1), plus the sends of those entries. A history node is
+//! plain data of a fixed size whatever the state's size: for a model whose
+//! state and payload own no heap memory, reverse computation stores no
+//! state.
 //!
-//! Under every strategy, rollback restores `send_seq` to the first undone
+//! Under both strategies, rollback restores `send_seq` to the first undone
 //! entry's first send (not just state and RNG), so committed re-executions
 //! assign identical event ids, which keeps the optimistic run bit-identical
 //! to the sequential reference even under rollbacks.
@@ -98,7 +89,6 @@
 use cagvt_base::ids::{EventId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::VirtualTime;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::config::SimConfig;
@@ -114,17 +104,12 @@ pub enum RollbackStrategy {
     /// Reverse computation (requires [`Model::reverse`]): copy no state,
     /// undo by running the model's inverse handler in LIFO order.
     Reverse,
-    /// Periodic state saving: copy the state before every `k`-th event
-    /// only; roll back by restoring the nearest snapshot and
-    /// *coasting forward* — re-executing the surviving events with their
-    /// emissions suppressed (they were already sent and stay valid).
-    PeriodicSnapshot(u32),
 }
 
 /// One entry of an LP's processed-event history: a node of its history
 /// chain. Its sends and its state copy are not stored here but in its send
-/// chain and the LP's snapshot log (see the module doc), so the node's size
-/// does not depend on the model's state.
+/// chain and the table's snapshot array (see the module doc), so the node's
+/// size does not depend on the model's state.
 pub struct HistoryNode<M: Model> {
     /// The processed event; `None` while the slot is free.
     event: Option<Event<M::Payload>>,
@@ -136,10 +121,6 @@ pub struct HistoryNode<M: Model> {
     newer: u32,
     /// The newest node of this entry's send chain, or `NIL`.
     sends: u32,
-    /// Whether the snapshot log holds the LP's state before this event.
-    /// Otherwise undoing it runs the model's inverse handler (reverse
-    /// computation) or replays from an earlier snapshot (coast-forward).
-    snapshot: bool,
 }
 
 impl<M: Model> Link for HistoryNode<M> {
@@ -169,15 +150,6 @@ impl Link for SendNode {
     fn link(&mut self) -> &mut u32 {
         &mut self.next
     }
-}
-
-/// What an LP that copies states keeps beside its history.
-struct Saving<S> {
-    /// Snapshot log: the pre-event state of every flagged history entry,
-    /// oldest first (see the module doc's invariant).
-    log: VecDeque<S>,
-    /// Events processed since the last periodic snapshot.
-    since: u32,
 }
 
 /// Result of a rollback: what the worker must do next. The caller keeps
@@ -212,17 +184,6 @@ pub struct LpRecord<M: Model> {
     newest: u32,
     oldest: u32,
     state: M::State,
-    /// State-saving bookkeeping, absent until a strategy that copies
-    /// states processes an event. Boxed because the LP tables are a large
-    /// share of the heap at tens of thousands of LPs per run.
-    saving: Option<Box<Saving<M::State>>>,
-}
-
-impl<M: Model> LpRecord<M> {
-    /// The state-saving bookkeeping, allocated on first use.
-    fn saving(&mut self) -> &mut Saving<M::State> {
-        self.saving.get_or_insert_with(|| Box::new(Saving { log: VecDeque::new(), since: 0 }))
-    }
 }
 
 /// Scramble one LP's state fingerprint into a position-independent
@@ -260,9 +221,13 @@ pub struct LpTable<M: Model> {
     run: Run,
     lps: Vec<LpRecord<M>>,
     history: Slab<HistoryNode<M>>,
+    /// Under state saving, the state of each live history entry's LP before
+    /// the entry's event, at the entry's slot in `history` (see the module
+    /// doc's invariant).
+    snapshots: Vec<Option<M::State>>,
     sends: Slab<SendNode>,
     /// The model's emissions from one hook or handler call, stamped into
-    /// events by [`Self::stamp`] (dropped while coasting forward).
+    /// events by [`Self::stamp`].
     sink: Emitter<M::Payload>,
 }
 
@@ -272,9 +237,6 @@ impl<M: Model> LpTable<M> {
     /// undone by the strategy `cfg` selects for `model`.
     pub fn new(model: Arc<M>, cfg: &SimConfig, first_lp: LpId, n_lps: u32) -> Self {
         let strategy = cfg.rollback_strategy(model.supports_reverse());
-        if let RollbackStrategy::PeriodicSnapshot(k) = strategy {
-            assert!(k >= 1, "snapshot period must be at least 1");
-        }
         let lps = (first_lp.0..first_lp.0 + n_lps)
             .map(|id| {
                 let mut rng = Pcg32::new(cfg.seed, id as u64);
@@ -286,7 +248,6 @@ impl<M: Model> LpTable<M> {
                     newest: NIL,
                     oldest: NIL,
                     state,
-                    saving: None,
                 }
             })
             .collect();
@@ -297,6 +258,7 @@ impl<M: Model> LpTable<M> {
             run: Run { end_time: cfg.end_vt(), total_lps: cfg.total_lps() },
             lps,
             history: Slab::with_capacity(0),
+            snapshots: Vec::new(),
             sends: Slab::with_capacity(0),
             sink: Emitter::new(),
         }
@@ -351,7 +313,8 @@ impl<M: Model> LpTable<M> {
     }
 
     /// Uncommitted history length of LP `lp`. Walks the chain; the engine's
-    /// optimism throttle counts per worker instead.
+    /// optimism throttle reads the table's total instead, its live history
+    /// nodes ([`Self::live_nodes`]).
     pub fn history_len(&self, lp: usize) -> usize {
         let mut n = 0;
         let mut node = self.lps[lp].oldest;
@@ -404,24 +367,7 @@ impl<M: Model> LpTable<M> {
         let ctx = self.run.ctx(self.id(lp), now);
         let rec = &mut self.lps[lp];
         debug_assert!(event.key() > rec.last_key, "processing out of order");
-        let snapshot = match self.strategy {
-            RollbackStrategy::Reverse => false,
-            RollbackStrategy::Snapshot => true,
-            RollbackStrategy::PeriodicSnapshot(k) => {
-                let since = &mut rec.saving().since;
-                if *since == 0 || *since >= k {
-                    *since = 1;
-                    true
-                } else {
-                    *since += 1;
-                    false
-                }
-            }
-        };
-        if snapshot {
-            let state = rec.state.clone();
-            rec.saving().log.push_back(state);
-        }
+        let saved = (self.strategy == RollbackStrategy::Snapshot).then(|| rec.state.clone());
         let rng = rec.rng;
         let epg =
             self.model.handle(&ctx, &mut rec.state, &event.payload, &mut rec.rng, &mut self.sink);
@@ -433,8 +379,17 @@ impl<M: Model> LpTable<M> {
             older,
             newer: NIL,
             sends: NIL,
-            snapshot,
         });
+        if let Some(state) = saved {
+            match self.snapshots.get_mut(node as usize) {
+                Some(slot) => *slot = Some(state),
+                None => {
+                    // A new slab slot: the array grows with the slab.
+                    debug_assert_eq!(self.snapshots.len(), node as usize);
+                    self.snapshots.push(Some(state));
+                }
+            }
+        }
         match older {
             NIL => rec.oldest = node,
             older => self.history[older].newer = node,
@@ -504,7 +459,8 @@ impl<M: Model> LpTable<M> {
             if if cancel { key < to_key } else { key <= to_key } {
                 break;
             }
-            let (_, entry) = self.history.free(rec.newest);
+            let slot = rec.newest;
+            let (_, entry) = self.history.free(slot);
             let event = entry.event.take().expect("a live history node");
             rec.newest = entry.older;
             out.undone += 1;
@@ -519,18 +475,18 @@ impl<M: Model> LpTable<M> {
                 send = next;
             }
             out.antis[first..].reverse();
-            // Undo this event (strict LIFO): restore its generator, then its
-            // snapshot, or run the model's inverse handler, or (periodic
-            // mode) leave the state to the coast-forward pass below.
+            // Undo this event (strict LIFO): restore its generator, then run
+            // the model's inverse handler or restore its snapshot.
             rec.rng = entry.rng;
-            if entry.snapshot {
-                rec.state = rec.saving().log.pop_back().expect("a snapshot per flagged entry");
-            } else if reverse {
+            if reverse {
                 let ctx = self.run.ctx(id, event.recv_time);
                 // Scratch generator at the pre-event position, so the
                 // reversal can re-derive the forward pass's draws.
                 let mut scratch = entry.rng;
                 self.model.reverse(&ctx, &mut rec.state, &event.payload, &mut scratch);
+            } else {
+                let snapshot = self.snapshots[slot as usize].take();
+                rec.state = snapshot.expect("a snapshot per history entry");
             }
             if cancel && key == to_key {
                 met = true;
@@ -545,10 +501,6 @@ impl<M: Model> LpTable<M> {
             NIL => rec.oldest = NIL,
             newest => self.history[newest].newer = NIL,
         }
-        if out.undone > 0 && matches!(self.strategy, RollbackStrategy::PeriodicSnapshot(_)) {
-            self.coast_forward(lp);
-        }
-        let rec = &mut self.lps[lp];
         rec.last_key = match rec.newest {
             NIL => EventKey::MIN,
             newest => self.history[newest].event().key(),
@@ -556,85 +508,21 @@ impl<M: Model> LpTable<M> {
         self.debug_check(lp);
     }
 
-    /// Periodic-snapshot restoration: the undone entries and their
-    /// snapshots are already gone, but LP `lp`'s state may be anywhere. Walk
-    /// back from the newest surviving entry to the nearest flagged one (the
-    /// oldest retained entry always is — see [`Self::fossil_collect`]),
-    /// restore its state from the snapshot log's tail, which stays logged,
-    /// then re-execute it and the survivors after it with their emissions
-    /// dropped: they were already sent, remain valid and stay in their send
-    /// chains ("coasting forward"). `send_seq` is already the first undone
-    /// entry's first send and is not touched.
-    fn coast_forward(&mut self, lp: usize) {
-        let id = self.id(lp);
-        let rec = &mut self.lps[lp];
-        if rec.newest == NIL {
-            // The rollback undid the whole history; its earliest entry was
-            // a snapshot (the first entry always is), so the rollback
-            // already restored the state directly.
-            rec.saving().since = 0;
-            return;
-        }
-        let mut node = rec.newest;
-        // The snapshot cadence restarts from the replayed suffix, which
-        // begins at the snapshot entry.
-        let mut replayed = 1;
-        while !self.history[node].snapshot {
-            node = self.history[node].older;
-            debug_assert!(node != NIL, "coast_forward found no snapshot");
-            replayed += 1;
-        }
-        rec.saving().since = replayed;
-        rec.state = rec.saving().log.back().expect("a snapshot per flagged entry").clone();
-        rec.rng = self.history[node].rng;
-        while node != NIL {
-            let entry = &self.history[node];
-            let event = entry.event();
-            let ctx = self.run.ctx(id, event.recv_time);
-            self.model.handle(&ctx, &mut rec.state, &event.payload, &mut rec.rng, &mut self.sink);
-            self.sink.take().for_each(drop);
-            node = entry.newer;
-        }
-    }
-
-    /// Free LP `lp`'s history below `gvt`; returns the number of events
-    /// committed.
-    ///
-    /// Under [`RollbackStrategy::PeriodicSnapshot`], the newest snapshot
-    /// entry below `gvt` (and everything after it) is retained so that a
-    /// later rollback always finds a restoration point; commit accounting
-    /// for the retained suffix is deferred to a later pass. Use
-    /// [`Self::fossil_collect_final`] at shutdown, when no rollback can
-    /// follow.
-    pub fn fossil_collect(&mut self, lp: usize, gvt: VirtualTime) -> u64 {
-        let n = match self.strategy {
-            // Nothing at or beyond the newest snapshot below `gvt` may go.
-            RollbackStrategy::PeriodicSnapshot(_) => self.below(lp, gvt).1,
-            _ => usize::MAX,
-        };
-        self.commit(lp, n, gvt)
-    }
-
-    /// Fossil collection at shutdown: GVT has passed the end time, no
-    /// rollback can follow, so retention is unnecessary and everything
-    /// below `gvt` commits regardless of strategy.
-    pub fn fossil_collect_final(&mut self, lp: usize, gvt: VirtualTime) -> u64 {
-        self.commit(lp, usize::MAX, gvt)
-    }
-
     /// Free LP `lp`'s oldest history entries with receive time below `gvt`,
-    /// at most `n` of them, with their send chains and their prefix of the
-    /// snapshot log; returns how many. Stops at the first entry it keeps, so
-    /// the cost is the entries freed plus one.
-    fn commit(&mut self, lp: usize, n: usize, gvt: VirtualTime) -> u64 {
+    /// with their send chains and state copies; returns how many (the events
+    /// committed). Stops at the first entry it keeps, so the cost is the
+    /// entries freed plus one.
+    pub fn fossil_collect(&mut self, lp: usize, gvt: VirtualTime) -> u64 {
         let rec = &mut self.lps[lp];
-        let (mut committed, mut flagged) = (0, 0);
-        while committed < n && rec.oldest != NIL && self.history[rec.oldest].event().recv_time < gvt
-        {
+        let mut committed = 0;
+        while rec.oldest != NIL && self.history[rec.oldest].event().recv_time < gvt {
             committed += 1;
-            let (newer, entry) = self.history.free(rec.oldest);
+            let slot = rec.oldest;
+            if let Some(snapshot) = self.snapshots.get_mut(slot as usize) {
+                *snapshot = None;
+            }
+            let (newer, entry) = self.history.free(slot);
             entry.event = None;
-            flagged += entry.snapshot as usize;
             let mut send = entry.sends;
             while send != NIL {
                 send = self.sends.free(send).0;
@@ -648,53 +536,32 @@ impl<M: Model> LpTable<M> {
             NIL => rec.newest = NIL,
             oldest => self.history[oldest].older = NIL,
         }
-        if let Some(saving) = &mut rec.saving {
-            saving.log.drain(..flagged);
-        }
         self.debug_check(lp);
         committed as u64
     }
 
-    /// The number of LP `lp`'s history entries with receive time below
-    /// `gvt`, and the position among them of the newest flagged one (0 if
-    /// none is). Scans from the oldest entry: the cost is the entries
-    /// below plus one, and the commit touches those entries anyway.
-    fn below(&self, lp: usize, gvt: VirtualTime) -> (usize, usize) {
-        let (mut below, mut newest_flagged) = (0, 0);
-        let mut node = self.lps[lp].oldest;
-        while node != NIL {
-            let entry = &self.history[node];
-            if entry.event().recv_time >= gvt {
-                break;
-            }
-            if entry.snapshot {
-                newest_flagged = below;
-            }
-            below += 1;
-            node = entry.newer;
-        }
-        (below, newest_flagged)
-    }
-
-    /// LP `lp`'s chain and logs against the module doc's invariants,
+    /// LP `lp`'s chain and copies against the module doc's invariants,
     /// checked in debug builds after every operation that changes them:
     /// the chain's links agree both ways and its keys ascend up to
-    /// `last_key`, the snapshot log holds one state per flagged entry, and
-    /// the send chains hold no more sends than were numbered.
+    /// `last_key`, every entry has a state copy under state saving and none
+    /// otherwise, and the send chains hold no more sends than were
+    /// numbered.
     fn debug_check(&self, lp: usize) {
         if !cfg!(debug_assertions) {
             return;
         }
         let rec = &self.lps[lp];
         let (mut node, mut older, mut last) = (rec.oldest, NIL, None);
-        let (mut flagged, mut sent) = (0, 0);
+        let saving = self.strategy == RollbackStrategy::Snapshot;
+        let mut sent = 0;
         while node != NIL {
             let entry = &self.history[node];
             assert_eq!(entry.older, older, "history chain links out of step");
             let key = entry.event().key();
             assert!(last < Some(key), "history chain out of key order");
             last = Some(key);
-            flagged += entry.snapshot as usize;
+            let copied = self.snapshots.get(node as usize).is_some_and(Option::is_some);
+            assert_eq!(copied, saving, "state copy out of step with the strategy");
             let mut send = entry.sends;
             while send != NIL {
                 sent += 1;
@@ -706,11 +573,7 @@ impl<M: Model> LpTable<M> {
         assert_eq!(rec.newest, older, "history chain ends out of step");
         assert!(last.is_none_or(|key| key == rec.last_key), "newest entry is not the last key");
         assert!(sent <= rec.send_seq, "more sends logged than numbered");
-        assert_eq!(
-            rec.saving.as_ref().map_or(0, |s| s.log.len()),
-            flagged,
-            "snapshot log out of step with the history"
-        );
+        assert!(saving || self.snapshots.is_empty(), "state copies under reverse computation");
     }
 }
 
@@ -891,50 +754,25 @@ mod tests {
     #[test]
     fn fossil_commits_strictly_below_gvt() {
         let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
-        process_one(&mut lp, ev(1.0, 0, 1));
-        process_one(&mut lp, ev(2.0, 1, 1));
-        process_one(&mut lp, ev(3.0, 2, 1));
-        assert_eq!(lp.fossil_collect(0, VirtualTime::new(2.0)), 1, "only t=1 < gvt");
-        assert_eq!(lp.history_len(0), 2);
-        assert_eq!(lp.fossil_collect(0, VirtualTime::new(10.0)), 2);
-        assert_eq!(lp.history_len(0), 0);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(5.0)), 0, "empty history");
+        for (t, seq) in [(1.0, 0), (2.0, 1), (2.0, 2), (3.0, 3)] {
+            process_one(&mut lp, ev(t, seq, 1));
+        }
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(0.5)), 0, "none below");
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(1.0)), 0, "an entry at gvt stays");
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(2.0)), 1, "both entries at gvt stay");
+        assert_eq!(lp.history_len(0), 3);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::new(2.0)), 0, "a repeat commits nothing");
+        assert_eq!(
+            lp.fossil_collect(0, VirtualTime::new(2.5)),
+            2,
+            "equal-time entries go together"
+        );
+        assert_eq!(lp.history_len(0), 1);
+        assert_eq!(lp.fossil_collect(0, VirtualTime::INFINITY), 1);
+        assert_eq!(lp.live_nodes(), (0, 0));
         // LVT is unaffected by fossil collection.
         assert_eq!(lp.lvt(0), VirtualTime::new(3.0));
-    }
-
-    #[test]
-    fn fossil_boundary_counts_entries_strictly_below_gvt() {
-        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
-        assert_eq!(lp.below(0, VirtualTime::new(5.0)).0, 0, "empty history");
-        for (t, src) in [(1.0, 0), (2.0, 1), (2.0, 2), (3.0, 3)] {
-            process_one(&mut lp, ev(t, src, 1));
-        }
-        assert_eq!(lp.below(0, VirtualTime::INFINITY).0, 4, "every entry below");
-        assert_eq!(lp.below(0, VirtualTime::new(0.5)).0, 0, "none below");
-        assert_eq!(lp.below(0, VirtualTime::new(1.0)).0, 0, "an entry at gvt stays");
-        assert_eq!(lp.below(0, VirtualTime::new(2.0)).0, 1, "both entries at gvt stay");
-        assert_eq!(lp.below(0, VirtualTime::new(2.5)).0, 3);
-        assert_eq!(lp.fossil_collect(0, VirtualTime::new(2.0)), 1);
-        assert_eq!(lp.below(0, VirtualTime::new(2.0)).0, 0);
-    }
-
-    #[test]
-    fn periodic_fossil_keeps_newest_snapshot_below_gvt() {
-        let mut lp = one(CounterModel, 1, RollbackStrategy::PeriodicSnapshot(2));
-        // Entries at t=1..=5; snapshots land on t=1, t=3, t=5.
-        for (i, t) in [1.0, 2.0, 3.0, 4.0, 5.0].iter().enumerate() {
-            process_one(&mut lp, ev(*t, i as u64, 1));
-        }
-        // Newest snapshot below 4.5 is t=3: everything before it commits.
-        assert_eq!(lp.fossil_collect(0, VirtualTime::new(4.5)), 2);
-        assert_eq!(lp.history_len(0), 3);
-        // No snapshot strictly below 3.0 remains: nothing frees.
-        assert_eq!(lp.fossil_collect(0, VirtualTime::new(3.0)), 0);
-        // The t=5 snapshot unlocks the t=3 and t=4 entries.
-        assert_eq!(lp.fossil_collect(0, VirtualTime::new(5.5)), 2);
-        assert_eq!(lp.history_len(0), 1);
-        assert_eq!(lp.fossil_collect_final(0, VirtualTime::new(10.0)), 1);
-        assert_eq!(lp.history_len(0), 0);
     }
 
     #[test]
@@ -1000,25 +838,6 @@ mod tests {
         assert_eq!(got, sent[0]);
     }
 
-    #[test]
-    fn periodic_reexecution_reuses_the_undone_ids() {
-        let mut lp = one(CounterModel, 1, RollbackStrategy::PeriodicSnapshot(3));
-        // Snapshots land on t=1 and t=4; t=2, t=3 and t=5 coast.
-        let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0, 5.0]
-            .iter()
-            .enumerate()
-            .map(|(i, t)| process_with(&mut lp, ev(*t, i as u64, 1)))
-            .collect();
-        // Undo t=3, t=4 and t=5; the survivors coast forward from the t=1
-        // snapshot.
-        let rb = rollback_to(&mut lp, ev(2.5, 99, 0).key());
-        assert_eq!(rb.undone, 3);
-        let mut replay = rb.reenqueue;
-        replay.sort_by_key(|e| e.key());
-        let resent = process_with(&mut lp, replay.remove(0));
-        assert_eq!(resent[0].0, sent[2][0].0);
-    }
-
     /// A model whose state is `N` inert bytes.
     struct Bytes<const N: usize>;
 
@@ -1054,66 +873,5 @@ mod tests {
     fn history_entry_size_does_not_depend_on_the_state() {
         use std::mem::size_of;
         assert_eq!(size_of::<HistoryNode<Bytes<8>>>(), size_of::<HistoryNode<Bytes<256>>>());
-    }
-
-    /// The LP's snapshot log, oldest first.
-    fn snapshots<M: Model>(lp: &LpTable<M>) -> Vec<M::State> {
-        lp.lps[0].saving.iter().flat_map(|s| s.log.iter().cloned()).collect()
-    }
-
-    /// Walk a period-3 LP through processing, fossil collection (which
-    /// retains a restoration point), a straggler rollback and its
-    /// coast-forward, checking the snapshot log and the restored state
-    /// against a straight-through run at each step.
-    #[test]
-    fn periodic_snapshot_log_through_fossil_rollback_and_coast() {
-        let events: Vec<Event<u32>> = (1..=7).map(|t| ev(t as f64, t, t as u32)).collect();
-        // Straight-through reference: `(state, rng)` after each event.
-        let mut truth = one(CounterModel, 1, RollbackStrategy::Snapshot);
-        let after: Vec<_> = events
-            .iter()
-            .map(|e| {
-                process_one(&mut truth, e.clone());
-                (truth.state(0).clone(), truth.rng(0))
-            })
-            .collect();
-        let strategy = RollbackStrategy::PeriodicSnapshot(3);
-        let mut lp = one(CounterModel, 1, strategy);
-
-        // Snapshots land on t=1, t=4 and t=7, each holding the state
-        // before its event.
-        for (e, want) in events.iter().zip([1, 1, 1, 2, 2, 2, 3]) {
-            process_one(&mut lp, e.clone());
-            assert_eq!(snapshots(&lp).len(), want);
-        }
-        assert_eq!(snapshots(&lp), [(0, vec![]), after[2].0.clone(), after[5].0.clone()]);
-
-        // The newest snapshot below GVT 5.5 is t=4's: t=1..3 commit with
-        // t=1's state copy, and t=4's stays as the restoration point.
-        assert_eq!(lp.fossil_collect(0, VirtualTime::new(5.5)), 3);
-        assert_eq!(lp.history_len(0), 4);
-        assert_eq!(snapshots(&lp), [after[2].0.clone(), after[5].0.clone()]);
-
-        // A straggler at t=4.5 undoes t=5..7, popping t=7's copy; the LP
-        // coasts forward from t=4's copy, which stays logged, through t=4.
-        let rb = rollback_to(&mut lp, ev(4.5, 99, 0).key());
-        assert_eq!(rb.undone, 3);
-        assert_eq!(snapshots(&lp), [after[2].0.clone()]);
-        assert_eq!((lp.state(0).clone(), lp.rng(0)), after[3]);
-        assert_eq!(lp.lvt(0), VirtualTime::new(4.0));
-
-        // Re-executing the undone events restarts the cadence from t=4:
-        // t=7 is flagged again, and the run converges on the reference.
-        let mut replay = rb.reenqueue;
-        replay.sort_by_key(|e| e.key());
-        for e in replay {
-            process_one(&mut lp, e);
-        }
-        assert_eq!(snapshots(&lp), [after[2].0.clone(), after[5].0.clone()]);
-        assert_eq!((lp.state(0).clone(), lp.rng(0)), after[6]);
-
-        // At shutdown everything commits and the log empties.
-        assert_eq!(lp.fossil_collect_final(0, VirtualTime::INFINITY), 4);
-        assert!(snapshots(&lp).is_empty());
     }
 }

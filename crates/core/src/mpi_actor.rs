@@ -130,14 +130,12 @@ impl<M: Model> MpiPump<M> {
 pub struct MpiActor<M: Model> {
     actor_id: ActorId,
     pump: MpiPump<M>,
-    shared: Arc<EngineShared<M>>,
     finished: bool,
 }
 
 impl<M: Model> MpiActor<M> {
     pub fn new(actor_id: ActorId, pump: MpiPump<M>) -> Self {
-        let shared = Arc::clone(&pump.shared);
-        MpiActor { actor_id, pump, shared, finished: false }
+        MpiActor { actor_id, pump, finished: false }
     }
 }
 
@@ -154,8 +152,9 @@ impl<M: Model> Actor for MpiActor<M> {
         if self.finished {
             return StepResult::done();
         }
-        if self.shared.gvt_core.stopped() {
-            self.shared.stats.mpi_deposits.lock().push(self.pump.counters);
+        let shared = &self.pump.shared;
+        if shared.gvt_core.stopped() {
+            shared.stats.mpi_deposits.lock().push(self.pump.counters);
             self.finished = true;
             return StepResult::done();
         }
@@ -163,7 +162,7 @@ impl<M: Model> Actor for MpiActor<M> {
         if moved || charge > WallNs::ZERO {
             StepResult::progress(charge)
         } else {
-            StepResult::idle(self.shared.cfg.cost.idle_poll)
+            StepResult::idle(self.pump.shared.cfg.cost.idle_poll)
         }
     }
 }

@@ -81,7 +81,6 @@ pub struct PendingSet<P> {
     /// per non-empty chain. The time alone orders all but equal-time heads,
     /// and keeps an entry at 16 bytes.
     heap: Vec<(VirtualTime, u32)>,
-    len: usize,
 }
 
 impl<P> PendingSet<P> {
@@ -98,7 +97,6 @@ impl<P> PendingSet<P> {
             heads: vec![NIL; n_lps],
             pos: vec![NIL; n_lps],
             heap: Vec::with_capacity(n_lps.min(capacity)),
-            len: 0,
         }
     }
 
@@ -133,7 +131,6 @@ impl<P> PendingSet<P> {
             }
             tails[lp] = node;
         }
-        set.len = set.nodes.live();
         set.debug_check();
         set
     }
@@ -186,7 +183,6 @@ impl<P> PendingSet<P> {
         } else {
             self.nodes[prev].next = node;
         }
-        self.len += 1;
         self.debug_check();
     }
 
@@ -247,7 +243,6 @@ impl<P> PendingSet<P> {
         } else {
             self.nodes[prev].next = next;
         }
-        self.len -= 1;
         self.nodes.free(node).1.event.take().expect("released a free slot")
     }
 
@@ -311,7 +306,7 @@ impl<P> PendingSet<P> {
 
     /// Check every invariant (debug builds only): heap order, the position
     /// array against the heap, each chain strictly ascending and headed by
-    /// its heap key, and `len` against the chains and the slab's live slots.
+    /// its heap key, and the chains' total against the slab's live slots.
     fn debug_check(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -333,8 +328,7 @@ impl<P> PendingSet<P> {
                 node = next;
             }
         }
-        assert_eq!(chained, self.len, "len is not the chains' total");
-        assert_eq!(self.nodes.live(), self.len, "slab slots lost or on no chain");
+        assert_eq!(self.nodes.live(), chained, "slab slots lost or on no chain");
     }
 
     /// Key of the minimum event (the worker's LVT contribution when
@@ -351,11 +345,11 @@ impl<P> PendingSet<P> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.live()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 

@@ -57,7 +57,7 @@ impl<M: Model> SequentialSim<M> {
             lps.process(idx, event, &mut sent);
             sent.drain(..).for_each(|e| pending.insert(e));
             // No rollback can ever happen: commit immediately.
-            lps.fossil_collect_final(idx, VirtualTime::INFINITY);
+            lps.fossil_collect(idx, VirtualTime::INFINITY);
             processed += 1;
         }
         SeqOutcome { processed, fingerprint: lps.fingerprint() }

@@ -44,10 +44,9 @@ const RECV_BATCH: usize = 32;
 
 /// A worker thread of one node.
 pub struct Worker<M: Model> {
-    actor_id: ActorId,
     node: NodeId,
     lane: LaneId,
-    /// Dense global worker index.
+    /// Dense global worker index, which is also the worker's actor id.
     widx: u32,
     shared: Arc<EngineShared<M>>,
     nshared: Arc<NodeShared<M::Payload>>,
@@ -58,8 +57,6 @@ pub struct Worker<M: Model> {
     mpi_duty: Option<MpiPump<M>>,
     counters: WorkerCounters,
     events_since_round: u64,
-    /// Total uncommitted history across this worker's LPs (throttle input).
-    uncommitted: usize,
     recv_buf: Vec<TaggedMsg<M::Payload>>,
     /// The events the LP table stamped for the processed event's sends.
     sent: Vec<Event<M::Payload>>,
@@ -127,7 +124,6 @@ impl<M: Model> Worker<M> {
         let acks_enabled = gvt.wants_acks();
         let pending = PendingSet::from_events(lps.first_lp(), lps.len(), seeds);
         Worker {
-            actor_id: ActorId(widx),
             node,
             lane,
             widx,
@@ -139,7 +135,6 @@ impl<M: Model> Worker<M> {
             mpi_duty,
             counters: WorkerCounters::default(),
             events_since_round: 0,
-            uncommitted: 0,
             recv_buf: Vec::new(),
             sent: Vec::new(),
             rollback: Rollback::default(),
@@ -242,7 +237,6 @@ impl<M: Model> Worker<M> {
             return charge;
         }
         self.counters.rollbacks += 1;
-        self.uncommitted -= rb.undone as usize;
         self.shared.stats.rolled_back.fetch_add(rb.undone, Ordering::Relaxed);
         let (worker, undone) = (self.widx, rb.undone);
         self.shared.gvt_core.emit(now, || TraceRecord::Rollback { worker, undone, straggler });
@@ -349,17 +343,22 @@ impl<M: Model> Worker<M> {
 
     /// Fossil collect all LPs at the new GVT.
     fn fossil(&mut self, gvt: VirtualTime) -> WallNs {
-        let committed = self.commit(|lps, k| lps.fossil_collect(k, gvt));
+        let committed = self.commit(gvt);
         WallNs(self.shared.cfg.cost.fossil_per_event.0 * committed)
     }
 
-    /// Commit each LP's history through `collect` and account for the
-    /// events it commits; returns their number.
-    fn commit(&mut self, mut collect: impl FnMut(&mut LpTable<M>, usize) -> u64) -> u64 {
-        let committed: u64 = (0..self.lps.len()).map(|k| collect(&mut self.lps, k)).sum();
-        self.uncommitted -= committed as usize;
+    /// Commit each LP's history below `gvt` and account for the events it
+    /// commits; returns their number.
+    fn commit(&mut self, gvt: VirtualTime) -> u64 {
+        let committed: u64 = (0..self.lps.len()).map(|k| self.lps.fossil_collect(k, gvt)).sum();
         self.shared.stats.committed.fetch_add(committed, Ordering::Relaxed);
         committed
+    }
+
+    /// Whether the optimism throttle is engaged: the worker's uncommitted
+    /// history (its LP table's live history nodes) has reached the cap.
+    fn throttle_full(&self) -> bool {
+        self.lps.live_nodes().0 >= self.shared.cfg.max_outstanding
     }
 
     /// Process the minimum pending event, if allowed. Returns (charge,
@@ -370,7 +369,7 @@ impl<M: Model> Worker<M> {
         // The throttle never holds back an event at or below the published
         // GVT: no rollback can reach it, and while it waits GVT cannot pass
         // it to commit the events that fill the cap.
-        if self.uncommitted >= cfg.max_outstanding
+        if self.throttle_full()
             && next.is_none_or(|key| key.t > self.shared.gvt_core.published_gvt())
         {
             self.counters.throttled += 1;
@@ -428,7 +427,6 @@ impl<M: Model> Worker<M> {
         self.sent = sent;
         charge += self.drain_local_antis(now + charge);
 
-        self.uncommitted += 1;
         self.shared.stats.processed.fetch_add(1, Ordering::Relaxed);
         self.events_since_round += 1;
         self.shared.stats.worker_lvts[self.widx as usize]
@@ -437,10 +435,8 @@ impl<M: Model> Worker<M> {
     }
 
     fn finish(&mut self) {
-        // GVT has passed the end time: everything processed is final and
-        // no rollback can follow (so periodic-snapshot retention lifts).
-        let end = self.shared.cfg.end_vt();
-        self.commit(|lps, k| lps.fossil_collect_final(k, end));
+        // GVT has passed the end time: everything processed is final.
+        self.commit(self.shared.cfg.end_vt());
         self.shared.stats.state_fp.fetch_xor(self.lps.fingerprint(), Ordering::AcqRel);
         self.shared.stats.store_worker_counters(self.widx, &self.counters);
         if let Some(pump) = &self.mpi_duty {
@@ -469,7 +465,7 @@ impl<M: Model> Worker<M> {
 
 impl<M: Model> Actor for Worker<M> {
     fn id(&self) -> ActorId {
-        self.actor_id
+        ActorId(self.widx)
     }
 
     fn label(&self) -> String {
@@ -482,7 +478,7 @@ impl<M: Model> Actor for Worker<M> {
         }
         if let Some(poll) = self.parked.take() {
             // The exactness rule: each skipped poll counts as if it had run.
-            let (n, c) = (wake::take_skipped(self.actor_id), &mut self.counters);
+            let (n, c) = (wake::take_skipped(ActorId(self.widx)), &mut self.counters);
             c.throttled += n * poll.throttled as u64;
             c.requests_interval += n * poll.requests_interval as u64;
             c.requests_idle += n * poll.requests_idle as u64;
@@ -578,7 +574,7 @@ impl<M: Model> Actor for Worker<M> {
         // Round initiation: on interval, or whenever progress is gated on
         // a new GVT (throttled or drained below the end time).
         let mut poll = PurePoll {
-            throttled: starved && self.uncommitted >= cfg.max_outstanding,
+            throttled: starved && self.throttle_full(),
             requests_interval: self.events_since_round >= cfg.gvt_interval,
             requests_idle: false,
             gvt_time: gvt_charge,

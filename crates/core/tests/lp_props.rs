@@ -63,14 +63,8 @@ impl Model for HashModel {
     }
 }
 
-fn strategies() -> [RollbackStrategy; 5] {
-    [
-        RollbackStrategy::Snapshot,
-        RollbackStrategy::Reverse,
-        RollbackStrategy::PeriodicSnapshot(1),
-        RollbackStrategy::PeriodicSnapshot(3),
-        RollbackStrategy::PeriodicSnapshot(64),
-    ]
+fn strategies() -> [RollbackStrategy; 2] {
+    [RollbackStrategy::Snapshot, RollbackStrategy::Reverse]
 }
 
 /// A run of `lps` LPs with end time 1e9 under `strategy`.
@@ -164,56 +158,6 @@ proptest! {
             prop_assert_eq!(lp.rng(0), truth.rng(0), "rng must converge ({:?})", strategy);
             prop_assert_eq!(lp.lvt(0), truth.lvt(0));
         }
-    }
-
-    /// Periodic-snapshot fossil collection (driven by the incremental
-    /// snapshot index) always retains a restoration point: after fossils
-    /// at increasing GVTs, rolling back to any surviving event and
-    /// replaying still converges to the in-order run.
-    #[test]
-    fn periodic_fossil_retains_restoration_point(
-        times in prop::collection::vec(0u16..500, 3..40),
-        k in 1u32..8,
-        mut gvt_tenths in prop::collection::vec(0u32..6000, 1..4),
-        cut in any::<u16>(),
-        seed in any::<u64>(),
-    ) {
-        let events = make_events(&times);
-        let mut truth = one(HashModel, seed, RollbackStrategy::Snapshot);
-        for e in &events {
-            process(&mut truth, e.clone());
-        }
-        let strategy = RollbackStrategy::PeriodicSnapshot(k);
-        let mut lp = one(HashModel, seed, strategy);
-        for e in &events {
-            process(&mut lp, e.clone());
-        }
-        gvt_tenths.sort_unstable();
-        let mut committed = 0u64;
-        for g in &gvt_tenths {
-            let gvt = VirtualTime::new(*g as f64 / 10.0);
-            committed += lp.fossil_collect(0, gvt);
-            let below = events.iter().filter(|e| e.recv_time < gvt).count() as u64;
-            prop_assert!(committed <= below, "over-committed past GVT");
-        }
-        let max_gvt = VirtualTime::new(*gvt_tenths.last().expect("non-empty") as f64 / 10.0);
-        let survivors: Vec<_> = events.iter().filter(|e| e.recv_time >= max_gvt).collect();
-        if !survivors.is_empty() {
-            let cut_idx = (cut as usize) % survivors.len();
-            let cut_key = EventKey {
-                t: survivors[cut_idx].recv_time,
-                id: EventId::new(LpId(0), 0),
-            };
-            let rb = rollback_to(&mut lp, cut_key);
-            let mut replay = rb.reenqueue;
-            replay.sort_by_key(|e| e.key());
-            for e in replay {
-                process(&mut lp, e);
-            }
-        }
-        prop_assert_eq!(lp.state(0), truth.state(0), "state must converge after fossil+rollback");
-        prop_assert_eq!(lp.rng(0), truth.rng(0));
-        prop_assert_eq!(lp.lvt(0), truth.lvt(0));
     }
 
     /// Fossil collection frees exactly the events strictly below GVT and
@@ -317,11 +261,7 @@ proptest! {
         ops in prop::collection::vec((0u8..5, any::<u16>()), 1..80),
         seed in any::<u64>(),
     ) {
-        for strategy in [
-            RollbackStrategy::Snapshot,
-            RollbackStrategy::Reverse,
-            RollbackStrategy::PeriodicSnapshot(3),
-        ] {
+        for strategy in strategies() {
             let mut lp = one(FanModel, seed, strategy);
             // Uncommitted history as the test saw it: key and sends.
             let mut shadow: Vec<(EventKey, Vec<Send>)> = Vec::new();
@@ -413,25 +353,23 @@ proptest! {
     /// Several LPs share one table, so their history and send chains
     /// interleave in its two slabs. Seeding the shared table yields the
     /// events the one-LP tables seed together. Random interleavings of
-    /// processing, straggler and cancel rollbacks and both fossil
-    /// collections, each on a random LP, leave every LP exactly where a
-    /// one-LP table given the same operations stands: state, generator,
-    /// last key, history length, and each rollback's undone events and
-    /// antis, in order; and the shared table's fingerprint is the XOR of the
-    /// one-LP tables'. Once all history commits, neither slab holds a live
-    /// node, so a leaked chain fails.
+    /// processing, straggler and cancel rollbacks and fossil collection,
+    /// each on a random LP, leave every LP exactly where a one-LP table
+    /// given the same operations stands: state, generator, last key,
+    /// history length, and each rollback's undone events and antis, in
+    /// order; and the shared table's fingerprint is the XOR of the one-LP
+    /// tables'. The table's live history nodes, which the engine's optimism
+    /// throttle reads as the worker's uncommitted count, always equal the
+    /// LPs' history lengths summed. Once all history commits, neither slab
+    /// holds a live node, so a leaked chain fails.
     #[test]
     fn shared_table_matches_one_table_per_lp(
-        ops in prop::collection::vec((0u8..6, any::<u8>(), any::<u16>()), 1..120),
+        ops in prop::collection::vec((0u8..5, any::<u8>(), any::<u16>()), 1..120),
         seed in any::<u64>(),
     ) {
         const LPS: usize = 3;
         const FIRST: u32 = 4;
-        for strategy in [
-            RollbackStrategy::Snapshot,
-            RollbackStrategy::Reverse,
-            RollbackStrategy::PeriodicSnapshot(3),
-        ] {
+        for strategy in strategies() {
             let (model, cfg) = (Arc::new(FanModel), cfg(FIRST + LPS as u32, seed, strategy));
             let mut shared = LpTable::new(Arc::clone(&model), &cfg, LpId(FIRST), LPS as u32);
             let mut alone: Vec<LpTable<FanModel>> = (0..LPS as u32)
@@ -450,9 +388,6 @@ proptest! {
             // waiting to be re-executed.
             let mut shadow: Vec<Vec<EventKey>> = vec![Vec::new(); LPS];
             let mut pending: Vec<Vec<Event<u32>>> = vec![Vec::new(); LPS];
-            // A final fossil collection leaves periodic saving no
-            // restoration point, so that LP takes no more rollbacks.
-            let mut settled = [false; LPS];
             let (mut rb, mut rb_alone) = (Rollback::default(), Rollback::default());
             let mut next_id = 0u64;
             let mut gvt = VirtualTime::ZERO;
@@ -477,7 +412,7 @@ proptest! {
                     2 | 3 => {
                         let live: Vec<usize> =
                             (0..shadow[k].len()).filter(|&i| shadow[k][i].t >= gvt).collect();
-                        if live.is_empty() || settled[k] {
+                        if live.is_empty() {
                             continue;
                         }
                         let i = live[arg as usize % live.len()];
@@ -513,13 +448,8 @@ proptest! {
                         if floor > gvt {
                             gvt = floor;
                         }
-                        let (got, want) = if kind == 4 {
-                            (shared.fossil_collect(k, gvt), alone[k].fossil_collect(0, gvt))
-                        } else {
-                            settled[k] |= matches!(strategy, RollbackStrategy::PeriodicSnapshot(_));
-                            (shared.fossil_collect_final(k, gvt), alone[k].fossil_collect_final(0, gvt))
-                        };
-                        prop_assert_eq!(got, want, "{:?}", strategy);
+                        let got = shared.fossil_collect(k, gvt);
+                        prop_assert_eq!(got, alone[k].fossil_collect(0, gvt), "{:?}", strategy);
                         shadow[k].drain(..got as usize);
                     }
                 }
@@ -530,12 +460,14 @@ proptest! {
                     prop_assert_eq!(shared.history_len(k), lp.history_len(0));
                     prop_assert_eq!(shared.history_len(k), shadow[k].len());
                 }
+                let total: usize = (0..LPS).map(|k| shared.history_len(k)).sum();
+                prop_assert_eq!(shared.live_nodes().0, total, "{:?}", strategy);
                 let xor = alone.iter().fold(0, |fp, lp| fp ^ lp.fingerprint());
                 prop_assert_eq!(shared.fingerprint(), xor, "{:?}", strategy);
             }
             for (k, lp) in alone.iter_mut().enumerate() {
-                let n = shared.fossil_collect_final(k, VirtualTime::INFINITY);
-                prop_assert_eq!(n, lp.fossil_collect_final(0, VirtualTime::INFINITY));
+                let n = shared.fossil_collect(k, VirtualTime::INFINITY);
+                prop_assert_eq!(n, lp.fossil_collect(0, VirtualTime::INFINITY));
             }
             prop_assert_eq!(shared.live_nodes(), (0, 0), "{:?}: a chain leaked", strategy);
         }

@@ -56,7 +56,6 @@ impl GvtBundle for SamadiBundle {
             rounds_done: 0,
             unacked: HashMap::new(),
             marked_min: u64::MAX,
-            reported: false,
             state: State::Idle,
         })
     }
@@ -85,8 +84,8 @@ pub struct SamadiWorker {
     /// Min timestamp carried by marked acks received this round (ordered
     /// bits).
     marked_min: u64,
-    /// This worker has reported in the current round (marks its acks).
-    reported: bool,
+    /// Reported (`Wait`) or not in the current round: a reported worker
+    /// marks its acks.
     state: State,
 }
 
@@ -112,7 +111,7 @@ impl WorkerGvt for SamadiWorker {
     }
 
     fn mark_acks(&self) -> bool {
-        self.reported
+        matches!(self.state, State::Wait(_))
     }
 
     fn on_ack(&mut self, id: EventId, recv_time: VirtualTime, anti: bool, marked: bool) {
@@ -142,7 +141,6 @@ impl WorkerGvt for SamadiWorker {
                     let report =
                         ctx.lvt.to_ordered_bits().min(self.unacked_min()).min(self.marked_min);
                     let gen = self.shared.reduce.arrive(self.node, 0, report);
-                    self.reported = true;
                     self.state = State::Wait(gen);
                     WorkerGvtOutcome::Working(cost.gvt_bookkeeping)
                 } else {
@@ -154,7 +152,6 @@ impl WorkerGvt for SamadiWorker {
                 Some(v) => {
                     let gvt = VirtualTime::from_ordered_bits(v.min);
                     self.rounds_done += 1;
-                    self.reported = false;
                     self.marked_min = u64::MAX;
                     self.state = State::Idle;
                     if self.shared.core.published_round() < self.rounds_done {

@@ -400,9 +400,8 @@ mod tests {
 
     /// The LP table's layout for PHOLD on a 64-bit target: an LP record
     /// within two cache lines, a history node (the event, the pre-event
-    /// generator, three chain links and a snapshot flag) with no room for
-    /// a state copy, and a send node whose link fills the padding of
-    /// `(LpId, VirtualTime)`.
+    /// generator and three chain links) with no room for a state copy, and
+    /// a send node whose link fills the padding of `(LpId, VirtualTime)`.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn lp_table_nodes_stay_small() {

@@ -251,37 +251,6 @@ fn reverse_computation_matches_snapshot_rollback_exactly() {
 }
 
 #[test]
-fn periodic_snapshot_strategy_matches_other_strategies_exactly() {
-    // Periodic state saving with coast-forward must be observably
-    // identical to per-event snapshots and to reverse computation.
-    let mut cfg = SimConfig::small(2, 3);
-    cfg.lps_per_worker = 8;
-    cfg.end_time = 25.0;
-    let run = |rollback: RollbackStrategy| {
-        let mut cfg = cfg;
-        cfg.rollback = Some(rollback);
-        let workload = comm_dominated(&cfg); // rollback-heavy
-        run_virtual(Arc::new(workload.model), cfg, |shared| make_bundle(GvtKind::Mattern, shared))
-    };
-    let reverse = run(RollbackStrategy::Reverse);
-    let snapshot = run(RollbackStrategy::Snapshot);
-    assert!(reverse.rollbacks > 0);
-    assert_eq!(snapshot.sched_steps, reverse.sched_steps, "identical virtual timing");
-    for k in [1u32, 4, 16, 64] {
-        let periodic = run(RollbackStrategy::PeriodicSnapshot(k));
-        // Simulation results are identical; the virtual schedule may
-        // differ slightly because snapshot retention shifts when the
-        // optimism throttle engages.
-        assert_eq!(periodic.committed, reverse.committed, "k={k}");
-        assert_eq!(periodic.state_fingerprint, reverse.state_fingerprint, "k={k}");
-    }
-    // And all agree with the sequential reference.
-    let workload = comm_dominated(&cfg);
-    let seq = SequentialSim::new(Arc::new(workload.model), cfg).run();
-    assert_eq!(reverse.committed, seq.processed);
-}
-
-#[test]
 fn traffic_grid_matches_sequential_under_all_algorithms() {
     let mut cfg = SimConfig::small(2, 2);
     cfg.lps_per_worker = 4; // 4x4 torus
