@@ -70,6 +70,11 @@ impl fmt::Display for LpId {
 /// Globally unique event identity: the sending LP plus that LP's
 /// monotonically increasing send sequence number.
 ///
+/// The sequence number is 32 bits per LP, as are ROSS's event ids, which
+/// keeps an id at 8 bytes with no padding. The LP table stamps it and
+/// panics, naming the LP, rather than wrap it: an LP that sends more than
+/// `u32::MAX` events in one run stops loudly instead of reusing an id.
+///
 /// Anti-messages carry the `EventId` of the positive message they cancel;
 /// annihilation matches on it. The pair also serves as the deterministic
 /// tie-breaker in the total event order `(recv_time, src, seq)` shared by
@@ -77,12 +82,12 @@ impl fmt::Display for LpId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId {
     pub src: LpId,
-    pub seq: u64,
+    pub seq: u32,
 }
 
 impl EventId {
     #[inline]
-    pub fn new(src: LpId, seq: u64) -> Self {
+    pub fn new(src: LpId, seq: u32) -> Self {
         EventId { src, seq }
     }
 }

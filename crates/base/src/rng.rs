@@ -2,11 +2,13 @@
 //!
 //! The optimistic engine requires that rolling an LP back restores its
 //! random stream exactly: a re-executed event must draw the same numbers it
-//! drew the first time. The engine achieves this by keeping the generator
-//! *inside* the LP state snapshot, so the generator itself only needs to be
-//! small, fast and `Clone`. [`Pcg32`] (PCG-XSH-RR 64/32) fits: 16 bytes of
-//! state, good statistical quality, and a cheap `advance`/`rewind` via LCG
-//! skip-ahead for tests.
+//! drew the first time. [`Pcg32`] (PCG-XSH-RR 64/32) makes that cheap: its
+//! 16 bytes are a 64-bit LCG position ([`Pcg32::state`]) and a stream
+//! increment fixed at seeding, so the engine saves only the 8-byte position
+//! before each event and rebuilds the generator on the LP's own stream
+//! ([`Pcg32::at_state`]) when it undoes the event. It also has good
+//! statistical quality and a cheap `advance`/`rewind` via LCG skip-ahead
+//! for tests.
 //!
 //! [`SplitMix64`] is used only for seeding: it decorrelates per-LP streams
 //! derived from `(run_seed, lp_id)`.
@@ -74,6 +76,20 @@ impl Pcg32 {
         rng.state = rng.state.wrapping_add(inc);
         let _ = rng.next_u32();
         rng
+    }
+
+    /// The generator's position in its stream: the only part that moves
+    /// as it draws.
+    #[inline]
+    pub fn state(&self) -> u64 {
+        self.state
+    }
+
+    /// This generator's stream at position `state` (a value of
+    /// [`Self::state`]), so `rng.at_state(rng.state()) == rng`.
+    #[inline]
+    pub fn at_state(&self, state: u64) -> Pcg32 {
+        Pcg32 { state, inc: self.inc }
     }
 
     #[inline]
@@ -173,6 +189,24 @@ mod tests {
         let mut restored = snapshot;
         let run2: Vec<u32> = (0..32).map(|_| restored.next_u32()).collect();
         assert_eq!(run1, run2, "snapshot/restore must replay the stream");
+    }
+
+    #[test]
+    fn at_state_round_trips_the_position() {
+        let start = Pcg32::new(31, 4);
+        let mut rng = start;
+        for _ in 0..5 {
+            rng.next_u32();
+        }
+        assert_eq!(rng.at_state(rng.state()), rng);
+        // Rebuilding an earlier position replays the stream from there.
+        let mut back = rng.at_state(start.state());
+        assert_eq!(back, start);
+        let mut again = start;
+        assert_eq!(back.next_u32(), again.next_u32());
+        // Another stream at the same position is another generator.
+        let other = Pcg32::new(31, 5);
+        assert_ne!(other.at_state(rng.state()), rng);
     }
 
     #[test]

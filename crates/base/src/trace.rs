@@ -231,7 +231,7 @@ pub trait TraceSink: Send + Sync {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StderrSink {
     /// Print only records whose [`TraceRecord::event_id`] matches.
-    pub filter: Option<(LpId, u64)>,
+    pub filter: Option<EventId>,
 }
 
 impl StderrSink {
@@ -245,8 +245,10 @@ impl StderrSink {
             return StderrSink { filter: None };
         }
         let id = spec.strip_prefix("lp").and_then(|rest| rest.split_once('#'));
-        match id.and_then(|(lp, seq)| Some((LpId(lp.parse().ok()?), seq.parse().ok()?))) {
-            Some(filter) => StderrSink { filter: Some(filter) },
+        let id =
+            id.and_then(|(lp, seq)| Some(EventId::new(LpId(lp.parse().ok()?), seq.parse().ok()?)));
+        match id {
+            Some(id) => StderrSink { filter: Some(id) },
             None => panic!(
                 "{TRACE_ENV} must be `all` or an event id as traces print it, \
                  `lp<N>#<seq>` (e.g. `lp4711#9`), got {spec:?}"
@@ -257,11 +259,8 @@ impl StderrSink {
 
 impl TraceSink for StderrSink {
     fn record(&self, t: WallNs, rec: &TraceRecord) {
-        if let Some((lp, seq)) = self.filter {
-            match rec.event_id() {
-                Some(id) if id.src == lp && id.seq == seq => {}
-                _ => return,
-            }
+        if self.filter.is_some_and(|id| rec.event_id() != Some(id)) {
+            return;
         }
         eprintln!("[trace {}] {rec}", t.0);
     }
@@ -284,7 +283,7 @@ pub fn env_sink() -> Option<Arc<dyn TraceSink>> {
 mod tests {
     use super::*;
 
-    fn id(lp: u32, seq: u64) -> EventId {
+    fn id(lp: u32, seq: u32) -> EventId {
         EventId::new(LpId(lp), seq)
     }
 
@@ -336,7 +335,7 @@ mod tests {
     #[test]
     fn stderr_filter_matches_exactly() {
         // Behavioural check of the filter predicate, not the printing.
-        let sink = StderrSink { filter: Some((LpId(4), 7)) };
+        let sink = StderrSink { filter: Some(id(4, 7)) };
         let hit =
             TraceRecord::MsgRecv { worker: 0, id: id(4, 7), vt: VirtualTime::ZERO, anti: false };
         let miss =
@@ -353,7 +352,7 @@ mod tests {
     fn trace_env_accepts_the_printed_event_id() {
         let printed = id(4711, 9).to_string();
         assert_eq!(printed, "lp4711#9");
-        assert_eq!(StderrSink::parse(&printed).filter, Some((LpId(4711), 9)));
+        assert_eq!(StderrSink::parse(&printed).filter, Some(id(4711, 9)));
         assert_eq!(StderrSink::parse("all").filter, None);
     }
 
@@ -361,6 +360,12 @@ mod tests {
     #[should_panic(expected = "CAGVT_TRACE must be `all` or an event id")]
     fn trace_env_rejects_a_malformed_value() {
         StderrSink::parse("4711:9");
+    }
+
+    #[test]
+    #[should_panic(expected = "CAGVT_TRACE must be `all` or an event id")]
+    fn trace_env_rejects_a_sequence_number_beyond_32_bits() {
+        StderrSink::parse(&format!("lp1#{}", u32::MAX as u64 + 1));
     }
 
     #[test]

@@ -21,11 +21,11 @@ use cagvt_trace::TraceRecorder;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::sync::Arc;
 
-fn ev(t: f64, seq: u64) -> Event<u32> {
+fn ev(t: f64, seq: u32) -> Event<u32> {
     ev_at(0, t, seq)
 }
 
-fn ev_at(dst: u32, t: f64, seq: u64) -> Event<u32> {
+fn ev_at(dst: u32, t: f64, seq: u32) -> Event<u32> {
     Event {
         recv_time: VirtualTime::new(t),
         dst: LpId(dst),
@@ -124,7 +124,7 @@ fn lp_history(c: &mut Criterion) {
                         t += 0.01;
                         let dst = LpId(rng.next_bounded(LPS));
                         let now = VirtualTime::new(t);
-                        let seq = (round * EVENTS_PER_ROUND + k) as u64;
+                        let seq = (round * EVENTS_PER_ROUND + k) as u32;
                         let event = Event {
                             recv_time: now,
                             dst,

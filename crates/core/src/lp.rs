@@ -41,8 +41,13 @@
 //! to newest, in strictly increasing event-key order: processing appends at
 //! the newest end, rollback unlinks from it, and fossil collection unlinks
 //! from the oldest end. Every node has one layout under both strategies: the
-//! event, the pre-event generator and the head of the entry's send chain.
-//! What the history sent and saved hangs off it:
+//! event, the pre-event generator state and the head of the entry's send
+//! chain, 48 bytes for PHOLD. The generator state is its 8-byte position
+//! ([`Pcg32::state`]): a handler draws from the LP's generator but cannot
+//! change its stream (debug builds check), so rollback rebuilds the
+//! generator on the LP's own stream ([`Pcg32::at_state`]). A freed node
+//! keeps its stale event until the slot is reused; the slab's live count
+//! tracks the nodes in use. What the history sent and saved hangs off it:
 //!
 //! * each entry's **send chain** holds the `(dst, recv_time)` of every
 //!   message the entry's event sent, newest send first. Ids are implied by
@@ -79,7 +84,9 @@
 //! Under both strategies, rollback restores `send_seq` to the first undone
 //! entry's first send (not just state and RNG), so committed re-executions
 //! assign identical event ids, which keeps the optimistic run bit-identical
-//! to the sequential reference even under rollbacks.
+//! to the sequential reference even under rollbacks. `send_seq` is the
+//! 32-bit sequence of [`EventId`]; a send that would overflow it panics,
+//! naming the LP, instead of reusing an id.
 //!
 //! An anti-message whose event is not pending rolls its LP back through
 //! [`LpTable::rollback_cancel`], which panics, naming the LP and the key,
@@ -111,10 +118,10 @@ pub enum RollbackStrategy {
 /// chain and the table's snapshot array (see the module doc), so the node's
 /// size does not depend on the model's state.
 pub struct HistoryNode<M: Model> {
-    /// The processed event; `None` while the slot is free.
-    event: Option<Event<M::Payload>>,
-    /// The LP's generator before this event.
-    rng: Pcg32,
+    /// The processed event; stale while the slot is free.
+    event: Event<M::Payload>,
+    /// The position of the LP's generator before this event.
+    rng_state: u64,
     /// The next older and next newer entry of the LP's chain, or `NIL`.
     /// `newer` links the slab's free list while the slot is free.
     older: u32,
@@ -126,13 +133,6 @@ pub struct HistoryNode<M: Model> {
 impl<M: Model> Link for HistoryNode<M> {
     fn link(&mut self) -> &mut u32 {
         &mut self.newer
-    }
-}
-
-impl<M: Model> HistoryNode<M> {
-    #[inline]
-    fn event(&self) -> &Event<M::Payload> {
-        self.event.as_ref().expect("a free slot on a history chain")
     }
 }
 
@@ -179,7 +179,7 @@ pub struct LpRecord<M: Model> {
     /// `EventKey::MIN` before any processing. The LP's LVT is `last_key.t`.
     last_key: EventKey,
     rng: Pcg32,
-    send_seq: u64,
+    send_seq: u32,
     /// The newest and oldest node of the LP's history chain, or `NIL`.
     newest: u32,
     oldest: u32,
@@ -371,11 +371,16 @@ impl<M: Model> LpTable<M> {
         let rng = rec.rng;
         let epg =
             self.model.handle(&ctx, &mut rec.state, &event.payload, &mut rec.rng, &mut self.sink);
+        debug_assert!(
+            rec.rng.at_state(rng.state()) == rng,
+            "{}: the handler changed its generator's stream",
+            ctx.self_lp
+        );
         rec.last_key = event.key();
         let older = rec.newest;
         let node = self.history.alloc(HistoryNode {
-            event: Some(event),
-            rng,
+            event,
+            rng_state: rng.state(),
             older,
             newer: NIL,
             sends: NIL,
@@ -404,6 +409,10 @@ impl<M: Model> LpTable<M> {
     /// appended to `out`: each receives at `now + delay` and carries the
     /// LP's next sequence number. The sends of a processed event are logged
     /// on its history node `entry`; seeding's (`entry == NIL`) are not.
+    ///
+    /// # Panics
+    ///
+    /// If the LP's 32-bit send sequence overflows.
     fn stamp(&mut self, lp: usize, now: VirtualTime, entry: u32, out: &mut Vec<Event<M::Payload>>) {
         let id = self.id(lp);
         let rec = &mut self.lps[lp];
@@ -414,7 +423,10 @@ impl<M: Model> LpTable<M> {
                 node.sends = self.sends.alloc(SendNode { recv_time, dst, next: node.sends });
             }
             out.push(Event { recv_time, dst, id: EventId::new(id, rec.send_seq), payload });
-            rec.send_seq += 1;
+            rec.send_seq = rec
+                .send_seq
+                .checked_add(1)
+                .unwrap_or_else(|| panic!("{id}: its 32-bit send sequence number overflowed"));
         }
     }
 
@@ -455,13 +467,13 @@ impl<M: Model> LpTable<M> {
         let mut seq = rec.send_seq;
         let mut met = !cancel;
         while rec.newest != NIL {
-            let key = self.history[rec.newest].event().key();
+            let key = self.history[rec.newest].event.key();
             if if cancel { key < to_key } else { key <= to_key } {
                 break;
             }
             let slot = rec.newest;
             let (_, entry) = self.history.free(slot);
-            let event = entry.event.take().expect("a live history node");
+            let event = entry.event;
             rec.newest = entry.older;
             out.undone += 1;
             // Newest entry first, in send order within the entry: its
@@ -477,12 +489,12 @@ impl<M: Model> LpTable<M> {
             out.antis[first..].reverse();
             // Undo this event (strict LIFO): restore its generator, then run
             // the model's inverse handler or restore its snapshot.
-            rec.rng = entry.rng;
+            rec.rng = rec.rng.at_state(entry.rng_state);
             if reverse {
                 let ctx = self.run.ctx(id, event.recv_time);
                 // Scratch generator at the pre-event position, so the
                 // reversal can re-derive the forward pass's draws.
-                let mut scratch = entry.rng;
+                let mut scratch = rec.rng;
                 self.model.reverse(&ctx, &mut rec.state, &event.payload, &mut scratch);
             } else {
                 let snapshot = self.snapshots[slot as usize].take();
@@ -503,7 +515,7 @@ impl<M: Model> LpTable<M> {
         }
         rec.last_key = match rec.newest {
             NIL => EventKey::MIN,
-            newest => self.history[newest].event().key(),
+            newest => self.history[newest].event.key(),
         };
         self.debug_check(lp);
     }
@@ -515,14 +527,13 @@ impl<M: Model> LpTable<M> {
     pub fn fossil_collect(&mut self, lp: usize, gvt: VirtualTime) -> u64 {
         let rec = &mut self.lps[lp];
         let mut committed = 0;
-        while rec.oldest != NIL && self.history[rec.oldest].event().recv_time < gvt {
+        while rec.oldest != NIL && self.history[rec.oldest].event.recv_time < gvt {
             committed += 1;
             let slot = rec.oldest;
             if let Some(snapshot) = self.snapshots.get_mut(slot as usize) {
                 *snapshot = None;
             }
             let (newer, entry) = self.history.free(slot);
-            entry.event = None;
             let mut send = entry.sends;
             while send != NIL {
                 send = self.sends.free(send).0;
@@ -557,7 +568,7 @@ impl<M: Model> LpTable<M> {
         while node != NIL {
             let entry = &self.history[node];
             assert_eq!(entry.older, older, "history chain links out of step");
-            let key = entry.event().key();
+            let key = entry.event.key();
             assert!(last < Some(key), "history chain out of key order");
             last = Some(key);
             let copied = self.snapshots.get(node as usize).is_some_and(Option::is_some);
@@ -627,7 +638,7 @@ mod tests {
         cfg
     }
 
-    fn ev(t: f64, seq: u64, payload: u32) -> Event<u32> {
+    fn ev(t: f64, seq: u32, payload: u32) -> Event<u32> {
         Event {
             recv_time: VirtualTime::new(t),
             dst: LpId(0),
@@ -722,6 +733,14 @@ mod tests {
         }
         assert_eq!(*lp.state(0), final_state);
         assert_eq!(lp.rng(0), final_rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "lp0: its 32-bit send sequence number overflowed")]
+    fn a_send_past_the_last_sequence_number_panics() {
+        let mut lp = one(CounterModel, 1, RollbackStrategy::Snapshot);
+        lp.lps[0].send_seq = u32::MAX;
+        process_one(&mut lp, ev(1.0, 0, 5));
     }
 
     #[test]
@@ -822,7 +841,7 @@ mod tests {
         let sent: Vec<_> = [1.0, 2.0, 3.0, 4.0]
             .iter()
             .enumerate()
-            .map(|(i, t)| process_with(&mut lp, ev(*t, i as u64, 1)))
+            .map(|(i, t)| process_with(&mut lp, ev(*t, i as u32, 1)))
             .collect();
         // A straggler at t=1.5 undoes the t=2, t=3 and t=4 entries.
         let rb = rollback_to(&mut lp, ev(1.5, 99, 0).key());
@@ -830,12 +849,111 @@ mod tests {
         let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
         let want: Vec<_> = sent[1..].iter().rev().flatten().copied().collect();
         assert_eq!(got, want);
-        let seqs: Vec<u64> = rb.antis.iter().map(|a| a.id.seq).collect();
+        let seqs: Vec<u32> = rb.antis.iter().map(|a| a.id.seq).collect();
         assert_eq!(seqs, [6, 7, 4, 5, 2, 3]);
         // The survivor's sends stay logged: undoing it antis exactly them.
         let rb = rollback_to(&mut lp, EventKey::MIN);
         let got: Vec<_> = rb.antis.iter().map(|a| (a.id, a.dst, a.recv_time)).collect();
         assert_eq!(got, sent[0]);
+    }
+
+    /// Draws `payload % 4` values per event, adds them to the state and
+    /// sends one event to itself; reversible by re-deriving the draws.
+    struct Draws;
+
+    impl Draws {
+        fn sum(payload: u32, rng: &mut Pcg32) -> u64 {
+            (0..payload % 4).map(|_| rng.next_u32() as u64).sum()
+        }
+    }
+
+    impl Model for Draws {
+        type State = u64;
+        type Payload = u32;
+
+        fn init_state(&self, _lp: LpId, _rng: &mut Pcg32) -> u64 {
+            0
+        }
+
+        fn initial_events(&self, _lp: LpId, _s: &mut u64, _r: &mut Pcg32, _e: &mut Emitter<u32>) {}
+
+        fn handle(
+            &self,
+            _ctx: &EventCtx,
+            state: &mut u64,
+            payload: &u32,
+            rng: &mut Pcg32,
+            emit: &mut Emitter<u32>,
+        ) -> u64 {
+            *state += Draws::sum(*payload, rng);
+            emit.emit(LpId(0), 1.0, 0);
+            1
+        }
+
+        fn supports_reverse(&self) -> bool {
+            true
+        }
+
+        fn reverse(&self, _ctx: &EventCtx, state: &mut u64, payload: &u32, rng: &mut Pcg32) {
+            *state -= Draws::sum(*payload, rng);
+        }
+    }
+
+    #[test]
+    fn rollback_rebuilds_the_generator_before_the_first_undone_event() {
+        for strategy in [RollbackStrategy::Snapshot, RollbackStrategy::Reverse] {
+            let mut lp = one(Draws, 11, strategy);
+            let events: Vec<_> = (0..12).map(|i| ev(1.0 + i as f64, i, i * 7 + i / 3)).collect();
+            let mut before = Vec::new();
+            for &e in &events {
+                before.push((lp.rng(0), *lp.state(0)));
+                process_with(&mut lp, e);
+            }
+            let after = (lp.rng(0), *lp.state(0));
+            for cut in [9, 3, 11, 6, 0] {
+                let to = if cut == 0 { EventKey::MIN } else { events[cut - 1].key() };
+                let rb = rollback_to(&mut lp, to);
+                assert_eq!(rb.undone as usize, events.len() - cut, "{strategy:?} cut {cut}");
+                assert_eq!((lp.rng(0), *lp.state(0)), before[cut], "{strategy:?} cut {cut}");
+                let mut redo = rb.reenqueue;
+                redo.sort_by_key(Event::key);
+                for e in redo {
+                    process_with(&mut lp, e);
+                }
+                assert_eq!((lp.rng(0), *lp.state(0)), after, "{strategy:?} redo after {cut}");
+            }
+        }
+    }
+
+    /// Replaces its generator with one on another stream.
+    struct Reseeds;
+
+    impl Model for Reseeds {
+        type State = ();
+        type Payload = u32;
+
+        fn init_state(&self, _lp: LpId, _rng: &mut Pcg32) {}
+
+        fn initial_events(&self, _: LpId, _: &mut (), _: &mut Pcg32, _: &mut Emitter<u32>) {}
+
+        fn handle(
+            &self,
+            _ctx: &EventCtx,
+            _state: &mut (),
+            _payload: &u32,
+            rng: &mut Pcg32,
+            _emit: &mut Emitter<u32>,
+        ) -> u64 {
+            *rng = Pcg32::new(1, 2);
+            1
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lp0: the handler changed its generator's stream")]
+    fn a_handler_that_changes_the_stream_panics_in_debug_builds() {
+        process_with(&mut one(Reseeds, 1, RollbackStrategy::Snapshot), ev(1.0, 0, 0));
     }
 
     /// A model whose state is `N` inert bytes.

@@ -88,8 +88,13 @@ pub trait Model: Send + Sync + 'static {
     /// log for rollback, so keep it small (the paper's models carry
     /// counters and RNG state).
     type State: Clone + Send + 'static;
-    /// Event payload.
-    type Payload: Clone + Send + 'static;
+    /// Event payload: plain data. The engine moves every event by copying
+    /// it (pending set, history, mailboxes, rollback buffers), and a freed
+    /// node slot keeps its stale bytes until it is handed out again, which
+    /// holds on to nothing only when the payload owns nothing. A model
+    /// that needs a larger record keeps it in the LP state and sends an
+    /// index.
+    type Payload: Copy + Send + 'static;
 
     /// Initial state of `lp`.
     fn init_state(&self, lp: LpId, rng: &mut Pcg32) -> Self::State;
@@ -126,8 +131,8 @@ pub trait Model: Send + Sync + 'static {
     /// Does this model implement [`Self::reverse`]? When true, the engine
     /// rolls back by *reverse computation* (ROSS's mechanism): instead of
     /// snapshotting the LP state before every event, it undoes events by
-    /// calling `reverse` in exact LIFO order, storing only the 24 bytes of
-    /// RNG + sequence state per event. For models with non-trivial state
+    /// calling `reverse` in exact LIFO order, storing only the 8-byte
+    /// generator position per event. For models with non-trivial state
     /// this is the memory- and copy-cost winner; the engine verifies both
     /// strategies commit identical results.
     fn supports_reverse(&self) -> bool {

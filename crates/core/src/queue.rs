@@ -5,7 +5,10 @@
 //!
 //! * the chains are singly linked lists, ascending in [`EventKey`], whose
 //!   nodes live in one slab per set (freed slots are reused, so a run in
-//!   steady state allocates nothing; see `slab.rs`);
+//!   steady state allocates nothing; see `slab.rs`). A node is the bare
+//!   event and its link, 32 bytes for PHOLD: a free slot keeps its stale
+//!   event, and the slab's live count, which [`PendingSet::len`] reads and
+//!   debug builds check against the chains, catches a lost slot;
 //! * the heap holds one `(head time, LP)` entry per LP with a non-empty
 //!   chain, ordered by the head's full key (the time decides unless two
 //!   heads share it), and a position array per LP says where that entry
@@ -55,9 +58,9 @@ use cagvt_base::time::VirtualTime;
 use crate::event::{Event, EventKey};
 use crate::slab::{Link, Slab, NIL};
 
-/// A chain node (`event` is `None` while the slot is free).
+/// A chain node (`event` is stale while the slot is free).
 struct Node<P> {
-    event: Option<Event<P>>,
+    event: Event<P>,
     next: u32,
 }
 
@@ -83,7 +86,7 @@ pub struct PendingSet<P> {
     heap: Vec<(VirtualTime, u32)>,
 }
 
-impl<P> PendingSet<P> {
+impl<P: Copy> PendingSet<P> {
     /// An empty set for the LPs `first_lp .. first_lp + n_lps`.
     pub fn new(first_lp: LpId, n_lps: usize) -> Self {
         Self::with_capacity(first_lp, n_lps, 0)
@@ -118,7 +121,7 @@ impl<P> PendingSet<P> {
             assert!(last != Some(key), "duplicate pending event {key:?}");
             last = Some(key);
             let lp = set.lp_index(event.dst);
-            let node = set.nodes.alloc(Node { event: Some(event), next: NIL });
+            let node = set.nodes.alloc(Node { event, next: NIL });
             match tails[lp] {
                 // Chains first appear in ascending key order, so appending
                 // their entries keeps the heap array sorted, hence a heap.
@@ -143,16 +146,8 @@ impl<P> PendingSet<P> {
     }
 
     #[inline]
-    fn event(&self, node: u32) -> &Event<P> {
-        match &self.nodes[node].event {
-            Some(e) => e,
-            None => unreachable!("free slot on a chain"),
-        }
-    }
-
-    #[inline]
     fn key(&self, node: u32) -> EventKey {
-        self.event(node).key()
+        self.nodes[node].event.key()
     }
 
     /// Insert a positive event.
@@ -166,7 +161,7 @@ impl<P> PendingSet<P> {
         let lp = self.lp_index(event.dst);
         let (prev, at) = self.seek(lp, key);
         assert!(at == NIL || self.key(at) != key, "duplicate pending event {key:?}");
-        let node = self.nodes.alloc(Node { event: Some(event), next: at });
+        let node = self.nodes.alloc(Node { event, next: at });
         if prev == NIL {
             self.heads[lp] = node;
             match self.pos[lp] {
@@ -195,7 +190,7 @@ impl<P> PendingSet<P> {
         if at == NIL || self.key(at) != key {
             return false;
         }
-        drop(self.unlink(lp, prev, at));
+        self.unlink(lp, prev, at);
         self.debug_check();
         true
     }
@@ -237,13 +232,13 @@ impl<P> PendingSet<P> {
             if next == NIL {
                 self.heap_remove(p);
             } else {
-                self.heap[p].0 = self.event(next).recv_time;
+                self.heap[p].0 = self.nodes[next].event.recv_time;
                 self.sift_down(p);
             }
         } else {
             self.nodes[prev].next = next;
         }
-        self.nodes.free(node).1.event.take().expect("released a free slot")
+        self.nodes.free(node).1.event
     }
 
     fn heap_swap(&mut self, a: usize, b: usize) {
@@ -358,7 +353,7 @@ mod tests {
     use super::*;
     use cagvt_base::ids::EventId;
 
-    fn ev_at(dst: u32, t: f64, src: u32, seq: u64) -> Event<u32> {
+    fn ev_at(dst: u32, t: f64, src: u32, seq: u32) -> Event<u32> {
         Event {
             recv_time: VirtualTime::new(t),
             dst: LpId(dst),
@@ -367,7 +362,7 @@ mod tests {
         }
     }
 
-    fn ev(t: f64, src: u32, seq: u64) -> Event<u32> {
+    fn ev(t: f64, src: u32, seq: u32) -> Event<u32> {
         ev_at(0, t, src, seq)
     }
 
@@ -434,7 +429,7 @@ mod tests {
     fn cancel_pending_annihilates() {
         let mut ps = one_lp();
         let e = ev(1.0, 0, 0);
-        ps.insert(e.clone());
+        ps.insert(e);
         ps.insert(ev(2.0, 0, 1));
         assert!(cancel(&mut ps, &e));
         assert_eq!(ps.len(), 1);
@@ -448,8 +443,8 @@ mod tests {
     fn cancel_unlinks_head_middle_and_tail_across_lps() {
         let mut ps = PendingSet::new(LpId(0), 3);
         let chain: Vec<_> = (0..4).map(|i| ev_at(1, i as f64 + 1.0, 0, i)).collect();
-        for e in &chain {
-            ps.insert(e.clone());
+        for &e in &chain {
+            ps.insert(e);
         }
         ps.insert(ev_at(2, 1.5, 1, 0));
         // The key pending at LP 1 is not pending at LP 0.
@@ -492,10 +487,10 @@ mod tests {
         // (id, t=2.0) copy that shares the id.
         let mut ps = one_lp();
         let old = ev(1.0, 0, 0);
-        ps.insert(old.clone());
+        ps.insert(old);
         assert!(cancel(&mut ps, &old));
         let fresh = ev(2.0, 0, 0);
-        ps.insert(fresh.clone());
+        ps.insert(fresh);
         assert!(!cancel(&mut ps, &old), "the old copy is gone");
         let popped = ps.pop_min().unwrap();
         assert_eq!(popped.recv_time, fresh.recv_time, "fresh copy must survive");
@@ -506,7 +501,7 @@ mod tests {
     fn min_time_skips_cancelled_head() {
         let mut ps = one_lp();
         let head = ev(1.0, 0, 0);
-        ps.insert(head.clone());
+        ps.insert(head);
         ps.insert(ev(4.0, 0, 1));
         cancel(&mut ps, &head);
         assert_eq!(ps.min_time(), VirtualTime::new(4.0));
@@ -520,11 +515,19 @@ mod tests {
         assert!(ps.pop_min().is_none());
     }
 
+    /// A chain node is the bare event and its link: on a 64-bit target,
+    /// PHOLD's 24-byte event plus the link fill 32 bytes.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn chain_nodes_stay_small() {
+        assert!(std::mem::size_of::<Node<u32>>() <= 32, "{}", std::mem::size_of::<Node<u32>>());
+    }
+
     #[test]
     fn freed_slots_are_reused() {
         let mut ps = PendingSet::new(LpId(0), 2);
-        for round in 0..100u64 {
-            ps.insert(ev_at(round as u32 % 2, round as f64, 0, round));
+        for round in 0..100u32 {
+            ps.insert(ev_at(round % 2, round as f64, 0, round));
             ps.insert(ev_at(1, round as f64 + 0.5, 1, round));
             ps.pop_min().unwrap();
             ps.pop_min().unwrap();

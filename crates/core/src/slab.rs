@@ -17,6 +17,24 @@
 //! more memory, but the chunk lookup added a dependent load to every node
 //! access, and rollback-heavy runs, which chase chains through cold nodes,
 //! paid for it.)
+//!
+//! Other policies measured no better overall. hostbench's `peak_rss_mb`
+//! with 32-B pending and 48-B history nodes, median of three invocations
+//! each, for `comm-mattern-8n` / `comp-mattern-2n` / `mixed-cagvt-4n`:
+//!
+//! | growth policy                  | comm    | comp    | mixed   |
+//! |--------------------------------|---------|---------|---------|
+//! | 32 slots (this one)            | 21.3 MB | 9.3 MB  | 19.8 MB |
+//! | doubling                       | 23.8 MB | 9.6 MB  | 18.6 MB |
+//! | ×1.5                           | 22.5 MB | 9.4 MB  | 19.4 MB |
+//! | 16 slots                       | 21.3 MB | 9.7 MB  | 19.9 MB |
+//! | pre-sized to `max_outstanding` | 31.9 MB | 10.5 MB | 17.9 MB |
+//!
+//! The last row pre-sizes each LP table's history and send slabs to the
+//! optimism throttle's cap. Growing faster helps only the rollback-heavy
+//! mixed workload, whose busiest slabs reach about a thousand nodes;
+//! elsewhere the spare capacity becomes resident, because repeated runs
+//! reuse the same heap pages.
 
 use std::ops::{Index, IndexMut};
 

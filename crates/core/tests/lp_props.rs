@@ -102,7 +102,7 @@ fn make_events(times: &[u16]) -> Vec<Event<u32>> {
         .map(|(i, &t)| Event {
             recv_time: VirtualTime::new(t as f64 + 1.0),
             dst: LpId(0),
-            id: EventId::new(LpId(9), i as u64),
+            id: EventId::new(LpId(9), i as u32),
             payload: t as u32,
         })
         .collect()
@@ -128,7 +128,7 @@ proptest! {
         // Ground truth: straight-through processing.
         let mut truth = one(HashModel, seed, RollbackStrategy::Snapshot);
         for e in &events {
-            process(&mut truth, e.clone());
+            process(&mut truth, *e);
         }
 
         for strategy in strategies() {
@@ -136,7 +136,7 @@ proptest! {
             // cut and replay the tail — under every rollback strategy.
             let mut lp = one(HashModel, seed, strategy);
             for e in &events {
-                process(&mut lp, e.clone());
+                process(&mut lp, *e);
             }
             let cut_idx = (cut as usize) % events.len();
             let cut_key = EventKey {
@@ -171,7 +171,7 @@ proptest! {
         let events = make_events(&times);
         let mut lp = one(HashModel, seed, RollbackStrategy::Snapshot);
         for e in &events {
-            process(&mut lp, e.clone());
+            process(&mut lp, *e);
         }
         let state_before = *lp.state(0);
         let gvt = VirtualTime::new(gvt_tenths as f64 / 10.0);
@@ -267,8 +267,8 @@ proptest! {
             let mut shadow: Vec<(EventKey, Vec<Send>)> = Vec::new();
             // Undone events waiting to be re-executed.
             let mut pending: Vec<Event<u32>> = Vec::new();
-            let mut next_seq = 0u64;
-            let mut next_id = 0u64;
+            let mut next_seq = 0u32;
+            let mut next_id = 0u32;
             let mut gvt = VirtualTime::ZERO;
             for &(kind, arg) in &ops {
                 match kind {
@@ -389,7 +389,7 @@ proptest! {
             let mut shadow: Vec<Vec<EventKey>> = vec![Vec::new(); LPS];
             let mut pending: Vec<Vec<Event<u32>>> = vec![Vec::new(); LPS];
             let (mut rb, mut rb_alone) = (Rollback::default(), Rollback::default());
-            let mut next_id = 0u64;
+            let mut next_id = 0u32;
             let mut gvt = VirtualTime::ZERO;
             for &(kind, pick, arg) in &ops {
                 let k = pick as usize % LPS;
@@ -406,7 +406,7 @@ proptest! {
                             }
                         });
                         shadow[k].push(e.key());
-                        let got = process_fan(&mut shared, k, e.clone());
+                        let got = process_fan(&mut shared, k, e);
                         prop_assert_eq!(got, process_fan(&mut alone[k], 0, e), "{:?}", strategy);
                     }
                     2 | 3 => {

@@ -22,7 +22,7 @@ impl MpiGvt for NoGvt {
     }
 }
 
-fn env(dst_node: u16, dst_lane: u16, seq: u64) -> RemoteEnv<u32> {
+fn env(dst_node: u16, dst_lane: u16, seq: u32) -> RemoteEnv<u32> {
     RemoteEnv {
         dst_node: NodeId(dst_node),
         dst_lane: LaneId(dst_lane),

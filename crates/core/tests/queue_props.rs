@@ -48,13 +48,13 @@ fn ev(dst: u8, src: u8, seq: u8, tenths: u16) -> Event<u16> {
     Event {
         recv_time: time(tenths),
         dst: LpId(FIRST_LP + dst as u32),
-        id: EventId::new(LpId(src as u32), seq as u64),
+        id: EventId::new(LpId(src as u32), seq as u32),
         payload: tenths,
     }
 }
 
 fn key(src: u8, seq: u8, tenths: u16) -> EventKey {
-    EventKey { t: time(tenths), id: EventId::new(LpId(src as u32), seq as u64) }
+    EventKey { t: time(tenths), id: EventId::new(LpId(src as u32), seq as u32) }
 }
 
 /// The engine's contract, kept naively: live events in one key-ordered
@@ -164,11 +164,11 @@ proptest! {
         let mut ps: PendingSet<u16> = PendingSet::new(LpId(FIRST_LP), LPS as usize);
         let e = ev(2, 1, 1, 500);
         for _ in 0..n {
-            ps.insert(e.clone());
+            ps.insert(e);
             prop_assert!(ps.cancel(e.dst, e.key()));
             prop_assert!(!ps.cancel(e.dst, e.key()), "the cancelled copy is gone");
         }
-        ps.insert(e.clone());
+        ps.insert(e);
         let popped = ps.pop_min().expect("final copy must be live");
         prop_assert_eq!(popped.id, e.id);
         prop_assert!(ps.pop_min().is_none(), "no zombie copies");

@@ -182,7 +182,7 @@ mod tests {
         WorkerGvtCtx { now: WallNs(0), lvt: VirtualTime::new(lvt), worker_index: 0 }
     }
 
-    fn id(seq: u64) -> EventId {
+    fn id(seq: u32) -> EventId {
         EventId::new(LpId(3), seq)
     }
 

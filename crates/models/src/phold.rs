@@ -399,17 +399,18 @@ mod tests {
     }
 
     /// The LP table's layout for PHOLD on a 64-bit target: an LP record
-    /// within two cache lines, a history node (the event, the pre-event
-    /// generator and three chain links) with no room for a state copy, and
-    /// a send node whose link fills the padding of `(LpId, VirtualTime)`.
+    /// with a 32-bit send sequence, a history node (the 24-byte event, the
+    /// 8-byte pre-event generator state and three chain links) with no room
+    /// for a state copy, and a send node whose link fills the padding of
+    /// `(LpId, VirtualTime)`.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn lp_table_nodes_stay_small() {
         use cagvt_core::lp::{HistoryNode, LpRecord, SendNode};
         use std::mem::size_of;
-        assert!(size_of::<LpRecord<PholdModel>>() <= 128, "{}", size_of::<LpRecord<PholdModel>>());
+        assert!(size_of::<LpRecord<PholdModel>>() <= 88, "{}", size_of::<LpRecord<PholdModel>>());
         assert!(
-            size_of::<HistoryNode<PholdModel>>() <= 72,
+            size_of::<HistoryNode<PholdModel>>() <= 48,
             "{}",
             size_of::<HistoryNode<PholdModel>>()
         );
