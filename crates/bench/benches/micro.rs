@@ -14,7 +14,7 @@ use cagvt_core::queue::PendingSet;
 use cagvt_core::{RunReport, SimConfig};
 use cagvt_gvt::GvtKind;
 use cagvt_metrics::MetricsRegistry;
-use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
+use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams};
 use cagvt_models::presets::Workload;
 use cagvt_net::{Mailbox, MpiMode};
 use cagvt_trace::TraceRecorder;
@@ -102,14 +102,13 @@ fn lp_history(c: &mut Criterion) {
     const ROUNDS: usize = 500;
     const EVENTS_PER_ROUND: usize = 40;
     let mut group = c.benchmark_group("lp_history");
-    let topo = Topology { lps_per_worker: LPS, workers_per_node: 60, nodes: 2 };
-    let model = Arc::new(PholdModel::new(
-        topo,
-        PhaseSchedule::constant(PholdParams::new(0.10, 0.01, 10_000)),
-    ));
     let mut cfg = SimConfig::paper(2);
     (cfg.end_time, cfg.seed, cfg.rollback) = (1e9, 1, Some(RollbackStrategy::Reverse));
-    assert_eq!(cfg.total_lps(), topo.total_lps());
+    assert_eq!(cfg.lps_per_worker, LPS);
+    let model = Arc::new(PholdModel::new(
+        &cfg,
+        PhaseSchedule::constant(PholdParams::new(0.10, 0.01, 10_000)),
+    ));
     let lps = || LpTable::new(Arc::clone(&model), &cfg, LpId(0), LPS);
     group.bench_function("phold_128lp_40ev_rounds", |b| {
         b.iter_batched(
@@ -187,11 +186,7 @@ fn epg_sweep(c: &mut Criterion) {
                 let workload = Workload {
                     name: format!("epg-{epg}"),
                     model: PholdModel::new(
-                        Topology {
-                            lps_per_worker: cfg.lps_per_worker,
-                            workers_per_node: cfg.spec.workers_per_node,
-                            nodes: cfg.spec.nodes,
-                        },
+                        &cfg,
                         PhaseSchedule::constant(PholdParams::new(0.10, 0.01, epg)),
                     ),
                 };

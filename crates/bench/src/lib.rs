@@ -28,13 +28,13 @@ use cagvt_base::{FaultInjector, NodeId, TraceSink, WallNs};
 use cagvt_core::cluster::run_virtual_with;
 use cagvt_core::{RunReport, SimConfig};
 use cagvt_exec::VirtualConfig;
-use cagvt_fault::{FaultPlan, FaultRuntime, FaultSpec, FaultTopology, Perturbation};
+use cagvt_fault::{FaultPlan, FaultRuntime, FaultSpec, Perturbation};
 use cagvt_gvt::{make_bundle, GvtKind};
 use cagvt_metrics::{epoch_csv, HealthMonitor, MetricsRegistry};
-use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
+use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams};
 use cagvt_models::presets::{comm_dominated, comp_dominated, mixed_model, Workload, COMP_PARAMS};
-use cagvt_net::MpiMode;
-use cagvt_trace::{chrome_trace, TraceMeta, TraceRecorder};
+use cagvt_net::{ClusterSpec, MpiMode};
+use cagvt_trace::{chrome_trace, TraceRecorder};
 use runner::{par_map, Task};
 use std::path::Path;
 use std::sync::Arc;
@@ -78,7 +78,7 @@ pub const NODE_COUNTS: [u16; 4] = [1, 2, 4, 8];
 /// Assemble a [`SimConfig`] for one run.
 pub fn base_config(nodes: u16, mode: MpiMode, gvt_interval: u64, scale: &Scale) -> SimConfig {
     let mut cfg = SimConfig::paper(nodes);
-    cfg.spec = cagvt_net::ClusterSpec::new(nodes, scale.workers_per_node, mode);
+    cfg.spec = ClusterSpec::new(nodes, scale.workers_per_node, mode);
     cfg.lps_per_worker = scale.lps_per_worker;
     cfg.end_time = scale.end_time;
     cfg.gvt_interval = gvt_interval;
@@ -203,11 +203,7 @@ impl Load {
             Load::Epg(epg) => Workload {
                 name: format!("epg-{epg}"),
                 model: PholdModel::new(
-                    Topology {
-                        lps_per_worker: cfg.lps_per_worker,
-                        workers_per_node: cfg.spec.workers_per_node,
-                        nodes: cfg.spec.nodes,
-                    },
+                    cfg,
                     PhaseSchedule::constant(PholdParams { epg, ..COMP_PARAMS }),
                 ),
             },
@@ -521,26 +517,26 @@ fn mid_cluster_comm(scale: &Scale) -> Vec<Cell> {
     cells.into_iter().map(|cell| Cell { nodes: 4, ..cell }).collect()
 }
 
-/// The fault window and topology of the mid-cluster experiments. The
+/// The fault window and cluster of the mid-cluster experiments. The
 /// window is the clean Mattern makespan (at least 1 ms), so perturbations
 /// actually overlap each run; one shared span keeps every algorithm facing
 /// the identical plan.
-fn fault_anchor(scale: &Scale) -> (WallNs, FaultTopology) {
+fn fault_anchor(scale: &Scale) -> (WallNs, ClusterSpec) {
     let anchor = Cell { nodes: 4, ..Cell::new("anchor", GvtKind::Mattern, Load::Comm, scale) };
     let clean = anchor.run(None, None);
     let span = WallNs(((clean.sim_seconds * 1e9) as u64).max(1_000_000));
-    (span, FaultTopology::from(&anchor.config().spec))
+    (span, anchor.config().spec)
 }
 
 /// Fault severities swept by the resilience experiment (severity 0 is the
 /// clean baseline every curve is normalized against).
 pub const FAULT_SEVERITIES: [f64; 5] = [0.0, 0.25, 0.50, 0.75, 1.0];
 
-/// Build the injector for one `(severity, topology, span)` point; `None`
+/// Build the injector for one `(severity, cluster, span)` point; `None`
 /// at severity 0 keeps the baseline byte-identical to an unfaulted run.
 pub fn make_faults(
     severity: f64,
-    topology: FaultTopology,
+    cluster: ClusterSpec,
     seed: u64,
     span: WallNs,
 ) -> Option<Arc<dyn FaultInjector>> {
@@ -548,8 +544,8 @@ pub fn make_faults(
         return None;
     }
     let spec = FaultSpec::new(severity, seed, span);
-    let plan = FaultPlan::generate(&topology, &spec);
-    Some(Arc::new(FaultRuntime::new(topology, &plan, spec.seed)))
+    let plan = FaultPlan::generate(&cluster, &spec);
+    Some(Arc::new(FaultRuntime::new(cluster, &plan, spec.seed)))
 }
 
 /// Resilience curves: Mattern vs Barrier vs CA-GVT on a mid-size cluster
@@ -558,13 +554,13 @@ pub fn make_faults(
 /// severity. The x-axis here is severity (the `series` column carries it),
 /// not node count.
 pub fn fault_sweep(scale: &Scale, _: Option<&Path>) -> Vec<Row> {
-    let (span, topology) = fault_anchor(scale);
+    let (span, cluster) = fault_anchor(scale);
     let mut cells = Vec::new();
     for cell in mid_cluster_comm(scale) {
         for severity in FAULT_SEVERITIES {
             cells.push(Cell {
                 series: format!("{}-s{severity:.2}", cell.series),
-                faults: make_faults(severity, topology, scale.seed ^ 0xFA17, span),
+                faults: make_faults(severity, cluster, scale.seed ^ 0xFA17, span),
                 ..cell.clone()
             });
         }
@@ -602,9 +598,8 @@ pub fn trace_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
         let series = &cell.series;
         eprintln!("# trace {series}: {recorded} records ({dropped} dropped)");
         if let Some(dir) = out_dir {
-            let meta =
-                TraceMeta { nodes: cell.nodes, workers_per_node: cell.scale.workers_per_node };
-            std::fs::write(dir.join(format!("trace-{series}.json")), chrome_trace(&meta, &events))
+            let json = chrome_trace(&cell.config().spec, &events);
+            std::fs::write(dir.join(format!("trace-{series}.json")), json)
                 .expect("write chrome trace");
         }
         rows.push(cell.row("trace", report));
@@ -620,7 +615,7 @@ const HEALTH_STRAGGLE_NUM: u32 = 6 * cagvt_fault::plan::SCALE_DEN;
 /// (four times) the clean makespan, i.e. effectively the whole run. A
 /// hand-built single-perturbation plan — not a generated severity mix — so
 /// the alert stream has exactly one known cause to detect.
-fn health_straggle_injector(topology: FaultTopology, span: WallNs) -> Arc<dyn FaultInjector> {
+fn health_straggle_injector(cluster: ClusterSpec, span: WallNs) -> Arc<dyn FaultInjector> {
     let plan = FaultPlan {
         perturbations: vec![Perturbation::NodeStraggle {
             node: NodeId(1),
@@ -630,7 +625,7 @@ fn health_straggle_injector(topology: FaultTopology, span: WallNs) -> Arc<dyn Fa
             den: cagvt_fault::plan::SCALE_DEN,
         }],
     };
-    Arc::new(FaultRuntime::new(topology, &plan, 0x4EA1))
+    Arc::new(FaultRuntime::new(cluster, &plan, 0x4EA1))
 }
 
 /// `figures health`: COMM-PHOLD on 4 virtual nodes under each of the
@@ -643,10 +638,10 @@ fn health_straggle_injector(topology: FaultTopology, span: WallNs) -> Arc<dyn Fa
 /// runs, straggler/efficiency alerts on the perturbed ones, annotated with
 /// the fault signature.
 pub fn health_experiment(scale: &Scale, out_dir: Option<&Path>) -> Vec<Row> {
-    let (span, topology) = fault_anchor(scale);
+    let (span, cluster) = fault_anchor(scale);
     let mut cells = Vec::new();
     for cell in mid_cluster_comm(scale) {
-        let straggle = Some(health_straggle_injector(topology, span));
+        let straggle = Some(health_straggle_injector(cluster, span));
         cells.push(Cell { series: format!("{}-clean", cell.series), ..cell.clone() });
         cells.push(Cell { series: format!("{}-straggle", cell.series), faults: straggle, ..cell });
     }

@@ -12,8 +12,10 @@
 //! cp /tmp/golden/*.csv crates/bench/tests/golden/
 //! ```
 //!
-//! (The `trace-*.json` Chrome traces are several megabytes and are not
-//! copied; the trace crate's own tests cover them.)
+//! The `trace-*.json` Chrome traces are several megabytes, so
+//! `tests/golden/trace-json.digest` pins each one's byte length and FNV-1a
+//! 64 digest instead; on a mismatch the test prints the new line in that
+//! file's format.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -32,6 +34,24 @@ const MODES: &[&str] = &[
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// FNV-1a 64 of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `(file, "<length> <digest>")` of every line of the trace digest file.
+fn trace_digests() -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(golden_dir().join("trace-json.digest"))
+        .expect("read trace digest file");
+    text.lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+            [name, len, digest] => (name.to_string(), format!("{len} {digest}")),
+            _ => panic!("malformed trace digest line: {l}"),
+        })
+        .collect()
 }
 
 /// The first line where `want` and `got` differ, as `(line_no, want, got)`.
@@ -95,8 +115,21 @@ fn figure_csvs_match_golden_files() {
             None => failures.push(format!("{name}: differs only in line endings")),
         }
     }
-    // Every metrics CSV the binary writes must be pinned too, so a new
-    // series cannot slip past the golden set unnoticed.
+    let digests = trace_digests();
+    assert_eq!(digests.len(), 3, "one digest per GVT algorithm's trace");
+    for (name, want) in &digests {
+        let Ok(bytes) = std::fs::read(out.join(name)) else {
+            failures.push(format!("{name}: not written by figures"));
+            continue;
+        };
+        let got = format!("{} {:016x}", bytes.len(), fnv1a64(&bytes));
+        if &got != want {
+            failures
+                .push(format!("{name}: length and digest differ\n  want: {want}\n  got:  {got}"));
+        }
+    }
+    // Every metrics CSV and trace the binary writes must be pinned too, so
+    // a new series cannot slip past the golden set unnoticed.
     for entry in std::fs::read_dir(&out).expect("read output dir") {
         let name = entry.expect("output entry").file_name().to_string_lossy().into_owned();
         if name.starts_with("metrics-")
@@ -104,6 +137,12 @@ fn figure_csvs_match_golden_files() {
             && !golden_dir().join(&name).exists()
         {
             failures.push(format!("{name}: written by figures but has no golden file"));
+        }
+        if name.starts_with("trace-")
+            && name.ends_with(".json")
+            && !digests.iter().any(|(pinned, _)| *pinned == name)
+        {
+            failures.push(format!("{name}: written by figures but has no digest"));
         }
     }
     let _ = std::fs::remove_dir_all(&out);

@@ -2,7 +2,7 @@
 
 use cagvt_base::actor::Actor;
 use cagvt_base::fault::FaultInjector;
-use cagvt_base::ids::{ActorId, LaneId, NodeId};
+use cagvt_base::ids::NodeId;
 use cagvt_base::metrics::MetricsSink;
 use cagvt_base::trace::TraceSink;
 use cagvt_exec::{VirtualConfig, VirtualScheduler};
@@ -84,25 +84,24 @@ pub fn build_cluster<M: Model>(
     let mut tables = Vec::with_capacity(total_workers as usize);
     let mut seeds: Vec<Vec<Event<M::Payload>>> = (0..total_workers).map(|_| Vec::new()).collect();
     let mut sent = Vec::new();
-    for n in 0..spec.nodes {
-        for l in 0..spec.workers_per_node {
-            let first = shared.first_lp(NodeId(n), LaneId(l));
-            let mut lps = LpTable::new(Arc::clone(&shared.model), &cfg, first, cfg.lps_per_worker);
-            lps.seed(&mut sent);
-            for event in sent.drain(..) {
-                let (dn, dl) = shared.locate(event.dst);
-                seeds[shared.worker_index(dn, dl) as usize].push(event);
-            }
-            tables.push(lps);
+    for widx in 0..total_workers {
+        let (node, lane) = spec.worker(widx);
+        let first = cfg.first_lp(node, lane);
+        let mut lps = LpTable::new(Arc::clone(&shared.model), &cfg, first, cfg.lps_per_worker);
+        lps.seed(&mut sent);
+        for event in sent.drain(..) {
+            let (dn, dl) = cfg.locate(event.dst);
+            seeds[spec.worker_index(dn, dl) as usize].push(event);
         }
+        tables.push(lps);
     }
 
     // The actors: workers first (ActorId = worker index), then the
     // dedicated MPI actors.
     let mut actors: Vec<Box<dyn Actor>> = Vec::new();
-    for (lps, events) in tables.into_iter().zip(seeds) {
-        let (node, lane) = shared.locate(lps.first_lp());
-        let gvt = bundle.worker_gvt(node, lane, shared.worker_index(node, lane));
+    for (widx, (lps, events)) in (0..).zip(tables.into_iter().zip(seeds)) {
+        let (node, lane) = spec.worker(widx);
+        let gvt = bundle.worker_gvt(node, lane, widx);
         // Without a dedicated MPI thread, worker lane 0 drives the pump.
         let mpi_duty = (spec.mpi_mode != MpiMode::Dedicated && lane.0 == 0)
             .then(|| MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node)));
@@ -112,7 +111,7 @@ pub fn build_cluster<M: Model>(
         for n in 0..spec.nodes {
             let node = NodeId(n);
             let pump = MpiPump::new(node, Arc::clone(&shared), bundle.mpi_gvt(node));
-            actors.push(Box::new(MpiActor::new(ActorId(total_workers + n as u32), pump)));
+            actors.push(Box::new(MpiActor::new(spec.mpi_actor(node), pump)));
         }
     }
 

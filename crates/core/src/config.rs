@@ -1,5 +1,6 @@
 //! Run configuration.
 
+use cagvt_base::ids::{LaneId, LpId, NodeId};
 use cagvt_base::time::VirtualTime;
 use cagvt_net::{ClusterSpec, CostModel};
 
@@ -7,6 +8,10 @@ use crate::lp::RollbackStrategy;
 
 /// Everything that defines one simulation run apart from the model and the
 /// GVT algorithm.
+///
+/// It also places the LPs: they are dense and block-partitioned,
+/// node-major then lane-major, `lps_per_worker` to a worker
+/// ([`Self::locate`], [`Self::first_lp`]).
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     pub spec: ClusterSpec,
@@ -103,6 +108,21 @@ impl SimConfig {
         self.spec.workers_per_node as u32 * self.lps_per_worker
     }
 
+    /// The worker owning `lp`.
+    #[inline]
+    pub fn locate(&self, lp: LpId) -> (NodeId, LaneId) {
+        let per_node = self.lps_per_node();
+        let node = lp.0 / per_node;
+        let lane = (lp.0 % per_node) / self.lps_per_worker;
+        (NodeId(node as u16), LaneId(lane as u16))
+    }
+
+    /// First LP owned by `(node, lane)`.
+    #[inline]
+    pub fn first_lp(&self, node: NodeId, lane: LaneId) -> LpId {
+        LpId(node.0 as u32 * self.lps_per_node() + lane.0 as u32 * self.lps_per_worker)
+    }
+
     #[inline]
     pub fn end_vt(&self) -> VirtualTime {
         VirtualTime::new(self.end_time)
@@ -131,6 +151,25 @@ mod tests {
         assert_eq!(cfg.lps_per_node(), 60 * 128);
         assert_eq!(cfg.end_vt(), VirtualTime::new(200.0));
         cfg.validate();
+    }
+
+    #[test]
+    fn lp_placement_is_block_partitioned() {
+        let mut cfg = SimConfig::small(2, 3);
+        cfg.lps_per_worker = 4; // 2 nodes x 3 workers x 4 LPs
+        assert_eq!(cfg.locate(LpId(0)), (NodeId(0), LaneId(0)));
+        assert_eq!(cfg.locate(LpId(3)), (NodeId(0), LaneId(0)));
+        assert_eq!(cfg.locate(LpId(4)), (NodeId(0), LaneId(1)));
+        assert_eq!(cfg.locate(LpId(11)), (NodeId(0), LaneId(2)));
+        assert_eq!(cfg.locate(LpId(12)), (NodeId(1), LaneId(0)));
+        assert_eq!(cfg.locate(LpId(23)), (NodeId(1), LaneId(2)));
+        for node in 0..2 {
+            for lane in 0..3 {
+                let first = cfg.first_lp(NodeId(node), LaneId(lane));
+                assert_eq!(cfg.locate(first), (NodeId(node), LaneId(lane)));
+                assert_eq!(first.0 % cfg.lps_per_worker, 0);
+            }
+        }
     }
 
     #[test]

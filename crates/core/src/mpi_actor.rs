@@ -113,7 +113,7 @@ impl<M: Model> MpiPump<M> {
             debug_assert_eq!(env.dst_node, self.node, "misrouted remote message");
             let deliver_at = now + charge + cost_model.regional_latency;
             self.nshared.lane_queues[env.dst_lane.index()].push(deliver_at, env.tagged);
-            let owner = self.shared.worker_index(self.node, env.dst_lane);
+            let owner = self.shared.cfg.spec.worker_index(self.node, env.dst_lane);
             wake::notify_actor(ActorId(owner), deliver_at);
         }
         self.in_buf = in_buf;

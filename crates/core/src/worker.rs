@@ -27,6 +27,7 @@ use cagvt_base::trace::TraceRecord;
 use cagvt_base::wake::{self, Park};
 use cagvt_net::{MpiMode, MsgClass};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -48,6 +49,8 @@ pub struct Worker<M: Model> {
     lane: LaneId,
     /// Dense global worker index, which is also the worker's actor id.
     widx: u32,
+    /// The LPs of this worker's node: a message from outside came over MPI.
+    node_lps: Range<u32>,
     shared: Arc<EngineShared<M>>,
     nshared: Arc<NodeShared<M::Payload>>,
     lps: LpTable<M>,
@@ -117,16 +120,20 @@ impl<M: Model> Worker<M> {
         gvt: Box<dyn WorkerGvt>,
         mpi_duty: Option<MpiPump<M>>,
     ) -> Self {
-        let (node, lane) = shared.locate(lps.first_lp());
-        debug_assert_eq!(lps.first_lp(), shared.first_lp(node, lane));
+        let cfg = &shared.cfg;
+        let (node, lane) = cfg.locate(lps.first_lp());
+        debug_assert_eq!(lps.first_lp(), cfg.first_lp(node, lane));
         let nshared = Arc::clone(&shared.nodes[node.index()]);
-        let widx = shared.worker_index(node, lane);
+        let widx = cfg.spec.worker_index(node, lane);
+        let node_first = cfg.first_lp(node, LaneId(0)).0;
+        let node_lps = node_first..node_first + cfg.lps_per_node();
         let acks_enabled = gvt.wants_acks();
         let pending = PendingSet::from_events(lps.first_lp(), lps.len(), seeds);
         Worker {
             node,
             lane,
             widx,
+            node_lps,
             shared,
             nshared,
             lps,
@@ -151,7 +158,7 @@ impl<M: Model> Worker<M> {
     fn route(&mut self, now: WallNs, msg: EventMsg<M::Payload>) -> WallNs {
         let cost = &self.shared.cfg.cost;
         let dst = msg.dst();
-        let (dst_node, dst_lane) = self.shared.locate(dst);
+        let (dst_node, dst_lane) = self.shared.cfg.locate(dst);
         let header = msg.header();
         let remote = dst_node != self.node;
         if let Some((id, vt, anti)) = header {
@@ -206,7 +213,8 @@ impl<M: Model> Worker<M> {
             self.counters.sent_regional += 1;
             let deliver_at = now + cost.regional_latency;
             self.nshared.lane_queues[dst_lane.index()].push(deliver_at, TaggedMsg { msg, tag });
-            wake::notify_actor(ActorId(self.shared.worker_index(dst_node, dst_lane)), deliver_at);
+            let owner = self.shared.cfg.spec.worker_index(dst_node, dst_lane);
+            wake::notify_actor(ActorId(owner), deliver_at);
             cost.regional_send
         } else {
             self.counters.sent_remote += 1;
@@ -317,7 +325,12 @@ impl<M: Model> Worker<M> {
                 continue;
             };
             self.shared.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
-            self.gvt.on_recv(tagged.tag, MsgClass::Regional);
+            let class = if self.node_lps.contains(&id.src.0) {
+                MsgClass::Regional
+            } else {
+                MsgClass::Remote
+            };
+            self.gvt.on_recv(tagged.tag, class);
             if self.acks_enabled {
                 let ack = AckMsg { id, recv_time: vt, anti, marked: self.gvt.mark_acks() };
                 charge += self.route(now + charge, EventMsg::Ack(ack));

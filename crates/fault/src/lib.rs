@@ -9,9 +9,10 @@
 //!
 //! * a [`FaultPlan`] is a pure value: a set of scheduled [`Perturbation`]s
 //!   generated from a seed with the workspace's own PCG generator (never
-//!   wall-clock randomness), so a plan is reproducible from `(topology,
-//!   spec)` alone;
-//! * a [`FaultRuntime`] interprets a plan during a run. It is deterministic
+//!   wall-clock randomness), so a plan is reproducible from the run's
+//!   [`ClusterSpec`](cagvt_net::ClusterSpec) and its [`FaultSpec`] alone;
+//! * a [`FaultRuntime`] interprets a plan during a run, mapping scheduler
+//!   actors to nodes with the same `ClusterSpec`. It is deterministic
 //!   under the serialized virtual scheduler: identical plan + identical
 //!   call sequence ⇒ identical perturbations, hence bit-identical
 //!   `RunReport`s.
@@ -26,5 +27,5 @@
 pub mod plan;
 pub mod runtime;
 
-pub use plan::{FaultPlan, FaultSpec, FaultTopology, Perturbation};
+pub use plan::{FaultPlan, FaultSpec, Perturbation};
 pub use runtime::FaultRuntime;

@@ -5,44 +5,6 @@ use cagvt_base::rng::Pcg32;
 use cagvt_base::time::WallNs;
 use cagvt_net::ClusterSpec;
 
-/// The shape of the cluster a plan perturbs, plus the actor-id layout the
-/// runtime needs to map scheduler actors back to nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultTopology {
-    pub nodes: u16,
-    pub workers_per_node: u16,
-    /// Whether actor ids past the worker range are dedicated MPI actors
-    /// (one per node, in node order).
-    pub dedicated_mpi: bool,
-}
-
-impl FaultTopology {
-    pub fn total_workers(&self) -> u32 {
-        self.nodes as u32 * self.workers_per_node as u32
-    }
-
-    /// Node owning a scheduler actor id (workers are dense node-major,
-    /// dedicated MPI actors follow, one per node).
-    pub fn actor_node(&self, actor: u32) -> NodeId {
-        let workers = self.total_workers();
-        if actor < workers {
-            NodeId((actor / self.workers_per_node as u32) as u16)
-        } else {
-            NodeId((actor - workers) as u16)
-        }
-    }
-}
-
-impl From<&ClusterSpec> for FaultTopology {
-    fn from(spec: &ClusterSpec) -> Self {
-        FaultTopology {
-            nodes: spec.nodes,
-            workers_per_node: spec.workers_per_node,
-            dedicated_mpi: spec.has_dedicated_mpi_actor(),
-        }
-    }
-}
-
 /// One scheduled perturbation. Windows are half-open wall-clock intervals
 /// `[from, until)` on the virtual cluster's clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,6 +50,15 @@ impl Perturbation {
             | Perturbation::MessageDrop { from, until, .. } => (from, until),
         }
     }
+
+    /// The node the perturbation acts on: the straggling or stalled node,
+    /// or the source of a degraded link or lossy window.
+    pub(crate) fn node(&self) -> NodeId {
+        match *self {
+            Perturbation::NodeStraggle { node, .. } | Perturbation::MpiStall { node, .. } => node,
+            Perturbation::LinkDegrade { src, .. } | Perturbation::MessageDrop { src, .. } => src,
+        }
+    }
 }
 
 /// Inputs to plan generation.
@@ -96,7 +67,7 @@ pub struct FaultSpec {
     /// Fault intensity in `[0, 1]`: 0 generates an empty plan, 1 the
     /// harshest one (more windows, bigger multipliers, higher drop rates).
     pub severity: f64,
-    /// Seed for the plan's PCG streams; same `(topology, spec)` ⇒ same plan.
+    /// Seed for the plan's PCG streams; same `(cluster, spec)` ⇒ same plan.
     pub seed: u64,
     /// Wall-clock span perturbation windows are drawn from — set it to
     /// roughly the clean run's makespan so windows actually overlap the
@@ -128,14 +99,14 @@ impl FaultPlan {
 
     /// Generate a plan. Each fault class draws from its own PCG stream so
     /// adding windows of one class never shifts another class's draws.
-    pub fn generate(topology: &FaultTopology, spec: &FaultSpec) -> FaultPlan {
+    pub fn generate(cluster: &ClusterSpec, spec: &FaultSpec) -> FaultPlan {
         assert!((0.0..=1.0).contains(&spec.severity), "severity must be in [0, 1]");
         let mut plan = FaultPlan::default();
         if spec.severity <= 0.0 {
             return plan;
         }
         let s = spec.severity;
-        let nodes = topology.nodes as u32;
+        let nodes = cluster.nodes as u32;
         // Number of windows per class: one per ~2 nodes at full severity,
         // but at least one of each class whenever severity is non-zero so
         // even a tiny plan exercises every hook.
@@ -172,9 +143,8 @@ impl FaultPlan {
         if nodes > 1 {
             for _ in 0..windows(1.0) {
                 let src = NodeId(rng.next_bounded(nodes) as u16);
-                let dst = NodeId(
-                    (src.0 as u32 + 1 + rng.next_bounded(nodes - 1)) as u16 % topology.nodes,
-                );
+                let dst =
+                    NodeId((src.0 as u32 + 1 + rng.next_bounded(nodes - 1)) as u16 % cluster.nodes);
                 let (from, until) = window(&mut rng);
                 let latency_x = scale(&mut rng, 6.0);
                 let bandwidth_x = scale(&mut rng, 3.0);
@@ -226,8 +196,10 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
-    fn topo(nodes: u16) -> FaultTopology {
-        FaultTopology { nodes, workers_per_node: 4, dedicated_mpi: true }
+    use cagvt_net::MpiMode;
+
+    fn topo(nodes: u16) -> ClusterSpec {
+        ClusterSpec::new(nodes, 4, MpiMode::Dedicated)
     }
 
     #[test]
@@ -281,17 +253,5 @@ mod tests {
             assert!(until > from, "empty window: {p:?}");
             assert!(from.0 < 8_000_000, "window starts past the span: {p:?}");
         }
-    }
-
-    #[test]
-    fn actor_node_maps_workers_and_mpi_actors() {
-        let t = topo(2); // 2 nodes x 4 workers, dedicated MPI
-        assert_eq!(t.actor_node(0), NodeId(0));
-        assert_eq!(t.actor_node(3), NodeId(0));
-        assert_eq!(t.actor_node(4), NodeId(1));
-        assert_eq!(t.actor_node(7), NodeId(1));
-        // MPI actors: ids 8 and 9.
-        assert_eq!(t.actor_node(8), NodeId(0));
-        assert_eq!(t.actor_node(9), NodeId(1));
     }
 }

@@ -5,62 +5,29 @@ use cagvt_base::fault::{FaultInjector, FaultStats, LinkShape};
 use cagvt_base::ids::{ActorId, NodeId};
 use cagvt_base::rng::Pcg32;
 use cagvt_base::time::WallNs;
+use cagvt_net::ClusterSpec;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::plan::{FaultPlan, FaultTopology, Perturbation};
+use crate::plan::{FaultPlan, Perturbation};
 
 /// A message is retransmitted at most this many times before the loss
 /// process is forced to succeed: recovery is always finite, so delivery
 /// (and with it Mattern's message conservation) is never in question.
 pub const MAX_RETRANSMITS: u32 = 8;
 
-#[derive(Clone, Copy)]
-struct StraggleWin {
-    from: WallNs,
-    until: WallNs,
-    num: u32,
-    den: u32,
-}
-
-#[derive(Clone, Copy)]
-struct LinkWin {
-    dst: NodeId,
-    from: WallNs,
-    until: WallNs,
-    latency_x: u32,
-    bandwidth_x: u32,
-    den: u32,
-}
-
-#[derive(Clone, Copy)]
-struct StallWin {
-    from: WallNs,
-    until: WallNs,
-    stall: WallNs,
-}
-
-#[derive(Clone, Copy)]
-struct DropWin {
-    from: WallNs,
-    until: WallNs,
-    drop_permille: u16,
-    retransmit_timeout: WallNs,
-}
-
-/// The live injector: plan windows bucketed per node for O(windows-on-node)
-/// lookups, plus one seeded loss generator per source node.
+/// The live injector: the plan's perturbations bucketed per node (per
+/// source node for links and drops), in plan order, for
+/// O(windows-on-node) lookups, plus one seeded loss generator per source
+/// node.
 ///
 /// Deterministic under the serialized virtual scheduler: every hook is a
 /// pure function of `(plan, call arguments)` except the loss draws, whose
 /// per-source generators advance in the scheduler's globally ordered call
 /// sequence — so identical plans on identical runs replay identically.
 pub struct FaultRuntime {
-    topology: FaultTopology,
-    straggle: Vec<Vec<StraggleWin>>,
-    links: Vec<Vec<LinkWin>>,
-    stalls: Vec<Vec<StallWin>>,
-    drops: Vec<Vec<DropWin>>,
+    spec: ClusterSpec,
+    by_node: Vec<Vec<Perturbation>>,
     loss_rng: Vec<Mutex<Pcg32>>,
     dropped_msgs: AtomicU64,
     retransmits: AtomicU64,
@@ -70,74 +37,32 @@ pub struct FaultRuntime {
 }
 
 impl FaultRuntime {
-    pub fn new(topology: FaultTopology, plan: &FaultPlan, seed: u64) -> Self {
-        let n = topology.nodes as usize;
-        let mut rt = FaultRuntime {
-            topology,
-            straggle: vec![Vec::new(); n],
-            links: vec![Vec::new(); n],
-            stalls: vec![Vec::new(); n],
-            drops: vec![Vec::new(); n],
+    /// The injector for `plan` on the run's cluster `spec`.
+    pub fn new(spec: ClusterSpec, plan: &FaultPlan, seed: u64) -> Self {
+        let n = spec.nodes as usize;
+        let mut by_node = vec![Vec::new(); n];
+        for p in &plan.perturbations {
+            by_node[p.node().index()].push(*p);
+        }
+        FaultRuntime {
+            spec,
+            by_node,
             loss_rng: (0..n).map(|i| Mutex::new(Pcg32::new(seed, 0xD0_0000 + i as u64))).collect(),
             dropped_msgs: AtomicU64::new(0),
             retransmits: AtomicU64::new(0),
             retransmit_delay: AtomicU64::new(0),
             straggled_steps: AtomicU64::new(0),
             stalled_pumps: AtomicU64::new(0),
-        };
-        for p in &plan.perturbations {
-            match *p {
-                Perturbation::NodeStraggle { node, from, until, num, den } => {
-                    rt.straggle[node.index()].push(StraggleWin { from, until, num, den });
-                }
-                Perturbation::LinkDegrade {
-                    src,
-                    dst,
-                    from,
-                    until,
-                    latency_x,
-                    bandwidth_x,
-                    den,
-                } => {
-                    rt.links[src.index()].push(LinkWin {
-                        dst,
-                        from,
-                        until,
-                        latency_x,
-                        bandwidth_x,
-                        den,
-                    });
-                }
-                Perturbation::MpiStall { node, from, until, stall } => {
-                    rt.stalls[node.index()].push(StallWin { from, until, stall });
-                }
-                Perturbation::MessageDrop {
-                    src,
-                    from,
-                    until,
-                    drop_permille,
-                    retransmit_timeout,
-                } => {
-                    rt.drops[src.index()].push(DropWin {
-                        from,
-                        until,
-                        drop_permille,
-                        retransmit_timeout,
-                    });
-                }
-            }
         }
-        rt
     }
 
-    pub fn topology(&self) -> &FaultTopology {
-        &self.topology
+    /// The perturbations of `node` whose window covers `now`, in plan order.
+    fn active(&self, node: NodeId, now: WallNs) -> impl Iterator<Item = &Perturbation> {
+        self.by_node[node.index()].iter().filter(move |p| {
+            let (from, until) = p.window();
+            from <= now && now < until
+        })
     }
-}
-
-#[inline]
-fn active(from: WallNs, until: WallNs, now: WallNs) -> bool {
-    from <= now && now < until
 }
 
 /// `v * num / den` in u128 to dodge overflow on large costs.
@@ -148,14 +73,15 @@ fn scale(v: u64, num: u32, den: u32) -> u64 {
 
 impl FaultInjector for FaultRuntime {
     fn actor_cost(&self, actor: ActorId, now: WallNs, cost: WallNs) -> WallNs {
-        let node = self.topology.actor_node(actor.0);
         let mut out = cost.0;
         let mut hit = false;
         // Overlapping windows compound, in plan order.
-        for w in &self.straggle[node.index()] {
-            if active(w.from, w.until, now) && w.num > w.den {
-                out = scale(out, w.num, w.den);
-                hit = true;
+        for p in self.active(self.spec.actor_node(actor), now) {
+            if let Perturbation::NodeStraggle { num, den, .. } = *p {
+                if num > den {
+                    out = scale(out, num, den);
+                    hit = true;
+                }
             }
         }
         if hit && out > cost.0 {
@@ -173,30 +99,36 @@ impl FaultInjector for FaultRuntime {
         latency: WallNs,
     ) -> LinkShape {
         let mut shape = LinkShape::clean(per_msg, latency);
-        for w in &self.links[from.index()] {
-            if w.dst == to && active(w.from, w.until, now) {
-                shape.latency = WallNs(scale(shape.latency.0, w.latency_x, w.den));
-                shape.per_msg = WallNs(scale(shape.per_msg.0, w.bandwidth_x, w.den));
+        for p in self.active(from, now) {
+            if let Perturbation::LinkDegrade { dst, latency_x, bandwidth_x, den, .. } = *p {
+                if dst == to {
+                    shape.latency = WallNs(scale(shape.latency.0, latency_x, den));
+                    shape.per_msg = WallNs(scale(shape.per_msg.0, bandwidth_x, den));
+                }
             }
         }
-        let mut lost = 0u32;
-        for w in &self.drops[from.index()] {
-            if active(w.from, w.until, now) {
-                let mut rng = self.loss_rng[from.index()].lock();
-                // Each transmission attempt is an independent Bernoulli
-                // trial; after MAX_RETRANSMITS losses the attempt is forced
-                // through, so delivery is guaranteed.
-                while lost < MAX_RETRANSMITS && rng.next_bounded(1000) < w.drop_permille as u32 {
-                    lost += 1;
-                    shape.retransmit_delay += w.retransmit_timeout;
-                }
-                if lost > 0 {
-                    self.dropped_msgs.fetch_add(1, Ordering::Relaxed);
-                    self.retransmits.fetch_add(lost as u64, Ordering::Relaxed);
-                    self.retransmit_delay.fetch_add(shape.retransmit_delay.0, Ordering::Relaxed);
-                }
-                // One loss process per message, even if windows overlap.
-                break;
+        // One loss process per message, even if windows overlap: the first
+        // active drop window draws.
+        let drop = self.active(from, now).find_map(|p| match *p {
+            Perturbation::MessageDrop { drop_permille, retransmit_timeout, .. } => {
+                Some((drop_permille, retransmit_timeout))
+            }
+            _ => None,
+        });
+        if let Some((drop_permille, retransmit_timeout)) = drop {
+            let mut rng = self.loss_rng[from.index()].lock();
+            // Each transmission attempt is an independent Bernoulli trial;
+            // after MAX_RETRANSMITS losses the attempt is forced through, so
+            // delivery is guaranteed.
+            let mut lost = 0u32;
+            while lost < MAX_RETRANSMITS && rng.next_bounded(1000) < drop_permille as u32 {
+                lost += 1;
+                shape.retransmit_delay += retransmit_timeout;
+            }
+            if lost > 0 {
+                self.dropped_msgs.fetch_add(1, Ordering::Relaxed);
+                self.retransmits.fetch_add(lost as u64, Ordering::Relaxed);
+                self.retransmit_delay.fetch_add(shape.retransmit_delay.0, Ordering::Relaxed);
             }
         }
         shape
@@ -204,9 +136,9 @@ impl FaultInjector for FaultRuntime {
 
     fn mpi_stall(&self, node: NodeId, now: WallNs) -> WallNs {
         let mut total = 0u64;
-        for w in &self.stalls[node.index()] {
-            if active(w.from, w.until, now) {
-                total += w.stall.0;
+        for p in self.active(node, now) {
+            if let Perturbation::MpiStall { stall, .. } = *p {
+                total += stall.0;
             }
         }
         if total > 0 {
@@ -231,8 +163,10 @@ mod tests {
     use super::*;
     use crate::plan::SCALE_DEN;
 
-    fn topo() -> FaultTopology {
-        FaultTopology { nodes: 2, workers_per_node: 2, dedicated_mpi: true }
+    use cagvt_net::MpiMode;
+
+    fn topo() -> ClusterSpec {
+        ClusterSpec::new(2, 2, MpiMode::Dedicated)
     }
 
     fn plan(p: Vec<Perturbation>) -> FaultPlan {
@@ -347,5 +281,35 @@ mod tests {
         assert_eq!(rt.mpi_stall(NodeId(0), WallNs(60)), WallNs::ZERO);
         assert_eq!(rt.mpi_stall(NodeId(1), WallNs(55)), WallNs::ZERO);
         assert_eq!(rt.stats().stalled_pumps, 1);
+    }
+
+    /// Overlapping straggle windows compound in plan order (flooring after
+    /// each: 5 * 3/2 = 7, then 7 * 5/4 = 8, where the other order gives 9),
+    /// and of overlapping drop windows only the first active one draws.
+    #[test]
+    fn overlapping_windows_keep_plan_order() {
+        let straggle = |num| Perturbation::NodeStraggle {
+            node: NodeId(0),
+            from: WallNs(0),
+            until: WallNs(100),
+            num,
+            den: 4,
+        };
+        let lossy = |drop_permille| Perturbation::MessageDrop {
+            src: NodeId(0),
+            from: WallNs(0),
+            until: WallNs(100),
+            drop_permille,
+            retransmit_timeout: WallNs(250),
+        };
+        let rt = FaultRuntime::new(
+            topo(),
+            &plan(vec![straggle(6), lossy(0), straggle(5), lossy(1000)]),
+            7,
+        );
+        assert_eq!(rt.actor_cost(ActorId(0), WallNs(10), WallNs(5)), WallNs(8));
+        let shape = rt.link(NodeId(0), NodeId(1), WallNs(10), WallNs(500), WallNs(30_000));
+        assert_eq!(shape.retransmit_delay, WallNs::ZERO, "the lossless window drew first");
+        assert_eq!(rt.stats().dropped_msgs, 0);
     }
 }

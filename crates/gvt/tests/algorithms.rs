@@ -4,13 +4,17 @@
 //! through a step valve, so a liveness regression fails in seconds instead
 //! of spinning.
 
-use cagvt_core::cluster::{build_shared, run_virtual_with};
+use cagvt_base::ids::{ActorId, LaneId, NodeId};
+use cagvt_base::time::VirtualTime;
+use cagvt_core::cluster::{build_cluster, build_shared, run_virtual_with};
+use cagvt_core::gvt::{GvtBundle, MpiGvt, WorkerGvt, WorkerGvtCtx, WorkerGvtOutcome};
 use cagvt_core::seq::SequentialSim;
 use cagvt_core::testmodel::MiniHold;
 use cagvt_core::{RunReport, SimConfig};
 use cagvt_exec::VirtualConfig;
 use cagvt_gvt::{make_bundle, GvtKind};
-use cagvt_net::MpiMode;
+use cagvt_net::{MpiMode, MsgClass};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Scheduler steps any run here may take; the largest takes well under a
@@ -275,6 +279,126 @@ fn shared_handles_expose_topology_and_gvt_state() {
     assert_eq!(bundle.name(), "barrier");
     let bundle = make_bundle(GvtKind::Samadi, &shared);
     assert_eq!(bundle.name(), "samadi");
+}
+
+/// Every actor `build_cluster` returns carries the id `ClusterSpec` gives
+/// its owner (the node and lane in its label), and `actor_node` maps the
+/// id back to that node, in every MPI mode.
+#[test]
+fn build_cluster_numbers_actors_by_the_cluster_spec() {
+    for mode in [MpiMode::Dedicated, MpiMode::InlineWorker, MpiMode::PerWorker] {
+        let mut cfg = SimConfig::small(3, 2);
+        cfg.spec.mpi_mode = mode;
+        let spec = cfg.spec;
+        let shared = build_shared(Arc::new(MiniHold::default()), cfg);
+        let bundle = make_bundle(GvtKind::Mattern, &shared);
+        let (actors, _) = build_cluster(shared, &*bundle);
+        let mpi_actors = if mode == MpiMode::Dedicated { 3 } else { 0 };
+        assert_eq!(actors.len(), 6 + mpi_actors, "{mode:?}");
+        for actor in &actors {
+            let (id, label) = (actor.id(), actor.label());
+            let node = if let Some(worker) = label.strip_prefix("worker@n") {
+                let (node, lane) = worker.split_once('.').expect("worker label");
+                let node = NodeId(node.parse().expect("node"));
+                let lane = LaneId(lane.parse().expect("lane"));
+                assert_eq!(id, ActorId(spec.worker_index(node, lane)), "{mode:?} {label}");
+                node
+            } else {
+                let node = label.strip_prefix("mpi@n").expect("an MPI actor");
+                let node = NodeId(node.parse().expect("node"));
+                assert_eq!(id, spec.mpi_actor(node), "{mode:?} {label}");
+                node
+            };
+            assert_eq!(spec.actor_node(id), node, "{mode:?} {label}");
+        }
+    }
+}
+
+/// Message classes the GVT worker halves were told of: `[regional, remote]`.
+#[derive(Default)]
+struct ClassLog {
+    sends: [AtomicU64; 2],
+    recvs: [AtomicU64; 2],
+}
+
+impl ClassLog {
+    fn slot(class: MsgClass) -> usize {
+        match class {
+            MsgClass::Regional => 0,
+            MsgClass::Remote => 1,
+            MsgClass::Local => panic!("local messages never reach the GVT half"),
+        }
+    }
+}
+
+/// A bundle whose worker halves log each message's class, then defer to
+/// the wrapped algorithm.
+struct Recording {
+    inner: Box<dyn GvtBundle>,
+    log: Arc<ClassLog>,
+}
+
+struct RecordingWorker {
+    inner: Box<dyn WorkerGvt>,
+    log: Arc<ClassLog>,
+}
+
+impl GvtBundle for Recording {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn worker_gvt(&self, node: NodeId, lane: LaneId, worker_index: u32) -> Box<dyn WorkerGvt> {
+        let inner = self.inner.worker_gvt(node, lane, worker_index);
+        Box::new(RecordingWorker { inner, log: Arc::clone(&self.log) })
+    }
+    fn mpi_gvt(&self, node: NodeId) -> Box<dyn MpiGvt> {
+        self.inner.mpi_gvt(node)
+    }
+}
+
+impl WorkerGvt for RecordingWorker {
+    fn on_send(&mut self, class: MsgClass, recv_time: VirtualTime) -> u64 {
+        self.log.sends[ClassLog::slot(class)].fetch_add(1, Relaxed);
+        self.inner.on_send(class, recv_time)
+    }
+    fn on_recv(&mut self, tag: u64, class: MsgClass) {
+        self.log.recvs[ClassLog::slot(class)].fetch_add(1, Relaxed);
+        self.inner.on_recv(tag, class)
+    }
+    fn step(&mut self, ctx: &WorkerGvtCtx) -> WorkerGvtOutcome {
+        self.inner.step(ctx)
+    }
+}
+
+/// `(regional, remote)` sends and receives the worker halves saw on a
+/// Mattern run of `nodes` nodes.
+fn class_counts(nodes: u16) -> ([u64; 2], [u64; 2]) {
+    let mut cfg = SimConfig::small(nodes, 2);
+    cfg.end_time = 20.0;
+    let log = Arc::new(ClassLog::default());
+    let vcfg = VirtualConfig { max_steps: Some(MAX_STEPS), ..Default::default() };
+    let model = Arc::new(MiniHold { far_fraction: 0.4, ..Default::default() });
+    let report = run_virtual_with(model, cfg, vcfg, |shared| {
+        let inner = make_bundle(GvtKind::Mattern, shared);
+        Box::new(Recording { inner, log: Arc::clone(&log) })
+    });
+    assert!(report.completed, "{report}");
+    let load = |counts: &[AtomicU64; 2]| counts.each_ref().map(|c| c.load(Relaxed));
+    (load(&log.sends), load(&log.recvs))
+}
+
+/// Workers tell their GVT half a received message's class from its
+/// sender's node: remote receives are a subset of remote sends, and a
+/// single node sees none.
+#[test]
+fn gvt_halves_see_the_class_of_every_received_message() {
+    let ([_, remote_sent], [regional_recv, remote_recv]) = class_counts(2);
+    assert!(0 < remote_recv && remote_recv <= remote_sent, "{remote_recv} of {remote_sent}");
+    assert!(regional_recv > 0);
+
+    let ([_, remote_sent], [regional_recv, remote_recv]) = class_counts(1);
+    assert_eq!((remote_sent, remote_recv), (0, 0));
+    assert!(regional_recv > 0);
 }
 
 #[test]

@@ -29,6 +29,6 @@ pub mod traffic;
 pub use cqn::CqnModel;
 pub use epidemic::EpidemicModel;
 pub use pcs::PcsModel;
-pub use phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
+pub use phold::{PhaseSchedule, PholdModel, PholdParams};
 pub use presets::{comm_dominated, comp_dominated, mixed_model, Workload};
 pub use traffic::TrafficModel;

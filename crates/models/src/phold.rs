@@ -6,7 +6,10 @@
 //! **regional** (an LP on another worker of the same node), or **remote**
 //! (an LP on another node) — with configured probabilities, a timestamp
 //! increment `lookahead + Exp(mean)`, and reports the configured EPG as
-//! its processing cost.
+//! its processing cost. The classes follow the run's LP placement,
+//! [`SimConfig::locate`], which the engine routes by too, so a regional
+//! draw always lands on another worker of the node and a remote one on
+//! another node.
 //!
 //! The paper's mixed `X-Y` models alternate between a
 //! computation-dominated and a communication-dominated parameter set over
@@ -14,9 +17,10 @@
 //! paper phases on wall-clock execution time — virtual progress is the
 //! deterministic stand-in, see DESIGN.md §2).
 
-use cagvt_base::ids::LpId;
+use cagvt_base::ids::{LaneId, LpId};
 use cagvt_base::rng::Pcg32;
 use cagvt_core::model::{Emitter, EventCtx, Model};
+use cagvt_core::SimConfig;
 
 /// Destination-class probabilities and event granularity of one phase.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -91,34 +95,12 @@ impl PhaseSchedule {
     }
 }
 
-/// Static LP placement facts the model needs to classify destinations.
-#[derive(Clone, Copy, Debug)]
-pub struct Topology {
-    pub lps_per_worker: u32,
-    pub workers_per_node: u16,
-    pub nodes: u16,
-}
-
-impl Topology {
-    #[inline]
-    pub fn lps_per_node(&self) -> u32 {
-        self.lps_per_worker * self.workers_per_node as u32
-    }
-
-    #[inline]
-    pub fn total_lps(&self) -> u32 {
-        self.lps_per_node() * self.nodes as u32
-    }
-
-    #[inline]
-    fn node_of(&self, lp: LpId) -> u32 {
-        lp.0 / self.lps_per_node()
-    }
-
-    #[inline]
-    fn worker_of(&self, lp: LpId) -> u32 {
-        lp.0 / self.lps_per_worker
-    }
+/// Destination class of one draw.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Class {
+    Local,
+    Regional,
+    Remote,
 }
 
 /// Per-LP state: class counters and an order-sensitive checksum used by
@@ -135,7 +117,8 @@ pub struct PholdState {
 /// The modified PHOLD model.
 #[derive(Clone, Debug)]
 pub struct PholdModel {
-    pub topo: Topology,
+    /// The run's configuration, which places the LPs the model draws from.
+    pub cfg: SimConfig,
     pub schedule: PhaseSchedule,
     /// Minimum timestamp increment.
     pub lookahead: f64,
@@ -144,46 +127,42 @@ pub struct PholdModel {
 }
 
 impl PholdModel {
-    pub fn new(topo: Topology, schedule: PhaseSchedule) -> Self {
-        PholdModel { topo, schedule, lookahead: 0.1, mean_delay: 1.0 }
+    /// PHOLD on the LPs of the run `cfg`.
+    pub fn new(cfg: &SimConfig, schedule: PhaseSchedule) -> Self {
+        PholdModel { cfg: *cfg, schedule, lookahead: 0.1, mean_delay: 1.0 }
     }
 
     /// Draw a destination of the class selected by `params`.
-    fn draw_destination(
-        &self,
-        me: LpId,
-        params: &PholdParams,
-        rng: &mut Pcg32,
-    ) -> (LpId, &'static str) {
-        let topo = &self.topo;
+    fn draw_destination(&self, me: LpId, params: &PholdParams, rng: &mut Pcg32) -> (LpId, Class) {
+        let cfg = &self.cfg;
         let u = rng.next_f64();
         if u < params.remote_pct {
-            if topo.nodes < 2 {
+            if cfg.spec.nodes < 2 {
                 // Remote class impossible on one node: degrade to local.
-                return (me, "local");
+                return (me, Class::Local);
             }
             // Remote: uniform over LPs of other nodes.
-            let my_node = topo.node_of(me);
-            let lpn = topo.lps_per_node();
-            let other = rng.next_bounded(topo.total_lps() - lpn);
-            let dst = if other >= my_node * lpn { other + lpn } else { other };
-            (LpId(dst), "remote")
+            let (node, _) = cfg.locate(me);
+            let node_base = cfg.first_lp(node, LaneId(0)).0;
+            let lpn = cfg.lps_per_node();
+            let other = rng.next_bounded(cfg.total_lps() - lpn);
+            let dst = if other >= node_base { other + lpn } else { other };
+            (LpId(dst), Class::Remote)
         } else if u < params.remote_pct + params.regional_pct {
-            if topo.workers_per_node < 2 {
-                return (me, "local");
+            if cfg.spec.workers_per_node < 2 {
+                return (me, Class::Local);
             }
             // Regional: uniform over same-node LPs on other workers.
-            let my_node = topo.node_of(me);
-            let my_worker = topo.worker_of(me);
-            let node_base = my_node * topo.lps_per_node();
-            let worker_base_in_node = my_worker * topo.lps_per_worker - node_base;
-            let other = rng.next_bounded(topo.lps_per_node() - topo.lps_per_worker);
-            let within =
-                if other >= worker_base_in_node { other + topo.lps_per_worker } else { other };
-            (LpId(node_base + within), "regional")
+            let (node, lane) = cfg.locate(me);
+            let node_base = cfg.first_lp(node, LaneId(0)).0;
+            let worker_base_in_node = cfg.first_lp(node, lane).0 - node_base;
+            let lpw = cfg.lps_per_worker;
+            let other = rng.next_bounded(cfg.lps_per_node() - lpw);
+            let within = if other >= worker_base_in_node { other + lpw } else { other };
+            (LpId(node_base + within), Class::Regional)
         } else {
             // Local: the LP itself (the paper's fastest class).
-            (me, "local")
+            (me, Class::Local)
         }
     }
 }
@@ -225,9 +204,9 @@ impl Model for PholdModel {
 
         let (dst, class) = self.draw_destination(ctx.self_lp, &params, rng);
         match class {
-            "local" => state.sent_local += 1,
-            "regional" => state.sent_regional += 1,
-            _ => state.sent_remote += 1,
+            Class::Local => state.sent_local += 1,
+            Class::Regional => state.sent_regional += 1,
+            Class::Remote => state.sent_remote += 1,
         }
         emit.emit(dst, self.lookahead + rng.next_exp(self.mean_delay), payload.wrapping_add(1));
         params.epg
@@ -247,9 +226,9 @@ impl Model for PholdModel {
         let params = self.schedule.at(ctx.progress());
         let (_dst, class) = self.draw_destination(ctx.self_lp, &params, rng);
         match class {
-            "local" => state.sent_local -= 1,
-            "regional" => state.sent_regional -= 1,
-            _ => state.sent_remote -= 1,
+            Class::Local => state.sent_local -= 1,
+            Class::Regional => state.sent_regional -= 1,
+            Class::Remote => state.sent_remote -= 1,
         }
         state.processed -= 1;
         state.checksum = state
@@ -275,8 +254,15 @@ mod tests {
     use super::*;
     use cagvt_base::time::VirtualTime;
 
-    fn topo() -> Topology {
-        Topology { lps_per_worker: 4, workers_per_node: 3, nodes: 2 }
+    /// A run of `nodes` nodes x `workers` workers x `lps` LPs per worker.
+    pub(super) fn geometry(nodes: u16, workers: u16, lps: u32) -> SimConfig {
+        let mut cfg = SimConfig::small(nodes, workers);
+        cfg.lps_per_worker = lps;
+        cfg
+    }
+
+    fn cfg() -> SimConfig {
+        geometry(2, 3, 4)
     }
 
     fn ctx(me: u32, t: f64) -> EventCtx {
@@ -284,45 +270,39 @@ mod tests {
             now: VirtualTime::new(t),
             self_lp: LpId(me),
             end_time: VirtualTime::new(100.0),
-            total_lps: topo().total_lps(),
+            total_lps: cfg().total_lps(),
         }
     }
 
-    #[test]
-    fn topology_arithmetic() {
-        let t = topo();
-        assert_eq!(t.lps_per_node(), 12);
-        assert_eq!(t.total_lps(), 24);
-        assert_eq!(t.node_of(LpId(11)), 0);
-        assert_eq!(t.node_of(LpId(12)), 1);
-        assert_eq!(t.worker_of(LpId(7)), 1);
+    /// Checks one draw of `me` against the run's placement.
+    fn check_draw(cfg: &SimConfig, me: LpId, dst: LpId, class: Class) {
+        assert!(dst.0 < cfg.total_lps(), "{dst} out of range");
+        let (node, lane) = cfg.locate(me);
+        let (dst_node, dst_lane) = cfg.locate(dst);
+        match class {
+            Class::Local => assert_eq!(dst, me),
+            Class::Regional => {
+                assert_eq!(dst_node, node, "regional {me} -> {dst} leaves the node");
+                assert_ne!(dst_lane, lane, "regional {me} -> {dst} stays on the lane");
+            }
+            Class::Remote => assert_ne!(dst_node, node, "remote {me} -> {dst} stays on the node"),
+        }
     }
 
     #[test]
     fn destination_classes_respect_topology() {
         let model =
-            PholdModel::new(topo(), PhaseSchedule::constant(PholdParams::new(0.3, 0.2, 1_000)));
+            PholdModel::new(&cfg(), PhaseSchedule::constant(PholdParams::new(0.3, 0.2, 1_000)));
         let mut rng = Pcg32::new(1, 1);
         let me = LpId(5); // node 0, worker 1
-        let t = topo();
         let (mut local, mut regional, mut remote) = (0u32, 0u32, 0u32);
         for _ in 0..20_000 {
             let (dst, class) = model.draw_destination(me, &model.schedule.at(0.0), &mut rng);
-            assert!(dst.0 < t.total_lps());
+            check_draw(&model.cfg, me, dst, class);
             match class {
-                "local" => {
-                    assert_eq!(dst, me);
-                    local += 1;
-                }
-                "regional" => {
-                    assert_eq!(t.node_of(dst), t.node_of(me), "regional stays on node");
-                    assert_ne!(t.worker_of(dst), t.worker_of(me), "regional crosses workers");
-                    regional += 1;
-                }
-                _ => {
-                    assert_ne!(t.node_of(dst), t.node_of(me), "remote leaves the node");
-                    remote += 1;
-                }
+                Class::Local => local += 1,
+                Class::Regional => regional += 1,
+                Class::Remote => remote += 1,
             }
         }
         // Probabilities within loose tolerance.
@@ -332,10 +312,32 @@ mod tests {
         assert!((local as f64 / total - 0.5).abs() < 0.02, "local {local}");
     }
 
+    /// On every uneven geometry, every LP's draws agree with the engine's
+    /// placement (`SimConfig::locate`), whatever class they fall in.
+    #[test]
+    fn draws_agree_with_the_placement_on_uneven_geometries() {
+        let params = PholdParams::new(0.4, 0.4, 100);
+        for nodes in 1..=3 {
+            for workers in 1..=3 {
+                for lps in 1..=5 {
+                    let cfg = geometry(nodes, workers, lps);
+                    let model = PholdModel::new(&cfg, PhaseSchedule::constant(params));
+                    let mut rng = Pcg32::new(lps as u64, nodes as u64 * 4 + workers as u64);
+                    for me in (0..cfg.total_lps()).map(LpId) {
+                        for _ in 0..40 {
+                            let (dst, class) = model.draw_destination(me, &params, &mut rng);
+                            check_draw(&cfg, me, dst, class);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn handle_emits_exactly_one_event_with_positive_delay() {
         let model =
-            PholdModel::new(topo(), PhaseSchedule::constant(PholdParams::new(0.1, 0.01, 10_000)));
+            PholdModel::new(&cfg(), PhaseSchedule::constant(PholdParams::new(0.1, 0.01, 10_000)));
         let mut rng = Pcg32::new(2, 2);
         let mut state = PholdState::default();
         let mut emit = Emitter::new();
@@ -373,12 +375,14 @@ mod tests {
 
     #[test]
     fn single_node_remote_draws_fall_back_to_local() {
-        let t = Topology { lps_per_worker: 4, workers_per_node: 2, nodes: 1 };
-        let model = PholdModel::new(t, PhaseSchedule::constant(PholdParams::new(0.0, 1.0, 100)));
+        let model = PholdModel::new(
+            &geometry(1, 2, 4),
+            PhaseSchedule::constant(PholdParams::new(0.0, 1.0, 100)),
+        );
         let mut rng = Pcg32::new(3, 3);
         for _ in 0..100 {
             let (dst, class) = model.draw_destination(LpId(0), &model.schedule.at(0.0), &mut rng);
-            assert_eq!(class, "local");
+            assert_eq!(class, Class::Local);
             assert_eq!(dst, LpId(0));
         }
     }
@@ -386,7 +390,7 @@ mod tests {
     #[test]
     fn fingerprint_depends_on_history() {
         let model =
-            PholdModel::new(topo(), PhaseSchedule::constant(PholdParams::new(0.1, 0.01, 100)));
+            PholdModel::new(&cfg(), PhaseSchedule::constant(PholdParams::new(0.1, 0.01, 100)));
         let mut rng = Pcg32::new(4, 4);
         let mut a = PholdState::default();
         let mut emit = Emitter::new();
@@ -421,12 +425,13 @@ mod tests {
 
 #[cfg(test)]
 mod reverse_tests {
+    use super::tests::geometry;
     use super::*;
     use cagvt_base::time::VirtualTime;
 
     fn model() -> PholdModel {
         PholdModel::new(
-            Topology { lps_per_worker: 4, workers_per_node: 3, nodes: 2 },
+            &geometry(2, 3, 4),
             PhaseSchedule::constant(PholdParams::new(0.3, 0.2, 1_000)),
         )
     }
@@ -473,7 +478,7 @@ mod reverse_tests {
     #[test]
     fn reverse_handles_every_phase_of_a_mixed_schedule() {
         let m = PholdModel::new(
-            Topology { lps_per_worker: 4, workers_per_node: 3, nodes: 2 },
+            &geometry(2, 3, 4),
             PhaseSchedule::alternating(
                 10.0,
                 PholdParams::new(0.1, 0.01, 10_000),

@@ -7,7 +7,7 @@
 
 use cagvt_core::SimConfig;
 
-use crate::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
+use crate::phold::{PhaseSchedule, PholdModel, PholdParams};
 
 /// The paper's computation-dominated parameter set.
 pub const COMP_PARAMS: PholdParams =
@@ -24,19 +24,11 @@ pub struct Workload {
     pub model: PholdModel,
 }
 
-fn topo_of(cfg: &SimConfig) -> Topology {
-    Topology {
-        lps_per_worker: cfg.lps_per_worker,
-        workers_per_node: cfg.spec.workers_per_node,
-        nodes: cfg.spec.nodes,
-    }
-}
-
 /// COMP workload for a given run configuration.
 pub fn comp_dominated(cfg: &SimConfig) -> Workload {
     Workload {
         name: "comp".to_string(),
-        model: PholdModel::new(topo_of(cfg), PhaseSchedule::constant(COMP_PARAMS)),
+        model: PholdModel::new(cfg, PhaseSchedule::constant(COMP_PARAMS)),
     }
 }
 
@@ -44,7 +36,7 @@ pub fn comp_dominated(cfg: &SimConfig) -> Workload {
 pub fn comm_dominated(cfg: &SimConfig) -> Workload {
     Workload {
         name: "comm".to_string(),
-        model: PholdModel::new(topo_of(cfg), PhaseSchedule::constant(COMM_PARAMS)),
+        model: PholdModel::new(cfg, PhaseSchedule::constant(COMM_PARAMS)),
     }
 }
 
@@ -56,7 +48,7 @@ pub fn mixed_model(cfg: &SimConfig, x: f64, y: f64) -> Workload {
     Workload {
         name: format!("mixed-{:.0}-{:.0}", x, y),
         model: PholdModel::new(
-            topo_of(cfg),
+            cfg,
             PhaseSchedule::alternating_cycles(x, COMP_PARAMS, y, COMM_PARAMS, 2),
         ),
     }
@@ -80,9 +72,9 @@ mod tests {
     fn workloads_inherit_topology_from_config() {
         let cfg = SimConfig::small(2, 3);
         let w = comp_dominated(&cfg);
-        assert_eq!(w.model.topo.nodes, 2);
-        assert_eq!(w.model.topo.workers_per_node, 3);
-        assert_eq!(w.model.topo.lps_per_worker, cfg.lps_per_worker);
+        assert_eq!(w.model.cfg.spec.nodes, 2);
+        assert_eq!(w.model.cfg.spec.workers_per_node, 3);
+        assert_eq!(w.model.cfg.lps_per_worker, cfg.lps_per_worker);
     }
 
     #[test]

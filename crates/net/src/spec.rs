@@ -7,6 +7,7 @@
 //! message costs vs wire latency), which drive who wins between the GVT
 //! algorithms.
 
+use cagvt_base::ids::{ActorId, LaneId, NodeId};
 use cagvt_base::time::WallNs;
 
 /// How MPI work is assigned to threads within a node.
@@ -34,6 +35,10 @@ impl MpiMode {
 }
 
 /// Cluster shape: `nodes` KNL sockets, `workers` simulation threads each.
+///
+/// The spec also numbers the run's actors: workers are dense node-major
+/// then lane-major (`0 .. total_workers()`), and in [`MpiMode::Dedicated`]
+/// one MPI actor per node follows them in node order.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterSpec {
     pub nodes: u16,
@@ -62,6 +67,36 @@ impl ClusterSpec {
     #[inline]
     pub fn has_dedicated_mpi_actor(&self) -> bool {
         matches!(self.mpi_mode, MpiMode::Dedicated)
+    }
+
+    /// Dense global index of worker `(node, lane)`, which is also its
+    /// actor id.
+    #[inline]
+    pub fn worker_index(&self, node: NodeId, lane: LaneId) -> u32 {
+        node.0 as u32 * self.workers_per_node as u32 + lane.0 as u32
+    }
+
+    /// The worker with global index `index`: the inverse of
+    /// [`Self::worker_index`].
+    #[inline]
+    pub fn worker(&self, index: u32) -> (NodeId, LaneId) {
+        let wpn = self.workers_per_node as u32;
+        (NodeId((index / wpn) as u16), LaneId((index % wpn) as u16))
+    }
+
+    /// Actor id of `node`'s dedicated MPI actor.
+    #[inline]
+    pub fn mpi_actor(&self, node: NodeId) -> ActorId {
+        ActorId(self.total_workers() + node.0 as u32)
+    }
+
+    /// Node owning actor `actor`, a worker or a dedicated MPI actor.
+    #[inline]
+    pub fn actor_node(&self, actor: ActorId) -> NodeId {
+        match actor.0.checked_sub(self.total_workers()) {
+            None => self.worker(actor.0).0,
+            Some(n) => NodeId(n as u16),
+        }
     }
 }
 
@@ -192,6 +227,21 @@ mod tests {
         assert_eq!(spec.workers_per_node, 60);
         assert_eq!(spec.total_workers(), 480);
         assert!(spec.has_dedicated_mpi_actor());
+    }
+
+    #[test]
+    fn actor_numbering_round_trips() {
+        let spec = ClusterSpec::new(2, 4, MpiMode::Dedicated);
+        assert_eq!(spec.worker_index(NodeId(1), LaneId(2)), 6);
+        assert_eq!(spec.worker(6), (NodeId(1), LaneId(2)));
+        for (actor, node) in [(0, 0), (3, 0), (4, 1), (7, 1)] {
+            assert_eq!(spec.actor_node(ActorId(actor)), NodeId(node), "worker {actor}");
+        }
+        // MPI actors follow the eight workers, one per node.
+        assert_eq!(spec.mpi_actor(NodeId(0)), ActorId(8));
+        assert_eq!(spec.mpi_actor(NodeId(1)), ActorId(9));
+        assert_eq!(spec.actor_node(ActorId(8)), NodeId(0));
+        assert_eq!(spec.actor_node(ActorId(9)), NodeId(1));
     }
 
     #[test]

@@ -16,23 +16,18 @@
 
 use crate::ring::TraceEvent;
 use cagvt_base::{GvtPhaseKind, TraceRecord, Track};
+use cagvt_net::ClusterSpec;
 use std::collections::BTreeSet;
 
-/// Cluster shape the exporter needs to label tracks.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceMeta {
-    pub nodes: u16,
-    pub workers_per_node: u16,
-}
-
-impl TraceMeta {
-    fn pid_tid(&self, track: Track) -> (u32, u32) {
-        let wpn = self.workers_per_node as u32;
-        match track {
-            Track::Worker(w) => (w / wpn, w % wpn),
-            Track::Mpi(n) => (n as u32, wpn),
-            Track::Global => (self.nodes as u32, 0),
+/// Chrome `(pid, tid)` of a track on the cluster `spec`.
+fn pid_tid(spec: &ClusterSpec, track: Track) -> (u32, u32) {
+    match track {
+        Track::Worker(w) => {
+            let (node, lane) = spec.worker(w);
+            (node.0 as u32, lane.0 as u32)
         }
+        Track::Mpi(n) => (n as u32, spec.workers_per_node as u32),
+        Track::Global => (spec.nodes as u32, 0),
     }
 }
 
@@ -82,22 +77,22 @@ fn meta_event(name: &str, pid: u32, tid: u32, value: &str) -> String {
     )
 }
 
-/// Render a merged record stream (from `TraceRecorder::snapshot`) as a
-/// Chrome trace-event JSON document.
-pub fn chrome_trace(meta: &TraceMeta, events: &[TraceEvent]) -> String {
+/// Render a merged record stream (from `TraceRecorder::snapshot`) of a run
+/// on the cluster `spec` as a Chrome trace-event JSON document.
+pub fn chrome_trace(spec: &ClusterSpec, events: &[TraceEvent]) -> String {
     let mut out = Out::new();
-    let wpn = meta.workers_per_node as u32;
+    let wpn = spec.workers_per_node as u32;
 
     // Track naming metadata: one process per node plus the cluster track.
-    for n in 0..meta.nodes as u32 {
+    for n in 0..spec.nodes as u32 {
         out.push(meta_event("process_name", n, 0, &format!("node{n}")));
         for lane in 0..wpn {
             out.push(meta_event("thread_name", n, lane, &format!("worker@{n}.{lane}")));
         }
         out.push(meta_event("thread_name", n, wpn, &format!("mpi@{n}")));
     }
-    out.push(meta_event("process_name", meta.nodes as u32, 0, "cluster"));
-    out.push(meta_event("thread_name", meta.nodes as u32, 0, "gvt"));
+    out.push(meta_event("process_name", spec.nodes as u32, 0, "cluster"));
+    out.push(meta_event("thread_name", spec.nodes as u32, 0, "gvt"));
 
     // Flow-event bookkeeping: the first phase record of a round starts the
     // flow ("s"), the publish finishes it ("f"), everything between steps
@@ -105,7 +100,7 @@ pub fn chrome_trace(meta: &TraceMeta, events: &[TraceEvent]) -> String {
     let mut rounds_seen: BTreeSet<u64> = BTreeSet::new();
 
     for ev in events {
-        let (pid, tid) = meta.pid_tid(ev.rec.track());
+        let (pid, tid) = pid_tid(spec, ev.rec.track());
         let t = ts(ev.t.0);
         match ev.rec {
             TraceRecord::EventSpan { id, dst, vt, dur, .. } => out.push(format!(
@@ -252,8 +247,8 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_json_with_flows() {
-        let meta = TraceMeta { nodes: 2, workers_per_node: 2 };
-        let json = chrome_trace(&meta, &sample_events());
+        let spec = ClusterSpec::new(2, 2, cagvt_net::MpiMode::Dedicated);
+        let json = chrome_trace(&spec, &sample_events());
         let doc = serde_json::from_str(&json).expect("exporter output must be valid JSON");
         let evs = doc["traceEvents"].as_array().unwrap();
         // 2 nodes × (1 process + 2 workers + 1 mpi) + cluster process+thread

@@ -7,7 +7,8 @@
 //!   low-contention) under `ThreadRuntime`.
 //! * [`chrome_trace`] — Chrome trace-event JSON export, loadable in
 //!   Perfetto (<https://ui.perfetto.dev>): nodes as processes, workers and
-//!   MPI actors as threads, GVT rounds as flow events, queue depths and
+//!   MPI actors as threads (labelled by the run's
+//!   [`ClusterSpec`](cagvt_net::ClusterSpec)), GVT rounds as flow events, queue depths and
 //!   LVTs as counters. It is the recorder's one serialization: it carries
 //!   every field of every record, in recording order, one JSON object per
 //!   line (a GVT phase or publication adds a flow or counter object).
@@ -25,6 +26,6 @@ pub mod chrome;
 pub mod recorder;
 pub mod ring;
 
-pub use chrome::{chrome_trace, TraceMeta};
+pub use chrome::chrome_trace;
 pub use recorder::{TraceRecorder, DEFAULT_RING_CAP};
 pub use ring::{Ring, TraceEvent};

@@ -8,7 +8,7 @@ use cagvt_core::{RunReport, SimConfig};
 use cagvt_exec::VirtualConfig;
 use cagvt_gvt::{make_bundle, GvtKind};
 use cagvt_models::presets::comm_dominated;
-use cagvt_trace::{chrome_trace, TraceMeta, TraceRecorder};
+use cagvt_trace::{chrome_trace, TraceRecorder};
 use std::sync::Arc;
 
 const NODES: u16 = 4;
@@ -59,7 +59,7 @@ fn chrome_export_has_expected_track_and_phase_structure() {
     let (recorder, report) = traced_run(GvtKind::Barrier);
     assert!(report.completed);
     let events = recorder.snapshot();
-    let json = chrome_trace(&TraceMeta { nodes: NODES, workers_per_node: WPN }, &events);
+    let json = chrome_trace(&config().spec, &events);
     let v = serde_json::from_str(&json).expect("chrome trace must be valid JSON");
     let evs = v["traceEvents"].as_array().expect("traceEvents array");
     assert!(!evs.is_empty());

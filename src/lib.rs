@@ -87,11 +87,11 @@ pub mod prelude {
     pub use cagvt_core::seq::SequentialSim;
     pub use cagvt_core::{RunReport, SimConfig};
     pub use cagvt_exec::{ThreadConfig, ThreadRuntime, VirtualConfig, VirtualScheduler};
-    pub use cagvt_fault::{FaultPlan, FaultRuntime, FaultSpec, FaultTopology, Perturbation};
+    pub use cagvt_fault::{FaultPlan, FaultRuntime, FaultSpec, Perturbation};
     pub use cagvt_gvt::{make_bundle, GvtKind};
     pub use cagvt_metrics::{HealthMonitor, MetricsRegistry};
     pub use cagvt_models::presets::{comm_dominated, comp_dominated, mixed_model};
     pub use cagvt_models::{CqnModel, EpidemicModel, PcsModel, PholdModel, TrafficModel};
     pub use cagvt_net::{ClusterSpec, CostModel, MpiMode};
-    pub use cagvt_trace::{chrome_trace, TraceMeta, TraceRecorder};
+    pub use cagvt_trace::{chrome_trace, TraceRecorder};
 }

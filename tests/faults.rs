@@ -25,11 +25,10 @@ fn injector(cfg: &SimConfig, severity: f64, seed: u64) -> (Arc<FaultRuntime>, Fa
     let clean =
         run_virtual(Arc::new(model()), *cfg, |shared| make_bundle(GvtKind::Mattern, shared));
     let span = WallNs(((clean.sim_seconds * 1e9) as u64).max(1_000_000));
-    let topology = FaultTopology::from(&cfg.spec);
     let spec = FaultSpec::new(severity, seed, span);
-    let plan = FaultPlan::generate(&topology, &spec);
+    let plan = FaultPlan::generate(&cfg.spec, &spec);
     assert!(!plan.is_empty(), "severity {severity} must yield a non-trivial plan");
-    (Arc::new(FaultRuntime::new(topology, &plan, seed)), plan)
+    (Arc::new(FaultRuntime::new(cfg.spec, &plan, seed)), plan)
 }
 
 fn run_faulted(kind: GvtKind, cfg: SimConfig, faults: Arc<FaultRuntime>) -> RunReport {

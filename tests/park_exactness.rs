@@ -128,7 +128,7 @@ fn straggle_and_stall(cfg: &SimConfig) -> Arc<dyn FaultInjector> {
             },
         ],
     };
-    Arc::new(FaultRuntime::new(FaultTopology::from(&cfg.spec), &plan, 0xFA17))
+    Arc::new(FaultRuntime::new(cfg.spec, &plan, 0xFA17))
 }
 
 /// The run of one table row: two nodes at bench scale.

@@ -5,7 +5,7 @@
 //! inside the engine), and determinism.
 
 use cagvt::prelude::*;
-use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams, Topology};
+use cagvt_models::phold::{PhaseSchedule, PholdModel, PholdParams};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -24,14 +24,7 @@ fn arb_topology() -> impl Strategy<Value = (u16, u16, u32)> {
 }
 
 fn phold_for(cfg: &SimConfig, regional: f64, remote: f64, epg: u64) -> PholdModel {
-    PholdModel::new(
-        Topology {
-            lps_per_worker: cfg.lps_per_worker,
-            workers_per_node: cfg.spec.workers_per_node,
-            nodes: cfg.spec.nodes,
-        },
-        PhaseSchedule::constant(PholdParams::new(regional, remote, epg)),
-    )
+    PholdModel::new(cfg, PhaseSchedule::constant(PholdParams::new(regional, remote, epg)))
 }
 
 proptest! {
@@ -91,13 +84,12 @@ proptest! {
         // Anchor windows on the clean makespan so the plan overlaps the run.
         let clean = run_virtual(Arc::new(model.clone()), cfg, |shared| make_bundle(kind, shared));
         let span = WallNs(((clean.sim_seconds * 1e9) as u64).max(1_000_000));
-        let topology = FaultTopology::from(&cfg.spec);
         let spec = FaultSpec::new(severity, fault_seed as u64, span);
-        let plan = FaultPlan::generate(&topology, &spec);
+        let plan = FaultPlan::generate(&cfg.spec, &spec);
         prop_assert!(!plan.is_empty());
 
         let run = || {
-            let rt = Arc::new(FaultRuntime::new(topology, &plan, spec.seed));
+            let rt = Arc::new(FaultRuntime::new(cfg.spec, &plan, spec.seed));
             let shared = build_shared_observed(
                 Arc::new(model.clone()),
                 cfg,
@@ -204,11 +196,10 @@ proptest! {
         // faulted-and-traced matches faulted-untraced bit for bit, and
         // both still commit the clean run's events.
         let span = WallNs(((plain.sim_seconds * 1e9) as u64).max(1_000_000));
-        let topology = FaultTopology::from(&cfg.spec);
         let spec = FaultSpec::new(severity, fault_seed as u64, span);
-        let plan = FaultPlan::generate(&topology, &spec);
+        let plan = FaultPlan::generate(&cfg.spec, &spec);
         let faulted = |trace: Option<Arc<dyn TraceSink>>| {
-            let rt = Arc::new(FaultRuntime::new(topology, &plan, spec.seed));
+            let rt = Arc::new(FaultRuntime::new(cfg.spec, &plan, spec.seed));
             let vcfg = VirtualConfig {
                 faults: Some(rt as Arc<dyn FaultInjector>),
                 trace,
@@ -292,11 +283,10 @@ proptest! {
         // faulted-and-metered matches faulted-unmetered bit for bit, and
         // both still commit the clean run's events.
         let span = WallNs(((plain.sim_seconds * 1e9) as u64).max(1_000_000));
-        let topology = FaultTopology::from(&cfg.spec);
         let spec = FaultSpec::new(severity, fault_seed as u64, span);
-        let plan = FaultPlan::generate(&topology, &spec);
+        let plan = FaultPlan::generate(&cfg.spec, &spec);
         let faulted = |metrics: Option<Arc<dyn MetricsSink>>| {
-            let rt = Arc::new(FaultRuntime::new(topology, &plan, spec.seed));
+            let rt = Arc::new(FaultRuntime::new(cfg.spec, &plan, spec.seed));
             let vcfg = VirtualConfig {
                 faults: Some(rt as Arc<dyn FaultInjector>),
                 metrics,
