@@ -14,7 +14,24 @@
 //!   requested, started, drained or published; a reduction published; a
 //!   stop);
 //! * [`notify_pace`] — state only actors parked with [`Park::pace`] read;
-//! * [`notify_actor`] — a message for one actor, observable from `at`.
+//! * [`notify_actor`] — a message for one actor, observable from `at`;
+//! * [`notify_self`] — a timer for the stepping actor, set by a layer that
+//!   cannot return it in the step's [`Park`] (a GVT half behind a trait
+//!   object whose collective result is in flight).
+//!
+//! Who posts them:
+//!
+//! * the GVT core: round requests, starts, drains, publications and the
+//!   stop ([`notify_all`]), round ends ([`notify_pace`]);
+//! * a worker's regional send and an MPI pump's inbound routing, for the
+//!   destination worker at the message's delivery instant;
+//! * everything a parked dedicated MPI actor reads, for that actor (see
+//!   `ClusterSpec::wake_mpi_actor`): a worker's outbox post (at once: the
+//!   pump stores the outbox depth at its first poll after the post),
+//!   fabric and control-plane sends to its node (at delivery), the last
+//!   worker contribution to a node reduction, a cluster collective's
+//!   completion (when its result becomes visible), and Mattern's node-wide
+//!   joins and check-ins.
 //!
 //! Both runtimes install a board for the duration of a run ([`install`]):
 //! the virtual scheduler on its one thread, the thread runtime on every
@@ -53,6 +70,8 @@ pub struct Notices {
     pub pace: bool,
     /// [`notify_actor`] calls, in call order.
     pub actors: Vec<(ActorId, WallNs)>,
+    /// The earliest [`notify_self`] instant.
+    pub own: Option<WallNs>,
 }
 
 #[derive(Default)]
@@ -85,6 +104,14 @@ pub fn notify_actor(actor: ActorId, at: WallNs) {
     with_board(|b| b.notices.actors.push((actor, at)));
 }
 
+/// The stepping actor waits on state that changes at `at` without a
+/// notice, read by a layer that cannot put `at` into the step's
+/// [`Park::until`]. If the step parks, the actor also wakes at its first
+/// poll at or after `at`; otherwise the call has no effect.
+pub fn notify_self(at: WallNs) {
+    with_board(|b| b.notices.own = Some(b.notices.own.map_or(at, |t| t.min(at))));
+}
+
 /// Polls the scheduler skipped for `actor` since it last asked; the actor
 /// credits them to its counters as if it had run each one.
 pub fn take_skipped(actor: ActorId) -> u64 {
@@ -109,11 +136,12 @@ impl Installed {
     pub fn drain(&self, out: &mut Notices) -> bool {
         with_board(|b| {
             let n = &mut b.notices;
-            if !n.all && !n.pace && n.actors.is_empty() {
+            if !n.all && !n.pace && n.actors.is_empty() && n.own.is_none() {
                 return false;
             }
             out.all = std::mem::take(&mut n.all);
             out.pace = std::mem::take(&mut n.pace);
+            out.own = n.own.take();
             out.actors.clear();
             std::mem::swap(&mut out.actors, &mut n.actors);
             true
@@ -143,6 +171,7 @@ mod tests {
         notify_all();
         notify_pace();
         notify_actor(ActorId(0), WallNs(5));
+        notify_self(WallNs(5));
         assert_eq!(take_skipped(ActorId(0)), 0);
     }
 
@@ -157,6 +186,12 @@ mod tests {
         assert!(!out.all && out.pace);
         assert_eq!(out.actors, vec![(ActorId(1), WallNs(7))]);
         assert!(!board.drain(&mut out), "draining empties the board");
+        notify_self(WallNs(9));
+        notify_self(WallNs(4));
+        assert!(board.drain(&mut out), "a self timer alone is a notice");
+        assert!(!out.all && !out.pace && out.actors.is_empty());
+        assert_eq!(out.own, Some(WallNs(4)), "the earliest self timer wins");
+        assert!(!board.drain(&mut out));
 
         board.credit(ActorId(1), 3);
         board.credit(ActorId(1), 2);

@@ -37,8 +37,8 @@ pub fn build_shared<M: Model>(model: Arc<M>, cfg: SimConfig) -> Arc<EngineShared
 ///
 /// * `faults` — the fabric shapes every inter-node message through it and
 ///   the MPI pumps consult it for stall windows;
-/// * `trace` — a trace sink on every instrumented layer (workers and GVT
-///   algorithms via `GvtSharedCore`, the event fabric's inbox sampling).
+/// * `trace` — a trace sink on every instrumented layer (workers, MPI
+///   pumps and GVT algorithms, all via `GvtSharedCore`).
 ///   When `None`, the `CAGVT_TRACE` environment variable can still enable
 ///   a filtered stderr sink (an event id as traces print it, `lp<N>#<seq>`
 ///   such as `lp4711#9`, for one event's lifecycle; `all` for everything);
@@ -60,9 +60,8 @@ pub fn build_shared_observed<M: Model>(
     let trace = trace.or_else(cagvt_base::trace::env_sink);
     let spec = cfg.spec;
     let stats = Arc::new(SharedStats::new(spec.total_workers()));
-    let gvt_core =
-        Arc::new(GvtSharedCore::new(Arc::clone(&stats), spec.nodes, trace.clone(), metrics));
-    let (fabric, ctrl) = fabric_pair(spec.nodes, faults.clone(), trace);
+    let gvt_core = Arc::new(GvtSharedCore::new(Arc::clone(&stats), spec.nodes, trace, metrics));
+    let (fabric, ctrl) = fabric_pair(spec, faults.clone());
     let nodes = (0..spec.nodes)
         .map(|n| Arc::new(NodeShared::new(NodeId(n), spec.workers_per_node)))
         .collect();

@@ -350,9 +350,17 @@ pub trait WorkerGvt: Send {
     }
 }
 
-/// Node-side (MPI) half of a GVT algorithm. Returns the wall-clock charge
-/// of whatever it did this step.
+/// Node-side (MPI) half of a GVT algorithm.
 pub trait MpiGvt: Send {
+    /// Advance the node's part of the round; returns the wall-clock charge
+    /// of whatever it did. Every action is charged (an MPI call or
+    /// bookkeeping), so a zero charge reports that the step did nothing,
+    /// and a dedicated MPI actor whose pump moved nothing either may park.
+    /// An implementation must then have posted a [`wake`] notice for every
+    /// change that could make its next step act: one the change's author
+    /// posts (a worker's last join, a round start, a control message sent
+    /// to this node), or a [`wake::notify_self`] timer for a result that
+    /// becomes visible by time alone.
     fn step(&mut self, now: WallNs) -> WallNs;
 }
 

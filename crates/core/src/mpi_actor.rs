@@ -11,11 +11,26 @@
 //! * `MpiMode::PerWorker` — every worker performs its own *sends* through
 //!   the contended MPI lock; lane 0 drives the pump for inbound traffic
 //!   and GVT control, also through the lock.
+//!
+//! The dedicated actor follows the workers' park-and-wake rule
+//! ([`cagvt_base::wake`]): a step that moved no traffic, charged nothing
+//! and whose GVT half did nothing is a *pure* poll, and parks. It wakes on
+//! the notices of everything its pump reads (a worker's outbox post, a
+//! fabric or control-plane send to its node, the GVT state its half waits
+//! on, the stop), at the earliest head it can see (outbox, fabric inbox,
+//! control inbox), or at a timer its GVT half sets for a collective result
+//! in flight. A pure poll bumps none of the pump's counters, so the polls
+//! the scheduler skips need no credit here, and each would have stored the
+//! same outbox depth: a post wakes the actor at its first poll after the
+//! posting step, where polling would have stored the new depth. A pump
+//! with a fault injector keeps polling, because its MPI stall windows are
+//! read by time.
 
 use cagvt_base::actor::{Actor, StepResult};
 use cagvt_base::ids::{ActorId, NodeId};
 use cagvt_base::time::WallNs;
-use cagvt_base::wake;
+use cagvt_base::trace::TraceRecord;
+use cagvt_base::wake::{self, Park};
 use cagvt_net::MpiMode;
 use std::sync::Arc;
 
@@ -38,6 +53,10 @@ const MPI_BATCH: usize = 16;
 /// * it charges the progress-engine poll (`mpi_poll`) on every pump when
 ///   embedded in a worker, where polling displaces event processing; the
 ///   dedicated MPI actor polls on an otherwise-idle core.
+///
+/// Every pump stores its node's outbox depth, the CA-GVT queue trigger's
+/// signal, and samples the outbox and fabric-inbox depths as trace
+/// counters, recording each only when it differs from its last record.
 pub struct MpiPump<M: Model> {
     node: NodeId,
     shared: Arc<EngineShared<M>>,
@@ -45,6 +64,8 @@ pub struct MpiPump<M: Model> {
     gvt_mpi: Box<dyn MpiGvt>,
     out_buf: Vec<RemoteEnv<M::Payload>>,
     in_buf: Vec<RemoteEnv<M::Payload>>,
+    /// The depth each trace counter (outbound, inbound) last recorded.
+    recorded: [Option<u64>; 2],
     pub counters: MpiCounters,
 }
 
@@ -58,8 +79,35 @@ impl<M: Model> MpiPump<M> {
             gvt_mpi,
             out_buf: Vec::new(),
             in_buf: Vec::new(),
+            recorded: [None; 2],
             counters: MpiCounters::default(),
         }
+    }
+
+    /// Record `depth` on the outbound or inbound queue counter if it
+    /// changed since that counter's last record.
+    fn record_depth(&mut self, now: WallNs, inbound: bool, depth: u64) {
+        let last = &mut self.recorded[inbound as usize];
+        if *last != Some(depth) {
+            *last = Some(depth);
+            let node = self.node.0;
+            self.shared.gvt_core.emit(now, || TraceRecord::MpiQueue { node, depth, inbound });
+        }
+    }
+
+    /// The earliest instant a queue this pump drains lets a message
+    /// through: the head of the outbox, the fabric inbox or the control
+    /// inbox.
+    fn next_arrival(&self) -> Option<WallNs> {
+        let node = self.node;
+        [
+            self.nshared.outbox.head_deliver_at(),
+            self.shared.fabric.inbox(node).head_deliver_at(),
+            self.shared.ctrl.inbox(node).head_deliver_at(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Move one batch in each direction and step the GVT half. Returns the
@@ -82,14 +130,7 @@ impl<M: Model> MpiPump<M> {
         let depth = self.nshared.outbox.len() as u64;
         self.shared.gvt_core.mpi_queue_depth[self.node.index()]
             .store(depth, std::sync::atomic::Ordering::Relaxed);
-        {
-            let node = self.node.0;
-            self.shared.gvt_core.emit(now, || cagvt_base::trace::TraceRecord::MpiQueue {
-                node,
-                depth,
-                inbound: false,
-            });
-        }
+        self.record_depth(now, false, depth);
         let mut moved = 0u64;
         if mode != MpiMode::PerWorker {
             let mut out_buf = std::mem::take(&mut self.out_buf);
@@ -107,7 +148,9 @@ impl<M: Model> MpiPump<M> {
 
         // Inbound: fabric -> destination worker lanes.
         let mut in_buf = std::mem::take(&mut self.in_buf);
-        let m = self.shared.fabric.drain(self.node, now, MPI_BATCH, &mut in_buf);
+        let inbox = self.shared.fabric.inbox(self.node);
+        let (m, depth) = (inbox.drain_ready_into(now, MPI_BATCH, &mut in_buf), inbox.len());
+        self.record_depth(now, true, depth as u64);
         for env in in_buf.drain(..) {
             charge += self.nshared.mpi_call(&self.shared.cfg, now + charge, cost_model.mpi_recv);
             debug_assert_eq!(env.dst_node, self.node, "misrouted remote message");
@@ -160,9 +203,13 @@ impl<M: Model> Actor for MpiActor<M> {
         }
         let (charge, moved) = self.pump.pump(now);
         if moved || charge > WallNs::ZERO {
-            StepResult::progress(charge)
-        } else {
-            StepResult::idle(self.pump.shared.cfg.cost.idle_poll)
+            return StepResult::progress(charge);
+        }
+        let idle = StepResult::idle(self.pump.shared.cfg.cost.idle_poll);
+        // A fault plan's stall window opens by time, not by a notice.
+        match self.pump.shared.faults {
+            Some(_) => idle,
+            None => idle.parked(Park { until: self.pump.next_arrival(), pace: false }),
         }
     }
 }

@@ -228,6 +228,9 @@ impl<M: Model> Worker<M> {
                 charge
             } else {
                 self.nshared.outbox.push(now, env);
+                // A dedicated pump stores the new depth at its first poll
+                // after this step, before the message is ready.
+                self.shared.cfg.spec.wake_mpi_actor(self.node, WallNs::ZERO);
                 cost.remote_post
             }
         }

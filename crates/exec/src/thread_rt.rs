@@ -16,8 +16,9 @@
 //! the addressed one for [`notify_actor`](wake::notify_actor). A step
 //! that returned a [`Park`](wake::Park) parks its thread only if the epoch
 //! is still the one read before the step, and stays parked until it is
-//! unparked or the earlier of the park's timer
-//! ([`Park::until`](wake::Park::until)) and the run's deadline passes.
+//! unparked or the earliest of the park's timer
+//! ([`Park::until`](wake::Park::until)), the step's own
+//! [`notify_self`](wake::notify_self) timer and the run's deadline passes.
 //! Wakes can come early (the actor steps again and parks again) but not
 //! late. A change whose notice is missing leaves its waiter parked until
 //! the deadline, so the run returns incomplete instead of silently slowing
@@ -82,9 +83,13 @@ impl Run {
             }
             let result = actor.step(now);
             run.steps += 1;
-            if board.drain(&mut notices) {
+            // The step's self timer wakes no thread; it only bounds its park.
+            let own = if board.drain(&mut notices) {
                 self.deliver(&notices);
-            }
+                notices.own
+            } else {
+                None
+            };
             match result.outcome {
                 StepOutcome::Done => return RunStats { final_time: now, completed: true, ..run },
                 StepOutcome::Progress if self.realize_costs => {
@@ -95,7 +100,7 @@ impl Run {
             }
             match result.park {
                 Some(park) if self.epochs[id].load(Ordering::Acquire) == epoch => {
-                    self.park_until(park.until)
+                    self.park_until(park.until.into_iter().chain(own).min())
                 }
                 None if result.outcome == StepOutcome::Idle => thread::yield_now(),
                 _ => {}

@@ -76,7 +76,8 @@ impl std::fmt::Debug for VirtualConfig {
 ///   very next poll;
 /// * a [`notify_actor`](wake::notify_actor) for instant `at` does the same
 ///   with `g >= at` as well (later than the notifier, it becomes a timer);
-/// * a timer ([`Park::until`]) re-enters the actor at the first grid
+/// * a timer ([`Park::until`], or a [`notify_self`](wake::notify_self)
+///   posted by the parking step) re-enters the actor at the first grid
 ///   instant at or after it, once no step before that instant remains.
 ///
 /// Wakes can come early (the actor re-polls and parks again) but never
@@ -228,10 +229,14 @@ impl Parking {
         false
     }
 
-    /// Deliver the notices posted by the step at `after = (clock, id)`.
+    /// Deliver the notices posted by the step at `after = (clock, id)`. A
+    /// self timer is that actor's notice to itself.
     fn deliver(&mut self, cfg: &VirtualConfig, heap: &mut Heap, after: (u64, u32)) {
         if !self.board.drain(&mut self.notices) || self.count == 0 {
             return;
+        }
+        if let Some(at) = self.notices.own {
+            self.notices.actors.push((ActorId(after.1), at));
         }
         let (all, pace) = (self.notices.all, self.notices.pace);
         if all || (pace && self.pace > 0) {

@@ -1,6 +1,7 @@
 //! Parking is invisible in results: a consumer that parks when idle takes
 //! every non-idle step at the same instant as the same consumer polling,
-//! whether a mailbox push, a broadcast, a pace notice or a timer wakes it,
+//! whether a mailbox push, a broadcast, a pace notice or a timer (its
+//! park's, or one it sets itself with `notify_self`) wakes it,
 //! and whether the notifier's clock ties the consumer's with a lower or a
 //! higher actor id. The same holds for an actor that parks on progress
 //! steps (a worker held at a barrier). Executed plus skipped polls equal
@@ -74,8 +75,12 @@ impl Actor for Consumer {
             if !self.park {
                 return StepResult::idle(POLL);
             }
-            let head = s.mailbox.head_deliver_at();
-            let until = [timer.map(WallNs), head].into_iter().flatten().min();
+            // The timer travels as a self notice, the way a layer that
+            // cannot return it in the park sets one.
+            if let Some(t) = timer {
+                wake::notify_self(WallNs(t));
+            }
+            let until = s.mailbox.head_deliver_at();
             return StepResult::idle(POLL).parked(Park { until, pace: true });
         }
         s.log.lock().push((CONSUMER.0, now.0));

@@ -32,7 +32,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Polled two-level sum/min reduction over the whole cluster.
+///
+/// A node's MPI side waits on two things: its workers' contributions (the
+/// last one wakes its dedicated MPI actor) and the cluster result, which
+/// becomes visible a collective latency after the last node's relay (that
+/// relay wakes the other nodes' actors then, and an actor still waiting on
+/// it when it parks sets itself a timer).
 pub struct TwoLevelReduce {
+    spec: ClusterSpec,
     node_reduce: Vec<NodeReduce>,
     cluster: ClusterCollective,
     /// Per node: count of cluster generations published back to workers.
@@ -44,9 +51,11 @@ pub struct TwoLevelReduce {
 }
 
 impl TwoLevelReduce {
-    pub fn new(nodes: u16, workers_per_node: u16) -> Self {
+    pub fn new(spec: ClusterSpec) -> Self {
+        let (nodes, wpn) = (spec.nodes, spec.workers_per_node as u32);
         TwoLevelReduce {
-            node_reduce: (0..nodes).map(|_| NodeReduce::new(workers_per_node as u32)).collect(),
+            spec,
+            node_reduce: (0..nodes).map(|_| NodeReduce::new(wpn)).collect(),
             cluster: ClusterCollective::new(nodes as u32),
             published: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             results: (0..nodes).map(|_| Mutex::new([ReduceValue::IDENTITY; 2])).collect(),
@@ -56,7 +65,12 @@ impl TwoLevelReduce {
 
     /// Worker side: contribute `(sum, min)`; returns the generation token.
     pub fn arrive(&self, node: NodeId, sum: i64, min: u64) -> u64 {
-        self.node_reduce[node.index()].arrive(sum, min)
+        let reduce = &self.node_reduce[node.index()];
+        let gen = reduce.arrive(sum, min);
+        if reduce.try_result(gen).is_some() {
+            self.spec.wake_mpi_actor(node, WallNs::ZERO);
+        }
+        gen
     }
 
     /// Worker side: the cluster-wide result for `gen`, once it has been
@@ -82,14 +96,24 @@ impl TwoLevelReduce {
             self.cluster.arrive(now, v.sum, v.min, collective_latency);
             self.relayed[idx].store(relay_gen + 1, Ordering::Release);
             ops += 1;
+            if let Some(at) = self.cluster.visible_at(relay_gen) {
+                // The last relay: every other node publishes at `at`.
+                (0..self.spec.nodes)
+                    .filter(|&n| n != node.0)
+                    .for_each(|n| self.spec.wake_mpi_actor(NodeId(n), at));
+            }
         }
 
-        let pub_gen = self.published[idx].load(Ordering::Acquire);
+        let mut pub_gen = self.published[idx].load(Ordering::Acquire);
         if let Some(v) = self.cluster.try_result(now, pub_gen) {
             self.results[idx].lock()[(pub_gen % 2) as usize] = v;
             self.published[idx].store(pub_gen + 1, Ordering::Release);
             wake::notify_all();
             ops += 1;
+            pub_gen += 1;
+        }
+        if let Some(at) = self.cluster.visible_at(pub_gen) {
+            wake::notify_self(at);
         }
         ops
     }
@@ -116,7 +140,7 @@ impl ReduceShared {
     pub(crate) fn new(core: Arc<GvtSharedCore>, spec: ClusterSpec, cost: CostModel) -> Self {
         ReduceShared {
             core,
-            reduce: TwoLevelReduce::new(spec.nodes, spec.workers_per_node),
+            reduce: TwoLevelReduce::new(spec),
             rounds_started: AtomicU64::new(0),
             cost,
         }
@@ -210,9 +234,10 @@ pub(crate) mod tests {
     }
 
     /// Step a worker held at a barrier, then the MPI half that releases
-    /// it, with a wake board installed, until the MPI half posts a notice.
-    /// Every worker step until then must be a pure held poll: zero charge
-    /// and no phase mark. Returns the number of held polls.
+    /// it, with a wake board installed, until the MPI half posts a notice
+    /// for every parked actor. Every worker step until then must be a pure
+    /// held poll: zero charge and no phase mark. Returns the number of held
+    /// polls.
     pub(crate) fn hold_until_notified(
         w: &mut dyn WorkerGvt,
         mpi: &mut dyn MpiGvt,
@@ -227,18 +252,21 @@ pub(crate) mod tests {
             assert_eq!(w.step(&ctx), WorkerGvtOutcome::Blocked(WallNs::ZERO));
             assert_eq!(marks.count(), before, "a held poll marks no phase");
             mpi.step(now);
-            if board.drain(&mut notices) {
-                assert!(notices.all, "the publication wakes every parked worker");
+            if board.drain(&mut notices) && notices.all {
                 return poll;
             }
         }
         panic!("the MPI half never released the worker");
     }
 
+    fn spec(nodes: u16, wpn: u16) -> ClusterSpec {
+        ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated)
+    }
+
     /// Drive a full generation by hand: 2 nodes x 2 workers.
     #[test]
     fn full_generation_flows_through_both_levels() {
-        let r = TwoLevelReduce::new(2, 2);
+        let r = TwoLevelReduce::new(spec(2, 2));
         let lat = WallNs(1_000);
 
         let g = r.arrive(NodeId(0), 1, 100);
@@ -265,7 +293,7 @@ pub(crate) mod tests {
 
     #[test]
     fn consecutive_generations_double_buffer() {
-        let r = TwoLevelReduce::new(1, 1);
+        let r = TwoLevelReduce::new(spec(1, 1));
         let lat = WallNs(10);
         // Pump with an advancing clock until the generation publishes
         // (relay and visibility take separate pump calls).
@@ -287,7 +315,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pump_is_idempotent_when_nothing_pending() {
-        let r = TwoLevelReduce::new(2, 1);
+        let r = TwoLevelReduce::new(spec(2, 1));
         assert_eq!(r.pump(NodeId(0), WallNs(0), WallNs(10)), 0);
         assert_eq!(r.pump(NodeId(1), WallNs(0), WallNs(10)), 0);
     }

@@ -125,8 +125,7 @@ struct MatternShared {
     core: Arc<GvtSharedCore>,
     ctrl: Arc<CtrlPlane>,
     cost: CostModel,
-    nodes: u16,
-    wpn: u16,
+    spec: ClusterSpec,
     rounds_started: AtomicU64,
     /// Highest round whose white population has fully drained.
     drained_round: AtomicU64,
@@ -142,12 +141,27 @@ impl MatternShared {
 
     #[inline]
     fn all_joined(&self, node: NodeId, round: u64) -> bool {
-        self.cm(node).joined.load(Ordering::Acquire) >= round * self.wpn as u64
+        self.cm(node).joined.load(Ordering::Acquire) >= self.node_total(round)
     }
 
     #[inline]
     fn all_checked(&self, node: NodeId, round: u64) -> bool {
-        self.cm(node).checked.load(Ordering::Acquire) >= round * self.wpn as u64
+        self.cm(node).checked.load(Ordering::Acquire) >= self.node_total(round)
+    }
+
+    /// The cumulative join (or check-in) count of a node once all its
+    /// workers have joined (checked in to) round `round`.
+    #[inline]
+    fn node_total(&self, round: u64) -> u64 {
+        round * self.spec.workers_per_node as u64
+    }
+
+    /// Count one join or check-in of a worker of `node` into round `round`
+    /// on `counter`; the node's last one opens its MPI half's gate.
+    fn count_in(&self, node: NodeId, counter: &AtomicU64, round: u64) {
+        if counter.fetch_add(1, Ordering::AcqRel) + 1 == self.node_total(round) {
+            self.spec.wake_mpi_actor(node, WallNs::ZERO);
+        }
     }
 }
 
@@ -171,7 +185,7 @@ impl MatternBundle {
         let ca = ca.map(|(threshold, queue_threshold)| {
             assert!((0.0..=1.0).contains(&threshold), "threshold is a ratio, got {threshold}");
             CaExtra {
-                barrier: TwoLevelReduce::new(spec.nodes, spec.workers_per_node),
+                barrier: TwoLevelReduce::new(spec),
                 sync_flag: AtomicBool::new(false),
                 armed_cause: AtomicU8::new(0),
                 threshold,
@@ -182,8 +196,7 @@ impl MatternBundle {
             core,
             ctrl,
             cost,
-            nodes: spec.nodes,
-            wpn: spec.workers_per_node,
+            spec,
             rounds_started: AtomicU64::new(0),
             drained_round: AtomicU64::new(0),
             per_node: (0..spec.nodes).map(|_| NodeCm::new()).collect(),
@@ -326,7 +339,7 @@ impl MatternWorker {
         self.min_red = u64::MAX;
         let cm = self.shared.cm(self.node);
         cm.white.fetch_add(flush, Ordering::AcqRel);
-        cm.joined.fetch_add(1, Ordering::AcqRel);
+        self.shared.count_in(self.node, &cm.joined, self.flushed);
     }
 
     /// Contribute LVT and min-red into the node's min slots.
@@ -334,7 +347,7 @@ impl MatternWorker {
         let cm = self.shared.cm(self.node);
         cm.lvt_min.fetch_min(ctx.lvt.to_ordered_bits(), Ordering::AcqRel);
         cm.red_min.fetch_min(self.min_red, Ordering::AcqRel);
-        cm.checked.fetch_add(1, Ordering::AcqRel);
+        self.shared.count_in(self.node, &cm.checked, self.rounds_done + 1);
     }
 }
 
@@ -533,7 +546,7 @@ impl MpiGvt for MatternMpi {
 
         // Receive one control message if none is held.
         if self.held.is_none() {
-            if let Some(m) = self.shared.ctrl.recv(self.node, now + charge) {
+            if let Some(m) = self.shared.ctrl.inbox(self.node).pop_ready(now + charge) {
                 charge += self.shared.cost.mpi_recv;
                 self.held = Some(m);
             }
@@ -541,7 +554,7 @@ impl MpiGvt for MatternMpi {
 
         // Act on the held message once the local gate opens.
         if let Some(mut m) = self.held.take() {
-            let complete = self.is_initiator() && m.hops == self.shared.nodes;
+            let complete = self.is_initiator() && m.hops == self.shared.spec.nodes;
             match (m.kind, complete) {
                 (KIND_SUM, true) => {
                     debug_assert!(
@@ -604,8 +617,8 @@ mod tests {
     ) -> (Arc<GvtSharedCore>, MatternBundle) {
         let stats = Arc::new(SharedStats::new((nodes * wpn) as u32));
         let core = Arc::new(GvtSharedCore::new(stats, nodes, trace, None));
-        let (_fabric, ctrl) = fabric_pair::<()>(nodes, None, None);
         let spec = ClusterSpec::new(nodes, wpn, cagvt_net::MpiMode::Dedicated);
+        let (_fabric, ctrl) = fabric_pair::<()>(spec, None);
         let bundle =
             MatternBundle::new(Arc::clone(&core), ctrl, spec, CostModel::knl_cluster(), ca);
         (core, bundle)

@@ -95,14 +95,18 @@ impl ClusterCollective {
 
     /// The result for `gen`, once complete *and* past its visibility time.
     pub fn try_result(&self, now: WallNs, gen: u64) -> Option<ReduceValue> {
-        if self.generation.load(Ordering::Acquire) > gen {
-            let slot = (gen % 2) as usize;
-            let (value, visible_at) = self.inner.lock().results[slot];
-            if now >= visible_at {
-                return Some(value);
-            }
-        }
-        None
+        self.completed(gen).filter(|&(_, visible_at)| now >= visible_at).map(|(value, _)| value)
+    }
+
+    /// When the result for `gen` becomes visible, once every participant
+    /// has arrived.
+    pub fn visible_at(&self, gen: u64) -> Option<WallNs> {
+        self.completed(gen).map(|(_, visible_at)| visible_at)
+    }
+
+    fn completed(&self, gen: u64) -> Option<(ReduceValue, WallNs)> {
+        (self.generation.load(Ordering::Acquire) > gen)
+            .then(|| self.inner.lock().results[(gen % 2) as usize])
     }
 }
 
@@ -159,8 +163,10 @@ mod tests {
         let c = ClusterCollective::new(2);
         let g = c.arrive(WallNs(100), 3, 10, WallNs(1_000));
         assert_eq!(c.try_result(WallNs(10_000), g), None, "not complete yet");
+        assert_eq!(c.visible_at(g), None);
         c.arrive(WallNs(500), -1, 5, WallNs(1_000));
         // Complete, but only visible at last_arrival (500) + 1000.
+        assert_eq!(c.visible_at(g), Some(WallNs(1_500)));
         assert_eq!(c.try_result(WallNs(1_400), g), None);
         let v = c.try_result(WallNs(1_500), g).unwrap();
         assert_eq!(v.sum, 2);

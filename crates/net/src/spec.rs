@@ -9,6 +9,7 @@
 
 use cagvt_base::ids::{ActorId, LaneId, NodeId};
 use cagvt_base::time::WallNs;
+use cagvt_base::wake;
 
 /// How MPI work is assigned to threads within a node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,6 +89,18 @@ impl ClusterSpec {
     #[inline]
     pub fn mpi_actor(&self, node: NodeId) -> ActorId {
         ActorId(self.total_workers() + node.0 as u32)
+    }
+
+    /// Post a wake notice ([`wake::notify_actor`]) for `node`'s dedicated
+    /// MPI actor, if the run has one: state its pump reads changes, and the
+    /// change is observable from `at` (`WallNs::ZERO`: at once). Workers
+    /// that carry the pump in the inline modes never park, so they need
+    /// none.
+    #[inline]
+    pub fn wake_mpi_actor(&self, node: NodeId, at: WallNs) {
+        if self.has_dedicated_mpi_actor() {
+            wake::notify_actor(self.mpi_actor(node), at);
+        }
     }
 
     /// Node owning actor `actor`, a worker or a dedicated MPI actor.

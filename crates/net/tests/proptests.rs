@@ -2,7 +2,7 @@
 
 use cagvt_base::ids::NodeId;
 use cagvt_base::time::WallNs;
-use cagvt_net::{fabric_pair, CostModel, Mailbox, VirtualMutex};
+use cagvt_net::{fabric_pair, ClusterSpec, CostModel, Mailbox, MpiMode, VirtualMutex};
 use proptest::prelude::*;
 
 proptest! {
@@ -37,7 +37,7 @@ proptest! {
             wire_latency: WallNs(latency),
             ..CostModel::knl_cluster()
         };
-        let (fabric, _ctrl) = fabric_pair::<u64>(2, None, None);
+        let (fabric, _ctrl) = fabric_pair::<u64>(ClusterSpec::new(2, 1, MpiMode::Dedicated), None);
         let mut last_tx_done = 0u64;
         for &now in &ops {
             let deliver = fabric.send(NodeId(0), NodeId(1), WallNs(now), now, &cost);
@@ -48,7 +48,7 @@ proptest! {
             last_tx_done = tx_done;
         }
         let mut got = Vec::new();
-        prop_assert_eq!(fabric.drain(NodeId(1), WallNs(u64::MAX / 2), usize::MAX, &mut got), ops.len());
+        prop_assert_eq!(fabric.inbox(NodeId(1)).drain_ready_into(WallNs(u64::MAX / 2), usize::MAX, &mut got), ops.len());
         prop_assert_eq!(got, ops);
     }
 }

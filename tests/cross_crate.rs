@@ -161,6 +161,21 @@ fn thread_runtime_matches_sequential() {
 }
 
 #[test]
+fn thread_runtime_matches_sequential_with_mpi_traffic() {
+    // COMM-PHOLD sends a tenth of its events to the other node: the parked
+    // MPI threads must be woken by outbox posts, fabric deliveries and GVT
+    // control traffic.
+    let mut cfg = SimConfig::small(2, 2);
+    cfg.lps_per_worker = 4;
+    cfg.end_time = 8.0;
+    for kind in [GvtKind::Barrier, GvtKind::Mattern, GvtKind::CA_DEFAULT, GvtKind::Samadi] {
+        let workload = comm_dominated(&cfg);
+        let report = assert_threaded_matches_sequential(kind, workload.model, cfg);
+        assert!(report.mpi.sent > 0 && report.mpi.received > 0, "{kind:?}: no MPI traffic");
+    }
+}
+
+#[test]
 fn thread_runtime_annihilates_and_matches_sequential() {
     // Mostly cluster-wide sends: the threads race ahead of each other, so
     // stragglers roll LPs back, and the anti-messages of the undone sends
