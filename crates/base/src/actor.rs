@@ -40,7 +40,8 @@ pub enum StepOutcome {
     /// not.
     Idle,
     /// The actor has observed global termination and will never make
-    /// progress again.
+    /// progress again. No runtime steps an actor again after it reported
+    /// `Done`, so an actor needs no guard against a later step.
     Done,
 }
 

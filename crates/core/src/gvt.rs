@@ -112,11 +112,12 @@ impl GvtSharedCore {
     }
 
     /// Assemble and emit the [`MetricsEpoch`] for the round just
-    /// published. Called by worker 0 in its round-completion branch, after
-    /// the round's fossil pass and before the termination check. The final
-    /// round is missed when another worker completes it first: that worker
-    /// signals stop, and worker 0 then stops without completing the round
-    /// (ROADMAP: the final-round snapshot).
+    /// published. Called by worker 0 when `Worker::step` sees a
+    /// `Completed` GVT outcome, after the round's fossil pass and before
+    /// the end-time check. The final round is missed when another worker
+    /// completes it first: that worker signals stop, and worker 0's next
+    /// step sees it and finishes (`Worker::finish`) without completing the
+    /// round (ROADMAP: the final-round snapshot).
     ///
     /// Read-only with respect to engine state (the only mutation is the
     /// metrics-private `epoch_base`) and charges no virtual time, which is

@@ -926,8 +926,10 @@ mod tests {
     }
 
     /// Replaces its generator with one on another stream.
+    #[cfg(debug_assertions)]
     struct Reseeds;
 
+    #[cfg(debug_assertions)]
     impl Model for Reseeds {
         type State = ();
         type Payload = u32;

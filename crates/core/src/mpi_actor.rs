@@ -167,18 +167,23 @@ impl<M: Model> MpiPump<M> {
         charge += self.gvt_mpi.step(now + charge);
         (charge, moved > 0)
     }
+
+    /// Deposit this pump's counters for the run's report. Its driver calls
+    /// this once, when it finishes.
+    pub fn deposit(&self) {
+        self.shared.stats.mpi_deposits.lock().push(self.counters);
+    }
 }
 
 /// Dedicated MPI thread: drives the pump and nothing else.
 pub struct MpiActor<M: Model> {
     actor_id: ActorId,
     pump: MpiPump<M>,
-    finished: bool,
 }
 
 impl<M: Model> MpiActor<M> {
     pub fn new(actor_id: ActorId, pump: MpiPump<M>) -> Self {
-        MpiActor { actor_id, pump, finished: false }
+        MpiActor { actor_id, pump }
     }
 }
 
@@ -192,13 +197,9 @@ impl<M: Model> Actor for MpiActor<M> {
     }
 
     fn step(&mut self, now: WallNs) -> StepResult {
-        if self.finished {
-            return StepResult::done();
-        }
-        let shared = &self.pump.shared;
-        if shared.gvt_core.stopped() {
-            shared.stats.mpi_deposits.lock().push(self.pump.counters);
-            self.finished = true;
+        // No runtime steps an actor again after it reported `Done`.
+        if self.pump.shared.gvt_core.stopped() {
+            self.pump.deposit();
             return StepResult::done();
         }
         let (charge, moved) = self.pump.pump(now);

@@ -112,13 +112,15 @@ pub struct GvtRoundRecord {
     pub cause: SyncCause,
 }
 
-/// Worker 0's one read of the cluster when a GVT round completes: the
-/// round, its GVT, the instant, and every worker's published LVT. It is the
-/// one producer of the per-round horizon: the report's disparity and width
-/// samples and the metrics epoch derive from it, and the trace records its
-/// GVT and LVTs as counters, so under real threads all of them see the same
-/// LVTs. A final round that another worker completes first is not
-/// snapshotted (ROADMAP: the final-round snapshot).
+/// Worker 0's one read of the cluster when a GVT round completes (in
+/// `Worker::step`, on a `Completed` GVT outcome): the round, its GVT, the
+/// instant, and every worker's published LVT. It is the one producer of the
+/// per-round horizon: the report's disparity and width samples and the
+/// metrics epoch derive from it, and the trace records its GVT and LVTs as
+/// counters, so under real threads all of them see the same LVTs. A final
+/// round that another worker completes first is not snapshotted: worker 0
+/// sees the stop and finishes (`Worker::finish`) without completing it
+/// (ROADMAP: the final-round snapshot).
 #[derive(Debug)]
 pub(crate) struct RoundSnapshot {
     pub round: u64,

@@ -19,6 +19,15 @@
 //! step that changed nothing and ran no MPI pump is a *pure* poll (idle if
 //! the GVT half is `Waiting`, progress if it holds the worker) and asks to
 //! be parked ([`cagvt_base::wake`]); each skipped poll is credited as run.
+//!
+//! A worker's lifecycle is one `Phase`: `Running`; `Parked` after a pure
+//! poll, until the next step credits the polls the scheduler skipped; and
+//! `Done` once GVT passes the end time (`Worker::finish`, entered from the
+//! stop check or from the round that crossed the end time). A finished
+//! worker takes one more step, which reports `Done`. The barrier-blocked
+//! stretch is not a phase: a held pure poll parks while its stretch stays
+//! open, so held and parked overlap, and `blocked_since` tracks the
+//! stretch on its own.
 
 use cagvt_base::actor::{Actor, StepResult};
 use cagvt_base::ids::{ActorId, LaneId, NodeId};
@@ -70,9 +79,17 @@ pub struct Worker<M: Model> {
     blocked_since: Option<WallNs>,
     /// The GVT algorithm requires acknowledgement traffic (Samadi).
     acks_enabled: bool,
-    /// Set when this worker asked to be parked: the poll it repeats.
-    parked: Option<PurePoll>,
-    finished: bool,
+    phase: Phase,
+}
+
+/// Where a worker is in its lifecycle.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    Running,
+    /// The worker asked to be parked; it holds the poll the worker repeats.
+    Parked(PurePoll),
+    /// The worker has finished; its next step reports `Done`.
+    Done,
 }
 
 /// What a step leaves the worker waiting on, combined over its layers.
@@ -148,8 +165,7 @@ impl<M: Model> Worker<M> {
             local_antis: VecDeque::new(),
             blocked_since: None,
             acks_enabled,
-            parked: None,
-            finished: false,
+            phase: Phase::Running,
         }
     }
 
@@ -450,15 +466,17 @@ impl<M: Model> Worker<M> {
         (charge, true)
     }
 
-    fn finish(&mut self) {
-        // GVT has passed the end time: everything processed is final.
+    /// Enter `Done`, ending a step that cost `cost`. GVT has passed the
+    /// end time: everything processed is final.
+    fn finish(&mut self, cost: WallNs) -> StepResult {
         self.commit(self.shared.cfg.end_vt());
         self.shared.stats.state_fp.fetch_xor(self.lps.fingerprint(), Ordering::AcqRel);
         self.shared.stats.store_worker_counters(self.widx, &self.counters);
         if let Some(pump) = &self.mpi_duty {
-            self.shared.stats.mpi_deposits.lock().push(pump.counters);
+            pump.deposit();
         }
-        self.finished = true;
+        self.phase = Phase::Done;
+        StepResult::progress(cost)
     }
 
     /// Map the step's wait state to its result. A pure poll parks until a
@@ -474,7 +492,7 @@ impl<M: Model> Worker<M> {
         }
         let head = self.nshared.lane_queues[self.lane.index()].head_deliver_at();
         let until = poll.backoff.into_iter().chain(head).min();
-        self.parked = Some(poll);
+        self.phase = Phase::Parked(poll);
         result.parked(Park { until, pace: poll.requests_idle })
     }
 }
@@ -489,11 +507,12 @@ impl<M: Model> Actor for Worker<M> {
     }
 
     fn step(&mut self, now: WallNs) -> StepResult {
-        if self.finished {
+        if let Phase::Done = self.phase {
             return StepResult::done();
         }
-        if let Some(poll) = self.parked.take() {
-            // The exactness rule: each skipped poll counts as if it had run.
+        // The exactness rule: each skipped poll counts as if it had run.
+        // Credited before the stop check, as `finish` stores the counters.
+        if let Phase::Parked(poll) = std::mem::replace(&mut self.phase, Phase::Running) {
             let (n, c) = (wake::take_skipped(ActorId(self.widx)), &mut self.counters);
             c.throttled += n * poll.throttled as u64;
             c.requests_interval += n * poll.requests_interval as u64;
@@ -501,8 +520,7 @@ impl<M: Model> Actor for Worker<M> {
             c.gvt_time += WallNs(n * poll.gvt_time.0);
         }
         if self.shared.gvt_core.stopped() {
-            self.finish();
-            return StepResult::progress(WallNs(100));
+            return self.finish(WallNs(100));
         }
         let cfg = self.shared.cfg;
 
@@ -510,11 +528,10 @@ impl<M: Model> Actor for Worker<M> {
         let (mut charge, mut wait) = self.drain_inbound(now);
 
         // 2. Inline MPI duty.
-        if let Some(mut pump) = self.mpi_duty.take() {
+        if let Some(pump) = &mut self.mpi_duty {
             let (c, moved) = pump.pump(now + charge);
             charge += c;
             wait = wait.join(if moved { Wait::Busy } else { Wait::Polled });
-            self.mpi_duty = Some(pump);
         }
 
         // 3. GVT.
@@ -574,8 +591,7 @@ impl<M: Model> Actor for Worker<M> {
             }
             if gvt >= cfg.end_vt() {
                 self.shared.gvt_core.signal_stop();
-                self.finish();
-                return StepResult::progress(charge);
+                return self.finish(charge);
             }
         }
 

@@ -176,6 +176,27 @@ fn thread_runtime_matches_sequential_with_mpi_traffic() {
 }
 
 #[test]
+fn every_pump_deposits_its_counters_once() {
+    // Whichever actor drives a node's pump (its MPI thread, or worker lane
+    // 0 in the inline modes), it deposits the pump's counters exactly once,
+    // when it finishes.
+    for mode in [MpiMode::Dedicated, MpiMode::InlineWorker, MpiMode::PerWorker] {
+        let mut cfg = SimConfig::small(3, 2);
+        cfg.spec.mpi_mode = mode;
+        cfg.lps_per_worker = 4;
+        cfg.end_time = 10.0;
+        let shared = build_shared(Arc::new(comm_dominated(&cfg).model), cfg);
+        let bundle = make_bundle(GvtKind::Mattern, &shared);
+        let (actors, _) = build_cluster(Arc::clone(&shared), &*bundle);
+        let stats = VirtualScheduler::new(VirtualConfig::default()).run(actors);
+        assert!(stats.completed, "{mode:?}: the run did not complete");
+        let deposits = shared.stats.mpi_deposits.lock();
+        assert_eq!(deposits.len(), cfg.spec.nodes as usize, "{mode:?}: one deposit per node");
+        assert!(deposits.iter().all(|c| c.received > 0), "{mode:?}: a pump moved nothing");
+    }
+}
+
+#[test]
 fn thread_runtime_annihilates_and_matches_sequential() {
     // Mostly cluster-wide sends: the threads race ahead of each other, so
     // stragglers roll LPs back, and the anti-messages of the undone sends
