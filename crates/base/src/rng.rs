@@ -7,8 +7,7 @@
 //! increment fixed at seeding, so the engine saves only the 8-byte position
 //! before each event and rebuilds the generator on the LP's own stream
 //! ([`Pcg32::at_state`]) when it undoes the event. It also has good
-//! statistical quality and a cheap `advance`/`rewind` via LCG skip-ahead
-//! for tests.
+//! statistical quality.
 //!
 //! [`SplitMix64`] is used only for seeding: it decorrelates per-LP streams
 //! derived from `(run_seed, lp_id)`.
@@ -52,10 +51,6 @@ const PCG_MULT: u64 = 6364136223846793005;
 /// let mut replay = snapshot;
 /// let b: Vec<u32> = (0..4).map(|_| replay.next_u32()).collect();
 /// assert_eq!(a, b);
-///
-/// // And the generator can be stepped backwards.
-/// replay.rewind(4);
-/// assert_eq!(replay, snapshot);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Pcg32 {
@@ -129,30 +124,6 @@ impl Pcg32 {
         let u = 1.0 - self.next_f64();
         -mean * u.ln()
     }
-
-    /// Jump the generator `delta` steps forward in O(log delta) (Brown's LCG
-    /// skip-ahead). `rewind(n)` is `advance(2^64 - n)`.
-    pub fn advance(&mut self, mut delta: u64) {
-        let mut acc_mult: u64 = 1;
-        let mut acc_plus: u64 = 0;
-        let mut cur_mult = PCG_MULT;
-        let mut cur_plus = self.inc;
-        while delta > 0 {
-            if delta & 1 == 1 {
-                acc_mult = acc_mult.wrapping_mul(cur_mult);
-                acc_plus = acc_plus.wrapping_mul(cur_mult).wrapping_add(cur_plus);
-            }
-            cur_plus = cur_mult.wrapping_add(1).wrapping_mul(cur_plus);
-            cur_mult = cur_mult.wrapping_mul(cur_mult);
-            delta >>= 1;
-        }
-        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
-    }
-
-    /// Step the generator backwards `delta` steps.
-    pub fn rewind(&mut self, delta: u64) {
-        self.advance(delta.wrapping_neg());
-    }
 }
 
 #[cfg(test)]
@@ -207,28 +178,6 @@ mod tests {
         // Another stream at the same position is another generator.
         let other = Pcg32::new(31, 5);
         assert_ne!(other.at_state(rng.state()), rng);
-    }
-
-    #[test]
-    fn advance_matches_stepping() {
-        let mut a = Pcg32::new(5, 5);
-        let mut b = a;
-        for _ in 0..1000 {
-            a.next_u32();
-        }
-        b.advance(1000);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rewind_inverts_advance() {
-        let orig = Pcg32::new(99, 3);
-        let mut rng = orig;
-        for _ in 0..137 {
-            rng.next_u32();
-        }
-        rng.rewind(137);
-        assert_eq!(rng, orig);
     }
 
     #[test]

@@ -143,16 +143,6 @@ impl WallNs {
     pub const ZERO: WallNs = WallNs(0);
 
     #[inline]
-    pub fn from_micros(us: u64) -> Self {
-        WallNs(us * 1_000)
-    }
-
-    #[inline]
-    pub fn from_millis(ms: u64) -> Self {
-        WallNs(ms * 1_000_000)
-    }
-
-    #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
     }
@@ -274,12 +264,12 @@ mod tests {
 
     #[test]
     fn wall_ns_arithmetic() {
-        let a = WallNs::from_micros(3);
+        let a = WallNs(3_000);
         let b = WallNs(500);
         assert_eq!((a + b).as_nanos(), 3_500);
         assert_eq!((a - b).as_nanos(), 2_500);
         assert_eq!(b.saturating_sub(a), WallNs::ZERO);
-        assert_eq!(WallNs::from_millis(2).as_secs_f64(), 0.002);
+        assert_eq!(WallNs(2_000_000).as_secs_f64(), 0.002);
         let mut c = a;
         c += b;
         assert_eq!(c.as_nanos(), 3_500);

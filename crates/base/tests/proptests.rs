@@ -15,20 +15,6 @@ proptest! {
         prop_assert_eq!(VirtualTime::from_ordered_bits(ta.to_ordered_bits()), ta);
     }
 
-    /// advance(n) == n single steps; rewind inverts advance.
-    #[test]
-    fn pcg_skip_ahead(seed in any::<u64>(), stream in any::<u64>(), n in 0u64..5_000) {
-        let mut stepped = Pcg32::new(seed, stream);
-        let mut jumped = stepped;
-        for _ in 0..n {
-            stepped.next_u32();
-        }
-        jumped.advance(n);
-        prop_assert_eq!(stepped, jumped);
-        jumped.rewind(n);
-        prop_assert_eq!(jumped, Pcg32::new(seed, stream));
-    }
-
     /// Exponential draws are finite, positive, and uniform draws live in
     /// [0, 1).
     #[test]

@@ -160,7 +160,7 @@ impl Row {
             r.committed_rate,
             r.efficiency,
             r.committed,
-            r.rollbacks,
+            r.workers.rollbacks,
             r.rolled_back,
             r.gvt_rounds,
             r.gvt_time_mean,
@@ -174,7 +174,7 @@ impl Row {
             r.faults.stalled_pumps,
             r.horizon_width,
             r.barrier_wait_ns,
-            r.rollback_cascade,
+            r.workers.max_cascade,
             r.health.len(),
         )
     }

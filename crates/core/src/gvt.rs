@@ -12,9 +12,11 @@
 //!
 //! [`GvtSharedCore`] is the engine-visible shared state: the round-request
 //! flag (set when a worker's event interval elapses), the published GVT,
-//! and the stop flag. Algorithm-private shared state (node counters,
-//! barriers, control-message slots) lives inside the algorithm's own
-//! structures in `cagvt-gvt`.
+//! and the stop flag. It is also the one entry of the per-round observers:
+//! `GvtSharedCore::observe_round` logs the round's sample, records its
+//! trace counters and publishes its metrics epoch. Algorithm-private shared
+//! state (node counters, barriers, control-message slots) lives inside the
+//! algorithm's own structures in `cagvt-gvt`.
 
 use cagvt_base::ids::{LaneId, NodeId};
 use cagvt_base::metrics::{EpochMode, MetricsEpoch, MetricsSink, SyncCause};
@@ -97,11 +99,35 @@ impl GvtSharedCore {
         }
     }
 
+    /// Feed the round just published to every round observer. Called by
+    /// worker 0 when `Worker::step` sees a `Completed` GVT outcome, after
+    /// the round's fossil pass and before the end-time check, with the
+    /// round's GVT and the instant `t`. One read of the worker LVTs feeds
+    /// the round log's sample (`SharedStats::record_round`), the trace's
+    /// GVT/LVT records (`trace_round`) and the metrics epoch
+    /// (`publish_epoch`).
+    ///
+    /// The final round is missed when another worker completes it first:
+    /// that worker signals stop, and worker 0's next step sees it and
+    /// finishes (`Worker::finish`) without completing the round (ROADMAP:
+    /// the final-round snapshot).
+    ///
+    /// Read-only with respect to engine state (it mutates only the round
+    /// log and the metrics-private `epoch_base`) and charges no virtual
+    /// time, which is what keeps observed runs bit-identical
+    /// (`metrics_never_perturb`, `tracing_never_perturbs`).
+    pub(crate) fn observe_round(&self, gvt: VirtualTime, t: WallNs) {
+        let snap = RoundSnapshot::new(self.published_round(), gvt, t, self.stats.read_lvts());
+        self.stats.record_round(&snap);
+        self.trace_round(&snap);
+        self.publish_epoch(&snap);
+    }
+
     /// Record the round just published as one `GvtPublish` followed by an
     /// `Lvt` record per finite worker LVT: the Chrome trace's `gvt` and
     /// `lvt` counters. The per-round horizon statistics are the metrics
-    /// epoch's ([`publish_epoch`](Self::publish_epoch)).
-    pub(crate) fn trace_round(&self, snap: &RoundSnapshot) {
+    /// epoch's (`publish_epoch`).
+    fn trace_round(&self, snap: &RoundSnapshot) {
         let Some(tr) = self.trace.as_deref() else { return };
         tr.record(snap.t, &TraceRecord::GvtPublish { round: snap.round, gvt: snap.gvt });
         for (i, &lvt) in snap.lvts.iter().enumerate() {
@@ -112,17 +138,8 @@ impl GvtSharedCore {
     }
 
     /// Assemble and emit the [`MetricsEpoch`] for the round just
-    /// published. Called by worker 0 when `Worker::step` sees a
-    /// `Completed` GVT outcome, after the round's fossil pass and before
-    /// the end-time check. The final round is missed when another worker
-    /// completes it first: that worker signals stop, and worker 0's next
-    /// step sees it and finishes (`Worker::finish`) without completing the
-    /// round (ROADMAP: the final-round snapshot).
-    ///
-    /// Read-only with respect to engine state (the only mutation is the
-    /// metrics-private `epoch_base`) and charges no virtual time, which is
-    /// what keeps metered runs bit-identical (`metrics_never_perturb`).
-    pub(crate) fn publish_epoch(&self, snap: &RoundSnapshot) {
+    /// published (a step of [`observe_round`](Self::observe_round)).
+    fn publish_epoch(&self, snap: &RoundSnapshot) {
         let Some(sink) = self.metrics.as_deref() else { return };
         let gvt_f = snap.gvt.as_f64();
         let stats = &self.stats;
@@ -154,18 +171,11 @@ impl GvtSharedCore {
         // Controller decision for *this* round, if a controller ran one
         // (only CA-GVT appends to gvt_trace; Barrier/Mattern epochs are
         // "uncontrolled").
-        let (mode, cause) = {
-            let tr = stats.gvt_trace.lock();
-            match tr.last() {
-                Some(r) if r.round == snap.round => {
-                    if r.synchronous {
-                        (EpochMode::Sync, r.cause)
-                    } else {
-                        (EpochMode::Async, SyncCause::None)
-                    }
-                }
-                _ => (EpochMode::Uncontrolled, SyncCause::None),
+        let (mode, cause) = match stats.gvt_trace.lock().last() {
+            Some(r) if r.round == snap.round => {
+                (if r.synchronous() { EpochMode::Sync } else { EpochMode::Async }, r.cause)
             }
+            _ => (EpochMode::Uncontrolled, SyncCause::None),
         };
 
         let epoch = MetricsEpoch {
@@ -442,7 +452,6 @@ mod tests {
         stats.gvt_trace.lock().push(GvtRoundRecord {
             round: 2,
             gvt: 5.0,
-            synchronous: true,
             efficiency: 0.6,
             efficiency_window: 0.4,
             cause: SyncCause::Efficiency,

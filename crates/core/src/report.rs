@@ -1,6 +1,13 @@
 //! Assembled results of one simulation run — the quantities the paper
 //! reports.
+//!
+//! A [`RunReport`] keeps the cluster's counters whole: the merged
+//! [`WorkerCounters`] (rollbacks, message classes, round requests…), the
+//! pumps' [`MpiCounters`] and the fault injector's stats. The per-round
+//! disparity and width means and the steady-state rate are computed from the
+//! one round log ([`SharedStats::rounds`](crate::stats::SharedStats::rounds)).
 
+use cagvt_base::stats::Welford;
 use cagvt_base::time::VirtualTime;
 use cagvt_exec::RunStats;
 use std::fmt;
@@ -9,7 +16,7 @@ use std::sync::Arc;
 
 use crate::model::Model;
 use crate::node::EngineShared;
-use crate::stats::{MpiCounters, ProgressSample};
+use crate::stats::{MpiCounters, RoundSample, WorkerCounters};
 
 /// Steady-state measurement window: the report's `steady_rate` measures
 /// committed throughput from this fraction of GVT progress to the last
@@ -24,7 +31,7 @@ pub const STEADY_WINDOW_MIN_SPAN_FRAC: f64 = 0.3;
 /// bracket an idle stretch).
 pub const STEADY_WINDOW_MIN_COMMITTED_DIV: u64 = 4;
 
-/// Compute the steady-state committed rate from the progress samples.
+/// Compute the steady-state committed rate from the round log.
 ///
 /// The rate is the committed-per-second slope between the first sample at
 /// or above `STEADY_WINDOW_LO_FRAC * end` and the last pre-termination
@@ -32,12 +39,7 @@ pub const STEADY_WINDOW_MIN_COMMITTED_DIV: u64 = 4;
 /// (see the constants above); otherwise — empty sample sets, short runs
 /// with too few rounds, degenerate slopes — it falls back to the honest
 /// whole-run rate `committed / sim_seconds`.
-pub fn steady_window(
-    samples: &[ProgressSample],
-    end: f64,
-    committed: u64,
-    sim_seconds: f64,
-) -> f64 {
+pub fn steady_window(samples: &[RoundSample], end: f64, committed: u64, sim_seconds: f64) -> f64 {
     let lo_gvt = STEADY_WINDOW_LO_FRAC * end;
     let lo = samples.iter().find(|s| s.gvt >= lo_gvt);
     let hi = samples.iter().rev().find(|s| s.gvt < end).or(samples.last());
@@ -96,13 +98,6 @@ pub struct RunReport {
     pub processed: u64,
     /// Events undone by rollbacks.
     pub rolled_back: u64,
-    /// Rollback episodes.
-    pub rollbacks: u64,
-    pub stragglers: u64,
-    pub antis_sent: u64,
-    /// Acknowledgement traffic (Samadi's GVT only; zero otherwise).
-    pub acks_sent: u64,
-    pub annihilated: u64,
     /// committed / (committed + rolled back) — the paper's efficiency.
     pub efficiency: f64,
 
@@ -134,26 +129,21 @@ pub struct RunReport {
     /// Mean per-worker wall time spent blocked inside GVT barriers
     /// (nanoseconds; zero for fully asynchronous algorithms).
     pub barrier_wait_ns: f64,
-    /// Deepest rollback cascade any worker observed (rollback episodes
-    /// triggered within one local anti-message drain).
-    pub rollback_cascade: u64,
     /// CA-GVT: how many rounds ran synchronously / asynchronously.
     pub sync_rounds: u64,
     pub async_rounds: u64,
 
-    pub sent_local: u64,
-    pub sent_regional: u64,
-    pub sent_remote: u64,
+    /// Every worker's counters merged: rollback episodes, stragglers,
+    /// anti-messages, acknowledgements, annihilations, messages by class,
+    /// throttled steps, round requests, GVT and barrier time, and the
+    /// deepest rollback cascade.
+    pub workers: WorkerCounters,
     pub mpi: MpiCounters,
 
     /// Final published GVT.
     pub final_gvt: f64,
     /// XOR fingerprint of final LP states (equivalence testing).
     pub state_fingerprint: u64,
-    /// Request-cause counters (interval vs stalled-progress).
-    pub requests_interval: u64,
-    pub requests_idle: u64,
-    pub throttled_steps: u64,
     /// Runtime bookkeeping: executed actor steps, and those that were
     /// idle. Under threads these count the polls each thread actually ran,
     /// which vary from run to run.
@@ -188,14 +178,14 @@ impl RunReport {
         sched: RunStats,
     ) -> RunReport {
         let stats = &shared.stats;
-        let w = stats.worker_totals();
+        let workers = stats.worker_totals();
         let mut mpi = MpiCounters::default();
         for c in stats.mpi_deposits.lock().iter() {
             mpi.merge(c);
         }
         let (sync_rounds, async_rounds) = {
             let trace = stats.gvt_trace.lock();
-            let sync = trace.iter().filter(|r| r.synchronous).count() as u64;
+            let sync = trace.iter().filter(|r| r.synchronous()).count() as u64;
             (sync, trace.len() as u64 - sync)
         };
         let total_workers = shared.cfg.spec.total_workers().max(1) as f64;
@@ -203,7 +193,13 @@ impl RunReport {
         let committed = stats.committed.load(Ordering::Relaxed);
         let rolled_back = stats.rolled_back.load(Ordering::Relaxed);
         let end = shared.cfg.end_time;
-        let steady_rate = steady_window(&stats.progress.lock(), end, committed, sim_seconds);
+        let rounds = stats.rounds.lock();
+        let steady_rate = steady_window(&rounds, end, committed, sim_seconds);
+        let (mut disparity, mut width) = (Welford::new(), Welford::new());
+        for r in rounds.iter() {
+            disparity.push(r.roughness);
+            width.push(r.width);
+        }
         let efficiency = efficiency_of(committed, rolled_back);
         RunReport {
             algorithm: algorithm.to_string(),
@@ -213,33 +209,22 @@ impl RunReport {
             committed,
             processed: stats.processed.load(Ordering::Relaxed),
             rolled_back,
-            rollbacks: w.rollbacks,
-            stragglers: w.stragglers,
-            antis_sent: w.antis_sent,
-            acks_sent: w.acks_sent,
-            annihilated: w.annihilated,
             efficiency,
             sim_seconds,
             committed_rate: safe_rate(committed as f64, sim_seconds),
             steady_rate,
             host_seconds: 0.0,
             gvt_rounds: shared.gvt_core.published_round(),
-            gvt_time_mean: w.gvt_time.as_secs_f64() / total_workers,
-            lvt_disparity: stats.disparity.lock().mean(),
-            horizon_width: stats.horizon_width.lock().mean(),
-            barrier_wait_ns: w.barrier_wait.0 as f64 / total_workers,
-            rollback_cascade: w.max_cascade,
+            gvt_time_mean: workers.gvt_time.as_secs_f64() / total_workers,
+            lvt_disparity: disparity.mean(),
+            horizon_width: width.mean(),
+            barrier_wait_ns: workers.barrier_wait.0 as f64 / total_workers,
             sync_rounds,
             async_rounds,
-            sent_local: w.sent_local,
-            sent_regional: w.sent_regional,
-            sent_remote: w.sent_remote,
+            workers,
             mpi,
             final_gvt: shared.gvt_core.published_gvt().as_f64(),
             state_fingerprint: stats.state_fp.load(Ordering::Acquire),
-            requests_interval: w.requests_interval,
-            requests_idle: w.requests_idle,
-            throttled_steps: w.throttled,
             sched_steps: sched.steps,
             sched_idle_steps: sched.idle_steps,
             sched_skipped_polls: sched.skipped_polls,
@@ -297,10 +282,11 @@ impl fmt::Display for RunReport {
             "  committed rate {:.0} ev/s (steady {:.0}) over {:.4} simulated s",
             self.committed_rate, self.steady_rate, self.sim_seconds
         )?;
+        let w = &self.workers;
         writeln!(
             f,
             "  rollbacks {} ({} events, {} stragglers, {} antis, {} acks)",
-            self.rollbacks, self.rolled_back, self.stragglers, self.antis_sent, self.acks_sent
+            w.rollbacks, self.rolled_back, w.stragglers, w.antis_sent, w.acks_sent
         )?;
         writeln!(
             f,
@@ -314,12 +300,12 @@ impl fmt::Display for RunReport {
         writeln!(
             f,
             "  horizon width {:.4}, barrier wait {:.0} ns/worker, deepest cascade {}",
-            self.horizon_width, self.barrier_wait_ns, self.rollback_cascade
+            self.horizon_width, self.barrier_wait_ns, w.max_cascade
         )?;
         write!(
             f,
             "  msgs: local {}, regional {}, remote {} (mpi moved {}/{})",
-            self.sent_local, self.sent_regional, self.sent_remote, self.mpi.sent, self.mpi.received
+            w.sent_local, w.sent_regional, w.sent_remote, self.mpi.sent, self.mpi.received
         )?;
         if !self.health.is_empty() {
             write!(f, "\n  health:")?;
@@ -384,13 +370,19 @@ mod tests {
         r.check_conservation(VirtualTime::new(10.0));
     }
 
-    fn sample(gvt: f64, wall_ns: u64, committed: u64) -> ProgressSample {
-        ProgressSample { gvt, wall: cagvt_base::WallNs(wall_ns), committed }
+    fn sample(gvt: f64, wall_ns: u64, committed: u64) -> RoundSample {
+        RoundSample {
+            gvt,
+            wall: cagvt_base::WallNs(wall_ns),
+            committed,
+            roughness: 0.0,
+            width: 0.0,
+        }
     }
 
     #[test]
     fn steady_window_empty_samples_fall_back_to_whole_run_rate() {
-        // No progress samples at all (a run that never completed a GVT
+        // No round samples at all (a run that never completed a GVT
         // round): rate = committed / sim_seconds.
         assert_eq!(steady_window(&[], 10.0, 100, 2.0), 50.0);
         // ...and the degenerate zero-makespan corner stays finite.

@@ -67,56 +67,19 @@ impl<M: Model> SequentialSim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Emitter, EventCtx};
-    use cagvt_base::rng::Pcg32;
+    use crate::testmodel::MiniHold;
 
-    /// Tiny PHOLD-like model: each event re-sends to a random LP after an
-    /// exponential delay; state counts received events and sums a hash.
-    struct MiniHold;
-
-    impl Model for MiniHold {
-        type State = (u64, u64); // (count, checksum)
-        type Payload = u32;
-
-        fn init_state(&self, _lp: LpId, _rng: &mut Pcg32) -> Self::State {
-            (0, 0)
-        }
-
-        fn initial_events(
-            &self,
-            lp: LpId,
-            _state: &mut Self::State,
-            rng: &mut Pcg32,
-            emit: &mut Emitter<u32>,
-        ) {
-            emit.emit(lp, 0.01 + rng.next_exp(1.0), 1);
-        }
-
-        fn handle(
-            &self,
-            ctx: &EventCtx,
-            state: &mut Self::State,
-            payload: &u32,
-            rng: &mut Pcg32,
-            emit: &mut Emitter<u32>,
-        ) -> u64 {
-            state.0 += 1;
-            state.1 = state.1.wrapping_mul(31).wrapping_add(*payload as u64);
-            let dst = LpId(rng.next_bounded(ctx.total_lps));
-            emit.emit(dst, 0.01 + rng.next_exp(1.0), payload.wrapping_add(1));
-            100
-        }
-
-        fn state_fingerprint(&self, state: &Self::State) -> u64 {
-            state.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ state.1
-        }
+    /// The shared test model with a 0.01 lookahead: each event re-sends one
+    /// event to a random LP after `0.01 + Exp(1)`.
+    fn model() -> Arc<MiniHold> {
+        Arc::new(MiniHold { lookahead: 0.01, ..Default::default() })
     }
 
     #[test]
     fn sequential_run_is_deterministic() {
         let cfg = SimConfig::small(1, 2);
-        let a = SequentialSim::new(Arc::new(MiniHold), cfg).run();
-        let b = SequentialSim::new(Arc::new(MiniHold), cfg).run();
+        let a = SequentialSim::new(model(), cfg).run();
+        let b = SequentialSim::new(model(), cfg).run();
         assert_eq!(a, b);
         assert!(a.processed > 0, "something must happen before t=60");
     }
@@ -126,8 +89,8 @@ mod tests {
         let cfg1 = SimConfig::small(1, 2);
         let mut cfg2 = cfg1;
         cfg2.seed ^= 0xDEAD_BEEF;
-        let a = SequentialSim::new(Arc::new(MiniHold), cfg1).run();
-        let b = SequentialSim::new(Arc::new(MiniHold), cfg2).run();
+        let a = SequentialSim::new(model(), cfg1).run();
+        let b = SequentialSim::new(model(), cfg2).run();
         assert_ne!(a.fingerprint, b.fingerprint);
     }
 
@@ -139,9 +102,9 @@ mod tests {
         let mut cfg = SimConfig::small(1, 1);
         cfg.lps_per_worker = 4;
         cfg.end_time = 30.0;
-        let short = SequentialSim::new(Arc::new(MiniHold), cfg).run();
+        let short = SequentialSim::new(model(), cfg).run();
         cfg.end_time = 60.0;
-        let long = SequentialSim::new(Arc::new(MiniHold), cfg).run();
+        let long = SequentialSim::new(model(), cfg).run();
         assert!(long.processed > short.processed);
         // ~1 event per LP per unit time with mean increment ~1.01.
         let expected = 4.0 * 30.0 / 1.01;

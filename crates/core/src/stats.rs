@@ -1,9 +1,16 @@
 //! Engine instrumentation: per-worker counters and cluster-shared
 //! statistics.
+//!
+//! Each run fact has one home here. A worker's counters are its
+//! [`WorkerCounters`], copied into one shared slot per worker; the
+//! per-round samples of the progress curve and the LVT horizon are one
+//! [`RoundSample`] per round in [`SharedStats::rounds`]; CA-GVT's per-round
+//! decisions are [`GvtRoundRecord`]s, whose mode is derived from their
+//! sync cause.
 
 use crate::report::efficiency_of;
 use cagvt_base::metrics::SyncCause;
-use cagvt_base::stats::{Horizon, Welford};
+use cagvt_base::stats::Horizon;
 use cagvt_base::time::{VirtualTime, WallNs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// slot in [`SharedStats`] at every round completion and when it finishes.
 /// Committed, processed and rolled-back events are not here: the
 /// [`SharedStats`] atomics are their one count.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
     /// Rollback episodes.
     pub rollbacks: u64,
@@ -77,14 +84,21 @@ impl MpiCounters {
     }
 }
 
-/// A point on the run's progress curve, sampled at GVT rounds by worker 0;
-/// the report derives the steady-state committed rate from these (excluding
-/// warm-up and the termination tail).
+/// One completed GVT round as worker 0 observed it: a point on the run's
+/// progress curve and the round's horizon. The report derives the
+/// steady-state committed rate from the curve (excluding warm-up and the
+/// termination tail) and its disparity and width means from the horizons.
 #[derive(Clone, Copy, Debug)]
-pub struct ProgressSample {
+pub struct RoundSample {
     pub gvt: f64,
     pub wall: WallNs,
+    /// Committed events when the round was observed.
     pub committed: u64,
+    /// Std-dev of the finite worker LVTs: the paper's disparity metric.
+    pub roughness: f64,
+    /// Virtual-time-horizon width (max − min finite worker LVT), the
+    /// Kolakowska–Novotny width statistic.
+    pub width: f64,
 }
 
 /// One completed GVT round, for the CA-GVT mode trace (paper §6).
@@ -98,8 +112,6 @@ pub struct ProgressSample {
 pub struct GvtRoundRecord {
     pub round: u64,
     pub gvt: f64,
-    /// Was the round executed with CA-GVT's synchronization enabled?
-    pub synchronous: bool,
     /// Cumulative efficiency observed at the end of the round.
     pub efficiency: f64,
     /// Windowed efficiency: committed over committed plus rolled back,
@@ -112,11 +124,17 @@ pub struct GvtRoundRecord {
     pub cause: SyncCause,
 }
 
-/// Worker 0's one read of the cluster when a GVT round completes (in
-/// `Worker::step`, on a `Completed` GVT outcome): the round, its GVT, the
-/// instant, and every worker's published LVT. It is the one producer of the
-/// per-round horizon: the report's disparity and width samples and the
-/// metrics epoch derive from it, and the trace records its GVT and LVTs as
+impl GvtRoundRecord {
+    /// Was the round executed with CA-GVT's synchronization enabled?
+    pub fn synchronous(&self) -> bool {
+        self.cause != SyncCause::None
+    }
+}
+
+/// Worker 0's one read of the cluster when a GVT round completes
+/// (`GvtSharedCore::observe_round`): the round, its GVT, the instant, and
+/// every worker's published LVT. It is the one producer of the per-round
+/// horizon: the round log's sample and the metrics epoch derive from it, and the trace records its GVT and LVTs as
 /// counters, so under real threads all of them see the same LVTs. A final
 /// round that another worker completes first is not snapshotted: worker 0
 /// sees the stop and finishes (`Worker::finish`) without completing it
@@ -174,11 +192,6 @@ pub struct SharedStats {
     /// metrics), which neither computes GVT nor decides a wake; under
     /// threads a snapshot may see a slightly stale LVT.
     pub worker_lvts: Vec<AtomicU64>,
-    /// Std-dev of worker LVTs, one sample per GVT round.
-    pub disparity: Mutex<Welford>,
-    /// Virtual-time-horizon width (max − min finite worker LVT), one
-    /// sample per GVT round — the Kolakowska–Novotny width statistic.
-    pub horizon_width: Mutex<Welford>,
     /// Per-worker counters, indexed by dense worker index (see
     /// [`WorkerSlot`]).
     worker_slots: Vec<WorkerSlot>,
@@ -186,8 +199,9 @@ pub struct SharedStats {
     pub mpi_deposits: Mutex<Vec<MpiCounters>>,
     /// CA-GVT round trace.
     pub gvt_trace: Mutex<Vec<GvtRoundRecord>>,
-    /// Progress curve samples (one per GVT round, recorded by worker 0).
-    pub progress: Mutex<Vec<ProgressSample>>,
+    /// The round log: one sample per GVT round worker 0 observed, in
+    /// round order.
+    pub rounds: Mutex<Vec<RoundSample>>,
     /// XOR-combined fingerprint of all final LP states (workers fold their
     /// LPs in with [`fetch_xor`](AtomicU64::fetch_xor) at shutdown);
     /// compared against the sequential reference by the equivalence tests.
@@ -205,12 +219,10 @@ impl SharedStats {
             worker_lvts: (0..total_workers)
                 .map(|_| AtomicU64::new(VirtualTime::ZERO.to_ordered_bits()))
                 .collect(),
-            disparity: Mutex::new(Welford::new()),
-            horizon_width: Mutex::new(Welford::new()),
             worker_slots: (0..total_workers).map(|_| WorkerSlot::default()).collect(),
             mpi_deposits: Mutex::new(Vec::new()),
             gvt_trace: Mutex::new(Vec::new()),
-            progress: Mutex::new(Vec::new()),
+            rounds: Mutex::new(Vec::new()),
             state_fp: AtomicU64::new(0),
         }
     }
@@ -224,16 +236,16 @@ impl SharedStats {
         )
     }
 
-    /// Record one completed round: its disparity (population std-dev of
-    /// the worker LVTs, the paper's §4 metric), its horizon width and its
-    /// point on the progress curve.
+    /// Log one completed round: its point on the progress curve, its
+    /// disparity (population std-dev of the worker LVTs, the paper's §4
+    /// metric) and its horizon width.
     pub(crate) fn record_round(&self, snap: &RoundSnapshot) {
-        self.disparity.lock().push(snap.horizon.roughness);
-        self.horizon_width.lock().push(snap.horizon.width);
-        self.progress.lock().push(ProgressSample {
+        self.rounds.lock().push(RoundSample {
             gvt: snap.gvt.as_f64(),
             wall: snap.t,
             committed: self.committed.load(Ordering::Relaxed),
+            roughness: snap.horizon.roughness,
+            width: snap.horizon.width,
         });
     }
 
@@ -303,14 +315,17 @@ mod tests {
         let snap = RoundSnapshot::new(1, VirtualTime::new(1.0), WallNs(10), s.read_lvts());
         assert_eq!(snap.lvts[3], VirtualTime::INFINITY);
         assert_eq!(snap.horizon.samples, 3);
+        s.committed.store(7, Ordering::Relaxed);
         s.record_round(&snap);
         s.record_round(&RoundSnapshot::new(2, VirtualTime::new(2.0), WallNs(20), Vec::new()));
-        // Rounds {2,4,6} (std-dev sqrt(8/3), width 4) and an empty round
-        // (both 0) average to half of each.
-        let (d, h) = (s.disparity.lock(), s.horizon_width.lock());
-        assert_eq!((d.count(), h.count(), s.progress.lock().len()), (2, 2, 2));
-        assert!((d.mean() - (8.0_f64 / 3.0).sqrt() / 2.0).abs() < 1e-12);
-        assert!((h.mean() - 2.0).abs() < 1e-12);
+        // Round {2,4,6}: std-dev sqrt(8/3), width 4; an empty round: both 0.
+        let rounds = s.rounds.lock();
+        assert_eq!(rounds.len(), 2);
+        let (a, b) = (rounds[0], rounds[1]);
+        assert_eq!((a.gvt, a.wall, a.committed), (1.0, WallNs(10), 7));
+        assert!((a.roughness - (8.0_f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert_eq!(a.width, 4.0);
+        assert_eq!((b.gvt, b.wall, b.roughness, b.width), (2.0, WallNs(20), 0.0, 0.0));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::model::Model;
 use crate::mpi_actor::MpiPump;
 use crate::node::{EngineShared, NodeShared};
 use crate::queue::PendingSet;
-use crate::stats::{RoundSnapshot, WorkerCounters};
+use crate::stats::WorkerCounters;
 
 /// Max messages a worker drains from its queue per step.
 const RECV_BATCH: usize = 32;
@@ -569,25 +569,13 @@ impl<M: Model> Actor for Worker<M> {
             // event path, so the metrics epoch can merge every worker's.
             self.shared.stats.store_worker_counters(self.widx, &self.counters);
             if self.widx == 0 {
-                // One read of the worker LVTs feeds every round
-                // observer: the report's disparity/width/progress
-                // samples, the trace's GVT/LVT records and the metrics
-                // epoch — after the round's fossil pass, before the
-                // termination check. The final round is missed when
-                // another worker completes it first and signals stop
-                // (ROADMAP: the final-round snapshot). Records only;
-                // charges no virtual time.
-                let core = &self.shared.gvt_core;
-                let stats = &self.shared.stats;
-                let snap = RoundSnapshot::new(
-                    core.published_round(),
-                    gvt,
-                    now + charge,
-                    stats.read_lvts(),
-                );
-                stats.record_round(&snap);
-                core.trace_round(&snap);
-                core.publish_epoch(&snap);
+                // Worker 0 feeds the round observers (the round log, the
+                // trace and the metrics epoch) after the round's fossil
+                // pass, before the termination check. The final round is
+                // missed when another worker completes it first and
+                // signals stop (ROADMAP: the final-round snapshot).
+                // Records only; charges no virtual time.
+                self.shared.gvt_core.observe_round(gvt, now + charge);
             }
             if gvt >= cfg.end_vt() {
                 self.shared.gvt_core.signal_stop();

@@ -9,13 +9,17 @@
 //!
 //! ```text
 //!   workers --arrive--> NodeReduce --(MPI side relays)--> ClusterCollective
-//!   workers <--poll---- node result slot <---(MPI side publishes)----┘
+//!   workers <--poll---- published count <--(MPI side publishes)--┘
 //! ```
 //!
 //! Generations advance in lockstep across the cluster: every participant
-//! observes the result of generation `g` before arriving for `g + 1`, so a
-//! double-buffered result slot per node suffices. CA-GVT reuses the same
-//! structure with identity values as its pure barrier.
+//! observes the result of generation `g` before arriving for `g + 1`, so
+//! the cluster collective's own double-buffered result is the one copy:
+//! generation `g + 2` cannot overwrite `g`'s slot while a worker still has
+//! to read `g`. A node's MPI side publishes a generation by raising the
+//! node's count once the result is visible at its clock; workers read the
+//! result then. CA-GVT reuses the same structure with identity values as
+//! its pure barrier.
 //!
 //! Barrier GVT and Samadi's GVT are both one such reduction per round step:
 //! they share `ReduceShared` and its MPI half `ReduceMpi`, and differ
@@ -27,7 +31,6 @@ use cagvt_base::trace::{GvtPhaseKind, TraceRecord, Track};
 use cagvt_base::wake;
 use cagvt_core::gvt::{GvtSharedCore, MpiGvt};
 use cagvt_net::{ClusterCollective, ClusterSpec, CostModel, NodeReduce, ReduceValue};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,8 +47,6 @@ pub struct TwoLevelReduce {
     cluster: ClusterCollective,
     /// Per node: count of cluster generations published back to workers.
     published: Vec<AtomicU64>,
-    /// Per node: double-buffered published results.
-    results: Vec<Mutex<[ReduceValue; 2]>>,
     /// Per node: count of node generations relayed up to the cluster.
     relayed: Vec<AtomicU64>,
 }
@@ -58,7 +59,6 @@ impl TwoLevelReduce {
             node_reduce: (0..nodes).map(|_| NodeReduce::new(wpn)).collect(),
             cluster: ClusterCollective::new(nodes as u32),
             published: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            results: (0..nodes).map(|_| Mutex::new([ReduceValue::IDENTITY; 2])).collect(),
             relayed: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -75,9 +75,11 @@ impl TwoLevelReduce {
 
     /// Worker side: the cluster-wide result for `gen`, once it has been
     /// relayed, reduced across nodes, and published back to this node.
+    /// The publication already recorded the visibility, so the read takes
+    /// no clock: a worker's clock may trail its pump's.
     pub fn poll(&self, node: NodeId, gen: u64) -> Option<ReduceValue> {
         if self.published[node.index()].load(Ordering::Acquire) > gen {
-            Some(self.results[node.index()].lock()[(gen % 2) as usize])
+            self.cluster.result(gen)
         } else {
             None
         }
@@ -105,8 +107,7 @@ impl TwoLevelReduce {
         }
 
         let mut pub_gen = self.published[idx].load(Ordering::Acquire);
-        if let Some(v) = self.cluster.try_result(now, pub_gen) {
-            self.results[idx].lock()[(pub_gen % 2) as usize] = v;
+        if self.cluster.try_result(now, pub_gen).is_some() {
             self.published[idx].store(pub_gen + 1, Ordering::Release);
             wake::notify_all();
             ops += 1;
@@ -311,6 +312,50 @@ pub(crate) mod tests {
         assert_eq!(r.poll(NodeId(0), g0).unwrap().sum, 7);
         assert_eq!(r.poll(NodeId(0), g1).unwrap().sum, 9);
         assert_eq!(g1, g0 + 1);
+    }
+
+    /// Node 1's workers read each generation late: only after node 0's
+    /// workers have read it and arrived for the next one (and node 0's
+    /// pump has relayed that arrival). Each late poll must still read its
+    /// own generation's sum and min from the collective's double buffer.
+    #[test]
+    fn late_polls_read_their_own_generation() {
+        let r = TwoLevelReduce::new(spec(2, 2));
+        let lat = WallNs(10);
+        let mut now = 0u64;
+        let mut pump = |r: &TwoLevelReduce, nodes: &[u16]| {
+            for _ in 0..4 {
+                now += 1_000;
+                for &n in nodes {
+                    r.pump(NodeId(n), WallNs(now), lat);
+                }
+            }
+        };
+        // Generation g: node 0's workers contribute (g, 10g + 1) and
+        // (g, 10g + 2), node 1's (g, 10g + 3) and (g, 10g + 4).
+        let arrive = |r: &TwoLevelReduce, node: u16, g: u64| {
+            let lanes = [1, 2].map(|lane| 10 * g + lane + 2 * node as u64);
+            lanes.map(|min| r.arrive(NodeId(node), g as i64, min))
+        };
+        let expect = |g: u64| ReduceValue { sum: 4 * g as i64, min: 10 * g + 1 };
+        let mut late = arrive(&r, 1, 0);
+        arrive(&r, 0, 0);
+        pump(&r, &[0, 1]);
+        for g in 0..3u64 {
+            assert_eq!(late, [g, g], "node 1's generation tokens");
+            assert_eq!(r.poll(NodeId(0), g), Some(expect(g)), "node 0, generation {g}");
+            if g < 2 {
+                arrive(&r, 0, g + 1);
+                pump(&r, &[0]);
+            }
+            for gen in late {
+                assert_eq!(r.poll(NodeId(1), gen), Some(expect(g)), "node 1, generation {g}");
+            }
+            if g < 2 {
+                late = arrive(&r, 1, g + 1);
+                pump(&r, &[0, 1]);
+            }
+        }
     }
 
     #[test]

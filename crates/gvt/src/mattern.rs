@@ -52,10 +52,11 @@
 //! efficiency (committed over committed-plus-rolled-back) when it
 //! publishes, over the window since the previous round — the paper uses
 //! the cumulative ratio, which barely moves at this harness's horizons (see
-//! EXPERIMENTS.md) — sets the flag for the next round, and records the
-//! round in the shared GVT trace. In asynchronous rounds the algorithm is
-//! indistinguishable from Mattern apart from that per-round computation
-//! (the overhead the paper measures as CA-GVT's small
+//! EXPERIMENTS.md) — arms the next round by storing why it must
+//! synchronize (a [`SyncCause`], `None` for an asynchronous round), and
+//! records the round in the shared GVT trace. In asynchronous rounds the
+//! algorithm is indistinguishable from Mattern apart from that per-round
+//! computation (the overhead the paper measures as CA-GVT's small
 //! computation-dominated penalty).
 
 use cagvt_base::ids::{LaneId, NodeId};
@@ -68,7 +69,7 @@ use cagvt_core::gvt::{
 };
 use cagvt_core::stats::GvtRoundRecord;
 use cagvt_net::{ClusterSpec, CostModel, CtrlMsg, CtrlPlane, MsgClass};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::common::{mark, try_join_round, TwoLevelReduce};
@@ -106,10 +107,9 @@ impl NodeCm {
 struct CaExtra {
     /// Reused two-level barrier for the three synchronization points.
     barrier: TwoLevelReduce,
-    /// Run the next round synchronously?
-    sync_flag: AtomicBool,
-    /// Why the next round was armed ([`SyncCause`] encoding, set together
-    /// with `sync_flag` at each publication; recording-only).
+    /// Why the next round is armed ([`SyncCause`] encoding, set at each
+    /// publication): `SyncCause::None` runs it asynchronously, any other
+    /// cause synchronously.
     armed_cause: AtomicU8,
     /// Efficiency threshold (paper: 0.80).
     threshold: f64,
@@ -118,6 +118,13 @@ struct CaExtra {
     /// this depth (saturation shows in the queue before it shows in the
     /// cumulative efficiency).
     queue_threshold: Option<u64>,
+}
+
+impl CaExtra {
+    /// Is the next round to start armed to run synchronously?
+    fn armed(&self) -> bool {
+        self.armed_cause.load(Ordering::Acquire) != SyncCause::None.as_u8()
+    }
 }
 
 /// Shared state of one Mattern / CA-GVT run.
@@ -186,8 +193,7 @@ impl MatternBundle {
             assert!((0.0..=1.0).contains(&threshold), "threshold is a ratio, got {threshold}");
             CaExtra {
                 barrier: TwoLevelReduce::new(spec),
-                sync_flag: AtomicBool::new(false),
-                armed_cause: AtomicU8::new(0),
+                armed_cause: AtomicU8::new(SyncCause::None.as_u8()),
                 threshold,
                 queue_threshold,
             }
@@ -385,8 +391,7 @@ impl WorkerGvt for MatternWorker {
                     return WorkerGvtOutcome::Waiting;
                 }
                 mark(&shared.core, ctx.now, track, r, GvtPhaseKind::RoundStart);
-                self.sync_round =
-                    shared.ca.as_ref().is_some_and(|ca| ca.sync_flag.load(Ordering::Acquire));
+                self.sync_round = shared.ca.as_ref().is_some_and(CaExtra::armed);
                 self.advance(ctx, r, Transition::TurnRed)
             }
             Phase::Red if shared.drained_round.load(Ordering::Acquire) >= r => {
@@ -488,14 +493,11 @@ impl MatternMpi {
             } else {
                 dc as f64 / (dc + dr) as f64
             };
-            let was_sync = ca.sync_flag.load(Ordering::Acquire);
             let queue_high =
                 ca.queue_threshold.map(|t| shared.core.max_mpi_queue_depth() > t).unwrap_or(false);
             let eff_low = efficiency_window < ca.threshold;
-            ca.sync_flag.store(eff_low || queue_high, Ordering::Release);
             // Swap in the cause armed for the *next* round; the returned
-            // previous value is why *this* round ran the way it did (it
-            // was stored together with `sync_flag` at the last publish).
+            // previous value is why *this* round ran the way it did.
             let cause = SyncCause::from_u8(
                 ca.armed_cause
                     .swap(SyncCause::from_flags(eff_low, queue_high).as_u8(), Ordering::AcqRel),
@@ -503,7 +505,6 @@ impl MatternMpi {
             shared.core.stats.gvt_trace.lock().push(GvtRoundRecord {
                 round: msg.round,
                 gvt: gvt.as_f64(),
-                synchronous: was_sync,
                 efficiency: shared.core.stats.efficiency(),
                 efficiency_window,
                 cause,
@@ -785,10 +786,10 @@ mod tests {
                 assert!(now < 10_000_000, "round must complete");
             }
             let ca = bundle.shared.ca.as_ref().unwrap();
-            assert_eq!(ca.sync_flag.load(Ordering::Acquire), sync_next, "threshold {threshold}");
+            assert_eq!(ca.armed(), sync_next, "threshold {threshold}");
             let rec = core.stats.gvt_trace.lock()[0];
             assert_eq!(rec.efficiency_window, 0.7);
-            assert!(!rec.synchronous);
+            assert!(!rec.synchronous());
         }
     }
 
@@ -797,7 +798,8 @@ mod tests {
     #[test]
     fn sync_round_passes_three_barriers() {
         let (core, bundle) = setup_ca(1, 2, Some((0.8, None)), None);
-        bundle.shared.ca.as_ref().unwrap().sync_flag.store(true, Ordering::Release);
+        let ca = bundle.shared.ca.as_ref().unwrap();
+        ca.armed_cause.store(SyncCause::Efficiency.as_u8(), Ordering::Release);
         let mut ws = [
             bundle.worker_gvt(NodeId(0), LaneId(0), 0),
             bundle.worker_gvt(NodeId(0), LaneId(1), 1),
@@ -837,7 +839,8 @@ mod tests {
     fn held_polls_are_pure_until_the_barrier_publishes() {
         let marks = Arc::new(PhaseMarks::default());
         let (core, bundle) = setup_ca(1, 1, Some((0.8, None)), Some(marks.clone()));
-        bundle.shared.ca.as_ref().unwrap().sync_flag.store(true, Ordering::Release);
+        let ca = bundle.shared.ca.as_ref().unwrap();
+        ca.armed_cause.store(SyncCause::Efficiency.as_u8(), Ordering::Release);
         let mut w = bundle.worker_gvt(NodeId(0), LaneId(0), 0);
         let mut mpi = bundle.mpi_gvt(NodeId(0));
         let cost = CostModel::knl_cluster();

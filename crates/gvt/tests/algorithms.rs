@@ -52,8 +52,12 @@ fn single_node_all_algorithms_match_sequential() {
             cfg.end_time = 40.0;
             let report = assert_matches_sequential(kind, MiniHold::default(), cfg);
             assert!(report.gvt_rounds > 0, "{kind:?} must run rounds\n{report}");
-            assert_eq!(report.sent_regional > 0, workers > 1, "cross-worker traffic\n{report}");
-            assert_eq!(report.sent_remote, 0, "one node sends nothing remote\n{report}");
+            assert_eq!(
+                report.workers.sent_regional > 0,
+                workers > 1,
+                "cross-worker traffic\n{report}"
+            );
+            assert_eq!(report.workers.sent_remote, 0, "one node sends nothing remote\n{report}");
         }
     }
 }
@@ -68,8 +72,8 @@ fn multi_node_all_algorithms_match_sequential() {
             MiniHold { far_fraction: 0.4, ..Default::default() },
             cfg,
         );
-        assert!(report.sent_remote > 0, "{kind:?}: remote traffic expected");
-        assert!(report.sent_regional > 0, "{kind:?}: cross-worker traffic expected");
+        assert!(report.workers.sent_remote > 0, "{kind:?}: remote traffic expected");
+        assert!(report.workers.sent_regional > 0, "{kind:?}: cross-worker traffic expected");
         assert!(report.gvt_rounds > 1, "{kind:?}: several rounds expected\n{report}");
     }
 }
@@ -87,8 +91,8 @@ fn rollback_heavy_runs_stay_correct() {
     for kind in all_kinds() {
         let (model, cfg) = rollback_heavy(40.0);
         let report = assert_matches_sequential(kind, model, cfg);
-        assert!(report.rollbacks > 0, "{kind:?}: rollbacks expected\n{report}");
-        assert!(report.antis_sent > 0, "{kind:?}: anti-messages expected\n{report}");
+        assert!(report.workers.rollbacks > 0, "{kind:?}: rollbacks expected\n{report}");
+        assert!(report.workers.antis_sent > 0, "{kind:?}: anti-messages expected\n{report}");
     }
 }
 
@@ -170,7 +174,7 @@ fn tight_throttles_never_stall_gvt() {
         for cap in [2, 4, 8] {
             cfg.max_outstanding = cap;
             let report = assert_matches_sequential(kind, MiniHold::default(), cfg);
-            assert!(report.throttled_steps > 0, "{kind:?}: a cap of {cap} must engage\n{report}");
+            assert!(report.workers.throttled > 0, "{kind:?}: a cap of {cap} must engage\n{report}");
         }
     }
     // With the bound orders of magnitude looser it binds less, and the
@@ -179,7 +183,7 @@ fn tight_throttles_never_stall_gvt() {
     let tight = run(GvtKind::Mattern, MiniHold::default(), cfg);
     cfg.max_outstanding = 4096;
     let loose = assert_matches_sequential(GvtKind::Mattern, MiniHold::default(), cfg);
-    assert!(loose.throttled_steps < tight.throttled_steps);
+    assert!(loose.workers.throttled < tight.workers.throttled);
 }
 
 #[test]
@@ -201,7 +205,7 @@ fn request_counters_are_populated() {
     cfg.max_outstanding = 64;
     let report = run(GvtKind::Mattern, MiniHold::default(), cfg);
     report.check_conservation(cfg.end_vt());
-    assert!(report.requests_interval > 0, "round requests must be recorded\n{report}");
+    assert!(report.workers.requests_interval > 0, "round requests must be recorded\n{report}");
 }
 
 #[test]
@@ -417,11 +421,11 @@ fn samadi_matches_sequential_and_pays_ack_traffic() {
     let mattern = run(GvtKind::Mattern, model, cfg);
     assert_eq!(mattern.committed, report.committed);
     assert!(
-        report.sent_regional + report.sent_remote
-            > (mattern.sent_regional + mattern.sent_remote) * 3 / 2,
+        report.workers.sent_regional + report.workers.sent_remote
+            > (mattern.workers.sent_regional + mattern.workers.sent_remote) * 3 / 2,
         "Samadi must roughly double channel traffic: samadi {} vs mattern {}",
-        report.sent_regional + report.sent_remote,
-        mattern.sent_regional + mattern.sent_remote,
+        report.workers.sent_regional + report.workers.sent_remote,
+        mattern.workers.sent_regional + mattern.workers.sent_remote,
     );
 }
 

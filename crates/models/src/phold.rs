@@ -57,21 +57,12 @@ impl PhaseSchedule {
         PhaseSchedule { segments: vec![(1.0, params)], cycle_fraction: 1.0 }
     }
 
-    /// The paper's `X-Y` mixed model: the first `x`% of the run in `a`,
-    /// the next `y`% in `b`, repeating.
-    pub fn alternating(x: f64, a: PholdParams, y: f64, b: PholdParams) -> Self {
-        assert!(x > 0.0 && y > 0.0);
-        let total = x + y;
-        PhaseSchedule {
-            segments: vec![(x / total, a), (y / total, b)],
-            cycle_fraction: total / 100.0,
-        }
-    }
-
-    /// `X-Y` alternation compressed to `cycles` repetitions over the whole
-    /// run (phase *durations* relative to GVT rounds matter for the mixed
-    /// experiments; at harness horizons the paper's literal percentages
-    /// would make each phase shorter than a single GVT round).
+    /// The paper's `X-Y` mixed model: each cycle spends `x / (x + y)` of
+    /// its length in `a`, then the rest in `b`, and the run holds `cycles`
+    /// cycles. The paper's literal schedule (a cycle of `x + y` per cent of
+    /// the run) is `cycles = 100 / (x + y)`; at harness horizons it would
+    /// make each phase shorter than a single GVT round, and phase
+    /// *durations* relative to GVT rounds matter for the mixed experiments.
     pub fn alternating_cycles(x: f64, a: PholdParams, y: f64, b: PholdParams, cycles: u32) -> Self {
         assert!(x > 0.0 && y > 0.0 && cycles >= 1);
         let total = x + y;
@@ -354,7 +345,7 @@ mod tests {
         let comp = PholdParams::new(0.10, 0.01, 10_000);
         let comm = PholdParams::new(0.90, 0.10, 5_000);
         // 10-15 model: cycle = 25% of the run, 40% of each cycle in comp.
-        let s = PhaseSchedule::alternating(10.0, comp, 15.0, comm);
+        let s = PhaseSchedule::alternating_cycles(10.0, comp, 15.0, comm, 4);
         assert_eq!(s.at(0.0), comp);
         assert_eq!(s.at(0.05), comp);
         assert_eq!(s.at(0.11), comm);
@@ -479,11 +470,12 @@ mod reverse_tests {
     fn reverse_handles_every_phase_of_a_mixed_schedule() {
         let m = PholdModel::new(
             &geometry(2, 3, 4),
-            PhaseSchedule::alternating(
+            PhaseSchedule::alternating_cycles(
                 10.0,
                 PholdParams::new(0.1, 0.01, 10_000),
                 15.0,
                 PholdParams::new(0.9, 0.1, 5_000),
+                4,
             ),
         );
         let mut rng = Pcg32::new(5, 5);

@@ -98,6 +98,14 @@ impl ClusterCollective {
         self.completed(gen).filter(|&(_, visible_at)| now >= visible_at).map(|(value, _)| value)
     }
 
+    /// The result for `gen` once every participant has arrived, whatever
+    /// its visibility time: for a reader that learned through another
+    /// channel that the result is visible. Like [`Self::try_result`], it
+    /// stays readable until `gen + 2` completes.
+    pub fn result(&self, gen: u64) -> Option<ReduceValue> {
+        self.completed(gen).map(|(value, _)| value)
+    }
+
     /// When the result for `gen` becomes visible, once every participant
     /// has arrived.
     pub fn visible_at(&self, gen: u64) -> Option<WallNs> {
@@ -128,7 +136,7 @@ impl NodeReduce {
 
     /// The reduced value for `gen`, once every participant has arrived.
     pub fn try_result(&self, gen: u64) -> Option<ReduceValue> {
-        self.0.try_result(WallNs(u64::MAX), gen)
+        self.0.result(gen)
     }
 }
 
@@ -163,11 +171,12 @@ mod tests {
         let c = ClusterCollective::new(2);
         let g = c.arrive(WallNs(100), 3, 10, WallNs(1_000));
         assert_eq!(c.try_result(WallNs(10_000), g), None, "not complete yet");
-        assert_eq!(c.visible_at(g), None);
+        assert_eq!((c.visible_at(g), c.result(g)), (None, None));
         c.arrive(WallNs(500), -1, 5, WallNs(1_000));
         // Complete, but only visible at last_arrival (500) + 1000.
         assert_eq!(c.visible_at(g), Some(WallNs(1_500)));
         assert_eq!(c.try_result(WallNs(1_400), g), None);
+        assert_eq!(c.result(g), Some(ReduceValue { sum: 2, min: 5 }), "ungated read");
         let v = c.try_result(WallNs(1_500), g).unwrap();
         assert_eq!(v.sum, 2);
         assert_eq!(v.min, 5);

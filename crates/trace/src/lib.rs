@@ -13,9 +13,11 @@
 //!   every field of every record, in recording order, one JSON object per
 //!   line (a GVT phase or publication adds a flow or counter object).
 //!
-//! The per-round horizon (width, roughness, mean lag) comes from worker 0's
-//! `RoundSnapshot`, once, for the run report and the metrics epochs
-//! (`metrics-<series>.csv`).
+//! The trace derives no statistics. The per-round horizon (width,
+//! roughness, mean lag) is read once per round, by
+//! `GvtSharedCore::observe_round` in `cagvt-core`, which also hands this
+//! layer the round's GVT and LVT records: the run report reads it from the
+//! round log and the metrics epochs (`metrics-<series>.csv`) carry it.
 //!
 //! Recording charges no simulated wall-clock cost: the trace observes the
 //! run, it never participates in it. The `tracing_never_perturbs` proptest

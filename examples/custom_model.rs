@@ -115,7 +115,7 @@ fn main() {
     for (name, r) in [("reverse", &reverse), ("snapshot", &snapshot)] {
         println!(
             "{name:<9} committed {:>6}  rollbacks {:>4}  fingerprint {:#018x}",
-            r.committed, r.rollbacks, r.state_fingerprint
+            r.committed, r.workers.rollbacks, r.state_fingerprint
         );
     }
 

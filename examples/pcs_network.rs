@@ -36,7 +36,7 @@ fn main() {
             report.algorithm,
             report.steady_rate,
             report.efficiency * 100.0,
-            report.rollbacks
+            report.workers.rollbacks
         );
     }
 

@@ -43,7 +43,7 @@ fn phold_comm_all_algorithms_match_sequential() {
         cfg.end_time = 20.0;
         let workload = comm_dominated(&cfg);
         let report = assert_matches_sequential(kind, workload.model, cfg);
-        assert!(report.sent_remote > 0, "comm workload must generate remote traffic");
+        assert!(report.workers.sent_remote > 0, "comm workload must generate remote traffic");
     }
 }
 
@@ -206,10 +206,13 @@ fn thread_runtime_annihilates_and_matches_sequential() {
     cfg.end_time = 30.0;
     let model = MiniHold { far_fraction: 0.9, ..MiniHold::default() };
     let report = assert_threaded_matches_sequential(GvtKind::Mattern, model, cfg);
-    assert!(report.antis_sent > 0, "no anti-message was sent\n{report}");
-    let anti_rollbacks = report.rollbacks - report.stragglers;
+    assert!(report.workers.antis_sent > 0, "no anti-message was sent\n{report}");
+    let anti_rollbacks = report.workers.rollbacks - report.workers.stragglers;
     assert!(anti_rollbacks > 0, "no anti-message met a processed event\n{report}");
-    assert!(report.annihilated > anti_rollbacks, "no anti-message met a pending event\n{report}");
+    assert!(
+        report.workers.annihilated > anti_rollbacks,
+        "no anti-message met a pending event\n{report}"
+    );
 }
 
 #[test]
@@ -273,7 +276,7 @@ fn reverse_computation_matches_snapshot_rollback_exactly() {
     };
     let reverse = run(RollbackStrategy::Reverse);
     let snapshot = run(RollbackStrategy::Snapshot);
-    assert!(reverse.rollbacks > 0, "rollbacks must exercise the reverse path");
+    assert!(reverse.workers.rollbacks > 0, "rollbacks must exercise the reverse path");
     assert_eq!(reverse.committed, snapshot.committed);
     assert_eq!(reverse.state_fingerprint, snapshot.state_fingerprint);
     assert_eq!(reverse.sched_steps, snapshot.sched_steps);

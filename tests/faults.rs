@@ -126,7 +126,7 @@ fn gvt_remains_monotonic_under_faults() {
         VirtualConfig { faults: Some(faults as Arc<dyn FaultInjector>), ..Default::default() };
     let stats = VirtualScheduler::new(vcfg).run(actors);
     assert!(stats.completed);
-    let samples = handles.shared.stats.progress.lock();
+    let samples = handles.shared.stats.rounds.lock();
     assert!(!samples.is_empty(), "at least one GVT round must be sampled");
     for w in samples.windows(2) {
         assert!(w[1].gvt >= w[0].gvt, "GVT regressed under faults: {} -> {}", w[0].gvt, w[1].gvt);

@@ -163,9 +163,9 @@ fn parked_runs_reproduce_the_polling_scheduler() {
         let got = Pinned {
             sched_steps: r.sched_steps + skipped,
             sched_idle_steps: r.sched_idle_steps + skipped - held,
-            throttled_steps: r.throttled_steps,
-            requests_interval: r.requests_interval,
-            requests_idle: r.requests_idle,
+            throttled_steps: r.workers.throttled,
+            requests_interval: r.workers.requests_interval,
+            requests_idle: r.workers.requests_idle,
             final_ns: (r.sim_seconds * 1e9).round() as u64,
             committed: r.committed,
             state_fingerprint: r.state_fingerprint,
